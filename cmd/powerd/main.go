@@ -177,11 +177,12 @@ func run(opts options, stdout, stderr io.Writer) error {
 		ds.Handle("/metrics", col)
 	}
 	fmt.Fprintf(stderr, "powerd: serving on http://%s (/v1/measure, /v1/sweep, /v1/schedule, /v1/omni/*, /healthz)\n", ds.Addr)
+	wait := serve.NotifyShutdown(opts.hold)
 	if opts.ready != nil {
 		opts.ready <- ds.Addr
 	}
 
-	reason := serve.WaitForShutdown(opts.hold)
+	reason := wait()
 	fmt.Fprintf(stderr, "powerd: shutting down (%s); draining in-flight requests\n", reason)
 	ctx, cancel := context.WithTimeout(context.Background(), opts.drainTimeout)
 	defer cancel()

@@ -37,8 +37,8 @@ func ProfileSeries(s timeseries.Series) Profile {
 	if s.Len() == 0 {
 		return p
 	}
-	p.Summary, _ = stats.Describe(s.Values)
-	k := stats.NewKDE(s.Values, 0, 512)
+	summary, k, _ := stats.DescribeKDE(s.Values, 512)
+	p.Summary = summary
 	p.Modes = k.Modes(stats.DefaultModeThreshold)
 	if len(p.Modes) > 0 {
 		p.HighMode = p.Modes[len(p.Modes)-1]

@@ -147,3 +147,35 @@ func TestProfileRunEmpty(t *testing.T) {
 		t.Fatal("empty run output should yield empty profile")
 	}
 }
+
+var profileSink Profile
+
+// BenchmarkProfileSeries profiles the eight series ProfileWindow builds
+// for one Table I run sampled at the LDMS interval: the summary, KDE
+// and modes work every computed measurement pays.
+func BenchmarkProfileSeries(b *testing.B) {
+	for _, name := range []string{"Si256_hse", "PdO4"} {
+		bench, _ := workloads.ByName(name)
+		out, err := workloads.Run(workloads.RunSpec{Bench: bench, Nodes: 1, Repeats: 1, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := out.Nodes[0]
+		traces := []*timeseries.Trace{n.TotalTrace(), n.CPUTrace(), n.MemTrace(), n.GPUSumTrace()}
+		for i := 0; i < n.NumGPUs(); i++ {
+			traces = append(traces, n.GPUTrace(i))
+		}
+		series := make([]timeseries.Series, len(traces))
+		for i, tr := range traces {
+			series[i] = tr.Sample(DefaultSamplingInterval).Slice(out.VASPStart, out.VASPEnd)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, s := range series {
+					profileSink = ProfileSeries(s)
+				}
+			}
+		})
+	}
+}

@@ -18,7 +18,8 @@ func FuzzParseINCAR(f *testing.F) {
 		"A = = =",
 		"=",
 		"TAG =\nTAG2 = v ; ; ;",
-		"LREAL auto", // no '='
+		"NELM =\nEDIFF =", // typed tags with blank values
+		"LREAL auto",      // no '='
 		"\x00\xff weird bytes = ok?",
 		"KPAR = 999999999999999999999999", // overflow
 	}
@@ -53,6 +54,7 @@ func FuzzParseKPOINTS(f *testing.F) {
 		"mesh\n0\nGamma\n-1 0 4\n",
 		"mesh\n0\nGamma\n4 4\n",
 		"x\n0\nG\n1 1 1\nnot a shift\n",
+		"x\n\nGamma\n1 1 1\n", // blank automatic-mesh line
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -90,7 +90,7 @@ func (f *File) Int(tag string, def int) (int, error) {
 	if !ok {
 		return def, nil
 	}
-	n, err := strconv.Atoi(strings.Fields(v)[0])
+	n, err := strconv.Atoi(firstField(v))
 	if err != nil {
 		return 0, fmt.Errorf("incar: tag %s: %q is not an integer", strings.ToUpper(tag), v)
 	}
@@ -104,13 +104,23 @@ func (f *File) Float(tag string, def float64) (float64, error) {
 	if !ok {
 		return def, nil
 	}
-	s := strings.Fields(v)[0]
+	s := firstField(v)
 	s = strings.ReplaceAll(strings.ReplaceAll(s, "D", "E"), "d", "e")
 	x, err := strconv.ParseFloat(s, 64)
 	if err != nil {
 		return 0, fmt.Errorf("incar: tag %s: %q is not a number", strings.ToUpper(tag), v)
 	}
 	return x, nil
+}
+
+// firstField returns the first whitespace-separated word of v, or ""
+// for a blank value ("NELM =", an empty KPOINTS line) so that parsing
+// it fails with the caller's error instead of panicking.
+func firstField(v string) string {
+	if fs := strings.Fields(v); len(fs) > 0 {
+		return fs[0]
+	}
+	return ""
 }
 
 // Bool returns the tag parsed as a Fortran logical.

@@ -57,7 +57,7 @@ func ParseKPoints(text string) (KPoints, error) {
 		return kp, fmt.Errorf("kpoints: need at least 4 lines, got %d", len(lines))
 	}
 	kp.Comment = lines[0]
-	nAuto, err := strconv.Atoi(strings.Fields(lines[1])[0])
+	nAuto, err := strconv.Atoi(firstField(lines[1]))
 	if err != nil || nAuto != 0 {
 		return kp, fmt.Errorf("kpoints: line 2 must be 0 (automatic mesh), got %q", lines[1])
 	}

@@ -387,23 +387,20 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.limiter.Release(1)
 
-	s.m.Misses.Inc()
-	e, coalesced, err := s.cache.do(ctx, measureCanonKey(spec), func() (int, []byte, error) {
+	e, how, err := s.cache.do(ctx, measureCanonKey(spec), func() (int, []byte, error) {
 		jp, err := s.cfg.Measure(spec)
 		if err != nil {
 			return http.StatusInternalServerError, nil, err
 		}
 		return encodeJSON(buildMeasureResponse(spec, jp))
 	})
-	if coalesced {
-		s.m.Coalesced.Inc()
-	}
+	s.countFlight(how)
 	if err != nil {
 		s.evalError(w, err)
 		return
 	}
 	s.cache.alias(body, e)
-	writeEntry(w, e, false)
+	writeEntry(w, e, how == flightFound)
 	s.observeLatency(start)
 }
 
@@ -411,6 +408,24 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 // request's own lifetime.
 func contextWithTimeout(r *http.Request, d time.Duration) (context.Context, context.CancelFunc) {
 	return context.WithTimeout(r.Context(), d)
+}
+
+// countFlight scores an admitted request by how it got its entry: a
+// request that finds the canonical entry already complete (its body
+// missed the alias index, e.g. a new spelling, or it was still
+// decoding when the flight finished) is a hit like an alias hit;
+// everything else is a miss, and joining another caller's flight is
+// also coalesced.
+func (s *Server) countFlight(how flight) {
+	switch how {
+	case flightFound:
+		s.m.Hits.Inc()
+	case flightJoined:
+		s.m.Misses.Inc()
+		s.m.Coalesced.Inc()
+	default:
+		s.m.Misses.Inc()
+	}
 }
 
 // evalError maps an evaluation failure to HTTP: deadline → 504,
@@ -603,15 +618,15 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.limiter.Release(weight)
-	s.m.Misses.Inc()
 
 	if req.Stream {
+		s.m.Misses.Inc()
 		s.streamSweep(ctx, w, req, specs)
 		s.observeLatency(start)
 		return
 	}
 
-	e, coalesced, err := s.cache.do(ctx, sweepCanonKey(req.Kind, specs), func() (int, []byte, error) {
+	e, how, err := s.cache.do(ctx, sweepCanonKey(req.Kind, specs), func() (int, []byte, error) {
 		jps, err := s.batcher.Measure(ctx, specs)
 		if err != nil {
 			return http.StatusInternalServerError, nil, err
@@ -628,15 +643,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		return encodeJSON(resp)
 	})
-	if coalesced {
-		s.m.Coalesced.Inc()
-	}
+	s.countFlight(how)
 	if err != nil {
 		s.evalError(w, err)
 		return
 	}
 	s.cache.alias(body, e)
-	writeEntry(w, e, false)
+	writeEntry(w, e, how == flightFound)
 	s.observeLatency(start)
 }
 
@@ -837,9 +850,8 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.limiter.Release(scheduleWeight)
-	s.m.Misses.Inc()
 
-	e, coalesced, err := s.cache.do(ctx, scheduleCanonKey(req, p.Name), func() (int, []byte, error) {
+	e, how, err := s.cache.do(ctx, scheduleCanonKey(req, p.Name), func() (int, []byte, error) {
 		idle := req.IdleNodeW
 		if idle == 0 {
 			idle = defaultIdleNodeW
@@ -880,15 +892,13 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 			ThroughputJobsH: res.Throughput,
 		})
 	})
-	if coalesced {
-		s.m.Coalesced.Inc()
-	}
+	s.countFlight(how)
 	if err != nil {
 		s.evalError(w, err)
 		return
 	}
 	s.cache.alias(body, e)
-	writeEntry(w, e, false)
+	writeEntry(w, e, how == flightFound)
 	s.observeLatency(start)
 }
 

@@ -7,7 +7,8 @@ import "vasppower/internal/obs"
 // records cache and scheduler traffic. Every endpoint except /healthz
 // (which liveness probes would otherwise dominate) lands in Requests.
 // On the cached endpoints each request then scores Hits (served from
-// pre-serialized bytes), Misses (admitted into evaluation), Shed
+// pre-serialized bytes, found by verbatim body or, after admission, by
+// canonical key), Misses (admitted into evaluation), Shed
 // (refused at admission), or Errors (rejected by validation, or
 // failed — a miss whose evaluation fails counts in both Misses and
 // Errors). Coalesced counts the misses that joined another caller's

@@ -132,28 +132,38 @@ func (c *respCache) alias(body []byte, e *respEntry) {
 	s.mu.Unlock()
 }
 
+// flight says how a do call obtained its entry.
+type flight uint8
+
+const (
+	flightLed    flight = iota // this caller ran fill
+	flightJoined               // waited on another caller's fill (coalesced)
+	flightFound                // the entry was already complete (a hit)
+)
+
 // do returns the entry for canonKey, running fill at most once across
 // concurrent callers: the first caller in computes (and its entry is
 // cached only on success, like the memo tiers — errors are delivered
 // to the flight's waiters, then retried by the next caller), later
-// callers block on the in-flight entry and are reported coalesced.
-// ctx bounds only the waiting of coalesced callers; the computing
-// caller runs fill to completion so waiters always get a result.
-func (c *respCache) do(ctx context.Context, canonKey string, fill func() (status int, body []byte, err error)) (e *respEntry, coalesced bool, err error) {
+// callers block on the in-flight entry and are reported joined, and a
+// caller arriving after the flight completed is reported found.
+// ctx bounds only the waiting of joined callers; the computing caller
+// runs fill to completion so waiters always get a result.
+func (c *respCache) do(ctx context.Context, canonKey string, fill func() (status int, body []byte, err error)) (e *respEntry, how flight, err error) {
 	s := &c.shards[fnv32aString(canonKey)%respShardCount]
 	s.mu.Lock()
 	if e, ok := s.entries[canonKey]; ok {
 		s.mu.Unlock()
 		select {
 		case <-e.done:
-			return e, false, e.err
+			return e, flightFound, e.err
 		default:
 		}
 		select {
 		case <-e.done:
-			return e, true, e.err
+			return e, flightJoined, e.err
 		case <-ctx.Done():
-			return nil, true, ctx.Err()
+			return nil, flightJoined, ctx.Err()
 		}
 	}
 	e = &respEntry{done: make(chan struct{})}
@@ -174,7 +184,7 @@ func (c *respCache) do(ctx context.Context, canonKey string, fill func() (status
 		s.mu.Unlock()
 	}
 	close(e.done)
-	return e, false, e.err
+	return e, flightLed, e.err
 }
 
 // Len returns the number of completed-or-in-flight canonical entries

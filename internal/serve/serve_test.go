@@ -125,7 +125,8 @@ func TestMeasureWarmHit(t *testing.T) {
 
 // TestSemanticDedup: bodies that differ in field order or in spelling
 // out defaults are distinct byte aliases but one canonical identity —
-// one evaluation, identical response bytes.
+// one evaluation, identical response bytes, and cache hits after the
+// first.
 func TestSemanticDedup(t *testing.T) {
 	s, f := newTestServer(t, nil)
 	a := post(t, s, "/v1/measure", `{"bench":"Si256_hse","cap_w":250,"nodes":1}`)
@@ -141,6 +142,16 @@ func TestSemanticDedup(t *testing.T) {
 	}
 	if n := f.evals.Load(); n != 1 {
 		t.Fatalf("evaluations = %d, want 1 (canonical dedup)", n)
+	}
+	// The later spellings miss the alias index but find the finished
+	// canonical entry: each scores as a hit, not as a miss.
+	for i, w := range []*httptest.ResponseRecorder{b, c} {
+		if got := w.Header().Get("X-Cache"); got != "hit" {
+			t.Fatalf("spelling %d X-Cache = %q, want hit", i+1, got)
+		}
+	}
+	if h, m := s.Metrics().Hits.Value(), s.Metrics().Misses.Value(); h != 2 || m != 1 {
+		t.Fatalf("serve.hits = %d, serve.misses = %d, want 2 and 1", h, m)
 	}
 }
 
@@ -201,11 +212,13 @@ func TestCoalescingBurst(t *testing.T) {
 			bodies[i] = w.Body.Bytes()
 		}(i)
 	}
-	// Wait for the one evaluation to be in flight, then let it finish.
+	// Wait for the one evaluation to be in flight and for a follower
+	// to be admitted behind it, then let it finish. Requests still
+	// decoding at that point find the finished entry and count as hits.
 	deadline := time.Now().Add(5 * time.Second)
-	for f.evals.Load() == 0 {
+	for f.evals.Load() == 0 || s.Metrics().InFlight.Value() < 2 {
 		if time.Now().After(deadline) {
-			t.Fatal("no evaluation started")
+			t.Fatal("no evaluation started with a follower admitted")
 		}
 		time.Sleep(time.Millisecond)
 	}

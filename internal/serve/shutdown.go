@@ -22,22 +22,32 @@ import (
 // instead of waiting out the timer, and the binaries get a uniform
 // graceful-drain trigger.
 func WaitForShutdown(hold time.Duration) string {
+	return NotifyShutdown(hold)()
+}
+
+// NotifyShutdown installs the signal handler of WaitForShutdown at once
+// and returns the wait. A server calls it before it reports itself
+// ready, so a signal sent right after the report ends the wait instead
+// of killing the process with the default action.
+func NotifyShutdown(hold time.Duration) (wait func() string) {
 	if hold == 0 {
-		return "hold elapsed"
+		return func() string { return "hold elapsed" }
 	}
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
-	if hold < 0 {
-		<-sig
-		return "signal"
-	}
-	t := time.NewTimer(hold)
-	defer t.Stop()
-	select {
-	case <-sig:
-		return "signal"
-	case <-t.C:
-		return "hold elapsed"
+	return func() string {
+		defer signal.Stop(sig)
+		if hold < 0 {
+			<-sig
+			return "signal"
+		}
+		t := time.NewTimer(hold)
+		defer t.Stop()
+		select {
+		case <-sig:
+			return "signal"
+		case <-t.C:
+			return "hold elapsed"
+		}
 	}
 }

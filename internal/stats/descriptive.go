@@ -32,9 +32,15 @@ func Describe(xs []float64) (Summary, error) {
 	if len(xs) == 0 {
 		return Summary{}, ErrEmpty
 	}
+	return describeSorted(xs, sortedCopy(xs)), nil
+}
+
+// describeSorted summarizes the non-empty xs given sorted, an ascending
+// copy of it. Min, Max and the quartiles come from sorted; the sums run
+// over xs in input order, so Mean and StdDev keep their bits whoever
+// did the sorting.
+func describeSorted(xs, sorted []float64) Summary {
 	s := Summary{N: len(xs)}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
 	s.Min = sorted[0]
 	s.Max = sorted[len(sorted)-1]
 	var sum, sumSq float64
@@ -52,7 +58,13 @@ func Describe(xs []float64) (Summary, error) {
 	s.Median = quantileSorted(sorted, 0.5)
 	s.Q1 = quantileSorted(sorted, 0.25)
 	s.Q3 = quantileSorted(sorted, 0.75)
-	return s, nil
+	return s
+}
+
+func sortedCopy(xs []float64) []float64 {
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	return sorted
 }
 
 // Mean returns the arithmetic mean (NaN for empty).
@@ -83,9 +95,7 @@ func Quantile(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
+	return quantileSorted(sortedCopy(xs), q)
 }
 
 func quantileSorted(sorted []float64, q float64) float64 {

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -144,4 +145,62 @@ func TestMeanStdDevHelpers(t *testing.T) {
 	if StdDev([]float64{1, 3}) != 1 {
 		t.Fatal("StdDev wrong")
 	}
+}
+
+// describeReference is Describe as it was before the sort was shared
+// with the KDE: it sorts its own copy. It pins Describe and
+// DescribeKDE bit for bit.
+func describeReference(xs []float64) (Summary, error) {
+	if len(xs) == 0 {
+		return Summary{}, ErrEmpty
+	}
+	s := Summary{N: len(xs)}
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	s.Min = sorted[0]
+	s.Max = sorted[len(sorted)-1]
+	var sum, sumSq float64
+	for _, v := range xs {
+		sum += v
+		sumSq += v * v
+	}
+	n := float64(len(xs))
+	s.Mean = sum / n
+	variance := sumSq/n - s.Mean*s.Mean
+	if variance < 0 {
+		variance = 0 // fp noise on constant samples
+	}
+	s.StdDev = math.Sqrt(variance)
+	s.Median = quantileSorted(sorted, 0.5)
+	s.Q1 = quantileSorted(sorted, 0.25)
+	s.Q3 = quantileSorted(sorted, 0.75)
+	return s, nil
+}
+
+// sameBits reports whether a and b have the same bits, counting any
+// two NaNs as equal: which NaN payload an operation propagates depends
+// on the operand order the compiler picks, which Go does not specify.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// sameSummary reports the first field where got and want differ in
+// their bits (see sameBits for NaN), or "" when they are identical.
+func sameSummary(got, want Summary) string {
+	if got.N != want.N {
+		return fmt.Sprintf("N %d vs %d", got.N, want.N)
+	}
+	for _, f := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"Min", got.Min, want.Min}, {"Max", got.Max, want.Max},
+		{"Mean", got.Mean, want.Mean}, {"Median", got.Median, want.Median},
+		{"StdDev", got.StdDev, want.StdDev}, {"Q1", got.Q1, want.Q1}, {"Q3", got.Q3, want.Q3},
+	} {
+		if !sameBits(f.got, f.want) {
+			return fmt.Sprintf("%s %v vs %v", f.name, f.got, f.want)
+		}
+	}
+	return ""
 }

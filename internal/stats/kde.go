@@ -22,6 +22,10 @@ func SilvermanBandwidth(xs []float64) float64 {
 		return 1
 	}
 	s, _ := Describe(xs)
+	return silverman(s)
+}
+
+func silverman(s Summary) float64 {
 	spread := s.StdDev
 	if iqr := (s.Q3 - s.Q1) / 1.34; iqr > 0 && iqr < spread {
 		spread = iqr
@@ -31,29 +35,71 @@ func SilvermanBandwidth(xs []float64) float64 {
 		// scale so the density is a narrow bump, not a delta.
 		spread = math.Max(1e-6, math.Abs(s.Mean)*1e-3)
 	}
-	return 0.9 * spread * math.Pow(float64(len(xs)), -0.2)
+	return 0.9 * spread * math.Pow(float64(s.N), -0.2)
 }
 
 // NewKDE estimates the density of xs on a uniform grid of gridN points
 // spanning [min−3h, max+3h], with bandwidth h. If h <= 0, Silverman's
-// rule is used. gridN < 2 panics. The Gaussian kernel is truncated at
-// 4 bandwidths (pointwise relative error below ~1e−4), which keeps the
-// evaluation linear in the number of contributing (sample, grid point)
-// pairs rather than the full n×gridN product.
+// rule is used. An empty xs yields a flat two-point estimate; otherwise
+// gridN < 2 panics. The Gaussian kernel is truncated at
+// 4 bandwidths (pointwise relative error below ~1e−4), so only the
+// (sample, grid point) pairs within 4h of each other contribute.
+//
+// The sample is evaluated as runs of equal values: the kernel costs one
+// exp per (distinct value, grid point) pair inside the window and one
+// add per (sample, grid point) pair. Sampled power timelines repeat
+// values heavily (window means inside one long kernel segment are
+// bit-identical), so this is a fraction of the per-sample exp count,
+// and every density is bit-identical to the per-sample fold.
 func NewKDE(xs []float64, h float64, gridN int) *KDE {
-	if gridN < 2 {
-		panic("stats: KDE grid too small")
-	}
 	if len(xs) == 0 {
 		return &KDE{Xs: []float64{0, 1}, Density: []float64{0, 0}, Bandwidth: 1}
 	}
+	sorted := sortedCopy(xs)
 	if h <= 0 {
-		h = SilvermanBandwidth(xs)
+		h = silverman(describeSorted(xs, sorted))
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
+	return kdeSorted(sorted, h, gridN)
+}
+
+// DescribeKDE returns Describe(xs) and NewKDE(xs, 0, gridN), bit for
+// bit, from one sorted copy of xs instead of the three that the
+// separate calls make. It returns ErrEmpty for an empty sample.
+func DescribeKDE(xs []float64, gridN int) (Summary, *KDE, error) {
+	if len(xs) == 0 {
+		return Summary{}, nil, ErrEmpty
+	}
+	sorted := sortedCopy(xs)
+	s := describeSorted(xs, sorted)
+	return s, kdeSorted(sorted, silverman(s), gridN), nil
+}
+
+// kdeSorted evaluates the estimate of the non-empty sample whose
+// ascending copy is sorted, with bandwidth h. It overwrites sorted and
+// panics if gridN < 2.
+func kdeSorted(sorted []float64, h float64, gridN int) *KDE {
+	if gridN < 2 {
+		panic("stats: KDE grid too small")
+	}
+	n := len(sorted)
 	lo := sorted[0] - 3*h
-	hi := sorted[len(sorted)-1] + 3*h
+	hi := sorted[n-1] + 3*h
+	// Compact sorted in place into its runs: vals[r] is the r-th
+	// distinct value and counts[r] its multiplicity. Equal values
+	// (±0 included) give the same kernel term, and NaN, equal to
+	// nothing, stays a run of one. Appending to vals writes at or
+	// behind the element being read.
+	vals, counts := sorted[:1], make([]int, 1, n)
+	counts[0] = 1
+	for _, v := range sorted[1:] {
+		if last := len(vals) - 1; v == vals[last] {
+			counts[last]++
+			continue
+		}
+		vals = append(vals, v)
+		counts = append(counts, 1)
+	}
+	runs := len(vals)
 	k := &KDE{
 		Xs:        make([]float64, gridN),
 		Density:   make([]float64, gridN),
@@ -61,31 +107,39 @@ func NewKDE(xs []float64, h float64, gridN int) *KDE {
 	}
 	step := (hi - lo) / float64(gridN-1)
 	invH := 1 / h
-	norm := 1 / (float64(len(xs)) * h * math.Sqrt(2*math.Pi))
+	norm := 1 / (float64(n) * h * math.Sqrt(2*math.Pi))
 	// Truncate the kernel at |x−xi| > 4h: exp(−8) ≈ 3.4e−4 of the peak,
 	// and the discarded tail mass per sample is 2(1−Φ(4)) ≈ 6e−5 — far
 	// below every tolerance downstream. Grid points increase strictly,
-	// so the contributing sample window [j0, j1) slides monotonically:
-	// both edges only ever advance, making the window bookkeeping O(n)
-	// over the whole grid instead of a binary search per grid point.
+	// so the contributing run window [r0, r1) slides monotonically:
+	// both edges only ever advance, making the window bookkeeping
+	// linear over the whole grid instead of a binary search per point.
+	// The window predicates agree on equal values, so its edges fall on
+	// the same samples as a per-sample window would.
 	cut := 4 * h
-	j0, j1 := 0, 0
+	r0, r1 := 0, 0
 	for i := 0; i < gridN; i++ {
 		x := lo + float64(i)*step
 		k.Xs[i] = x
-		for j0 < len(sorted) && sorted[j0] < x-cut {
-			j0++
+		for r0 < runs && vals[r0] < x-cut {
+			r0++
 		}
-		if j1 < j0 {
-			j1 = j0
+		if r1 < r0 {
+			r1 = r0
 		}
-		for j1 < len(sorted) && sorted[j1] <= x+cut {
-			j1++
+		for r1 < runs && vals[r1] <= x+cut {
+			r1++
 		}
+		// Add each run's term once per copy, in sorted order: the same
+		// left-to-right sequence of float adds as summing per sample,
+		// so no rounding changes.
 		var d float64
-		for j := j0; j < j1; j++ {
-			u := (x - sorted[j]) * invH
-			d += math.Exp(-0.5 * u * u)
+		for r := r0; r < r1; r++ {
+			u := (x - vals[r]) * invH
+			e := math.Exp(-0.5 * u * u)
+			for c := counts[r]; c > 0; c-- {
+				d += e
+			}
 		}
 		k.Density[i] = d * norm
 	}
@@ -111,10 +165,10 @@ func (k *KDE) Integral() float64 {
 }
 
 // DensityAt evaluates the estimate at x by linear interpolation on the
-// grid (0 outside the grid).
+// grid (0 outside the grid and for non-finite x).
 func (k *KDE) DensityAt(x float64) float64 {
 	n := len(k.Xs)
-	if n == 0 || x < k.Xs[0] || x > k.Xs[n-1] {
+	if n == 0 || math.IsNaN(x) || math.IsInf(x, 0) || x < k.Xs[0] || x > k.Xs[n-1] {
 		return 0
 	}
 	i := sort.SearchFloat64s(k.Xs, x)

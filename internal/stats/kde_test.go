@@ -1,10 +1,15 @@
 package stats
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"vasppower/internal/rng"
+	"vasppower/internal/timeseries"
+	"vasppower/internal/workloads"
 )
 
 func normalSample(seed uint64, n int, mean, sd float64) []float64 {
@@ -164,9 +169,14 @@ func TestDensityAtInterpolation(t *testing.T) {
 	if d < lo-1e-12 || d > hi+1e-12 {
 		t.Fatalf("interpolated density %v outside [%v,%v]", d, lo, hi)
 	}
-	// Outside the grid is 0.
+	// Outside the grid is 0, and so is a non-finite x.
 	if k.DensityAt(k.Xs[0]-1) != 0 || k.DensityAt(k.Xs[len(k.Xs)-1]+1) != 0 {
 		t.Fatal("out-of-grid density should be 0")
+	}
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if d := k.DensityAt(x); d != 0 {
+			t.Fatalf("DensityAt(%v) = %v, want 0", x, d)
+		}
 	}
 }
 
@@ -259,23 +269,265 @@ func TestKDETruncationMatchesFullKernel(t *testing.T) {
 	}
 }
 
+// newKDEReference is NewKDE as a per-sample fold: one exp per (sample,
+// grid point) pair inside the window. NewKDE must match it bit for bit.
+func newKDEReference(xs []float64, h float64, gridN int) *KDE {
+	if gridN < 2 {
+		panic("stats: KDE grid too small")
+	}
+	if len(xs) == 0 {
+		return &KDE{Xs: []float64{0, 1}, Density: []float64{0, 0}, Bandwidth: 1}
+	}
+	if h <= 0 {
+		h = SilvermanBandwidth(xs)
+	}
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	lo := sorted[0] - 3*h
+	hi := sorted[len(sorted)-1] + 3*h
+	k := &KDE{
+		Xs:        make([]float64, gridN),
+		Density:   make([]float64, gridN),
+		Bandwidth: h,
+	}
+	step := (hi - lo) / float64(gridN-1)
+	invH := 1 / h
+	norm := 1 / (float64(len(xs)) * h * math.Sqrt(2*math.Pi))
+	cut := 4 * h
+	j0, j1 := 0, 0
+	for i := 0; i < gridN; i++ {
+		x := lo + float64(i)*step
+		k.Xs[i] = x
+		for j0 < len(sorted) && sorted[j0] < x-cut {
+			j0++
+		}
+		if j1 < j0 {
+			j1 = j0
+		}
+		for j1 < len(sorted) && sorted[j1] <= x+cut {
+			j1++
+		}
+		var d float64
+		for j := j0; j < j1; j++ {
+			u := (x - sorted[j]) * invH
+			d += math.Exp(-0.5 * u * u)
+		}
+		k.Density[i] = d * norm
+	}
+	return k
+}
+
+// ldmsInterval is core.DefaultSamplingInterval, which this package
+// cannot import (core imports stats); the stats_test package checks
+// that the two agree.
+const ldmsInterval = 2.0
+
+type namedSample struct {
+	name   string
+	values []float64
+}
+
+// sampledRun returns the series core.ProfileWindow profiles for one
+// Table I run: node total, CPU, memory, each GPU and the GPU sum, each
+// sampled at the LDMS interval over the VASP window.
+func sampledRun(tb testing.TB) []namedSample {
+	tb.Helper()
+	b, _ := workloads.ByName("Si256_hse")
+	out, err := workloads.Run(workloads.RunSpec{Bench: b, Nodes: 1, Repeats: 1, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	n := out.Nodes[0]
+	window := func(name string, tr *timeseries.Trace) namedSample {
+		return namedSample{name, tr.Sample(ldmsInterval).Slice(out.VASPStart, out.VASPEnd).Values}
+	}
+	series := []namedSample{
+		window("node", n.TotalTrace()), window("cpu", n.CPUTrace()), window("mem", n.MemTrace()),
+	}
+	for i := 0; i < n.NumGPUs(); i++ {
+		series = append(series, window(fmt.Sprintf("gpu%d", i), n.GPUTrace(i)))
+	}
+	return append(series, window("gpusum", n.GPUSumTrace()))
+}
+
+// sameKDE reports the first difference between got and want in the
+// bits of the grid, the densities, the bandwidth or the modes, or ""
+// when they are identical (see sameBits for NaN).
+func sameKDE(got, want *KDE) string {
+	if !sameBits(got.Bandwidth, want.Bandwidth) {
+		return fmt.Sprintf("bandwidth %v vs %v", got.Bandwidth, want.Bandwidth)
+	}
+	if len(got.Xs) != len(want.Xs) || len(got.Density) != len(want.Density) {
+		return fmt.Sprintf("grid size %d/%d vs %d/%d",
+			len(got.Xs), len(got.Density), len(want.Xs), len(want.Density))
+	}
+	for i := range want.Xs {
+		if !sameBits(got.Xs[i], want.Xs[i]) {
+			return fmt.Sprintf("Xs[%d] %v vs %v", i, got.Xs[i], want.Xs[i])
+		}
+		if !sameBits(got.Density[i], want.Density[i]) {
+			return fmt.Sprintf("Density[%d] %v vs %v", i, got.Density[i], want.Density[i])
+		}
+	}
+	return sameModes(got.Modes(DefaultModeThreshold), want.Modes(DefaultModeThreshold))
+}
+
+func sameModes(got, want []Mode) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d modes vs %d", len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if !sameBits(g.X, w.X) || !sameBits(g.Density, w.Density) || !sameBits(g.FWHM, w.FWHM) {
+			return fmt.Sprintf("mode %d %+v vs %+v", i, g, w)
+		}
+	}
+	return ""
+}
+
+// checkKDEMatchesReference compares NewKDE, and DescribeKDE when h is
+// Silverman's, against the reference fold and reference Describe.
+func checkKDEMatchesReference(t *testing.T, name string, xs []float64, h float64, gridN int) {
+	t.Helper()
+	want := newKDEReference(xs, h, gridN)
+	if diff := sameKDE(NewKDE(xs, h, gridN), want); diff != "" {
+		t.Fatalf("%s h=%v grid=%d: NewKDE differs from the per-sample fold: %s", name, h, gridN, diff)
+	}
+	if h > 0 {
+		return
+	}
+	wantSum, wantErr := describeReference(xs)
+	gotSum, err := Describe(xs)
+	if err != wantErr {
+		t.Fatalf("%s: Describe error %v, want %v", name, err, wantErr)
+	}
+	if diff := sameSummary(gotSum, wantSum); diff != "" {
+		t.Fatalf("%s: Describe differs from the reference: %s", name, diff)
+	}
+	gotSum, gotKDE, err := DescribeKDE(xs, gridN)
+	if err != wantErr {
+		t.Fatalf("%s: DescribeKDE error %v, want %v", name, err, wantErr)
+	}
+	if err != nil {
+		return
+	}
+	if diff := sameSummary(gotSum, wantSum); diff != "" {
+		t.Fatalf("%s grid=%d: DescribeKDE summary differs from the reference: %s", name, gridN, diff)
+	}
+	if diff := sameKDE(gotKDE, want); diff != "" {
+		t.Fatalf("%s grid=%d: DescribeKDE density differs from the per-sample fold: %s", name, gridN, diff)
+	}
+}
+
+func TestKDEMatchesReference(t *testing.T) {
+	quantized := normalSample(21, 5000, 1000, 100)
+	for i := range quantized {
+		quantized[i] = math.Round(quantized[i])
+	}
+	// Long constant runs, as LDMS window means inside long kernel
+	// segments produce, joined by a few distinct transition values.
+	r := rng.New(22)
+	var runs []float64
+	for seg := 0; seg < 40; seg++ {
+		level := r.Uniform(80, 400)
+		for i := 0; i < 1+r.IntN(200); i++ {
+			runs = append(runs, level)
+		}
+		runs = append(runs, r.Uniform(80, 400))
+	}
+	constant := make([]float64, 300)
+	for i := range constant {
+		constant[i] = 123
+	}
+	zeros := []float64{0, math.Copysign(0, -1), 1e-3, 0, -1e-3, math.Copysign(0, -1), 0, 2e-3}
+	nan := normalSample(23, 500, 250, 20)
+	nan[17], nan[301] = math.NaN(), math.NaN()
+
+	cases := []namedSample{
+		{"normal", normalSample(20, 5000, 1000, 100)},
+		{"quantized-1W", quantized},
+		{"constant-runs", runs},
+		{"single-constant", constant},
+		{"signed-zeros", zeros},
+		{"nan", nan},
+		{"empty", nil},
+	}
+	for _, s := range sampledRun(t) {
+		cases = append(cases, namedSample{"run-" + s.name, s.values})
+	}
+	for _, c := range cases {
+		for _, gridN := range []int{512, 97} {
+			for _, h := range []float64{0, 3} {
+				checkKDEMatchesReference(t, c.name, c.values, h, gridN)
+			}
+		}
+	}
+}
+
+// FuzzKDE decodes bytes into a sample (the first byte picks the
+// decoding) and requires NewKDE to match the per-sample fold bit for
+// bit on it.
+func FuzzKDE(f *testing.F) {
+	f.Add([]byte{0, 1, 1, 1, 7, 7, 3, 200, 200, 200}, 512, 0.0)
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0, 0}, 64, 0.0)
+	f.Add([]byte{0, 5, 5, 5, 5}, 2, 1.5)
+	f.Add([]byte("1000000\xff\xff000001\xff\xff"), 64, 0.0) // two NaN payloads
+	f.Fuzz(func(t *testing.T, data []byte, gridN int, h float64) {
+		// Small enough that one execution (two folds of up to
+		// maxSamples × gridN kernel terms) stays around a millisecond.
+		const maxSamples = 512
+		var xs []float64
+		if len(data) > 0 {
+			mode, rest := data[0]%2, data[1:]
+			if mode == 0 {
+				// Heavily tied: one of 32 watt levels per byte.
+				for _, b := range rest {
+					xs = append(xs, 100+float64(b%32))
+				}
+			} else {
+				// Any float64, NaN and ±Inf included.
+				for ; len(rest) >= 8; rest = rest[8:] {
+					xs = append(xs, math.Float64frombits(binary.LittleEndian.Uint64(rest)))
+				}
+			}
+		}
+		if len(xs) > maxSamples {
+			xs = xs[:maxSamples]
+		}
+		gridN = 2 + int(uint(gridN)%511)
+		checkKDEMatchesReference(t, "fuzz", xs, h, gridN)
+	})
+}
+
 func BenchmarkKDE(b *testing.B) {
+	quantized := normalSample(1, 5000, 1000, 100)
+	for i := range quantized {
+		quantized[i] = math.Round(quantized[i])
+	}
+	run := sampledRun(b)
 	for _, bc := range []struct {
 		name  string
-		n     int
+		xs    []float64
 		gridN int
 	}{
-		{"n1000_grid512", 1000, 512},
-		{"n5000_grid512", 5000, 512},
-		{"n20000_grid512", 20000, 512},
-		{"n5000_grid1024", 5000, 1024},
+		{"n1000_grid512", normalSample(1, 1000, 1000, 100), 512},
+		{"n5000_grid512", normalSample(1, 5000, 1000, 100), 512},
+		{"n20000_grid512", normalSample(1, 20000, 1000, 100), 512},
+		{"n5000_grid1024", normalSample(1, 5000, 1000, 100), 1024},
+		// Tied inputs, where the run-length fold saves exp calls: a
+		// 1 W-quantized sample, and the node and GPU-sum power of a
+		// Table I run sampled like LDMS.
+		{"quantized_n5000_grid512", quantized, 512},
+		{"sampled_node_grid512", run[0].values, 512},
+		{"sampled_gpusum_grid512", run[len(run)-1].values, 512},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			xs := normalSample(1, bc.n, 1000, 100)
-			b.ResetTimer()
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				NewKDE(xs, 0, bc.gridN)
+				kdeSink = NewKDE(bc.xs, 0, bc.gridN)
 			}
 		})
 	}
 }
+
+var kdeSink *KDE

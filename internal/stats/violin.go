@@ -16,8 +16,7 @@ func NewViolin(label string, xs []float64) *Violin {
 	if len(xs) == 0 {
 		return nil
 	}
-	s, _ := Describe(xs)
-	k := NewKDE(xs, 0, 512)
+	s, k, _ := DescribeKDE(xs, 512)
 	return &Violin{
 		Label:   label,
 		Summary: s,
