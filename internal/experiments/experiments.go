@@ -6,9 +6,7 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"strconv"
 	"sync"
 
@@ -99,34 +97,22 @@ var cache = memo.New[core.JobProfile]()
 // CacheEpoch versions the persistent tier's value schema. It is mixed
 // into every disk entry's content address and header, so entries from
 // another epoch simply never match. Bump it whenever (a) the
-// core.JobProfile shape changes, (b) the gob encoding of any nested
-// type changes, or (c) the simulation's semantics change such that an
-// old result would be wrong for the same key (anything that would
-// change the golden -quick output). The key itself already carries the
+// core.JobProfile shape or its binary encoding (core.AppendJobProfile)
+// changes, or (b) the simulation's semantics change such that an old
+// result would be wrong for the same key (anything that would change
+// the golden -quick output). The key itself already carries the
 // platform name, benchmark size parameters, nodes, repeats, cap, and
 // seed at full precision, so ordinary configuration changes need no
 // bump.
-const CacheEpoch = "jobprofile-gob-v1"
+const CacheEpoch = "jobprofile-bin-v1"
 
 // profileCodec translates JobProfiles for the byte-level disk tier.
-// gob round-trips every field exactly (float64s bit-for-bit), which is
-// what makes a warm run's rendered output byte-identical to the cold
-// run that populated the cache.
+// The encoding keeps every float's bits, which is what makes a warm
+// run's rendered output byte-identical to the cold run that populated
+// the cache.
 func profileCodec() memo.Codec[core.JobProfile] {
-	return memo.Codec[core.JobProfile]{
-		Encode: func(jp core.JobProfile) ([]byte, error) {
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(jp); err != nil {
-				return nil, err
-			}
-			return buf.Bytes(), nil
-		},
-		Decode: func(data []byte) (core.JobProfile, error) {
-			var jp core.JobProfile
-			err := gob.NewDecoder(bytes.NewReader(data)).Decode(&jp)
-			return jp, err
-		},
-	}
+	encode := func(jp core.JobProfile) ([]byte, error) { return core.AppendJobProfile(nil, jp), nil }
+	return memo.Codec[core.JobProfile]{Encode: encode, Decode: core.DecodeJobProfile}
 }
 
 // diskMu guards the EnableDiskCache/Instrument handshake: whichever

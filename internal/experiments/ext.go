@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"vasppower/internal/core"
 	"vasppower/internal/par"
 	"vasppower/internal/report"
 	"vasppower/internal/sched"
@@ -39,16 +40,25 @@ func RunExtScheduler(cfg Config) (ExtSchedulerResult, error) {
 		sched.DefaultProfileAware(),
 	}
 	// Simulate copies the job list and each policy gets its own
-	// catalog, so the three policies run concurrently.
+	// catalog, so the three policies run concurrently. Every catalog
+	// measures through the shared cache, so a spec is measured once
+	// across the policies and the other runners. The catalog leaves
+	// Nodes and Repeats zero for core.Measure's defaults of 1, which
+	// must be applied before keying to hit the runners' entries.
+	catMeasure := func(spec core.MeasureSpec) (core.JobProfile, error) {
+		return measure(cfg, spec.Bench, max(spec.Nodes, 1), max(spec.Repeats, 1), spec.CapW)
+	}
 	results := make([]sched.Result, len(policies))
 	err := par.ForEach(context.Background(), cfg.workers(), len(policies),
 		func(_ context.Context, i int) error {
+			cat := sched.NewCatalogOn(cfg.platform(), cfg.seed())
+			cat.SetMeasure(catMeasure)
 			r, err := sched.Simulate(sched.SimConfig{
 				ClusterNodes: nodes,
 				BudgetW:      budget,
 				IdleNodeW:    460,
 				Policy:       policies[i],
-				Catalog:      sched.NewCatalogOn(cfg.platform(), cfg.seed()),
+				Catalog:      cat,
 			}, jobs)
 			if err != nil {
 				return err
