@@ -13,7 +13,8 @@
 // 1,800 nodes, 100k jobs, 5 s mean inter-arrival, 2 MW budget — for
 // any of -nodes/-jobs/-arrival/-budget-kw not given explicitly. Jobs
 // stream through the simulator in arrival order, so facility-scale
-// mixes never materialize in memory.
+// mixes never materialize in memory. The three policies are simulated
+// concurrently; their rows print in a fixed order.
 //
 // -envelope imposes a time-varying facility power envelope on top of
 // the base budget: a comma-separated list of start:budget-kW phases
@@ -31,8 +32,11 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -42,113 +46,152 @@ import (
 	"vasppower/internal/experiments"
 	"vasppower/internal/hw/platform"
 	"vasppower/internal/obs"
+	"vasppower/internal/par"
 	"vasppower/internal/report"
 )
 
 func main() {
-	nodes := flag.Int("nodes", 8, "cluster size (GPU nodes)")
-	budgetKW := flag.Float64("budget-kw", 8.8, "facility power budget for the partition, kW (0 = unconstrained)")
-	jobsN := flag.Int("jobs", 24, "number of jobs in the mix")
-	arrival := flag.Float64("arrival", 90, "mean inter-arrival time, seconds")
-	seed := flag.Uint64("seed", 2024, "random seed")
-	preset := flag.String("preset", "", "scale preset: 'facility' = 1800 nodes, 100k jobs, 5 s arrivals, 2 MW budget (explicit flags win)")
-	envelope := flag.String("envelope", "", "time-varying budget phases as start-seconds:budget-kW, comma-separated")
-	manifestPath := flag.String("manifest", "", "write a run manifest (provenance + sched.* metrics) to this path")
-	cacheDir := flag.String("cache-dir", "", "persistent measurement-cache directory (empty = in-memory only)")
-	cacheMaxBytes := flag.Int64("cache-max-bytes", 1<<30, "persistent cache size bound in bytes, LRU-evicted (0 = unbounded)")
-	version := flag.Bool("version", false, "print module version, VCS revision, and dirty flag, then exit")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, simulates the three
+// policies and prints their table to stdout, and returns the exit
+// status (0 ok, 1 run failure, 2 usage error).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pmsched", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	nodes := fs.Int("nodes", 8, "cluster size (GPU nodes)")
+	budgetKW := fs.Float64("budget-kw", 8.8, "facility power budget for the partition, kW (0 = unconstrained)")
+	jobsN := fs.Int("jobs", 24, "number of jobs in the mix")
+	arrival := fs.Float64("arrival", 90, "mean inter-arrival time, seconds")
+	seed := fs.Uint64("seed", 2024, "random seed")
+	preset := fs.String("preset", "", "scale preset: 'facility' = 1800 nodes, 100k jobs, 5 s arrivals, 2 MW budget (explicit flags win)")
+	envelope := fs.String("envelope", "", "time-varying budget phases as start-seconds:budget-kW, comma-separated")
+	manifestPath := fs.String("manifest", "", "write a run manifest (provenance + sched.* metrics) to this path")
+	cacheDir := fs.String("cache-dir", "", "persistent measurement-cache directory (empty = in-memory only)")
+	cacheMaxBytes := fs.Int64("cache-max-bytes", 1<<30, "persistent cache size bound in bytes, LRU-evicted (0 = unbounded)")
+	version := fs.Bool("version", false, "print module version, VCS revision, and dirty flag, then exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *version {
-		fmt.Println(obs.VersionString("pmsched"))
-		return
+		fmt.Fprintln(stdout, obs.VersionString("pmsched"))
+		return 0
 	}
-	if err := applyPreset(*preset, nodes, budgetKW, jobsN, arrival); err != nil {
-		fmt.Fprintln(os.Stderr, "pmsched:", err)
-		os.Exit(2)
+	if err := applyPreset(fs, *preset, nodes, budgetKW, jobsN, arrival); err != nil {
+		fmt.Fprintln(stderr, "pmsched:", err)
+		return 2
 	}
 	schedule, err := parseEnvelope(*envelope)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pmsched:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "pmsched:", err)
+		return 2
 	}
 	if *cacheDir != "" {
 		if _, err := experiments.EnableDiskCache(*cacheDir, *cacheMaxBytes); err != nil {
-			fmt.Fprintln(os.Stderr, "pmsched:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "pmsched:", err)
+			return 2
 		}
 	}
 	var reg *obs.Registry
 	if *manifestPath != "" {
 		reg = obs.NewRegistry()
 		experiments.Instrument(reg)
+		// Uninstall on return, so a later run in the same process
+		// (the tests) does not count into this run's registry.
+		defer experiments.Instrument(nil)
 	}
 	started := time.Now()
 
-	fmt.Printf("job mix: %d VASP jobs over ~%.0f s of arrivals on %d nodes, budget %.1f kW\n",
+	fmt.Fprintf(stdout, "job mix: %d VASP jobs over ~%.0f s of arrivals on %d nodes, budget %.1f kW\n",
 		*jobsN, float64(*jobsN)*(*arrival), *nodes, *budgetKW)
 	if len(schedule) > 0 {
-		fmt.Printf("envelope: %d budget phases (first at t=%.0f s)\n", len(schedule), schedule[0].Start)
+		fmt.Fprintf(stdout, "envelope: %d budget phases (first at t=%.0f s)\n", len(schedule), schedule[0].Start)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 
 	policies := []vasppower.SchedulerPolicy{
 		vasppower.PolicyNoCap,
 		vasppower.PolicyUniform200,
 		vasppower.PolicyProfileAware,
 	}
+	// The policies are independent simulations, so they run at once,
+	// one worker each. Each has its own catalog; the measurements
+	// behind the catalogs go through the shared two-tier cache, whose
+	// singleflight computes a profile two policies both need once (and
+	// later invocations reuse it, with -cache-dir). Jobs stream through
+	// the simulator; the mix is never materialized. Each worker keeps
+	// only its table row, not the per-job outcomes.
+	type row struct {
+		cells      []string
+		droppedIDs []string
+	}
+	rows := make([]row, len(policies))
+	err = par.ForEach(context.Background(), len(policies), len(policies),
+		func(_ context.Context, i int) error {
+			cat := vasppower.NewSchedulerCatalog(*seed)
+			cat.SetMeasure(experiments.CachedMeasureSpec)
+			res, err := vasppower.SimulateSchedulerStream(vasppower.SchedulerConfig{
+				ClusterNodes:   *nodes,
+				BudgetW:        *budgetKW * 1000,
+				BudgetSchedule: schedule,
+				IdleNodeW:      460,
+				Policy:         policies[i],
+				Catalog:        cat,
+			}, vasppower.SyntheticJobStream(*jobsN, *arrival, *seed))
+			if err != nil {
+				return err
+			}
+			r := &rows[i]
+			r.cells = []string{
+				res.Policy,
+				report.Seconds(res.Makespan),
+				report.Seconds(res.MeanWait),
+				report.Seconds(res.MaxWait),
+				fmt.Sprintf("%.1f kW", res.PeakPowerW/1000),
+				fmt.Sprintf("%.1f MJ", res.TotalEnergyJ/1e6),
+				report.Percent(res.MeanPerfLoss),
+				fmt.Sprintf("%.1f jobs/h", res.Throughput),
+				fmt.Sprintf("%d", res.Dropped),
+			}
+			if res.Dropped > 0 {
+				r.droppedIDs = res.DroppedIDs
+			}
+			return nil
+		})
+	if err != nil {
+		fmt.Fprintln(stderr, "pmsched:", err)
+		return 1
+	}
+
 	t := report.NewTable("policy", "makespan", "mean wait", "max wait",
 		"peak power", "energy", "mean perf loss", "throughput", "dropped")
 	var droppedIDs []string
-	for _, p := range policies {
-		// Catalog measurements go through the shared two-tier cache, so
-		// the three policies (and later invocations, with -cache-dir)
-		// reuse one set of profile measurements. Jobs stream through the
-		// simulator; the mix is never materialized.
-		cat := vasppower.NewSchedulerCatalog(*seed)
-		cat.SetMeasure(experiments.CachedMeasureSpec)
-		res, err := vasppower.SimulateSchedulerStream(vasppower.SchedulerConfig{
-			ClusterNodes:   *nodes,
-			BudgetW:        *budgetKW * 1000,
-			BudgetSchedule: schedule,
-			IdleNodeW:      460,
-			Policy:         p,
-			Catalog:        cat,
-		}, vasppower.SyntheticJobStream(*jobsN, *arrival, *seed))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pmsched:", err)
-			os.Exit(1)
-		}
-		t.AddRow(
-			res.Policy,
-			report.Seconds(res.Makespan),
-			report.Seconds(res.MeanWait),
-			report.Seconds(res.MaxWait),
-			fmt.Sprintf("%.1f kW", res.PeakPowerW/1000),
-			fmt.Sprintf("%.1f MJ", res.TotalEnergyJ/1e6),
-			report.Percent(res.MeanPerfLoss),
-			fmt.Sprintf("%.1f jobs/h", res.Throughput),
-			fmt.Sprintf("%d", res.Dropped),
-		)
-		if res.Dropped > 0 && droppedIDs == nil {
-			droppedIDs = res.DroppedIDs
+	for _, r := range rows {
+		t.AddRow(r.cells...)
+		if droppedIDs == nil {
+			droppedIDs = r.droppedIDs
 		}
 	}
-	fmt.Println(t.String())
+	fmt.Fprintln(stdout, t.String())
 	if droppedIDs != nil {
 		const show = 8
 		ids := droppedIDs
 		if len(ids) > show {
 			ids = ids[:show]
 		}
-		fmt.Printf("warning: jobs dropped (unprofilable configuration): %s", strings.Join(ids, ", "))
+		fmt.Fprintf(stdout, "warning: jobs dropped (unprofilable configuration): %s", strings.Join(ids, ", "))
 		if len(droppedIDs) > show {
-			fmt.Printf(", … (%d total)", len(droppedIDs))
+			fmt.Fprintf(stdout, ", … (%d total)", len(droppedIDs))
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
-	fmt.Println("profile-aware capping reserves measured power instead of TDP, so more jobs")
-	fmt.Println("fit under the budget at a per-job cost the study bounds below 10% (§V-C).")
+	fmt.Fprintln(stdout, "profile-aware capping reserves measured power instead of TDP, so more jobs")
+	fmt.Fprintln(stdout, "fit under the budget at a per-job cost the study bounds below 10% (§V-C).")
 
 	if *manifestPath != "" {
 		snap := reg.Snapshot()
@@ -157,22 +200,23 @@ func main() {
 			Build:       obs.GetBuildInfo(),
 			Platform:    platform.DefaultName,
 			Seed:        *seed,
-			Workers:     1,
+			Workers:     len(policies),
 			Started:     started.UTC(),
 			WallSeconds: time.Since(started).Seconds(),
 			Metrics:     &snap,
 		}.Write(*manifestPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "pmsched:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "pmsched:", err)
+			return 1
 		}
-		fmt.Fprintf(os.Stderr, "pmsched: run manifest written to %s\n", *manifestPath)
+		fmt.Fprintf(stderr, "pmsched: run manifest written to %s\n", *manifestPath)
 	}
+	return 0
 }
 
 // applyPreset overwrites scale parameters the user did not set
 // explicitly with the preset's values (explicit flags always win).
-func applyPreset(name string, nodes *int, budgetKW *float64, jobsN *int, arrival *float64) error {
+func applyPreset(fs *flag.FlagSet, name string, nodes *int, budgetKW *float64, jobsN *int, arrival *float64) error {
 	switch name {
 	case "":
 		return nil
@@ -181,7 +225,7 @@ func applyPreset(name string, nodes *int, budgetKW *float64, jobsN *int, arrival
 		return fmt.Errorf("unknown preset %q (have: facility)", name)
 	}
 	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if !set["nodes"] {
 		*nodes = 1800
 	}

@@ -1,0 +1,107 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestOutputGolden pins pmsched's stdout byte for byte for the default
+// 8-node run and for a 5,000-job facility-preset run. The policies run
+// concurrently and share the process-wide measurement cache, so under
+// -race this is also the concurrency check of that path. Regenerate
+// after an intentional change with:
+//
+//	go run ./cmd/pmsched > cmd/pmsched/testdata/default.golden
+//	go run ./cmd/pmsched -preset facility -jobs 5000 > cmd/pmsched/testdata/facility-5000.golden
+func TestOutputGolden(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"default.golden", nil},
+		{"facility-5000.golden", []string{"-preset", "facility", "-jobs", "5000"}},
+	} {
+		t.Run(tc.golden, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stdout, stderr bytes.Buffer
+			if code := run(tc.args, &stdout, &stderr); code != 0 {
+				t.Fatalf("exit %d: %s", code, stderr.String())
+			}
+			if got := stdout.String(); got != string(want) {
+				t.Fatalf("stdout diverged from %s:\n got:\n%s\nwant:\n%s", tc.golden, got, want)
+			}
+		})
+	}
+}
+
+// TestManifestCountsEveryPolicy checks the sched.* counters the
+// facility smoke job asserts: with the policies simulated at once,
+// every job of every policy is still counted exactly once.
+func TestManifestCountsEveryPolicy(t *testing.T) {
+	const jobs = 2000
+	mf := filepath.Join(t.TempDir(), "manifest.json")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-preset", "facility", "-jobs", "2000", "-manifest", mf}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	raw, err := os.ReadFile(mf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct {
+		Metrics struct {
+			Counters map[string]int64 `json:"counters"`
+			Gauges   map[string]int64 `json:"gauges"`
+		} `json:"metrics"`
+	}
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	c := m.Metrics.Counters
+	if c["sched.jobs_started"] != 3*jobs || c["sched.jobs_completed"] != 3*jobs || c["sched.jobs_dropped"] != 0 {
+		t.Fatalf("counters %v, want %d started and completed, 0 dropped", c, 3*jobs)
+	}
+	if c["sched.packing_passes"] <= 0 || m.Metrics.Gauges["sched.peak_reserved_w"] <= 0 {
+		t.Fatalf("no packing passes or peak reservation recorded: %v %v", c, m.Metrics.Gauges)
+	}
+}
+
+// TestUsageErrors pins the exit status of malformed invocations.
+func TestUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-preset", "campus"},
+		{"-envelope", "3600"},
+		{"-no-such-flag"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("%s: exit %d, want 2", strings.Join(args, " "), code)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s: wrote %q to stdout", strings.Join(args, " "), stdout.String())
+		}
+	}
+}
+
+// TestSimulationError pins the failure path of the concurrent policy
+// loop: a mix the cluster cannot hold (2-node jobs on one node) exits
+// 1 with the simulation's error and prints no table.
+func TestSimulationError(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-nodes", "1", "-jobs", "40"}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit %d, want 1 (stderr %q)", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "needs 2 nodes, cluster has 1") {
+		t.Fatalf("stderr %q does not carry the simulation error", stderr.String())
+	}
+	if strings.Contains(stdout.String(), "policy") {
+		t.Fatalf("table printed despite the failure:\n%s", stdout.String())
+	}
+}

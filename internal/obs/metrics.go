@@ -47,6 +47,21 @@ func (g *Gauge) Set(v int64) {
 	g.v.Store(v)
 }
 
+// SetMax raises the level to v if v is higher, atomically: of any
+// set of concurrent SetMax calls the highest value stays, which a
+// Value-then-Set pair cannot promise.
+func (g *Gauge) SetMax(v int64) {
+	if g == nil {
+		return
+	}
+	for {
+		old := g.v.Load()
+		if v <= old || g.v.CompareAndSwap(old, v) {
+			return
+		}
+	}
+}
+
 // Add moves the level by d (negative to decrease).
 func (g *Gauge) Add(d int64) {
 	if g == nil {

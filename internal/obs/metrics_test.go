@@ -18,6 +18,7 @@ func TestNilSafety(t *testing.T) {
 	c.Add(1)
 	c.Inc()
 	g.Set(2)
+	g.SetMax(4)
 	g.Add(1)
 	h.Observe(3)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
@@ -72,6 +73,41 @@ func TestCounterGaugeConcurrent(t *testing.T) {
 	}
 	if g.Value() != 0 {
 		t.Fatalf("gauge = %d, want 0", g.Value())
+	}
+}
+
+// TestGaugeSetMaxConcurrent races many SetMax calls, goroutine w
+// offering w, w+workers, w+2·workers, ... (ascending for even w,
+// descending for odd w), and requires the true maximum to survive.
+func TestGaugeSetMaxConcurrent(t *testing.T) {
+	g := NewRegistry().Gauge("peak")
+	g.Set(-1)
+	const workers, per = 16, 2000
+	var start, wg sync.WaitGroup
+	start.Add(1)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			start.Wait()
+			for i := 0; i < per; i++ {
+				k := i
+				if w%2 == 1 {
+					k = per - 1 - i
+				}
+				g.SetMax(int64(w + k*workers))
+			}
+		}(w)
+	}
+	start.Done()
+	wg.Wait()
+	const want = workers*per - 1
+	if got := g.Value(); got != want {
+		t.Fatalf("gauge = %d after concurrent SetMax, want the maximum %d", got, want)
+	}
+	g.SetMax(3)
+	if g.Value() != want {
+		t.Fatal("SetMax lowered the gauge")
 	}
 }
 

@@ -79,19 +79,25 @@ func (c *Catalog) SetMeasure(fn func(core.MeasureSpec) (core.JobProfile, error))
 // Get returns the profile for (bench, nodes, cap), measuring it on
 // first use. cap = 0 means default limits.
 func (c *Catalog) Get(b workloads.Benchmark, nodes int, cap float64) (Profile, error) {
+	return c.get(&b, nodes, cap)
+}
+
+// get is Get without the copy of b, for the simulate loop's per-start
+// lookup.
+func (c *Catalog) get(b *workloads.Benchmark, nodes int, cap float64) (Profile, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	k := profileKey{b.Name, nodes, cap}
 	if p, ok := c.entries[k]; ok {
 		return p, nil
 	}
-	base, err := c.measureLocked(b, nodes, 0)
+	base, err := c.measureLocked(*b, nodes, 0)
 	if err != nil {
 		return Profile{}, err
 	}
 	p := base
 	if cap > 0 && cap < c.platform.GPU.TDP {
-		p, err = c.measureLocked(b, nodes, cap)
+		p, err = c.measureLocked(*b, nodes, cap)
 		if err != nil {
 			return Profile{}, err
 		}

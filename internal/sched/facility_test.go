@@ -40,7 +40,7 @@ func fakeCatalog(seed uint64) *Catalog {
 // TestSimulateMatchesOracle is the differential gate for the
 // incremental loop: across policies, budgets, and jitter, the Result
 // must be bit-identical (reflect.DeepEqual, no tolerances) to the
-// retained pre-refactor implementation in oracle.go.
+// retained pre-refactor implementation in oracle_test.go.
 func TestSimulateMatchesOracle(t *testing.T) {
 	policies := []Policy{
 		NoCap{NodeTDP: 2350},
@@ -68,6 +68,43 @@ func TestSimulateMatchesOracle(t *testing.T) {
 					t.Fatalf("%s: incremental loop diverged from oracle:\n got %+v\nwant %+v", name, got, want)
 				}
 			}
+		}
+	}
+
+	// Repeated IDs in a mix longer than sort's insertion-sort cutoff
+	// (12), with jitter and drops: both loops must order outcomes by
+	// ID and then arrival sequence.
+	failing := func(spec core.MeasureSpec) (core.JobProfile, error) {
+		if spec.Bench.Name == "CuC_vdw" {
+			return core.JobProfile{}, fmt.Errorf("no profile for %s", spec.Bench.Name)
+		}
+		return fakeMeasure(spec)
+	}
+	dups := SyntheticJobMix(40, 30, 11)
+	for i := range dups {
+		dups[i].ID = fmt.Sprintf("dup%d", i%5)
+	}
+	for _, p := range policies {
+		catA, catB := NewCatalog(1), NewCatalog(1)
+		catA.SetMeasure(failing)
+		catB.SetMeasure(failing)
+		cfgA := simCfg(p, 8*1100, catA)
+		cfgB := simCfg(p, 8*1100, catB)
+		cfgA.JitterSeed = 42
+		cfgB.JitterSeed = 42
+		got, err := Simulate(cfgA, dups)
+		if err != nil {
+			t.Fatalf("%s/dups: %v", p.Name(), err)
+		}
+		want, err := simulateOracle(cfgB, dups)
+		if err != nil {
+			t.Fatalf("%s/dups: oracle: %v", p.Name(), err)
+		}
+		if got.Dropped == 0 || got.Completed <= 12 {
+			t.Fatalf("%s/dups: %d completed, %d dropped; the case needs drops and more than 12 outcomes", p.Name(), got.Completed, got.Dropped)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s/dups: incremental loop diverged from oracle:\n got %+v\nwant %+v", p.Name(), got, want)
 		}
 	}
 }

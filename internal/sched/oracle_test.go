@@ -9,8 +9,8 @@ import (
 	"vasppower/internal/sim"
 )
 
-// simulateOracle is the pre-refactor simulate loop, retained verbatim
-// as the reference implementation for differential tests: a 30-second
+// simulateOracle is the pre-refactor simulate loop, retained as the
+// reference implementation for differential tests: a 30-second
 // cycle ticker that rescans the entire waiting queue (O(cycles ×
 // queue)), per-job arrival closures, and a string-keyed active map.
 // The incremental loop in Simulate must produce bit-identical Results
@@ -21,6 +21,11 @@ import (
 // never finish (e.g. a job whose reservation exceeds the budget
 // forever) ticks forever instead of returning the "never started"
 // error — the incremental loop detects that deadlock.
+//
+// Its one change since the refactor is the tie-break of the final
+// sort: outcomes are ordered by ID and then by arrival sequence (the
+// job's index in the sorted queue), as Simulate orders them, so jobs
+// sharing an ID cannot come out in different orders from the two.
 func simulateOracle(cfg SimConfig, jobs []Job) (Result, error) {
 	if cfg.ClusterNodes <= 0 {
 		return Result{}, fmt.Errorf("sched: cluster size %d", cfg.ClusterNodes)
@@ -46,6 +51,7 @@ func simulateOracle(cfg SimConfig, jobs []Job) (Result, error) {
 
 	type running struct {
 		job     Job
+		seq     int // index in queue
 		outcome JobOutcome
 	}
 	engine := sim.New()
@@ -56,14 +62,15 @@ func simulateOracle(cfg SimConfig, jobs []Job) (Result, error) {
 	remaining := len(queue) // jobs not yet completed (or dropped)
 
 	active := map[string]*running{}
-	var outcomes []JobOutcome
+	var finished []*running
 
 	// tryStart greedily starts queued jobs (FIFO with first-fit skip,
 	// like a backfilling scheduler without reservations).
-	var waiting []Job
+	var waiting []int // indices into queue
 	tryStart := func(now float64) {
 		kept := waiting[:0]
-		for _, j := range waiting {
+		for _, seq := range waiting {
+			j := queue[seq]
 			class := Classify(j.Bench.Method)
 			cap := cfg.Policy.Cap(class)
 			perNodeW := cfg.Policy.BudgetPowerPerNode(class)
@@ -71,7 +78,7 @@ func simulateOracle(cfg SimConfig, jobs []Job) (Result, error) {
 			fits := j.Nodes <= freeNodes &&
 				(cfg.BudgetW <= 0 || reservedW+needW <= cfg.BudgetW)
 			if !fits {
-				kept = append(kept, j)
+				kept = append(kept, seq)
 				continue
 			}
 			prof, err := cfg.Catalog.Get(j.Bench, j.Nodes, cap)
@@ -92,7 +99,7 @@ func simulateOracle(cfg SimConfig, jobs []Job) (Result, error) {
 			if reservedW > res.PeakPowerW {
 				res.PeakPowerW = reservedW
 			}
-			r := &running{job: j, outcome: JobOutcome{
+			r := &running{job: j, seq: seq, outcome: JobOutcome{
 				ID: j.ID, Class: class, CapW: cap,
 				Start: now, End: now + rt, Wait: now - j.Arrival,
 				Runtime: rt, PerfLoss: prof.PerfLoss(),
@@ -106,7 +113,7 @@ func simulateOracle(cfg SimConfig, jobs []Job) (Result, error) {
 			engine.At(now+rt, func() {
 				freeNodes += jj.Nodes
 				reservedW -= needW
-				outcomes = append(outcomes, r.outcome)
+				finished = append(finished, r)
 				delete(active, jj.ID)
 				remaining--
 			})
@@ -116,10 +123,9 @@ func simulateOracle(cfg SimConfig, jobs []Job) (Result, error) {
 
 	// Arrival events enqueue jobs; a 30-second cycle ticker runs the
 	// scheduling pass.
-	for _, j := range queue {
-		jj := j
+	for seq, j := range queue {
 		engine.At(j.Arrival, func() {
-			waiting = append(waiting, jj)
+			waiting = append(waiting, seq)
 		})
 	}
 	var cycle func()
@@ -135,7 +141,17 @@ func simulateOracle(cfg SimConfig, jobs []Job) (Result, error) {
 	if len(waiting) > 0 {
 		return Result{}, fmt.Errorf("sched: %d jobs never started", len(waiting))
 	}
-	sort.Slice(outcomes, func(i, k int) bool { return outcomes[i].ID < outcomes[k].ID })
+	sort.Slice(finished, func(i, k int) bool {
+		a, b := finished[i], finished[k]
+		if a.outcome.ID != b.outcome.ID {
+			return a.outcome.ID < b.outcome.ID
+		}
+		return a.seq < b.seq
+	})
+	var outcomes []JobOutcome
+	for _, r := range finished {
+		outcomes = append(outcomes, r.outcome)
+	}
 	res.Outcomes = outcomes
 	res.Completed = len(outcomes)
 	var waitSum, lossSum float64

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 
 	"vasppower/internal/dft/method"
@@ -141,6 +142,16 @@ func TestSyntheticJobMix(t *testing.T) {
 	for i := range jobs {
 		if jobs[i] != again[i] {
 			t.Fatal("mix not reproducible")
+		}
+	}
+}
+
+// TestJobIDMatchesFmt pins the stream's hand-rolled ID formatting to
+// the fmt verb it replaces, across the padding boundaries.
+func TestJobIDMatchesFmt(t *testing.T) {
+	for _, i := range []int{0, 1, 9, 10, 99, 100, 999, 1000, 9999, 10000, 99999, 100000, 1234567} {
+		if got, want := jobID(i), fmt.Sprintf("job%04d", i); got != want {
+			t.Fatalf("jobID(%d) = %q, want %q", i, got, want)
 		}
 	}
 }

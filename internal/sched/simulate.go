@@ -1,13 +1,17 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"vasppower/internal/rng"
 	"vasppower/internal/sim"
 	"vasppower/internal/timeseries"
+	"vasppower/internal/workloads"
 )
 
 // CycleSeconds is the scheduling cycle length; the paper notes power
@@ -64,7 +68,8 @@ type JobOutcome struct {
 	ActualMeanW float64
 }
 
-// Result summarizes one policy run over a job mix.
+// Result summarizes one policy run over a job mix. Outcomes are
+// sorted by job ID, and jobs sharing an ID by arrival sequence.
 type Result struct {
 	Policy       string
 	Completed    int
@@ -95,7 +100,7 @@ type Result struct {
 // buckets, and a packing pass runs only at 30-second cycle boundaries
 // that follow a capacity change (arrival, completion, budget phase) —
 // never on an unconditional ticker. The results are bit-identical to
-// the retained reference implementation (see oracle.go and the
+// the retained reference implementation (see oracle_test.go and the
 // equivalence argument in DESIGN.md): within a pass capacity only
 // shrinks, so FIFO first-fit-skip over the whole queue equals
 // repeatedly starting the lowest-sequence fitting bucket head, and a
@@ -181,18 +186,43 @@ type bucket struct {
 // jobRec is one job's record in the simulation: its queue linkage
 // while waiting, its reservation while running, and its outcome. Jobs
 // are addressed by index (arrival sequence) everywhere — no string
-// keys, no per-job closures.
+// keys, no per-job closures. The record holds no Job: the job's ID
+// and node count live in its outcome from enqueue on, and its
+// benchmark is an index into the simulation's intern table, which
+// keeps a record at 128 bytes where the Job alone is 336.
 type jobRec struct {
-	job     Job
-	next    int32 // next index in the same bucket's FIFO, -1 = none
+	outcome JobOutcome // ID and Nodes set at enqueue, the rest at start
+	arrival float64
 	needW   float64
-	outcome JobOutcome
+	bench   int32 // index into simState.benches
+	next    int32 // next index in the same bucket's FIFO, -1 = none
+}
+
+// outKey is the sort key of one completed job: the first eight bytes
+// of its ID, big-endian and zero-padded, and its arrival sequence.
+// Comparing prefixes orders IDs exactly as comparing the strings does
+// whenever the prefixes differ; only a tie needs the full strings, and
+// the sequence breaks ties between equal IDs.
+type outKey struct {
+	prefix uint64
+	seq    int32
+}
+
+func idPrefix(id string) uint64 {
+	var p uint64
+	for i := 0; i < 8; i++ {
+		p <<= 8
+		if i < len(id) {
+			p |= uint64(id[i])
+		}
+	}
+	return p
 }
 
 // simState is the incremental simulate loop. All event callbacks are
 // bound once (arriveFn/passFn/envFn/completeFn), so the steady state
-// allocates nothing per job beyond the amortized growth of recs and
-// outcomes.
+// allocates nothing per job in the loop beyond the amortized growth of
+// recs and keys (the job stream allocates each job's ID).
 type simState struct {
 	cfg    SimConfig
 	engine *sim.Engine
@@ -202,6 +232,7 @@ type simState struct {
 	m      *Metrics
 
 	recs    []jobRec
+	benches []workloads.Benchmark // intern table behind jobRec.bench
 	buckets []bucket
 	bindex  map[bucketKey]int32
 
@@ -219,7 +250,7 @@ type simState struct {
 	started    int
 	dropped    int
 	droppedIDs []string
-	outcomes   []JobOutcome
+	done       []outKey // completed jobs, in completion order
 
 	passScheduled bool
 	passes        int64
@@ -252,7 +283,7 @@ func simulate(cfg SimConfig, src JobStream, lazy bool) (Result, error) {
 	if h, ok := src.(SizeHinter); ok {
 		if n := h.SizeHint(); n > 0 {
 			s.recs = make([]jobRec, 0, n)
-			s.outcomes = make([]JobOutcome, 0, n)
+			s.done = make([]outKey, 0, n)
 		}
 	}
 	s.arriveFn = s.arrive
@@ -290,11 +321,13 @@ func simulate(cfg SimConfig, src JobStream, lazy bool) (Result, error) {
 // advance pulls the next job from the stream into pending, validating
 // lazily on the stream path and enforcing arrival order on both.
 func (s *simState) advance() {
-	j, ok := s.src.Next()
+	var ok bool
+	s.pending, ok = s.src.Next()
 	if !ok {
 		s.havePending = false
 		return
 	}
+	j := &s.pending
 	if s.lazy {
 		if err := j.Validate(); err != nil {
 			s.err = err
@@ -314,7 +347,6 @@ func (s *simState) advance() {
 		return
 	}
 	s.lastArrival = j.Arrival
-	s.pending = j
 	s.havePending = true
 }
 
@@ -336,7 +368,7 @@ func (s *simState) arrive() {
 func (s *simState) drainArrivals(now float64) {
 	n := 0
 	for s.err == nil && s.havePending && s.pending.Arrival <= now {
-		s.enqueue(s.pending)
+		s.enqueue(&s.pending)
 		s.advance()
 		n++
 	}
@@ -348,9 +380,14 @@ func (s *simState) drainArrivals(now float64) {
 // enqueue appends a job record and links it onto its bucket's FIFO,
 // creating the bucket (with its policy-derived cap and reservation)
 // on first sight of the (nodes, class) pair.
-func (s *simState) enqueue(j Job) {
+func (s *simState) enqueue(j *Job) {
 	idx := int32(len(s.recs))
-	s.recs = append(s.recs, jobRec{job: j, next: -1})
+	s.recs = append(s.recs, jobRec{
+		outcome: JobOutcome{ID: j.ID, Nodes: j.Nodes},
+		arrival: j.Arrival,
+		bench:   s.intern(&j.Bench),
+		next:    -1,
+	})
 	class := Classify(j.Bench.Method)
 	k := bucketKey{j.Nodes, class}
 	bi, ok := s.bindex[k]
@@ -376,6 +413,19 @@ func (s *simState) enqueue(j Job) {
 	}
 	b.tail = idx
 	s.waiting++
+}
+
+// intern returns b's index in the benchmark table, appending it on
+// first sight. A mix draws from a handful of benchmarks, so a linear
+// scan with == (Benchmark holds only value fields) is the whole index.
+func (s *simState) intern(b *workloads.Benchmark) int32 {
+	for i := range s.benches {
+		if s.benches[i] == *b {
+			return int32(i)
+		}
+	}
+	s.benches = append(s.benches, *b)
+	return int32(len(s.benches) - 1)
 }
 
 // schedulePass arms one packing pass at the next cycle boundary (the
@@ -492,39 +542,37 @@ func (s *simState) pack(now float64) {
 // profiled.
 func (s *simState) startOrDrop(now float64, idx int32, b *bucket) {
 	rec := &s.recs[idx]
-	j := rec.job
-	prof, err := s.cfg.Catalog.Get(j.Bench, j.Nodes, b.capW)
+	o := &rec.outcome
+	prof, err := s.cfg.Catalog.get(&s.benches[rec.bench], o.Nodes, b.capW)
 	if err != nil {
 		// Unrunnable configuration: drop the job rather than
 		// deadlocking the queue, and record it in the Result.
 		s.dropped++
-		s.droppedIDs = append(s.droppedIDs, j.ID)
+		s.droppedIDs = append(s.droppedIDs, o.ID)
 		if s.m != nil {
 			s.m.JobsDropped.Inc()
 		}
-		rec.job = Job{}
 		return
 	}
 	rt := prof.Runtime
 	if s.jitter != nil {
 		rt *= s.jitter.LogNormal(0, 0.02)
 	}
-	s.freeNodes -= j.Nodes
+	s.freeNodes -= o.Nodes
 	s.reservedW += b.needW
 	if s.reservedW > s.peakW {
 		s.peakW = s.reservedW
 	}
 	rec.needW = b.needW
-	rec.outcome = JobOutcome{
-		ID: j.ID, Class: b.class, CapW: b.capW,
-		Start: now, End: now + rt, Wait: now - j.Arrival,
+	*o = JobOutcome{
+		ID: o.ID, Class: b.class, CapW: b.capW,
+		Start: now, End: now + rt, Wait: now - rec.arrival,
 		Runtime: rt, PerfLoss: prof.PerfLoss(),
 		EnergyJ:     prof.EnergyJ,
-		PowerW:      float64(j.Nodes) * b.perNodeW,
-		Nodes:       j.Nodes,
-		ActualMeanW: float64(j.Nodes) * prof.MeanNodeW,
+		PowerW:      float64(o.Nodes) * b.perNodeW,
+		Nodes:       o.Nodes,
+		ActualMeanW: float64(o.Nodes) * prof.MeanNodeW,
 	}
-	rec.job = Job{} // the benchmark is no longer needed; let it go
 	s.started++
 	if s.m != nil {
 		s.m.JobsStarted.Inc()
@@ -533,13 +581,13 @@ func (s *simState) startOrDrop(now float64, idx int32, b *bucket) {
 }
 
 // complete is the (single, reused) completion callback: free the
-// job's capacity, record its outcome, and arm a pass if anything is
+// job's capacity, record its completion, and arm a pass if anything is
 // waiting for that capacity.
 func (s *simState) complete(idx int) {
 	rec := &s.recs[idx]
 	s.freeNodes += rec.outcome.Nodes
 	s.reservedW -= rec.needW
-	s.outcomes = append(s.outcomes, rec.outcome)
+	s.done = append(s.done, outKey{prefix: idPrefix(rec.outcome.ID), seq: int32(idx)})
 	if s.m != nil {
 		s.m.JobsCompleted.Inc()
 	}
@@ -547,16 +595,32 @@ func (s *simState) complete(idx int) {
 }
 
 // result assembles the Result exactly as the reference loop does
-// (sort by ID first, then accumulate in that order, so the floating-
-// point sums are bit-identical).
+// (sort by ID, then arrival sequence, and accumulate in that order, so
+// the floating-point sums are bit-identical). It sorts the 16-byte
+// keys and gathers the outcomes once, rather than sorting outcomes.
 func (s *simState) result() Result {
 	res := Result{
 		Policy: s.cfg.Policy.Name(), BudgetW: s.cfg.BudgetW, ClusterNodes: s.cfg.ClusterNodes,
 		Dropped: s.dropped, DroppedIDs: s.droppedIDs,
 	}
 	res.PeakPowerW = s.peakW
-	outcomes := s.outcomes
-	sort.Slice(outcomes, func(i, k int) bool { return outcomes[i].ID < outcomes[k].ID })
+	recs := s.recs
+	slices.SortFunc(s.done, func(a, b outKey) int {
+		if a.prefix != b.prefix {
+			return cmp.Compare(a.prefix, b.prefix)
+		}
+		if c := strings.Compare(recs[a.seq].outcome.ID, recs[b.seq].outcome.ID); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
+	var outcomes []JobOutcome
+	if len(s.done) > 0 {
+		outcomes = make([]JobOutcome, len(s.done))
+		for i, k := range s.done {
+			outcomes[i] = recs[k.seq].outcome
+		}
+	}
 	res.Outcomes = outcomes
 	res.Completed = len(outcomes)
 	var waitSum, lossSum float64
@@ -575,9 +639,7 @@ func (s *simState) result() Result {
 		res.Throughput = float64(res.Completed) / (res.Makespan / 3600)
 	}
 	if s.m != nil {
-		if w := int64(s.peakW); w > s.m.PeakReservedW.Value() {
-			s.m.PeakReservedW.Set(w)
-		}
+		s.m.PeakReservedW.SetMax(int64(s.peakW))
 	}
 	return res
 }

@@ -1,7 +1,7 @@
 package sched
 
 import (
-	"fmt"
+	"strconv"
 
 	"vasppower/internal/rng"
 	"vasppower/internal/workloads"
@@ -44,23 +44,42 @@ func (s *sliceStream) Next() (Job, bool) {
 func (s *sliceStream) SizeHint() int { return len(s.jobs) - s.i }
 
 // mixEntry is one benchmark's weight and node-count options in the
-// synthetic production mix.
+// synthetic production mix, with the benchmark resolved once.
 type mixEntry struct {
 	name   string
 	weight float64
 	nodes  []int
+	bench  workloads.Benchmark
+	ok     bool // the name resolved; draws of an unresolved entry are skipped
 }
 
 // mixSuite is the Table I draw table for SyntheticJobMix/Stream:
 // heavy RPA/HSE jobs appear less often than plain DFT, mirroring
 // production mixes.
-var mixSuite = []mixEntry{
-	{"PdO2", 0.25, []int{1, 2}},
-	{"PdO4", 0.20, []int{1, 2}},
-	{"GaAsBi-64", 0.20, []int{1, 2}},
-	{"CuC_vdw", 0.15, []int{1}},
-	{"B.hR105_hse", 0.10, []int{1, 2}},
-	{"Si128_acfdtr", 0.10, []int{1, 2}},
+var mixSuite = resolveMix([]mixEntry{
+	{name: "PdO2", weight: 0.25, nodes: []int{1, 2}},
+	{name: "PdO4", weight: 0.20, nodes: []int{1, 2}},
+	{name: "GaAsBi-64", weight: 0.20, nodes: []int{1, 2}},
+	{name: "CuC_vdw", weight: 0.15, nodes: []int{1}},
+	{name: "B.hR105_hse", weight: 0.10, nodes: []int{1, 2}},
+	{name: "Si128_acfdtr", weight: 0.10, nodes: []int{1, 2}},
+})
+
+func resolveMix(mix []mixEntry) []mixEntry {
+	for i := range mix {
+		mix[i].bench, mix[i].ok = workloads.ByName(mix[i].name)
+	}
+	return mix
+}
+
+// jobID formats i as fmt's "job%04d" does for i ≥ 0.
+func jobID(i int) string {
+	var buf [24]byte
+	b := append(buf[:0], "job"...)
+	for n := 1000; n > 1 && i < n; n /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, int64(i), 10))
 }
 
 // SyntheticStream generates the SyntheticJobMix job sequence lazily:
@@ -90,22 +109,21 @@ func (s *SyntheticStream) Next() (Job, bool) {
 		s.i++
 		s.t += s.r.Exponential(s.mean)
 		x := s.r.Float64()
-		pick := mixSuite[len(mixSuite)-1]
+		pick := &mixSuite[len(mixSuite)-1]
 		acc := 0.0
-		for _, e := range mixSuite {
-			acc += e.weight
+		for k := range mixSuite {
+			acc += mixSuite[k].weight
 			if x <= acc {
-				pick = e
+				pick = &mixSuite[k]
 				break
 			}
 		}
-		b, ok := workloads.ByName(pick.name)
-		if !ok {
+		if !pick.ok {
 			continue
 		}
 		return Job{
-			ID:      fmt.Sprintf("job%04d", i),
-			Bench:   b,
+			ID:      jobID(i),
+			Bench:   pick.bench,
 			Nodes:   pick.nodes[s.r.IntN(len(pick.nodes))],
 			Arrival: s.t,
 		}, true

@@ -11,7 +11,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -50,13 +49,11 @@ func SetMetrics(m *Metrics) { metrics.Store(m) }
 // fired.
 type Event struct {
 	at        float64
-	seq       uint64
 	fn        func()
 	fnArg     func(int) // set instead of fn by AtArg/AfterArg
 	arg       int
 	cancelled bool
 	fired     bool
-	index     int // heap index, -1 once popped
 }
 
 // Time returns the virtual time at which the event is scheduled.
@@ -95,8 +92,8 @@ func (e *Engine) At(t float64, fn func()) *Event {
 		panic(fmt.Sprintf("sim: scheduling at non-finite time %v", t))
 	}
 	ev := e.alloc(t, fn)
+	e.pq.push(heapEntry{at: t, seq: e.seq, ev: ev})
 	e.seq++
-	heap.Push(&e.pq, ev)
 	return ev
 }
 
@@ -116,8 +113,8 @@ func (e *Engine) AtArg(t float64, fn func(int), arg int) *Event {
 	ev := e.alloc(t, nil)
 	ev.fnArg = fn
 	ev.arg = arg
+	e.pq.push(heapEntry{at: t, seq: e.seq, ev: ev})
 	e.seq++
-	heap.Push(&e.pq, ev)
 	return ev
 }
 
@@ -134,10 +131,10 @@ func (e *Engine) alloc(t float64, fn func()) *Event {
 		ev := e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
-		*ev = Event{at: t, seq: e.seq, fn: fn}
+		*ev = Event{at: t, fn: fn}
 		return ev
 	}
-	return &Event{at: t, seq: e.seq, fn: fn}
+	return &Event{at: t, fn: fn}
 }
 
 // recycle returns a popped event to the free list. The callback is
@@ -158,7 +155,7 @@ func (e *Engine) After(delay float64, fn func()) *Event {
 // It returns false when no events remain.
 func (e *Engine) Step() bool {
 	for len(e.pq) > 0 {
-		ev := heap.Pop(&e.pq).(*Event)
+		ev := e.pq.pop()
 		if ev.cancelled {
 			e.recycle(ev)
 			continue
@@ -196,9 +193,9 @@ func (e *Engine) RunUntil(t float64) {
 	}
 	for len(e.pq) > 0 {
 		// Peek.
-		next := e.pq[0]
+		next := e.pq[0].ev
 		if next.cancelled {
-			e.recycle(heap.Pop(&e.pq).(*Event))
+			e.recycle(e.pq.pop())
 			continue
 		}
 		if next.at > t {
@@ -259,32 +256,69 @@ func (t *Ticker) Stop() {
 	}
 }
 
-// eventHeap orders events by (time, sequence) so ties fire FIFO.
-type eventHeap []*Event
+// heapEntry is one queued event with its ordering key stored inline,
+// so sifting compares keys in the heap's own array instead of chasing
+// every Event pointer.
+type heapEntry struct {
+	at  float64
+	seq uint64
+	ev  *Event
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// eventHeap is a binary min-heap of events on (time, sequence), so
+// ties fire FIFO. Sequence numbers are unique, which makes the order
+// total: any correct heap pops the same sequence of events.
+type eventHeap []heapEntry
+
+func (a heapEntry) before(b heapEntry) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+func (h *eventHeap) push(x heapEntry) {
+	q := append(*h, x)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !x.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = x
+	*h = q
 }
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
+
+// pop removes and returns the earliest event; the heap must be
+// non-empty.
+func (h *eventHeap) pop() *Event {
+	q := *h
+	n := len(q) - 1
+	top := q[0].ev
+	x := q[n]
+	q[n] = heapEntry{}
+	q = q[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(q[c]) {
+			c = r
+		}
+		if !q[c].before(x) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	if n > 0 {
+		q[i] = x
+	}
+	*h = q
+	return top
 }

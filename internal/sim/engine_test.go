@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 
@@ -189,6 +190,45 @@ func TestRandomScheduleOrderProperty(t *testing.T) {
 		if violations > 0 {
 			t.Fatalf("trial %d: %d time-order violations", trial, violations)
 		}
+	}
+}
+
+// TestHeapOrderWithTiesAndCancels checks the event heap against a
+// sorted reference: many events on a few distinct times, scheduled in
+// bursts between steps, some cancelled, must fire in (time, schedule
+// order) — every tie FIFO — with every cancelled event skipped.
+func TestHeapOrderWithTiesAndCancels(t *testing.T) {
+	r := rng.New(5)
+	e := New()
+	type key struct {
+		at  float64
+		seq int
+	}
+	var want, got []key
+	seq := 0
+	for burst := 0; burst < 40; burst++ {
+		for i := 0; i < 1+r.IntN(60); i++ {
+			k := key{e.Now() + float64(r.IntN(8)), seq}
+			seq++
+			ev := e.At(k.at, func() { got = append(got, k) })
+			if r.Bool(0.2) {
+				ev.Cancel()
+			} else {
+				want = append(want, k)
+			}
+		}
+		for i := r.IntN(40); i > 0 && e.Step(); i-- {
+		}
+	}
+	e.Run()
+	sort.Slice(want, func(i, j int) bool {
+		if want[i].at != want[j].at {
+			return want[i].at < want[j].at
+		}
+		return want[i].seq < want[j].seq
+	})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("fired %d events out of (time, sequence) order; want %d", len(got), len(want))
 	}
 }
 
