@@ -125,12 +125,9 @@ func printParallelEfficiency(measure func(core.MeasureSpec) (core.JobProfile, er
 			continue
 		}
 		pe := base.Runtime / jp.Runtime / float64(n)
-		mode := 0.0
-		if jp.NodeTotal.HasMode {
-			mode = jp.NodeTotal.HighMode.X
-		}
+		mode, _ := jp.NodeTotal.HighMode()
 		fmt.Printf("  %2d nodes: runtime %7.1fs  PE %5.1f%%  nodeMode %6.0f W  energy %6.2f MJ\n",
-			n, jp.Runtime, pe*100, mode, jp.EnergyJ/1e6)
+			n, jp.Runtime, pe*100, mode.X, jp.EnergyJ/1e6)
 	}
 }
 

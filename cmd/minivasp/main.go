@@ -108,9 +108,8 @@ func main() {
 
 	fmt.Printf("\nruntime   %s\n", report.Seconds(jp.Runtime))
 	fmt.Printf("energy    %.2f MJ\n", jp.EnergyJ/1e6)
-	if jp.NodeTotal.HasMode {
-		fmt.Printf("node high power mode  %.0f W (FWHM %.0f W)\n",
-			jp.NodeTotal.HighMode.X, jp.NodeTotal.HighMode.FWHM)
+	if m, ok := jp.NodeTotal.HighMode(); ok {
+		fmt.Printf("node high power mode  %.0f W (FWHM %.0f W)\n", m.X, m.FWHM)
 	}
 	fmt.Printf("node power  min %.0f  median %.0f  mean %.0f  max %.0f W\n",
 		jp.NodeTotal.Summary.Min, jp.NodeTotal.Summary.Median,

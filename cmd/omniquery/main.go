@@ -213,8 +213,8 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("\nreference profile (measurement pipeline, cached): ")
-	if jp.NodeTotal.HasMode {
-		fmt.Printf("node high power mode %.0f W (FWHM %.0f), ", jp.NodeTotal.HighMode.X, jp.NodeTotal.HighMode.FWHM)
+	if m, ok := jp.NodeTotal.HighMode(); ok {
+		fmt.Printf("node high power mode %.0f W (FWHM %.0f), ", m.X, m.FWHM)
 	}
 	fmt.Printf("runtime %.0f s, energy %.2f MJ\n", jp.Runtime, jp.EnergyJ/1e6)
 }

@@ -42,8 +42,8 @@ func ExampleMeasure() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(jp.Runtime > 0, jp.NodeTotal.HasMode,
-		jp.NodeTotal.HighMode.X > 1000, jp.GPUShareOfNode() > 0.5)
+	mode, ok := jp.NodeTotal.HighMode()
+	fmt.Println(jp.Runtime > 0, ok, mode.X > 1000, jp.GPUShareOfNode() > 0.5)
 	// Output: true true true true
 }
 

@@ -29,9 +29,8 @@ func main() {
 
 	fmt.Printf("runtime: %.0f s, energy to solution: %.2f MJ\n",
 		profile.Runtime, profile.EnergyJ/1e6)
-	if profile.NodeTotal.HasMode {
-		fmt.Printf("node high power mode: %.0f W (FWHM %.0f W)\n",
-			profile.NodeTotal.HighMode.X, profile.NodeTotal.HighMode.FWHM)
+	if m, ok := profile.NodeTotal.HighMode(); ok {
+		fmt.Printf("node high power mode: %.0f W (FWHM %.0f W)\n", m.X, m.FWHM)
 	}
 	fmt.Printf("node power: min %.0f / median %.0f / mean %.0f / max %.0f W\n",
 		profile.NodeTotal.Summary.Min, profile.NodeTotal.Summary.Median,

@@ -32,13 +32,14 @@ func main() {
 			s = base.Downsample(interval)
 		}
 		p := vasppower.ProfileSeries(s)
-		if !p.HasMode {
+		m, ok := p.HighMode()
+		if !ok {
 			fmt.Printf("%7.1f s  (no mode)\n", interval)
 			continue
 		}
 		fmt.Printf("%7.1f s  %6.0f W %6.0f W %6.0f W %8.0f W %6.0f W\n",
 			interval, p.Summary.Min, p.Summary.Median, p.Summary.Max,
-			p.HighMode.X, p.HighMode.FWHM)
+			m.X, m.FWHM)
 	}
 
 	fmt.Println("\nany interval up to 10 s recovers the high power mode; capturing the")

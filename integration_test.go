@@ -140,12 +140,13 @@ ENCUT = 245
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !jp.NodeTotal.HasMode || jp.Runtime <= 0 {
+	mode, ok := jp.NodeTotal.HighMode()
+	if !ok || jp.Runtime <= 0 {
 		t.Fatal("profile empty")
 	}
 	// A hybrid run on Si128 should sit clearly above plain DFT.
-	if jp.NodeTotal.HighMode.X < 1000 {
-		t.Fatalf("HSE mode %v too low", jp.NodeTotal.HighMode.X)
+	if mode.X < 1000 {
+		t.Fatalf("HSE mode %v too low", mode.X)
 	}
 }
 

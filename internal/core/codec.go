@@ -17,6 +17,8 @@ import (
 //	            | NodeTotal | CPU | Mem | count(GPUs) | GPUs... | GPUSum
 //	Profile:    floats(Values) | grid(Times) | Summary | count(Modes)
 //	            | Modes... | HighMode | HasMode (one byte, 0 or 1)
+//	            (Modes, HighMode and HasMode are what the accessors
+//	            return; encoding computes them if nothing has yet)
 //	Summary:    N | Min | Max | Mean | Median | StdDev | Q1 | Q3
 //	Mode:       X | Density | FWHM
 //	name:       byte length | bytes
@@ -93,13 +95,15 @@ func (e *profileEncoder) profile(p Profile) {
 	for _, f := range [...]float64{s.Min, s.Max, s.Mean, s.Median, s.StdDev, s.Q1, s.Q3} {
 		e.float(f)
 	}
-	e.count(len(p.Modes), p.Modes == nil)
-	for _, m := range p.Modes {
+	modes := p.Modes()
+	e.count(len(modes), modes == nil)
+	for _, m := range modes {
 		e.mode(m)
 	}
-	e.mode(p.HighMode)
+	high, has := p.HighMode()
+	e.mode(high)
 	var hasMode byte
-	if p.HasMode {
+	if has {
 		hasMode = 1
 	}
 	e.buf = append(e.buf, hasMode)
@@ -184,6 +188,7 @@ type profileDecoder struct {
 	size  int // input length, for error offsets
 	err   error
 	grids [][]float64
+	cells []modeCell // unused cells of the current allocation
 }
 
 func (d *profileDecoder) fail(format string, args ...any) {
@@ -265,6 +270,7 @@ func (d *profileDecoder) grid(n int) []float64 {
 
 func (d *profileDecoder) profile() Profile {
 	var p Profile
+	var modes []stats.Mode
 	values := d.floats()
 	p.Series = timeseries.Series{Times: d.grid(len(values)), Values: values}
 	samples := int64(d.word())
@@ -276,26 +282,41 @@ func (d *profileDecoder) profile() Profile {
 		Median: d.float(), StdDev: d.float(), Q1: d.float(), Q3: d.float(),
 	}
 	if n, ok := d.count(modeBytes); ok {
-		p.Modes = make([]stats.Mode, n)
-		for i := range p.Modes {
-			p.Modes[i] = d.mode()
+		modes = make([]stats.Mode, n)
+		for i := range modes {
+			modes[i] = d.mode()
 		}
 	}
-	p.HighMode = d.mode()
+	high := d.mode()
 	if len(d.b) < 1 {
 		d.fail("truncated")
 		return p
 	}
-	switch d.b[0] {
-	case 0:
-	case 1:
-		p.HasMode = true
-	default:
+	has := d.b[0] == 1
+	if d.b[0] > 1 {
 		d.fail("HasMode byte %d", d.b[0])
 		return p
 	}
 	d.b = d.b[1:]
+	// ProfileSeries gives an empty series no cell, and so no modes; so
+	// does the decoder, unless the entry says otherwise.
+	zeroHigh := math.Float64bits(high.X)|math.Float64bits(high.Density)|math.Float64bits(high.FWHM) == 0
+	if len(values) > 0 || modes != nil || has || !zeroHigh {
+		p.modes = d.cell()
+		p.modes.setFilled(modes, high, has)
+	}
 	return p
+}
+
+// cell returns a fresh mode cell. The cells of one entry come from
+// one allocation: eight, the profile count of a four-GPU node.
+func (d *profileDecoder) cell() *modeCell {
+	if len(d.cells) == 0 {
+		d.cells = make([]modeCell, 8)
+	}
+	c := &d.cells[0]
+	d.cells = d.cells[1:]
+	return c
 }
 
 func (d *profileDecoder) mode() stats.Mode {

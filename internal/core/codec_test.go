@@ -16,21 +16,88 @@ import (
 	"vasppower/internal/workloads"
 )
 
+// jobProfileView mirrors JobProfile with every profile's modes read
+// out through the accessors into exported fields, which is what the
+// codec carries. Tests compare views, so they do not depend on whether
+// a mode had been read yet, and gob (which drops unexported fields)
+// can encode them.
+type jobProfileView struct {
+	Name             string
+	SamplingInterval float64
+	Runtime          float64
+	EnergyJ          float64
+	NodeTotal        profileView
+	CPU              profileView
+	Mem              profileView
+	GPUs             []profileView
+	GPUSum           profileView
+}
+
+type profileView struct {
+	Series   timeseries.Series
+	Summary  stats.Summary
+	Modes    []stats.Mode
+	HighMode stats.Mode
+	HasMode  bool
+}
+
+func view(jp JobProfile) jobProfileView {
+	v := jobProfileView{
+		Name: jp.Name, SamplingInterval: jp.SamplingInterval, Runtime: jp.Runtime, EnergyJ: jp.EnergyJ,
+		NodeTotal: viewOf(jp.NodeTotal), CPU: viewOf(jp.CPU), Mem: viewOf(jp.Mem), GPUSum: viewOf(jp.GPUSum),
+	}
+	if jp.GPUs != nil {
+		v.GPUs = make([]profileView, len(jp.GPUs))
+		for i, p := range jp.GPUs {
+			v.GPUs[i] = viewOf(p)
+		}
+	}
+	return v
+}
+
+func viewOf(p Profile) profileView {
+	high, has := p.HighMode()
+	return profileView{Series: p.Series, Summary: p.Summary, Modes: p.Modes(), HighMode: high, HasMode: has}
+}
+
+// fromView is the inverse of view: a JobProfile whose mode cells are
+// filled with the view's modes, as a decoded profile's are.
+func fromView(v jobProfileView) JobProfile {
+	jp := JobProfile{
+		Name: v.Name, SamplingInterval: v.SamplingInterval, Runtime: v.Runtime, EnergyJ: v.EnergyJ,
+		NodeTotal: v.NodeTotal.profile(), CPU: v.CPU.profile(), Mem: v.Mem.profile(), GPUSum: v.GPUSum.profile(),
+	}
+	if v.GPUs != nil {
+		jp.GPUs = make([]Profile, len(v.GPUs))
+		for i, p := range v.GPUs {
+			jp.GPUs[i] = p.profile()
+		}
+	}
+	return jp
+}
+
+func (v profileView) profile() Profile {
+	c := new(modeCell)
+	c.setFilled(v.Modes, v.HighMode, v.HasMode)
+	return Profile{Series: v.Series, Summary: v.Summary, modes: c}
+}
+
 // gobEncode and gobDecode are the disk tier's previous codec, kept as
-// the oracle the binary codec is checked against.
+// the oracle the binary codec is checked against. They carry the view
+// of a profile, which holds every field the old Profile had.
 func gobEncode(tb testing.TB, jp JobProfile) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(jp); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(view(jp)); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-func gobDecode(data []byte) (JobProfile, error) {
-	var jp JobProfile
-	err := gob.NewDecoder(bytes.NewReader(data)).Decode(&jp)
-	return jp, err
+func gobDecode(data []byte) (jobProfileView, error) {
+	var v jobProfileView
+	err := gob.NewDecoder(bytes.NewReader(data)).Decode(&v)
+	return v, err
 }
 
 // bitEqual reports whether a and b are identical down to the bits:
@@ -63,7 +130,9 @@ func bitEqual(a, b reflect.Value) bool {
 	panic("bitEqual: unhandled kind " + a.Kind().String())
 }
 
-func sameProfile(a, b JobProfile) bool { return bitEqual(reflect.ValueOf(a), reflect.ValueOf(b)) }
+func sameProfile(a, b JobProfile) bool { return sameView(view(a), view(b)) }
+
+func sameView(a, b jobProfileView) bool { return bitEqual(reflect.ValueOf(a), reflect.ValueOf(b)) }
 
 // hasNaN reports whether v holds a NaN anywhere; reflect.DeepEqual
 // never equates NaNs, so those cases rely on bitEqual alone.
@@ -97,7 +166,7 @@ func roundTrip(t *testing.T, name string, jp JobProfile) []byte {
 	if !sameProfile(got, jp) {
 		t.Fatalf("%s: round trip is not bit-identical:\n got  %+v\n want %+v", name, got, jp)
 	}
-	if !hasNaN(reflect.ValueOf(jp)) && !reflect.DeepEqual(got, jp) {
+	if !hasNaN(reflect.ValueOf(view(jp))) && !reflect.DeepEqual(view(got), view(jp)) {
 		t.Fatalf("%s: round trip is not reflect.DeepEqual", name)
 	}
 	if again := AppendJobProfile(nil, got); !bytes.Equal(again, enc) {
@@ -126,23 +195,25 @@ func syntheticProfiles() map[string]JobProfile {
 	snan := math.Float64frombits(0x7ff0_0000_0000_0002)
 	negZero := math.Copysign(0, -1)
 	special := []float64{nan, snan, negZero, 0, math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, math.MaxFloat64}
-	full := Profile{
+	full := profileView{
 		Series:   timeseries.Series{Times: grid(len(special)), Values: special},
 		Summary:  stats.Summary{N: -3, Min: negZero, Max: math.Inf(1), Mean: nan, Median: 1, StdDev: 2, Q1: 3, Q3: 4},
 		Modes:    []stats.Mode{{X: 1, Density: 2, FWHM: 3}, {X: nan, Density: negZero, FWHM: math.Inf(-1)}},
 		HighMode: stats.Mode{X: nan, Density: negZero, FWHM: math.Inf(-1)},
 		HasMode:  true,
-	}
+	}.profile()
+	noModes := profileView{Modes: []stats.Mode{}}.profile()
+	negZeroHigh := profileView{HighMode: stats.Mode{FWHM: negZero}}.profile()
 	shared := grid(3)
 	return map[string]JobProfile{
 		"zero":       {},
 		"empty-gpus": {GPUs: []Profile{}},
 		"nil-vs-empty": {
 			Name:      "nil/empty",
-			NodeTotal: Profile{Series: timeseries.Series{Times: []float64{}, Values: []float64{}}, Modes: []stats.Mode{}},
+			NodeTotal: profileView{Series: timeseries.Series{Times: []float64{}, Values: []float64{}}, Modes: []stats.Mode{}}.profile(),
 			CPU:       Profile{Series: timeseries.Series{Times: nil, Values: []float64{}}},
 			Mem:       Profile{Series: timeseries.Series{Times: []float64{}, Values: nil}},
-			GPUs:      []Profile{{}, {Modes: []stats.Mode{}}},
+			GPUs:      []Profile{{}, noModes, negZeroHigh},
 		},
 		"specials": {
 			Name: "Ω-unicode", SamplingInterval: nan, Runtime: negZero, EnergyJ: math.Inf(-1),
@@ -201,6 +272,34 @@ func TestProfileCodecRealProfiles(t *testing.T) {
 	}
 }
 
+// TestProfileCodecForcesModes: encoding a profile nobody has read the
+// modes of gives the same bytes as encoding it after every mode was
+// read, and as encoding the profile an eager DescribeKDE builds.
+func TestProfileCodecForcesModes(t *testing.T) {
+	for _, name := range []string{"GaAsBi-64", "PdO2", "Si256_hse", "CuC_vdw"} {
+		spec := MeasureSpec{Bench: benchByName(t, name), Nodes: 2, Seed: 2024}
+		unread, err := Measure(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		read, err := Measure(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := view(read); !v.NodeTotal.HasMode {
+			t.Fatalf("%s: no node mode", name)
+		}
+		eager := eagerJobProfile(unread)
+		got := AppendJobProfile(nil, unread)
+		if want := AppendJobProfile(nil, read); !bytes.Equal(got, want) {
+			t.Errorf("%s: a never-read profile encodes differently from a read one", name)
+		}
+		if want := AppendJobProfile(nil, eager); !bytes.Equal(got, want) {
+			t.Errorf("%s: a never-read profile encodes differently from an eager one", name)
+		}
+	}
+}
+
 // TestProfileCodecNoAliasing: decoded series own their grids, even
 // where the encoding shares one, and two decodes share nothing.
 func TestProfileCodecNoAliasing(t *testing.T) {
@@ -225,11 +324,12 @@ func TestProfileCodecNoAliasing(t *testing.T) {
 }
 
 // TestProfileCodecMatchesGobOracle: the retired gob codec decodes every
-// case to the same value, except that gob turns empty slices into nil
-// and drops the sign of a -0 struct field (slice elements keep it).
+// case, modes included, to the same value, except that gob turns empty
+// slices into nil and drops the sign of a -0 struct field (slice
+// elements keep it).
 func TestProfileCodecMatchesGobOracle(t *testing.T) {
 	for name, jp := range syntheticProfiles() {
-		got, err := DecodeJobProfile(AppendJobProfile(nil, jp))
+		decoded, err := DecodeJobProfile(AppendJobProfile(nil, jp))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -237,7 +337,8 @@ func TestProfileCodecMatchesGobOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: gob: %v", name, err)
 		}
-		if gobView(reflect.ValueOf(&got).Elem()); !sameProfile(got, want) {
+		got := view(decoded)
+		if gobView(reflect.ValueOf(&got).Elem()); !sameView(got, want) {
 			t.Errorf("%s: codec and gob oracle disagree:\n codec %+v\n gob   %+v", name, got, want)
 		}
 	}
@@ -268,14 +369,16 @@ func gobView(v reflect.Value) {
 	}
 }
 
-// TestProfileCodecFieldCensus fills every field reachable from
-// JobProfile with a distinct non-zero value and checks the round trip
-// keeps all of them. A field added to JobProfile, Profile, Series,
-// Summary or Mode that the codec does not carry fails here; gob used to
-// pick new fields up silently. A field of a kind the filler does not
-// know fails too, as a prompt to extend the codec.
+// TestProfileCodecFieldCensus fills every field reachable from the
+// view of a JobProfile (its modes included) with a distinct non-zero
+// value, builds the profile with filled mode cells, and checks the
+// round trip keeps all of them. A field added to JobProfile, Profile,
+// the mode cell, Series, Summary or Mode that the codec does not carry
+// fails here; gob used to pick new fields up silently. A field of a
+// kind the filler does not know fails too, as a prompt to extend the
+// codec.
 func TestProfileCodecFieldCensus(t *testing.T) {
-	var jp JobProfile
+	var v jobProfileView
 	next := 0.0
 	var fill func(path string, v reflect.Value)
 	fill = func(path string, v reflect.Value) {
@@ -302,14 +405,24 @@ func TestProfileCodecFieldCensus(t *testing.T) {
 			t.Fatalf("%s: field kind %s is not carried by the profile codec", path, v.Kind())
 		}
 	}
-	fill("JobProfile", reflect.ValueOf(&jp).Elem())
+	fill("JobProfile", reflect.ValueOf(&v).Elem())
+	jp := fromView(v)
 	roundTrip(t, "census", jp)
+	if got := view(jp); !sameView(got, v) {
+		t.Fatalf("the profile built from the census does not read back:\n got  %+v\n want %+v", got, v)
+	}
 
 	// The census above only proves the fields it filled; pin the shape
 	// so a new field's zero value cannot slip through unnoticed either.
+	// A Profile is its Series, its Summary and a mode cell, whose
+	// once-guard and pending values are not data; the view must mirror
+	// the JobProfile field for field.
 	want := map[reflect.Type]int{
 		reflect.TypeOf(JobProfile{}):        9,
-		reflect.TypeOf(Profile{}):           5,
+		reflect.TypeOf(jobProfileView{}):    9,
+		reflect.TypeOf(Profile{}):           3,
+		reflect.TypeOf(modeCell{}):          5,
+		reflect.TypeOf(profileView{}):       5,
 		reflect.TypeOf(timeseries.Series{}): 2,
 		reflect.TypeOf(stats.Summary{}):     8,
 		reflect.TypeOf(stats.Mode{}):        3,
@@ -446,6 +559,7 @@ func FuzzProfileDecode(f *testing.F) {
 
 var (
 	codecProfileSink JobProfile
+	codecViewSink    jobProfileView
 	codecBytesSink   []byte
 )
 
@@ -472,7 +586,7 @@ func BenchmarkProfileCodec(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(genc)))
 			for i := 0; i < b.N; i++ {
-				codecProfileSink, err = gobDecode(genc)
+				codecViewSink, err = gobDecode(genc)
 				if err != nil {
 					b.Fatal(err)
 				}

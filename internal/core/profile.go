@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"vasppower/internal/hw/node"
 	"vasppower/internal/hw/platform"
@@ -22,29 +23,79 @@ import (
 // paper's LDMS pipeline (nominal 1 s, effective 2 s after drops).
 const DefaultSamplingInterval = 2.0
 
-// Profile characterizes one power signal.
+// Profile characterizes one power signal. The summary is computed
+// when the profile is built; the KDE modes, which cost far more, are
+// computed on the first call to Modes or HighMode and shared by every
+// copy of the profile, so a series nobody reads the modes of never
+// pays for them.
 type Profile struct {
-	Series   timeseries.Series
-	Summary  stats.Summary
-	Modes    []stats.Mode // all modes, low → high power
-	HighMode stats.Mode   // the paper's "high power mode"
-	HasMode  bool
+	Series  timeseries.Series
+	Summary stats.Summary
+	modes   *modeCell // nil for an empty series: no modes
 }
 
-// ProfileSeries builds a Profile from a sampled series.
+// ProfileSeries builds a Profile from a sampled series. The profile
+// keeps s.Values for its modes, so the caller must not modify them
+// afterwards.
 func ProfileSeries(s timeseries.Series) Profile {
 	p := Profile{Series: s}
 	if s.Len() == 0 {
 		return p
 	}
-	summary, k, _ := stats.DescribeKDE(s.Values, 512)
-	p.Summary = summary
-	p.Modes = k.Modes(stats.DefaultModeThreshold)
-	if len(p.Modes) > 0 {
-		p.HighMode = p.Modes[len(p.Modes)-1]
-		p.HasMode = true
-	}
+	p.Summary, _ = stats.Describe(s.Values)
+	p.modes = &modeCell{values: s.Values}
 	return p
+}
+
+// Modes returns all modes of the series' KDE, low → high power. Every
+// copy of the profile returns the same slice; do not modify it.
+func (p Profile) Modes() []stats.Mode {
+	if p.modes == nil {
+		return nil
+	}
+	return p.modes.get().modes
+}
+
+// HighMode returns the paper's "high power mode": the highest-power
+// mode of the series' KDE. ok is false when the series has none.
+func (p Profile) HighMode() (m stats.Mode, ok bool) {
+	if p.modes == nil {
+		return stats.Mode{}, false
+	}
+	c := p.modes.get()
+	return c.high, c.has
+}
+
+// modeCell computes a series' modes once, on first read. The KDE is
+// stats.NewKDE with Silverman's bandwidth on a 512-point grid, which
+// stats.DescribeKDE documents as bit-identical to its own, so the
+// modes do not depend on when, or whether eagerly, they are computed.
+// A decoded profile's cell is built already filled.
+type modeCell struct {
+	once   sync.Once
+	values []float64 // the series to estimate; nil once filled
+	modes  []stats.Mode
+	high   stats.Mode
+	has    bool
+}
+
+// setFilled stores modes read from elsewhere (a cache entry) in c and
+// marks it filled, so it never runs the KDE.
+func (c *modeCell) setFilled(modes []stats.Mode, high stats.Mode, has bool) {
+	c.once.Do(func() { c.modes, c.high, c.has = modes, high, has })
+}
+
+func (c *modeCell) get() *modeCell {
+	c.once.Do(c.fill)
+	return c
+}
+
+func (c *modeCell) fill() {
+	c.modes = stats.NewKDE(c.values, 0, 512).Modes(stats.DefaultModeThreshold)
+	if len(c.modes) > 0 {
+		c.high, c.has = c.modes[len(c.modes)-1], true
+	}
+	c.values = nil
 }
 
 // JobProfile holds per-component profiles of one executed job window.
@@ -77,6 +128,23 @@ func (jp JobProfile) CPUMemShareOfNode() float64 {
 		return 0
 	}
 	return (jp.CPU.Summary.Mean + jp.Mem.Summary.Mean) / jp.NodeTotal.Summary.Mean
+}
+
+// GPUHighMode returns the mean high power mode of the node's GPUs that
+// have one, or 0 if none does.
+func (jp JobProfile) GPUHighMode() float64 {
+	var sum float64
+	n := 0
+	for _, g := range jp.GPUs {
+		if m, ok := g.HighMode(); ok {
+			sum += m.X
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
 }
 
 // ProfileWindow profiles one node's traces over [start, end] at the
@@ -270,19 +338,8 @@ func MeasureCapResponse(spec MeasureSpec, caps []float64) (CapResponse, error) {
 		if cap <= 0 {
 			pt.CapW = tdp
 		}
-		// Per-GPU high power mode: average over the node's devices.
-		var sum float64
-		cnt := 0
-		for _, g := range jp.GPUs {
-			if g.HasMode {
-				sum += g.HighMode.X
-				cnt++
-			}
-		}
-		if cnt > 0 {
-			pt.GPUHighMode = sum / float64(cnt)
-			pt.ModeOverCap = pt.GPUHighMode / pt.CapW
-		}
+		pt.GPUHighMode = jp.GPUHighMode()
+		pt.ModeOverCap = pt.GPUHighMode / pt.CapW
 		cr.Points = append(cr.Points, pt)
 	}
 	return cr, nil

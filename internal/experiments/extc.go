@@ -158,13 +158,17 @@ func maxGPU(jp core.JobProfile) float64 {
 	return m
 }
 
-// meanGPU returns the mean per-GPU power (averaged over devices).
+// meanGPU returns the mean per-GPU power (averaged over the node's
+// devices), or 0 for a node without GPUs.
 func meanGPU(jp core.JobProfile) float64 {
+	if len(jp.GPUs) == 0 {
+		return 0
+	}
 	var s float64
 	for _, g := range jp.GPUs {
 		s += g.Summary.Mean
 	}
-	return s / 4
+	return s / float64(len(jp.GPUs))
 }
 
 // CappingWins reports whether power capping met the target with less

@@ -58,7 +58,7 @@ func RunFig3(cfg Config) (Fig3Result, error) {
 			e.Median = jp.NodeTotal.Summary.Median
 			e.Min = jp.NodeTotal.Summary.Min
 			e.HighMode = highMode(jp)
-			e.MultiModal = len(jp.NodeTotal.Modes) >= 2
+			e.MultiModal = len(jp.NodeTotal.Modes()) >= 2
 			entries[i] = e
 			return nil
 		})

@@ -62,13 +62,11 @@ func RunFig6(cfg Config) (Fig6Result, error) {
 				NBands:  b.NBands,
 				Runtime: jp.Runtime,
 			}
-			if jp.NodeTotal.HasMode {
-				pt.NodeMode = jp.NodeTotal.HighMode.X
-				pt.NodeFWHM = jp.NodeTotal.HighMode.FWHM
+			if m, ok := jp.NodeTotal.HighMode(); ok {
+				pt.NodeMode, pt.NodeFWHM = m.X, m.FWHM
 			}
-			if jp.GPUSum.HasMode {
-				pt.GPUSumMode = jp.GPUSum.HighMode.X
-				pt.GPUSumFWHM = jp.GPUSum.HighMode.FWHM
+			if m, ok := jp.GPUSum.HighMode(); ok {
+				pt.GPUSumMode, pt.GPUSumFWHM = m.X, m.FWHM
 			}
 			pts[i] = pt
 			return nil

@@ -125,8 +125,8 @@ func (c *Catalog) measureLocked(b workloads.Benchmark, nodes int, cap float64) (
 		MeanNodeW: jp.NodeTotal.Summary.Mean,
 		EnergyJ:   jp.EnergyJ,
 	}
-	if jp.NodeTotal.HasMode {
-		p.ModeNodeW = jp.NodeTotal.HighMode.X
+	if m, ok := jp.NodeTotal.HighMode(); ok {
+		p.ModeNodeW = m.X
 	} else {
 		p.ModeNodeW = jp.NodeTotal.Summary.Mean
 	}

@@ -36,12 +36,12 @@ func TestProfileSeriesMatchesReference(t *testing.T) {
 				t.Fatalf("%s profile %d: summary differs from the reference: %s", name, i, diff)
 			}
 			modes := stats.NewKDEReference(xs, 0, 512).Modes(stats.DefaultModeThreshold)
-			if diff := stats.SameModes(p.Modes, modes); diff != "" {
+			if diff := stats.SameModes(p.Modes(), modes); diff != "" {
 				t.Fatalf("%s profile %d: modes differ from the reference KDE: %s", name, i, diff)
 			}
-			if len(modes) == 0 || !p.HasMode || p.HighMode != modes[len(modes)-1] {
+			if high, has := p.HighMode(); len(modes) == 0 || !has || high != modes[len(modes)-1] {
 				t.Fatalf("%s profile %d: high mode %+v (has %v), want the last of %+v",
-					name, i, p.HighMode, p.HasMode, modes)
+					name, i, high, has, modes)
 			}
 		}
 	}

@@ -16,7 +16,7 @@
 //
 //	b, _ := vasppower.BenchmarkByName("Si256_hse")
 //	profile, err := vasppower.Measure(vasppower.MeasureSpec{Bench: b, Repeats: 5, Seed: 42})
-//	// profile.NodeTotal.HighMode.X is the high power mode per node.
+//	mode, _ := profile.NodeTotal.HighMode() // the high power mode per node
 //
 // Measurements run on the default platform (the paper's Perlmutter
 // A100 nodes) unless MeasureSpec.Platform selects another registered

@@ -27,11 +27,12 @@ func TestMeasurePublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !jp.NodeTotal.HasMode {
+	mode, ok := jp.NodeTotal.HighMode()
+	if !ok {
 		t.Fatal("no node mode")
 	}
-	if jp.NodeTotal.HighMode.X < 700 || jp.NodeTotal.HighMode.X > 2350 {
-		t.Fatalf("implausible node mode %v", jp.NodeTotal.HighMode.X)
+	if mode.X < 700 || mode.X > 2350 {
+		t.Fatalf("implausible node mode %v", mode.X)
 	}
 }
 
@@ -110,7 +111,7 @@ func TestRunProtocolPublicAPI(t *testing.T) {
 	}
 	s := out.Nodes[0].TotalTrace().Sample(vasppower.DefaultSamplingInterval)
 	p := vasppower.ProfileSeries(s.Slice(out.VASPStart, out.VASPEnd))
-	if !p.HasMode {
+	if _, ok := p.HighMode(); !ok {
 		t.Fatal("profiled series has no mode")
 	}
 }
@@ -128,11 +129,12 @@ func TestPowerPredictorPublicAPI(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !jp.NodeTotal.HasMode {
+		mode, ok := jp.NodeTotal.HighMode()
+		if !ok {
 			t.Fatal("no mode")
 		}
 		samples = append(samples, vasppower.PredictorSample{
-			Bench: b, Nodes: 1, NodeMode: jp.NodeTotal.HighMode.X,
+			Bench: b, Nodes: 1, NodeMode: mode.X,
 		})
 	}
 	model, err := vasppower.FitPowerPredictor(samples, 1e-3)
@@ -145,7 +147,8 @@ func TestPowerPredictorPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	jp, _ := vasppower.Measure(vasppower.MeasureSpec{Bench: b, Nodes: 1, Repeats: 1, CapW: 0, Seed: 42})
-	measured := jp.NodeTotal.HighMode.X
+	mode, _ := jp.NodeTotal.HighMode()
+	measured := mode.X
 	if pred < measured*0.8 || pred > measured*1.2 {
 		t.Fatalf("interpolated prediction %v vs measured %v", pred, measured)
 	}
