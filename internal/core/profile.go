@@ -272,8 +272,8 @@ type CapResponse struct {
 // drives the sweep). The needed points are sharded across up to
 // spec.Workers sweep contexts, each of which resolves the schedule
 // once and re-runs only the cap solver per point; every point is
-// bit-identical to an independent run at the same seed (the retained
-// oracle, pinned by the differential tests), so the response is
+// bit-identical to an independent Measure at the same seed (pinned by
+// the differential tests), so the response is
 // identical for every worker count. Caps of 0 or ≥ TDP reuse the
 // baseline measurement, as on the real machine where the TDP is the
 // default limit.

@@ -1,15 +1,16 @@
-// The two-phase measurement split: a SweepContext freezes everything a
-// measurement does that cannot depend on the GPU power cap (schedule
-// construction, kernel resolution through the platform efficiency
-// table, node allocation, noise-stream derivation), so a sweep pays
-// for it once and re-runs only the cap solver and trace recording per
-// point. The invariant the retained oracle (Measure, one full run per
-// point) enforces through the differential tests: a cap may change
-// kernel clocks, powers, and durations — never which kernels run,
-// which nodes they run on, or which noise they see.
+// Cap sweeps over one measurement spec: a SweepContext freezes
+// everything a measurement does that cannot depend on the GPU power
+// cap (schedule construction, kernel resolution through the platform
+// efficiency table, node allocation, noise-stream derivation), so a
+// sweep pays for it once and re-runs only the cap solver and trace
+// recording per point. The invariant the differential tests pin
+// against the step-by-step oracle: a cap may change kernel clocks,
+// powers, and durations — never which kernels run, which nodes they
+// run on, or which noise they see.
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -22,11 +23,12 @@ import (
 // call performs the resolution phase lazily, so a sweep whose points
 // are all served from a cache never allocates an arena at all.
 //
-// When the incremental engine is unavailable — a telemetry sink is
-// streaming (arena reuse would corrupt its cursors), or the spec needs
-// a path the engine does not cover — every point transparently falls
-// back to the retained oracle, Measure, which also reproduces any
-// construction error exactly where the old per-point path raised it.
+// While a telemetry sink is streaming, the node arena cannot be reused
+// (reuse would corrupt the sink's trace cursors; NewSweep returns
+// workloads.ErrSweepUnavailable), so every point is measured with
+// Measure instead — the same numbers, one allocation per
+// point. Construction errors are returned as they are: Measure would
+// raise the same message from the same code.
 //
 // MeasureCap is safe for concurrent use (calls serialize on the
 // context's mutex; points are independent, so order does not matter).
@@ -34,7 +36,7 @@ type SweepContext struct {
 	mu     sync.Mutex
 	spec   MeasureSpec
 	sw     *workloads.Sweep
-	oracle bool
+	err    error // construction error, returned for every point
 	inited bool
 	closed bool
 }
@@ -63,7 +65,7 @@ func (c *SweepContext) MeasureCap(capW float64) (JobProfile, error) {
 	}
 	if !c.inited {
 		c.inited = true
-		sw, err := workloads.NewSweep(workloads.RunSpec{
+		c.sw, c.err = workloads.NewSweep(workloads.RunSpec{
 			Bench:          c.spec.Bench,
 			Platform:       c.spec.Platform,
 			Nodes:          c.spec.Nodes,
@@ -72,17 +74,14 @@ func (c *SweepContext) MeasureCap(capW float64) (JobProfile, error) {
 			Workers:        1,
 			OperandEntropy: c.spec.Entropy,
 		})
-		if err != nil {
-			// Oracle fallback: behavior-identical, including errors —
-			// whatever stopped the resolution phase (invalid bench,
-			// unresolvable kernel) stops the oracle at the same place
-			// with the same message, per point.
-			c.oracle = true
-		} else {
-			c.sw = sw
+		if errors.Is(c.err, workloads.ErrSweepUnavailable) {
+			c.err = nil // no arena: Measure each point
 		}
 	}
-	if c.oracle {
+	if c.err != nil {
+		return JobProfile{}, c.err
+	}
+	if c.sw == nil {
 		pt := c.spec
 		pt.CapW = capW
 		return Measure(pt)

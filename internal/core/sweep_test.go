@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"vasppower/internal/hw/platform"
+	"vasppower/internal/telemetry"
 	"vasppower/internal/workloads"
 )
 
@@ -18,10 +19,11 @@ func benchByName(t testing.TB, name string) workloads.Benchmark {
 	return b
 }
 
-// TestSweepContextMatchesMeasure is the tentpole's differential
-// contract at the profile level: MeasureCap on one reusable context is
-// deep-equal to an independent Measure per point — across platforms,
-// methods, entropy, and repeats, in arbitrary point order.
+// TestSweepContextMatchesMeasure is the differential contract at the
+// profile level: MeasureCap on one reusable context and an independent
+// Measure per point are both deep-equal to the step-by-step oracle's
+// profile — across platforms, methods, entropy, and repeats, in
+// arbitrary point order.
 func TestSweepContextMatchesMeasure(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -58,7 +60,7 @@ func TestSweepContextMatchesMeasure(t *testing.T) {
 			for _, capW := range tc.caps {
 				pt := spec
 				pt.CapW = capW
-				want, err := Measure(pt)
+				want, err := oracleMeasure(pt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -66,20 +68,32 @@ func TestSweepContextMatchesMeasure(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("cap %v W: profile diverges from Measure\n got runtime %v energy %v\nwant runtime %v energy %v",
-						capW, got.Runtime, got.EnergyJ, want.Runtime, want.EnergyJ)
+				profilesEqual(t, fmt.Sprintf("cap %v W: MeasureCap", capW), want, got)
+				got, err = Measure(pt)
+				if err != nil {
+					t.Fatal(err)
 				}
+				profilesEqual(t, fmt.Sprintf("cap %v W: Measure", capW), want, got)
 			}
 		})
 	}
 }
 
-// TestSweepContextOracleFallback: specs the incremental engine rejects
-// still measure correctly (and reproduce Measure's errors exactly).
+// profilesEqual demands deep equality of two profiles, neither of
+// which has had its modes read.
+func profilesEqual(t *testing.T, label string, want, got JobProfile) {
+	t.Helper()
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("%s: profile diverges from the oracle\n got runtime %v energy %v\nwant runtime %v energy %v",
+			label, got.Runtime, got.EnergyJ, want.Runtime, want.EnergyJ)
+	}
+}
+
+// TestSweepContextOracleFallback: a context returns construction
+// errors as they are (Measure raises the same message), and while a
+// telemetry sink is active it measures every point without a sweep
+// arena — still equal to the oracle.
 func TestSweepContextOracleFallback(t *testing.T) {
-	// Invalid bench: the context must surface the same error Measure
-	// returns, not panic or mask it.
 	bad := MeasureSpec{}
 	sctx := NewSweepContext(bad)
 	defer sctx.Close()
@@ -89,7 +103,34 @@ func TestSweepContextOracleFallback(t *testing.T) {
 		t.Fatal("invalid spec accepted")
 	}
 	if errCtx.Error() != errMeasure.Error() {
-		t.Fatalf("fallback error %q, oracle %q", errCtx, errMeasure)
+		t.Fatalf("context error %q, Measure %q", errCtx, errMeasure)
+	}
+
+	s, err := telemetry.NewSampler(telemetry.NewHub(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	telemetry.SetDefault(s)
+	defer telemetry.SetDefault(nil)
+	spec := MeasureSpec{Bench: benchByName(t, "PdO2"), Seed: 5}
+	sctx = NewSweepContext(spec)
+	defer sctx.Close()
+	arenas := workloads.ActiveSweeps()
+	for _, capW := range []float64{0, 260} {
+		got, err := sctx.MeasureCap(capW)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := workloads.ActiveSweeps(); n != arenas {
+			t.Fatalf("sweep arena opened with a telemetry sink active (%d live, want %d)", n, arenas)
+		}
+		pt := spec
+		pt.CapW = capW
+		want, err := oracleMeasure(pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		profilesEqual(t, fmt.Sprintf("telemetry, cap %v W", capW), want, got)
 	}
 }
 
@@ -160,9 +201,9 @@ func TestMeasureCapResponseWorkerInvariance(t *testing.T) {
 	}
 }
 
-// BenchmarkCapSweep is the tentpole's headline grid: a cold 16-point
-// cap sweep through the oracle (full run per point) versus the
-// incremental engine (resolve once, re-cap per point), at single-shot
+// BenchmarkCapSweep is the sweep engine's headline grid: a cold
+// 16-point cap sweep as one Measure per point versus one sweep context
+// (resolve once, re-cap per point), at single-shot
 // and at the paper's 5-repeat measurement protocol, plus the
 // solve-only steady state whose allocations must stay at zero.
 func BenchmarkCapSweep(b *testing.B) {
@@ -176,6 +217,8 @@ func BenchmarkCapSweep(b *testing.B) {
 
 	for _, repeats := range []int{1, 5} {
 		spec := specFor(repeats)
+		// engine=oracle is a full Measure per point; the name is kept
+		// so the rows compare against earlier results.
 		b.Run(fmt.Sprintf("points=16/repeats=%d/engine=oracle", repeats), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, capW := range caps {
@@ -237,4 +280,22 @@ func BenchmarkCapSweep(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkMeasureOnePoint is the cold single-measurement path: one
+// uncapped Measure (schedule build, allocation, solve, profile) on
+// benchmarks spanning a small RMM run, a many-kernel RMM run, and a
+// hybrid-functional run.
+func BenchmarkMeasureOnePoint(b *testing.B) {
+	for _, name := range []string{"PdO2", "GaAsBi-64", "Si256_hse"} {
+		spec := MeasureSpec{Bench: benchByName(b, name), Seed: 7}
+		b.Run("bench="+name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Measure(spec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

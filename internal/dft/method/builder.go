@@ -42,6 +42,28 @@ type builder struct {
 	steps []Step
 }
 
+// stepCount returns how many steps the builder emits for c, so the
+// step list is allocated once at its final size (a schedule is built
+// per measurement and runs to thousands of steps). It mirrors the
+// build* methods' loop structure; TestStepCountExact pins it.
+func stepCount(c Config) int {
+	kpg := c.Decomp.KPointsPerGroup
+	scf := func(kind Kind) int {
+		n := 8*kpg + 2
+		if kind == VDW {
+			n++
+		}
+		return n
+	}
+	switch c.Kind {
+	case HSE:
+		return 2 + c.NELM*(4*kpg+scf(HSE))
+	case ACFDTR:
+		return 1 + min(14, c.NELM)*scf(DFTBD) + 3 + 24*3 + 1
+	}
+	return 2 + c.NELM*scf(c.Kind)
+}
+
 func (b *builder) add(s Step) { b.steps = append(b.steps, s) }
 
 func (b *builder) gpuStep(label, phase string, k gpu.Kernel, mem float64) {

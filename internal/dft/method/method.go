@@ -186,7 +186,7 @@ func Build(c Config) (*Schedule, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	b := &builder{cfg: c}
+	b := &builder{cfg: c, steps: make([]Step, 0, stepCount(c))}
 	switch c.Kind {
 	case DFTRMM, DFTBD, DFTBDRMM, DFTCG, VDW:
 		b.buildSCF(c.Kind)

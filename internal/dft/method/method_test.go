@@ -295,3 +295,31 @@ func TestMemoryPerGPU(t *testing.T) {
 		t.Fatal("footprint did not shrink with ranks")
 	}
 }
+
+// TestStepCountExact pins stepCount to the builders: every kind, with
+// k-point groups holding one and several k-points and NELM below and
+// above ACFDTR's 14-iteration cap, builds exactly stepCount(c) steps
+// into a list allocated once at that size.
+func TestStepCountExact(t *testing.T) {
+	for _, kind := range Kinds() {
+		for _, kpar := range []int{1, 2} {
+			for _, nelm := range []int{1, 3, 20} {
+				c := testConfig(kind)
+				d, err := parallel.Decompose(640, 8, 2, 4, kpar)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.Decomp = d
+				c.NELM = nelm
+				s, err := Build(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(s.Steps) != stepCount(c) || cap(s.Steps) != len(s.Steps) {
+					t.Fatalf("%v kpar=%d nelm=%d: %d steps (cap %d), stepCount %d",
+						kind, kpar, nelm, len(s.Steps), cap(s.Steps), stepCount(c))
+				}
+			}
+		}
+	}
+}

@@ -11,52 +11,62 @@ import (
 	"vasppower/internal/timeseries"
 )
 
-// Prepared is the cap-independent half of a job, split out so a sweep
-// can pay for it once: the validated schedule, every unique GPU work
-// descriptor resolved to its ExecProfile through the (shared) platform
-// efficiency table, CPU-step executions, collective durations priced
-// on the fabric, and the per-step component powers that do not depend
-// on the GPUs' cap state. What remains per Run is exactly the
-// cap-dependent part — the cap solver's clock decision per unique
-// (kernel, device) pair, the jitter draws, and trace recording.
+// Prepared is a job split into its cap-independent part, done once,
+// and the cap-dependent remainder, re-run per call: the step executor
+// of every run. Prepare validates the schedule, resolves every GPU
+// step's work descriptor through the (shared) platform efficiency
+// table into a gpu.CapSolver, runs CPU-step tasks, prices collectives
+// on the fabric, and tabulates the per-node powers that do not depend
+// on the GPUs' cap state. What remains per run is the cap solver's
+// clock decision per (GPU step, device), the jitter draws, and trace
+// recording.
 //
-// The split leans on a structural fact of the oracle (Run): a step's
-// wall time and recorded powers depend on the cap only through
+// The split leans on a structural fact of the model: a step's wall
+// time and recorded powers depend on the cap only through
 // gpu.Execution values, and those depend only on (kernel, device,
 // device cap state) — never on trace history or step position. So a
-// table of executions per unique kernel × device, rebuilt when the cap
-// changes, reproduces the oracle's arithmetic exactly; the
-// differential tests in prepared_test.go pin every float.
+// table of executions per GPU step × device, rebuilt when the cap
+// changes, reproduces the step-by-step executor's arithmetic exactly;
+// the differential tests in prepared_test.go pin every float against
+// it (package solveroracle).
+//
+// Layout is flat and sized by the schedule, not by nodes × steps. A
+// schedule's GPU steps are almost all distinct kernels, so there is
+// one CapSolver per GPU step and no dedup map; each is shared by every
+// device, since devices of one spec differ only by variability scalars
+// folded in at solve time. DDR power is a row per (memory-activity
+// level, node), of which a schedule has a handful.
 //
 // A Prepared is not safe for concurrent use.
 type Prepared struct {
-	job Job
+	nodes []*node.Node
+	// devs lists every GPU of the job node-major; node ni owns
+	// devs[devOff[ni]:devOff[ni+1]].
+	devs   []*gpu.GPU
+	devOff []int
 
-	// Unique GPU work descriptors of the schedule and their resolved
-	// profiles (the platform efficiency table is shared by every device
-	// of a run, so one resolution per kernel serves them all).
-	kernels  []gpu.Kernel
-	profiles []gpu.ExecProfile
+	steps  []prepStep
+	phases []string // distinct phase labels, indexed by prepStep.phase
 
-	steps []prepStep
+	kernels []gpu.CapSolver // one per GPU step, in step order
+	// execs[ki*len(devs)+d] is GPU step ki's execution on device d
+	// under the current cap/clock state, rebuilt lazily after a Set*
+	// call.
+	execs      []devExec
+	execsValid bool
 
 	// Per-node cap-independent constants.
 	hostOrchW []float64   // CPU host-orchestration power
 	gpuIdle   [][]float64 // per-device board idle power
 	hbmIdle   [][]float64 // per-device HBM-domain idle share
-	commGPUs  [][]float64 // gpuIdle + commGPUPower, precomputed
+	commGPUs  [][]float64 // gpuIdle + commGPUPower
+	memW      []float64   // memW[level*len(nodes)+ni]: DDR power at levels[level]
+	cpuW      []float64   // cpuW[ci*len(nodes)+ni]: CPU step ci's CPU power
 
-	// solvers[k][ni][gi] carries kernel k's hoisted cap-solver
-	// constants for node ni's device gi; execs[k][ni][gi] is the
-	// corresponding Execution under the current cap/clock state,
-	// rebuilt lazily after a Set* call.
-	solvers    [][][]gpu.CapSolver
-	execs      [][][]gpu.Execution
-	execsValid bool
-
-	// Reusable scratch, so steady-state Run calls allocate nothing.
+	// Reusable scratch, so steady-state runs allocate nothing.
 	gpuCP        []node.ComponentPowers // per node, slices preallocated
-	phases       map[string]float64
+	phaseDur     []float64
+	phaseMap     map[string]float64
 	sumScratch   timeseries.Trace
 	totalScratch timeseries.Trace
 	ptrScratch   []*timeseries.Trace
@@ -64,23 +74,24 @@ type Prepared struct {
 
 // prepStep is one schedule step with its cap-independent work done.
 type prepStep struct {
-	kind   method.StepKind
-	phase  string
-	kernel int     // GPU steps: index into kernels/profiles/execs
-	preDur float64 // pre-jitter wall duration (CPU barrier max, comm, host)
-	// memW is the per-node DDR power of a GPU step (the rest of a GPU
-	// step's powers are cap-dependent and assembled per Run).
-	memW []float64
-	// cps carries the per-node component powers of CPU/comm/host
-	// steps, which are fully cap-independent. Record copies values, so
-	// sharing these across Run calls is safe.
-	cps []node.ComponentPowers
+	kind  method.StepKind
+	phase int32 // index into Prepared.phases
+	level int32 // memory-activity level, index into memW rows
+	// idx is the step's ordinal among its kind: the GPU step's kernel
+	// (kernels, execs) or the CPU step's cpuW row.
+	idx int32
+	// preDur is the pre-jitter wall duration of a CPU, comm or host
+	// step (CPU: the barrier maximum over nodes).
+	preDur float64
 }
 
+// devExec is the part of a gpu.Execution the recorder reads.
+type devExec struct{ dur, power, memW float64 }
+
 // Prepare validates the job and performs every cap-independent piece
-// of its execution. The job's Noise field is ignored — each Run call
-// takes its own stream, which is what lets one Prepared serve many
-// repeats and cap points.
+// of its execution. The job's Noise field is ignored — each run takes
+// its own stream, which is what lets one Prepared serve many repeats
+// and cap points.
 func Prepare(job Job) (*Prepared, error) {
 	if job.Schedule == nil || len(job.Schedule.Steps) == 0 {
 		return nil, fmt.Errorf("solver: empty schedule")
@@ -92,239 +103,205 @@ func Prepare(job Job) (*Prepared, error) {
 		return nil, fmt.Errorf("solver: decomposition spans %d nodes but %d allocated",
 			job.Decomp.Nodes, len(job.Nodes))
 	}
-	job.Noise = nil
-	p := &Prepared{job: job}
 	nn := len(job.Nodes)
-	p.hostOrchW = make([]float64, nn)
-	p.gpuIdle = make([][]float64, nn)
-	p.hbmIdle = make([][]float64, nn)
-	p.commGPUs = make([][]float64, nn)
-	p.gpuCP = make([]node.ComponentPowers, nn)
+	p := &Prepared{
+		nodes:     job.Nodes,
+		devOff:    make([]int, nn+1),
+		hostOrchW: make([]float64, nn),
+		gpuIdle:   make([][]float64, nn),
+		hbmIdle:   make([][]float64, nn),
+		commGPUs:  make([][]float64, nn),
+		gpuCP:     make([]node.ComponentPowers, nn),
+	}
 
-	// One efficiency table must serve every device: the per-kernel
-	// resolution below is hoisted out of the per-device loop on that
-	// basis.
-	var model *gpu.EfficiencyModel
+	// One efficiency table and one spec must serve every device: each
+	// GPU step is resolved once, and its CapSolver shared by all
+	// devices, on that basis.
+	var dev0 *gpu.GPU
 	for ni, n := range job.Nodes {
 		p.hostOrchW[ni] = n.CPU.HostOrchestrationPower()
 		g := n.NumGPUs()
-		p.gpuIdle[ni] = make([]float64, g)
-		p.hbmIdle[ni] = make([]float64, g)
-		p.commGPUs[ni] = make([]float64, g)
+		idle := make([]float64, 3*g)
+		p.gpuIdle[ni], p.hbmIdle[ni], p.commGPUs[ni] = idle[:g:g], idle[g:2*g:2*g], idle[2*g:]
 		for gi, dev := range n.GPUs {
 			p.gpuIdle[ni][gi] = dev.IdlePower()
 			p.hbmIdle[ni][gi] = dev.HBMIdlePower()
 			p.commGPUs[ni][gi] = dev.IdlePower() + commGPUPower
-			if model == nil {
-				model = dev.Model()
-			} else if dev.Model() != model {
-				return nil, fmt.Errorf("solver: nodes mix efficiency tables (prepare requires one table per job)")
+			if dev0 == nil {
+				dev0 = dev
+			} else if dev.Model() != dev0.Model() || dev.Spec != dev0.Spec {
+				return nil, fmt.Errorf("solver: nodes mix GPU models (prepare requires one spec and efficiency table per job)")
 			}
+			p.devs = append(p.devs, dev)
 		}
-		p.gpuCP[ni] = node.ComponentPowers{
-			GPUs:    make([]float64, g),
-			GPUMems: make([]float64, g),
-		}
+		p.devOff[ni+1] = len(p.devs)
+		cp := make([]float64, 2*g)
+		p.gpuCP[ni] = node.ComponentPowers{GPUs: cp[:g:g], GPUMems: cp[g:]}
 	}
 
-	kernelIdx := make(map[gpu.Kernel]int)
-	p.steps = make([]prepStep, 0, len(job.Schedule.Steps))
-	for _, st := range job.Schedule.Steps {
-		ps := prepStep{kind: st.Kind, phase: st.Phase, kernel: -1}
+	steps := job.Schedule.Steps
+	var gpuSteps, cpuSteps int
+	for si := range steps {
+		switch steps[si].Kind {
+		case method.StepGPU:
+			gpuSteps++
+		case method.StepCPU:
+			cpuSteps++
+		}
+	}
+	p.steps = make([]prepStep, len(steps))
+	p.kernels = make([]gpu.CapSolver, 0, gpuSteps)
+	p.cpuW = make([]float64, 0, cpuSteps*nn)
+	var levels []float64
+	for si := range steps {
+		st := &steps[si]
+		ps := prepStep{kind: st.Kind, phase: p.phaseIndex(st.Phase)}
+		ps.level = int32(len(levels))
+		for li, a := range levels {
+			if a == st.MemActivity {
+				ps.level = int32(li)
+				break
+			}
+		}
+		if int(ps.level) == len(levels) {
+			levels = append(levels, st.MemActivity)
+			for _, n := range job.Nodes {
+				// DDR power interpolates between idle and active with
+				// the step's memory-activity level.
+				idle := n.MemIdlePower()
+				p.memW = append(p.memW, idle+(n.MemActivePower()-idle)*st.MemActivity)
+			}
+		}
 		switch st.Kind {
 		case method.StepGPU:
-			ki, ok := kernelIdx[st.GPU]
-			if !ok {
-				if err := st.GPU.Validate(); err != nil {
-					return nil, err
-				}
-				if model == nil {
-					return nil, fmt.Errorf("solver: GPU step %q on a job with no GPUs", st.Label)
-				}
-				prof, err := model.Resolve(st.GPU)
-				if err != nil {
-					return nil, err
-				}
-				ki = len(p.kernels)
-				kernelIdx[st.GPU] = ki
-				p.kernels = append(p.kernels, st.GPU)
-				p.profiles = append(p.profiles, prof)
+			if err := st.GPU.Validate(); err != nil {
+				return nil, err
 			}
-			ps.kernel = ki
-			ps.memW = make([]float64, nn)
-			for ni, n := range job.Nodes {
-				ps.memW[ni] = memPower(n, st.MemActivity)
+			if dev0 == nil {
+				return nil, fmt.Errorf("solver: GPU step %q on a job with no GPUs", st.Label)
 			}
+			prof, err := dev0.Resolve(st.GPU)
+			if err != nil {
+				return nil, err
+			}
+			ps.idx = int32(len(p.kernels))
+			p.kernels = append(p.kernels, gpu.NewCapSolver(dev0.Spec, st.GPU, prof))
 		case method.StepCPU:
-			ps.cps = make([]node.ComponentPowers, nn)
+			ps.idx = int32(len(p.cpuW) / nn)
 			maxDur := 0.0
-			for ni, n := range job.Nodes {
+			for _, n := range job.Nodes {
 				ex := n.CPU.Run(st.CPU)
 				if ex.Duration > maxDur {
 					maxDur = ex.Duration
 				}
-				ps.cps[ni] = node.ComponentPowers{
-					CPU:  ex.Power,
-					Mem:  memPower(n, st.MemActivity),
-					GPUs: p.gpuIdle[ni],
-				}
+				p.cpuW = append(p.cpuW, ex.Power)
 			}
 			ps.preDur = maxDur
 		case method.StepComm:
-			var topo interconnect.Topology
-			switch st.Comm.Scope {
-			case method.ScopeGroup:
+			topo := job.Decomp.Topology
+			if st.Comm.Scope == method.ScopeGroup {
 				topo = job.Decomp.GroupTopology
-			default:
-				topo = job.Decomp.Topology
 			}
-			switch st.Comm.Op {
-			case method.CommAllReduce:
-				ps.preDur = job.Fabric.AllReduce(st.Comm.Bytes, topo)
-			case method.CommAllToAll:
-				ps.preDur = job.Fabric.AllToAll(st.Comm.Bytes/float64(topo.Ranks()), topo)
-			case method.CommBroadcast:
-				ps.preDur = job.Fabric.Broadcast(st.Comm.Bytes, topo)
-			default:
-				return nil, fmt.Errorf("solver: unknown comm op %v", st.Comm.Op)
+			d, err := commDuration(job.Fabric, st.Comm, topo)
+			if err != nil {
+				return nil, err
 			}
-			ps.cps = make([]node.ComponentPowers, nn)
-			for ni, n := range job.Nodes {
-				ps.cps[ni] = node.ComponentPowers{
-					CPU:  p.hostOrchW[ni],
-					Mem:  memPower(n, st.MemActivity),
-					GPUs: p.commGPUs[ni],
-				}
-			}
+			ps.preDur = d
 		case method.StepHost:
 			ps.preDur = st.HostSeconds
-			ps.cps = make([]node.ComponentPowers, nn)
-			for ni, n := range job.Nodes {
-				ps.cps[ni] = node.ComponentPowers{
-					CPU:  p.hostOrchW[ni],
-					Mem:  memPower(n, st.MemActivity),
-					GPUs: p.gpuIdle[ni],
-				}
-			}
 		default:
 			return nil, fmt.Errorf("solver: unknown step kind %v", st.Kind)
 		}
-		p.steps = append(p.steps, ps)
+		p.steps[si] = ps
 	}
-
-	if len(p.kernels) > 0 {
-		p.solvers = make([][][]gpu.CapSolver, len(p.kernels))
-		p.execs = make([][][]gpu.Execution, len(p.kernels))
-		for ki := range p.execs {
-			p.solvers[ki] = make([][]gpu.CapSolver, nn)
-			p.execs[ki] = make([][]gpu.Execution, nn)
-			for ni, n := range job.Nodes {
-				srow := make([]gpu.CapSolver, n.NumGPUs())
-				for gi, dev := range n.GPUs {
-					srow[gi] = dev.NewCapSolver(p.kernels[ki], p.profiles[ki])
-				}
-				p.solvers[ki][ni] = srow
-				p.execs[ki][ni] = make([]gpu.Execution, n.NumGPUs())
-			}
-		}
+	p.phaseDur = make([]float64, len(p.phases))
+	// Every step appends at most one segment per trace; the CPU trace
+	// changes power only around CPU steps.
+	for _, n := range job.Nodes {
+		n.GrowTraces(1+2*cpuSteps, len(steps))
 	}
 	return p, nil
 }
 
-// Kernels returns how many unique GPU work descriptors the schedule
-// resolves to — the per-point solve cost is proportional to this, not
-// to the step count.
-func (p *Prepared) Kernels() int { return len(p.kernels) }
-
-// SetGPUPowerLimit applies one board power cap to every GPU of the
-// job's nodes (w <= 0 restores the default TDP limit) and invalidates
-// the execution table. Errors mirror the per-device SetPowerLimit
-// range check.
-func (p *Prepared) SetGPUPowerLimit(w float64) error {
-	p.execsValid = false
-	for _, n := range p.job.Nodes {
-		if w <= 0 {
-			n.ResetGPUPowerLimits()
-			continue
+// phaseIndex interns a phase label (schedules carry a handful).
+func (p *Prepared) phaseIndex(phase string) int32 {
+	for i, name := range p.phases {
+		if name == phase {
+			return int32(i)
 		}
-		if err := n.SetGPUPowerLimits(w); err != nil {
+	}
+	p.phases = append(p.phases, phase)
+	return int32(len(p.phases) - 1)
+}
+
+// commDuration prices one collective on the fabric.
+func commDuration(f interconnect.Fabric, c method.Comm, topo interconnect.Topology) (float64, error) {
+	switch c.Op {
+	case method.CommAllReduce:
+		return f.AllReduce(c.Bytes, topo), nil
+	case method.CommAllToAll:
+		return f.AllToAll(c.Bytes/float64(topo.Ranks()), topo), nil
+	case method.CommBroadcast:
+		return f.Broadcast(c.Bytes, topo), nil
+	}
+	return 0, fmt.Errorf("solver: unknown comm op %v", c.Op)
+}
+
+// SetGPULimits applies one board power cap (w <= 0 restores the
+// default TDP limit) and one maximum SM clock (mhz <= 0 unlocks — the
+// DVFS axis) to every GPU of the job's nodes, and invalidates the
+// execution table. Errors mirror the per-device range checks.
+func (p *Prepared) SetGPULimits(w, mhz float64) error {
+	p.execsValid = false
+	for _, n := range p.nodes {
+		if err := n.SetGPULimits(w, mhz); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// SetGPUClockLimitMHz locks one maximum SM clock on every GPU
-// (mhz <= 0 unlocks) and invalidates the execution table — the DVFS
-// axis of the sweep engine.
-func (p *Prepared) SetGPUClockLimitMHz(mhz float64) error {
-	p.execsValid = false
-	for _, n := range p.job.Nodes {
-		if mhz <= 0 {
-			n.ResetGPUClockLimits()
-			continue
-		}
-		if err := n.SetGPUClockLimits(mhz); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// buildExecs runs the cap solver once per unique kernel on every
-// device under the current cap/clock state — the only cap-dependent
-// computation of a run besides jitter and recording. Each solve goes
-// through the kernel's hoisted CapSolver rather than the full
-// resolve-and-bisect path; the result is bit-identical (pinned by
-// gpu's capsolver_test.go and the differential tests here).
+// buildExecs runs the cap solver for every GPU step on every device
+// under the devices' current cap/clock state — the only cap-dependent
+// computation of a run besides jitter and recording.
 func (p *Prepared) buildExecs() {
+	nd := len(p.devs)
+	if p.execs == nil {
+		p.execs = make([]devExec, len(p.kernels)*nd)
+	}
 	for ki := range p.kernels {
-		for ni := range p.job.Nodes {
-			srow := p.solvers[ki][ni]
-			row := p.execs[ki][ni]
-			for gi := range srow {
-				row[gi] = srow[gi].Solve()
-			}
+		s := &p.kernels[ki]
+		row := p.execs[ki*nd : (ki+1)*nd]
+		for d, dev := range p.devs {
+			ex := s.Solve(dev)
+			row[d] = devExec{ex.Duration, ex.Power, ex.MemPower}
 		}
 	}
 	p.execsValid = true
 }
 
-// Run executes the prepared job once, appending to each node's traces
-// (callers reset traces between repeats), drawing jitter from noise
-// (nil runs noise-free), and returns the summary. The jitter draw
-// order matches the oracle exactly: one whole-run factor, then one
-// per-step factor in step order.
+// RunNoEnergy executes the prepared job once, appending to each node's
+// traces (callers reset traces between repeats), drawing jitter from
+// noise (nil runs noise-free), and returns the summary with EnergyJ
+// left at 0 — callers settle energy from the traces (Run through the
+// nodes' memoized TotalTrace, the sweep engine through Energy, once
+// per point for the surviving repeat). The jitter draw order is one
+// whole-run factor, then one per-step factor in step order.
 //
-// The returned Result's PhaseDurations map is reused by the next Run
-// call on this Prepared; callers keeping it across runs must copy it.
-func (p *Prepared) Run(noise *rng.Stream) Result {
-	start := p.job.Nodes[0].TraceDuration()
-	res := p.RunNoEnergy(noise)
-	res.EnergyJ = p.Energy(start)
-	return res
-}
-
-// RunNoEnergy is Run without the node-sensor energy epilogue: the
-// returned Result carries EnergyJ == 0. A repeat loop that only ever
-// reports the winning repeat's energy (the sweep engine) uses this
-// per repeat and calls Energy once on the surviving traces — the
-// merge arithmetic runs on the same trace content either way, so the
-// deferred value is bit-identical to the eager one.
+// The returned Result's PhaseDurations map is reused by the next call
+// on this Prepared; callers keeping it across runs must copy it.
 func (p *Prepared) RunNoEnergy(noise *rng.Stream) Result {
 	if !p.execsValid {
 		p.buildExecs()
 	}
-	if p.phases == nil {
-		p.phases = make(map[string]float64, 8)
-	}
-	clear(p.phases)
-	res := Result{PhaseDurations: p.phases}
+	clear(p.phaseDur)
 	runScale := 1.0
 	if noise != nil {
 		runScale = noise.LogNormal(0, runJitterSigma)
 	}
-	nodes := p.job.Nodes
+	nodes := p.nodes
+	nn := len(nodes)
+	nd := len(p.devs)
 	start := nodes[0].TraceDuration()
 	for si := range p.steps {
 		st := &p.steps[si]
@@ -332,60 +309,82 @@ func (p *Prepared) RunNoEnergy(noise *rng.Stream) Result {
 		if noise != nil {
 			j = runScale * noise.LogNormal(0, stepJitterSigma)
 		}
+		memW := p.memW[int(st.level)*nn : int(st.level+1)*nn]
 		var dur float64
 		switch st.kind {
 		case method.StepGPU:
-			execs := p.execs[st.kernel]
-			maxDur := 0.0
-			for _, row := range execs {
-				for gi := range row {
-					if row[gi].Duration > maxDur {
-						maxDur = row[gi].Duration
-					}
+			// Every GPU runs the same kernel; durations differ only
+			// through cap solving against device-specific power curves.
+			// The step ends at the slowest device (implicit barrier).
+			execs := p.execs[int(st.idx)*nd : int(st.idx+1)*nd]
+			for d := range execs {
+				if execs[d].dur > dur {
+					dur = execs[d].dur
 				}
 			}
-			maxDur *= j
+			dur *= j
 			for ni, n := range nodes {
 				cp := &p.gpuCP[ni]
 				cp.CPU = p.hostOrchW[ni]
-				cp.Mem = st.memW[ni]
-				row := execs[ni]
+				cp.Mem = memW[ni]
+				row := execs[p.devOff[ni]:p.devOff[ni+1]]
 				idle := p.gpuIdle[ni]
 				hbm := p.hbmIdle[ni]
 				for i := range row {
-					busy := row[i].Duration / maxDur
+					// Devices that finish early wait at the barrier near
+					// idle; fold that into a duty-cycled average power.
+					// The HBM domain duty-cycles the same way
+					// (self-refresh while waiting).
+					busy := row[i].dur / dur
 					if busy > 1 {
 						busy = 1
 					}
-					cp.GPUs[i] = row[i].Power*busy + idle[i]*(1-busy)
-					cp.GPUMems[i] = row[i].MemPower*busy + hbm[i]*(1-busy)
+					cp.GPUs[i] = row[i].power*busy + idle[i]*(1-busy)
+					cp.GPUMems[i] = row[i].memW*busy + hbm[i]*(1-busy)
 				}
-				n.Record(maxDur, *cp)
+				n.Record(dur, *cp)
 			}
-			dur = maxDur
-		default:
+		case method.StepCPU:
+			dur = st.preDur * j
+			cpuW := p.cpuW[int(st.idx)*nn : int(st.idx+1)*nn]
+			for ni, n := range nodes {
+				n.Record(dur, node.ComponentPowers{CPU: cpuW[ni], Mem: memW[ni], GPUs: p.gpuIdle[ni]})
+			}
+		case method.StepComm:
 			dur = st.preDur * j
 			for ni, n := range nodes {
-				n.Record(dur, st.cps[ni])
+				n.Record(dur, node.ComponentPowers{CPU: p.hostOrchW[ni], Mem: memW[ni], GPUs: p.commGPUs[ni]})
+			}
+		default: // method.StepHost
+			dur = st.preDur * j
+			for ni, n := range nodes {
+				n.Record(dur, node.ComponentPowers{CPU: p.hostOrchW[ni], Mem: memW[ni], GPUs: p.gpuIdle[ni]})
 			}
 		}
-		res.PhaseDurations[st.phase] += dur
-		res.Steps++
+		p.phaseDur[st.phase] += dur
 	}
-	res.Runtime = nodes[0].TraceDuration() - start
-	return res
+	if p.phaseMap == nil {
+		p.phaseMap = make(map[string]float64, len(p.phases))
+	}
+	clear(p.phaseMap)
+	for i, name := range p.phases {
+		p.phaseMap[name] = p.phaseDur[i]
+	}
+	return Result{
+		Runtime:        nodes[0].TraceDuration() - start,
+		PhaseDurations: p.phaseMap,
+		Steps:          len(p.steps),
+	}
 }
 
 // Energy computes the summed node-sensor energy of the traces
-// currently on the job's nodes, from start to each node's trace end —
-// Run's epilogue as a standalone pass. It merges into reusable
-// scratch with the same cursor arithmetic the memoized TotalTrace
-// uses — values identical, allocations zero in steady state. The
-// nodes' own memo caches are left untouched for the eventual
-// profiling pass.
+// currently on the job's nodes, from start to each node's trace end.
+// It merges into reusable scratch with the same cursor arithmetic the
+// memoized TotalTrace uses — values identical, allocations zero in
+// steady state — and leaves the nodes' memo caches untouched.
 func (p *Prepared) Energy(start float64) float64 {
 	var energy float64
-	for _, n := range p.job.Nodes {
+	for _, n := range p.nodes {
 		ptrs := append(p.ptrScratch[:0], n.CPUTrace(), n.MemTrace())
 		for gi := 0; gi < n.NumGPUs(); gi++ {
 			ptrs = append(ptrs, n.GPUTrace(gi))

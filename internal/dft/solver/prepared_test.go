@@ -1,10 +1,14 @@
-package solver
+package solver_test
 
 import (
 	"testing"
 
 	"vasppower/internal/dft/method"
+	"vasppower/internal/dft/parallel"
+	"vasppower/internal/dft/solver"
+	"vasppower/internal/dft/solver/solveroracle"
 	"vasppower/internal/hw/node"
+	"vasppower/internal/hw/platform"
 	"vasppower/internal/rng"
 	"vasppower/internal/timeseries"
 )
@@ -43,7 +47,7 @@ func nodesEqual(t *testing.T, a, b []*node.Node) {
 	}
 }
 
-func resultsEqual(t *testing.T, oracle, prep Result) {
+func resultsEqual(t *testing.T, oracle, prep solver.Result) {
 	t.Helper()
 	if oracle.Runtime != prep.Runtime {
 		t.Fatalf("runtime %v vs oracle %v", prep.Runtime, oracle.Runtime)
@@ -64,9 +68,19 @@ func resultsEqual(t *testing.T, oracle, prep Result) {
 	}
 }
 
+// runPrepared is one prepared run with its energy settled from the
+// traces, as the sweep engine settles it.
+func runPrepared(prep *solver.Prepared, nodes []*node.Node, noise *rng.Stream) solver.Result {
+	start := nodes[0].TraceDuration()
+	res := prep.RunNoEnergy(noise)
+	res.EnergyJ = prep.Energy(start)
+	return res
+}
+
 // TestPreparedMatchesRunExactly pins the prepared engine to the oracle
 // across methods, node counts, device variability, and noise: every
-// float of every trace must be bit-identical.
+// float of every trace must be bit-identical — through a Prepared
+// directly and through Run, which every measurement goes through.
 func TestPreparedMatchesRunExactly(t *testing.T) {
 	for _, kind := range []method.Kind{method.DFTRMM, method.DFTBDRMM, method.HSE, method.ACFDTR} {
 		for _, nodes := range []int{1, 2} {
@@ -76,11 +90,11 @@ func TestPreparedMatchesRunExactly(t *testing.T) {
 				if noisy {
 					oracleJob.Noise = rng.New(42)
 				}
-				want, err := Run(oracleJob)
+				want, err := solveroracle.Run(oracleJob)
 				if err != nil {
 					t.Fatal(err)
 				}
-				prep, err := Prepare(prepJob)
+				prep, err := solver.Prepare(prepJob)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -88,9 +102,20 @@ func TestPreparedMatchesRunExactly(t *testing.T) {
 				if noisy {
 					noise = rng.New(42)
 				}
-				got := prep.Run(noise)
+				got := runPrepared(prep, prepJob.Nodes, noise)
 				resultsEqual(t, want, got)
 				nodesEqual(t, oracleJob.Nodes, prepJob.Nodes)
+
+				runJob := testJob(t, kind, nodes, true)
+				if noisy {
+					runJob.Noise = rng.New(42)
+				}
+				got, err = solver.Run(runJob)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resultsEqual(t, want, got)
+				nodesEqual(t, oracleJob.Nodes, runJob.Nodes)
 			}
 		}
 	}
@@ -101,7 +126,7 @@ func TestPreparedMatchesRunExactly(t *testing.T) {
 // checks each point against a fresh full oracle run.
 func TestPreparedSweepMatchesOracle(t *testing.T) {
 	prepJob := testJob(t, method.HSE, 2, true)
-	prep, err := Prepare(prepJob)
+	prep, err := solver.Prepare(prepJob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +151,7 @@ func TestPreparedSweepMatchesOracle(t *testing.T) {
 			}
 		}
 		oracleJob.Noise = rng.New(7)
-		want, err := Run(oracleJob)
+		want, err := solveroracle.Run(oracleJob)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,13 +159,10 @@ func TestPreparedSweepMatchesOracle(t *testing.T) {
 		for _, n := range prepJob.Nodes {
 			n.ResetTracesReuse()
 		}
-		if err := prep.SetGPUClockLimitMHz(pt.mhz); err != nil {
+		if err := prep.SetGPULimits(pt.capW, pt.mhz); err != nil {
 			t.Fatal(err)
 		}
-		if err := prep.SetGPUPowerLimit(pt.capW); err != nil {
-			t.Fatal(err)
-		}
-		got := prep.Run(rng.New(7))
+		got := runPrepared(prep, prepJob.Nodes, rng.New(7))
 		resultsEqual(t, want, got)
 		nodesEqual(t, oracleJob.Nodes, prepJob.Nodes)
 	}
@@ -149,16 +171,17 @@ func TestPreparedSweepMatchesOracle(t *testing.T) {
 // TestPreparedPhaseMapReused documents the scratch contract: the next
 // Run overwrites the previous Result's PhaseDurations.
 func TestPreparedPhaseMapReused(t *testing.T) {
-	prep, err := Prepare(testJob(t, method.DFTRMM, 1, false))
+	job := testJob(t, method.DFTRMM, 1, false)
+	prep, err := solver.Prepare(job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1 := prep.Run(nil)
+	r1 := prep.RunNoEnergy(nil)
 	m1 := r1.PhaseDurations
-	for _, n := range prep.job.Nodes {
+	for _, n := range job.Nodes {
 		n.ResetTracesReuse()
 	}
-	r2 := prep.Run(nil)
+	r2 := prep.RunNoEnergy(nil)
 	if &m1 == &r2.PhaseDurations {
 	} // same map is expected; the assertion is aliasing, below
 	m1["sentinel"] = 1
@@ -169,36 +192,51 @@ func TestPreparedPhaseMapReused(t *testing.T) {
 
 // TestPreparedSetLimitErrors mirrors the per-device range checks.
 func TestPreparedSetLimitErrors(t *testing.T) {
-	prep, err := Prepare(testJob(t, method.DFTRMM, 1, false))
+	prep, err := solver.Prepare(testJob(t, method.DFTRMM, 1, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := prep.SetGPUPowerLimit(1); err == nil {
+	if err := prep.SetGPULimits(1, 0); err == nil {
 		t.Fatal("1 W cap accepted")
 	}
-	if err := prep.SetGPUPowerLimit(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := prep.SetGPUClockLimitMHz(1); err == nil {
+	if err := prep.SetGPULimits(0, 1); err == nil {
 		t.Fatal("1 MHz clock accepted")
 	}
-	if err := prep.SetGPUClockLimitMHz(0); err != nil {
+	if err := prep.SetGPULimits(0, 0); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestPreparedValidation matches the oracle's construction errors.
+// TestPreparedValidation matches the oracle's construction errors,
+// message for message, and refuses jobs whose devices do not share
+// one spec (one CapSolver per step serves every device).
 func TestPreparedValidation(t *testing.T) {
 	job := testJob(t, method.DFTRMM, 1, false)
-	bad := job
-	bad.Schedule = &method.Schedule{}
-	if _, err := Prepare(bad); err == nil {
-		t.Fatal("empty schedule accepted")
+	d, err := parallel.Decompose(640, 1, 2, 4, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	bad = job
-	bad.Nodes = nil
-	if _, err := Prepare(bad); err == nil {
-		t.Fatal("no nodes accepted")
+	for _, mutate := range []func(*solver.Job){
+		func(j *solver.Job) { j.Schedule = &method.Schedule{} },
+		func(j *solver.Job) { j.Nodes = nil },
+		func(j *solver.Job) { j.Decomp = d },
+	} {
+		bad := job
+		mutate(&bad)
+		_, errPrep := solver.Prepare(bad)
+		_, errOracle := solveroracle.Run(bad)
+		if errPrep == nil || errOracle == nil {
+			t.Fatalf("invalid job accepted: prepare %v, oracle %v", errPrep, errOracle)
+		}
+		if errPrep.Error() != errOracle.Error() {
+			t.Fatalf("prepare error %q, oracle %q", errPrep, errOracle)
+		}
+	}
+
+	mixed := testJob(t, method.DFTRMM, 2, false)
+	mixed.Nodes[1] = node.New("n80", platform.A10080GB500W(), nil)
+	if _, err := solver.Prepare(mixed); err == nil {
+		t.Fatal("job mixing GPU specs accepted")
 	}
 }
 
@@ -206,7 +244,7 @@ func TestPreparedValidation(t *testing.T) {
 // point, a solve allocates nothing.
 func TestPreparedRunSteadyStateAllocs(t *testing.T) {
 	job := testJob(t, method.HSE, 1, true)
-	prep, err := Prepare(job)
+	prep, err := solver.Prepare(job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,11 +256,11 @@ func TestPreparedRunSteadyStateAllocs(t *testing.T) {
 	noise := rng.New(3)
 	init := *noise
 	// Warm the arena: first run grows trace and scratch capacity.
-	prep.Run(noise)
+	runPrepared(prep, job.Nodes, noise)
 	allocs := testing.AllocsPerRun(10, func() {
 		reset()
 		*noise = init
-		prep.Run(noise)
+		runPrepared(prep, job.Nodes, noise)
 	})
 	if allocs > 0 {
 		t.Fatalf("steady-state Run allocates %v objects/op, want 0", allocs)

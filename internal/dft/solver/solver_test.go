@@ -1,4 +1,4 @@
-package solver
+package solver_test
 
 import (
 	"math"
@@ -6,13 +6,14 @@ import (
 
 	"vasppower/internal/dft/method"
 	"vasppower/internal/dft/parallel"
+	"vasppower/internal/dft/solver"
 	"vasppower/internal/hw/node"
 	"vasppower/internal/hw/platform"
 	"vasppower/internal/interconnect"
 	"vasppower/internal/rng"
 )
 
-func testJob(t *testing.T, kind method.Kind, nodes int, seedNodes bool) Job {
+func testJob(t *testing.T, kind method.Kind, nodes int, seedNodes bool) solver.Job {
 	t.Helper()
 	d, err := parallel.Decompose(640, 1, nodes, 4, 1)
 	if err != nil {
@@ -45,7 +46,7 @@ func testJob(t *testing.T, kind method.Kind, nodes int, seedNodes bool) Job {
 		}
 		ns = append(ns, node.New("n", platform.Default(), r))
 	}
-	return Job{
+	return solver.Job{
 		Name:     "test",
 		Schedule: sched,
 		Nodes:    ns,
@@ -56,7 +57,7 @@ func testJob(t *testing.T, kind method.Kind, nodes int, seedNodes bool) Job {
 
 func TestRunProducesAlignedTraces(t *testing.T) {
 	job := testJob(t, method.DFTRMM, 2, true)
-	res, err := Run(job)
+	res, err := solver.Run(job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +85,8 @@ func TestRunProducesAlignedTraces(t *testing.T) {
 func TestRunDeterministicWithoutNoise(t *testing.T) {
 	a := testJob(t, method.DFTRMM, 1, false)
 	b := testJob(t, method.DFTRMM, 1, false)
-	ra, _ := Run(a)
-	rb, _ := Run(b)
+	ra, _ := solver.Run(a)
+	rb, _ := solver.Run(b)
 	if ra.Runtime != rb.Runtime || ra.EnergyJ != rb.EnergyJ {
 		t.Fatalf("noise-free runs differ: %+v vs %+v", ra, rb)
 	}
@@ -96,8 +97,8 @@ func TestNoiseVariesRuntime(t *testing.T) {
 	a.Noise = rng.New(1)
 	b := testJob(t, method.DFTRMM, 1, false)
 	b.Noise = rng.New(2)
-	ra, _ := Run(a)
-	rb, _ := Run(b)
+	ra, _ := solver.Run(a)
+	rb, _ := solver.Run(b)
 	if ra.Runtime == rb.Runtime {
 		t.Fatal("noisy runs identical")
 	}
@@ -109,7 +110,7 @@ func TestNoiseVariesRuntime(t *testing.T) {
 
 func TestPowerCapSlowsJob(t *testing.T) {
 	base := testJob(t, method.HSE, 1, false)
-	rBase, err := Run(base)
+	rBase, err := solver.Run(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestPowerCapSlowsJob(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rCap, err := Run(capped)
+	rCap, err := solver.Run(capped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestPowerCapSlowsJob(t *testing.T) {
 
 func TestACFDTRHasCPUPhase(t *testing.T) {
 	job := testJob(t, method.ACFDTR, 1, false)
-	res, err := Run(job)
+	res, err := solver.Run(job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,28 +161,28 @@ func TestRunValidation(t *testing.T) {
 	job := testJob(t, method.DFTRMM, 1, false)
 	bad := job
 	bad.Schedule = &method.Schedule{}
-	if _, err := Run(bad); err == nil {
+	if _, err := solver.Run(bad); err == nil {
 		t.Fatal("empty schedule accepted")
 	}
 	bad = job
 	bad.Nodes = nil
-	if _, err := Run(bad); err == nil {
+	if _, err := solver.Run(bad); err == nil {
 		t.Fatal("no nodes accepted")
 	}
 	bad = job
 	d, _ := parallel.Decompose(640, 1, 2, 4, 1)
 	bad.Decomp = d
-	if _, err := Run(bad); err == nil {
+	if _, err := solver.Run(bad); err == nil {
 		t.Fatal("node-count mismatch accepted")
 	}
 }
 
 func TestMoreNodesFasterButLessEfficient(t *testing.T) {
-	r1, err := Run(testJob(t, method.HSE, 1, false))
+	r1, err := solver.Run(testJob(t, method.HSE, 1, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, err := Run(testJob(t, method.HSE, 4, false))
+	r4, err := solver.Run(testJob(t, method.HSE, 4, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestGPUVariabilityShowsInTraces(t *testing.T) {
 	// Seeded nodes: the four GPUs of a node record slightly different
 	// power for identical kernels (§III-B.2's DGEMM observation).
 	job := testJob(t, method.DFTRMM, 1, true)
-	if _, err := Run(job); err != nil {
+	if _, err := solver.Run(job); err != nil {
 		t.Fatal(err)
 	}
 	n := job.Nodes[0]
@@ -235,7 +236,7 @@ func TestGPUVariabilityShowsInTraces(t *testing.T) {
 
 func TestPhaseDurationsSumToRuntime(t *testing.T) {
 	job := testJob(t, method.ACFDTR, 1, false)
-	res, err := Run(job)
+	res, err := solver.Run(job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,11 +253,11 @@ func TestRunAppendsToExistingTraces(t *testing.T) {
 	// Two sequential runs on the same nodes accumulate (the repeat
 	// protocol relies on this).
 	job := testJob(t, method.DFTRMM, 1, false)
-	r1, err := Run(job)
+	r1, err := solver.Run(job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(job)
+	r2, err := solver.Run(job)
 	if err != nil {
 		t.Fatal(err)
 	}

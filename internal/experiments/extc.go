@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 
@@ -82,22 +83,24 @@ func RunExtC(cfg Config) (ExtCResult, error) {
 			// runs and checking the exact trace maximum (DVFS gives no
 			// hardware guarantee, so compliance must hold at every instant,
 			// not just on 2 s averages). The nine evaluations re-solve the
-			// same resolved schedule, so they ride one incremental sweep
-			// context; if the engine declines the spec (e.g. an active
-			// telemetry sink), each point falls back to the oracle Run —
-			// either path is bit-identical.
+			// same resolved schedule, so they ride one sweep; while a
+			// telemetry sink streams from trace cursors the sweep arena is
+			// off limits and each point is a full Run — the same numbers.
 			gspec := cfg.platform().GPU
 			loMHz, hiMHz := gspec.MinClockFrac*gspec.MaxClockMHz, gspec.MaxClockMHz
 			spec := workloads.RunSpec{
 				Bench: b, Platform: cfg.platform(), Nodes: 1,
 				Repeats: cfg.repeats(), Seed: cfg.seed(),
 			}
-			sw, swErr := workloads.NewSweep(spec)
-			if swErr == nil {
+			sw, err := workloads.NewSweep(spec)
+			switch {
+			case err == nil:
 				defer sw.Close()
+			case !errors.Is(err, workloads.ErrSweepUnavailable):
+				return err
 			}
 			runAt := func(mhz float64) (workloads.RunOutput, error) {
-				if swErr == nil {
+				if sw != nil {
 					return sw.RunClockMHz(mhz)
 				}
 				pt := spec

@@ -31,10 +31,13 @@ func capSolverDevices() []*GPU {
 	return devs
 }
 
-// TestCapSolverMatchesRun pins NewCapSolver(k, p).Solve() to g.Run(k)
-// bit-for-bit across kernels (fixed compute- and memory-bound plus a
-// random draw from every class), devices with seeded variability, and
-// the full power- and clock-limit grid — uncapped, binding, and floor.
+// TestCapSolverMatchesRun pins NewCapSolver(spec, k, p).Solve(g) to the
+// unhoisted oracle g.Run(k) bit-for-bit across kernels (fixed compute-
+// and memory-bound plus a random draw from every class), devices with
+// seeded variability, and the full power- and clock-limit grid —
+// uncapped, binding, and floor. Each kernel's solver is built once per
+// spec and shared by every device of that spec, as the prepared engine
+// shares it.
 func TestCapSolverMatchesRun(t *testing.T) {
 	kr := rng.New(41)
 	kernels := []Kernel{dgemmKernel(), streamKernel()}
@@ -42,17 +45,29 @@ func TestCapSolverMatchesRun(t *testing.T) {
 		kernels = append(kernels, randomKernel(kr))
 	}
 
-	for di, g := range capSolverDevices() {
+	devs := capSolverDevices()
+	solvers := map[string][]CapSolver{}
+	for _, g := range devs {
+		if _, ok := solvers[g.Spec.Name]; ok {
+			continue
+		}
+		for _, k := range kernels {
+			solvers[g.Spec.Name] = append(solvers[g.Spec.Name], NewCapSolver(g.Spec, k, resolve(t, g, k)))
+		}
+	}
+	for di, g := range devs {
 		caps := []float64{0, g.Spec.TDP, g.Spec.MinPowerLimit,
 			g.Spec.MinPowerLimit + 30, 200, 250, 330}
 		clocks := []float64{0, g.Spec.MaxClockMHz,
 			g.Spec.MinClockFrac * g.Spec.MaxClockMHz, 1100}
 		for ki, k := range kernels {
-			p, err := g.Resolve(k)
-			if err != nil {
-				t.Fatal(err)
+			s := &solvers[g.Spec.Name][ki]
+			if got, want := g.UncappedPower(k), g.powerAt(k, resolve(t, g, k), 1); got != want {
+				t.Fatalf("dev=%d kernel=%d: UncappedPower %v vs oracle %v", di, ki, got, want)
 			}
-			s := g.NewCapSolver(k, p)
+			if got, want := g.UncappedDuration(k), g.timeAt(k, resolve(t, g, k), 1); got != want {
+				t.Fatalf("dev=%d kernel=%d: UncappedDuration %v vs oracle %v", di, ki, got, want)
+			}
 			for _, capW := range caps {
 				for _, mhz := range clocks {
 					if capW == 0 {
@@ -66,7 +81,7 @@ func TestCapSolverMatchesRun(t *testing.T) {
 						t.Fatal(err)
 					}
 					want := g.Run(k)
-					got := s.Solve()
+					got := s.Solve(g)
 					execsEqual(t, // label carries the failing grid point
 						// (device, kernel, cap, clock)
 						kernelGridLabel(di, ki, capW, mhz), want, got)
@@ -103,12 +118,12 @@ func itoa(v int) string {
 func TestCapSolverMemBoundFastPath(t *testing.T) {
 	g := nominal()
 	sk := streamKernel()
-	s := g.NewCapSolver(sk, resolve(t, g, sk))
+	s := NewCapSolver(g.Spec, sk, resolve(t, g, sk))
 	if !s.memBound {
 		t.Fatal("STREAM kernel not detected as memory-bound")
 	}
 	dk := dgemmKernel()
-	s = g.NewCapSolver(dk, resolve(t, g, dk))
+	s = NewCapSolver(g.Spec, dk, resolve(t, g, dk))
 	if s.memBound {
 		t.Fatal("DGEMM kernel mis-detected as memory-bound")
 	}
@@ -129,7 +144,7 @@ func BenchmarkCapSolverSolve(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		s := g.NewCapSolver(bc.k, p)
+		s := NewCapSolver(g.Spec, bc.k, p)
 		b.Run(bc.name+"/oracle", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				g.Run(bc.k)
@@ -137,7 +152,7 @@ func BenchmarkCapSolverSolve(b *testing.B) {
 		})
 		b.Run(bc.name+"/capsolver", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s.Solve()
+				s.Solve(g)
 			}
 		})
 	}

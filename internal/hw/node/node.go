@@ -188,6 +188,20 @@ func (n *Node) Record(dur float64, p ComponentPowers) {
 	}
 }
 
+// GrowTraces makes room for cpu more segments on the CPU trace and
+// rest more on every other component trace, so a run that knows its
+// step count allocates trace storage once instead of growing it a
+// quarter at a time. (The CPU trace gets its own count because host
+// orchestration holds it at one power through most steps.)
+func (n *Node) GrowTraces(cpu, rest int) {
+	n.cpuTrace.Grow(cpu)
+	n.memTrace.Grow(rest)
+	for i := range n.gpuTraces {
+		n.gpuTraces[i].Grow(rest)
+		n.gpuMemTraces[i].Grow(rest)
+	}
+}
+
 // RecordIdle appends an idle segment of the given duration.
 func (n *Node) RecordIdle(dur float64) { n.Record(dur, n.Idle()) }
 
@@ -424,4 +438,21 @@ func (n *Node) ResetGPUClockLimits() {
 	for _, g := range n.GPUs {
 		g.ResetClockLimit()
 	}
+}
+
+// SetGPULimits sets both limits on all GPUs: the power cap w (w <= 0
+// restores the default TDP limit) and the maximum SM clock mhz
+// (mhz <= 0 unlocks), returning the first error.
+func (n *Node) SetGPULimits(w, mhz float64) error {
+	n.ResetGPUPowerLimits()
+	n.ResetGPUClockLimits()
+	if w > 0 {
+		if err := n.SetGPUPowerLimits(w); err != nil {
+			return err
+		}
+	}
+	if mhz > 0 {
+		return n.SetGPUClockLimits(mhz)
+	}
+	return nil
 }

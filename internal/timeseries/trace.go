@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -58,6 +59,11 @@ func (t *Trace) Append(dur, power float64) {
 	}
 	t.segs = append(t.segs, Segment{Start: start, Dur: dur, Power: power})
 }
+
+// Grow makes room for n more segments without reallocating, so a
+// writer that knows how many segments it will append (one per
+// recorded step at most) allocates the storage once.
+func (t *Trace) Grow(n int) { t.segs = slices.Grow(t.segs, n) }
 
 // Segments returns the underlying segments (not a copy; callers must
 // not mutate).

@@ -3,14 +3,10 @@ package workloads
 import (
 	"fmt"
 
-	"vasppower/internal/cluster"
 	"vasppower/internal/dft/method"
 	"vasppower/internal/dft/parallel"
-	"vasppower/internal/dft/solver"
 	"vasppower/internal/hw/gpu"
 	"vasppower/internal/hw/platform"
-	"vasppower/internal/interconnect"
-	"vasppower/internal/rng"
 )
 
 // MILC is NERSC's second-largest application by cycles (§VI-B: the
@@ -82,7 +78,8 @@ const (
 // the schedule/solver layers are application-agnostic.
 func milcSchedule(spec MILCSpec, d parallel.Decomposition) *method.Schedule {
 	sitesPerRank := float64(spec.Sites()) / float64(d.Ranks)
-	sched := &method.Schedule{Name: spec.Name}
+	sched := &method.Schedule{Name: spec.Name,
+		Steps: make([]method.Step, 0, 1+spec.Trajectories*(3*spec.MDSteps+1))}
 	add := func(s method.Step) { sched.Steps = append(sched.Steps, s) }
 
 	add(method.Step{
@@ -165,10 +162,6 @@ func RunMILC(spec MILCRunSpec) (RunOutput, error) {
 	if spec.Nodes <= 0 {
 		return RunOutput{}, fmt.Errorf("workloads: node count %d", spec.Nodes)
 	}
-	repeats := spec.Repeats
-	if repeats <= 0 {
-		repeats = 1
-	}
 	spec.Platform = platform.OrDefault(spec.Platform)
 	// MILC decomposes the lattice over ranks; the "bands" level is the
 	// per-rank sub-lattice. Reuse the decomposition type with one
@@ -181,50 +174,15 @@ func RunMILC(spec MILCRunSpec) (RunOutput, error) {
 	if err := stampEntropy(sched, spec.OperandEntropy); err != nil {
 		return RunOutput{}, err
 	}
-
-	root := rng.New(spec.Seed)
-	noises := make([]*rng.Stream, repeats)
-	for r := range noises {
-		noises[r] = repeatNoise(root, r)
-	}
-
-	exec := func(r int) (repeatRun, error) {
-		pool := cluster.New(spec.Platform, spec.Nodes, spec.Seed)
-		nodes, err := pool.Allocate(spec.Nodes)
-		if err != nil {
-			return repeatRun{}, err
-		}
-		if spec.GPUPowerLimit > 0 {
-			for _, n := range nodes {
-				if err := n.SetGPUPowerLimits(spec.GPUPowerLimit); err != nil {
-					return repeatRun{}, err
-				}
-			}
-		}
-		if spec.GPUClockLimitMHz > 0 {
-			for _, n := range nodes {
-				if err := n.SetGPUClockLimits(spec.GPUClockLimitMHz); err != nil {
-					return repeatRun{}, err
-				}
-			}
-		}
-		job := solver.Job{
-			Name:     spec.Spec.Name,
-			Schedule: sched,
-			Nodes:    nodes,
-			Decomp:   d,
-			Fabric:   interconnect.Slingshot(),
-			Noise:    noises[r],
-		}
-		run := repeatRun{nodes: nodes, phases: map[string][2]float64{}}
-		run.start = nodes[0].TraceDuration()
-		res, err := solver.Run(job)
-		if err != nil {
-			return repeatRun{}, err
-		}
-		run.end = nodes[0].TraceDuration()
-		run.result = res
-		return run, nil
-	}
-	return runRepeats(repeats, spec.Workers, exec)
+	pr := newProtocol(protocol{
+		name:     spec.Spec.Name,
+		platform: spec.Platform,
+		nodes:    spec.Nodes,
+		seed:     spec.Seed,
+		capW:     spec.GPUPowerLimit,
+		clockMHz: spec.GPUClockLimitMHz,
+		sched:    sched,
+		decomp:   d,
+	}, spec.Repeats)
+	return pr.run(spec.Workers)
 }

@@ -6,6 +6,7 @@ import (
 
 	"vasppower/internal/cluster"
 	"vasppower/internal/dft/method"
+	"vasppower/internal/dft/parallel"
 	"vasppower/internal/dft/solver"
 	"vasppower/internal/hw/gpu"
 	"vasppower/internal/hw/node"
@@ -80,13 +81,19 @@ const (
 )
 
 // repeatRun is one repeat's self-contained execution: its own node
-// allocation and traces, its solver result, and the VASP window within
-// those traces.
+// allocation and traces, its solver result, and the window of every
+// phase (prelude and "vasp") within those traces.
 type repeatRun struct {
-	nodes      []*node.Node
-	result     solver.Result
-	start, end float64
-	phases     map[string][2]float64
+	nodes  []*node.Node
+	result solver.Result
+	phases map[string][2]float64
+}
+
+// phase is one window of a repeat: a schedule, or an idle window when
+// sched is nil.
+type phase struct {
+	name  string
+	sched *method.Schedule
 }
 
 // repeatNoise derives the run-to-run noise stream for repeat r.
@@ -102,15 +109,146 @@ func repeatNoise(root *rng.Stream, r int) *rng.Stream {
 	return root.Split(fmt.Sprintf("noise/repeat%d", r))
 }
 
-// runRepeats executes `repeats` independent repeats through a bounded
-// worker pool and assembles the protocol output: results land by
-// repeat index (never completion order) and the minimum-runtime
-// repeat is selected, per §III-B.
-func runRepeats(repeats, workers int, exec func(r int) (repeatRun, error)) (RunOutput, error) {
-	runs := make([]repeatRun, repeats)
-	err := par.ForEach(context.Background(), par.Workers(workers), repeats,
+// protocol is a measurement resolved down to what each repeat runs: a
+// schedule on an allocation of the platform, the limits and prelude
+// around it, and every repeat's noise stream — derived up front, in
+// index order, from the one root, so execution order can never
+// influence a draw. VASP runs, MILC runs and the sweep engine all
+// execute through it.
+type protocol struct {
+	name     string
+	platform platform.Platform
+	nodes    int
+	seed     uint64
+	capW     float64 // 0 = the default TDP limit
+	clockMHz float64 // 0 = unlocked
+	prelude  bool
+	sched    *method.Schedule
+	decomp   parallel.Decomposition
+	noises   []*rng.Stream
+}
+
+// newProtocol fills in the repeat count's noise streams.
+func newProtocol(pr protocol, repeats int) protocol {
+	root := rng.New(pr.seed)
+	pr.noises = make([]*rng.Stream, max(repeats, 1))
+	for r := range pr.noises {
+		pr.noises[r] = repeatNoise(root, r)
+	}
+	return pr
+}
+
+// resolve validates a VASP spec and builds its schedule. Run and
+// NewSweep both resolve through it, so they reject a spec with the
+// same error.
+func resolve(spec RunSpec) (protocol, error) {
+	if err := spec.Bench.Validate(); err != nil {
+		return protocol{}, err
+	}
+	if spec.Nodes <= 0 {
+		return protocol{}, fmt.Errorf("workloads: node count %d", spec.Nodes)
+	}
+	spec.Platform = platform.OrDefault(spec.Platform)
+	cfg, err := spec.Bench.Config(spec.Platform, spec.Nodes)
+	if err != nil {
+		return protocol{}, err
+	}
+	sched, err := method.Build(cfg)
+	if err != nil {
+		return protocol{}, err
+	}
+	if err := stampEntropy(sched, spec.OperandEntropy); err != nil {
+		return protocol{}, err
+	}
+	return newProtocol(protocol{
+		name:     spec.Bench.Name,
+		platform: spec.Platform,
+		nodes:    spec.Nodes,
+		seed:     spec.Seed,
+		capW:     spec.GPUPowerLimit,
+		clockMHz: spec.GPUClockLimitMHz,
+		prelude:  spec.Prelude,
+		sched:    sched,
+		decomp:   cfg.Decomp,
+	}, spec.Repeats), nil
+}
+
+// allocate takes the protocol's nodes from a cluster pool: node
+// identity (and with it the manufacturing variability) is owned by the
+// cluster, exactly as the batch system hands out nodes on the real
+// machine. Every call allocates from an identically-seeded pool, so
+// every repeat — and the sweep engine's one allocation — sees the same
+// simulated hardware.
+func (pr *protocol) allocate() (*cluster.Cluster, []*node.Node, error) {
+	pool := cluster.New(pr.platform, pr.nodes, pr.seed)
+	nodes, err := pool.Allocate(pr.nodes)
+	return pool, nodes, err
+}
+
+// job binds the protocol's schedule to nodes.
+func (pr *protocol) job(nodes []*node.Node) solver.Job {
+	return solver.Job{
+		Name:     pr.name,
+		Schedule: pr.sched,
+		Nodes:    nodes,
+		Decomp:   pr.decomp,
+		Fabric:   interconnect.Slingshot(),
+	}
+}
+
+// repeat executes repeat r on its own allocation: set the limits, run
+// the prelude, then the schedule.
+func (pr *protocol) repeat(r int) (repeatRun, error) {
+	_, nodes, err := pr.allocate()
+	if err != nil {
+		return repeatRun{}, err
+	}
+	for _, n := range nodes {
+		if err := n.SetGPULimits(pr.capW, pr.clockMHz); err != nil {
+			return repeatRun{}, err
+		}
+	}
+	// The burn-in phases are one-step schedules through the same
+	// solver, drawing from the repeat's noise stream ahead of VASP.
+	phases := []phase{{"vasp", pr.sched}}
+	if pr.prelude {
+		phases = []phase{
+			{"dgemm", DGEMMSchedule(pr.platform.GPU, dgemmSeconds)},
+			{"stream", StreamSchedule(pr.platform.GPU, streamSeconds)},
+			{"idle", nil},
+			phases[0],
+		}
+	}
+	job := pr.job(nodes)
+	job.Noise = pr.noises[r]
+	run := repeatRun{nodes: nodes, phases: make(map[string][2]float64, len(phases))}
+	for _, ph := range phases {
+		start := nodes[0].TraceDuration()
+		if ph.sched == nil {
+			for _, n := range nodes {
+				n.RecordIdle(idleSeconds)
+			}
+		} else {
+			job.Schedule = ph.sched
+			// VASP runs last, so its result is the one kept.
+			if run.result, err = solver.Run(job); err != nil {
+				return repeatRun{}, err
+			}
+		}
+		run.phases[ph.name] = [2]float64{start, nodes[0].TraceDuration()}
+	}
+	return run, nil
+}
+
+// run executes every repeat through a bounded worker pool and
+// assembles the protocol output: results land by repeat index (never
+// completion order) and the minimum-runtime repeat is selected, per
+// §III-B.
+func (pr *protocol) run(workers int) (RunOutput, error) {
+	runs := make([]repeatRun, len(pr.noises))
+	err := par.ForEach(context.Background(), par.Workers(workers), len(runs),
 		func(_ context.Context, r int) error {
-			run, err := exec(r)
+			run, err := pr.repeat(r)
 			if err != nil {
 				return err
 			}
@@ -120,7 +258,7 @@ func runRepeats(repeats, workers int, exec func(r int) (repeatRun, error)) (RunO
 	if err != nil {
 		return RunOutput{}, err
 	}
-	out := RunOutput{PhaseWindows: map[string][2]float64{}}
+	var out RunOutput
 	for r := range runs {
 		out.Runtimes = append(out.Runtimes, runs[r].result.Runtime)
 		if out.Runtimes[r] < out.Runtimes[out.Best] {
@@ -130,12 +268,8 @@ func runRepeats(repeats, workers int, exec func(r int) (repeatRun, error)) (RunO
 	best := runs[out.Best]
 	out.Nodes = best.nodes
 	out.BestResult = best.result
-	out.VASPStart = best.start
-	out.VASPEnd = best.end
-	for name, w := range best.phases {
-		out.PhaseWindows[name] = w
-	}
-	out.PhaseWindows["vasp"] = [2]float64{best.start, best.end}
+	out.PhaseWindows = best.phases
+	out.VASPStart, out.VASPEnd = best.phases["vasp"][0], best.phases["vasp"][1]
 	// Stream the selected repeat's traces into the process-wide
 	// telemetry sampler, when one is installed (-telemetry-addr). The
 	// sampler never blocks — slow subscribers shed load in their own
@@ -148,117 +282,11 @@ func runRepeats(repeats, workers int, exec func(r int) (repeatRun, error)) (RunO
 
 // Run executes the spec and returns traces plus the selected repeat.
 func Run(spec RunSpec) (RunOutput, error) {
-	if err := spec.Bench.Validate(); err != nil {
-		return RunOutput{}, err
-	}
-	if spec.Nodes <= 0 {
-		return RunOutput{}, fmt.Errorf("workloads: node count %d", spec.Nodes)
-	}
-	repeats := spec.Repeats
-	if repeats <= 0 {
-		repeats = 1
-	}
-	spec.Platform = platform.OrDefault(spec.Platform)
-	cfg, err := spec.Bench.Config(spec.Platform, spec.Nodes)
+	pr, err := resolve(spec)
 	if err != nil {
 		return RunOutput{}, err
 	}
-	sched, err := method.Build(cfg)
-	if err != nil {
-		return RunOutput{}, err
-	}
-	if err := stampEntropy(sched, spec.OperandEntropy); err != nil {
-		return RunOutput{}, err
-	}
-
-	// Derive every repeat's noise stream up front, in index order, from
-	// the one root — execution order can then never influence a draw.
-	root := rng.New(spec.Seed)
-	noises := make([]*rng.Stream, repeats)
-	for r := range noises {
-		noises[r] = repeatNoise(root, r)
-	}
-
-	exec := func(r int) (repeatRun, error) {
-		// Allocate from a cluster pool: node identity (and with it the
-		// manufacturing variability) is owned by the cluster, exactly as
-		// the batch system hands out nodes on the real machine. Each
-		// repeat allocates from an identically-seeded pool, so every
-		// repeat sees the same simulated hardware.
-		pool := cluster.New(spec.Platform, spec.Nodes, spec.Seed)
-		nodes, err := pool.Allocate(spec.Nodes)
-		if err != nil {
-			return repeatRun{}, err
-		}
-		if spec.GPUPowerLimit > 0 {
-			for _, n := range nodes {
-				if err := n.SetGPUPowerLimits(spec.GPUPowerLimit); err != nil {
-					return repeatRun{}, err
-				}
-			}
-		}
-		if spec.GPUClockLimitMHz > 0 {
-			for _, n := range nodes {
-				if err := n.SetGPUClockLimits(spec.GPUClockLimitMHz); err != nil {
-					return repeatRun{}, err
-				}
-			}
-		}
-		job := solver.Job{
-			Name:     spec.Bench.Name,
-			Schedule: sched,
-			Nodes:    nodes,
-			Decomp:   cfg.Decomp,
-			Fabric:   interconnect.Slingshot(),
-			Noise:    noises[r],
-		}
-		run := repeatRun{nodes: nodes, phases: map[string][2]float64{}}
-		if spec.Prelude {
-			mark := func(name string, do func() error) error {
-				start := nodes[0].TraceDuration()
-				if err := do(); err != nil {
-					return err
-				}
-				run.phases[name] = [2]float64{start, nodes[0].TraceDuration()}
-				return nil
-			}
-			if err := mark("dgemm", func() error {
-				return runMicro(job, DGEMMSchedule(spec.Platform.GPU, dgemmSeconds))
-			}); err != nil {
-				return repeatRun{}, err
-			}
-			if err := mark("stream", func() error {
-				return runMicro(job, StreamSchedule(spec.Platform.GPU, streamSeconds))
-			}); err != nil {
-				return repeatRun{}, err
-			}
-			if err := mark("idle", func() error {
-				for _, n := range nodes {
-					n.RecordIdle(idleSeconds)
-				}
-				return nil
-			}); err != nil {
-				return repeatRun{}, err
-			}
-		}
-		run.start = nodes[0].TraceDuration()
-		res, err := solver.Run(job)
-		if err != nil {
-			return repeatRun{}, err
-		}
-		run.end = nodes[0].TraceDuration()
-		run.result = res
-		return run, nil
-	}
-	return runRepeats(repeats, spec.Workers, exec)
-}
-
-// runMicro executes a microbenchmark schedule within the job.
-func runMicro(job solver.Job, sched *method.Schedule) error {
-	mj := job
-	mj.Schedule = sched
-	_, err := solver.Run(mj)
-	return err
+	return pr.run(spec.Workers)
 }
 
 // DGEMMSchedule builds the burn-in DGEMM phase for the given GPU: a

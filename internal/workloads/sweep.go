@@ -1,18 +1,22 @@
 package workloads
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 
 	"vasppower/internal/cluster"
-	"vasppower/internal/dft/method"
 	"vasppower/internal/dft/solver"
 	"vasppower/internal/hw/node"
-	"vasppower/internal/hw/platform"
-	"vasppower/internal/interconnect"
 	"vasppower/internal/rng"
 	"vasppower/internal/telemetry"
 )
+
+// ErrSweepUnavailable is NewSweep's error while a telemetry sink is
+// active: the sink streams from trace cursors asynchronously, which
+// arena reuse would corrupt, so callers measure each point with Run
+// instead.
+var ErrSweepUnavailable = errors.New("workloads: sweep engine unavailable while a telemetry sink is active")
 
 // activeSweeps counts live sweep arenas; tests assert it returns to
 // zero after cancelled sweeps (the arena-release contract).
@@ -22,27 +26,26 @@ var activeSweeps atomic.Int64
 // (created by NewSweep and not yet closed).
 func ActiveSweeps() int64 { return activeSweeps.Load() }
 
-// Sweep is the incremental measurement engine: the cap-independent
-// resolution phase of a RunSpec — schedule construction, entropy
-// stamping, kernel resolution through the platform efficiency table,
-// node allocation, per-repeat noise stream derivation — done once,
-// with only the cap-dependent solve (cap solver + trace recording)
-// re-run per point. Node power traces are rebuilt in a reusable arena:
-// reset between repeats and points instead of reallocated, so a
-// P-point sweep costs O(schedule) resolution plus O(P) solves.
+// Sweep measures one RunSpec at many cap or clock points: the
+// cap-independent part of a run — schedule construction, entropy
+// stamping, node allocation, per-repeat noise stream derivation, and
+// the solver's Prepare — done once, with only the cap-dependent solve
+// (cap solver + trace recording) re-run per point. Node power traces
+// are rebuilt in a reusable arena: reset between repeats and points
+// instead of reallocated, so a P-point sweep costs O(schedule)
+// preparation plus O(P) solves.
 //
 // Every point is bit-identical to an independent Run of the same spec
 // with that point's cap or clock limit: each repeat draws from a value
 // snapshot of the same labeled noise stream, the single node
 // allocation is identical to the per-repeat allocations (same platform
-// + seed), and the prepared solver replicates the oracle's arithmetic
-// exactly (pinned by the differential tests).
+// + seed), and both go through the same prepared solver (the
+// differential tests pin both against the step-by-step oracle).
 //
 // A Sweep is not safe for concurrent use. The RunOutput of a Run*
 // call — its nodes' traces, runtimes slice, result map, and phase
 // windows — is valid only until the next Run* or Close call.
 type Sweep struct {
-	spec    RunSpec
 	repeats int
 	pool    *cluster.Cluster
 	nodes   []*node.Node
@@ -65,13 +68,10 @@ type Sweep struct {
 // NewSweep performs the cap-independent resolution phase for spec.
 // The spec must not request the prelude protocol or carry its own
 // cap/clock limits (those are per-point: RunCap, RunClockMHz), and
-// the sweep engine is unavailable while a telemetry sink is active —
-// the sink streams from trace cursors asynchronously, which arena
-// reuse would corrupt. Callers fall back to the per-point oracle
-// (Run) on error.
+// it returns ErrSweepUnavailable while a telemetry sink is active.
 func NewSweep(spec RunSpec) (*Sweep, error) {
 	if telemetry.ActiveSink() != nil {
-		return nil, fmt.Errorf("workloads: sweep engine unavailable while a telemetry sink is active")
+		return nil, ErrSweepUnavailable
 	}
 	if spec.Prelude {
 		return nil, fmt.Errorf("workloads: sweep engine does not support the prelude protocol")
@@ -79,67 +79,37 @@ func NewSweep(spec RunSpec) (*Sweep, error) {
 	if spec.GPUPowerLimit != 0 || spec.GPUClockLimitMHz != 0 {
 		return nil, fmt.Errorf("workloads: sweep specs carry no cap/clock limits (set them per point)")
 	}
-	if err := spec.Bench.Validate(); err != nil {
-		return nil, err
-	}
-	if spec.Nodes <= 0 {
-		return nil, fmt.Errorf("workloads: node count %d", spec.Nodes)
-	}
-	repeats := spec.Repeats
-	if repeats <= 0 {
-		repeats = 1
-	}
-	spec.Platform = platform.OrDefault(spec.Platform)
-	cfg, err := spec.Bench.Config(spec.Platform, spec.Nodes)
+	pr, err := resolve(spec)
 	if err != nil {
 		return nil, err
 	}
-	sched, err := method.Build(cfg)
-	if err != nil {
-		return nil, err
+	// Snapshot every repeat's noise stream by value: a scratch copy per
+	// run gives every point the exact draws an independent Run's repeat
+	// would see.
+	noises := make([]rng.Stream, len(pr.noises))
+	for r, n := range pr.noises {
+		noises[r] = *n
 	}
-	if err := stampEntropy(sched, spec.OperandEntropy); err != nil {
-		return nil, err
-	}
-
-	// Snapshot every repeat's noise stream in index order from the one
-	// root, exactly as Run derives them; Split never advances the
-	// parent, so the snapshots equal the streams an independent run
-	// would construct.
-	root := rng.New(spec.Seed)
-	noises := make([]rng.Stream, repeats)
-	for r := range noises {
-		noises[r] = *repeatNoise(root, r)
-	}
-
-	// One allocation serves every repeat and point: each oracle repeat
+	// One allocation serves every repeat and point: each Run repeat
 	// allocates from an identically-seeded pool, so the hardware is the
 	// same by construction.
-	pool := cluster.New(spec.Platform, spec.Nodes, spec.Seed)
-	nodes, err := pool.Allocate(spec.Nodes)
+	pool, nodes, err := pr.allocate()
 	if err != nil {
 		return nil, err
 	}
-	prep, err := solver.Prepare(solver.Job{
-		Name:     spec.Bench.Name,
-		Schedule: sched,
-		Nodes:    nodes,
-		Decomp:   cfg.Decomp,
-		Fabric:   interconnect.Slingshot(),
-	})
+	prep, err := solver.Prepare(pr.job(nodes))
 	if err != nil {
 		pool.Release(nodes)
 		return nil, err
 	}
 	s := &Sweep{
-		spec:      spec,
-		repeats:   repeats,
+		repeats:   len(noises),
 		pool:      pool,
 		nodes:     nodes,
 		prep:      prep,
 		noises:    noises,
 		banks:     make([]node.TraceBank, len(nodes)),
-		runtimes:  make([]float64, repeats),
+		runtimes:  make([]float64, len(noises)),
 		bestPhase: make(map[string]float64, 8),
 		windows:   make(map[string][2]float64, 1),
 	}
@@ -147,48 +117,27 @@ func NewSweep(spec RunSpec) (*Sweep, error) {
 	return s, nil
 }
 
-// UniqueKernels reports how many distinct GPU work descriptors the
-// schedule resolved to — the per-point cap-solve cost scales with this
-// rather than the step count.
-func (s *Sweep) UniqueKernels() int { return s.prep.Kernels() }
-
 // RunCap measures one cap point: every GPU capped at capW watts
 // (capW <= 0 = the default TDP limit), clocks unlocked. Equivalent to
 // Run with GPUPowerLimit: capW.
-func (s *Sweep) RunCap(capW float64) (RunOutput, error) {
-	if s.closed {
-		return RunOutput{}, fmt.Errorf("workloads: sweep is closed")
-	}
-	if err := s.prep.SetGPUClockLimitMHz(0); err != nil {
-		return RunOutput{}, err
-	}
-	if err := s.prep.SetGPUPowerLimit(capW); err != nil {
-		return RunOutput{}, err
-	}
-	return s.run()
-}
+func (s *Sweep) RunCap(capW float64) (RunOutput, error) { return s.run(capW, 0) }
 
 // RunClockMHz measures one DVFS point: every GPU's SM clock locked to
 // mhz (mhz <= 0 = unlocked), power limit at the default. Equivalent to
 // Run with GPUClockLimitMHz: mhz.
-func (s *Sweep) RunClockMHz(mhz float64) (RunOutput, error) {
+func (s *Sweep) RunClockMHz(mhz float64) (RunOutput, error) { return s.run(0, mhz) }
+
+// run executes the repeat protocol against the frozen context under
+// the given limits: reset the arena, replay each repeat's noise
+// snapshot, keep the best (minimum-runtime, lowest index on ties)
+// repeat's traces via O(1) bank swaps.
+func (s *Sweep) run(capW, mhz float64) (RunOutput, error) {
 	if s.closed {
 		return RunOutput{}, fmt.Errorf("workloads: sweep is closed")
 	}
-	if err := s.prep.SetGPUPowerLimit(0); err != nil {
+	if err := s.prep.SetGPULimits(capW, mhz); err != nil {
 		return RunOutput{}, err
 	}
-	if err := s.prep.SetGPUClockLimitMHz(mhz); err != nil {
-		return RunOutput{}, err
-	}
-	return s.run()
-}
-
-// run executes the repeat protocol against the frozen context: reset
-// the arena, replay each repeat's noise snapshot, keep the best
-// (minimum-runtime, lowest index on ties) repeat's traces via O(1)
-// bank swaps.
-func (s *Sweep) run() (RunOutput, error) {
 	best := 0
 	var bestRuntime, bestStart, bestEnd float64
 	for r := 0; r < s.repeats; r++ {

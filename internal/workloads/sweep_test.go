@@ -1,8 +1,16 @@
 package workloads
 
 import (
+	"errors"
 	"testing"
 
+	"vasppower/internal/cluster"
+	"vasppower/internal/dft/parallel"
+	"vasppower/internal/dft/solver"
+	"vasppower/internal/dft/solver/solveroracle"
+	"vasppower/internal/hw/platform"
+	"vasppower/internal/interconnect"
+	"vasppower/internal/rng"
 	"vasppower/internal/telemetry"
 	"vasppower/internal/timeseries"
 )
@@ -35,9 +43,9 @@ func sweepTracesEqual(t *testing.T, label string, a, b *timeseries.Trace) {
 	}
 }
 
-// sweepOutputsEqual pins a sweep point to the oracle output: every
-// runtime, the selected repeat, the solver summary, the VASP window,
-// and every trace of every node, all bit-identical.
+// sweepOutputsEqual pins a measurement to the oracle output: every
+// runtime, the selected repeat, the solver summary, every phase
+// window, and every trace of every node, all bit-identical.
 func sweepOutputsEqual(t *testing.T, oracle, got RunOutput) {
 	t.Helper()
 	if len(oracle.Runtimes) != len(got.Runtimes) {
@@ -65,8 +73,13 @@ func sweepOutputsEqual(t *testing.T, oracle, got RunOutput) {
 		t.Fatalf("window [%v,%v] vs oracle [%v,%v]",
 			got.VASPStart, got.VASPEnd, oracle.VASPStart, oracle.VASPEnd)
 	}
-	if oracle.PhaseWindows["vasp"] != got.PhaseWindows["vasp"] {
-		t.Fatalf("vasp window %v vs oracle %v", got.PhaseWindows["vasp"], oracle.PhaseWindows["vasp"])
+	if len(oracle.PhaseWindows) != len(got.PhaseWindows) {
+		t.Fatalf("phase windows %v vs oracle %v", got.PhaseWindows, oracle.PhaseWindows)
+	}
+	for name, w := range oracle.PhaseWindows {
+		if got.PhaseWindows[name] != w {
+			t.Fatalf("%s window %v vs oracle %v", name, got.PhaseWindows[name], w)
+		}
 	}
 	if len(oracle.Nodes) != len(got.Nodes) {
 		t.Fatalf("nodes %d vs oracle %d", len(got.Nodes), len(oracle.Nodes))
@@ -87,9 +100,9 @@ func sweepOutputsEqual(t *testing.T, oracle, got RunOutput) {
 }
 
 // TestSweepCapPointsMatchRun is the engine's contract: every RunCap
-// point of one Sweep is bit-identical to an independent Run with that
-// cap, across repeats and entropy, in any point order (including
-// revisiting a cap after other points).
+// point of one Sweep is bit-identical to an independent run with that
+// cap — the step-by-step oracle's — across repeats and entropy, in any
+// point order (including revisiting a cap after other points).
 func TestSweepCapPointsMatchRun(t *testing.T) {
 	for _, tc := range []struct {
 		repeats int
@@ -103,7 +116,7 @@ func TestSweepCapPointsMatchRun(t *testing.T) {
 		for _, capW := range []float64{0, 400, 250, 400, 0} {
 			oracleSpec := spec
 			oracleSpec.GPUPowerLimit = capW
-			want, err := Run(oracleSpec)
+			want, err := oracleRun(oracleSpec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,6 +127,85 @@ func TestSweepCapPointsMatchRun(t *testing.T) {
 			sweepOutputsEqual(t, want, got)
 		}
 		sw.Close()
+	}
+}
+
+// TestRunMatchesOracle pins Run — every single measurement, the Fig 1
+// prelude protocol included — to the step-by-step oracle across node
+// counts, repeats, caps, clock locks, entropy and worker counts.
+func TestRunMatchesOracle(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*RunSpec)
+	}{
+		{"plain", func(*RunSpec) {}},
+		{"prelude-capped", func(s *RunSpec) { s.Prelude = true; s.GPUPowerLimit = 250 }},
+		{"clock-entropy-1node", func(s *RunSpec) { s.Nodes = 1; s.GPUClockLimitMHz = 1100; s.OperandEntropy = 0.4 }},
+		{"repeats-parallel", func(s *RunSpec) { s.Repeats = 3; s.Workers = 2; s.GPUPowerLimit = 180 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := sweepTestSpec(t, 1, 0)
+			tc.edit(&spec)
+			want, err := oracleRun(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sweepOutputsEqual(t, want, got)
+		})
+	}
+}
+
+// TestRunMILCMatchesOracle pins the MILC protocol, which shares Run's
+// per-repeat executor, to the oracle executor on the same schedule.
+func TestRunMILCMatchesOracle(t *testing.T) {
+	spec := MILCRunSpec{Spec: DefaultMILC(), Nodes: 2, Repeats: 2, Seed: 5, GPUPowerLimit: 220}
+	spec.Spec.Trajectories = 1
+	got, err := RunMILC(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := platform.Default()
+	d, err := parallel.Decompose(spec.Spec.Lattice[3], 1, spec.Nodes, p.GPUsPerNode, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := milcSchedule(spec.Spec, d)
+	root := rng.New(spec.Seed)
+	for r := 0; r < spec.Repeats; r++ {
+		nodes, err := cluster.New(p, spec.Nodes, spec.Seed).Allocate(spec.Nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range nodes {
+			if err := n.SetGPUPowerLimits(spec.GPUPowerLimit); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := solveroracle.Run(solver.Job{
+			Schedule: sched, Nodes: nodes, Decomp: d,
+			Fabric: interconnect.Slingshot(), Noise: solveroracle.Noise(root, r),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Runtimes[r] != want.Runtime {
+			t.Fatalf("repeat %d runtime %v vs oracle %v", r, got.Runtimes[r], want.Runtime)
+		}
+		if r == got.Best {
+			if got.BestResult.EnergyJ != want.EnergyJ {
+				t.Fatalf("energy %v vs oracle %v", got.BestResult.EnergyJ, want.EnergyJ)
+			}
+			for ni := range nodes {
+				sweepTracesEqual(t, "total", nodes[ni].TotalTrace(), got.Nodes[ni].TotalTrace())
+				for gi := 0; gi < nodes[ni].NumGPUs(); gi++ {
+					sweepTracesEqual(t, "gpu", nodes[ni].GPUTrace(gi), got.Nodes[ni].GPUTrace(gi))
+				}
+			}
+		}
 	}
 }
 
@@ -128,7 +220,7 @@ func TestSweepClockPointsMatchRun(t *testing.T) {
 	for _, mhz := range []float64{0, 1200, 900, 1395} {
 		oracleSpec := spec
 		oracleSpec.GPUClockLimitMHz = mhz
-		want, err := Run(oracleSpec)
+		want, err := oracleRun(oracleSpec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +247,7 @@ func TestSweepMixedAxesMatchRun(t *testing.T) {
 	if _, err := sw.RunCap(300); err != nil {
 		t.Fatal(err)
 	}
-	want, err := Run(oracleSpec)
+	want, err := oracleRun(oracleSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +259,7 @@ func TestSweepMixedAxesMatchRun(t *testing.T) {
 
 	oracleSpec = spec
 	oracleSpec.GPUPowerLimit = 300
-	want, err = Run(oracleSpec)
+	want, err = oracleRun(oracleSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,8 +270,9 @@ func TestSweepMixedAxesMatchRun(t *testing.T) {
 	sweepOutputsEqual(t, want, got)
 }
 
-// TestSweepRejectsUnsupportedSpecs: the engine refuses specs it cannot
-// reproduce bit-identically; callers fall back to Run.
+// TestSweepRejectsUnsupportedSpecs: the engine refuses specs that
+// carry per-run settings (prelude, limits), and refuses to run while a
+// telemetry sink streams from trace cursors.
 func TestSweepRejectsUnsupportedSpecs(t *testing.T) {
 	base := sweepTestSpec(t, 1, 0)
 
@@ -208,15 +301,15 @@ func TestSweepRejectsUnsupportedSpecs(t *testing.T) {
 	}
 	telemetry.SetDefault(s)
 	defer telemetry.SetDefault(nil)
-	if _, err := NewSweep(base); err == nil {
-		t.Fatal("sweep accepted while telemetry sink active")
+	if _, err := NewSweep(base); !errors.Is(err, ErrSweepUnavailable) {
+		t.Fatalf("NewSweep with a telemetry sink active: err = %v, want ErrSweepUnavailable", err)
 	}
 }
 
 // BenchmarkCapSweep measures the run engine itself — schedule solve +
 // trace recording, the phase the incremental split restructures — on a
-// cold 16-point cap sweep at the paper's 5-repeat protocol: a full
-// oracle Run per point versus one NewSweep plus 16 RunCap points.
+// cold 16-point cap sweep at the paper's 5-repeat protocol: a full Run
+// per point versus one NewSweep plus 16 RunCap points.
 // (The core-level grid in internal/core wraps this with the shared
 // profiling pass, which is identical on both paths.)
 func BenchmarkCapSweep(b *testing.B) {
@@ -230,6 +323,8 @@ func BenchmarkCapSweep(b *testing.B) {
 		caps[i] = 180 + 14*float64(i) // 180..390 W, all binding on A100
 	}
 
+	// engine=oracle is a full Run per point; the name is kept so the
+	// rows compare against earlier results.
 	b.Run("points=16/repeats=5/engine=oracle", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, capW := range caps {
@@ -289,7 +384,7 @@ func TestSweepCloseReleasesArena(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sw2.Close()
-	want, err := Run(spec)
+	want, err := oracleRun(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
