@@ -8,7 +8,6 @@ import (
 	"vasppower/internal/hw/node"
 	"vasppower/internal/interconnect"
 	"vasppower/internal/rng"
-	"vasppower/internal/timeseries"
 )
 
 // Prepared is a job split into its cap-independent part, done once,
@@ -31,8 +30,12 @@ import (
 // it (package solveroracle).
 //
 // Layout is flat and sized by the schedule, not by nodes × steps. A
-// schedule's GPU steps are almost all distinct kernels, so there is
-// one CapSolver per GPU step and no dedup map; each is shared by every
+// schedule repeats a handful of work descriptors (FFT batches, GEMMs,
+// nonlocal projection, subspace eig) every SCF iteration: the Table I
+// schedules have 6–8 distinct descriptors across hundreds to
+// thousands of GPU steps. So there is one CapSolver per distinct
+// descriptor — the step's gpu.Kernel with its Name cleared — and GPU
+// steps index into that table. Each CapSolver is shared by every
 // device, since devices of one spec differ only by variability scalars
 // folded in at solve time. DDR power is a row per (memory-activity
 // level, node), of which a schedule has a handful.
@@ -48,8 +51,8 @@ type Prepared struct {
 	steps  []prepStep
 	phases []string // distinct phase labels, indexed by prepStep.phase
 
-	kernels []gpu.CapSolver // one per GPU step, in step order
-	// execs[ki*len(devs)+d] is GPU step ki's execution on device d
+	kernels []gpu.CapSolver // one per distinct work descriptor, in first-use order
+	// execs[ki*len(devs)+d] is descriptor ki's execution on device d
 	// under the current cap/clock state, rebuilt lazily after a Set*
 	// call.
 	execs      []devExec
@@ -64,12 +67,9 @@ type Prepared struct {
 	cpuW      []float64   // cpuW[ci*len(nodes)+ni]: CPU step ci's CPU power
 
 	// Reusable scratch, so steady-state runs allocate nothing.
-	gpuCP        []node.ComponentPowers // per node, slices preallocated
-	phaseDur     []float64
-	phaseMap     map[string]float64
-	sumScratch   timeseries.Trace
-	totalScratch timeseries.Trace
-	ptrScratch   []*timeseries.Trace
+	gpuCP    []node.ComponentPowers // per node, slices preallocated
+	phaseDur []float64
+	phaseMap map[string]float64
 }
 
 // prepStep is one schedule step with its cap-independent work done.
@@ -77,8 +77,8 @@ type prepStep struct {
 	kind  method.StepKind
 	phase int32 // index into Prepared.phases
 	level int32 // memory-activity level, index into memW rows
-	// idx is the step's ordinal among its kind: the GPU step's kernel
-	// (kernels, execs) or the CPU step's cpuW row.
+	// idx is the GPU step's descriptor (kernels, execs) or the CPU
+	// step's ordinal among CPU steps (its cpuW row).
 	idx int32
 	// preDur is the pre-jitter wall duration of a CPU, comm or host
 	// step (CPU: the barrier maximum over nodes).
@@ -140,18 +140,21 @@ func Prepare(job Job) (*Prepared, error) {
 	}
 
 	steps := job.Schedule.Steps
-	var gpuSteps, cpuSteps int
+	var cpuSteps int
 	for si := range steps {
-		switch steps[si].Kind {
-		case method.StepGPU:
-			gpuSteps++
-		case method.StepCPU:
+		if steps[si].Kind == method.StepCPU {
 			cpuSteps++
 		}
 	}
 	p.steps = make([]prepStep, len(steps))
-	p.kernels = make([]gpu.CapSolver, 0, gpuSteps)
 	p.cpuW = make([]float64, 0, cpuSteps*nn)
+	// descriptors maps a GPU step's work descriptor to its kernels
+	// index. The key is the whole gpu.Kernel minus its label, so every
+	// field that feeds Resolve or the cap solver — including any added
+	// later — separates descriptors. Validate admits only finite,
+	// non-negative fields, on which == is bit equality except for the
+	// sign of zero, which neither Resolve nor the cap solver observes.
+	descriptors := make(map[gpu.Kernel]int32)
 	var levels []float64
 	for si := range steps {
 		st := &steps[si]
@@ -180,12 +183,22 @@ func Prepare(job Job) (*Prepared, error) {
 			if dev0 == nil {
 				return nil, fmt.Errorf("solver: GPU step %q on a job with no GPUs", st.Label)
 			}
-			prof, err := dev0.Resolve(st.GPU)
-			if err != nil {
-				return nil, err
+			key := st.GPU
+			key.Name = ""
+			ki, ok := descriptors[key]
+			if !ok {
+				// The first step of a descriptor resolves it, so a
+				// resolve error names the same step as a per-step
+				// resolve would.
+				prof, err := dev0.Resolve(st.GPU)
+				if err != nil {
+					return nil, err
+				}
+				ki = int32(len(p.kernels))
+				descriptors[key] = ki
+				p.kernels = append(p.kernels, gpu.NewCapSolver(dev0.Spec, st.GPU, prof))
 			}
-			ps.idx = int32(len(p.kernels))
-			p.kernels = append(p.kernels, gpu.NewCapSolver(dev0.Spec, st.GPU, prof))
+			ps.idx = ki
 		case method.StepCPU:
 			ps.idx = int32(len(p.cpuW) / nn)
 			maxDur := 0.0
@@ -261,9 +274,9 @@ func (p *Prepared) SetGPULimits(w, mhz float64) error {
 	return nil
 }
 
-// buildExecs runs the cap solver for every GPU step on every device
-// under the devices' current cap/clock state — the only cap-dependent
-// computation of a run besides jitter and recording.
+// buildExecs runs the cap solver for every distinct descriptor on
+// every device under the devices' current cap/clock state — the only
+// cap-dependent computation of a run besides jitter and recording.
 func (p *Prepared) buildExecs() {
 	nd := len(p.devs)
 	if p.execs == nil {
@@ -283,9 +296,8 @@ func (p *Prepared) buildExecs() {
 // RunNoEnergy executes the prepared job once, appending to each node's
 // traces (callers reset traces between repeats), drawing jitter from
 // noise (nil runs noise-free), and returns the summary with EnergyJ
-// left at 0 — callers settle energy from the traces (Run through the
-// nodes' memoized TotalTrace, the sweep engine through Energy, once
-// per point for the surviving repeat). The jitter draw order is one
+// left at 0 — callers settle it with NodeEnergy (the sweep engine once
+// per point, for the surviving repeat). The jitter draw order is one
 // whole-run factor, then one per-step factor in step order.
 //
 // The returned Result's PhaseDurations map is reused by the next call
@@ -375,24 +387,4 @@ func (p *Prepared) RunNoEnergy(noise *rng.Stream) Result {
 		PhaseDurations: p.phaseMap,
 		Steps:          len(p.steps),
 	}
-}
-
-// Energy computes the summed node-sensor energy of the traces
-// currently on the job's nodes, from start to each node's trace end.
-// It merges into reusable scratch with the same cursor arithmetic the
-// memoized TotalTrace uses — values identical, allocations zero in
-// steady state — and leaves the nodes' memo caches untouched.
-func (p *Prepared) Energy(start float64) float64 {
-	var energy float64
-	for _, n := range p.nodes {
-		ptrs := append(p.ptrScratch[:0], n.CPUTrace(), n.MemTrace())
-		for gi := 0; gi < n.NumGPUs(); gi++ {
-			ptrs = append(ptrs, n.GPUTrace(gi))
-		}
-		p.ptrScratch = ptrs
-		sum := timeseries.SumInto(&p.sumScratch, ptrs...)
-		total := sum.AddConstantInto(&p.totalScratch, n.PeripheralPower())
-		energy += total.EnergyBetween(start, n.TraceDuration())
-	}
-	return energy
 }

@@ -1,16 +1,20 @@
 package solver_test
 
 import (
+	"fmt"
 	"testing"
 
 	"vasppower/internal/dft/method"
 	"vasppower/internal/dft/parallel"
 	"vasppower/internal/dft/solver"
 	"vasppower/internal/dft/solver/solveroracle"
+	"vasppower/internal/hw/gpu"
 	"vasppower/internal/hw/node"
 	"vasppower/internal/hw/platform"
+	"vasppower/internal/interconnect"
 	"vasppower/internal/rng"
 	"vasppower/internal/timeseries"
+	"vasppower/internal/workloads"
 )
 
 // tracesEqual compares two traces segment-for-segment with exact
@@ -68,12 +72,12 @@ func resultsEqual(t *testing.T, oracle, prep solver.Result) {
 	}
 }
 
-// runPrepared is one prepared run with its energy settled from the
-// traces, as the sweep engine settles it.
+// runPrepared is one prepared run with its energy settled as Run and
+// the sweep engine settle it.
 func runPrepared(prep *solver.Prepared, nodes []*node.Node, noise *rng.Stream) solver.Result {
 	start := nodes[0].TraceDuration()
 	res := prep.RunNoEnergy(noise)
-	res.EnergyJ = prep.Energy(start)
+	res.EnergyJ = solver.NodeEnergy(nodes, start)
 	return res
 }
 
@@ -209,7 +213,7 @@ func TestPreparedSetLimitErrors(t *testing.T) {
 
 // TestPreparedValidation matches the oracle's construction errors,
 // message for message, and refuses jobs whose devices do not share
-// one spec (one CapSolver per step serves every device).
+// one spec (one CapSolver per descriptor serves every device).
 func TestPreparedValidation(t *testing.T) {
 	job := testJob(t, method.DFTRMM, 1, false)
 	d, err := parallel.Decompose(640, 1, 2, 4, 1)
@@ -264,5 +268,163 @@ func TestPreparedRunSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("steady-state Run allocates %v objects/op, want 0", allocs)
+	}
+}
+
+// distinctDescriptors counts a schedule's GPU work descriptors: its
+// GPU steps' kernels with their labels cleared.
+func distinctDescriptors(sched *method.Schedule) int {
+	seen := map[gpu.Kernel]bool{}
+	for _, st := range sched.Steps {
+		if st.Kind == method.StepGPU {
+			k := st.GPU
+			k.Name = ""
+			seen[k] = true
+		}
+	}
+	return len(seen)
+}
+
+// TestPrepareOneCapSolverPerDescriptor: a Table I schedule repeats a
+// handful of work descriptors over thousands of GPU steps, and Prepare
+// builds exactly one cap solver per descriptor.
+func TestPrepareOneCapSolverPerDescriptor(t *testing.T) {
+	b, ok := workloads.ByName("GaAsBi-64")
+	if !ok {
+		t.Fatal("GaAsBi-64 not in Table I")
+	}
+	p := platform.Default()
+	for _, nodes := range []int{1, 2, 4} {
+		cfg, err := b.Config(p, nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched, err := method.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ns := make([]*node.Node, nodes)
+		for i := range ns {
+			ns[i] = node.New(fmt.Sprintf("n%d", i), p, nil)
+		}
+		prep, err := solver.Prepare(solver.Job{Schedule: sched, Nodes: ns, Decomp: cfg.Decomp, Fabric: interconnect.Slingshot()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := distinctDescriptors(sched)
+		if want != 8 {
+			t.Fatalf("nodes=%d: GaAsBi-64 has %d distinct descriptors, want 8", nodes, want)
+		}
+		if got := prep.CapSolvers(); got != want {
+			t.Fatalf("nodes=%d: Prepare built %d cap solvers for %d distinct descriptors", nodes, got, want)
+		}
+	}
+}
+
+// TestPrepareIgnoresKernelNames: a kernel's Name is a label, not work.
+// Giving every GPU step a unique name must leave the descriptor table,
+// the Result and every trace bit-identical, uncapped and capped.
+func TestPrepareIgnoresKernelNames(t *testing.T) {
+	plain := testJob(t, method.HSE, 2, true)
+	named := testJob(t, method.HSE, 2, true)
+	for si := range named.Schedule.Steps {
+		if st := &named.Schedule.Steps[si]; st.Kind == method.StepGPU {
+			st.GPU.Name = fmt.Sprintf("step%d", si)
+		}
+	}
+	prepPlain, err := solver.Prepare(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepNamed, err := solver.Prepare(named)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := prepPlain.CapSolvers(), prepNamed.CapSolvers(); a != b {
+		t.Fatalf("renaming kernels changed the descriptor count: %d vs %d", a, b)
+	}
+	for _, capW := range []float64{0, 250} {
+		for _, j := range []struct {
+			job  solver.Job
+			prep *solver.Prepared
+		}{{plain, prepPlain}, {named, prepNamed}} {
+			for _, n := range j.job.Nodes {
+				n.ResetTracesReuse()
+			}
+			if err := j.prep.SetGPULimits(capW, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := runPrepared(prepPlain, plain.Nodes, rng.New(9))
+		got := runPrepared(prepNamed, named.Nodes, rng.New(9))
+		resultsEqual(t, want, got)
+		nodesEqual(t, plain.Nodes, named.Nodes)
+	}
+}
+
+// TestPrepareKeysEveryKernelField: two steps whose kernels differ in
+// any one work field are different descriptors. Every other occurrence
+// of each descriptor gets one field perturbed, so a descriptor key
+// that ignored the field would hand half the steps the wrong cap
+// solver; the prepared run must still match the oracle bit for bit,
+// capped and uncapped.
+func TestPrepareKeysEveryKernelField(t *testing.T) {
+	for _, field := range []struct {
+		name    string
+		perturb func(k *gpu.Kernel)
+	}{
+		{"Class", func(k *gpu.Kernel) { k.Class = gpu.ClassStencil }},
+		{"Flops", func(k *gpu.Kernel) { k.Flops *= 1.5 }},
+		{"Bytes", func(k *gpu.Kernel) { k.Bytes *= 1.5 }},
+		{"Axes", func(k *gpu.Kernel) { k.Axes[0] = k.Axes[0]*0.5 + 1 }},
+		{"Launches", func(k *gpu.Kernel) { k.Launches += 3 }},
+		{"LatencyScale", func(k *gpu.Kernel) { k.LatencyScale = 2 }},
+		{"Entropy", func(k *gpu.Kernel) { k.Entropy = 0.9 }},
+	} {
+		t.Run(field.name, func(t *testing.T) {
+			perturbed := func() solver.Job {
+				job := testJob(t, method.HSE, 1, true)
+				seen := map[gpu.Kernel]int{}
+				for si := range job.Schedule.Steps {
+					if st := &job.Schedule.Steps[si]; st.Kind == method.StepGPU {
+						k := st.GPU
+						k.Name = ""
+						if seen[k]%2 == 1 {
+							field.perturb(&st.GPU)
+						}
+						seen[k]++
+					}
+				}
+				return job
+			}
+			prepJob := perturbed()
+			prep, err := solver.Prepare(prepJob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, capW := range []float64{0, 250} {
+				oracleJob := perturbed()
+				for _, n := range oracleJob.Nodes {
+					if capW > 0 {
+						if err := n.SetGPUPowerLimits(capW); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				want, err := solveroracle.Run(oracleJob)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, n := range prepJob.Nodes {
+					n.ResetTracesReuse()
+				}
+				if err := prep.SetGPULimits(capW, 0); err != nil {
+					t.Fatal(err)
+				}
+				got := runPrepared(prep, prepJob.Nodes, nil)
+				resultsEqual(t, want, got)
+				nodesEqual(t, oracleJob.Nodes, prepJob.Nodes)
+			}
+		})
 	}
 }

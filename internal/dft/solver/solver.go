@@ -51,9 +51,7 @@ type Result struct {
 
 // Run prepares the job and executes it once, appending to each node's
 // traces (callers reset traces between repeats), with jitter drawn from
-// job.Noise, and returns the summary. Energy is read from each node's
-// memoized TotalTrace — the same merge the profiling pass reads next,
-// so it is paid once per run.
+// job.Noise, and returns the summary, energy settled by NodeEnergy.
 func Run(job Job) (Result, error) {
 	p, err := Prepare(job)
 	if err != nil {
@@ -61,8 +59,17 @@ func Run(job Job) (Result, error) {
 	}
 	start := job.Nodes[0].TraceDuration()
 	res := p.RunNoEnergy(job.Noise)
-	for _, n := range job.Nodes {
-		res.EnergyJ += n.TotalTrace().EnergyBetween(start, n.TraceDuration())
-	}
+	res.EnergyJ = NodeEnergy(job.Nodes, start)
 	return res, nil
+}
+
+// NodeEnergy is the summed node-sensor energy of nodes from start to
+// each node's trace end, read from the memoized TotalTrace: the merge
+// the profiling pass reads next, so a measurement pays for it once.
+func NodeEnergy(nodes []*node.Node, start float64) float64 {
+	var e float64
+	for _, n := range nodes {
+		e += n.TotalTrace().EnergyBetween(start, n.TraceDuration())
+	}
+	return e
 }

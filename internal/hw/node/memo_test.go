@@ -2,9 +2,11 @@ package node
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"vasppower/internal/hw/platform"
+	"vasppower/internal/timeseries"
 )
 
 // The derived-trace caches must serve repeated sensor reads without
@@ -82,6 +84,59 @@ func TestZeroDurationRecordKeepsCache(t *testing.T) {
 	n.RecordIdle(0) // ignored by Record; must not thrash the cache
 	if b := n.TotalTrace(); b != a {
 		t.Fatal("zero-duration record invalidated the cache")
+	}
+}
+
+// TestTotalTraceStorageContract pins who may keep a TotalTrace: Record
+// and ResetTraces only drop the memo, so a held trace keeps its
+// segments; the arena resets (ResetTracesReuse, SwapTraces) recycle
+// its storage into the next TotalTrace, whose values are still those
+// of a fresh merge.
+func TestTotalTraceStorageContract(t *testing.T) {
+	n := New("nid001", platform.Default(), nil)
+	busy := n.Idle()
+	busy.CPU = 250
+	for i := range busy.GPUs {
+		busy.GPUs[i] = 300 + float64(i)
+	}
+	n.RecordIdle(2)
+	n.Record(3, busy)
+	held := n.TotalTrace()
+	want := append([]timeseries.Segment(nil), held.Segments()...)
+	unchanged := func(when string) {
+		t.Helper()
+		if got := held.Segments(); !slices.Equal(got, want) {
+			t.Fatalf("%s: held TotalTrace changed to %+v, was %+v", when, got, want)
+		}
+	}
+	n.RecordIdle(1)
+	_ = n.TotalTrace()
+	unchanged("after Record")
+	n.ResetTraces()
+	n.Record(4, busy)
+	_ = n.TotalTrace()
+	unchanged("after ResetTraces")
+
+	for _, reset := range []struct {
+		name string
+		do   func()
+	}{
+		{"ResetTracesReuse", n.ResetTracesReuse},
+		{"SwapTraces", func() { n.SwapTraces(&TraceBank{}) }},
+	} {
+		before := n.TotalTrace()
+		reset.do()
+		n.RecordIdle(1)
+		n.Record(2, busy)
+		got := n.TotalTrace()
+		if got != before {
+			t.Fatalf("%s: TotalTrace storage not recycled", reset.name)
+		}
+		fresh := timeseries.Sum(n.CPUTrace(), n.MemTrace(), n.GPUTrace(0), n.GPUTrace(1), n.GPUTrace(2), n.GPUTrace(3)).
+			AddConstant(n.PeripheralPower())
+		if g, w := got.Segments(), fresh.Segments(); !slices.Equal(g, w) {
+			t.Fatalf("%s: recycled TotalTrace %+v, fresh merge %+v", reset.name, g, w)
+		}
 	}
 }
 

@@ -46,13 +46,20 @@ type Node struct {
 	// Memoized derived traces. TotalTrace and GPUSumTrace are read
 	// once per metric by the telemetry pipeline and again by the
 	// analysis layer; recomputing the k-way sum on every sensor read
-	// dominated profile assembly. Record and ResetTraces invalidate
-	// all of them. The cached traces are shared across callers, which
-	// must treat them as read-only (the same contract Segments already
-	// states).
+	// dominated profile assembly. Record and the trace resets
+	// invalidate all of them. The cached traces are shared across
+	// callers, which must treat them as read-only (the same contract
+	// Segments already states).
 	totalCache   *timeseries.Trace
 	gpuSumCache  *timeseries.Trace
 	domainCaches map[Domain]*timeseries.Trace
+
+	// totalSpare is the storage of a TotalTrace the arena resets
+	// (ResetTracesReuse, SwapTraces) took back; the next TotalTrace is
+	// built into it. sumBuf holds the component sum TotalTrace offsets
+	// by the peripheral draw; it is never handed out.
+	totalSpare *timeseries.Trace
+	sumBuf     timeseries.Trace
 }
 
 // New builds a node of the given platform. r seeds per-node
@@ -230,17 +237,40 @@ func (n *Node) GPUSumTrace() *timeseries.Trace {
 
 // TotalTrace returns the node power trace: all components plus the
 // constant peripheral draw. This is what the node-level sensor reads.
-// The result is memoized until the next Record or ResetTraces;
-// callers must not mutate it.
+// The result is memoized until the next Record or trace reset; callers
+// must not mutate it.
+//
+// A returned trace stays valid across Record and ResetTraces, which
+// only drop the memo: holders such as telemetry cursors keep reading
+// it. The arena resets, ResetTracesReuse and SwapTraces, instead
+// recycle its storage into the next TotalTrace, so a caller of those
+// must not keep a TotalTrace across them (the sweep engine's outputs
+// are valid only until its next point).
 func (n *Node) TotalTrace() *timeseries.Trace {
 	if n.totalCache == nil {
-		traces := []*timeseries.Trace{&n.cpuTrace, &n.memTrace}
+		var buf [8]*timeseries.Trace
+		traces := append(buf[:0], &n.cpuTrace, &n.memTrace)
 		for i := range n.gpuTraces {
 			traces = append(traces, &n.gpuTraces[i])
 		}
-		n.totalCache = timeseries.Sum(traces...).AddConstant(n.peripheralWatts)
+		sum := timeseries.SumInto(&n.sumBuf, traces...)
+		if n.totalSpare != nil {
+			n.totalCache = sum.AddConstantInto(n.totalSpare, n.peripheralWatts)
+			n.totalSpare = nil
+		} else {
+			n.totalCache = sum.AddConstant(n.peripheralWatts)
+		}
 	}
 	return n.totalCache
+}
+
+// recycleTotal invalidates the memoized derived traces for an arena
+// reset, keeping the TotalTrace storage for the next TotalTrace.
+func (n *Node) recycleTotal() {
+	if n.totalCache != nil {
+		n.totalSpare = n.totalCache
+	}
+	n.totalCache, n.gpuSumCache, n.domainCaches = nil, nil, nil
 }
 
 // Domain is an NVML-style power scope over the node's accelerators,
@@ -351,9 +381,12 @@ func (n *Node) DomainTrace(d Domain) *timeseries.Trace {
 func (n *Node) TraceDuration() float64 { return n.cpuTrace.Duration() }
 
 // ResetTraces clears all recorded traces (e.g. between benchmark
-// repeats) without touching device state such as power limits.
+// repeats) without touching device state such as power limits, and
+// releases their storage. Derived traces handed out earlier stay
+// valid.
 func (n *Node) ResetTraces() {
 	n.totalCache, n.gpuSumCache, n.domainCaches = nil, nil, nil
+	n.totalSpare, n.sumBuf = nil, timeseries.Trace{}
 	n.cpuTrace = timeseries.Trace{}
 	n.memTrace = timeseries.Trace{}
 	for i := range n.gpuTraces {
@@ -365,10 +398,12 @@ func (n *Node) ResetTraces() {
 // ResetTracesReuse clears all recorded traces like ResetTraces but
 // keeps each trace's segment storage — the arena reset the incremental
 // sweep engine applies between repeats and cap points so steady-state
-// re-solves append into already-sized backing arrays. Memoized derived
-// traces handed out earlier are unaffected (they own fresh storage).
+// re-solves append into already-sized backing arrays. The last
+// TotalTrace's storage is kept too and rebuilt by the next TotalTrace,
+// so a TotalTrace handed out earlier is invalid afterwards; the other
+// derived traces own fresh storage and are unaffected.
 func (n *Node) ResetTracesReuse() {
-	n.totalCache, n.gpuSumCache, n.domainCaches = nil, nil, nil
+	n.recycleTotal()
 	n.cpuTrace.Reset()
 	n.memTrace.Reset()
 	for i := range n.gpuTraces {
@@ -389,15 +424,15 @@ type TraceBank struct {
 }
 
 // SwapTraces exchanges the node's recorded traces with the bank's and
-// invalidates the memoized derived traces. Device state (power and
-// clock limits) is untouched. Swapping is O(1): only slice headers
-// move.
+// invalidates the memoized derived traces, recycling the TotalTrace
+// storage as ResetTracesReuse does. Device state (power and clock
+// limits) is untouched. Swapping is O(1): only slice headers move.
 func (n *Node) SwapTraces(b *TraceBank) {
 	if len(b.gpus) != len(n.gpuTraces) {
 		b.gpus = make([]timeseries.Trace, len(n.gpuTraces))
 		b.gpuMems = make([]timeseries.Trace, len(n.gpuMemTraces))
 	}
-	n.totalCache, n.gpuSumCache, n.domainCaches = nil, nil, nil
+	n.recycleTotal()
 	n.cpuTrace, b.cpu = b.cpu, n.cpuTrace
 	n.memTrace, b.mem = b.mem, n.memTrace
 	n.gpuTraces, b.gpus = b.gpus, n.gpuTraces

@@ -14,7 +14,7 @@ import (
 //	go test -bench 'Sum|Sample' -benchmem ./internal/timeseries
 //
 // The k=6 trace count mirrors a node's component set (CPU, memory,
-// four GPUs), which is the shape every TotalTrace call sums.
+// four GPUs); the shape=node rows also share the node's boundaries.
 
 var (
 	benchTraceSink  *Trace
@@ -38,6 +38,32 @@ func benchTraces(k, n int) []*Trace {
 	return out
 }
 
+// nodeTraces builds the six component traces of a node that recorded
+// n steps in lockstep: every trace shares the step boundaries, the CPU
+// trace holds one power through most steps (Append merges those runs
+// away), DDR moves between a few activity levels, and the four GPUs
+// draw cap-solved powers that change every step.
+func nodeTraces(n int) []*Trace {
+	r := rng.New(78)
+	out := make([]*Trace, 6)
+	for i := range out {
+		out[i] = &Trace{}
+	}
+	for j := 0; j < n; j++ {
+		d := 0.001 + r.Float64()*0.05
+		cpu := 95.0
+		if r.IntN(20) == 0 {
+			cpu = 180 + float64(r.IntN(40))
+		}
+		out[0].Append(d, cpu)
+		out[1].Append(d, 40+float64(r.IntN(3))*15)
+		for g := 2; g < 6; g++ {
+			out[g].Append(d, 60+r.Float64()*340)
+		}
+	}
+	return out
+}
+
 var benchSizes = []int{100, 1000, 10000}
 
 func BenchmarkSum(b *testing.B) {
@@ -56,6 +82,21 @@ func BenchmarkSum(b *testing.B) {
 			}
 		})
 	}
+	// The shape every TotalTrace call sums: boundaries shared across
+	// the traces, so most of them are deduplicated.
+	traces := nodeTraces(2880)
+	b.Run("shape=node/steps=2880/impl=merge", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchTraceSink = Sum(traces...)
+		}
+	})
+	b.Run("shape=node/steps=2880/impl=reference", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchTraceSink = sumReference(traces...)
+		}
+	})
 }
 
 func BenchmarkSample(b *testing.B) {

@@ -108,6 +108,22 @@ func TestSumMatchesReference(t *testing.T) {
 	}
 }
 
+// TestSumMatchesReferenceAtTolerance puts a boundary exactly eps
+// (1e-12) past the first breakpoint. The reference drops a boundary
+// when v − prev ≤ eps, so the merge must drop it too — ≤, not <.
+func TestSumMatchesReferenceAtTolerance(t *testing.T) {
+	a := &Trace{}
+	a.Append(1e-12, 100)
+	a.Append(2, 50)
+	b := &Trace{}
+	b.Append(3, 10)
+	for _, traces := range [][]*Trace{{a, b}, {b, a}} {
+		if got, want := Sum(traces...), sumReference(traces...); !tracesIdentical(got, want) {
+			t.Fatalf("Sum diverges from reference\n got: %+v\nwant: %+v", got.segs, want.segs)
+		}
+	}
+}
+
 func TestSampleMatchesReference(t *testing.T) {
 	root := rng.New(2002)
 	for iter := 0; iter < 500; iter++ {
@@ -223,4 +239,77 @@ func TestSampleWindowEnergySumsToTraceEnergy(t *testing.T) {
 				iter, got, want, tol, interval)
 		}
 	}
+}
+
+// decodeFuzzTraces turns fuzz bytes into 1–8 finite traces. The first
+// byte picks the trace count; each trace then reads a header byte
+// (segment count, and whether the trace starts at an offset origin)
+// and two bytes per segment (duration, power). Durations include
+// micro-segments straddling the 1e-12 dedup tolerance; powers come
+// from a coarse palette most of the time, so equal-power runs coalesce
+// through Append. Offset-origin traces are assembled from segments,
+// the only way to reach Sum's origin normalization. Missing bytes read
+// as zero, so every input decodes.
+func decodeFuzzTraces(data []byte) []*Trace {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	traces := make([]*Trace, 1+int(next()%8))
+	for i := range traces {
+		h := next()
+		n := int(h % 32)
+		offset := h&0x80 != 0
+		at := 0.0
+		if offset {
+			at = float64(next()%16)*0.25 + float64(next()%4)*4e-13
+		}
+		tr := &Trace{}
+		for j := 0; j < n; j++ {
+			db, pb := next(), next()
+			var d float64
+			switch db % 4 {
+			case 0:
+				d = float64(db/4+1) * 1e-13 // up to 6.4e-12
+			default:
+				d = float64(db)*0.01 + 0.001
+			}
+			p := float64(pb%6) * 80
+			if pb >= 192 {
+				p = float64(pb) * 1.7
+			}
+			if offset {
+				tr.segs = append(tr.segs, Segment{Start: at, Dur: d, Power: p})
+				at += d
+			} else {
+				tr.Append(d, p)
+			}
+		}
+		traces[i] = tr
+	}
+	return traces
+}
+
+// FuzzSum is the differential target of the cursor merge: on any
+// decoded set of traces, Sum — and SumInto into storage left over from
+// a different sum — must equal sumReference bit for bit.
+func FuzzSum(f *testing.F) {
+	f.Add([]byte{1, 3, 4, 80, 4, 80, 8, 0})
+	f.Add([]byte{3, 2, 0, 0, 0, 1, 0x84, 2, 1, 5, 3, 7, 200, 9, 1, 3, 0, 6, 1, 4, 8, 5})
+	f.Add([]byte{7, 0x9f, 15, 3, 0, 0, 4, 0, 0, 1, 8, 0, 1, 1, 12, 250, 0, 0, 5, 5, 5, 5})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		traces := decodeFuzzTraces(data)
+		want := sumReference(traces...)
+		if got := Sum(traces...); !tracesIdentical(got, want) {
+			t.Fatalf("Sum diverges from reference\n got: %+v\nwant: %+v", got.segs, want.segs)
+		}
+		dst := Sum(traces[len(traces)-1], traces[0])
+		if got := SumInto(dst, traces...); !tracesIdentical(got, want) {
+			t.Fatalf("SumInto over reused storage diverges from reference\n got: %+v\nwant: %+v", got.segs, want.segs)
+		}
+	})
 }

@@ -158,9 +158,19 @@ func (s Series) Downsample(interval float64) Series {
 	return out
 }
 
-// Slice returns the sub-series with times in [a, b].
+// Slice returns the sub-series with times in [a, b], as a copy the
+// caller may mutate (nil slices when no time falls in the window).
 func (s Series) Slice(a, b float64) Series {
-	out := Series{}
+	n := 0
+	for _, t := range s.Times {
+		if t >= a && t <= b {
+			n++
+		}
+	}
+	if n == 0 {
+		return Series{}
+	}
+	out := Series{Times: make([]float64, 0, n), Values: make([]float64, 0, n)}
 	for i, t := range s.Times {
 		if t >= a && t <= b {
 			out.Times = append(out.Times, t)

@@ -280,26 +280,36 @@ func (c *sumCursor) boundary() float64 {
 // lengths may be summed; the result spans the longest input. The sum
 // of zero traces is an empty trace.
 //
-// Sum is a k-way cursor merge over the inputs' segment boundaries:
-// O(B·k) for B total boundaries across k traces, with one output
-// allocation, replacing the former global sort (O(B log B)) and the
-// per-interval PowerAt binary searches (O(B·k·log n)). Each trace's
-// boundary stream is already sorted (segments are contiguous with
-// positive durations), so the merged breakpoint sequence is
-// value-identical to the old sorted slice, the eps-deduplication sees
-// the same values in the same order, and the per-interval power sum
-// still adds traces in argument order — every float matches the
-// reference bit for bit (pinned by the differential tests against
-// sumReference).
+// Sum is a k-way cursor merge over the inputs' segment boundaries.
+// Each trace's boundary stream is sorted (segments are contiguous with
+// positive durations). After a breakpoint prev is kept, every cursor
+// skips its boundaries v with v−prev ≤ eps, and the smallest boundary
+// left across the cursors is the next breakpoint kept. IEEE
+// subtraction is monotone, so those skipped boundaries are a prefix
+// of each stream and exactly the ones the reference's sorted,
+// eps-deduplicated breakpoint list drops: the kept breakpoints, the
+// interval midpoints and the per-interval power sums (added in
+// argument order) match sumReference bit for bit (pinned by the
+// differential tests and FuzzSum). The cost is O(k) per kept
+// breakpoint plus O(1) per skipped boundary: O(K·k + B) for K kept
+// breakpoints and B boundaries across k traces. A node's component
+// traces share most boundaries, so K is about B/(2k).
 func Sum(traces ...*Trace) *Trace {
 	return SumInto(&Trace{}, traces...)
 }
 
 // SumInto computes Sum(traces...) into dst, reusing dst's segment
-// storage across calls — the allocation-free form the incremental
-// sweep engine uses to rebuild node sensor traces once per cap point.
-// dst is reset first and must not be one of the inputs. The merged
-// values are bit-identical to Sum's (it is the same cursor merge).
+// storage across calls — the allocation-free form the node sensor
+// uses to rebuild its trace once per cap point. dst is reset first
+// and must not be one of the inputs. The merged values are
+// bit-identical to Sum's (it is the same cursor merge).
+//
+// Fresh storage is sized at the longest input plus one segment: the
+// sum of aligned traces — a node's components, recorded in lockstep —
+// has about as many segments as its finest input. A merge that
+// outgrows it (traces whose boundaries rarely coincide) grows once, to
+// the bound Σn + k on the output of k traces with Σn segments in all,
+// rather than doubling its way there.
 func SumInto(dst *Trace, traces ...*Trace) *Trace {
 	const eps = 1e-12
 	// The cursor slice lives on the stack for any realistic component
@@ -310,7 +320,8 @@ func SumInto(dst *Trace, traces ...*Trace) *Trace {
 	if len(traces) > len(cbuf) {
 		cursors = make([]sumCursor, 0, len(traces))
 	}
-	boundaries := 0
+	longest, total := 0, 0
+	var prev float64
 	for _, tr := range traces {
 		// Empty traces contribute no breakpoints and no power (their
 		// duration is 0); dropping them here preserves the argument
@@ -319,27 +330,37 @@ func SumInto(dst *Trace, traces ...*Trace) *Trace {
 		if len(tr.segs) == 0 {
 			continue
 		}
+		// The first breakpoint is the smallest first boundary.
+		if start := tr.segs[0].Start; len(cursors) == 0 || start < prev {
+			prev = start
+		}
 		cursors = append(cursors, sumCursor{segs: tr.segs, dur: tr.Duration()})
-		boundaries += 2 * len(tr.segs)
+		longest = max(longest, len(tr.segs))
+		total += len(tr.segs)
 	}
-	if cap(dst.segs) < boundaries {
-		dst.segs = make([]Segment, 0, boundaries)
-	} else {
-		dst.segs = dst.segs[:0]
-	}
+	dst.segs = dst.segs[:0]
 	if len(cursors) == 0 {
 		return dst
 	}
-	first := true
-	var origin, prev float64
+	if cap(dst.segs) <= longest {
+		dst.segs = make([]Segment, 0, longest+1)
+	}
+	origin := prev
 	for {
-		// Pull the smallest unconsumed breakpoint. k is small (one
-		// cursor per component trace), so a linear scan beats a heap.
+		// Skip each cursor past the boundaries within eps of the last
+		// kept breakpoint (a tolerance absorbing fp noise from repeated
+		// accumulation of segment durations), then pick the smallest
+		// boundary left. k is small (one cursor per component trace),
+		// so a linear scan beats a heap.
 		best := -1
 		var bv float64
 		for i := range cursors {
 			c := &cursors[i]
-			if c.bi == 2*len(c.segs) {
+			n := 2 * len(c.segs)
+			for c.bi < n && c.boundary()-prev <= eps {
+				c.bi++
+			}
+			if c.bi == n {
 				continue
 			}
 			if v := c.boundary(); best < 0 || v < bv {
@@ -348,17 +369,6 @@ func SumInto(dst *Trace, traces ...*Trace) *Trace {
 		}
 		if best < 0 {
 			break
-		}
-		cursors[best].bi++
-		if first {
-			origin, prev, first = bv, bv, false
-			continue
-		}
-		// Deduplicate against the last kept breakpoint (within a tiny
-		// tolerance to absorb fp noise from repeated accumulation of
-		// segment durations).
-		if bv-prev <= eps {
-			continue
 		}
 		mid := (prev + bv) / 2
 		var p float64
@@ -375,18 +385,24 @@ func SumInto(dst *Trace, traces ...*Trace) *Trace {
 				}
 			}
 		}
-		// Normalize origin: Sum assumes all traces start at 0; if the
-		// first breakpoint is positive, lead with zero power from t=0.
-		// Appending it lazily, right before the first kept interval,
-		// reproduces the historical rebuild exactly: the zero lead-in
-		// merges with a zero-power first interval through Append's
-		// equal-power merge, and an all-deduplicated merge (no kept
-		// intervals) stays empty.
-		if len(dst.segs) == 0 && origin > eps {
-			dst.Append(origin, 0)
+		if len(dst.segs) == cap(dst.segs) {
+			// Kept intervals are at most the Σ(n+1) distinct
+			// breakpoints less one, plus the origin lead-in.
+			dst.segs = slices.Grow(dst.segs, total+len(cursors)-len(dst.segs))
 		}
 		dst.Append(bv-prev, p)
 		prev = bv
+	}
+	// Normalize origin: Sum assumes all traces start at 0; if the
+	// first breakpoint is positive, lead with zero power from t=0. An
+	// all-deduplicated merge (no kept intervals) stays empty. Shift
+	// re-appends every segment after the lead-in, as the reference
+	// does: a lead-in appended before the first interval instead would
+	// add a merged zero-power run onto it one interval at a time and
+	// round differently. Only offset-origin inputs, which the engine
+	// never records, take this path (and allocate).
+	if origin > eps && len(dst.segs) > 0 {
+		*dst = *dst.Shift(origin)
 	}
 	countSumSegments(dst.Len())
 	return dst

@@ -10,6 +10,7 @@ import (
 	"vasppower/internal/hw/node"
 	"vasppower/internal/hw/platform"
 	"vasppower/internal/rng"
+	"vasppower/internal/timeseries"
 )
 
 // TestEngineProperties checks the paper's physics as properties of the
@@ -24,6 +25,11 @@ import (
 //     integral over the VASP window, exactly;
 //   - sensor composition: the node total equals CPU + DDR + GPUs +
 //     peripheral power, segment by segment, exactly;
+//   - domain nesting: the NVML gpu + memory scopes stay at or below
+//     the module scope, and the module scope below the node sensor, at
+//     every instant;
+//   - node power range: the node sensor reads between the node's idle
+//     power and the platform's node TDP throughout;
 //   - cap monotonicity: runtime does not rise as the cap rises.
 func TestEngineProperties(t *testing.T) {
 	r := rng.New(2024)
@@ -76,6 +82,8 @@ func TestEngineProperties(t *testing.T) {
 					checkEnergy(t, at, out)
 					for _, n := range out.Nodes {
 						checkTotal(t, at, n)
+						checkDomains(t, at, n)
+						checkNodeRange(t, at, n, p)
 						if limit := effectiveCap(p.GPU, capW); floor <= limit {
 							checkCap(t, at, n, limit)
 							capChecks++
@@ -166,6 +174,59 @@ func checkTotal(t *testing.T, at string, n *node.Node) {
 		if sum != seg.Power {
 			t.Fatalf("%s: node total %v at t=%v, components sum to %v", at, seg.Power, mid, sum)
 		}
+	}
+}
+
+// checkDomains: gpu + memory ≤ module ≤ node pointwise, checked at
+// the midpoint of every interval between the four domain traces'
+// merged boundaries (each trace is constant on such an interval).
+//
+// Boundaries closer than 1e-12 s + 1e-14·t are one instant. A trace
+// stores durations, and its segment starts are re-accumulated from
+// them, so one step boundary lands a few ulps apart in different
+// domain traces (at most 3 ulps, 1.4e-12 s at t = 2680 s, over these
+// specs). Between such twins lies a rounding sliver, not a time the
+// model resolves: there one scope has switched and another not yet.
+func checkDomains(t *testing.T, at string, n *node.Node) {
+	t.Helper()
+	gpuT := n.DomainTrace(node.DomainGPU)
+	memT := n.DomainTrace(node.DomainMemory)
+	modT := n.DomainTrace(node.DomainModule)
+	nodeT := n.DomainTrace(node.DomainNode)
+	var bounds []float64
+	for _, tr := range []*timeseries.Trace{gpuT, memT, modT, nodeT} {
+		for _, seg := range tr.Segments() {
+			bounds = append(bounds, seg.Start, seg.End())
+		}
+	}
+	sort.Float64s(bounds)
+	prev := bounds[0]
+	for _, b := range bounds[1:] {
+		if b-prev <= 1e-12+1e-14*b {
+			continue
+		}
+		mid := (prev + b) / 2
+		prev = b
+		g, m, mod, nd := gpuT.PowerAt(mid), memT.PowerAt(mid), modT.PowerAt(mid), nodeT.PowerAt(mid)
+		if g+m > mod {
+			t.Fatalf("%s: at t=%v gpu %v + memory %v exceeds module %v", at, mid, g, m, mod)
+		}
+		if mod > nd {
+			t.Fatalf("%s: at t=%v module %v exceeds node %v", at, mid, mod, nd)
+		}
+	}
+}
+
+// checkNodeRange: the node sensor never reads below the node's idle
+// draw nor above the platform's node TDP.
+func checkNodeRange(t *testing.T, at string, n *node.Node, p platform.Platform) {
+	t.Helper()
+	tr := n.TotalTrace()
+	if lo, idle := tr.MinPower(), n.IdlePower(); lo < idle {
+		t.Fatalf("%s: node power %v W below its idle %v W", at, lo, idle)
+	}
+	if hi := tr.MaxPower(); hi > p.Node.TDP {
+		t.Fatalf("%s: node power %v W above the %v W node TDP", at, hi, p.Node.TDP)
 	}
 }
 

@@ -43,8 +43,10 @@ func ActiveSweeps() int64 { return activeSweeps.Load() }
 // differential tests pin both against the step-by-step oracle).
 //
 // A Sweep is not safe for concurrent use. The RunOutput of a Run*
-// call — its nodes' traces, runtimes slice, result map, and phase
-// windows — is valid only until the next Run* or Close call.
+// call — its nodes' traces and the derived traces read from them
+// (TotalTrace, whose storage the next point recycles), runtimes
+// slice, result map, and phase windows — is valid only until the next
+// Run* or Close call.
 type Sweep struct {
 	repeats int
 	pool    *cluster.Cluster
@@ -170,7 +172,7 @@ func (s *Sweep) run(capW, mhz float64) (RunOutput, error) {
 	// the best repeat's traces (the scrap storage parks in the banks
 	// for the next point), then settle the deferred energy from them.
 	s.swapBanks()
-	s.bestRes.EnergyJ = s.prep.Energy(bestStart)
+	s.bestRes.EnergyJ = solver.NodeEnergy(s.nodes, bestStart)
 	clear(s.windows)
 	s.windows["vasp"] = [2]float64{bestStart, bestEnd}
 	return RunOutput{
