@@ -1,5 +1,5 @@
 // Command benchdiff compares two `go test -bench` outputs and fails
-// on time/op regressions beyond a threshold. It is the repo's stand-in
+// on time/op or B/op regressions beyond a threshold. It is the repo's stand-in
 // for benchstat in CI (no external dependencies):
 //
 //	benchdiff -new new.txt [-old old.txt] [-threshold 0.10] [-out report.json]
@@ -14,7 +14,9 @@
 // The comparison is asymmetric by design: a benchmark present only in
 // -new (a new benchmark this change introduces) or only in -old (one
 // it removes) is reported but never a failure; only a matched name
-// whose new time/op exceeds old × (1 + threshold) fails the run. A
+// whose new time/op or new B/op exceeds old × (1 + threshold) fails
+// the run. A zero B/op baseline (no -benchmem, or an allocation-free
+// benchmark) has no ratio and is reported, not gated. A
 // missing or empty -old file means "no baseline" (first run, or the
 // merge base predates the benchmark): the report is still written and
 // the exit status is 0.
@@ -38,6 +40,8 @@ type result struct {
 	// Baseline comparison, present when -old had the same name.
 	OldNsOp float64 `json:"old_ns_op,omitempty"`
 	Ratio   float64 `json:"ratio,omitempty"` // new/old time per op
+	OldBOp  float64 `json:"old_b_op,omitempty"`
+	BRatio  float64 `json:"b_ratio,omitempty"` // new/old bytes per op
 }
 
 type report struct {
@@ -50,7 +54,7 @@ type report struct {
 func main() {
 	oldPath := flag.String("old", "", "baseline `go test -bench` output (optional)")
 	newPath := flag.String("new", "", "candidate `go test -bench` output (required)")
-	threshold := flag.Float64("threshold", 0.10, "fail when new time/op exceeds old by this fraction")
+	threshold := flag.Float64("threshold", 0.10, "fail when new time/op or B/op exceeds old by this fraction")
 	out := flag.String("out", "", "also write the JSON report to this file")
 	flag.Parse()
 	if *newPath == "" {
@@ -76,14 +80,8 @@ func main() {
 
 	for _, name := range sortedNames(news) {
 		r := news[name]
-		if old, ok := olds[name]; ok && old.NsOp > 0 {
-			r.OldNsOp = old.NsOp
-			r.Ratio = r.NsOp / old.NsOp
-			if r.Ratio > 1+*threshold {
-				rep.Regressions = append(rep.Regressions, fmt.Sprintf(
-					"%s: %.0f -> %.0f ns/op (%+.1f%%, threshold %+.0f%%)",
-					name, old.NsOp, r.NsOp, (r.Ratio-1)*100, *threshold*100))
-			}
+		if old, ok := olds[name]; ok {
+			rep.Regressions = append(rep.Regressions, compare(r, old, *threshold)...)
 		}
 		rep.Benchmarks = append(rep.Benchmarks, r)
 	}
@@ -102,6 +100,29 @@ func main() {
 		}
 		os.Exit(1)
 	}
+}
+
+// compare records old's time/op and B/op in r and returns a line for
+// each metric that grew by more than threshold.
+func compare(r, old *result, threshold float64) []string {
+	var regs []string
+	if old.NsOp > 0 {
+		r.OldNsOp = old.NsOp
+		r.Ratio = r.NsOp / old.NsOp
+		if r.Ratio > 1+threshold {
+			regs = append(regs, fmt.Sprintf("%s: %.0f -> %.0f ns/op (%+.1f%%, threshold %+.0f%%)",
+				r.Name, old.NsOp, r.NsOp, (r.Ratio-1)*100, threshold*100))
+		}
+	}
+	if old.BOp > 0 {
+		r.OldBOp = old.BOp
+		r.BRatio = r.BOp / old.BOp
+		if r.BRatio > 1+threshold {
+			regs = append(regs, fmt.Sprintf("%s: %.0f -> %.0f B/op (%+.1f%%, threshold %+.0f%%)",
+				r.Name, old.BOp, r.BOp, (r.BRatio-1)*100, threshold*100))
+		}
+	}
+	return regs
 }
 
 func parseFile(path string) (map[string]*result, error) {

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 const sample = `goos: linux
 goarch: amd64
@@ -42,5 +45,36 @@ func TestParseIgnoresNoise(t *testing.T) {
 	got := parse("BenchmarkBroken-8 notanumber ns/op\nrandom text\nBenchmark\n")
 	if len(got) != 0 {
 		t.Fatalf("noise lines parsed as benchmarks: %v", got)
+	}
+}
+
+func TestCompare(t *testing.T) {
+	const th = 0.10
+	for _, tc := range []struct {
+		name     string
+		old, new result
+		want     []string
+	}{
+		{"held", result{NsOp: 100, BOp: 1000}, result{NsOp: 105, BOp: 1090}, nil},
+		{"slower", result{NsOp: 100, BOp: 1000}, result{NsOp: 120, BOp: 1000}, []string{"ns/op"}},
+		{"more bytes", result{NsOp: 100, BOp: 1000}, result{NsOp: 100, BOp: 1200}, []string{"B/op"}},
+		{"both", result{NsOp: 100, BOp: 1000}, result{NsOp: 150, BOp: 2000}, []string{"ns/op", "B/op"}},
+		{"fewer bytes", result{NsOp: 100, BOp: 1000}, result{NsOp: 100, BOp: 500}, nil},
+		{"zero-byte baseline", result{NsOp: 100}, result{NsOp: 100, BOp: 64}, nil},
+	} {
+		r := tc.new
+		r.Name = "BenchmarkX"
+		regs := compare(&r, &tc.old, th)
+		if len(regs) != len(tc.want) {
+			t.Fatalf("%s: regressions %q, want one per %q", tc.name, regs, tc.want)
+		}
+		for i, unit := range tc.want {
+			if !strings.Contains(regs[i], unit) {
+				t.Errorf("%s: regression %q does not name %s", tc.name, regs[i], unit)
+			}
+		}
+		if tc.old.BOp > 0 && (r.OldBOp != tc.old.BOp || r.BRatio != tc.new.BOp/tc.old.BOp) {
+			t.Errorf("%s: old_b_op %g, b_ratio %g not reported", tc.name, r.OldBOp, r.BRatio)
+		}
 	}
 }

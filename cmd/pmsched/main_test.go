@@ -10,13 +10,17 @@ import (
 )
 
 // TestOutputGolden pins pmsched's stdout byte for byte for the default
-// 8-node run and for a 5,000-job facility-preset run. The policies run
-// concurrently and share the process-wide measurement cache, so under
-// -race this is also the concurrency check of that path. Regenerate
-// after an intentional change with:
+// 8-node run and for 5,000- and 20,000-job facility-preset runs. The
+// policies run concurrently and share the process-wide measurement
+// cache, so under -race this is also the concurrency check of that
+// path. job0000–job9999 sort by ID in arrival order; from job10000 on
+// they do not ("job10000" < "job2000"), so only the 20,000-job run
+// orders outcomes by a real permutation. Regenerate after an
+// intentional change with:
 //
 //	go run ./cmd/pmsched > cmd/pmsched/testdata/default.golden
 //	go run ./cmd/pmsched -preset facility -jobs 5000 > cmd/pmsched/testdata/facility-5000.golden
+//	go run ./cmd/pmsched -preset facility -jobs 20000 > cmd/pmsched/testdata/facility-20000.golden
 func TestOutputGolden(t *testing.T) {
 	for _, tc := range []struct {
 		golden string
@@ -24,6 +28,7 @@ func TestOutputGolden(t *testing.T) {
 	}{
 		{"default.golden", nil},
 		{"facility-5000.golden", []string{"-preset", "facility", "-jobs", "5000"}},
+		{"facility-20000.golden", []string{"-preset", "facility", "-jobs", "20000"}},
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"vasppower/internal/core"
+	"vasppower/internal/dft/method"
 	"vasppower/internal/obs"
 )
 
@@ -156,6 +157,94 @@ func TestDroppedJobsRecorded(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("drop handling diverged from oracle:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// failOn returns a measurement function that fails for the named
+// benchmark and counts those failing calls in *calls, and measures
+// every other benchmark with fakeMeasure.
+func failOn(name string, calls *int) func(core.MeasureSpec) (core.JobProfile, error) {
+	return func(spec core.MeasureSpec) (core.JobProfile, error) {
+		if spec.Bench.Name == name {
+			*calls++
+			return core.JobProfile{}, fmt.Errorf("no profile for %s", spec.Bench.Name)
+		}
+		return fakeMeasure(spec)
+	}
+}
+
+// TestUnprofilableMeasuredOnce pins that a simulation asks for a
+// configuration that cannot be profiled once, not once per job it
+// drops: the mix's CuC_vdw jobs all share one (benchmark, nodes, cap).
+func TestUnprofilableMeasuredOnce(t *testing.T) {
+	for _, stream := range []bool{false, true} {
+		calls := 0
+		cat := NewCatalog(1)
+		cat.SetMeasure(failOn("CuC_vdw", &calls))
+		cfg := simCfg(DefaultProfileAware(), 8*1100, cat)
+		var res Result
+		var err error
+		if stream {
+			res, err = SimulateStream(cfg, SyntheticJobStream(64, 60, 5))
+		} else {
+			res, err = Simulate(cfg, smallMix(64, 5))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Dropped < 2 {
+			t.Fatalf("stream=%v: %d dropped; the case needs several drops", stream, res.Dropped)
+		}
+		if calls != 1 {
+			t.Fatalf("stream=%v: %d measurements of the failing configuration for %d dropped jobs, want 1", stream, calls, res.Dropped)
+		}
+	}
+}
+
+// TestSimulateMatchesOracleTieOrder pins the tie order the in-place
+// outcome ordering must keep: IDs longer than eight bytes that share
+// one 8-byte prefix, IDs that differ only by trailing NUL bytes (equal
+// zero-padded prefixes), and repeated IDs, with drops and jitter. It
+// also pins that the returned outcomes end at their capacity, so an
+// append by the caller cannot write over the dropped jobs' records
+// behind them.
+func TestSimulateMatchesOracleTieOrder(t *testing.T) {
+	var ids []string
+	for _, base := range []string{"facility-job-7", "facility-job-10", "facility", "job"} {
+		for _, pad := range []string{"", "\x00", "\x00\x00"} {
+			ids = append(ids, base+pad)
+		}
+	}
+	mix := SyntheticJobMix(60, 30, 11)
+	for i := range mix {
+		mix[i].ID = ids[i%len(ids)]
+	}
+	for _, p := range []Policy{NoCap{NodeTDP: 2350}, UniformCap{Watts: 200, HostWatts: 350}, DefaultProfileAware()} {
+		var callsA, callsB int
+		catA, catB := NewCatalog(1), NewCatalog(1)
+		catA.SetMeasure(failOn("CuC_vdw", &callsA))
+		catB.SetMeasure(failOn("CuC_vdw", &callsB))
+		cfgA := simCfg(p, 8*1100, catA)
+		cfgB := simCfg(p, 8*1100, catB)
+		cfgA.JitterSeed = 42
+		cfgB.JitterSeed = 42
+		got, err := Simulate(cfgA, mix)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name(), err)
+		}
+		want, err := simulateOracle(cfgB, mix)
+		if err != nil {
+			t.Fatalf("%s: oracle: %v", p.Name(), err)
+		}
+		if got.Dropped == 0 || got.Completed <= 12 {
+			t.Fatalf("%s: %d completed, %d dropped; the case needs drops and more than 12 outcomes", p.Name(), got.Completed, got.Dropped)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: incremental loop diverged from oracle:\n got %+v\nwant %+v", p.Name(), got, want)
+		}
+		if cap(got.Outcomes) != len(got.Outcomes) {
+			t.Fatalf("%s: outcomes cap %d > len %d: an append would overwrite dropped records", p.Name(), cap(got.Outcomes), len(got.Outcomes))
+		}
 	}
 }
 
@@ -329,6 +418,38 @@ func TestStreamValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "needs 99 nodes") {
 		t.Fatalf("oversized job in stream: got %v", err)
 	}
+
+	// An invalid benchmark first seen mid-stream fails at that job —
+	// the stream is not drawn past it — with Job.Validate's error, which
+	// precedes the cluster-size check for a job that fails both. A
+	// benchmark sharing a valid one's Name but not its fields is
+	// interned, and so validated, on its own.
+	mid := smallMix(8, 1)
+	for _, tc := range []struct {
+		name string
+		edit func(j *Job)
+	}{
+		{"invalid", func(j *Job) { j.Bench.NELM = 0 }},
+		{"invalid and wide", func(j *Job) { j.Bench.NELM = 0; j.Nodes = 99 }},
+		{"same name as earlier", func(j *Job) { j.Bench = mid[0].Bench; j.Bench.OptimalNodes = 0 }},
+		{"empty ID before bench", func(j *Job) { j.ID = ""; j.Bench.NELM = 0 }},
+	} {
+		jobs := append([]Job(nil), mid...)
+		tc.edit(&jobs[5])
+		want := jobs[5].Validate()
+		if want == nil {
+			t.Fatalf("%s: test setup: job 5 is valid", tc.name)
+		}
+		src := &countingStream{JobStream: &sliceStream{jobs: jobs}}
+		_, err := SimulateStream(cfg, src)
+		if err == nil || err.Error() != want.Error() {
+			t.Fatalf("%s: got %v, want %v", tc.name, err, want)
+		}
+		if src.drawn != 6 {
+			t.Fatalf("%s: failed after drawing %d jobs, want 6 (at job 5)", tc.name, src.drawn)
+		}
+	}
+
 	bad := cfg
 	bad.BudgetSchedule = []BudgetPhase{{Start: 100, BudgetW: 1000}, {Start: 50, BudgetW: 2000}}
 	if _, err := Simulate(bad, jobs); err == nil || !strings.Contains(err.Error(), "not sorted") {
@@ -341,6 +462,53 @@ func TestStreamValidation(t *testing.T) {
 	bad.BudgetSchedule = []BudgetPhase{{Start: 0, BudgetW: math.NaN()}}
 	if _, err := Simulate(bad, jobs); err == nil {
 		t.Fatal("NaN phase budget accepted")
+	}
+}
+
+// countingStream counts the jobs drawn from the stream it wraps.
+type countingStream struct {
+	JobStream
+	drawn int
+}
+
+func (c *countingStream) Next() (Job, bool) {
+	j, ok := c.JobStream.Next()
+	if ok {
+		c.drawn++
+	}
+	return j, ok
+}
+
+// TestSameNameBenchmarksInternedApart pins that the benchmark intern
+// table matches whole values, not names: jobs whose benchmark keeps a
+// Table I name but switches its method to HSE are hybrid-class jobs,
+// with their own cap and reservation, exactly as the oracle treats
+// them.
+func TestSameNameBenchmarksInternedApart(t *testing.T) {
+	jobs := smallMix(30, 7)
+	SortJobs(jobs)
+	changed := 0
+	for i := range jobs {
+		if i%3 == 0 && Classify(jobs[i].Bench.Method) == ClassDFT {
+			jobs[i].Bench.Method = method.HSE
+			changed++
+		}
+	}
+	if changed == 0 {
+		t.Fatal("test setup: no DFT-class job to change")
+	}
+	for _, p := range []Policy{UniformCap{Watts: 200, HostWatts: 350}, DefaultProfileAware()} {
+		got, err := SimulateStream(simCfg(p, 8*1100, fakeCatalog(1)), &sliceStream{jobs: jobs})
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name(), err)
+		}
+		want, err := simulateOracle(simCfg(p, 8*1100, fakeCatalog(1)), jobs)
+		if err != nil {
+			t.Fatalf("%s: oracle: %v", p.Name(), err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: diverged from oracle:\n got %+v\nwant %+v", p.Name(), got, want)
+		}
 	}
 }
 

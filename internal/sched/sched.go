@@ -147,6 +147,16 @@ type Job struct {
 
 // Validate checks the job.
 func (j Job) Validate() error {
+	if err := j.validateOwn(); err != nil {
+		return err
+	}
+	return j.Bench.Validate()
+}
+
+// validateOwn is Validate without the benchmark check, which the
+// streaming simulate loop runs once per distinct benchmark instead of
+// once per job.
+func (j *Job) validateOwn() error {
 	if j.ID == "" {
 		return fmt.Errorf("sched: job with empty ID")
 	}
@@ -156,7 +166,7 @@ func (j Job) Validate() error {
 	if j.Arrival < 0 {
 		return fmt.Errorf("sched: job %s with negative arrival", j.ID)
 	}
-	return j.Bench.Validate()
+	return nil
 }
 
 // SortJobs orders jobs by arrival then ID (deterministic queue order).

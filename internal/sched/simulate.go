@@ -160,19 +160,12 @@ func validateConfig(cfg SimConfig) error {
 	return nil
 }
 
-// bucketKey groups waiting jobs that are interchangeable to the
-// packer: same node demand and same class ⇒ same cap, reservation,
-// and fit test.
-type bucketKey struct {
-	nodes int
-	class Class
-}
-
 // bucket is one FIFO of waiting jobs with identical packing
-// requirements, threaded intrusively through jobRec.next. Because all
-// members need exactly the same capacity, if the head does not fit,
-// none behind it does — which is what turns the O(queue) first-fit
-// scan into an O(buckets) head inspection.
+// requirements — same node demand and same class ⇒ same cap,
+// reservation, and fit test — threaded intrusively through
+// jobRec.next. Because all members need exactly the same capacity, if
+// the head does not fit, none behind it does — which is what turns the
+// O(queue) first-fit scan into an O(buckets) head inspection.
 type bucket struct {
 	nodes    int
 	class    Class
@@ -183,18 +176,36 @@ type bucket struct {
 	tail     int32
 }
 
-// jobRec is one job's record in the simulation: its queue linkage
-// while waiting, its reservation while running, and its outcome. Jobs
+// internedBench is one distinct benchmark of the mix, with its class
+// and its entries in the profile table.
+type internedBench struct {
+	bench workloads.Benchmark
+	class Class
+	slots []int32 // indices into simState.slots, one per node count seen
+}
+
+// benchSlot is one entry of the per-simulation profile table: an
+// interned benchmark in one bucket, and the catalog's answer for that
+// (benchmark, nodes, cap), error included, from the first start of a
+// job of the pair on.
+type benchSlot struct {
+	bench  int32 // index into simState.benches
+	bucket int32 // index into simState.buckets
+	filled bool
+	prof   Profile
+	err    error
+}
+
+// jobRec is one job's hot record in the simulation: its arrival, its
+// profile-table slot (which names its benchmark and bucket, and so its
+// reservation while running) and its queue linkage while waiting. Jobs
 // are addressed by index (arrival sequence) everywhere — no string
-// keys, no per-job closures. The record holds no Job: the job's ID
-// and node count live in its outcome from enqueue on, and its
-// benchmark is an index into the simulation's intern table, which
-// keeps a record at 128 bytes where the Job alone is 336.
+// keys, no per-job closures. The record holds no Job and no outcome:
+// the job's outcome lives at the same index in simState.outs, which
+// keeps a record at 16 bytes where the Job alone is 336.
 type jobRec struct {
-	outcome JobOutcome // ID and Nodes set at enqueue, the rest at start
 	arrival float64
-	needW   float64
-	bench   int32 // index into simState.benches
+	slot    int32 // index into simState.slots
 	next    int32 // next index in the same bucket's FIFO, -1 = none
 }
 
@@ -222,7 +233,7 @@ func idPrefix(id string) uint64 {
 // simState is the incremental simulate loop. All event callbacks are
 // bound once (arriveFn/passFn/envFn/completeFn), so the steady state
 // allocates nothing per job in the loop beyond the amortized growth of
-// recs and keys (the job stream allocates each job's ID).
+// recs, outs and keys (the job stream allocates each job's ID).
 type simState struct {
 	cfg    SimConfig
 	engine *sim.Engine
@@ -232,13 +243,15 @@ type simState struct {
 	m      *Metrics
 
 	recs    []jobRec
-	benches []workloads.Benchmark // intern table behind jobRec.bench
+	outs    []JobOutcome    // by job index: ID and Nodes set at enqueue, the rest at start
+	benches []internedBench // intern table
+	slots   []benchSlot     // profile table behind jobRec.slot
 	buckets []bucket
-	bindex  map[bucketKey]int32
 
-	pending     Job
-	havePending bool
-	lastArrival float64
+	pending      Job
+	pendingBench int32 // pending's index in benches
+	havePending  bool
+	lastArrival  float64
 
 	freeNodes int
 	reservedW float64
@@ -246,11 +259,11 @@ type simState struct {
 	budgetW   float64
 	phaseIdx  int
 
-	waiting    int
-	started    int
-	dropped    int
-	droppedIDs []string
-	done       []outKey // completed jobs, in completion order
+	waiting     int
+	started     int
+	droppedIDs  []string
+	droppedSeqs []int32  // dropped jobs' indices, in drop order
+	done        []outKey // completed jobs, in completion order
 
 	passScheduled bool
 	passes        int64
@@ -271,7 +284,6 @@ func simulate(cfg SimConfig, src JobStream, lazy bool) (Result, error) {
 		src:       src,
 		lazy:      lazy,
 		m:         metrics.Load(),
-		bindex:    make(map[bucketKey]int32),
 		freeNodes: cfg.ClusterNodes,
 		reservedW: float64(cfg.ClusterNodes) * cfg.IdleNodeW,
 		budgetW:   cfg.BudgetW,
@@ -283,6 +295,7 @@ func simulate(cfg SimConfig, src JobStream, lazy bool) (Result, error) {
 	if h, ok := src.(SizeHinter); ok {
 		if n := h.SizeHint(); n > 0 {
 			s.recs = make([]jobRec, 0, n)
+			s.outs = make([]JobOutcome, 0, n)
 			s.done = make([]outKey, 0, n)
 		}
 	}
@@ -318,8 +331,11 @@ func simulate(cfg SimConfig, src JobStream, lazy bool) (Result, error) {
 	return s.result(), nil
 }
 
-// advance pulls the next job from the stream into pending, validating
-// lazily on the stream path and enforcing arrival order on both.
+// advance pulls the next job from the stream into pending and interns
+// its benchmark, validating lazily on the stream path and enforcing
+// arrival order on both. The lazy checks run in Job.Validate's order
+// and then the cluster-size check, as Simulate runs them up front; a
+// benchmark is validated once, when first interned.
 func (s *simState) advance() {
 	var ok bool
 	s.pending, ok = s.src.Next()
@@ -329,25 +345,34 @@ func (s *simState) advance() {
 	}
 	j := &s.pending
 	if s.lazy {
-		if err := j.Validate(); err != nil {
-			s.err = err
-			s.havePending = false
-			return
-		}
-		if j.Nodes > s.cfg.ClusterNodes {
-			s.err = fmt.Errorf("sched: job %s needs %d nodes, cluster has %d", j.ID, j.Nodes, s.cfg.ClusterNodes)
-			s.havePending = false
+		if err := j.validateOwn(); err != nil {
+			s.fail(err)
 			return
 		}
 	}
+	bench, err := s.intern(&j.Bench)
+	if err != nil {
+		s.fail(err)
+		return
+	}
+	s.pendingBench = bench
+	if s.lazy && j.Nodes > s.cfg.ClusterNodes {
+		s.fail(fmt.Errorf("sched: job %s needs %d nodes, cluster has %d", j.ID, j.Nodes, s.cfg.ClusterNodes))
+		return
+	}
 	if j.Arrival < s.lastArrival {
-		s.err = fmt.Errorf("sched: job %s arrives at %v, before the previous job at %v (streams must be sorted by arrival)",
-			j.ID, j.Arrival, s.lastArrival)
-		s.havePending = false
+		s.fail(fmt.Errorf("sched: job %s arrives at %v, before the previous job at %v (streams must be sorted by arrival)",
+			j.ID, j.Arrival, s.lastArrival))
 		return
 	}
 	s.lastArrival = j.Arrival
 	s.havePending = true
+}
+
+// fail stops the simulation with err.
+func (s *simState) fail(err error) {
+	s.err = err
+	s.havePending = false
 }
 
 // arrive is the (single, reused) arrival-chain callback: drain every
@@ -368,7 +393,7 @@ func (s *simState) arrive() {
 func (s *simState) drainArrivals(now float64) {
 	n := 0
 	for s.err == nil && s.havePending && s.pending.Arrival <= now {
-		s.enqueue(&s.pending)
+		s.enqueue(&s.pending, s.pendingBench)
 		s.advance()
 		n++
 	}
@@ -377,35 +402,14 @@ func (s *simState) drainArrivals(now float64) {
 	}
 }
 
-// enqueue appends a job record and links it onto its bucket's FIFO,
-// creating the bucket (with its policy-derived cap and reservation)
-// on first sight of the (nodes, class) pair.
-func (s *simState) enqueue(j *Job) {
+// enqueue appends a job's record and outcome and links the record
+// onto its bucket's FIFO.
+func (s *simState) enqueue(j *Job, bench int32) {
 	idx := int32(len(s.recs))
-	s.recs = append(s.recs, jobRec{
-		outcome: JobOutcome{ID: j.ID, Nodes: j.Nodes},
-		arrival: j.Arrival,
-		bench:   s.intern(&j.Bench),
-		next:    -1,
-	})
-	class := Classify(j.Bench.Method)
-	k := bucketKey{j.Nodes, class}
-	bi, ok := s.bindex[k]
-	if !ok {
-		perNodeW := s.cfg.Policy.BudgetPowerPerNode(class)
-		bi = int32(len(s.buckets))
-		s.buckets = append(s.buckets, bucket{
-			nodes:    j.Nodes,
-			class:    class,
-			capW:     s.cfg.Policy.Cap(class),
-			perNodeW: perNodeW,
-			needW:    float64(j.Nodes) * (perNodeW - s.cfg.IdleNodeW),
-			head:     -1,
-			tail:     -1,
-		})
-		s.bindex[k] = bi
-	}
-	b := &s.buckets[bi]
+	slot := s.slotOf(bench, j.Nodes)
+	s.recs = append(s.recs, jobRec{arrival: j.Arrival, slot: slot, next: -1})
+	s.outs = append(s.outs, JobOutcome{ID: j.ID, Nodes: j.Nodes})
+	b := &s.buckets[s.slots[slot].bucket]
 	if b.tail >= 0 {
 		s.recs[b.tail].next = idx
 	} else {
@@ -415,17 +419,78 @@ func (s *simState) enqueue(j *Job) {
 	s.waiting++
 }
 
-// intern returns b's index in the benchmark table, appending it on
-// first sight. A mix draws from a handful of benchmarks, so a linear
-// scan with == (Benchmark holds only value fields) is the whole index.
-func (s *simState) intern(b *workloads.Benchmark) int32 {
-	for i := range s.benches {
-		if s.benches[i] == *b {
-			return int32(i)
+// slotOf returns the profile-table slot of the interned benchmark at
+// the node count, found among the benchmark's own slots (one per node
+// count it has run at). A new slot joins the (nodes, class) bucket,
+// found by a scan of the handful of buckets or created with its
+// policy-derived cap and reservation.
+func (s *simState) slotOf(bench int32, nodes int) int32 {
+	ib := &s.benches[bench]
+	for _, si := range ib.slots {
+		if s.buckets[s.slots[si].bucket].nodes == nodes {
+			return si
 		}
 	}
-	s.benches = append(s.benches, *b)
-	return int32(len(s.benches) - 1)
+	bi := int32(-1)
+	for i := range s.buckets {
+		if s.buckets[i].nodes == nodes && s.buckets[i].class == ib.class {
+			bi = int32(i)
+			break
+		}
+	}
+	if bi < 0 {
+		perNodeW := s.cfg.Policy.BudgetPowerPerNode(ib.class)
+		bi = int32(len(s.buckets))
+		s.buckets = append(s.buckets, bucket{
+			nodes:    nodes,
+			class:    ib.class,
+			capW:     s.cfg.Policy.Cap(ib.class),
+			perNodeW: perNodeW,
+			needW:    float64(nodes) * (perNodeW - s.cfg.IdleNodeW),
+			head:     -1,
+			tail:     -1,
+		})
+	}
+	si := int32(len(s.slots))
+	s.slots = append(s.slots, benchSlot{bench: bench, bucket: bi})
+	ib.slots = append(ib.slots, si)
+	return si
+}
+
+// intern returns b's index in the benchmark table, appending it on
+// first sight — after validating it, on the stream path. A mix draws
+// from a handful of benchmarks, so a linear scan with == (Benchmark
+// holds only value fields, and Validate reads nothing else) is the
+// whole index.
+func (s *simState) intern(b *workloads.Benchmark) (int32, error) {
+	for i := range s.benches {
+		if s.benches[i].bench == *b {
+			return int32(i), nil
+		}
+	}
+	if s.lazy {
+		if err := b.Validate(); err != nil {
+			return 0, err
+		}
+	}
+	s.benches = append(s.benches, internedBench{bench: *b, class: Classify(b.Method)})
+	return int32(len(s.benches) - 1), nil
+}
+
+// profile returns the slot's profile under its bucket's node count
+// and cap, asking the catalog only on the first start. The catalog
+// never changes an entry it has returned, so the table answers every
+// later start exactly as the catalog would; an error is kept too, so
+// an unprofilable configuration is measured once per simulation
+// rather than once per dropped job.
+func (s *simState) profile(slot int32) (*Profile, error) {
+	p := &s.slots[slot]
+	if !p.filled {
+		b := &s.buckets[p.bucket]
+		p.prof, p.err = s.cfg.Catalog.get(&s.benches[p.bench].bench, b.nodes, b.capW)
+		p.filled = true
+	}
+	return &p.prof, p.err
 }
 
 // schedulePass arms one packing pass at the next cycle boundary (the
@@ -542,13 +607,13 @@ func (s *simState) pack(now float64) {
 // profiled.
 func (s *simState) startOrDrop(now float64, idx int32, b *bucket) {
 	rec := &s.recs[idx]
-	o := &rec.outcome
-	prof, err := s.cfg.Catalog.get(&s.benches[rec.bench], o.Nodes, b.capW)
+	o := &s.outs[idx]
+	prof, err := s.profile(rec.slot)
 	if err != nil {
 		// Unrunnable configuration: drop the job rather than
 		// deadlocking the queue, and record it in the Result.
-		s.dropped++
 		s.droppedIDs = append(s.droppedIDs, o.ID)
+		s.droppedSeqs = append(s.droppedSeqs, idx)
 		if s.m != nil {
 			s.m.JobsDropped.Inc()
 		}
@@ -563,7 +628,6 @@ func (s *simState) startOrDrop(now float64, idx int32, b *bucket) {
 	if s.reservedW > s.peakW {
 		s.peakW = s.reservedW
 	}
-	rec.needW = b.needW
 	*o = JobOutcome{
 		ID: o.ID, Class: b.class, CapW: b.capW,
 		Start: now, End: now + rt, Wait: now - rec.arrival,
@@ -584,10 +648,10 @@ func (s *simState) startOrDrop(now float64, idx int32, b *bucket) {
 // job's capacity, record its completion, and arm a pass if anything is
 // waiting for that capacity.
 func (s *simState) complete(idx int) {
-	rec := &s.recs[idx]
-	s.freeNodes += rec.outcome.Nodes
-	s.reservedW -= rec.needW
-	s.done = append(s.done, outKey{prefix: idPrefix(rec.outcome.ID), seq: int32(idx)})
+	o := &s.outs[idx]
+	s.freeNodes += o.Nodes
+	s.reservedW -= s.buckets[s.slots[s.recs[idx].slot].bucket].needW
+	s.done = append(s.done, outKey{prefix: idPrefix(o.ID), seq: int32(idx)})
 	if s.m != nil {
 		s.m.JobsCompleted.Inc()
 	}
@@ -597,29 +661,30 @@ func (s *simState) complete(idx int) {
 // result assembles the Result exactly as the reference loop does
 // (sort by ID, then arrival sequence, and accumulate in that order, so
 // the floating-point sums are bit-identical). It sorts the 16-byte
-// keys and gathers the outcomes once, rather than sorting outcomes.
+// keys, orders the outcome array in place by them and returns its
+// completed prefix, rather than sorting or copying outcomes.
 func (s *simState) result() Result {
 	res := Result{
 		Policy: s.cfg.Policy.Name(), BudgetW: s.cfg.BudgetW, ClusterNodes: s.cfg.ClusterNodes,
-		Dropped: s.dropped, DroppedIDs: s.droppedIDs,
+		Dropped: len(s.droppedSeqs), DroppedIDs: s.droppedIDs,
 	}
 	res.PeakPowerW = s.peakW
-	recs := s.recs
+	outs := s.outs
 	slices.SortFunc(s.done, func(a, b outKey) int {
 		if a.prefix != b.prefix {
 			return cmp.Compare(a.prefix, b.prefix)
 		}
-		if c := strings.Compare(recs[a.seq].outcome.ID, recs[b.seq].outcome.ID); c != 0 {
+		if c := strings.Compare(outs[a.seq].ID, outs[b.seq].ID); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.seq, b.seq)
 	})
 	var outcomes []JobOutcome
-	if len(s.done) > 0 {
-		outcomes = make([]JobOutcome, len(s.done))
-		for i, k := range s.done {
-			outcomes[i] = recs[k.seq].outcome
-		}
+	if n := len(s.done); n > 0 {
+		s.orderOutcomes()
+		// Full slice expression: an append to the Result must not
+		// overwrite the dropped jobs' records behind it.
+		outcomes = outs[:n:n]
 	}
 	res.Outcomes = outcomes
 	res.Completed = len(outcomes)
@@ -642,6 +707,37 @@ func (s *simState) result() Result {
 		s.m.PeakReservedW.SetMax(int64(s.peakW))
 	}
 	return res
+}
+
+// orderOutcomes permutes outs in place so that its first len(done)
+// entries are the completed jobs in the order of the sorted keys and
+// the dropped jobs follow in drop order. Every job either completed
+// or was dropped, so the sources — done's sequences, then
+// droppedSeqs — are a permutation of outs' indices; following each of
+// its cycles once moves every outcome once, through one temporary.
+// The source indices are consumed (set to -1) as they are applied.
+func (s *simState) orderOutcomes() {
+	for _, seq := range s.droppedSeqs {
+		s.done = append(s.done, outKey{seq: seq})
+	}
+	outs, src := s.outs, s.done
+	for i := range outs {
+		if src[i].seq < 0 {
+			continue // placed by an earlier cycle
+		}
+		tmp := outs[i]
+		j := i
+		for {
+			k := int(src[j].seq)
+			src[j].seq = -1
+			if k == i {
+				outs[j] = tmp
+				break
+			}
+			outs[j] = outs[k]
+			j = k
+		}
+	}
 }
 
 // Timelines reconstructs the cluster's power over the schedule as two
