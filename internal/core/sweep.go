@@ -10,7 +10,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -23,12 +22,8 @@ import (
 // call performs the resolution phase lazily, so a sweep whose points
 // are all served from a cache never allocates an arena at all.
 //
-// While a telemetry sink is streaming, the node arena cannot be reused
-// (reuse would corrupt the sink's trace cursors; NewSweep returns
-// workloads.ErrSweepUnavailable), so every point is measured with
-// Measure instead — the same numbers, one allocation per
-// point. Construction errors are returned as they are: Measure would
-// raise the same message from the same code.
+// Construction errors are returned as they are: Measure would raise
+// the same message from the same code.
 //
 // MeasureCap is safe for concurrent use (calls serialize on the
 // context's mutex; points are independent, so order does not matter).
@@ -74,17 +69,9 @@ func (c *SweepContext) MeasureCap(capW float64) (JobProfile, error) {
 			Workers:        1,
 			OperandEntropy: c.spec.Entropy,
 		})
-		if errors.Is(c.err, workloads.ErrSweepUnavailable) {
-			c.err = nil // no arena: Measure each point
-		}
 	}
 	if c.err != nil {
 		return JobProfile{}, c.err
-	}
-	if c.sw == nil {
-		pt := c.spec
-		pt.CapW = capW
-		return Measure(pt)
 	}
 	out, err := c.sw.RunCap(capW)
 	if err != nil {

@@ -90,9 +90,9 @@ func profilesEqual(t *testing.T, label string, want, got JobProfile) {
 }
 
 // TestSweepContextOracleFallback: a context returns construction
-// errors as they are (Measure raises the same message), and while a
-// telemetry sink is active it measures every point without a sweep
-// arena — still equal to the oracle.
+// errors as they are (Measure raises the same message), and a
+// telemetry sink changes nothing: the context still sweeps on its
+// arena, and every point still equals the oracle.
 func TestSweepContextOracleFallback(t *testing.T) {
 	bad := MeasureSpec{}
 	sctx := NewSweepContext(bad)
@@ -121,8 +121,8 @@ func TestSweepContextOracleFallback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := workloads.ActiveSweeps(); n != arenas {
-			t.Fatalf("sweep arena opened with a telemetry sink active (%d live, want %d)", n, arenas)
+		if n := workloads.ActiveSweeps(); n != arenas+1 {
+			t.Fatalf("%d sweep arenas live with a telemetry sink active, want %d", n, arenas+1)
 		}
 		pt := spec
 		pt.CapW = capW

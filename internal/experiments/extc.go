@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 
@@ -83,9 +82,7 @@ func RunExtC(cfg Config) (ExtCResult, error) {
 			// runs and checking the exact trace maximum (DVFS gives no
 			// hardware guarantee, so compliance must hold at every instant,
 			// not just on 2 s averages). The nine evaluations re-solve the
-			// same resolved schedule, so they ride one sweep; while a
-			// telemetry sink streams from trace cursors the sweep arena is
-			// off limits and each point is a full Run — the same numbers.
+			// same resolved schedule, so they ride one sweep.
 			gspec := cfg.platform().GPU
 			loMHz, hiMHz := gspec.MinClockFrac*gspec.MaxClockMHz, gspec.MaxClockMHz
 			spec := workloads.RunSpec{
@@ -93,22 +90,12 @@ func RunExtC(cfg Config) (ExtCResult, error) {
 				Repeats: cfg.repeats(), Seed: cfg.seed(),
 			}
 			sw, err := workloads.NewSweep(spec)
-			switch {
-			case err == nil:
-				defer sw.Close()
-			case !errors.Is(err, workloads.ErrSweepUnavailable):
+			if err != nil {
 				return err
 			}
-			runAt := func(mhz float64) (workloads.RunOutput, error) {
-				if sw != nil {
-					return sw.RunClockMHz(mhz)
-				}
-				pt := spec
-				pt.GPUClockLimitMHz = mhz
-				return workloads.Run(pt)
-			}
+			defer sw.Close()
 			eval := func(mhz float64) (core.JobProfile, float64, error) {
-				out, err := runAt(mhz)
+				out, err := sw.RunClockMHz(mhz)
 				if err != nil {
 					return core.JobProfile{}, 0, err
 				}

@@ -14,7 +14,6 @@ package memo
 
 import (
 	"context"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,11 +58,12 @@ func NewMetrics(reg *obs.Registry, prefix string) *Metrics {
 // Cache is a sharded singleflight memoization cache, optionally backed
 // by a persistent second tier (SetStore): lookups go memory → store →
 // compute, with computed values written back down. The zero value is
-// not usable; call New.
+// not usable; call New or NewBounded.
 type Cache[V any] struct {
-	shards  [shardCount]shard[V]
-	metrics atomic.Pointer[Metrics]
-	backing atomic.Pointer[backing[V]]
+	shards      [shardCount]shard[V]
+	maxPerShard int // 0 = unbounded
+	metrics     atomic.Pointer[Metrics]
+	backing     atomic.Pointer[backing[V]]
 }
 
 type shard[V any] struct {
@@ -79,7 +79,7 @@ type entry[V any] struct {
 	err  error
 }
 
-// New returns an empty cache.
+// New returns an empty, unbounded cache.
 func New[V any]() *Cache[V] {
 	c := &Cache[V]{}
 	for i := range c.shards {
@@ -88,15 +88,57 @@ func New[V any]() *Cache[V] {
 	return c
 }
 
+// NewBounded returns an empty cache holding about maxEntries keys:
+// a shard already holding maxEntries/shardCount+1 keys is reset before
+// it takes another, dropping only its own keys. Eviction is that coarse on
+// purpose — no per-hit bookkeeping on the hit path — so bound only
+// caches whose entries are cheap to refill.
+func NewBounded[V any](maxEntries int) *Cache[V] {
+	c := New[V]()
+	c.maxPerShard = maxEntries/shardCount + 1
+	return c
+}
+
 // Instrument attaches (or, with nil, detaches) metrics. Counting
 // starts with the next Do; in-flight calls keep the recorder they
 // loaded at entry.
 func (c *Cache[V]) Instrument(m *Metrics) { c.metrics.Store(m) }
 
+// shard picks key's shard by FNV-1a, inlined so the lookup never
+// touches hash.Hash or converts the key to a byte slice.
 func (c *Cache[V]) shard(key string) *shard[V] {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return &c.shards[h.Sum32()%shardCount]
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= 16777619
+	}
+	return &c.shards[h%shardCount]
+}
+
+// How says how a Flight call obtained its value.
+type How uint8
+
+const (
+	Led    How = iota // this caller claimed the key: it read the store or ran compute
+	Joined            // waited on another caller's in-flight computation
+	Found             // the value was already complete
+)
+
+// count scores one lookup: Led is a miss; Joined and Found are hits,
+// and Joined is also a dedup.
+func (m *Metrics) count(how How) {
+	if m == nil {
+		return
+	}
+	m.Lookups.Add(1)
+	if how == Led {
+		m.Misses.Add(1)
+		return
+	}
+	m.Hits.Add(1)
+	if how == Joined {
+		m.Dedups.Add(1)
+	}
 }
 
 // Do returns the cached value for key, computing it with compute on
@@ -114,40 +156,47 @@ func (c *Cache[V]) shard(key string) *shard[V] {
 // claimed before the store is consulted, so concurrent misses share
 // one store read or one computation, never both.
 func (c *Cache[V]) Do(ctx context.Context, key string, compute func() (V, error)) (V, error) {
+	v, _, err := c.Flight(ctx, key, compute)
+	return v, err
+}
+
+// Flight is Do that also reports how the value was obtained: Led by
+// the caller that claimed the key, Joined by callers that waited on
+// its computation, Found by callers arriving after it completed. ctx
+// bounds only a Joined caller's wait; the leader runs compute to
+// completion so waiters always get a result.
+func (c *Cache[V]) Flight(ctx context.Context, key string, compute func() (V, error)) (V, How, error) {
 	m := c.metrics.Load()
 	s := c.shard(key)
 	s.mu.Lock()
 	if e, ok := s.entries[key]; ok {
 		s.mu.Unlock()
+		select {
+		case <-e.done: // completed entry: no wait
+			m.count(Found)
+			return e.val, Found, e.err
+		default:
+		}
+		m.count(Joined)
 		if m != nil {
-			m.Lookups.Add(1)
-			m.Hits.Add(1)
-			select {
-			case <-e.done: // completed entry: a plain hit, no wait
-				return e.val, e.err
-			default:
-			}
-			// In-flight entry: this caller is deduplicated onto the
-			// running computation; time how long it blocks.
-			m.Dedups.Add(1)
 			start := time.Now()
 			defer func() { m.WaitMS.Observe(float64(time.Since(start)) / 1e6) }()
 		}
 		select {
 		case <-e.done:
-			return e.val, e.err
+			return e.val, Joined, e.err
 		case <-ctx.Done():
 			var zero V
-			return zero, ctx.Err()
+			return zero, Joined, ctx.Err()
 		}
 	}
 	e := &entry[V]{done: make(chan struct{})}
+	if c.maxPerShard > 0 && len(s.entries) >= c.maxPerShard {
+		s.entries = make(map[string]*entry[V])
+	}
 	s.entries[key] = e
 	s.mu.Unlock()
-	if m != nil {
-		m.Lookups.Add(1)
-		m.Misses.Add(1)
-	}
+	m.count(Led)
 
 	if v, ok := c.storeGet(key); ok {
 		e.val = v
@@ -167,7 +216,7 @@ func (c *Cache[V]) Do(ctx context.Context, key string, compute func() (V, error)
 		s.mu.Unlock()
 	}
 	close(e.done)
-	return e.val, e.err
+	return e.val, Led, e.err
 }
 
 // Get returns the cached value for key without computing, and whether

@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"vasppower/internal/obs"
 )
 
 func TestDoComputesOnceAndCaches(t *testing.T) {
@@ -188,6 +191,119 @@ func TestCacheStress(t *testing.T) {
 		v, err := c.Do(context.Background(), key, func() (int, error) { return want, nil })
 		if err != nil || v != want {
 			t.Errorf("after the stress: Do(%s) = %d, %v (want %d): a failed flight poisoned the key", key, v, err, want)
+		}
+	}
+}
+
+// TestFlightReportsHow: the caller that claims a key leads, callers
+// arriving while it computes join, and callers arriving after it
+// completed find the value.
+func TestFlightReportsHow(t *testing.T) {
+	c := New[int]()
+	m := NewMetrics(obs.NewRegistry(), "memo")
+	c.Instrument(m)
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	led := make(chan How, 1)
+	go func() {
+		_, how, _ := c.Flight(context.Background(), "k", func() (int, error) {
+			close(entered)
+			<-release
+			return 1, nil
+		})
+		led <- how
+	}()
+	<-entered
+	joined := make(chan How, 1)
+	go func() {
+		v, how, err := c.Flight(context.Background(), "k", func() (int, error) { return 2, nil })
+		if v != 1 || err != nil {
+			t.Errorf("joined Flight = %d, %v", v, err)
+		}
+		joined <- how
+	}()
+	// The joiner counts its dedup before it blocks on the flight.
+	for m.Dedups.Value() == 0 {
+		runtime.Gosched()
+	}
+	close(release)
+	if how := <-led; how != Led {
+		t.Fatalf("leader how = %d, want Led", how)
+	}
+	if how := <-joined; how != Joined {
+		t.Fatalf("waiter how = %d, want Joined", how)
+	}
+	v, how, err := c.Flight(context.Background(), "k", func() (int, error) { return 3, nil })
+	if v != 1 || how != Found || err != nil {
+		t.Fatalf("late Flight = %d, %d, %v, want 1, Found, nil", v, how, err)
+	}
+}
+
+// sameShardKeys returns n distinct keys that land in key0's shard.
+func sameShardKeys[V any](c *Cache[V], key0 string, n int) []string {
+	keys := []string{key0}
+	for i := 0; len(keys) < n; i++ {
+		if k := fmt.Sprintf("key-%d", i); c.shard(k) == c.shard(key0) && k != key0 {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+// TestBoundedShardResetsOnlyItself: filling one shard past its bound
+// drops that shard's keys and no other shard's.
+func TestBoundedShardResetsOnlyItself(t *testing.T) {
+	c := NewBounded[int](2 * shardCount) // 3 entries per shard
+	ctx := context.Background()
+	other := "other"
+	for c.shard(other) == c.shard("a") {
+		other += "!"
+	}
+	if _, err := c.Do(ctx, other, func() (int, error) { return -1, nil }); err != nil {
+		t.Fatal(err)
+	}
+	keys := sameShardKeys(c, "a", c.maxPerShard+1)
+	for i, k := range keys[:c.maxPerShard] {
+		c.Do(ctx, k, func() (int, error) { return i, nil })
+	}
+	if n := len(c.shard("a").entries); n != c.maxPerShard {
+		t.Fatalf("shard holds %d entries, want %d", n, c.maxPerShard)
+	}
+	c.Do(ctx, keys[c.maxPerShard], func() (int, error) { return 99, nil })
+	if n := len(c.shard("a").entries); n != 1 {
+		t.Fatalf("overflowed shard holds %d entries, want 1 (reset, then the new key)", n)
+	}
+	if _, ok := c.Get(keys[0]); ok {
+		t.Fatal("overflowed shard kept an old key")
+	}
+	if v, ok := c.Get(other); !ok || v != -1 {
+		t.Fatalf("other shard's key lost: Get = %d, %v", v, ok)
+	}
+}
+
+// TestBoundedFailedFlightNotCounted: a failed flight leaves nothing
+// behind, so it neither caches its error nor takes a slot toward the
+// shard's bound.
+func TestBoundedFailedFlightNotCounted(t *testing.T) {
+	c := NewBounded[int](2 * shardCount)
+	ctx := context.Background()
+	keys := sameShardKeys(c, "a", c.maxPerShard+1)
+	boom := errors.New("boom")
+	for _, k := range keys[:c.maxPerShard-1] {
+		c.Do(ctx, k, func() (int, error) { return 1, nil })
+	}
+	if _, err := c.Do(ctx, keys[c.maxPerShard], func() (int, error) { return 0, boom }); err != boom {
+		t.Fatalf("failed flight err = %v", err)
+	}
+	if _, ok := c.Get(keys[c.maxPerShard]); ok {
+		t.Fatal("failed flight cached")
+	}
+	// The shard is one short of its bound: one more key fits without a
+	// reset, so every earlier key survives.
+	c.Do(ctx, keys[c.maxPerShard-1], func() (int, error) { return 1, nil })
+	for _, k := range keys[:c.maxPerShard] {
+		if _, ok := c.Get(k); !ok {
+			t.Fatalf("key %s dropped: the failed flight counted against the bound", k)
 		}
 	}
 }

@@ -121,8 +121,7 @@ func BenchmarkWarmMeasureParallel(b *testing.B) {
 // floor under the HTTP numbers).
 func BenchmarkCacheLookup(b *testing.B) {
 	c := newRespCache(NewMetrics(nil), 1024)
-	e := &respEntry{done: make(chan struct{}), status: 200, body: []byte("{}")}
-	close(e.done)
+	e := []byte("{}")
 	body := []byte(measureBody)
 	c.alias(body, e)
 	b.ReportAllocs()

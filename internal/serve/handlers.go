@@ -18,6 +18,7 @@ import (
 
 	"vasppower/internal/core"
 	"vasppower/internal/hw/platform"
+	"vasppower/internal/memo"
 	"vasppower/internal/omni"
 	"vasppower/internal/sched"
 	"vasppower/internal/workloads"
@@ -86,8 +87,8 @@ var (
 	retryAfter = []string{"1"}
 )
 
-// writeEntry writes a completed 200 entry's canonical bytes.
-func writeEntry(w http.ResponseWriter, e *respEntry, hit bool) {
+// writeEntry writes a cached 200 response's canonical bytes.
+func writeEntry(w http.ResponseWriter, resp []byte, hit bool) {
 	h := w.Header()
 	h["Content-Type"] = jsonCT
 	if hit {
@@ -95,7 +96,7 @@ func writeEntry(w http.ResponseWriter, e *respEntry, hit bool) {
 	} else {
 		h["X-Cache"] = xCacheMiss
 	}
-	w.Write(e.body)
+	w.Write(resp)
 }
 
 // httpError writes a JSON error body and counts it. 4xx are the
@@ -123,6 +124,120 @@ func (s *Server) shed(w http.ResponseWriter) {
 
 func (s *Server) observeLatency(start time.Time) {
 	s.m.LatencyMS.Observe(float64(time.Since(start)) / 1e6)
+}
+
+// call is one parsed request on a cached endpoint: what the shared
+// request path needs to admit, evaluate and cache it.
+type call struct {
+	timeout time.Duration // the endpoint's evaluation budget
+	weight  int64         // admission weight
+	key     string        // canonical identity in the response cache
+	eval    evaluator     // computes the response bytes on a miss
+	// stream, when set, answers the request itself and bypasses the
+	// response cache (key and eval are unused).
+	stream func(ctx context.Context, w http.ResponseWriter)
+}
+
+// An evaluator computes one parsed request's response bytes. Every
+// implementation returns a non-nil error whenever it produces no 200
+// response, so whatever the response cache holds is a 200 body.
+// (An interface rather than a closure: the parsed request is already
+// on the heap, and converting its pointer costs no allocation.)
+type evaluator interface {
+	eval(ctx context.Context, s *Server) ([]byte, error)
+}
+
+// serveCached is the one request path of the cached POST endpoints:
+// method check, pooled body read, the verbatim-body alias lookup, then
+// parse, admission, the canonical-key flight and the write. parse
+// decodes and validates the body; it runs only on an alias miss.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, parse func(body []byte) (call, *apiError)) {
+	start := time.Now()
+	s.m.Requests.Inc()
+	if r.Method != http.MethodPost {
+		s.httpError(w, http.StatusMethodNotAllowed, "POST required")
+		return
+	}
+	buf := getBuf()
+	defer putBuf(buf)
+	body, err := readBody(r, buf)
+	if err != nil {
+		s.httpError(w, bodyErrStatus(err), err.Error())
+		return
+	}
+
+	// Warm path: verbatim body bytes already mapped to canonical
+	// response bytes. No parsing, no admission (nothing to evaluate),
+	// no allocation.
+	if resp := s.cache.lookup(body); resp != nil {
+		s.m.Hits.Inc()
+		writeEntry(w, resp, true)
+		s.observeLatency(start)
+		return
+	}
+
+	c, aerr := parse(body)
+	if aerr != nil {
+		s.httpError(w, aerr.status, aerr.msg)
+		return
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), c.timeout)
+	defer cancel()
+	if err := s.limiter.Acquire(ctx, c.weight); err != nil {
+		if errors.Is(err, ErrSaturated) {
+			s.shed(w)
+			return
+		}
+		s.httpError(w, http.StatusServiceUnavailable, "canceled while queued: "+err.Error())
+		return
+	}
+	defer s.limiter.Release(c.weight)
+
+	if c.stream != nil {
+		s.m.Misses.Inc()
+		c.stream(ctx, w)
+		s.observeLatency(start)
+		return
+	}
+	resp, how, err := s.cache.entries.Flight(ctx, c.key, func() ([]byte, error) { return c.eval.eval(ctx, s) })
+	s.countFlight(how)
+	if err != nil {
+		s.evalError(w, err)
+		return
+	}
+	s.cache.alias(body, resp)
+	writeEntry(w, resp, how == memo.Found)
+	s.observeLatency(start)
+}
+
+// countFlight scores an admitted request by how it got its response:
+// a request that finds the canonical entry already complete (its body
+// missed the alias index, e.g. a new spelling, or it was still
+// decoding when the flight finished) is a hit like an alias hit;
+// everything else is a miss, and joining another caller's flight is
+// also coalesced.
+func (s *Server) countFlight(how memo.How) {
+	switch how {
+	case memo.Found:
+		s.m.Hits.Inc()
+	case memo.Joined:
+		s.m.Misses.Inc()
+		s.m.Coalesced.Inc()
+	default:
+		s.m.Misses.Inc()
+	}
+}
+
+// evalError maps an evaluation failure to HTTP: deadline → 504,
+// anything else → 500. Evaluation errors are never cached, so the
+// next identical request retries.
+func (s *Server) evalError(w http.ResponseWriter, err error) {
+	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+		s.m.Timeouts.Inc()
+		s.httpError(w, http.StatusGatewayTimeout, "evaluation timed out: "+err.Error())
+		return
+	}
+	s.httpError(w, http.StatusInternalServerError, err.Error())
 }
 
 // ---- /v1/measure ----
@@ -321,113 +436,42 @@ func buildMeasureResponse(spec core.MeasureSpec, jp core.JobProfile) measureResp
 	return resp
 }
 
-func encodeJSON(v any) (int, []byte, error) {
+// encodeJSON renders a response body (non-nil exactly when err is
+// nil).
+func encodeJSON(v any) ([]byte, error) {
 	b, err := json.Marshal(v)
 	if err != nil {
-		return http.StatusInternalServerError, nil, err
+		return nil, err
 	}
-	return http.StatusOK, append(b, '\n'), nil
+	return append(b, '\n'), nil
 }
 
 func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.m.Requests.Inc()
-	if r.Method != http.MethodPost {
-		s.httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	buf := getBuf()
-	defer putBuf(buf)
-	body, err := readBody(r, buf)
-	if err != nil {
-		s.httpError(w, bodyErrStatus(err), err.Error())
-		return
-	}
+	s.serveCached(w, r, s.parseMeasure)
+}
 
-	// Warm path: verbatim body bytes already mapped to canonical
-	// response bytes. No parsing, no admission (nothing to evaluate),
-	// no allocation.
-	if e := s.cache.lookup(body); e != nil {
-		s.m.Hits.Inc()
-		writeEntry(w, e, true)
-		s.observeLatency(start)
-		return
-	}
-
-	var req measureRequest
-	if aerr := decodeStrict(body, &req); aerr != nil {
-		s.httpError(w, aerr.status, aerr.msg)
-		return
+func (s *Server) parseMeasure(body []byte) (call, *apiError) {
+	req := new(measureRequest)
+	if aerr := decodeStrict(body, req); aerr != nil {
+		return call{}, aerr
 	}
 	spec, aerr := req.toSpec()
 	if aerr != nil {
-		s.httpError(w, aerr.status, aerr.msg)
-		return
+		return call{}, aerr
 	}
+	return call{timeout: s.cfg.Timeout, weight: 1, key: measureCanonKey(spec), eval: req}, nil
+}
 
-	ctx, cancel := contextWithTimeout(r, s.cfg.Timeout)
-	defer cancel()
-	if err := s.limiter.Acquire(ctx, 1); err != nil {
-		if errors.Is(err, ErrSaturated) {
-			s.shed(w)
-			return
-		}
-		s.httpError(w, http.StatusServiceUnavailable, "canceled while queued: "+err.Error())
-		return
-	}
-	defer s.limiter.Release(1)
-
-	e, how, err := s.cache.do(ctx, measureCanonKey(spec), func() (int, []byte, error) {
-		jp, err := s.cfg.Measure(spec)
-		if err != nil {
-			return http.StatusInternalServerError, nil, err
-		}
-		return encodeJSON(buildMeasureResponse(spec, jp))
-	})
-	s.countFlight(how)
+// eval re-derives the spec rather than keeping it on the heap beside
+// the request: toSpec is a table lookup, the spec is most of a
+// kilobyte, and parseMeasure already accepted it.
+func (req *measureRequest) eval(_ context.Context, s *Server) ([]byte, error) {
+	spec, _ := req.toSpec()
+	jp, err := s.cfg.Measure(spec)
 	if err != nil {
-		s.evalError(w, err)
-		return
+		return nil, err
 	}
-	s.cache.alias(body, e)
-	writeEntry(w, e, how == flightFound)
-	s.observeLatency(start)
-}
-
-// contextWithTimeout applies the endpoint budget on top of the
-// request's own lifetime.
-func contextWithTimeout(r *http.Request, d time.Duration) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(r.Context(), d)
-}
-
-// countFlight scores an admitted request by how it got its entry: a
-// request that finds the canonical entry already complete (its body
-// missed the alias index, e.g. a new spelling, or it was still
-// decoding when the flight finished) is a hit like an alias hit;
-// everything else is a miss, and joining another caller's flight is
-// also coalesced.
-func (s *Server) countFlight(how flight) {
-	switch how {
-	case flightFound:
-		s.m.Hits.Inc()
-	case flightJoined:
-		s.m.Misses.Inc()
-		s.m.Coalesced.Inc()
-	default:
-		s.m.Misses.Inc()
-	}
-}
-
-// evalError maps an evaluation failure to HTTP: deadline → 504,
-// anything else → 500. Evaluation errors are never cached, so the
-// next identical request retries.
-func (s *Server) evalError(w http.ResponseWriter, err error) {
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		s.m.Timeouts.Inc()
-		s.httpError(w, http.StatusGatewayTimeout, "evaluation timed out: "+err.Error())
-		return
-	}
-	s.httpError(w, http.StatusInternalServerError, err.Error())
+	return encodeJSON(buildMeasureResponse(spec, jp))
 }
 
 // ---- /v1/sweep ----
@@ -566,81 +610,49 @@ func sweepCanonKey(kind string, specs []core.MeasureSpec) string {
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.m.Requests.Inc()
-	if r.Method != http.MethodPost {
-		s.httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
+	s.serveCached(w, r, s.parseSweep)
+}
+
+// sweepCall is a parsed /v1/sweep request.
+type sweepCall struct {
+	req   sweepRequest
+	specs []core.MeasureSpec
+}
+
+func (s *Server) parseSweep(body []byte) (call, *apiError) {
+	c := new(sweepCall)
+	if aerr := decodeStrict(body, &c.req); aerr != nil {
+		return call{}, aerr
 	}
-	buf := getBuf()
-	defer putBuf(buf)
-	body, err := readBody(r, buf)
+	var aerr *apiError
+	if c.specs, aerr = c.req.toSpecs(s.cfg.MaxSweepPoints); aerr != nil {
+		return call{}, aerr
+	}
+	out := call{timeout: s.cfg.SweepTimeout, weight: int64(len(c.specs))}
+	if c.req.Stream {
+		out.stream = func(ctx context.Context, w http.ResponseWriter) { s.streamSweep(ctx, w, c.specs) }
+		return out, nil
+	}
+	out.key, out.eval = sweepCanonKey(c.req.Kind, c.specs), c
+	return out, nil
+}
+
+func (c *sweepCall) eval(ctx context.Context, s *Server) ([]byte, error) {
+	jps, err := s.batcher.Measure(ctx, c.specs)
 	if err != nil {
-		s.httpError(w, bodyErrStatus(err), err.Error())
-		return
+		return nil, err
 	}
-	if e := s.cache.lookup(body); e != nil {
-		s.m.Hits.Inc()
-		writeEntry(w, e, true)
-		s.observeLatency(start)
-		return
+	resp := sweepResponse{
+		Kind:     c.req.Kind,
+		Bench:    c.specs[0].Bench.Name,
+		Platform: platform.OrDefault(c.specs[0].Platform).Name,
+		Count:    len(c.specs),
+		Points:   make([]measureResponse, len(c.specs)),
 	}
-	var req sweepRequest
-	if aerr := decodeStrict(body, &req); aerr != nil {
-		s.httpError(w, aerr.status, aerr.msg)
-		return
+	for i, jp := range jps {
+		resp.Points[i] = buildMeasureResponse(c.specs[i], jp)
 	}
-	specs, aerr := req.toSpecs(s.cfg.MaxSweepPoints)
-	if aerr != nil {
-		s.httpError(w, aerr.status, aerr.msg)
-		return
-	}
-
-	ctx, cancel := contextWithTimeout(r, s.cfg.SweepTimeout)
-	defer cancel()
-	weight := int64(len(specs))
-	if err := s.limiter.Acquire(ctx, weight); err != nil {
-		if errors.Is(err, ErrSaturated) {
-			s.shed(w)
-			return
-		}
-		s.httpError(w, http.StatusServiceUnavailable, "canceled while queued: "+err.Error())
-		return
-	}
-	defer s.limiter.Release(weight)
-
-	if req.Stream {
-		s.m.Misses.Inc()
-		s.streamSweep(ctx, w, req, specs)
-		s.observeLatency(start)
-		return
-	}
-
-	e, how, err := s.cache.do(ctx, sweepCanonKey(req.Kind, specs), func() (int, []byte, error) {
-		jps, err := s.batcher.Measure(ctx, specs)
-		if err != nil {
-			return http.StatusInternalServerError, nil, err
-		}
-		resp := sweepResponse{
-			Kind:     req.Kind,
-			Bench:    specs[0].Bench.Name,
-			Platform: platform.OrDefault(specs[0].Platform).Name,
-			Count:    len(specs),
-			Points:   make([]measureResponse, len(specs)),
-		}
-		for i, jp := range jps {
-			resp.Points[i] = buildMeasureResponse(specs[i], jp)
-		}
-		return encodeJSON(resp)
-	})
-	s.countFlight(how)
-	if err != nil {
-		s.evalError(w, err)
-		return
-	}
-	s.cache.alias(body, e)
-	writeEntry(w, e, how == flightFound)
-	s.observeLatency(start)
+	return encodeJSON(resp)
 }
 
 // streamSweep writes the sweep as NDJSON, one point per line, flushed
@@ -649,7 +661,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // Streamed responses bypass the response cache (the value of a stream
 // is its incremental delivery; the memo tiers below still dedupe the
 // points themselves).
-func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, req sweepRequest, specs []core.MeasureSpec) {
+func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, specs []core.MeasureSpec) {
 	h := w.Header()
 	h["Content-Type"] = []string{"application/x-ndjson"}
 	flusher, _ := w.(http.Flusher)
@@ -777,119 +789,89 @@ func scheduleCanonKey(req scheduleRequest, platformName string) string {
 }
 
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.m.Requests.Inc()
-	if r.Method != http.MethodPost {
-		s.httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
+	s.serveCached(w, r, s.parseSchedule)
+}
+
+// scheduleCall is a parsed /v1/schedule request.
+type scheduleCall struct {
+	req      scheduleRequest
+	platform platform.Platform
+	policy   sched.Policy
+}
+
+func (s *Server) parseSchedule(body []byte) (call, *apiError) {
+	const scheduleWeight = 2 // one sim = many measurements, but they memoize
+	c := new(scheduleCall)
+	if aerr := decodeStrict(body, &c.req); aerr != nil {
+		return call{}, aerr
 	}
-	buf := getBuf()
-	defer putBuf(buf)
-	body, err := readBody(r, buf)
-	if err != nil {
-		s.httpError(w, bodyErrStatus(err), err.Error())
-		return
-	}
-	if e := s.cache.lookup(body); e != nil {
-		s.m.Hits.Inc()
-		writeEntry(w, e, true)
-		s.observeLatency(start)
-		return
-	}
-	var req scheduleRequest
-	if aerr := decodeStrict(body, &req); aerr != nil {
-		s.httpError(w, aerr.status, aerr.msg)
-		return
-	}
+	req := &c.req
 	if aerr := req.validate(s.cfg.MaxScheduleJobs); aerr != nil {
-		s.httpError(w, aerr.status, aerr.msg)
-		return
+		return call{}, aerr
 	}
 	p, aerr := resolvePlatform(req.Platform)
 	if aerr != nil {
-		s.httpError(w, aerr.status, aerr.msg)
-		return
+		return call{}, aerr
 	}
 	uniformW := req.UniformW
 	if uniformW == 0 {
 		uniformW = defaultUniformW
 	}
-	var policy sched.Policy
 	switch req.Policy {
 	case "nocap":
-		policy = sched.NoCap{NodeTDP: p.Node.TDP}
+		c.policy = sched.NoCap{NodeTDP: p.Node.TDP}
 	case "uniform":
-		policy = sched.UniformCap{Watts: uniformW, HostWatts: 350}
+		c.policy = sched.UniformCap{Watts: uniformW, HostWatts: 350}
 	case "profile-aware":
-		policy = sched.DefaultProfileAware()
+		c.policy = sched.DefaultProfileAware()
 	default:
-		s.httpError(w, http.StatusBadRequest,
-			fmt.Sprintf("unknown policy %q (want nocap, uniform, or profile-aware)", req.Policy))
-		return
+		return call{}, badRequest("unknown policy %q (want nocap, uniform, or profile-aware)", req.Policy)
 	}
+	c.platform = p
+	return call{timeout: s.cfg.ScheduleTimeout, weight: scheduleWeight, key: scheduleCanonKey(*req, p.Name), eval: c}, nil
+}
 
-	ctx, cancel := contextWithTimeout(r, s.cfg.ScheduleTimeout)
-	defer cancel()
-	const scheduleWeight = 2 // one sim = many measurements, but they memoize
-	if err := s.limiter.Acquire(ctx, scheduleWeight); err != nil {
-		if errors.Is(err, ErrSaturated) {
-			s.shed(w)
-			return
-		}
-		s.httpError(w, http.StatusServiceUnavailable, "canceled while queued: "+err.Error())
-		return
+func (c *scheduleCall) eval(_ context.Context, s *Server) ([]byte, error) {
+	req := &c.req
+	idle := req.IdleNodeW
+	if idle == 0 {
+		idle = defaultIdleNodeW
 	}
-	defer s.limiter.Release(scheduleWeight)
-
-	e, how, err := s.cache.do(ctx, scheduleCanonKey(req, p.Name), func() (int, []byte, error) {
-		idle := req.IdleNodeW
-		if idle == 0 {
-			idle = defaultIdleNodeW
-		}
-		arrival := req.ArrivalS
-		if arrival == 0 {
-			arrival = defaultArrivalS
-		}
-		var schedule []sched.BudgetPhase
-		for _, ph := range req.Envelope {
-			schedule = append(schedule, sched.BudgetPhase{Start: ph.StartS, BudgetW: ph.BudgetKW * 1000})
-		}
-		cat := sched.NewCatalogOn(p, req.Seed)
-		cat.SetMeasure(s.cfg.Measure)
-		res, err := sched.SimulateStream(sched.SimConfig{
-			ClusterNodes:   req.ClusterNodes,
-			BudgetW:        req.BudgetKW * 1000,
-			BudgetSchedule: schedule,
-			IdleNodeW:      idle,
-			Policy:         policy,
-			Catalog:        cat,
-		}, sched.SyntheticJobStream(req.Jobs, arrival, req.Seed))
-		if err != nil {
-			return http.StatusInternalServerError, nil, err
-		}
-		return encodeJSON(scheduleResponse{
-			Policy:          res.Policy,
-			ClusterNodes:    res.ClusterNodes,
-			Jobs:            req.Jobs,
-			Completed:       res.Completed,
-			Dropped:         res.Dropped,
-			MakespanS:       res.Makespan,
-			MeanWaitS:       res.MeanWait,
-			MaxWaitS:        res.MaxWait,
-			PeakPowerW:      res.PeakPowerW,
-			EnergyJ:         res.TotalEnergyJ,
-			MeanPerfLoss:    res.MeanPerfLoss,
-			ThroughputJobsH: res.Throughput,
-		})
-	})
-	s.countFlight(how)
+	arrival := req.ArrivalS
+	if arrival == 0 {
+		arrival = defaultArrivalS
+	}
+	var schedule []sched.BudgetPhase
+	for _, ph := range req.Envelope {
+		schedule = append(schedule, sched.BudgetPhase{Start: ph.StartS, BudgetW: ph.BudgetKW * 1000})
+	}
+	cat := sched.NewCatalogOn(c.platform, req.Seed)
+	cat.SetMeasure(s.cfg.Measure)
+	res, err := sched.SimulateStream(sched.SimConfig{
+		ClusterNodes:   req.ClusterNodes,
+		BudgetW:        req.BudgetKW * 1000,
+		BudgetSchedule: schedule,
+		IdleNodeW:      idle,
+		Policy:         c.policy,
+		Catalog:        cat,
+	}, sched.SyntheticJobStream(req.Jobs, arrival, req.Seed))
 	if err != nil {
-		s.evalError(w, err)
-		return
+		return nil, err
 	}
-	s.cache.alias(body, e)
-	writeEntry(w, e, how == flightFound)
-	s.observeLatency(start)
+	return encodeJSON(scheduleResponse{
+		Policy:          res.Policy,
+		ClusterNodes:    res.ClusterNodes,
+		Jobs:            req.Jobs,
+		Completed:       res.Completed,
+		Dropped:         res.Dropped,
+		MakespanS:       res.Makespan,
+		MeanWaitS:       res.MeanWait,
+		MaxWaitS:        res.MaxWait,
+		PeakPowerW:      res.PeakPowerW,
+		EnergyJ:         res.TotalEnergyJ,
+		MeanPerfLoss:    res.MeanPerfLoss,
+		ThroughputJobsH: res.Throughput,
+	})
 }
 
 // ---- /v1/omni/* (read-only; uncached — the store mutates live) ----

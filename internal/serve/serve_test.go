@@ -176,8 +176,7 @@ func TestAliasByteBound(t *testing.T) {
 	}
 
 	c := newRespCache(nil, 1<<20) // count bound far above the byte bound
-	e := &respEntry{done: make(chan struct{}), status: 200, body: []byte("{}")}
-	close(e.done)
+	e := []byte("{}")
 	pad := strings.Repeat(" ", 4000)
 	for i, inserted := 0, 0; inserted < 300; i++ {
 		vb := []byte(fmt.Sprintf(`{"i":%d}`, i) + pad)

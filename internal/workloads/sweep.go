@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -11,12 +10,6 @@ import (
 	"vasppower/internal/rng"
 	"vasppower/internal/telemetry"
 )
-
-// ErrSweepUnavailable is NewSweep's error while a telemetry sink is
-// active: the sink streams from trace cursors asynchronously, which
-// arena reuse would corrupt, so callers measure each point with Run
-// instead.
-var ErrSweepUnavailable = errors.New("workloads: sweep engine unavailable while a telemetry sink is active")
 
 // activeSweeps counts live sweep arenas; tests assert it returns to
 // zero after cancelled sweeps (the arena-release contract).
@@ -69,12 +62,8 @@ type Sweep struct {
 
 // NewSweep performs the cap-independent resolution phase for spec.
 // The spec must not request the prelude protocol or carry its own
-// cap/clock limits (those are per-point: RunCap, RunClockMHz), and
-// it returns ErrSweepUnavailable while a telemetry sink is active.
+// cap/clock limits (those are per-point: RunCap, RunClockMHz).
 func NewSweep(spec RunSpec) (*Sweep, error) {
-	if telemetry.ActiveSink() != nil {
-		return nil, ErrSweepUnavailable
-	}
 	if spec.Prelude {
 		return nil, fmt.Errorf("workloads: sweep engine does not support the prelude protocol")
 	}
@@ -175,6 +164,12 @@ func (s *Sweep) run(capW, mhz float64) (RunOutput, error) {
 	s.bestRes.EnergyJ = solver.NodeEnergy(s.nodes, bestStart)
 	clear(s.windows)
 	s.windows["vasp"] = [2]float64{bestStart, bestEnd}
+	// Stream the point's winning traces exactly as Run does. PublishRun
+	// registers, drains and unregisters each node before it returns,
+	// so no cursor outlives the point and the arena is free to reset.
+	if sink := telemetry.ActiveSink(); sink != nil {
+		sink.PublishRun(s.nodes)
+	}
 	return RunOutput{
 		Nodes:        s.nodes,
 		Runtimes:     s.runtimes,

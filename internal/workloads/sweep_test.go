@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"errors"
 	"testing"
 
 	"vasppower/internal/cluster"
@@ -271,10 +270,12 @@ func TestSweepMixedAxesMatchRun(t *testing.T) {
 }
 
 // TestSweepRejectsUnsupportedSpecs: the engine refuses specs that
-// carry per-run settings (prelude, limits), and refuses to run while a
-// telemetry sink streams from trace cursors.
+// carry per-run settings (prelude, limits). A telemetry sink is not a
+// reason to refuse: with one attached, a sweep publishes the same
+// sample sequence — hosts, stream times and watts — as a Run per
+// point.
 func TestSweepRejectsUnsupportedSpecs(t *testing.T) {
-	base := sweepTestSpec(t, 1, 0)
+	base := sweepTestSpec(t, 2, 0)
 
 	spec := base
 	spec.Prelude = true
@@ -294,15 +295,67 @@ func TestSweepRejectsUnsupportedSpecs(t *testing.T) {
 		t.Fatal("pre-locked spec accepted")
 	}
 
+	caps := []float64{0, 250, 150}
+	viaSweep := publishedSamples(t, func() {
+		sw, err := NewSweep(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sw.Close()
+		for _, capW := range caps {
+			if _, err := sw.RunCap(capW); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	viaRun := publishedSamples(t, func() {
+		for _, capW := range caps {
+			pt := base
+			pt.GPUPowerLimit = capW
+			if _, err := Run(pt); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if len(viaRun) == 0 {
+		t.Fatal("per-point runs published no samples")
+	}
+	if len(viaSweep) != len(viaRun) {
+		t.Fatalf("sweep published %d samples, per-point runs %d", len(viaSweep), len(viaRun))
+	}
+	for i := range viaRun {
+		if viaSweep[i] != viaRun[i] {
+			t.Fatalf("sample %d: sweep %+v, per-point run %+v", i, viaSweep[i], viaRun[i])
+		}
+	}
+}
+
+// publishedSamples runs fn with a fresh process-wide telemetry sink
+// attached and returns every sample it published, in order.
+func publishedSamples(t *testing.T, fn func()) []telemetry.Sample {
+	t.Helper()
 	hub := telemetry.NewHub()
+	sub, err := hub.Subscribe("", 1<<17)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s, err := telemetry.NewSampler(hub, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	telemetry.SetDefault(s)
 	defer telemetry.SetDefault(nil)
-	if _, err := NewSweep(base); !errors.Is(err, ErrSweepUnavailable) {
-		t.Fatalf("NewSweep with a telemetry sink active: err = %v, want ErrSweepUnavailable", err)
+	fn()
+	if d := sub.Dropped(); d != 0 {
+		t.Fatalf("subscription dropped %d samples; raise its capacity", d)
+	}
+	var out []telemetry.Sample
+	for {
+		smp, ok := sub.TryNext()
+		if !ok {
+			return out
+		}
+		out = append(out, smp)
 	}
 }
 
