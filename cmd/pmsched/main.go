@@ -11,10 +11,12 @@
 //
 // -preset facility selects the Perlmutter-like GPU partition scale —
 // 1,800 nodes, 100k jobs, 5 s mean inter-arrival, 2 MW budget — for
-// any of -nodes/-jobs/-arrival/-budget-kw not given explicitly. Jobs
-// stream through the simulator in arrival order, so facility-scale
-// mixes never materialize in memory. The three policies are simulated
-// concurrently; their rows print in a fixed order.
+// any of -nodes/-jobs/-arrival/-budget-kw not given explicitly. The
+// mix is drawn once into a compact table (16 bytes a job, the IDs in
+// one buffer) that the three policies share, each through its own
+// cursor; the simulator reads it in arrival order without building a
+// Job per draw. The three policies are simulated concurrently; their
+// rows print in a fixed order.
 //
 // -envelope imposes a time-varying facility power envelope on top of
 // the base budget: a comma-separated list of start:budget-kW phases
@@ -23,12 +25,16 @@
 // from that point on.
 //
 // The profile catalog's measurements run through the process-wide
-// two-tier result cache; with -cache-dir set, repeated scheduler
-// studies (budget sweeps, policy comparisons) reuse each other's
-// measured profiles instead of re-simulating them. With -manifest set,
-// the run writes a provenance manifest including the sched.* metrics
-// (packing passes, starts, drops, head-of-line stalls, peak reserved
-// power).
+// two-tier result cache. Before the simulations start, every profile
+// the mix can need — each drawn (benchmark, nodes) at the baseline and
+// at each cap the policies give its class — is measured into that
+// cache, one cap group per configuration, in parallel; the policies'
+// catalogs then answer every lookup from memory. With -cache-dir set,
+// repeated scheduler studies (budget sweeps, policy comparisons) reuse
+// each other's measured profiles instead of re-simulating them. With
+// -manifest set, the run writes a provenance manifest including the
+// sched.* metrics (packing passes, starts, drops, head-of-line stalls,
+// peak reserved power).
 package main
 
 import (
@@ -38,16 +44,20 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"vasppower"
+	"vasppower/internal/core"
 	"vasppower/internal/experiments"
 	"vasppower/internal/hw/platform"
 	"vasppower/internal/obs"
 	"vasppower/internal/par"
 	"vasppower/internal/report"
+	"vasppower/internal/sched"
 )
 
 func main() {
@@ -119,13 +129,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		vasppower.PolicyUniform200,
 		vasppower.PolicyProfileAware,
 	}
+	// One mix for all three policies, and its profiles measured before
+	// any simulation starts.
+	mix := sched.NewSyntheticMix(*jobsN, *arrival, *seed)
+	prefetch(mix, policies, *nodes, *seed)
 	// The policies are independent simulations, so they run at once,
-	// one worker each. Each has its own catalog; the measurements
-	// behind the catalogs go through the shared two-tier cache, whose
-	// singleflight computes a profile two policies both need once (and
-	// later invocations reuse it, with -cache-dir). Jobs stream through
-	// the simulator; the mix is never materialized. Each worker keeps
-	// only its table row, not the per-job outcomes.
+	// one worker each, each with its own cursor over the shared mix and
+	// its own catalog. The catalogs measure through the shared two-tier
+	// cache, which prefetch has filled (and later invocations reuse,
+	// with -cache-dir). Each worker keeps only its table row, not the
+	// per-job outcomes.
 	type row struct {
 		cells      []string
 		droppedIDs []string
@@ -142,7 +155,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				IdleNodeW:      460,
 				Policy:         policies[i],
 				Catalog:        cat,
-			}, vasppower.SyntheticJobStream(*jobsN, *arrival, *seed))
+			}, mix.Stream())
 			if err != nil {
 				return err
 			}
@@ -212,6 +225,39 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "pmsched: run manifest written to %s\n", *manifestPath)
 	}
 	return 0
+}
+
+// prefetch measures, before the clock starts, every profile the
+// policies' catalogs can ask for: for each (benchmark, nodes) the mix
+// drew that fits the cluster, the baseline and each distinct binding
+// cap the policies give its class, as one cap group (one resolution
+// phase, one solve per cap) per configuration, the configurations
+// spread over the CPUs. The profiles land in the process-wide two-tier
+// cache under the keys the catalogs look up, bit-identical to what the
+// catalogs would measure themselves. An error is dropped: the catalog
+// meets it again lazily and drops the configuration's jobs, as it
+// would without prefetch.
+func prefetch(mix *sched.SyntheticMix, policies []vasppower.SchedulerPolicy, clusterNodes int, seed uint64) {
+	pairs := mix.Pairs()
+	p := platform.Default()
+	_ = par.ForEach(context.Background(), runtime.GOMAXPROCS(0), len(pairs),
+		func(_ context.Context, i int) error {
+			pair := pairs[i]
+			if pair.Nodes > clusterNodes {
+				return nil // the simulation rejects the job before profiling it
+			}
+			caps := []float64{0}
+			for _, pol := range policies {
+				c := pol.Cap(sched.Classify(pair.Bench.Method))
+				if c > 0 && c < p.GPU.TDP && !slices.Contains(caps, c) {
+					caps = append(caps, c)
+				}
+			}
+			_, _ = experiments.CachedMeasureGroup(core.MeasureSpec{
+				Bench: pair.Bench, Platform: p, Nodes: pair.Nodes, Seed: seed,
+			}, caps)
+			return nil
+		})
 }
 
 // applyPreset overwrites scale parameters the user did not set

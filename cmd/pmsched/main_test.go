@@ -10,7 +10,11 @@ import (
 )
 
 // TestOutputGolden pins pmsched's stdout byte for byte for the default
-// 8-node run and for 5,000- and 20,000-job facility-preset runs. The
+// 8-node run, for 5,000- and 20,000-job facility-preset runs, and for
+// a 10,000-job preset run under a 900 kW budget. The preset's 2 MW
+// budget never binds (peak reservation stays near 1.1 MW); at 900 kW
+// the queue backs up behind the budget thousands of times, so that
+// golden is the one that pins packing under contention. The
 // policies run concurrently and share the process-wide measurement
 // cache, so under -race this is also the concurrency check of that
 // path. job0000–job9999 sort by ID in arrival order; from job10000 on
@@ -21,6 +25,7 @@ import (
 //	go run ./cmd/pmsched > cmd/pmsched/testdata/default.golden
 //	go run ./cmd/pmsched -preset facility -jobs 5000 > cmd/pmsched/testdata/facility-5000.golden
 //	go run ./cmd/pmsched -preset facility -jobs 20000 > cmd/pmsched/testdata/facility-20000.golden
+//	go run ./cmd/pmsched -preset facility -jobs 10000 -budget-kw 900 > cmd/pmsched/testdata/facility-budget900.golden
 func TestOutputGolden(t *testing.T) {
 	for _, tc := range []struct {
 		golden string
@@ -29,6 +34,7 @@ func TestOutputGolden(t *testing.T) {
 		{"default.golden", nil},
 		{"facility-5000.golden", []string{"-preset", "facility", "-jobs", "5000"}},
 		{"facility-20000.golden", []string{"-preset", "facility", "-jobs", "20000"}},
+		{"facility-budget900.golden", []string{"-preset", "facility", "-jobs", "10000", "-budget-kw", "900"}},
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))

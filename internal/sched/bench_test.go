@@ -72,6 +72,44 @@ func BenchmarkSimulateStream(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulatePolicies measures pmsched's policy comparison at
+// facility scale without its measurements: per iteration, one mix is
+// drawn and simulated under the three policies, each through its own
+// cursor over the shared table (sequentially, so the time is the
+// total work rather than the host's parallelism). Each policy's
+// catalog is warmed by one untimed run.
+func BenchmarkSimulatePolicies(b *testing.B) {
+	policies := []Policy{NoCap{NodeTDP: 2350}, UniformCap{Watts: 200, HostWatts: 350}, DefaultProfileAware()}
+	for _, jobs := range []int{10000, 100000} {
+		b.Run(fmt.Sprintf("nodes=1800/jobs=%d", jobs), func(b *testing.B) {
+			cfgs := make([]SimConfig, len(policies))
+			var mean float64
+			for i, p := range policies {
+				cfgs[i], mean = benchConfig(1800)
+				cfgs[i].Policy = p
+			}
+			run := func() {
+				mix := NewSyntheticMix(jobs, mean, 2024)
+				for _, cfg := range cfgs {
+					res, err := SimulateStream(cfg, mix.Stream())
+					if err != nil {
+						b.Fatal(err)
+					}
+					if res.Completed+res.Dropped != jobs {
+						b.Fatalf("lost jobs: %d+%d of %d", res.Completed, res.Dropped, jobs)
+					}
+				}
+			}
+			run() // warm the catalogs
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+		})
+	}
+}
+
 // BenchmarkSimulateOracle measures the retained pre-refactor loop at
 // the scales it can reach, for the before/after ratio in BENCH.md.
 // (At 1800 nodes × 100k jobs the O(cycles × queue) rescans make it

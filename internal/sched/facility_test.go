@@ -108,6 +108,68 @@ func TestSimulateMatchesOracle(t *testing.T) {
 			t.Fatalf("%s/dups: incremental loop diverged from oracle:\n got %+v\nwant %+v", p.Name(), got, want)
 		}
 	}
+
+	// Exact instants under a binding budget: arrivals on a 15-second
+	// grid (every other one on a cycle boundary, several sharing an
+	// instant) and whole-second runtimes in multiples of 15, so
+	// completions land on cycle boundaries and on arrivals. Every
+	// same-instant tie between arrivals, completions and passes that
+	// the event order could get wrong occurs here.
+	exact := smallMix(48, 3)
+	for i := range exact {
+		exact[i].Arrival = 15 * float64(i-i%3+i%2)
+	}
+	for _, p := range policies {
+		catA, catB := NewCatalog(1), NewCatalog(1)
+		catA.SetMeasure(exactMeasure)
+		catB.SetMeasure(exactMeasure)
+		budget := 8*460 + 4000.0 // two uncapped 1-node jobs, or a few capped ones
+		got, err := Simulate(simCfg(p, budget, catA), exact)
+		if err != nil {
+			t.Fatalf("%s/exact: %v", p.Name(), err)
+		}
+		want, err := simulateOracle(simCfg(p, budget, catB), exact)
+		if err != nil {
+			t.Fatalf("%s/exact: oracle: %v", p.Name(), err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s/exact: incremental loop diverged from oracle:\n got %+v\nwant %+v", p.Name(), got, want)
+		}
+		arrivals := map[float64]bool{}
+		for _, j := range exact {
+			arrivals[j.Arrival] = true
+		}
+		var onArrival, onCycle, waited int
+		for _, o := range got.Outcomes {
+			if arrivals[o.End] {
+				onArrival++
+			}
+			if math.Mod(o.End, CycleSeconds) == 0 {
+				onCycle++
+			}
+			if o.Wait > 0 {
+				waited++
+			}
+		}
+		if onArrival == 0 || onCycle == 0 || waited < len(exact)/4 {
+			t.Fatalf("%s/exact: %d completions on arrivals, %d on cycle boundaries, %d jobs waited; the case needs all three",
+				p.Name(), onArrival, onCycle, waited)
+		}
+	}
+}
+
+// exactMeasure is fakeMeasure with whole-second runtimes in multiples
+// of 15 s, capped runs 15 or 30 s slower than the baseline.
+func exactMeasure(spec core.MeasureSpec) (core.JobProfile, error) {
+	p, _ := fakeMeasure(spec)
+	p.Runtime = 15 * float64(4+len(spec.Bench.Name)%5+2*spec.Nodes)
+	switch {
+	case spec.CapW > 0 && spec.CapW < 180:
+		p.Runtime += 30
+	case spec.CapW > 0:
+		p.Runtime += 15
+	}
+	return p, nil
 }
 
 // TestDroppedJobsRecorded pins the drop path: jobs whose configuration

@@ -171,3 +171,37 @@ func simulateOracle(cfg SimConfig, jobs []Job) (Result, error) {
 	}
 	return res, nil
 }
+
+// drawLoopOracle is the lazy synthetic-mix generator as it stood
+// before mixes were drawn into a table, retained as the reference for
+// the table's records: one draw per Next, each job a full Job with its
+// ID formatted on the spot. It takes the draw table as a parameter so
+// a test can include an entry that does not resolve.
+func drawLoopOracle(mix []mixEntry, n int, mean float64, seed uint64) []Job {
+	r := rng.New(seed)
+	t := 0.0
+	var jobs []Job
+	for i := 0; i < n; i++ {
+		t += r.Exponential(mean)
+		x := r.Float64()
+		pick := &mix[len(mix)-1]
+		acc := 0.0
+		for k := range mix {
+			acc += mix[k].weight
+			if x <= acc {
+				pick = &mix[k]
+				break
+			}
+		}
+		if !pick.ok {
+			continue
+		}
+		jobs = append(jobs, Job{
+			ID:      fmt.Sprintf("job%04d", i),
+			Bench:   pick.bench,
+			Nodes:   pick.nodes[r.IntN(len(pick.nodes))],
+			Arrival: t,
+		})
+	}
+	return jobs
+}

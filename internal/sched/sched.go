@@ -147,24 +147,25 @@ type Job struct {
 
 // Validate checks the job.
 func (j Job) Validate() error {
-	if err := j.validateOwn(); err != nil {
+	if err := validateJob(j.ID, j.Nodes, j.Arrival); err != nil {
 		return err
 	}
 	return j.Bench.Validate()
 }
 
-// validateOwn is Validate without the benchmark check, which the
+// validateJob is Validate without the benchmark check, which the
 // streaming simulate loop runs once per distinct benchmark instead of
-// once per job.
-func (j *Job) validateOwn() error {
-	if j.ID == "" {
+// once per job; it takes the job's own fields, which a mix record holds
+// without a Job.
+func validateJob(id string, nodes int, arrival float64) error {
+	if id == "" {
 		return fmt.Errorf("sched: job with empty ID")
 	}
-	if j.Nodes <= 0 {
-		return fmt.Errorf("sched: job %s with %d nodes", j.ID, j.Nodes)
+	if nodes <= 0 {
+		return fmt.Errorf("sched: job %s with %d nodes", id, nodes)
 	}
-	if j.Arrival < 0 {
-		return fmt.Errorf("sched: job %s with negative arrival", j.ID)
+	if arrival < 0 {
+		return fmt.Errorf("sched: job %s with negative arrival", id)
 	}
 	return nil
 }

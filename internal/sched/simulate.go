@@ -126,7 +126,8 @@ func Simulate(cfg SimConfig, jobs []Job) (Result, error) {
 // JobStream): the facility-scale entry point, where a 100k-job mix is
 // pulled in arrival order instead of materializing up front. Jobs are
 // validated as they are drawn, so an invalid job surfaces only once
-// virtual time reaches its arrival.
+// virtual time reaches its arrival. A *MixStream is read record by
+// record, without a Job per draw.
 func SimulateStream(cfg SimConfig, src JobStream) (Result, error) {
 	if err := validateConfig(cfg); err != nil {
 		return Result{}, err
@@ -196,17 +197,94 @@ type benchSlot struct {
 	err    error
 }
 
-// jobRec is one job's hot record in the simulation: its arrival, its
-// profile-table slot (which names its benchmark and bucket, and so its
-// reservation while running) and its queue linkage while waiting. Jobs
-// are addressed by index (arrival sequence) everywhere — no string
-// keys, no per-job closures. The record holds no Job and no outcome:
-// the job's outcome lives at the same index in simState.outs, which
-// keeps a record at 16 bytes where the Job alone is 336.
-type jobRec struct {
+// pendingJob is the next job the loop will enqueue, as its source drew
+// it: the job's own fields and its benchmark's index in the intern
+// table.
+type pendingJob struct {
+	id      string
+	nodes   int
 	arrival float64
-	slot    int32 // index into simState.slots
-	next    int32 // next index in the same bucket's FIFO, -1 = none
+	bench   int32 // index into simState.benches
+}
+
+// jobSource is the simulate loop's one input. draw yields the next
+// job with its benchmark interned in s (validating on the stream path,
+// in Job.Validate's order), ok false once the input is exhausted.
+type jobSource interface {
+	draw(s *simState) (p pendingJob, ok bool, err error)
+}
+
+// streamSource adapts any JobStream: it takes each Job from Next and
+// interns its benchmark by value.
+type streamSource struct{ src JobStream }
+
+func (a streamSource) draw(s *simState) (pendingJob, bool, error) {
+	j, ok := a.src.Next()
+	if !ok {
+		return pendingJob{}, false, nil
+	}
+	if s.lazy {
+		if err := validateJob(j.ID, j.Nodes, j.Arrival); err != nil {
+			return pendingJob{}, false, err
+		}
+	}
+	bench, err := s.intern(&j.Bench)
+	if err != nil {
+		return pendingJob{}, false, err
+	}
+	return pendingJob{id: j.ID, nodes: j.Nodes, arrival: j.Arrival, bench: bench}, true, nil
+}
+
+// mixSource reads a MixStream's records in place. A mix entry is
+// interned (and validated) the first time one of its jobs is drawn;
+// every later draw of the entry is an index lookup, with no Job built
+// and no benchmark compared.
+type mixSource struct {
+	c     *MixStream
+	bench []int32 // interned index per mix entry, -1 until first drawn
+}
+
+func newMixSource(c *MixStream) *mixSource {
+	a := &mixSource{c: c, bench: make([]int32, len(c.m.mix))}
+	for i := range a.bench {
+		a.bench[i] = -1
+	}
+	return a
+}
+
+func (a *mixSource) draw(s *simState) (pendingJob, bool, error) {
+	c := a.c
+	if c.i >= len(c.m.jobs) {
+		return pendingJob{}, false, nil
+	}
+	j := &c.m.jobs[c.i]
+	p := pendingJob{id: c.m.id(c.i), nodes: int(j.nodes), arrival: j.arrival, bench: a.bench[j.entry]}
+	c.i++
+	if err := validateJob(p.id, p.nodes, p.arrival); err != nil {
+		return pendingJob{}, false, err
+	}
+	if p.bench < 0 {
+		bench, err := s.intern(&c.m.mix[j.entry].bench)
+		if err != nil {
+			return pendingJob{}, false, err
+		}
+		a.bench[j.entry] = bench
+		p.bench = bench
+	}
+	return p, true, nil
+}
+
+// jobRec is one job's hot record in the simulation: its profile-table
+// slot (which names its benchmark and bucket, and so its reservation
+// while running) and its queue linkage while waiting. Jobs are
+// addressed by index (arrival sequence) everywhere — no string keys,
+// no per-job closures. The record holds no Job and no outcome: the
+// job's outcome lives at the same index in simState.outs, and until
+// the job starts the outcome's Start holds its arrival, which keeps a
+// record at 8 bytes where the Job alone is 336.
+type jobRec struct {
+	slot int32 // index into simState.slots
+	next int32 // next index in the same bucket's FIFO, -1 = none
 }
 
 // outKey is the sort key of one completed job: the first eight bytes
@@ -233,24 +311,25 @@ func idPrefix(id string) uint64 {
 // simState is the incremental simulate loop. All event callbacks are
 // bound once (arriveFn/passFn/envFn/completeFn), so the steady state
 // allocates nothing per job in the loop beyond the amortized growth of
-// recs, outs and keys (the job stream allocates each job's ID).
+// recs, outs and keys (a JobStream may allocate each job it yields; a
+// MixStream does not).
 type simState struct {
 	cfg    SimConfig
 	engine *sim.Engine
 	jitter *rng.Stream
-	src    JobStream
+	src    jobSource
 	lazy   bool // validate jobs as drawn (stream path)
 	m      *Metrics
 
 	recs    []jobRec
-	outs    []JobOutcome    // by job index: ID and Nodes set at enqueue, the rest at start
+	outs    []JobOutcome    // by job index: ID, Nodes and (as Start) the arrival set at enqueue, the rest at start
 	benches []internedBench // intern table
 	slots   []benchSlot     // profile table behind jobRec.slot
 	buckets []bucket
 
-	pending      Job
-	pendingBench int32 // pending's index in benches
+	pending      pendingJob
 	havePending  bool
+	arrivalArmed bool // an arrival-chain event is queued
 	lastArrival  float64
 
 	freeNodes int
@@ -266,6 +345,7 @@ type simState struct {
 	done        []outKey // completed jobs, in completion order
 
 	passScheduled bool
+	passAt        float64 // the armed pass's time, while passScheduled
 	passes        int64
 	holStalls     int64
 
@@ -281,7 +361,7 @@ func simulate(cfg SimConfig, src JobStream, lazy bool) (Result, error) {
 	s := &simState{
 		cfg:       cfg,
 		engine:    sim.New(),
-		src:       src,
+		src:       streamSource{src},
 		lazy:      lazy,
 		m:         metrics.Load(),
 		freeNodes: cfg.ClusterNodes,
@@ -291,6 +371,9 @@ func simulate(cfg SimConfig, src JobStream, lazy bool) (Result, error) {
 	s.peakW = s.reservedW
 	if cfg.JitterSeed != 0 {
 		s.jitter = rng.New(cfg.JitterSeed)
+	}
+	if c, ok := src.(*MixStream); ok {
+		s.src = newMixSource(c)
 	}
 	if h, ok := src.(SizeHinter); ok {
 		if n := h.SizeHint(); n > 0 {
@@ -310,9 +393,7 @@ func simulate(cfg SimConfig, src JobStream, lazy bool) (Result, error) {
 	if s.err != nil {
 		return Result{}, s.err
 	}
-	if s.havePending {
-		s.engine.At(s.pending.Arrival, s.arriveFn)
-	}
+	s.armArrival()
 	if len(cfg.BudgetSchedule) > 0 {
 		s.envFn = s.envelope
 		s.engine.At(cfg.BudgetSchedule[0].Start, s.envFn)
@@ -331,41 +412,33 @@ func simulate(cfg SimConfig, src JobStream, lazy bool) (Result, error) {
 	return s.result(), nil
 }
 
-// advance pulls the next job from the stream into pending and interns
-// its benchmark, validating lazily on the stream path and enforcing
-// arrival order on both. The lazy checks run in Job.Validate's order
-// and then the cluster-size check, as Simulate runs them up front; a
-// benchmark is validated once, when first interned.
+// advance draws the next job from the source into pending (the source
+// interns its benchmark, validating lazily on the stream path) and
+// enforces arrival order on both paths. The lazy checks run in
+// Job.Validate's order and then the cluster-size check, as Simulate
+// runs them up front; a benchmark is validated once, when first
+// interned.
 func (s *simState) advance() {
-	var ok bool
-	s.pending, ok = s.src.Next()
-	if !ok {
-		s.havePending = false
-		return
-	}
-	j := &s.pending
-	if s.lazy {
-		if err := j.validateOwn(); err != nil {
-			s.fail(err)
-			return
-		}
-	}
-	bench, err := s.intern(&j.Bench)
+	p, ok, err := s.src.draw(s)
 	if err != nil {
 		s.fail(err)
 		return
 	}
-	s.pendingBench = bench
-	if s.lazy && j.Nodes > s.cfg.ClusterNodes {
-		s.fail(fmt.Errorf("sched: job %s needs %d nodes, cluster has %d", j.ID, j.Nodes, s.cfg.ClusterNodes))
+	if !ok {
+		s.havePending = false
 		return
 	}
-	if j.Arrival < s.lastArrival {
+	if s.lazy && p.nodes > s.cfg.ClusterNodes {
+		s.fail(fmt.Errorf("sched: job %s needs %d nodes, cluster has %d", p.id, p.nodes, s.cfg.ClusterNodes))
+		return
+	}
+	if p.arrival < s.lastArrival {
 		s.fail(fmt.Errorf("sched: job %s arrives at %v, before the previous job at %v (streams must be sorted by arrival)",
-			j.ID, j.Arrival, s.lastArrival))
+			p.id, p.arrival, s.lastArrival))
 		return
 	}
-	s.lastArrival = j.Arrival
+	s.pending = p
+	s.lastArrival = p.arrival
 	s.havePending = true
 }
 
@@ -376,24 +449,40 @@ func (s *simState) fail(err error) {
 }
 
 // arrive is the (single, reused) arrival-chain callback: drain every
-// job whose arrival time has come, then schedule the chain's next
-// link at the following arrival.
+// job whose arrival time has come, then arm the chain's next link.
 func (s *simState) arrive() {
+	s.arrivalArmed = false
 	s.drainArrivals(s.engine.Now())
-	if s.err == nil && s.havePending {
-		s.engine.At(s.pending.Arrival, s.arriveFn)
-	}
+	s.armArrival()
 }
 
-// drainArrivals enqueues every job with Arrival ≤ now. The pass
+// armArrival arms the arrival chain's next link at the pending job's
+// arrival — unless a link is already queued, or a pass is armed at or
+// after that arrival. Every pass drains the arrivals up to its own
+// time before it packs, and while a pass is armed an arrival's only
+// other effect, arming a pass, is a no-op, so such an arrival needs no
+// event of its own: the pass enqueues it and re-arms the chain past
+// itself (see pass).
+func (s *simState) armArrival() {
+	if s.arrivalArmed || s.err != nil || !s.havePending {
+		return
+	}
+	if s.passScheduled && s.pending.arrival <= s.passAt {
+		return
+	}
+	s.arrivalArmed = true
+	s.engine.At(s.pending.arrival, s.arriveFn)
+}
+
+// drainArrivals enqueues every job with arrival ≤ now. The pass
 // callback also calls it before packing, which guarantees a pass at
-// cycle boundary t sees all arrivals at t even when the chain link
-// for them was scheduled after the pass event (same-instant event
-// order in the engine is creation order).
+// cycle boundary t sees all arrivals up to t, whether their chain link
+// fires after the pass event (same-instant event order in the engine
+// is creation order) or was never armed (see armArrival).
 func (s *simState) drainArrivals(now float64) {
 	n := 0
-	for s.err == nil && s.havePending && s.pending.Arrival <= now {
-		s.enqueue(&s.pending, s.pendingBench)
+	for s.err == nil && s.havePending && s.pending.arrival <= now {
+		s.enqueue(&s.pending)
 		s.advance()
 		n++
 	}
@@ -404,11 +493,11 @@ func (s *simState) drainArrivals(now float64) {
 
 // enqueue appends a job's record and outcome and links the record
 // onto its bucket's FIFO.
-func (s *simState) enqueue(j *Job, bench int32) {
+func (s *simState) enqueue(j *pendingJob) {
 	idx := int32(len(s.recs))
-	slot := s.slotOf(bench, j.Nodes)
-	s.recs = append(s.recs, jobRec{arrival: j.Arrival, slot: slot, next: -1})
-	s.outs = append(s.outs, JobOutcome{ID: j.ID, Nodes: j.Nodes})
+	slot := s.slotOf(j.bench, j.nodes)
+	s.recs = append(s.recs, jobRec{slot: slot, next: -1})
+	s.outs = append(s.outs, JobOutcome{ID: j.id, Start: j.arrival, Nodes: j.nodes})
 	b := &s.buckets[s.slots[slot].bucket]
 	if b.tail >= 0 {
 		s.recs[b.tail].next = idx
@@ -461,7 +550,7 @@ func (s *simState) slotOf(bench int32, nodes int) int32 {
 // first sight — after validating it, on the stream path. A mix draws
 // from a handful of benchmarks, so a linear scan with == (Benchmark
 // holds only value fields, and Validate reads nothing else) is the
-// whole index.
+// whole index; a MixStream calls it once per mix entry.
 func (s *simState) intern(b *workloads.Benchmark) (int32, error) {
 	for i := range s.benches {
 		if s.benches[i].bench == *b {
@@ -503,7 +592,8 @@ func (s *simState) schedulePass() {
 		return
 	}
 	s.passScheduled = true
-	s.engine.At(nextCycle(s.engine.Now()), s.passFn)
+	s.passAt = nextCycle(s.engine.Now())
+	s.engine.At(s.passAt, s.passFn)
 }
 
 // nextCycle returns the smallest multiple of CycleSeconds ≥ t,
@@ -542,7 +632,8 @@ func (s *simState) applyEnvelope(now float64) {
 
 // pass is the packing pass, run only at cycle boundaries armed by
 // schedulePass. It first catches up on same-instant state (budget
-// phases, arrivals), then packs.
+// phases, arrivals), then packs, then re-arms the arrival chain, which
+// armArrival left unarmed for arrivals this pass would drain.
 func (s *simState) pass() {
 	now := s.engine.Now()
 	s.applyEnvelope(now)
@@ -552,6 +643,7 @@ func (s *simState) pass() {
 	}
 	s.pack(now)
 	s.passScheduled = false
+	s.armArrival()
 }
 
 // pack repeatedly starts the lowest-arrival-sequence waiting job that
@@ -630,7 +722,7 @@ func (s *simState) startOrDrop(now float64, idx int32, b *bucket) {
 	}
 	*o = JobOutcome{
 		ID: o.ID, Class: b.class, CapW: b.capW,
-		Start: now, End: now + rt, Wait: now - rec.arrival,
+		Start: now, End: now + rt, Wait: now - o.Start, // Start held the arrival
 		Runtime: rt, PerfLoss: prof.PerfLoss(),
 		EnergyJ:     prof.EnergyJ,
 		PowerW:      float64(o.Nodes) * b.perNodeW,

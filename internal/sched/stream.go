@@ -2,6 +2,7 @@ package sched
 
 import (
 	"strconv"
+	"strings"
 
 	"vasppower/internal/rng"
 	"vasppower/internal/workloads"
@@ -53,7 +54,7 @@ type mixEntry struct {
 	ok     bool // the name resolved; draws of an unresolved entry are skipped
 }
 
-// mixSuite is the Table I draw table for SyntheticJobMix/Stream:
+// mixSuite is the Table I draw table behind every synthetic mix:
 // heavy RPA/HSE jobs appear less often than plain DFT, mirroring
 // production mixes.
 var mixSuite = resolveMix([]mixEntry{
@@ -75,70 +76,171 @@ func resolveMix(mix []mixEntry) []mixEntry {
 // jobID formats i as fmt's "job%04d" does for i ≥ 0.
 func jobID(i int) string {
 	var buf [24]byte
-	b := append(buf[:0], "job"...)
+	return string(appendJobID(buf[:0], i))
+}
+
+// appendJobID appends jobID(i) to b.
+func appendJobID(b []byte, i int) []byte {
+	b = append(b, "job"...)
 	for n := 1000; n > 1 && i < n; n /= 10 {
 		b = append(b, '0')
 	}
-	return string(strconv.AppendInt(b, int64(i), 10))
+	return strconv.AppendInt(b, int64(i), 10)
 }
 
-// SyntheticStream generates the SyntheticJobMix job sequence lazily:
-// the same jobs, in the same order, drawn from the same RNG stream,
-// but one at a time. Not safe for concurrent use; build one stream
-// per simulation.
-type SyntheticStream struct {
-	r    *rng.Stream
-	mean float64
-	n    int
-	i    int
-	t    float64
+// idBytes returns the total length of jobID(0) … jobID(n-1): seven
+// bytes each ("job" and at least four digits), plus one per digit
+// beyond four.
+func idBytes(n int) int {
+	if n <= 0 {
+		return 0
+	}
+	total := 7 * n
+	for lo := 10000; lo < n; lo *= 10 {
+		total += n - lo
+	}
+	return total
 }
 
-// SyntheticJobStream returns a stream of n jobs with Poisson-ish
-// arrivals (mean inter-arrival seconds) drawn from the Table I suite.
-// Draining it yields exactly SyntheticJobMix(n, meanInterArrival,
-// seed) — the two share one generator.
-func SyntheticJobStream(n int, meanInterArrival float64, seed uint64) *SyntheticStream {
-	return &SyntheticStream{r: rng.New(seed), mean: meanInterArrival, n: n}
+// mixJob is one drawn job of a SyntheticMix, 16 bytes where a Job is
+// 336: the benchmark is named by its mix entry, resolved once at
+// package init, and the ID by where it ends in the mix's ID buffer (it
+// starts where the previous job's ends). The widths bound a mix at
+// 2^32 bytes of IDs (over 400M jobs) and 2^16 entries and nodes.
+type mixJob struct {
+	arrival float64
+	idEnd   uint32
+	entry   uint16 // index into SyntheticMix.mix
+	nodes   uint16
 }
 
-// Next implements JobStream.
-func (s *SyntheticStream) Next() (Job, bool) {
-	for s.i < s.n {
-		i := s.i
-		s.i++
-		s.t += s.r.Exponential(s.mean)
-		x := s.r.Float64()
-		pick := &mixSuite[len(mixSuite)-1]
+// MixPair is one distinct (benchmark, node count) configuration a
+// SyntheticMix drew.
+type MixPair struct {
+	Bench workloads.Benchmark
+	Nodes int
+}
+
+// SyntheticMix is a synthetic job mix drawn once into a table of
+// compact records. It is read-only once built, so any number of
+// MixStreams over it can feed concurrent simulations: the three
+// policies of a comparison share one draw and one set of ID strings.
+type SyntheticMix struct {
+	mix   []mixEntry
+	jobs  []mixJob
+	ids   string // every job's ID, back to back
+	pairs []MixPair
+}
+
+// NewSyntheticMix draws n jobs with Poisson-ish arrivals (mean
+// inter-arrival seconds) from the Table I suite: heavy RPA/HSE jobs
+// appear less often than plain DFT, mirroring production mixes.
+func NewSyntheticMix(n int, meanInterArrival float64, seed uint64) *SyntheticMix {
+	return drawMix(mixSuite, n, meanInterArrival, seed)
+}
+
+// drawMix is the one generator behind every synthetic mix. Draw i
+// takes an exponential inter-arrival, a uniform pick over the entries'
+// cumulative weights and, unless the picked entry is unresolved (the
+// draw is then skipped, its ID unused), a uniform node-count option;
+// the job is "job%04d" of i. Every ID is written into one buffer, sized
+// up front, so the whole mix makes one ID allocation and each ID is a
+// substring of it.
+func drawMix(mix []mixEntry, n int, mean float64, seed uint64) *SyntheticMix {
+	r := rng.New(seed)
+	m := &SyntheticMix{mix: mix, jobs: make([]mixJob, 0, max(n, 0))}
+	var ids strings.Builder
+	ids.Grow(idBytes(n))
+	var buf [24]byte
+	seen := make([]uint64, len(mix)) // per entry, a bit per node option drawn (entries have far fewer than 64)
+	t := 0.0
+	for i := 0; i < n; i++ {
+		t += r.Exponential(mean)
+		x := r.Float64()
+		k := len(mix) - 1
 		acc := 0.0
-		for k := range mixSuite {
-			acc += mixSuite[k].weight
+		for e := range mix {
+			acc += mix[e].weight
 			if x <= acc {
-				pick = &mixSuite[k]
+				k = e
 				break
 			}
 		}
+		pick := &mix[k]
 		if !pick.ok {
 			continue
 		}
-		return Job{
-			ID:      jobID(i),
-			Bench:   pick.bench,
-			Nodes:   pick.nodes[s.r.IntN(len(pick.nodes))],
-			Arrival: s.t,
-		}, true
+		o := r.IntN(len(pick.nodes))
+		if bit := uint64(1) << o; seen[k]&bit == 0 {
+			seen[k] |= bit
+			m.pairs = append(m.pairs, MixPair{Bench: pick.bench, Nodes: pick.nodes[o]})
+		}
+		ids.Write(appendJobID(buf[:0], i))
+		m.jobs = append(m.jobs, mixJob{
+			arrival: t,
+			idEnd:   uint32(ids.Len()),
+			entry:   uint16(k),
+			nodes:   uint16(pick.nodes[o]),
+		})
 	}
-	return Job{}, false
+	m.ids = ids.String()
+	return m
 }
 
-// SizeHint implements SizeHinter (an upper bound: draws whose
-// benchmark lookup fails are skipped, not emitted).
-func (s *SyntheticStream) SizeHint() int { return s.n - s.i }
+// id returns job i's ID.
+func (m *SyntheticMix) id(i int) string {
+	start := uint32(0)
+	if i > 0 {
+		start = m.jobs[i-1].idEnd
+	}
+	return m.ids[start:m.jobs[i].idEnd]
+}
+
+// Pairs returns the distinct (benchmark, nodes) configurations the mix
+// drew, in the order of their first draw — everything a scheduler
+// catalog can be asked to profile for this mix. The slice is shared;
+// do not modify it.
+func (m *SyntheticMix) Pairs() []MixPair { return m.pairs }
+
+// Stream returns a new cursor at the start of the mix.
+func (m *SyntheticMix) Stream() *MixStream { return &MixStream{m: m} }
+
+// MixStream is a cursor over a SyntheticMix: a JobStream yielding its
+// jobs in arrival order. A cursor is not safe for concurrent use; the
+// mix behind it is, so give each simulation its own cursor.
+// SimulateStream reads a MixStream's records directly rather than
+// through Next.
+type MixStream struct {
+	m *SyntheticMix
+	i int
+}
+
+// SyntheticJobStream returns a cursor over a freshly drawn
+// NewSyntheticMix(n, meanInterArrival, seed). Draining it yields
+// exactly SyntheticJobMix(n, meanInterArrival, seed).
+func SyntheticJobStream(n int, meanInterArrival float64, seed uint64) *MixStream {
+	return NewSyntheticMix(n, meanInterArrival, seed).Stream()
+}
+
+// Next implements JobStream.
+func (c *MixStream) Next() (Job, bool) {
+	if c.i >= len(c.m.jobs) {
+		return Job{}, false
+	}
+	j := &c.m.jobs[c.i]
+	id := c.m.id(c.i)
+	c.i++
+	return Job{ID: id, Bench: c.m.mix[j.entry].bench, Nodes: int(j.nodes), Arrival: j.arrival}, true
+}
+
+// SizeHint implements SizeHinter: the exact number of jobs left.
+func (c *MixStream) SizeHint() int { return len(c.m.jobs) - c.i }
 
 // SyntheticJobMix builds a reproducible mix of VASP jobs drawn from
 // the Table I suite with Poisson-ish arrivals — the workload for the
-// scheduler ablation. It drains SyntheticJobStream; prefer the stream
-// form for facility-scale mixes that should not materialize up front.
+// scheduler ablation — as a slice of Jobs. It drains
+// SyntheticJobStream; facility-scale callers should keep the compact
+// SyntheticMix instead.
 func SyntheticJobMix(n int, meanInterArrival float64, seed uint64) []Job {
 	src := SyntheticJobStream(n, meanInterArrival, seed)
 	var jobs []Job

@@ -120,7 +120,7 @@ func BenchmarkWarmMeasureParallel(b *testing.B) {
 // BenchmarkCacheLookup isolates the byte-cache probe itself (the
 // floor under the HTTP numbers).
 func BenchmarkCacheLookup(b *testing.B) {
-	c := newRespCache(NewMetrics(nil), 1024)
+	c := newRespCache(1024)
 	e := []byte("{}")
 	body := []byte(measureBody)
 	c.alias(body, e)

@@ -64,7 +64,7 @@ const (
 
 // newRespCache bounds each index at about maxEntries. The Server
 // scores cache outcomes in its own Metrics, so the cache takes none.
-func newRespCache(_ *Metrics, maxEntries int) *respCache {
+func newRespCache(maxEntries int) *respCache {
 	c := &respCache{entries: memo.NewBounded[[]byte](maxEntries), maxPerShard: maxEntries/respShardCount + 1}
 	for i := range c.shards {
 		c.shards[i].aliases = make(map[string][]byte)

@@ -171,7 +171,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		m:       m,
-		cache:   newRespCache(m, cfg.CacheEntries),
+		cache:   newRespCache(cfg.CacheEntries),
 		limiter: NewLimiter(int64(cfg.MaxInFlight), cfg.MaxQueue, m),
 		mux:     http.NewServeMux(),
 		started: time.Now(),

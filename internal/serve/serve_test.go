@@ -175,7 +175,7 @@ func TestAliasByteBound(t *testing.T) {
 		t.Fatalf("evaluations = %d, want 1 (canonical dedup without alias)", n)
 	}
 
-	c := newRespCache(nil, 1<<20) // count bound far above the byte bound
+	c := newRespCache(1 << 20) // count bound far above the byte bound
 	e := []byte("{}")
 	pad := strings.Repeat(" ", 4000)
 	for i, inserted := 0, 0; inserted < 300; i++ {

@@ -226,8 +226,9 @@ func SyntheticJobMix(n int, meanInterArrival float64, seed uint64) []SchedulerJo
 	return sched.SyntheticJobMix(n, meanInterArrival, seed)
 }
 
-// SyntheticJobStream is SyntheticJobMix as a lazy stream: the same
-// jobs in the same order, generated one at a time.
+// SyntheticJobStream is SyntheticJobMix as a stream: the same jobs in
+// the same order, read from a compact mix table (16 bytes a job) rather
+// than a []SchedulerJob.
 func SyntheticJobStream(n int, meanInterArrival float64, seed uint64) SchedulerJobStream {
 	return sched.SyntheticJobStream(n, meanInterArrival, seed)
 }
