@@ -19,7 +19,6 @@ import (
 	"vasppower/internal/hw/platform"
 	"vasppower/internal/interconnect"
 	"vasppower/internal/monitor"
-	"vasppower/internal/nvsmi"
 	"vasppower/internal/omni"
 	"vasppower/internal/stats"
 	"vasppower/internal/workloads"
@@ -150,8 +149,9 @@ ENCUT = 245
 	}
 }
 
-// TestControlPlaneRoundTrip drives power limits through the nvsmi
-// interface and observes the effect in the recorded traces.
+// TestControlPlaneRoundTrip sets a node-wide power limit (the paper's
+// nvidia-smi -pl), reads it back, and observes its effect in the
+// recorded traces.
 func TestControlPlaneRoundTrip(t *testing.T) {
 	bench, _ := workloads.ByName("B.hR105_hse")
 	cfgM, err := bench.Config(platform.Platform{}, 1)
@@ -163,12 +163,11 @@ func TestControlPlaneRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := node.New("nid000001", platform.Default(), nil)
-	smi := nvsmi.New()
-	if err := smi.Register(n); err != nil {
+	if err := n.SetGPUPowerLimits(250); err != nil {
 		t.Fatal(err)
 	}
-	if err := smi.SetPowerLimit("nid000001", nvsmi.AllGPUs, 250); err != nil {
-		t.Fatal(err)
+	if got := n.GPUs[0].PowerLimit(); got != 250 {
+		t.Fatalf("limit read back as %v W, want 250", got)
 	}
 	_, err = solver.Run(solver.Job{
 		Name: "ctl", Schedule: sched, Nodes: []*node.Node{n},
@@ -179,15 +178,8 @@ func TestControlPlaneRoundTrip(t *testing.T) {
 	}
 	for i := 0; i < n.NumGPUs(); i++ {
 		if max := n.GPUTrace(i).MaxPower(); max > 250.01 {
-			t.Fatalf("gpu %d exceeded the nvsmi-set cap: %v", i, max)
+			t.Fatalf("gpu %d exceeded the set cap: %v", i, max)
 		}
-	}
-	info, err := smi.Query("nid000001")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info[0].PowerLimitW != 250 {
-		t.Fatal("query does not reflect the set limit")
 	}
 }
 

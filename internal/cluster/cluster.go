@@ -20,11 +20,9 @@ import (
 type Cluster struct {
 	Fabric interconnect.Fabric
 
-	platform platform.Platform
-	root     *rng.Stream
-	nodes    map[string]*node.Node
-	free     map[string]bool
-	names    []string // sorted, for deterministic allocation order
+	nodes map[string]*node.Node
+	free  map[string]bool
+	names []string // sorted, for deterministic allocation order
 }
 
 // New builds a cluster of n GPU nodes of platform p seeded from seed.
@@ -34,16 +32,15 @@ func New(p platform.Platform, n int, seed uint64) *Cluster {
 		panic("cluster: non-positive node count")
 	}
 	p = platform.OrDefault(p)
+	root := rng.New(seed)
 	c := &Cluster{
-		Fabric:   interconnect.Slingshot(),
-		platform: p,
-		root:     rng.New(seed),
-		nodes:    make(map[string]*node.Node, n),
-		free:     make(map[string]bool, n),
+		Fabric: interconnect.Slingshot(),
+		nodes:  make(map[string]*node.Node, n),
+		free:   make(map[string]bool, n),
 	}
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("nid%06d", i+1)
-		c.nodes[name] = node.New(name, c.platform, c.root.Split(name))
+		c.nodes[name] = node.New(name, p, root.Split(name))
 		c.free[name] = true
 		c.names = append(c.names, name)
 	}
@@ -51,28 +48,8 @@ func New(p platform.Platform, n int, seed uint64) *Cluster {
 	return c
 }
 
-// Platform returns the platform the cluster's nodes are built from.
-func (c *Cluster) Platform() platform.Platform { return c.platform }
-
 // Size returns the total node count.
 func (c *Cluster) Size() int { return len(c.nodes) }
-
-// FreeCount returns the number of unallocated nodes.
-func (c *Cluster) FreeCount() int {
-	n := 0
-	for _, f := range c.free {
-		if f {
-			n++
-		}
-	}
-	return n
-}
-
-// Node returns the node with the given name, or nil.
-func (c *Cluster) Node(name string) *node.Node { return c.nodes[name] }
-
-// Names returns all node names in sorted order.
-func (c *Cluster) Names() []string { return append([]string(nil), c.names...) }
 
 // Allocate reserves k free nodes (lowest names first, like a packed
 // scheduler) and returns them. It returns an error when fewer than k
@@ -110,19 +87,4 @@ func (c *Cluster) Release(nodes []*node.Node) {
 		n.ResetGPUPowerLimits()
 		c.free[n.Name] = true
 	}
-}
-
-// TotalTDP returns the aggregate node TDP of the cluster, the number a
-// facility compares against its power budget.
-func (c *Cluster) TotalTDP() float64 {
-	return float64(len(c.nodes)) * c.platform.Node.TDP
-}
-
-// TotalIdlePower returns the sum of per-node idle power.
-func (c *Cluster) TotalIdlePower() float64 {
-	var p float64
-	for _, n := range c.nodes {
-		p += n.IdlePower()
-	}
-	return p
 }

@@ -6,24 +6,35 @@ import (
 	"vasppower/internal/hw/platform"
 )
 
+// freeCount returns the number of unallocated nodes.
+func freeCount(c *Cluster) int {
+	n := 0
+	for _, f := range c.free {
+		if f {
+			n++
+		}
+	}
+	return n
+}
+
 func TestAllocateAndRelease(t *testing.T) {
 	c := New(platform.Platform{}, 8, 1)
-	if c.Size() != 8 || c.FreeCount() != 8 {
-		t.Fatalf("size/free = %d/%d", c.Size(), c.FreeCount())
+	if c.Size() != 8 || freeCount(c) != 8 {
+		t.Fatalf("size/free = %d/%d", c.Size(), freeCount(c))
 	}
 	nodes, err := c.Allocate(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(nodes) != 4 || c.FreeCount() != 4 {
-		t.Fatalf("allocation wrong: %d nodes, %d free", len(nodes), c.FreeCount())
+	if len(nodes) != 4 || freeCount(c) != 4 {
+		t.Fatalf("allocation wrong: %d nodes, %d free", len(nodes), freeCount(c))
 	}
 	// Deterministic packed order.
 	if nodes[0].Name != "nid000001" || nodes[3].Name != "nid000004" {
 		t.Fatalf("allocation order wrong: %s..%s", nodes[0].Name, nodes[3].Name)
 	}
 	c.Release(nodes)
-	if c.FreeCount() != 8 {
+	if freeCount(c) != 8 {
 		t.Fatal("release did not free nodes")
 	}
 }
@@ -33,7 +44,7 @@ func TestAllocateTooMany(t *testing.T) {
 	if _, err := c.Allocate(3); err == nil {
 		t.Fatal("over-allocation accepted")
 	}
-	if c.FreeCount() != 2 {
+	if freeCount(c) != 2 {
 		t.Fatal("failed allocation leaked reservations")
 	}
 	if _, err := c.Allocate(0); err == nil {
@@ -59,25 +70,14 @@ func TestReleaseResetsState(t *testing.T) {
 func TestNodeVariabilityStableAcrossClusters(t *testing.T) {
 	a := New(platform.Platform{}, 4, 42)
 	b := New(platform.Platform{}, 4, 42)
-	for _, name := range a.Names() {
-		if a.Node(name).IdlePower() != b.Node(name).IdlePower() {
+	for _, name := range a.names {
+		if a.nodes[name].IdlePower() != b.nodes[name].IdlePower() {
 			t.Fatalf("node %s differs across identically-seeded clusters", name)
 		}
 	}
 	// Different nodes differ from each other.
-	if a.Node("nid000001").IdlePower() == a.Node("nid000002").IdlePower() {
+	if a.nodes["nid000001"].IdlePower() == a.nodes["nid000002"].IdlePower() {
 		t.Fatal("distinct nodes have identical idle power (no variability)")
-	}
-}
-
-func TestTotalTDP(t *testing.T) {
-	c := New(platform.Platform{}, 10, 1)
-	if got := c.TotalTDP(); got != 23500 {
-		t.Fatalf("TotalTDP = %v, want 23500", got)
-	}
-	idle := c.TotalIdlePower()
-	if idle < 10*390 || idle > 10*530 {
-		t.Fatalf("TotalIdlePower = %v implausible", idle)
 	}
 }
 

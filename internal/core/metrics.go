@@ -26,9 +26,6 @@ func (t Tradeoff) Validate() error {
 // EDP returns the energy-delay product (J·s).
 func (t Tradeoff) EDP() float64 { return t.EnergyJ * t.RuntimeS }
 
-// ET2 returns Martin's voltage-independent metric E·T² (J·s²).
-func (t Tradeoff) ET2() float64 { return t.EnergyJ * t.RuntimeS * t.RuntimeS }
-
 // TradeoffOf extracts the point from a measured profile.
 func TradeoffOf(jp JobProfile) Tradeoff {
 	return Tradeoff{EnergyJ: jp.EnergyJ, RuntimeS: jp.Runtime}

@@ -11,9 +11,6 @@ func TestTradeoffMetrics(t *testing.T) {
 	if p.EDP() != 1000 {
 		t.Fatalf("EDP = %v", p.EDP())
 	}
-	if p.ET2() != 10000 {
-		t.Fatalf("ET2 = %v", p.ET2())
-	}
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}

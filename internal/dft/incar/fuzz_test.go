@@ -32,7 +32,7 @@ func FuzzParseINCAR(f *testing.F) {
 			return // rejection is fine; panics are not
 		}
 		// Accepted input must behave consistently.
-		for _, tag := range file.Tags() {
+		for tag := range file.tags {
 			if tag == "" {
 				t.Fatalf("empty tag accepted from %q", text)
 			}

@@ -17,11 +17,10 @@ import (
 	"strings"
 )
 
-// File is a parsed INCAR: ordered tags with raw string values plus
-// typed access.
+// File is a parsed INCAR: tags with raw string values plus typed
+// access.
 type File struct {
-	tags  map[string]string
-	order []string
+	tags map[string]string
 }
 
 // Parse reads INCAR text.
@@ -55,9 +54,6 @@ func Parse(text string) (*File, error) {
 			if tag == "" {
 				return nil, fmt.Errorf("incar: line %d: empty tag", lineNo)
 			}
-			if _, dup := f.tags[tag]; !dup {
-				f.order = append(f.order, tag)
-			}
 			f.tags[tag] = val
 		}
 	}
@@ -66,9 +62,6 @@ func Parse(text string) (*File, error) {
 	}
 	return f, nil
 }
-
-// Tags returns the tag names in first-appearance order.
-func (f *File) Tags() []string { return append([]string(nil), f.order...) }
 
 // Has reports whether the tag is present.
 func (f *File) Has(tag string) bool {

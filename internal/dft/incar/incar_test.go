@@ -54,8 +54,8 @@ func TestParseCommentsAndBlankLines(t *testing.T) {
 	if n, _ := f.Int("NELM", 0); n != 10 {
 		t.Fatalf("NELM = %d", n)
 	}
-	if len(f.Tags()) != 1 {
-		t.Fatalf("tags = %v", f.Tags())
+	if len(f.tags) != 1 {
+		t.Fatalf("tags = %v", f.tags)
 	}
 }
 

@@ -61,7 +61,7 @@ func TestParseNeverPanicsProperty(t *testing.T) {
 			return true
 		}
 		// Every reported tag must be retrievable.
-		for _, tag := range file.Tags() {
+		for tag := range file.tags {
 			if !file.Has(tag) {
 				return false
 			}

@@ -38,9 +38,6 @@ func (s Structure) Validate() error {
 	return nil
 }
 
-// Volume returns the cell volume in Å³.
-func (s Structure) Volume() float64 { return s.A * s.B * s.C }
-
 // SiLatticeConst is the conventional silicon lattice constant in Å.
 const SiLatticeConst = 5.431
 
@@ -67,21 +64,6 @@ func SiliconSupercell(nAtoms int) (Structure, error) {
 		B:         edge,
 		C:         edge,
 	}, nil
-}
-
-// SiliconVacancySupercell builds an n-atom supercell with one vacancy
-// (n−1 ions), as in the Si256_hse benchmark (255 ions, 1020
-// electrons).
-func SiliconVacancySupercell(nAtoms int) (Structure, error) {
-	s, err := SiliconSupercell(nAtoms)
-	if err != nil {
-		return s, err
-	}
-	s.Name = fmt.Sprintf("Si%d_vac", nAtoms)
-	s.Formula = fmt.Sprintf("Si%d", nAtoms-1)
-	s.NumIons = nAtoms - 1
-	s.Electrons = 4 * (nAtoms - 1)
-	return s, nil
 }
 
 // FFTGrid derives the dense FFT grid for a structure at the given

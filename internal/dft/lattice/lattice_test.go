@@ -25,13 +25,13 @@ func TestSiliconSupercellBasics(t *testing.T) {
 func TestSiliconSupercellDensityInvariant(t *testing.T) {
 	// Atoms per Å³ must be constant across the family.
 	ref, _ := SiliconSupercell(64)
-	refDensity := float64(ref.NumIons) / ref.Volume()
+	refDensity := float64(ref.NumIons) / (ref.A * ref.B * ref.C)
 	for _, n := range []int{8, 32, 128, 512, 2048, 4096} {
 		s, err := SiliconSupercell(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := float64(s.NumIons) / s.Volume()
+		d := float64(s.NumIons) / (s.A * s.B * s.C)
 		if math.Abs(d-refDensity)/refDensity > 1e-9 {
 			t.Fatalf("Si%d density %v differs from reference %v", n, d, refDensity)
 		}
@@ -46,20 +46,10 @@ func TestSiliconSupercellRejectsBadCounts(t *testing.T) {
 	}
 }
 
-func TestVacancySupercell(t *testing.T) {
-	s, err := SiliconVacancySupercell(256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Si256_hse: 255 ions, 1020 electrons (Table I).
-	if s.NumIons != 255 || s.Electrons != 1020 {
-		t.Fatalf("vacancy cell: %d ions, %d electrons; want 255/1020", s.NumIons, s.Electrons)
-	}
-}
-
 func TestFFTGridMatchesTableISi256(t *testing.T) {
-	// Si256_hse: 80×80×80 grid, NPLWV 512000 at the benchmark cutoff.
-	s, _ := SiliconVacancySupercell(256)
+	// Si256_hse: 80×80×80 grid, NPLWV 512000 at the benchmark cutoff
+	// (the vacancy leaves the cell unchanged).
+	s, _ := SiliconSupercell(256)
 	grid, err := FFTGrid(s, 410, "Normal")
 	if err != nil {
 		t.Fatal(err)
@@ -175,13 +165,6 @@ func TestDefaultNBands(t *testing.T) {
 		if math.Abs(float64(got)-want) > 10 {
 			t.Fatalf("NBANDS(Si%d) = %d, want ≈ %v", n, got, want)
 		}
-	}
-}
-
-func TestVolume(t *testing.T) {
-	s := Structure{Name: "x", Formula: "X", NumIons: 1, Electrons: 1, A: 2, B: 3, C: 4}
-	if s.Volume() != 24 {
-		t.Fatalf("volume = %v", s.Volume())
 	}
 }
 

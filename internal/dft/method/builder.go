@@ -262,10 +262,3 @@ func min(a, b int) int {
 	}
 	return b
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -200,29 +200,6 @@ func Build(c Config) (*Schedule, error) {
 	return &Schedule{Name: c.Kind.String(), Steps: b.steps}, nil
 }
 
-// GPUSeconds returns the summed uncapped-roofline estimate of GPU step
-// durations (diagnostic; the solver computes real durations).
-func (s *Schedule) GPUSeconds(g *gpu.GPU) float64 {
-	var t float64
-	for _, st := range s.Steps {
-		if st.Kind == StepGPU {
-			t += g.UncappedDuration(st.GPU)
-		}
-	}
-	return t
-}
-
-// CountKind returns how many steps have the given kind.
-func (s *Schedule) CountKind(k StepKind) int {
-	n := 0
-	for _, st := range s.Steps {
-		if st.Kind == k {
-			n++
-		}
-	}
-	return n
-}
-
 // MemoryPerGPU estimates the per-GPU HBM footprint of the
 // configuration, in bytes: the local band block (orbitals plus their
 // H-applications), the dense grids, plus method-specific extras — the

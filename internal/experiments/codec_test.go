@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"vasppower/internal/core"
+	"vasppower/internal/hw/platform"
 	"vasppower/internal/obs"
 	"vasppower/internal/sched"
 	"vasppower/internal/workloads"
@@ -29,13 +30,6 @@ func (s *recordingStore) Put(key string, data []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.data[key] = data
-}
-
-func (s *recordingStore) Clear() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.data = map[string][]byte{}
-	return nil
 }
 
 func (s *recordingStore) Len() int {
@@ -119,7 +113,7 @@ func TestCorruptProfilePayloadRecomputed(t *testing.T) {
 
 	cfg := quickCfg()
 	b, _ := workloads.ByName("PdO2")
-	key := measureKey(cfg.platform(), b, 1, 1, 0, cfg.seed(), 0)
+	key := SpecKey(cfg.spec(b, 1, 1))
 	want, err := core.Measure(core.MeasureSpec{Bench: b, Platform: cfg.platform(), Seed: cfg.seed()})
 	if err != nil {
 		t.Fatal(err)
@@ -167,8 +161,32 @@ func TestExtSchedulerMeasuresThroughCache(t *testing.T) {
 		t.Fatalf("memo.misses = %d for %d distinct specs: a spec was measured twice", misses, cache.Len())
 	}
 	for _, j := range sched.SyntheticJobMix(8, 90, cfg.seed()) {
-		if _, ok := cache.Get(measureKey(cfg.platform(), j.Bench, j.Nodes, 1, 0, cfg.seed(), 0)); !ok {
+		if _, ok := cache.Get(SpecKey(cfg.spec(j.Bench, j.Nodes, 1))); !ok {
 			t.Errorf("%s on %d nodes: uncapped baseline not under the runners' key", j.Bench.Name, j.Nodes)
+		}
+	}
+}
+
+// TestSpecKeyPinned pins the measurement cache key byte for byte for a
+// runner-style spec (default platform, Table I benchmark, uncapped and
+// capped): disk entries are addressed by it, so any drift turns every
+// existing cache directory into misses. Change a literal only together
+// with CacheEpoch.
+func TestSpecKeyPinned(t *testing.T) {
+	b, ok := workloads.ByName("Si256_hse")
+	if !ok {
+		t.Fatal("Si256_hse missing from Table I")
+	}
+	for _, c := range []struct {
+		capW float64
+		want string
+	}{
+		{0, "perlmutter-a100|bb462f1b673b7edd|Si256_hse|512000|640|0|41|410|1|0|5|2024|0"},
+		{250, "perlmutter-a100|bb462f1b673b7edd|Si256_hse|512000|640|0|41|410|1|250|5|2024|0"},
+	} {
+		spec := core.MeasureSpec{Bench: b, Platform: platform.Default(), Nodes: 1, Repeats: 5, CapW: c.capW, Seed: 2024}
+		if got := SpecKey(spec); got != c.want {
+			t.Errorf("SpecKey(cap %v) = %q, want %q", c.capW, got, c.want)
 		}
 	}
 }

@@ -49,9 +49,6 @@ type Config struct {
 	Obs *obs.Obs
 }
 
-// DefaultConfig returns the paper-faithful configuration.
-func DefaultConfig() Config { return Config{Seed: 2024, Repeats: 5} }
-
 func (c Config) repeats() int {
 	if c.Repeats > 0 {
 		return c.Repeats
@@ -153,23 +150,16 @@ func DisableDiskCache() {
 	cache.SetStore(nil, memo.Codec[core.JobProfile]{})
 }
 
-// measureKey builds the cache key for one measurement. It includes
-// the size parameters so same-named variants (e.g. a synthetic
-// Si128_acfdtr next to the Table I one) never collide, the platform
-// name AND its efficiency-table hash so two platforms — or the same
-// platform with an edited table — never share a profile, the operand
-// entropy (which shifts sustained power), and renders every float at
-// full precision — %.0f would alias ENCUT 410.4 with 410 and cap
-// 149.6 with 150.
-func measureKey(p platform.Platform, b workloads.Benchmark, nodes, repeats int, capW float64, seed uint64, entropy float64) string {
-	return string(appendMeasureKey(nil, p, b, nodes, repeats, capW, seed, entropy))
-}
-
-// appendMeasureKey is measureKey into a caller-owned buffer — the
-// serving layer keys every request this way without allocating. A cap
-// at or above the GPU's TDP is the stock power limit, not a distinct
-// measurement, so it keys as uncapped (core.Measure normalizes the
-// spec the same way before running).
+// appendMeasureKey appends the cache key of one measurement. It
+// includes the size parameters so same-named variants (e.g. a
+// synthetic Si128_acfdtr next to the Table I one) never collide, the
+// platform name AND its efficiency-table hash so two platforms — or
+// the same platform with an edited table — never share a profile, the
+// operand entropy (which shifts sustained power), and renders every
+// float at full precision — %.0f would alias ENCUT 410.4 with 410 and
+// cap 149.6 with 150. A cap at or above the GPU's TDP is the stock
+// power limit, not a distinct measurement, so it keys as uncapped
+// (core.Measure normalizes the spec the same way before running).
 func appendMeasureKey(dst []byte, p platform.Platform, b workloads.Benchmark, nodes, repeats int, capW float64, seed uint64, entropy float64) []byte {
 	if capW <= 0 || capW >= p.GPU.TDP {
 		capW = 0
@@ -272,8 +262,7 @@ func AppendSpecKey(dst []byte, spec core.MeasureSpec) []byte {
 // protocol defaults before keying, so equivalent specs hit the same
 // entry.
 func CachedMeasureSpec(spec core.MeasureSpec) (core.JobProfile, error) {
-	jp, _, err := cachedDo(SpecKey(spec), spec)
-	return jp, err
+	return cachedMeasure(nil, spec, func() (core.JobProfile, error) { return core.Measure(spec) })
 }
 
 // CachedMeasureGroup measures spec at each cap point through the same
@@ -285,6 +274,14 @@ func CachedMeasureSpec(spec core.MeasureSpec) (core.JobProfile, error) {
 // dedup and disk write-back per point. Results are bit-identical to
 // per-point CachedMeasureSpec calls.
 func CachedMeasureGroup(spec core.MeasureSpec, caps []float64) ([]core.JobProfile, error) {
+	return cachedMeasureCaps(nil, spec, caps)
+}
+
+// cachedMeasureCaps is CachedMeasureGroup with spans: each point is one
+// cachedMeasure lookup, and the points that miss share one sweep
+// context, built on the first miss so a warm sweep never pays the
+// resolution phase.
+func cachedMeasureCaps(o *obs.Obs, spec core.MeasureSpec, caps []float64) ([]core.JobProfile, error) {
 	out := make([]core.JobProfile, len(caps))
 	var sctx *core.SweepContext
 	defer func() {
@@ -295,7 +292,7 @@ func CachedMeasureGroup(spec core.MeasureSpec, caps []float64) ([]core.JobProfil
 	for i, capW := range caps {
 		pt := spec
 		pt.CapW = capW
-		jp, err := cache.Do(context.Background(), SpecKey(pt), func() (core.JobProfile, error) {
+		jp, err := cachedMeasure(o, pt, func() (core.JobProfile, error) {
 			if sctx == nil {
 				base := spec
 				base.CapW = 0
@@ -311,85 +308,50 @@ func CachedMeasureGroup(spec core.MeasureSpec, caps []float64) ([]core.JobProfil
 	return out, nil
 }
 
-// cachedDo is the shared lookup: memory → disk → compute, reporting
-// whether this caller's flight ran the computation.
-func cachedDo(key string, spec core.MeasureSpec) (core.JobProfile, bool, error) {
+// cachedMeasure is the one keyed lookup behind every cached
+// measurement: memory, then disk, then compute, under SpecKey(spec).
+// With o carrying a tracer, each lookup opens a "measure" span
+// recording the spec, the wall time, and whether the cache — either
+// tier — served it without computing.
+func cachedMeasure(o *obs.Obs, spec core.MeasureSpec, compute func() (core.JobProfile, error)) (core.JobProfile, error) {
+	sp := o.Span("measure")
 	computed := false
-	jp, err := cache.Do(context.Background(), key, func() (core.JobProfile, error) {
+	jp, err := cache.Do(context.Background(), SpecKey(spec), func() (core.JobProfile, error) {
 		computed = true
-		return core.Measure(spec)
+		return compute()
 	})
-	return jp, computed, err
-}
-
-// measure runs (or recalls) one benchmark measurement on cfg's
-// platform at cfg's seed. Every evaluation opens a "measure" span
-// (when cfg.Obs carries a tracer) recording the spec, the wall time,
-// and whether the cache — either tier — served it without computing.
-func measure(cfg Config, b workloads.Benchmark, nodes, repeats int, capW float64) (core.JobProfile, error) {
-	p := cfg.platform()
-	key := measureKey(p, b, nodes, repeats, capW, cfg.seed(), 0)
-	sp := cfg.Obs.Span("measure")
-	jp, computed, err := cachedDo(key, core.MeasureSpec{
-		Bench: b, Platform: p, Nodes: nodes, Repeats: repeats,
-		CapW: capW, Seed: cfg.seed(),
-	})
-	sp.Set("bench", b.Name).Set("platform", p.Name).Set("nodes", nodes).
-		Set("repeats", repeats).Set("cap_w", capW).
-		Set("cache_hit", !computed).Set("error", err != nil)
-	sp.End()
+	if sp != nil {
+		sp.Set("bench", spec.Bench.Name).Set("platform", platform.OrDefault(spec.Platform).Name).
+			Set("nodes", spec.Nodes).Set("repeats", spec.Repeats).Set("cap_w", spec.CapW).
+			Set("cache_hit", !computed).Set("error", err != nil)
+		sp.End()
+	}
 	return jp, err
 }
 
-// measureGroup is measure across a cap sweep of one benchmark: the
-// same per-point cache keys and "measure" spans, but points that miss
-// the cache share one incremental sweep context (built lazily on the
-// first miss, so a warm sweep never pays the resolution phase).
+// spec returns the measurement of b on cfg's platform at cfg's seed.
+func (c Config) spec(b workloads.Benchmark, nodes, repeats int) core.MeasureSpec {
+	return core.MeasureSpec{Bench: b, Platform: c.platform(), Nodes: nodes, Repeats: repeats, Seed: c.seed()}
+}
+
+// measure runs (or recalls) one benchmark measurement on cfg's
+// platform at cfg's seed.
+func measure(cfg Config, b workloads.Benchmark, nodes, repeats int, capW float64) (core.JobProfile, error) {
+	spec := cfg.spec(b, nodes, repeats)
+	spec.CapW = capW
+	return cachedMeasure(cfg.Obs, spec, func() (core.JobProfile, error) { return core.Measure(spec) })
+}
+
+// measureGroup is measure across a cap sweep of one benchmark.
 // Results are bit-identical to per-point measure calls.
 func measureGroup(cfg Config, b workloads.Benchmark, nodes, repeats int, caps []float64) ([]core.JobProfile, error) {
-	p := cfg.platform()
-	out := make([]core.JobProfile, len(caps))
-	var sctx *core.SweepContext
-	defer func() {
-		if sctx != nil {
-			sctx.Close()
-		}
-	}()
-	for i, capW := range caps {
-		key := measureKey(p, b, nodes, repeats, capW, cfg.seed(), 0)
-		sp := cfg.Obs.Span("measure")
-		computed := false
-		jp, err := cache.Do(context.Background(), key, func() (core.JobProfile, error) {
-			computed = true
-			if sctx == nil {
-				sctx = core.NewSweepContext(core.MeasureSpec{
-					Bench: b, Platform: p, Nodes: nodes, Repeats: repeats,
-					Seed: cfg.seed(),
-				})
-			}
-			return sctx.MeasureCap(capW)
-		})
-		sp.Set("bench", b.Name).Set("platform", p.Name).Set("nodes", nodes).
-			Set("repeats", repeats).Set("cap_w", capW).
-			Set("cache_hit", !computed).Set("error", err != nil)
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = jp
-	}
-	return out, nil
+	return cachedMeasureCaps(cfg.Obs, cfg.spec(b, nodes, repeats), caps)
 }
 
 // ResetCache clears the measurement cache's memory tier (tests use it
 // to force fresh in-process runs). With a disk tier attached the next
-// lookup hits disk, not a recomputation; ResetCacheAll clears both
-// tiers for a truly cold start.
+// lookup hits disk, not a recomputation.
 func ResetCache() { cache.Reset() }
-
-// ResetCacheAll clears both the memory tier and, when attached, every
-// entry in the disk tier.
-func ResetCacheAll() error { return cache.ResetAll() }
 
 // highMode extracts the node-level high power mode (0 when absent).
 func highMode(jp core.JobProfile) float64 {

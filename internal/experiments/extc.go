@@ -161,20 +161,6 @@ func meanGPU(jp core.JobProfile) float64 {
 	return s / float64(len(jp.GPUs))
 }
 
-// CappingWins reports whether power capping met the target with less
-// slowdown than DVFS on every row.
-func (r ExtCResult) CappingWins() bool {
-	if len(r.Rows) == 0 {
-		return false
-	}
-	for _, row := range r.Rows {
-		if row.CapRuntime > row.DVFSRuntime {
-			return false
-		}
-	}
-	return true
-}
-
 // Render draws the comparison.
 func (r ExtCResult) Render() string {
 	var sb strings.Builder

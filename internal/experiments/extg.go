@@ -124,21 +124,6 @@ func RunExtG(cfg Config) (ExtGResult, error) {
 	return res, nil
 }
 
-// Cell returns one benchmark's cell for a metric.
-func (r ExtGResult) Cell(bench, metric string) (ExtGCell, bool) {
-	for _, row := range r.Rows {
-		if row.Bench != bench {
-			continue
-		}
-		for _, c := range row.Cells {
-			if c.Metric == metric {
-				return c, true
-			}
-		}
-	}
-	return ExtGCell{}, false
-}
-
 // Render draws the ablation.
 func (r ExtGResult) Render() string {
 	var sb strings.Builder

@@ -125,23 +125,6 @@ func RunCapStudy(cfg Config) (CapStudyResult, error) {
 	return res, nil
 }
 
-// SlowdownAt returns the fractional slowdown of a benchmark at a cap.
-func (r CapStudyResult) SlowdownAt(bench string, capW float64) (float64, error) {
-	pts, ok := r.Series[bench]
-	if !ok {
-		return 0, fmt.Errorf("experiments: no cap series for %s", bench)
-	}
-	for _, p := range pts {
-		if p.CapW == capW {
-			if p.RelPerf <= 0 {
-				return 0, fmt.Errorf("experiments: degenerate point")
-			}
-			return 1/p.RelPerf - 1, nil
-		}
-	}
-	return 0, fmt.Errorf("experiments: cap %v not measured", capW)
-}
-
 // Fig10Render renders the cap-efficacy view (Figure 10): high power
 // mode per GPU as a fraction of the applied cap.
 func (r CapStudyResult) Fig10Render() string {

@@ -92,38 +92,6 @@ func RunFig13(cfg Config) (Fig13Result, error) {
 	return res, nil
 }
 
-// MaxSpreadAt returns the max−min relative performance across node
-// counts at the given cap (small = concurrency-independent response).
-func (r Fig13Result) MaxSpreadAt(capW float64) float64 {
-	idx := -1
-	for i, c := range r.Caps {
-		if c == capW {
-			idx = i
-		}
-	}
-	if idx < 0 {
-		return 0
-	}
-	lo, hi := 1e18, -1e18
-	for _, n := range r.Counts {
-		rels, ok := r.RelPerf[n]
-		if !ok || idx >= len(rels) {
-			continue
-		}
-		v := rels[idx]
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	if hi < lo {
-		return 0
-	}
-	return hi - lo
-}
-
 // Render draws the grid.
 func (r Fig13Result) Render() string {
 	var sb strings.Builder

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"vasppower/internal/artifact"
@@ -185,33 +184,6 @@ func (r Fig2Result) PipelinesCSV() artifact.Table {
 		})
 	}
 	return t
-}
-
-// MaxAbsEnergyErrPct returns the worst pipeline energy error by
-// magnitude, keyed by name.
-func (r Fig2Result) MaxAbsEnergyErrPct() (string, float64) {
-	name, worst := "", 0.0
-	for _, p := range r.Pipelines {
-		if a := math.Abs(p.EnergyErrPct); a >= worst {
-			name, worst = p.Name, a
-		}
-	}
-	return name, worst
-}
-
-// HighModeStable reports whether the high power mode stayed within
-// tol watts of the 0.1 s reference at every interval.
-func (r Fig2Result) HighModeStable(tol float64) bool {
-	if len(r.Points) == 0 {
-		return false
-	}
-	ref := r.Points[0].HighMode
-	for _, p := range r.Points {
-		if p.HighMode == 0 || p.HighMode < ref-tol || p.HighMode > ref+tol {
-			return false
-		}
-	}
-	return true
 }
 
 // Render draws the per-interval distribution summary.

@@ -78,17 +78,6 @@ func RunFig6(cfg Config) (Fig6Result, error) {
 	return res, nil
 }
 
-// SaturationAtoms returns the smallest size whose combined-GPU mode
-// reaches frac of 4×TDP (0 when never reached).
-func (r Fig6Result) SaturationAtoms(frac float64) int {
-	for _, p := range r.Points {
-		if p.GPUSumMode >= frac*r.GPUTDPSum {
-			return p.Atoms
-		}
-	}
-	return 0
-}
-
 // Render draws the size sweep.
 func (r Fig6Result) Render() string {
 	var sb strings.Builder

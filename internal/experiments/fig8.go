@@ -77,17 +77,6 @@ func RunFig8(cfg Config) (Fig8Result, error) {
 	return res, nil
 }
 
-// EnergyMonotone reports whether energy to solution increases with
-// node count (the paper's observation).
-func (r Fig8Result) EnergyMonotone() bool {
-	for i := 1; i < len(r.Points); i++ {
-		if r.Points[i].EnergyMJ <= r.Points[i-1].EnergyMJ {
-			return false
-		}
-	}
-	return len(r.Points) > 1
-}
-
 // Render draws the sweep.
 func (r Fig8Result) Render() string {
 	var sb strings.Builder

@@ -18,18 +18,6 @@ func TestHBMIdlePowerShare(t *testing.T) {
 	}
 }
 
-func TestCoreDomainPowerClamp(t *testing.T) {
-	// Normal split: core = (1-vr)·module - mem.
-	if got, want := CoreDomainPower(400, 100), 400*(1-ModuleVRFrac)-100; math.Abs(got-want) > 1e-9 {
-		t.Fatalf("CoreDomainPower(400,100) = %v, want %v", got, want)
-	}
-	// A memory reading that (numerically) exceeds the VR-corrected
-	// board power clamps to zero rather than going negative.
-	if got := CoreDomainPower(100, 100); got != 0 {
-		t.Fatalf("CoreDomainPower clamp = %v, want 0", got)
-	}
-}
-
 // Property: the HBM-domain share never exceeds board power, for
 // classic and random kernels under random caps and clock limits, and
 // stays at or above the HBM idle floor.
@@ -51,9 +39,6 @@ func TestMemPowerWithinBoardPower(t *testing.T) {
 		}
 		if ex.MemPower < g.HBMIdlePower()-1e-9 {
 			t.Fatalf("trial %d: MemPower %.2f below HBM idle floor %.2f", trial, ex.MemPower, g.HBMIdlePower())
-		}
-		if got := CoreDomainPower(ex.Power, ex.MemPower); got < 0 {
-			t.Fatalf("trial %d: negative core domain", trial)
 		}
 	}
 }

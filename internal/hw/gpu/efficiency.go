@@ -283,16 +283,6 @@ func (r Response) validate(name string, minCap float64) error {
 	return nil
 }
 
-// Clone returns a deep copy safe to edit (the class map is copied).
-func (m *EfficiencyModel) Clone() *EfficiencyModel {
-	c := *m
-	c.Classes = make(map[KernelClass]ClassEfficiency, len(m.Classes))
-	for class, ce := range m.Classes {
-		c.Classes[class] = ce
-	}
-	return &c
-}
-
 // modelHashes memoizes Hash by pointer: tables are immutable once in
 // use, and the hash sits on the measurement cache-key hot path.
 var modelHashes sync.Map // *EfficiencyModel → string

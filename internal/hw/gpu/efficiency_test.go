@@ -154,17 +154,6 @@ func TestModelHashDistinguishesTables(t *testing.T) {
 	}
 }
 
-func TestModelCloneIsIndependent(t *testing.T) {
-	a := DefaultEfficiency()
-	b := a.Clone()
-	ce := b.Classes[ClassGEMM]
-	ce.Compute.Cap = 0.5
-	b.Classes[ClassGEMM] = ce
-	if a.Classes[ClassGEMM].Compute.Cap == 0.5 {
-		t.Fatal("clone shares the class map")
-	}
-}
-
 func TestModelJSONRoundTrip(t *testing.T) {
 	a := DefaultEfficiency()
 	blob, err := json.Marshal(a)

@@ -241,18 +241,6 @@ func (g *GPU) HBMIdlePower() float64 {
 	return HBMIdleFrac * g.Spec.IdleWatts * g.idleScale
 }
 
-// CoreDomainPower splits one board-power reading into the NVML GPU
-// scope: module power minus VR losses minus the memory domain.
-// Clamped at zero so a decomposition fed inconsistent values stays
-// physical.
-func CoreDomainPower(moduleW, memW float64) float64 {
-	core := moduleW*(1-ModuleVRFrac) - memW
-	if core < 0 {
-		return 0
-	}
-	return core
-}
-
 // GPU is one device instance. Manufacturing variability (the paper
 // reports up to 100 W idle spread across nodes and visible differences
 // between identical DGEMM runs, §III-B.2) is captured by per-device

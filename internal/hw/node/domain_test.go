@@ -34,7 +34,7 @@ func TestRecordGPUMems(t *testing.T) {
 		if got := n.GPUMemTrace(i).PowerAt(2); !almostEq(got, p.GPUMems[i]) {
 			t.Fatalf("gpu %d mem trace = %v, want %v", i, got, p.GPUMems[i])
 		}
-		core := n.GPUCoreTrace(i).PowerAt(2)
+		core := coreTrace(&n.gpuTraces[i], &n.gpuMemTraces[i]).PowerAt(2)
 		want := 300*(1-gpu.ModuleVRFrac) - p.GPUMems[i]
 		if !almostEq(core, want) {
 			t.Fatalf("gpu %d core trace = %v, want %v", i, core, want)
@@ -75,7 +75,7 @@ func TestDomainTraceAggregates(t *testing.T) {
 	for i := range p.GPUs {
 		wantMem += p.GPUMems[i]
 		wantModule += p.GPUs[i]
-		wantGPU += gpu.CoreDomainPower(p.GPUs[i], p.GPUMems[i])
+		wantGPU += math.Max(0, p.GPUs[i]*(1-gpu.ModuleVRFrac)-p.GPUMems[i])
 	}
 	checks := []struct {
 		d    Domain

@@ -312,15 +312,6 @@ func ValidDomain(d Domain) bool {
 // trace, recorded in lockstep with GPUTrace(i).
 func (n *Node) GPUMemTrace(i int) *timeseries.Trace { return &n.gpuMemTraces[i] }
 
-// GPUCoreTrace returns GPU i's core-domain (NVML GPU scope) power
-// trace, derived segment-wise from the board and HBM traces:
-// board·(1−VR losses) − HBM, floored at zero. Not memoized — callers
-// wanting the per-host aggregate should use DomainTrace(DomainGPU),
-// which is.
-func (n *Node) GPUCoreTrace(i int) *timeseries.Trace {
-	return coreTrace(&n.gpuTraces[i], &n.gpuMemTraces[i])
-}
-
 // coreTrace derives the core-domain trace from a module (board) trace
 // and its memory-domain share. The two traces cover identical time but
 // may be segmented differently (equal-power merging is per-trace), so

@@ -145,6 +145,53 @@ func TestSetGPUPowerLimits(t *testing.T) {
 	}
 }
 
+// checkPowerLimits fails unless every GPU on n is capped at want watts.
+func checkPowerLimits(t *testing.T, n *Node, what string, want float64) {
+	t.Helper()
+	for i, g := range n.GPUs {
+		if g.PowerLimit() != want {
+			t.Fatalf("%s: gpu %d limit = %v, want %v", what, i, g.PowerLimit(), want)
+		}
+	}
+}
+
+// TestSetPowerLimitAllGPUs covers the node-wide cap (nvidia-smi -pl on
+// every device), both directly and through SetGPULimits, which the
+// measurement engine drives.
+func TestSetPowerLimitAllGPUs(t *testing.T) {
+	n := New("nid001", platform.Default(), nil)
+	if err := n.SetGPUPowerLimits(300); err != nil {
+		t.Fatal(err)
+	}
+	checkPowerLimits(t, n, "SetGPUPowerLimits(300)", 300)
+	if err := n.SetGPULimits(200, 0); err != nil {
+		t.Fatal(err)
+	}
+	checkPowerLimits(t, n, "SetGPULimits(200, 0)", 200)
+}
+
+// TestResetPowerLimit resets one device, then all of them, then resets
+// through SetGPULimits(0, 0).
+func TestResetPowerLimit(t *testing.T) {
+	n := New("nid001", platform.Default(), nil)
+	if err := n.SetGPUPowerLimits(200); err != nil {
+		t.Fatal(err)
+	}
+	n.GPUs[1].ResetPowerLimit()
+	if n.GPUs[1].PowerLimit() != 400 || n.GPUs[0].PowerLimit() != 200 {
+		t.Fatal("single reset wrong")
+	}
+	n.ResetGPUPowerLimits()
+	checkPowerLimits(t, n, "reset all", 400)
+	if err := n.SetGPULimits(200, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.SetGPULimits(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	checkPowerLimits(t, n, "SetGPULimits(0, 0)", 400)
+}
+
 func TestRecordNegativePanics(t *testing.T) {
 	n := New("nid001", platform.Default(), nil)
 	defer func() {
@@ -180,4 +227,40 @@ func TestSetGPUClockLimits(t *testing.T) {
 	if n.GPUs[0].ClockLimit() != 1 {
 		t.Fatal("reset failed")
 	}
+}
+
+// TestSetClockLimit covers the node-wide clock lock (nvidia-smi -lgc on
+// every device): lock all, reset one, reset all, and the same through
+// SetGPULimits.
+func TestSetClockLimit(t *testing.T) {
+	n := New("nid001", platform.Default(), nil)
+	checkLocked := func(what string, locked bool) {
+		t.Helper()
+		for i, g := range n.GPUs {
+			if got := g.ClockLimit() < 1; got != locked {
+				t.Fatalf("%s: gpu %d clock limit %v, locked = %v, want %v", what, i, g.ClockLimit(), got, locked)
+			}
+		}
+	}
+	if err := n.SetGPUClockLimits(1100); err != nil {
+		t.Fatal(err)
+	}
+	checkLocked("lock all", true)
+	if err := n.SetGPUClockLimits(5000); err == nil {
+		t.Fatal("bad clock accepted")
+	}
+	n.GPUs[0].ResetClockLimit()
+	if n.GPUs[0].ClockLimit() != 1 || n.GPUs[1].ClockLimit() >= 1 {
+		t.Fatal("single reset wrong")
+	}
+	n.ResetGPUClockLimits()
+	checkLocked("reset all", false)
+	if err := n.SetGPULimits(0, 1100); err != nil {
+		t.Fatal(err)
+	}
+	checkLocked("SetGPULimits(0, 1100)", true)
+	if err := n.SetGPULimits(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	checkLocked("SetGPULimits(0, 0)", false)
 }

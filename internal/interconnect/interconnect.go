@@ -45,17 +45,6 @@ func Slingshot() Fabric {
 	}
 }
 
-// Validate checks fabric parameters.
-func (f Fabric) Validate() error {
-	if f.IntraNodeBW <= 0 || f.InterNodeBW <= 0 {
-		return fmt.Errorf("interconnect: non-positive bandwidth in %q", f.Name)
-	}
-	if f.IntraLatency < 0 || f.InterLatency < 0 || f.SoftwareOverhead < 0 {
-		return fmt.Errorf("interconnect: negative latency in %q", f.Name)
-	}
-	return nil
-}
-
 // Topology describes the ranks participating in a collective.
 type Topology struct {
 	Nodes        int // number of nodes
@@ -109,18 +98,6 @@ func (f Fabric) AllReduce(bytes float64, t Topology) float64 {
 	return f.SoftwareOverhead + transfer + latency
 }
 
-// ReduceScatter returns the wall time of a reduce-scatter ((P−1)/P of
-// the ring all-reduce transfer).
-func (f Fabric) ReduceScatter(bytes float64, t Topology) float64 {
-	t.validate()
-	p := float64(t.Ranks())
-	if p == 1 || bytes <= 0 {
-		return f.SoftwareOverhead
-	}
-	bw := f.bottleneckBW(t)
-	return f.SoftwareOverhead + (p-1)/p*bytes/bw + math.Log2(p)*f.hopLatency(t)
-}
-
 // AllToAll returns the wall time of an all-to-all where each rank
 // sends `bytesPerRank` to every other rank (the band-redistribution
 // pattern). Each rank injects (P−1)·bytesPerRank through its own link.
@@ -144,15 +121,4 @@ func (f Fabric) Broadcast(bytes float64, t Topology) float64 {
 	bw := f.bottleneckBW(t)
 	steps := math.Ceil(math.Log2(p))
 	return f.SoftwareOverhead + steps*(f.hopLatency(t)+bytes/bw)
-}
-
-// PointToPoint returns the wall time of one message between two ranks.
-func (f Fabric) PointToPoint(bytes float64, sameNode bool) float64 {
-	if bytes < 0 {
-		panic("interconnect: negative bytes")
-	}
-	if sameNode {
-		return f.SoftwareOverhead + f.IntraLatency + bytes/f.IntraNodeBW
-	}
-	return f.SoftwareOverhead + f.InterLatency + bytes/f.InterNodeBW
 }

@@ -6,21 +6,6 @@ import (
 
 func topo(nodes int) Topology { return Topology{Nodes: nodes, RanksPerNode: 4} }
 
-func TestFabricValidate(t *testing.T) {
-	if err := Slingshot().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := Fabric{Name: "bad"}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("zero-bandwidth fabric accepted")
-	}
-	neg := Slingshot()
-	neg.InterLatency = -1
-	if err := neg.Validate(); err == nil {
-		t.Fatal("negative latency accepted")
-	}
-}
-
 func TestAllReduceSingleRankIsOverheadOnly(t *testing.T) {
 	f := Slingshot()
 	got := f.AllReduce(1e9, Topology{Nodes: 1, RanksPerNode: 1})
@@ -86,31 +71,12 @@ func TestBroadcastLogScaling(t *testing.T) {
 	}
 }
 
-func TestReduceScatterCheaperThanAllReduce(t *testing.T) {
-	f := Slingshot()
-	rs := f.ReduceScatter(1e8, topo(4))
-	ar := f.AllReduce(1e8, topo(4))
-	if rs >= ar {
-		t.Fatalf("reduce-scatter (%v) should be cheaper than allreduce (%v)", rs, ar)
-	}
-}
-
-func TestPointToPoint(t *testing.T) {
-	f := Slingshot()
-	same := f.PointToPoint(1e8, true)
-	diff := f.PointToPoint(1e8, false)
-	if same >= diff {
-		t.Fatalf("intra-node p2p (%v) should beat inter-node (%v)", same, diff)
-	}
-}
-
 func TestZeroBytesCollectives(t *testing.T) {
 	f := Slingshot()
 	for name, got := range map[string]float64{
-		"allreduce":     f.AllReduce(0, topo(4)),
-		"alltoall":      f.AllToAll(0, topo(4)),
-		"broadcast":     f.Broadcast(0, topo(4)),
-		"reducescatter": f.ReduceScatter(0, topo(4)),
+		"allreduce": f.AllReduce(0, topo(4)),
+		"alltoall":  f.AllToAll(0, topo(4)),
+		"broadcast": f.Broadcast(0, topo(4)),
 	} {
 		if got != f.SoftwareOverhead {
 			t.Fatalf("%s with 0 bytes = %v, want overhead only", name, got)

@@ -461,36 +461,3 @@ func (s *Store) Len() int {
 	defer s.mu.Unlock()
 	return len(s.index)
 }
-
-// TotalBytes reports the live entry bytes this process knows about.
-func (s *Store) TotalBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.total
-}
-
-// Clear removes every entry and quarantined file under the cache
-// directory and resets the index.
-func (s *Store) Clear() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var first error
-	err := filepath.WalkDir(s.dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			// A vanished file is already cleared.
-			return nil
-		}
-		if strings.HasSuffix(d.Name(), entryExt) || strings.HasSuffix(d.Name(), quarExt) {
-			if rerr := os.Remove(path); rerr != nil && first == nil {
-				first = rerr
-			}
-		}
-		return nil
-	})
-	if err != nil && first == nil {
-		first = err
-	}
-	s.index = make(map[string]*indexEntry)
-	s.total = 0
-	return first
-}

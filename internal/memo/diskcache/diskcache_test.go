@@ -39,8 +39,8 @@ func TestRoundTripAndPersistence(t *testing.T) {
 	if s.Len() != 1 {
 		t.Fatalf("Len = %d", s.Len())
 	}
-	if s.TotalBytes() <= int64(len(payload)) {
-		t.Fatalf("TotalBytes = %d, want > payload (header included)", s.TotalBytes())
+	if totalBytes(s) <= int64(len(payload)) {
+		t.Fatalf("total bytes = %d, want > payload (header included)", totalBytes(s))
 	}
 
 	// A second store on the same directory — a later process — serves
@@ -284,8 +284,8 @@ func TestLRUGC(t *testing.T) {
 			}
 		}
 	}
-	if got := s.TotalBytes(); got > maxBytes {
-		t.Fatalf("TotalBytes = %d > bound %d after GC", got, maxBytes)
+	if got := totalBytes(s); got > maxBytes {
+		t.Fatalf("total bytes = %d > bound %d after GC", got, maxBytes)
 	}
 	if _, ok := s.Get("key-0"); !ok {
 		t.Fatal("most-recently-used entry evicted")
@@ -317,38 +317,11 @@ func TestLRUGC(t *testing.T) {
 func TestOversizeSingleEntryEvicted(t *testing.T) {
 	s := mustOpen(t, Options{Dir: t.TempDir(), MaxBytes: 64, Epoch: "e"})
 	s.Put("big", bytes.Repeat([]byte("y"), 4096))
-	if got := s.TotalBytes(); got > 64 {
-		t.Fatalf("TotalBytes = %d > bound", got)
+	if got := totalBytes(s); got > 64 {
+		t.Fatalf("total bytes = %d > bound", got)
 	}
 	if s.Len() != 0 {
 		t.Fatalf("oversize entry retained (Len = %d)", s.Len())
-	}
-}
-
-func TestClearRemovesEntriesAndQuarantine(t *testing.T) {
-	s := mustOpen(t, Options{Dir: t.TempDir(), Epoch: "e"})
-	s.Put("a", []byte("1"))
-	s.Put("b", []byte("2"))
-	// Corrupt one so a quarantine file exists too.
-	path := entryFile(s, "a")
-	if err := os.WriteFile(path, []byte("garbage"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	s.Get("a")
-	if err := s.Clear(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 0 || s.TotalBytes() != 0 {
-		t.Fatalf("after Clear: Len=%d TotalBytes=%d", s.Len(), s.TotalBytes())
-	}
-	filepath.Walk(s.Dir(), func(p string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() {
-			t.Fatalf("file survived Clear: %s", p)
-		}
-		return nil
-	})
-	if _, ok := s.Get("b"); ok {
-		t.Fatal("entry served after Clear")
 	}
 }
 
@@ -435,7 +408,7 @@ func TestConcurrentWarmSameKey(t *testing.T) {
 }
 
 // TestConcurrentStoreStress hammers one store from many goroutines
-// with overlapping keys, reads, writes, and clears; under -race this
+// with overlapping keys, reads and writes; under -race this
 // is the store's thread-safety proof.
 func TestConcurrentStoreStress(t *testing.T) {
 	s := mustOpen(t, Options{Dir: t.TempDir(), MaxBytes: 1 << 16, Epoch: "e"})
@@ -447,18 +420,20 @@ func TestConcurrentStoreStress(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				key := fmt.Sprintf("key-%d", (g+i)%13)
 				want := []byte(key + "-payload")
-				switch {
-				case i%29 == 28:
-					s.Clear()
-				default:
-					s.Put(key, want)
-					if got, ok := s.Get(key); ok && !bytes.Equal(got, want) {
-						t.Errorf("Get(%s) = %q, want %q", key, got, want)
-						return
-					}
+				s.Put(key, want)
+				if got, ok := s.Get(key); ok && !bytes.Equal(got, want) {
+					t.Errorf("Get(%s) = %q, want %q", key, got, want)
+					return
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
+}
+
+// totalBytes reports the live entry bytes the store knows about.
+func totalBytes(s *Store) int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.total
 }

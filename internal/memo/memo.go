@@ -241,7 +241,7 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 }
 
 // Len returns the number of cached (or in-flight) keys in the memory
-// tier only; a backing store's entry count is StoreLen. The two are
+// tier only, not counting a backing store's entries. The two are
 // deliberately not summed — keys present in both tiers would be
 // double-counted, and the memory tier is the one that bounds live heap.
 func (c *Cache[V]) Len() int {
@@ -257,8 +257,7 @@ func (c *Cache[V]) Len() int {
 
 // Reset drops every cached entry in the memory tier only — a backing
 // store keeps its entries, so the next Do on a previously computed key
-// is a store hit, not a recomputation. Use ResetAll to clear both
-// tiers. In-flight computations complete and deliver their result to
+// is a store hit, not a recomputation. In-flight computations complete and deliver their result to
 // waiters but are not re-cached in memory (their store write-back
 // still lands).
 func (c *Cache[V]) Reset() {

@@ -10,13 +10,10 @@ package memo
 // Implementations must be safe for concurrent use. Get returns the
 // stored bytes for key, or ok=false when the key is absent (or the
 // entry failed the implementation's integrity checks). Put stores data
-// under key, best-effort. Clear drops every entry. Len reports the
-// number of stored entries.
+// under key, best-effort.
 type Store interface {
 	Get(key string) (data []byte, ok bool)
 	Put(key string, data []byte)
-	Clear() error
-	Len() int
 }
 
 // CorruptMarker is an optional Store extension: when the Cache's codec
@@ -95,26 +92,4 @@ func (c *Cache[V]) storePut(key string, v V) {
 		return
 	}
 	b.store.Put(key, data)
-}
-
-// StoreLen reports the number of entries in the backing store (0 when
-// no store is attached). The memory tier's count is Len.
-func (c *Cache[V]) StoreLen() int {
-	b := c.backing.Load()
-	if b == nil {
-		return 0
-	}
-	return b.store.Len()
-}
-
-// ResetAll drops every cached entry in both tiers: the memory maps
-// (as Reset does) and the backing store's contents. It returns the
-// store's Clear error, if any. Tests use it to force truly cold runs;
-// Reset alone leaves the persistent tier warm.
-func (c *Cache[V]) ResetAll() error {
-	c.Reset()
-	if b := c.backing.Load(); b != nil {
-		return b.store.Clear()
-	}
-	return nil
 }

@@ -49,12 +49,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// EffectiveInterval returns the expected spacing between surviving
-// samples.
-func (c Config) EffectiveInterval() float64 {
-	return c.Interval / (1 - c.DropProb)
-}
-
 // Sample reads one power trace through the pipeline: window-averaged
 // at the nominal interval (the PM counters accumulate energy between
 // polls, so each sample is the true mean over its window), then
@@ -76,10 +70,6 @@ const (
 	MetricNode   = "node"
 	MetricCPU    = "cpu"
 	MetricMemory = "memory"
-	MetricGPU0   = "gpu0"
-	MetricGPU1   = "gpu1"
-	MetricGPU2   = "gpu2"
-	MetricGPU3   = "gpu3"
 )
 
 // Metrics lists all per-node metric names for a node carrying the

@@ -38,10 +38,10 @@ func TestConfigValidate(t *testing.T) {
 
 func TestEffectiveInterval(t *testing.T) {
 	// Nominal 1 s with 50% drops → effective 2 s, as the paper reports.
-	if got := LDMSDefault().EffectiveInterval(); math.Abs(got-2) > 1e-9 {
+	if got := effectiveInterval(LDMSDefault()); math.Abs(got-2) > 1e-9 {
 		t.Fatalf("effective interval = %v, want 2", got)
 	}
-	if got := HighRate().EffectiveInterval(); math.Abs(got-0.1) > 1e-9 {
+	if got := effectiveInterval(HighRate()); math.Abs(got-0.1) > 1e-9 {
 		t.Fatalf("high-rate effective interval = %v", got)
 	}
 }
@@ -139,7 +139,7 @@ func TestSampleNodeDropsDiffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	// GPU0 and GPU1 should not share an identical drop pattern.
-	a, b := out[MetricGPU0], out[MetricGPU1]
+	a, b := out[GPUMetric(0)], out[GPUMetric(1)]
 	if a.Len() == b.Len() {
 		same := true
 		for i := range a.Times {
@@ -181,4 +181,10 @@ func TestSampleNodeInvalidConfig(t *testing.T) {
 	if _, err := SampleNode(n, Config{}); err == nil {
 		t.Fatal("invalid config accepted")
 	}
+}
+
+// effectiveInterval returns the expected spacing between surviving
+// samples.
+func effectiveInterval(c Config) float64 {
+	return c.Interval / (1 - c.DropProb)
 }

@@ -39,14 +39,6 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Set stores an absolute level.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
 // SetMax raises the level to v if v is higher, atomically: of any
 // set of concurrent SetMax calls the highest value stays, which a
 // Value-then-Set pair cannot promise.

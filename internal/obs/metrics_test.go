@@ -17,7 +17,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	c.Add(1)
 	c.Inc()
-	g.Set(2)
 	g.SetMax(4)
 	g.Add(1)
 	h.Observe(3)
@@ -81,7 +80,7 @@ func TestCounterGaugeConcurrent(t *testing.T) {
 // descending for odd w), and requires the true maximum to survive.
 func TestGaugeSetMaxConcurrent(t *testing.T) {
 	g := NewRegistry().Gauge("peak")
-	g.Set(-1)
+	g.Add(-1)
 	const workers, per = 16, 2000
 	var start, wg sync.WaitGroup
 	start.Add(1)
@@ -138,7 +137,7 @@ func TestHistogramBuckets(t *testing.T) {
 func TestSnapshotCopies(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("n").Add(7)
-	r.Gauge("q").Set(3)
+	r.Gauge("q").SetMax(3)
 	s := r.Snapshot()
 	if s.Counters["n"] != 7 || s.Gauges["q"] != 3 {
 		t.Fatalf("snapshot = %+v", s)

@@ -67,16 +67,22 @@ func TestForEachMetricsFullRun(t *testing.T) {
 
 // TestForEachMetricsSkippedOnError checks the error path's ledger:
 // started + skipped == n, queue depth drains to zero, and the failing
-// item still counts as started and completed.
+// item still counts as started and completed. With several workers,
+// every other item waits for the cancellation before it returns, so
+// no worker can drain the queue ahead of the failure: only the items
+// in flight when it lands start.
 func TestForEachMetricsSkippedOnError(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {
 		m := NewMetrics(obs.NewRegistry())
 		SetMetrics(m)
 		const n = 50
-		err := ForEach(context.Background(), workers, n, func(_ context.Context, i int) error {
+		err := ForEach(context.Background(), workers, n, func(ctx context.Context, i int) error {
 			if i == 3 {
 				return boom
+			}
+			if workers > 1 {
+				<-ctx.Done()
 			}
 			return nil
 		})
@@ -90,6 +96,9 @@ func TestForEachMetricsSkippedOnError(t *testing.T) {
 		}
 		if skipped == 0 {
 			t.Fatalf("workers=%d: no items reported skipped after early error", workers)
+		}
+		if workers > 1 && skipped < int64(n-workers) {
+			t.Fatalf("workers=%d: skipped = %d, want >= %d", workers, skipped, n-workers)
 		}
 		if m.ItemsCompleted.Value() != started {
 			t.Fatalf("workers=%d: completed(%d) != started(%d)",

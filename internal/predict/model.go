@@ -92,15 +92,6 @@ func Fit(samples []Sample, lambda float64) (*Model, error) {
 	return m, nil
 }
 
-// Classes returns the classes the model can predict.
-func (m *Model) Classes() []sched.Class {
-	var out []sched.Class
-	for c := range m.coef {
-		out = append(out, c)
-	}
-	return out
-}
-
 // Predict estimates the node high power mode (W) for a job.
 func (m *Model) Predict(b workloads.Benchmark, nodes int) (float64, error) {
 	class := sched.Classify(b.Method)

@@ -8,6 +8,9 @@ import (
 	"vasppower/internal/workloads"
 )
 
+// uniform returns a uniform deviate in [lo, hi).
+func uniform(r *rng.Stream, lo, hi float64) float64 { return lo + (hi-lo)*r.Float64() }
+
 func TestSolveLinearKnownSystem(t *testing.T) {
 	A := [][]float64{{2, 1}, {1, 3}}
 	b := []float64{5, 10}
@@ -46,7 +49,7 @@ func TestRidgeRecoversCoefficients(t *testing.T) {
 	var X [][]float64
 	var y []float64
 	for i := 0; i < 200; i++ {
-		x1, x2 := r.Uniform(-2, 2), r.Uniform(-2, 2)
+		x1, x2 := uniform(r, -2, 2), uniform(r, -2, 2)
 		X = append(X, []float64{1, x1, x2})
 		y = append(y, 3+2*x1-x2+r.Normal(0, 0.01))
 	}
@@ -67,7 +70,7 @@ func TestRidgeShrinks(t *testing.T) {
 	var X [][]float64
 	var y []float64
 	for i := 0; i < 50; i++ {
-		x := r.Uniform(-1, 1)
+		x := uniform(r, -1, 1)
 		X = append(X, []float64{1, x})
 		y = append(y, 5*x+r.Normal(0, 0.1))
 	}

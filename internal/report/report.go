@@ -177,9 +177,6 @@ func ViolinText(v *stats.Violin, width int) string {
 	return sb.String()
 }
 
-// Watts formats a power value compactly.
-func Watts(w float64) string { return fmt.Sprintf("%.0f W", w) }
-
 // Seconds formats a duration compactly.
 func Seconds(s float64) string {
 	if s >= 100 {

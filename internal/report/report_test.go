@@ -132,9 +132,6 @@ func TestViolinText(t *testing.T) {
 }
 
 func TestFormatters(t *testing.T) {
-	if Watts(123.4) != "123 W" {
-		t.Fatalf("Watts = %q", Watts(123.4))
-	}
 	if Seconds(5.25) != "5.2 s" {
 		t.Fatalf("Seconds = %q", Seconds(5.25))
 	}

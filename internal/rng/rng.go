@@ -121,11 +121,6 @@ func (s *Stream) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)
 }
 
-// Uniform returns a uniform deviate in [lo, hi).
-func (s *Stream) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*s.Float64()
-}
-
 // IntN returns a uniform integer in [0, n). It panics if n <= 0.
 func (s *Stream) IntN(n int) int {
 	if n <= 0 {
@@ -187,23 +182,4 @@ func (s *Stream) Exponential(mean float64) float64 {
 // Bool returns true with probability p.
 func (s *Stream) Bool(p float64) bool {
 	return s.Float64() < p
-}
-
-// Perm returns a random permutation of [0, n).
-func (s *Stream) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := s.IntN(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle randomizes the order of elements using swap.
-func (s *Stream) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.IntN(i + 1)
-		swap(i, j)
-	}
 }

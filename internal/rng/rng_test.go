@@ -163,38 +163,6 @@ func TestExponentialMean(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	s := New(31)
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + s.IntN(50)
-		p := s.Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestShufflePreservesElements(t *testing.T) {
-	s := New(37)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, v := range xs {
-		sum += v
-	}
-	s.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	sum2 := 0
-	for _, v := range xs {
-		sum2 += v
-	}
-	if sum != sum2 {
-		t.Fatalf("Shuffle changed multiset: sum %d -> %d", sum, sum2)
-	}
-}
-
 func TestBoolProbability(t *testing.T) {
 	s := New(41)
 	const n = 100000

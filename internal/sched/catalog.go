@@ -29,7 +29,7 @@ func (p Profile) PerfLoss() float64 {
 }
 
 // profileKey identifies one cached profile. A comparable struct key
-// (rather than a formatted string) keeps the hot Get path free of
+// (rather than a formatted string) keeps the hot get path free of
 // per-call allocations — the facility-scale simulate loop consults
 // the catalog once per job start — and preserves the cap at full
 // float precision, so nearby caps (149.6 vs 150) never alias.
@@ -67,7 +67,7 @@ func NewCatalogOn(p platform.Platform, seed uint64) *Catalog {
 // SetMeasure replaces the measurement function profiles are gathered
 // with — the hook pmsched uses to route catalog measurements through
 // the process-wide two-tier result cache so repeated scheduler studies
-// reuse prior simulations. Call before the first Get.
+// reuse prior simulations. Call before the first lookup.
 func (c *Catalog) SetMeasure(fn func(core.MeasureSpec) (core.JobProfile, error)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -76,14 +76,8 @@ func (c *Catalog) SetMeasure(fn func(core.MeasureSpec) (core.JobProfile, error))
 	}
 }
 
-// Get returns the profile for (bench, nodes, cap), measuring it on
+// get returns the profile for (bench, nodes, cap), measuring it on
 // first use. cap = 0 means default limits.
-func (c *Catalog) Get(b workloads.Benchmark, nodes int, cap float64) (Profile, error) {
-	return c.get(&b, nodes, cap)
-}
-
-// get is Get without the copy of b, for the simulate loop's per-start
-// lookup.
 func (c *Catalog) get(b *workloads.Benchmark, nodes int, cap float64) (Profile, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

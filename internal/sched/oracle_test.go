@@ -81,7 +81,7 @@ func simulateOracle(cfg SimConfig, jobs []Job) (Result, error) {
 				kept = append(kept, seq)
 				continue
 			}
-			prof, err := cfg.Catalog.Get(j.Bench, j.Nodes, cap)
+			prof, err := cfg.Catalog.get(&j.Bench, j.Nodes, cap)
 			if err != nil {
 				// Unrunnable configuration: drop the job rather than
 				// deadlocking the queue.
@@ -132,11 +132,12 @@ func simulateOracle(cfg SimConfig, jobs []Job) (Result, error) {
 	cycle = func() {
 		tryStart(engine.Now())
 		if remaining > 0 {
-			engine.After(CycleSeconds, cycle)
+			engine.At(engine.Now()+CycleSeconds, cycle)
 		}
 	}
 	engine.At(0, cycle)
-	engine.Run()
+	for engine.Step() {
+	}
 
 	if len(waiting) > 0 {
 		return Result{}, fmt.Errorf("sched: %d jobs never started", len(waiting))

@@ -86,7 +86,7 @@ func TestSortJobs(t *testing.T) {
 func TestCatalogCachesAndMeasures(t *testing.T) {
 	cat := NewCatalog(1)
 	b, _ := workloads.ByName("GaAsBi-64")
-	p1, err := cat.Get(b, 1, 0)
+	p1, err := cat.get(&b, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestCatalogCachesAndMeasures(t *testing.T) {
 		t.Fatalf("profile empty: %+v", p1)
 	}
 	n := cat.Size()
-	p2, err := cat.Get(b, 1, 0)
+	p2, err := cat.get(&b, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestCatalogCachesAndMeasures(t *testing.T) {
 		t.Fatal("cache returned different profile")
 	}
 	// Capped profile records loss vs baseline.
-	pc, err := cat.Get(b, 1, 100)
+	pc, err := cat.get(&b, 1, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,6 +144,12 @@ func TestSyntheticJobMix(t *testing.T) {
 			t.Fatal("mix not reproducible")
 		}
 	}
+}
+
+// jobID formats i as fmt's "job%04d" does for i ≥ 0.
+func jobID(i int) string {
+	var buf [24]byte
+	return string(appendJobID(buf[:0], i))
 }
 
 // TestJobIDMatchesFmt pins the stream's hand-rolled ID formatting to

@@ -84,7 +84,7 @@ type Result struct {
 	BudgetW      float64
 	ClusterNodes int
 	// Dropped counts jobs discarded because their configuration could
-	// not be profiled (Catalog.Get failed); DroppedIDs lists them in
+	// not be profiled (the catalog lookup failed); DroppedIDs lists them in
 	// drop order. A silent drop is a debugging dead end — a facility
 	// run that "completes" 99,960 of 100,000 jobs must say which 40
 	// vanished and why.

@@ -165,8 +165,10 @@ func TestTimelinesAndUtilization(t *testing.T) {
 		}
 	}
 	// The floor of both is the idle cluster.
-	if reserved.MinPower() < float64(res.ClusterNodes)*idleW-1e-6 {
-		t.Fatal("reserved timeline below idle floor")
+	for _, seg := range reserved.Segments() {
+		if seg.Power < float64(res.ClusterNodes)*idleW-1e-6 {
+			t.Fatal("reserved timeline below idle floor")
+		}
 	}
 	util := res.BudgetUtilization(idleW)
 	if util <= 0 || util >= 1 {

@@ -73,13 +73,7 @@ func resolveMix(mix []mixEntry) []mixEntry {
 	return mix
 }
 
-// jobID formats i as fmt's "job%04d" does for i ≥ 0.
-func jobID(i int) string {
-	var buf [24]byte
-	return string(appendJobID(buf[:0], i))
-}
-
-// appendJobID appends jobID(i) to b.
+// appendJobID appends i formatted as fmt's "job%04d" does for i ≥ 0.
 func appendJobID(b []byte, i int) []byte {
 	b = append(b, "job"...)
 	for n := 1000; n > 1 && i < n; n /= 10 {
@@ -88,7 +82,7 @@ func appendJobID(b []byte, i int) []byte {
 	return strconv.AppendInt(b, int64(i), 10)
 }
 
-// idBytes returns the total length of jobID(0) … jobID(n-1): seven
+// idBytes returns the total length of the IDs of jobs 0 … n-1: seven
 // bytes each ("job" and at least four digits), plus one per digit
 // beyond four.
 func idBytes(n int) int {

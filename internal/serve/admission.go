@@ -47,9 +47,6 @@ func NewLimiter(capacity int64, maxQueue int, m *Metrics) *Limiter {
 	return &Limiter{m: m, capacity: capacity, maxQueue: maxQueue}
 }
 
-// Capacity returns the configured concurrent-work bound.
-func (l *Limiter) Capacity() int64 { return l.capacity }
-
 // clampWeight bounds a request weight to [1, capacity] so one huge
 // sweep can fill the server but never deadlock against it.
 func (l *Limiter) clampWeight(n int64) int64 {

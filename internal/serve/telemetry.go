@@ -48,13 +48,3 @@ func (t *telemetryRings) sub(host, domain string) (s *telemetry.Subscription, at
 	t.subs[key] = s
 	return s, true, nil
 }
-
-// close detaches every ring (shutdown path).
-func (t *telemetryRings) close() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for k, s := range t.subs {
-		s.Close()
-		delete(t.subs, k)
-	}
-}

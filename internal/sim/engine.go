@@ -37,30 +37,15 @@ var metrics atomic.Pointer[Metrics]
 // metrics. Install once at startup, before simulations run.
 func SetMetrics(m *Metrics) { metrics.Store(m) }
 
-// Event is a scheduled callback. Cancel prevents a pending event from
-// firing; cancelling an already-fired event is a no-op.
-//
-// Handle lifetime: once an event has fired, or has been cancelled and
-// subsequently collected from the queue, the engine recycles the Event
-// for a later At/After call (sweeps schedule millions of events, and
-// pooling keeps them out of the allocator). A handle is therefore only
-// good until its event fires or is cancelled — drop it after either,
-// and never call Cancel on a handle whose event may already have
-// fired.
-type Event struct {
-	at        float64
-	fn        func()
-	fnArg     func(int) // set instead of fn by AtArg/AfterArg
-	arg       int
-	cancelled bool
-	fired     bool
+// event is a scheduled callback. Once it has fired, the engine recycles
+// it for a later At call: sweeps schedule millions of events, and
+// pooling keeps them out of the allocator.
+type event struct {
+	at    float64
+	fn    func()
+	fnArg func(int) // set instead of fn by AtArg
+	arg   int
 }
-
-// Time returns the virtual time at which the event is scheduled.
-func (ev *Event) Time() float64 { return ev.at }
-
-// Cancel prevents the event from firing. Safe to call multiple times.
-func (ev *Event) Cancel() { ev.cancelled = true }
 
 // Engine is the simulation core. The zero value is ready to use and
 // starts at time 0.
@@ -68,7 +53,7 @@ type Engine struct {
 	now  float64
 	pq   eventHeap
 	seq  uint64
-	free []*Event // recycled Events; see Event's handle-lifetime note
+	free []*event // recycled events
 }
 
 // New returns a fresh engine at virtual time 0.
@@ -77,192 +62,89 @@ func New() *Engine { return &Engine{} }
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// Pending returns the number of events still queued (including
-// cancelled-but-unpopped events).
-func (e *Engine) Pending() int { return len(e.pq) }
-
 // At schedules fn at absolute virtual time t. Scheduling in the past
 // panics: it indicates a simulator bug, and silently reordering time
 // would corrupt every power trace built on top of the engine.
-func (e *Engine) At(t float64, fn func()) *Event {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
-	}
-	if math.IsNaN(t) || math.IsInf(t, 0) {
-		panic(fmt.Sprintf("sim: scheduling at non-finite time %v", t))
-	}
-	ev := e.alloc(t, fn)
-	e.pq.push(heapEntry{at: t, seq: e.seq, ev: ev})
-	e.seq++
-	return ev
-}
+func (e *Engine) At(t float64, fn func()) { e.schedule(t).fn = fn }
 
 // AtArg schedules fn(arg) at absolute virtual time t. It behaves like
-// At but carries an integer argument inside the pooled Event, so a
+// At but carries an integer argument inside the pooled event, so a
 // caller scheduling one event per work item (the scheduler schedules
 // one completion per job) can reuse a single long-lived callback
 // instead of allocating a fresh closure per item — the difference
 // between O(jobs) closures and zero steady-state allocations.
-func (e *Engine) AtArg(t float64, fn func(int), arg int) *Event {
+func (e *Engine) AtArg(t float64, fn func(int), arg int) {
+	ev := e.schedule(t)
+	ev.fnArg = fn
+	ev.arg = arg
+}
+
+// schedule queues a callback-less event at t.
+func (e *Engine) schedule(t float64) *event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
 	}
 	if math.IsNaN(t) || math.IsInf(t, 0) {
 		panic(fmt.Sprintf("sim: scheduling at non-finite time %v", t))
 	}
-	ev := e.alloc(t, nil)
-	ev.fnArg = fn
-	ev.arg = arg
+	ev := e.alloc(t)
 	e.pq.push(heapEntry{at: t, seq: e.seq, ev: ev})
 	e.seq++
 	return ev
 }
 
-// AfterArg schedules fn(arg) delay seconds from now.
-func (e *Engine) AfterArg(delay float64, fn func(int), arg int) *Event {
-	return e.AtArg(e.now+delay, fn, arg)
-}
-
-// alloc takes an Event from the free list (resetting every field) or
+// alloc takes an event from the free list (resetting every field) or
 // allocates a fresh one. The free list is bounded by the peak number
 // of pending events, so it needs no cap of its own.
-func (e *Engine) alloc(t float64, fn func()) *Event {
+func (e *Engine) alloc(t float64) *event {
 	if n := len(e.free); n > 0 {
 		ev := e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
-		*ev = Event{at: t, fn: fn}
+		*ev = event{at: t}
 		return ev
 	}
-	return &Event{at: t, fn: fn}
+	return &event{at: t}
 }
 
 // recycle returns a popped event to the free list. The callback is
 // released immediately so pooled events never pin closures (and the
 // node sensors they capture) across simulations.
-func (e *Engine) recycle(ev *Event) {
+func (e *Engine) recycle(ev *event) {
 	ev.fn = nil
 	ev.fnArg = nil
 	e.free = append(e.free, ev)
 }
 
-// After schedules fn delay seconds from now. Negative delays panic.
-func (e *Engine) After(delay float64, fn func()) *Event {
-	return e.At(e.now+delay, fn)
-}
-
 // Step fires the next pending event, advancing the clock to its time.
 // It returns false when no events remain.
 func (e *Engine) Step() bool {
-	for len(e.pq) > 0 {
-		ev := e.pq.pop()
-		if ev.cancelled {
-			e.recycle(ev)
-			continue
-		}
-		e.now = ev.at
-		ev.fired = true
-		if m := metrics.Load(); m != nil {
-			m.Steps.Add(1)
-		}
-		if ev.fnArg != nil {
-			ev.fnArg(ev.arg)
-		} else {
-			ev.fn()
-		}
-		// Recycle only after fn returns: fn may consult the handle (a
-		// Ticker's arm wrapper does) and may itself schedule new events
-		// from the free list.
-		e.recycle(ev)
-		return true
+	if len(e.pq) == 0 {
+		return false
 	}
-	return false
-}
-
-// Run fires events until the queue is empty.
-func (e *Engine) Run() {
-	for e.Step() {
+	ev := e.pq.pop()
+	e.now = ev.at
+	if m := metrics.Load(); m != nil {
+		m.Steps.Add(1)
 	}
-}
-
-// RunUntil fires events with time ≤ t, then advances the clock to
-// exactly t (even if no event lands there).
-func (e *Engine) RunUntil(t float64) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: RunUntil(%v) before now %v", t, e.now))
+	if ev.fnArg != nil {
+		ev.fnArg(ev.arg)
+	} else {
+		ev.fn()
 	}
-	for len(e.pq) > 0 {
-		// Peek.
-		next := e.pq[0].ev
-		if next.cancelled {
-			e.recycle(e.pq.pop())
-			continue
-		}
-		if next.at > t {
-			break
-		}
-		e.Step()
-	}
-	e.now = t
-}
-
-// Ticker fires a callback at a fixed period until stopped. The first
-// tick fires one period after creation (matching a polling sampler
-// that reports at the end of each interval).
-type Ticker struct {
-	engine  *Engine
-	period  float64
-	fn      func(now float64)
-	ev      *Event
-	tick    func() // the arm callback, allocated once per Ticker
-	stopped bool
-}
-
-// Every creates and starts a Ticker with the given period (seconds).
-// It panics if period <= 0.
-func (e *Engine) Every(period float64, fn func(now float64)) *Ticker {
-	if period <= 0 {
-		panic("sim: non-positive ticker period")
-	}
-	t := &Ticker{engine: e, period: period, fn: fn}
-	t.tick = func() {
-		// This event is firing, so its handle is about to go stale
-		// (the engine recycles fired events): drop it before running
-		// the callback so a Stop never cancels a recycled event.
-		t.ev = nil
-		if t.stopped {
-			return
-		}
-		t.fn(t.engine.Now())
-		if !t.stopped {
-			t.arm()
-		}
-	}
-	t.arm()
-	return t
-}
-
-func (t *Ticker) arm() {
-	t.ev = t.engine.After(t.period, t.tick)
-}
-
-// Stop halts the ticker. Safe to call from within the tick callback,
-// and safe to call multiple times.
-func (t *Ticker) Stop() {
-	t.stopped = true
-	if t.ev != nil {
-		t.ev.Cancel()
-		t.ev = nil
-	}
+	// Recycle only after fn returns: fn may itself schedule new events
+	// from the free list.
+	e.recycle(ev)
+	return true
 }
 
 // heapEntry is one queued event with its ordering key stored inline,
 // so sifting compares keys in the heap's own array instead of chasing
-// every Event pointer.
+// every event pointer.
 type heapEntry struct {
 	at  float64
 	seq uint64
-	ev  *Event
+	ev  *event
 }
 
 // eventHeap is a binary min-heap of events on (time, sequence), so
@@ -294,7 +176,7 @@ func (h *eventHeap) push(x heapEntry) {
 
 // pop removes and returns the earliest event; the heap must be
 // non-empty.
-func (h *eventHeap) pop() *Event {
+func (h *eventHeap) pop() *event {
 	q := *h
 	n := len(q) - 1
 	top := q[0].ev

@@ -51,17 +51,6 @@ func TestAfterUsesCurrentTime(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	e := New()
-	fired := false
-	ev := e.At(1, func() { fired = true })
-	ev.Cancel()
-	e.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-}
-
 func TestSchedulePastPanics(t *testing.T) {
 	e := New()
 	e.At(10, func() {})
@@ -72,69 +61,6 @@ func TestSchedulePastPanics(t *testing.T) {
 		}
 	}()
 	e.At(5, func() {})
-}
-
-func TestRunUntil(t *testing.T) {
-	e := New()
-	var fired []float64
-	for _, at := range []float64{1, 2, 3, 4} {
-		at := at
-		e.At(at, func() { fired = append(fired, at) })
-	}
-	e.RunUntil(2.5)
-	if len(fired) != 2 {
-		t.Fatalf("RunUntil(2.5) fired %v", fired)
-	}
-	if e.Now() != 2.5 {
-		t.Fatalf("clock = %v, want 2.5", e.Now())
-	}
-	e.Run()
-	if len(fired) != 4 {
-		t.Fatalf("remaining events lost: %v", fired)
-	}
-}
-
-func TestRunUntilAdvancesEmptyClock(t *testing.T) {
-	e := New()
-	e.RunUntil(42)
-	if e.Now() != 42 {
-		t.Fatalf("clock = %v, want 42", e.Now())
-	}
-}
-
-func TestTicker(t *testing.T) {
-	e := New()
-	var ticks []float64
-	tk := e.Every(2, func(now float64) {
-		ticks = append(ticks, now)
-	})
-	e.At(11, func() { tk.Stop() })
-	e.Run()
-	want := []float64{2, 4, 6, 8, 10}
-	if len(ticks) != len(want) {
-		t.Fatalf("ticks = %v, want %v", ticks, want)
-	}
-	for i := range want {
-		if ticks[i] != want[i] {
-			t.Fatalf("ticks = %v, want %v", ticks, want)
-		}
-	}
-}
-
-func TestTickerStopFromCallback(t *testing.T) {
-	e := New()
-	count := 0
-	var tk *Ticker
-	tk = e.Every(1, func(now float64) {
-		count++
-		if count == 3 {
-			tk.Stop()
-		}
-	})
-	e.Run()
-	if count != 3 {
-		t.Fatalf("ticker fired %d times after in-callback Stop, want 3", count)
-	}
 }
 
 func TestNestedScheduling(t *testing.T) {
@@ -193,11 +119,10 @@ func TestRandomScheduleOrderProperty(t *testing.T) {
 	}
 }
 
-// TestHeapOrderWithTiesAndCancels checks the event heap against a
-// sorted reference: many events on a few distinct times, scheduled in
-// bursts between steps, some cancelled, must fire in (time, schedule
-// order) — every tie FIFO — with every cancelled event skipped.
-func TestHeapOrderWithTiesAndCancels(t *testing.T) {
+// TestHeapOrderWithTies checks the event heap against a sorted
+// reference: many events on a few distinct times, scheduled in bursts
+// between steps, must fire in (time, schedule order) — every tie FIFO.
+func TestHeapOrderWithTies(t *testing.T) {
 	r := rng.New(5)
 	e := New()
 	type key struct {
@@ -210,12 +135,8 @@ func TestHeapOrderWithTiesAndCancels(t *testing.T) {
 		for i := 0; i < 1+r.IntN(60); i++ {
 			k := key{e.Now() + float64(r.IntN(8)), seq}
 			seq++
-			ev := e.At(k.at, func() { got = append(got, k) })
-			if r.Bool(0.2) {
-				ev.Cancel()
-			} else {
-				want = append(want, k)
-			}
+			e.At(k.at, func() { got = append(got, k) })
+			want = append(want, k)
 		}
 		for i := r.IntN(40); i > 0 && e.Step(); i-- {
 		}
@@ -232,35 +153,30 @@ func TestHeapOrderWithTiesAndCancels(t *testing.T) {
 	}
 }
 
-// TestEventRecycling pins the free-list pool: a fired (or cancelled
-// and collected) event's storage is reused by a later schedule, reset
-// fields and all, and the simulation stays correct through reuse.
+// TestEventRecycling pins the free-list pool: a fired event's storage
+// is reused by a later schedule, reset fields and all, and the
+// simulation stays correct through reuse.
 func TestEventRecycling(t *testing.T) {
 	e := New()
-	first := e.At(1, func() {})
+	e.AtArg(1, func(int) {}, 7)
 	e.Run()
-	second := e.After(1, func() {})
+	if len(e.free) != 1 {
+		t.Fatalf("free list holds %d events after one fired, want 1", len(e.free))
+	}
+	first := e.free[0]
+	fired := false
+	e.After(1, func() { fired = true })
+	second := e.pq[0].ev
 	if first != second {
 		t.Fatal("fired event was not recycled for the next schedule")
 	}
-	if second.cancelled || second.fired || second.fn == nil {
+	if second.fnArg != nil || second.arg != 0 || second.fn == nil {
 		t.Fatal("recycled event not fully reset")
 	}
-	fired := false
-	second.fn = func() { fired = true }
 	e.Run()
 	if !fired {
 		t.Fatal("recycled event did not fire")
 	}
-
-	// Cancelled events are collected and recycled too.
-	ev := e.After(1, func() { t.Error("cancelled event fired") })
-	ev.Cancel()
-	e.Run()
-	if got := e.After(1, func() {}); got != ev {
-		t.Fatal("cancelled event was not recycled after collection")
-	}
-	e.Run()
 }
 
 // TestRecycledEventsDropClosures: pooled events must not pin their
@@ -271,23 +187,6 @@ func TestRecycledEventsDropClosures(t *testing.T) {
 	e.Run()
 	if len(e.free) != 1 || e.free[0].fn != nil {
 		t.Fatalf("free list holds a closure (len %d)", len(e.free))
-	}
-}
-
-// TestTickerStopAfterRecycle: stopping a ticker twice, or after its
-// pending event has fired and been recycled into an unrelated
-// schedule, must not cancel the unrelated event.
-func TestTickerStopAfterRecycle(t *testing.T) {
-	e := New()
-	tk := e.Every(1, func(float64) {})
-	e.RunUntil(1.5) // one tick fired; tk re-armed for t=2
-	tk.Stop()
-	tk.Stop() // second Stop must be a no-op, not a stale Cancel
-	fired := false
-	e.At(2, func() { fired = true }) // may reuse the cancelled event's slot
-	e.Run()
-	if !fired {
-		t.Fatal("event scheduled after ticker Stop was cancelled by a stale handle")
 	}
 }
 
@@ -303,27 +202,11 @@ func BenchmarkScheduleFire(b *testing.B) {
 	}
 }
 
-// BenchmarkTickerTicks measures a long-running sampler: one ticker,
-// many ticks (the LDMS pipeline's shape).
-func BenchmarkTickerTicks(b *testing.B) {
-	e := New()
-	tk := e.Every(1, func(float64) {})
-	defer tk.Stop()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e.Step()
-	}
-}
+// After schedules fn delay seconds from now.
+func (e *Engine) After(delay float64, fn func()) { e.At(e.now+delay, fn) }
 
-func TestPending(t *testing.T) {
-	e := New()
-	e.At(1, func() {})
-	e.At(2, func() {})
-	if e.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", e.Pending())
-	}
-	e.Run()
-	if e.Pending() != 0 {
-		t.Fatalf("Pending after run = %d", e.Pending())
+// Run fires events until the queue is empty.
+func (e *Engine) Run() {
+	for e.Step() {
 	}
 }

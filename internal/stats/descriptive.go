@@ -67,37 +67,6 @@ func sortedCopy(xs []float64) []float64 {
 	return sorted
 }
 
-// Mean returns the arithmetic mean (NaN for empty).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var sum float64
-	for _, v := range xs {
-		sum += v
-	}
-	return sum / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation (NaN for empty).
-func StdDev(xs []float64) float64 {
-	s, err := Describe(xs)
-	if err != nil {
-		return math.NaN()
-	}
-	return s.StdDev
-}
-
-// Quantile returns the q-th quantile (0 ≤ q ≤ 1) using linear
-// interpolation between order statistics (type-7, the numpy default).
-// It returns NaN for an empty sample.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	return quantileSorted(sortedCopy(xs), q)
-}
-
 func quantileSorted(sorted []float64, q float64) float64 {
 	n := len(sorted)
 	if n == 1 {
@@ -116,12 +85,4 @@ func quantileSorted(sorted []float64, q float64) float64 {
 		return sorted[n-1]
 	}
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
-
-// IQR returns the interquartile range (NaN for empty).
-func IQR(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	return Quantile(xs, 0.75) - Quantile(xs, 0.25)
 }

@@ -129,20 +129,22 @@ func TestDescribeInvariants(t *testing.T) {
 
 func TestIQR(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9}
-	got := IQR(xs)
+	s, _ := Describe(xs)
+	got := s.Q3 - s.Q1
 	if math.Abs(got-4) > 1e-12 {
 		t.Fatalf("IQR = %v, want 4", got)
 	}
 }
 
 func TestMeanStdDevHelpers(t *testing.T) {
-	if !math.IsNaN(Mean(nil)) || !math.IsNaN(StdDev(nil)) {
-		t.Fatal("empty helpers should be NaN")
+	if _, err := Describe(nil); err == nil {
+		t.Fatal("empty sample described")
 	}
-	if Mean([]float64{1, 3}) != 2 {
+	s, _ := Describe([]float64{1, 3})
+	if s.Mean != 2 {
 		t.Fatal("Mean wrong")
 	}
-	if StdDev([]float64{1, 3}) != 1 {
+	if s.StdDev != 1 {
 		t.Fatal("StdDev wrong")
 	}
 }
@@ -203,4 +205,14 @@ func sameSummary(got, want Summary) string {
 		}
 	}
 	return ""
+}
+
+// Quantile returns the q-th quantile (0 ≤ q ≤ 1) using linear
+// interpolation between order statistics (type-7, the numpy default).
+// It returns NaN for an empty sample.
+func Quantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return math.NaN()
+	}
+	return quantileSorted(sortedCopy(xs), q)
 }

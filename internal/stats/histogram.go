@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Histogram is a fixed-width binned frequency count over [Lo, Hi).
 // Values landing exactly on Hi are assigned to the last bin so that a
@@ -11,7 +8,6 @@ import (
 type Histogram struct {
 	Lo, Hi float64
 	Counts []int
-	total  int
 }
 
 // NewHistogram builds a histogram of xs with the given number of bins
@@ -30,35 +26,6 @@ func NewHistogram(xs []float64, bins int, lo, hi float64) *Histogram {
 	return h
 }
 
-// AutoHistogram builds a histogram spanning the sample range with a
-// bin count chosen by the Freedman–Diaconis rule (falling back to
-// Sturges when the IQR is degenerate), clamped to [8, 256] bins.
-func AutoHistogram(xs []float64) *Histogram {
-	if len(xs) == 0 {
-		return &Histogram{Lo: 0, Hi: 1, Counts: make([]int, 1)}
-	}
-	s, _ := Describe(xs)
-	lo, hi := s.Min, s.Max
-	if hi == lo {
-		hi = lo + 1
-	}
-	iqr := s.Q3 - s.Q1
-	var bins int
-	if iqr > 0 {
-		width := 2 * iqr / math.Cbrt(float64(len(xs)))
-		bins = int(math.Ceil((hi - lo) / width))
-	} else {
-		bins = int(math.Ceil(math.Log2(float64(len(xs))))) + 1
-	}
-	if bins < 8 {
-		bins = 8
-	}
-	if bins > 256 {
-		bins = 256
-	}
-	return NewHistogram(xs, bins, lo, hi)
-}
-
 // Add counts one value. Values outside [Lo, Hi] are clamped into the
 // boundary bins (telemetry glitches shouldn't be silently lost).
 func (h *Histogram) Add(x float64) {
@@ -72,11 +39,7 @@ func (h *Histogram) Add(x float64) {
 		i = bins - 1
 	}
 	h.Counts[i]++
-	h.total++
 }
-
-// Total returns the number of counted values.
-func (h *Histogram) Total() int { return h.total }
 
 // BinWidth returns the width of each bin.
 func (h *Histogram) BinWidth() float64 {
@@ -86,29 +49,4 @@ func (h *Histogram) BinWidth() float64 {
 // BinCenter returns the center value of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
 	return h.Lo + (float64(i)+0.5)*h.BinWidth()
-}
-
-// Density returns the normalized density of bin i (so that the sum of
-// Density(i)·BinWidth over all bins is 1). Returns 0 for an empty
-// histogram.
-func (h *Histogram) Density(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / (float64(h.total) * h.BinWidth())
-}
-
-// PeakBin returns the index of the most populated bin (ties go to the
-// lower index). Returns -1 for an empty histogram.
-func (h *Histogram) PeakBin() int {
-	if h.total == 0 {
-		return -1
-	}
-	best, bestC := 0, -1
-	for i, c := range h.Counts {
-		if c > bestC {
-			best, bestC = i, c
-		}
-	}
-	return best
 }

@@ -16,8 +16,8 @@ func TestHistogramBasic(t *testing.T) {
 			t.Fatalf("bin %d = %d, want %d (all: %v)", i, h.Counts[i], w, h.Counts)
 		}
 	}
-	if h.Total() != 5 {
-		t.Fatalf("total = %d", h.Total())
+	if total(h) != 5 {
+		t.Fatalf("total = %d", total(h))
 	}
 }
 
@@ -33,39 +33,8 @@ func TestHistogramClampsOutliers(t *testing.T) {
 	if h.Counts[0] != 1 || h.Counts[3] != 1 {
 		t.Fatalf("outliers not clamped: %v", h.Counts)
 	}
-	if h.Total() != 2 {
+	if total(h) != 2 {
 		t.Fatal("outliers lost")
-	}
-}
-
-func TestHistogramDensityNormalized(t *testing.T) {
-	r := rng.New(1)
-	xs := make([]float64, 10000)
-	for i := range xs {
-		xs[i] = r.Uniform(0, 10)
-	}
-	h := NewHistogram(xs, 20, 0, 10)
-	var integral float64
-	for i := range h.Counts {
-		integral += h.Density(i) * h.BinWidth()
-	}
-	if math.Abs(integral-1) > 1e-9 {
-		t.Fatalf("density integral = %v, want 1", integral)
-	}
-}
-
-func TestHistogramPeakBin(t *testing.T) {
-	xs := []float64{1, 1, 1, 3}
-	h := NewHistogram(xs, 4, 0, 4)
-	if got := h.PeakBin(); got != 1 {
-		t.Fatalf("PeakBin = %d, want 1", got)
-	}
-	empty := NewHistogram(nil, 4, 0, 4)
-	if empty.PeakBin() != -1 {
-		t.Fatal("empty PeakBin should be -1")
-	}
-	if empty.Density(0) != 0 {
-		t.Fatal("empty density should be 0")
 	}
 }
 
@@ -90,33 +59,6 @@ func TestHistogramPanics(t *testing.T) {
 	}
 	mustPanic("zero bins", func() { NewHistogram(nil, 0, 0, 1) })
 	mustPanic("empty range", func() { NewHistogram(nil, 4, 1, 1) })
-}
-
-func TestAutoHistogram(t *testing.T) {
-	r := rng.New(2)
-	xs := make([]float64, 5000)
-	for i := range xs {
-		xs[i] = r.Normal(500, 50)
-	}
-	h := AutoHistogram(xs)
-	if h.Total() != 5000 {
-		t.Fatalf("auto histogram lost samples: %d", h.Total())
-	}
-	if len(h.Counts) < 8 || len(h.Counts) > 256 {
-		t.Fatalf("bin count out of clamp: %d", len(h.Counts))
-	}
-	// Peak bin should be near 500.
-	c := h.BinCenter(h.PeakBin())
-	if math.Abs(c-500) > 50 {
-		t.Fatalf("auto histogram peak at %v, want ≈ 500", c)
-	}
-	// Degenerate inputs do not panic.
-	if AutoHistogram(nil).Total() != 0 {
-		t.Fatal("empty auto histogram should be empty")
-	}
-	if AutoHistogram([]float64{5, 5, 5}).Total() != 3 {
-		t.Fatal("constant auto histogram lost samples")
-	}
 }
 
 func TestViolin(t *testing.T) {
@@ -152,4 +94,13 @@ func TestViolin(t *testing.T) {
 	if nilV.IsMultiModal() {
 		t.Fatal("nil violin should not be multimodal")
 	}
+}
+
+// total returns the number of counted values.
+func total(h *Histogram) int {
+	n := 0
+	for _, c := range h.Counts {
+		n += c
+	}
+	return n
 }

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // KDE is a Gaussian kernel density estimate over a uniform evaluation
 // grid. The paper determines the "high power mode" from the KDE of the
@@ -12,17 +9,6 @@ type KDE struct {
 	Xs        []float64 // grid points (strictly increasing, uniform)
 	Density   []float64 // estimated density at each grid point
 	Bandwidth float64
-}
-
-// SilvermanBandwidth returns Silverman's rule-of-thumb bandwidth:
-// 0.9·min(σ, IQR/1.34)·n^(−1/5). Degenerate samples (zero spread) get
-// a small positive bandwidth so the KDE remains well-defined.
-func SilvermanBandwidth(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 1
-	}
-	s, _ := Describe(xs)
-	return silverman(s)
 }
 
 func silverman(s Summary) float64 {
@@ -144,43 +130,6 @@ func kdeSorted(sorted []float64, h float64, gridN int) *KDE {
 		k.Density[i] = d * norm
 	}
 	return k
-}
-
-// Step returns the grid spacing.
-func (k *KDE) Step() float64 {
-	if len(k.Xs) < 2 {
-		return 0
-	}
-	return k.Xs[1] - k.Xs[0]
-}
-
-// Integral returns the trapezoidal integral of the density over the
-// grid (≈ 1 for a well-resolved estimate).
-func (k *KDE) Integral() float64 {
-	var s float64
-	for i := 1; i < len(k.Xs); i++ {
-		s += (k.Xs[i] - k.Xs[i-1]) * (k.Density[i] + k.Density[i-1]) / 2
-	}
-	return s
-}
-
-// DensityAt evaluates the estimate at x by linear interpolation on the
-// grid (0 outside the grid and for non-finite x).
-func (k *KDE) DensityAt(x float64) float64 {
-	n := len(k.Xs)
-	if n == 0 || math.IsNaN(x) || math.IsInf(x, 0) || x < k.Xs[0] || x > k.Xs[n-1] {
-		return 0
-	}
-	i := sort.SearchFloat64s(k.Xs, x)
-	if i == 0 {
-		return k.Density[0]
-	}
-	if i >= n {
-		return k.Density[n-1]
-	}
-	x0, x1 := k.Xs[i-1], k.Xs[i]
-	f := (x - x0) / (x1 - x0)
-	return k.Density[i-1]*(1-f) + k.Density[i]*f
 }
 
 // Mode is a local maximum of a KDE.

@@ -12,6 +12,9 @@ import (
 	"vasppower/internal/workloads"
 )
 
+// uniform returns a uniform deviate in [lo, hi).
+func uniform(r *rng.Stream, lo, hi float64) float64 { return lo + (hi-lo)*r.Float64() }
+
 func normalSample(seed uint64, n int, mean, sd float64) []float64 {
 	r := rng.New(seed)
 	xs := make([]float64, n)
@@ -24,7 +27,7 @@ func normalSample(seed uint64, n int, mean, sd float64) []float64 {
 func TestKDEIntegratesToOne(t *testing.T) {
 	xs := normalSample(1, 5000, 100, 15)
 	k := NewKDE(xs, 0, 512)
-	if got := k.Integral(); math.Abs(got-1) > 0.01 {
+	if got := integral(k); math.Abs(got-1) > 0.01 {
 		t.Fatalf("KDE integral = %v, want ≈ 1", got)
 	}
 }
@@ -70,7 +73,8 @@ func TestKDEBimodalHighPowerMode(t *testing.T) {
 	}
 	// Mean is pulled between the modes — exactly why the paper prefers
 	// the high power mode.
-	mean := Mean(xs)
+	s, _ := Describe(xs)
+	mean := s.Mean
 	if math.Abs(mean-hpm.X) < 200 {
 		t.Fatalf("mean %v unexpectedly close to high mode %v", mean, hpm.X)
 	}
@@ -135,7 +139,7 @@ func TestKDEEmptySample(t *testing.T) {
 		t.Fatal("empty sample should have no mode")
 	}
 	k := NewKDE(nil, 0, 16)
-	if k.Integral() != 0 {
+	if integral(k) != 0 {
 		t.Fatal("empty KDE should integrate to 0")
 	}
 }
@@ -152,34 +156,6 @@ func TestSilvermanBandwidthScales(t *testing.T) {
 	}
 }
 
-func TestDensityAtInterpolation(t *testing.T) {
-	xs := normalSample(9, 5000, 0, 1)
-	k := NewKDE(xs, 0, 256)
-	// On-grid equals stored value.
-	if got := k.DensityAt(k.Xs[100]); math.Abs(got-k.Density[100]) > 1e-12 {
-		t.Fatalf("on-grid DensityAt mismatch: %v vs %v", got, k.Density[100])
-	}
-	// Off-grid lies between neighbors.
-	mid := (k.Xs[100] + k.Xs[101]) / 2
-	d := k.DensityAt(mid)
-	lo, hi := k.Density[100], k.Density[101]
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	if d < lo-1e-12 || d > hi+1e-12 {
-		t.Fatalf("interpolated density %v outside [%v,%v]", d, lo, hi)
-	}
-	// Outside the grid is 0, and so is a non-finite x.
-	if k.DensityAt(k.Xs[0]-1) != 0 || k.DensityAt(k.Xs[len(k.Xs)-1]+1) != 0 {
-		t.Fatal("out-of-grid density should be 0")
-	}
-	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if d := k.DensityAt(x); d != 0 {
-			t.Fatalf("DensityAt(%v) = %v, want 0", x, d)
-		}
-	}
-}
-
 // Property: the KDE density is non-negative everywhere, for random
 // samples and bandwidths.
 func TestKDENonNegativeProperty(t *testing.T) {
@@ -189,9 +165,9 @@ func TestKDENonNegativeProperty(t *testing.T) {
 		n := 10 + r.IntN(500)
 		xs := make([]float64, n)
 		for i := range xs {
-			xs[i] = r.Uniform(0, 2000)
+			xs[i] = uniform(r, 0, 2000)
 		}
-		h := r.Uniform(0.1, 100)
+		h := uniform(r, 0.1, 100)
 		k := NewKDE(xs, h, 128)
 		for i, d := range k.Density {
 			if d < 0 || math.IsNaN(d) {
@@ -429,11 +405,11 @@ func TestKDEMatchesReference(t *testing.T) {
 	r := rng.New(22)
 	var runs []float64
 	for seg := 0; seg < 40; seg++ {
-		level := r.Uniform(80, 400)
+		level := uniform(r, 80, 400)
 		for i := 0; i < 1+r.IntN(200); i++ {
 			runs = append(runs, level)
 		}
-		runs = append(runs, r.Uniform(80, 400))
+		runs = append(runs, uniform(r, 80, 400))
 	}
 	constant := make([]float64, 300)
 	for i := range constant {
@@ -531,3 +507,24 @@ func BenchmarkKDE(b *testing.B) {
 }
 
 var kdeSink *KDE
+
+// SilvermanBandwidth returns Silverman's rule-of-thumb bandwidth:
+// 0.9·min(σ, IQR/1.34)·n^(−1/5). Degenerate samples (zero spread) get
+// a small positive bandwidth so the KDE remains well-defined.
+func SilvermanBandwidth(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 1
+	}
+	s, _ := Describe(xs)
+	return silverman(s)
+}
+
+// integral returns the trapezoidal integral of the density over the
+// grid (≈ 1 for a well-resolved estimate).
+func integral(k *KDE) float64 {
+	var s float64
+	for i := 1; i < len(k.Xs); i++ {
+		s += (k.Xs[i] - k.Xs[i-1]) * (k.Density[i] + k.Density[i-1]) / 2
+	}
+	return s
+}

@@ -13,8 +13,8 @@ import (
 func randomSample(seed uint64, n int) []float64 {
 	r := rng.New(seed)
 	xs := make([]float64, n)
-	base := r.Uniform(100, 1500)
-	spread := r.Uniform(1, 200)
+	base := uniform(r, 100, 1500)
+	spread := uniform(r, 1, 200)
 	for i := range xs {
 		xs[i] = base + r.Normal(0, spread)
 	}
@@ -97,11 +97,7 @@ func TestHistogramConservationProperty(t *testing.T) {
 		hi := lo + 1 + float64(hiRaw)
 		xs := randomSample(seed, 150)
 		h := NewHistogram(xs, bins, lo, hi)
-		total := 0
-		for _, c := range h.Counts {
-			total += c
-		}
-		return total == len(xs) && h.Total() == len(xs)
+		return total(h) == len(xs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -111,13 +111,6 @@ func (c *Collector) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	io.WriteString(w, b.String())
 }
 
-// Text returns one scrape's body (what ServeHTTP writes).
-func (c *Collector) Text() string {
-	var b strings.Builder
-	c.write(&b)
-	return b.String()
-}
-
 func (c *Collector) write(b *strings.Builder) {
 	c.mu.Lock()
 	keys := make([]seriesKey, 0, len(c.series))

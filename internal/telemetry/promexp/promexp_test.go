@@ -58,7 +58,7 @@ outer:
 func TestCollectorScrape(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("omni.inserts").Add(7)
-	reg.Gauge("pool.depth").Set(3)
+	reg.Gauge("pool.depth").SetMax(3)
 	reg.Histogram("query.seconds", []float64{0.1, 1}).Observe(0.5)
 	reg.Histogram("query.seconds", nil).Observe(5) // overflow bucket
 
@@ -74,7 +74,7 @@ func TestCollectorScrape(t *testing.T) {
 
 	srv := httptest.NewServer(c)
 	defer srv.Close()
-	text := c.Text()
+	text := scrape(c)
 	ms, err := Parse(text)
 	if err != nil {
 		t.Fatalf("scrape does not lint: %v\n%s", err, text)
@@ -124,13 +124,13 @@ func TestJoulesMonotoneAcrossScrapes(t *testing.T) {
 	defer c.Close()
 	publish(h, "nid000001", 1.0, 100, 30, 140, 600)
 	drain(t, c, 4)
-	first, err := Parse(c.Text())
+	first, err := Parse(scrape(c))
 	if err != nil {
 		t.Fatal(err)
 	}
 	publish(h, "nid000001", 2.0, 100, 30, 140, 600)
 	time.Sleep(20 * time.Millisecond)
-	second, err := Parse(c.Text())
+	second, err := Parse(scrape(c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestEscapeLabel(t *testing.T) {
 	defer c.Close()
 	h.Publish(telemetry.Sample{Host: "we\"ird\\host\n", Domain: node.DomainNode, T: 1, Watts: 5})
 	drain(t, c, 1)
-	text := c.Text()
+	text := scrape(c)
 	ms, err := Parse(text)
 	if err != nil {
 		t.Fatalf("escaped scrape does not lint: %v\n%s", err, text)
@@ -194,4 +194,11 @@ func TestEscapeLabel(t *testing.T) {
 	if !strings.Contains(text, `\n`) {
 		t.Fatal("newline not escaped in exposition")
 	}
+}
+
+// scrape returns one scrape's body (what ServeHTTP writes).
+func scrape(c *Collector) string {
+	var b strings.Builder
+	c.write(&b)
+	return b.String()
 }

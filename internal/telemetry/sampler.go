@@ -3,7 +3,6 @@ package telemetry
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -15,11 +14,10 @@ import (
 // trace ends.
 const timeEps = 1e-9
 
-// Sampler turns growing node traces into a sample stream. Each
-// registered host is walked incrementally: Poll emits one sample per
-// (whole interval, domain) pair recorded since the previous Poll,
-// using resumable segment cursors so a poll costs only the new
-// segments, not the whole trace.
+// Sampler turns node traces into a sample stream. Unregistering a host
+// emits one sample per (whole interval, domain) pair of its trace, plus
+// the tail, through resumable segment cursors, so the walk is linear in
+// the trace's segments.
 //
 // Stream time is per-host monotone across registrations: when a host
 // name is unregistered and later re-registered (the next repeat of a
@@ -59,9 +57,6 @@ func NewSampler(hub *Hub, interval float64) (*Sampler, error) {
 		clocks:   make(map[string]float64),
 	}, nil
 }
-
-// Interval returns the sample spacing in seconds.
-func (s *Sampler) Interval() float64 { return s.interval }
 
 // Register starts sampling a node under the given host name. Samples
 // already emitted under the same name (a previous registration) push
@@ -109,37 +104,15 @@ func (s *Sampler) Unregister(host string) error {
 	return nil
 }
 
-// Poll walks every registered host's traces and publishes one sample
-// per domain for each whole interval recorded since the last Poll.
-// Returns the number of samples published. Hosts are visited in sorted
-// order, so the emission sequence is deterministic.
-func (s *Sampler) Poll() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.hosts))
-	for h := range s.hosts {
-		names = append(names, h)
-	}
-	sort.Strings(names)
-	total := 0
-	for _, h := range names {
-		total += s.pollHostLocked(h, s.hosts[h])
-	}
-	return total
-}
-
-// pollHostLocked emits all whole-interval windows recorded since the
-// host's last poll.
-func (s *Sampler) pollHostLocked(host string, hs *hostState) int {
+// pollHostLocked emits every whole-interval window of the host's trace
+// not yet emitted.
+func (s *Sampler) pollHostLocked(host string, hs *hostState) {
 	dur := hs.n.TraceDuration()
-	count := 0
 	for hs.pos+s.interval <= dur+timeEps {
 		end := hs.pos + s.interval
 		s.emitLocked(host, hs, hs.pos, math.Min(end, dur))
 		hs.pos = end
-		count += len(hs.cursors)
 	}
-	return count
 }
 
 // emitLocked publishes one window [a, b] across all domains. Domains

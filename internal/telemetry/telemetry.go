@@ -1,8 +1,7 @@
 // Package telemetry is the streaming counterpart to the batch
 // monitor→omni pipeline: a backpressure-safe publish/subscribe layer
-// over the simulated cluster's power traces. A Sampler walks live node
-// traces incrementally (resumable segment cursors, so each poll costs
-// only the newly-recorded segments) and publishes per-domain samples
+// over the simulated cluster's power traces. A Sampler walks node
+// traces with resumable segment cursors and publishes per-domain samples
 // into a Hub; subscribers read from bounded ring buffers that drop
 // their oldest samples when full — a slow consumer loses data, exactly
 // like LDMS's real drop process (§II-B), but can never stall the
@@ -130,12 +129,6 @@ type Subscription struct {
 	dropped uint64
 	closed  bool
 }
-
-// Domain returns the subscription's domain scope ("" = all).
-func (s *Subscription) Domain() node.Domain { return s.domain }
-
-// Host returns the subscription's host scope ("" = all).
-func (s *Subscription) Host() string { return s.host }
 
 // push enqueues one sample, evicting the oldest on overflow. Never
 // blocks beyond the (short) critical section.

@@ -77,8 +77,8 @@ func TestHostScope(t *testing.T) {
 	}
 	oneGPU, _ := h.SubscribeHost("nid000001", node.DomainGPU, 8)
 	all, _ := h.Subscribe("", 8)
-	if one.Host() != "nid000001" || all.Host() != "" {
-		t.Fatalf("Host() = %q / %q", one.Host(), all.Host())
+	if one.host != "nid000001" || all.host != "" {
+		t.Fatalf("host scope = %q / %q", one.host, all.host)
 	}
 	h.Publish(Sample{Host: "nid000001", Domain: node.DomainGPU, T: 1, Watts: 100})
 	h.Publish(Sample{Host: "nid000001", Domain: node.DomainNode, T: 1, Watts: 900})
@@ -239,44 +239,6 @@ func TestSamplerValidation(t *testing.T) {
 	}
 	if err := s.Unregister("ghost"); err == nil {
 		t.Fatal("unknown unregister accepted")
-	}
-}
-
-func TestSamplerIncrementalPoll(t *testing.T) {
-	h := NewHub()
-	sub, _ := h.Subscribe("", 1024)
-	s, _ := NewSampler(h, 1.0)
-	n := testNode(t, "nid001")
-	if err := s.Register("nid001", n); err != nil {
-		t.Fatal(err)
-	}
-	n.RecordIdle(2.5)
-	if got := s.Poll(); got != 2*4 {
-		t.Fatalf("first poll published %d, want 8 (2 windows × 4 domains)", got)
-	}
-	// The half-window tail is held back until more trace arrives.
-	n.RecordIdle(1.5) // total 4.0
-	if got := s.Poll(); got != 2*4 {
-		t.Fatalf("second poll published %d, want 8", got)
-	}
-	if got := s.Poll(); got != 0 {
-		t.Fatalf("idle poll published %d, want 0", got)
-	}
-	// Check stream contents: 4 timestamps × 4 domains, in time-major
-	// domain-decomposition order, node domain at IdlePower.
-	for ti := 1; ti <= 4; ti++ {
-		for _, d := range node.Domains() {
-			smp, ok := sub.TryNext()
-			if !ok {
-				t.Fatalf("stream ended early at t=%d %s", ti, d)
-			}
-			if smp.Host != "nid001" || smp.Domain != d || math.Abs(smp.T-float64(ti)) > 1e-9 {
-				t.Fatalf("got %+v, want t=%d domain=%s", smp, ti, d)
-			}
-			if d == node.DomainNode && math.Abs(smp.Watts-n.IdlePower()) > 1e-6 {
-				t.Fatalf("node watts = %v, want idle %v", smp.Watts, n.IdlePower())
-			}
-		}
 	}
 }
 

@@ -120,25 +120,6 @@ func BenchmarkSample(b *testing.B) {
 	}
 }
 
-func BenchmarkSampleInstant(b *testing.B) {
-	const interval = 0.1
-	for _, n := range benchSizes {
-		tr := benchTraces(1, n)[0]
-		b.Run(fmt.Sprintf("segs=%d/impl=cursor", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				benchSeriesSink = tr.SampleInstant(interval)
-			}
-		})
-		b.Run(fmt.Sprintf("segs=%d/impl=reference", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				benchSeriesSink = tr.sampleInstantReference(interval)
-			}
-		})
-	}
-}
-
 func BenchmarkEnergyBetween(b *testing.B) {
 	tr := benchTraces(1, 10000)[0]
 	dur := tr.Duration()

@@ -7,8 +7,7 @@ import (
 	"vasppower/internal/rng"
 )
 
-// Differential harness: the linear-time Sum/Sample/SampleInstant/
-// EnergyBetween must agree with the retained reference
+// Differential harness: the linear-time Sum/Sample/EnergyBetween must agree with the retained reference
 // implementations bit for bit — exact float equality, not tolerance —
 // on randomized traces. Bit-identity is the property the byte-exact
 // -quick golden output rests on, so these tests are deliberately
@@ -134,21 +133,6 @@ func TestSampleMatchesReference(t *testing.T) {
 		want := tr.sampleReference(interval)
 		if !seriesIdentical(got, want) {
 			t.Fatalf("iter %d: Sample(%v) diverges from reference on %+v",
-				iter, interval, tr.segs)
-		}
-	}
-}
-
-func TestSampleInstantMatchesReference(t *testing.T) {
-	root := rng.New(3003)
-	for iter := 0; iter < 500; iter++ {
-		r := rng.New(root.Uint64())
-		tr := genDiffTrace(r)
-		interval := 0.05 + r.Float64()*3
-		got := tr.SampleInstant(interval)
-		want := tr.sampleInstantReference(interval)
-		if !seriesIdentical(got, want) {
-			t.Fatalf("iter %d: SampleInstant(%v) diverges from reference on %+v",
 				iter, interval, tr.segs)
 		}
 	}

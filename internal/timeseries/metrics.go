@@ -9,7 +9,7 @@ import (
 // Metrics counts the work of the trace hot path across the process.
 // SumSegments is the number of output segments Sum has emitted (the
 // unit of the k-way merge's inner loop); Samples is the number of
-// samples Sample and SampleInstant have produced. Together they are
+// samples Sample has produced. Together they are
 // the denominator of "where does a sweep's wall-clock go": every
 // figure regenerates by summing component traces and sampling them
 // through the telemetry model. Install with SetMetrics; the nil

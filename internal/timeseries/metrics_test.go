@@ -24,9 +24,8 @@ func TestMetricsCountSumSegmentsAndSamples(t *testing.T) {
 	}
 
 	win := sum.Sample(0.5)
-	inst := sum.SampleInstant(0.5)
 	snap = reg.Snapshot()
-	want := int64(win.Len() + inst.Len())
+	want := int64(win.Len())
 	if got := snap.Counters["timeseries.samples"]; got != want {
 		t.Fatalf("samples = %d, want %d", got, want)
 	}
@@ -39,7 +38,6 @@ func TestMetricsDetachedIsNoop(t *testing.T) {
 	// Must not panic and must not require a registry.
 	_ = Sum(a)
 	_ = a.Sample(0.5)
-	_ = a.SampleInstant(0.5)
 }
 
 func TestNewMetricsNilRegistry(t *testing.T) {

@@ -121,18 +121,3 @@ func (t *Trace) sampleReference(interval float64) Series {
 	}
 	return s
 }
-
-// sampleInstantReference is the original SampleInstant: one PowerAt
-// binary search per sample, slices grown from nil.
-func (t *Trace) sampleInstantReference(interval float64) Series {
-	if interval <= 0 {
-		panic("timeseries: non-positive sampling interval")
-	}
-	dur := t.Duration()
-	s := Series{}
-	for x := interval; x <= dur+1e-9; x += interval {
-		s.Times = append(s.Times, x)
-		s.Values = append(s.Values, t.PowerAt(math.Min(x, dur)-1e-12))
-	}
-	return s
-}

@@ -30,15 +30,6 @@ func (s Series) Validate() error {
 	return nil
 }
 
-// Duration returns the time span covered by the samples (0 for fewer
-// than two samples).
-func (s Series) Duration() float64 {
-	if len(s.Times) < 2 {
-		return 0
-	}
-	return s.Times[len(s.Times)-1] - s.Times[0]
-}
-
 // Interval returns the median spacing between consecutive samples,
 // which is robust to occasional drops (the paper's nominal 1 s LDMS
 // data has an effective 2 s interval because of drops).
@@ -178,37 +169,6 @@ func (s Series) Slice(a, b float64) Series {
 		}
 	}
 	return out
-}
-
-// ShiftTime returns a copy with dt added to every timestamp.
-func (s Series) ShiftTime(dt float64) Series {
-	out := Series{
-		Times:  make([]float64, len(s.Times)),
-		Values: append([]float64(nil), s.Values...),
-	}
-	for i, t := range s.Times {
-		out.Times[i] = t + dt
-	}
-	return out
-}
-
-// Add returns the pointwise sum of two series sampled on the same
-// timestamps. It returns an error if the grids differ.
-func Add(a, b Series) (Series, error) {
-	if len(a.Times) != len(b.Times) {
-		return Series{}, fmt.Errorf("timeseries: grids differ in length (%d vs %d)", len(a.Times), len(b.Times))
-	}
-	out := Series{
-		Times:  append([]float64(nil), a.Times...),
-		Values: make([]float64, len(a.Values)),
-	}
-	for i := range a.Times {
-		if math.Abs(a.Times[i]-b.Times[i]) > 1e-9 {
-			return Series{}, fmt.Errorf("timeseries: grids differ at index %d (%v vs %v)", i, a.Times[i], b.Times[i])
-		}
-		out.Values[i] = a.Values[i] + b.Values[i]
-	}
-	return out, nil
 }
 
 // Energy estimates the energy under the sampled curve by trapezoidal

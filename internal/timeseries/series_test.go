@@ -145,38 +145,6 @@ func TestSlice(t *testing.T) {
 	}
 }
 
-func TestShiftTime(t *testing.T) {
-	s := mkSeries(1, 1, 2)
-	sh := s.ShiftTime(10)
-	if sh.Times[0] != 11 || sh.Times[1] != 12 {
-		t.Fatalf("shifted times wrong: %v", sh.Times)
-	}
-	// Original untouched.
-	if s.Times[0] != 1 {
-		t.Fatal("ShiftTime mutated the receiver")
-	}
-}
-
-func TestAdd(t *testing.T) {
-	a := mkSeries(1, 1, 2, 3)
-	b := mkSeries(1, 10, 20, 30)
-	sum, err := Add(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Values[2] != 33 {
-		t.Fatalf("Add wrong: %v", sum.Values)
-	}
-	_, err = Add(a, mkSeries(1, 1, 2))
-	if err == nil {
-		t.Fatal("length mismatch not rejected")
-	}
-	c := mkSeries(2, 1, 2, 3)
-	if _, err := Add(a, c); err == nil {
-		t.Fatal("grid mismatch not rejected")
-	}
-}
-
 func TestSeriesEnergyTrapezoid(t *testing.T) {
 	s := mkSeries(1, 100, 100, 100)
 	// Two intervals of 1s at 100 W.

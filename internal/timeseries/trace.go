@@ -13,7 +13,6 @@
 package timeseries
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -36,9 +35,6 @@ func (s Segment) End() float64 { return s.Start + s.Dur }
 type Trace struct {
 	segs []Segment
 }
-
-// ErrEmptyTrace is returned by operations that need at least one segment.
-var ErrEmptyTrace = errors.New("timeseries: empty trace")
 
 // Append adds a constant-power span of the given duration to the end of
 // the trace. Zero-duration spans are ignored; negative durations panic
@@ -97,34 +93,11 @@ func (t *Trace) Energy() float64 {
 	return e
 }
 
-// MeanPower returns energy divided by duration, or 0 for an empty trace.
-func (t *Trace) MeanPower() float64 {
-	d := t.Duration()
-	if d == 0 {
-		return 0
-	}
-	return t.Energy() / d
-}
-
 // MaxPower returns the maximum segment power (0 for an empty trace).
 func (t *Trace) MaxPower() float64 {
 	m := 0.0
 	for i, s := range t.segs {
 		if i == 0 || s.Power > m {
-			m = s.Power
-		}
-	}
-	return m
-}
-
-// MinPower returns the minimum segment power (0 for an empty trace).
-func (t *Trace) MinPower() float64 {
-	if len(t.segs) == 0 {
-		return 0
-	}
-	m := t.segs[0].Power
-	for _, s := range t.segs[1:] {
-		if s.Power < m {
 			m = s.Power
 		}
 	}
@@ -408,13 +381,6 @@ func SumInto(dst *Trace, traces ...*Trace) *Trace {
 	return dst
 }
 
-// Concat appends all of src's segments (in order) to dst.
-func (t *Trace) Concat(src *Trace) {
-	for _, s := range src.segs {
-		t.Append(s.Dur, s.Power)
-	}
-}
-
 // Sample produces a Series by averaging the trace over consecutive
 // windows of length interval seconds, timestamping each sample at the
 // window end (as a polling sampler would). The final partial window,
@@ -480,36 +446,6 @@ func (t *Trace) meanBetweenFrom(cur *int, a, b float64) float64 {
 	return e / (covHi - covLo)
 }
 
-// SampleInstant produces a Series of instantaneous power readings at
-// t = interval, 2·interval, ... (decimation rather than averaging).
-// Query points are non-decreasing, so a segment cursor replaces the
-// per-sample binary search: O(n + m) for the whole trace. Times and
-// Values are preallocated with the expected sample count.
-func (t *Trace) SampleInstant(interval float64) Series {
-	if interval <= 0 {
-		panic("timeseries: non-positive sampling interval")
-	}
-	dur := t.Duration()
-	// The loop below accumulates x by interval steps, so it emits
-	// floor((dur+1e-9)/interval) samples up to fp accumulation error;
-	// the count is used as capacity only.
-	n := int((dur + 1e-9) / interval)
-	if n < 0 {
-		n = 0
-	}
-	s := Series{
-		Times:  make([]float64, 0, n),
-		Values: make([]float64, 0, n),
-	}
-	cur := 0
-	for x := interval; x <= dur+1e-9; x += interval {
-		s.Times = append(s.Times, x)
-		s.Values = append(s.Values, t.powerAtFrom(&cur, math.Min(x, dur)-1e-12))
-	}
-	countSamples(s.Len())
-	return s
-}
-
 // Cursor is an exported resumable window reader over a Trace — the
 // same segment-cursor walk Sample uses internally, packaged for
 // callers that read a growing trace incrementally (the streaming
@@ -548,23 +484,4 @@ func (c *Cursor) Attach(tr *Trace) {
 // calls.
 func (c *Cursor) MeanBetween(a, b float64) float64 {
 	return c.tr.meanBetweenFrom(&c.seg, a, b)
-}
-
-// powerAtFrom is PowerAt with a resumable cursor for non-decreasing
-// query points: *cur rests on the first segment ending after the last
-// query. Semantics match PowerAt exactly — queries before the first
-// segment read its power (cur stays 0), queries at or past the end
-// read the last segment's power.
-func (t *Trace) powerAtFrom(cur *int, x float64) float64 {
-	n := len(t.segs)
-	if n == 0 {
-		return 0
-	}
-	for *cur < n && t.segs[*cur].End() <= x {
-		*cur++
-	}
-	if *cur == n {
-		return t.segs[n-1].Power
-	}
-	return t.segs[*cur].Power
 }

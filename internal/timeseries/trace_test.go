@@ -95,18 +95,18 @@ func TestMinMaxMeanPower(t *testing.T) {
 	tr := &Trace{}
 	tr.Append(1, 50)
 	tr.Append(3, 250)
-	if tr.MinPower() != 50 || tr.MaxPower() != 250 {
-		t.Fatalf("min/max = %v/%v", tr.MinPower(), tr.MaxPower())
+	if minPower(tr) != 50 || tr.MaxPower() != 250 {
+		t.Fatalf("min/max = %v/%v", minPower(tr), tr.MaxPower())
 	}
 	want := (50*1 + 250*3) / 4.0
-	if !almostEqual(tr.MeanPower(), want, 1e-9) {
-		t.Fatalf("MeanPower = %v, want %v", tr.MeanPower(), want)
+	if got := tr.MeanBetween(0, tr.Duration()); !almostEqual(got, want, 1e-9) {
+		t.Fatalf("mean power = %v, want %v", got, want)
 	}
 }
 
 func TestEmptyTraceBehavior(t *testing.T) {
 	tr := &Trace{}
-	if tr.Duration() != 0 || tr.Energy() != 0 || tr.MeanPower() != 0 {
+	if tr.Duration() != 0 || tr.Energy() != 0 || tr.MeanBetween(0, 1) != 0 {
 		t.Fatal("empty trace has non-zero aggregates")
 	}
 	if tr.PowerAt(1) != 0 {
@@ -191,17 +191,6 @@ func TestScaleAndShift(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	a := &Trace{}
-	a.Append(1, 10)
-	b := &Trace{}
-	b.Append(2, 20)
-	a.Concat(b)
-	if !almostEqual(a.Duration(), 3, 1e-12) || !almostEqual(a.Energy(), 50, 1e-9) {
-		t.Fatalf("concat wrong: dur=%v energy=%v", a.Duration(), a.Energy())
-	}
-}
-
 func TestSamplePreservesMeanEnergy(t *testing.T) {
 	tr := &Trace{}
 	st := rng.New(7)
@@ -240,24 +229,8 @@ func TestSampleCount(t *testing.T) {
 	}
 }
 
-func TestSampleInstant(t *testing.T) {
-	tr := &Trace{}
-	tr.Append(2, 100)
-	tr.Append(2, 300)
-	s := tr.SampleInstant(1)
-	if s.Len() != 4 {
-		t.Fatalf("SampleInstant count = %d, want 4", s.Len())
-	}
-	want := []float64{100, 100, 300, 300}
-	for i, v := range s.Values {
-		if !almostEqual(v, want[i], 1e-9) {
-			t.Fatalf("instant sample %d = %v, want %v", i, v, want[i])
-		}
-	}
-}
-
 // Property: for any random trace, Sample(interval).Validate() passes
-// and all sampled values lie within [MinPower, MaxPower].
+// and all sampled values lie within [minPower, MaxPower].
 func TestSampleBoundsProperty(t *testing.T) {
 	f := func(seed uint64, k uint8) bool {
 		st := rng.New(seed)
@@ -271,7 +244,7 @@ func TestSampleBoundsProperty(t *testing.T) {
 		if err := s.Validate(); err != nil {
 			return false
 		}
-		lo, hi := tr.MinPower(), tr.MaxPower()
+		lo, hi := minPower(tr), tr.MaxPower()
 		for _, v := range s.Values {
 			if v < lo-1e-9 || v > hi+1e-9 {
 				return false
@@ -282,4 +255,16 @@ func TestSampleBoundsProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// minPower returns the minimum segment power (0 for an empty trace).
+func minPower(tr *Trace) float64 {
+	if len(tr.segs) == 0 {
+		return 0
+	}
+	m := tr.segs[0].Power
+	for _, s := range tr.segs[1:] {
+		m = math.Min(m, s.Power)
+	}
+	return m
 }

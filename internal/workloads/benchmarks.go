@@ -6,7 +6,6 @@ package workloads
 
 import (
 	"fmt"
-	"strings"
 
 	"vasppower/internal/dft/incar"
 	"vasppower/internal/dft/lattice"
@@ -243,45 +242,6 @@ func (b Benchmark) Config(p platform.Platform, nodes int) (method.Config, error)
 			b.Name, nodes, mem/(1<<30), hbm/(1<<30))
 	}
 	return cfg, nil
-}
-
-// INCAR renders the benchmark as INCAR text (round-trippable through
-// the incar parser).
-func (b Benchmark) INCAR() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "SYSTEM = %s\n", b.Name)
-	algo := "Normal"
-	switch b.Method {
-	case method.DFTRMM, method.VDW:
-		algo = "VeryFast"
-	case method.DFTBDRMM:
-		algo = "Fast"
-	case method.DFTCG, method.HSE:
-		algo = "Damped"
-	case method.ACFDTR:
-		algo = "ACFDTR"
-	}
-	fmt.Fprintf(&sb, "ALGO = %s\n", algo)
-	fmt.Fprintf(&sb, "NELM = %d\n", b.NELM)
-	fmt.Fprintf(&sb, "NBANDS = %d\n", b.NBands)
-	fmt.Fprintf(&sb, "ENCUT = %.1f\n", b.ENCUT)
-	fmt.Fprintf(&sb, "KPAR = %d\n", b.KPar)
-	if b.Method == method.HSE {
-		sb.WriteString("LHFCALC = .TRUE.\nHFSCREEN = 0.2\n")
-	}
-	if b.Method == method.VDW {
-		sb.WriteString("IVDW = 11\n")
-	}
-	if b.NBandsExact > 0 {
-		fmt.Fprintf(&sb, "NBANDSEXACT = %d\n", b.NBandsExact)
-	}
-	return sb.String()
-}
-
-// KPOINTS renders the benchmark's KPOINTS file.
-func (b Benchmark) KPOINTS() string {
-	return fmt.Sprintf("%s\n0\n%s\n%d %d %d\n0 0 0\n",
-		b.Name, b.KPoints.Scheme, b.KPoints.Mesh[0], b.KPoints.Mesh[1], b.KPoints.Mesh[2])
 }
 
 // SiliconBenchmark builds a synthetic benchmark around an n-atom

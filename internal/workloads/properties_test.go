@@ -40,15 +40,15 @@ func TestEngineProperties(t *testing.T) {
 		b, _ := ByName(names[r.IntN(len(names))])
 		spec := RunSpec{Bench: b, Nodes: 1 + r.IntN(2), Repeats: 1 + r.IntN(2), Seed: r.Uint64()}
 		if r.Bool(0.5) {
-			spec.OperandEntropy = r.Uniform(0.05, 1)
+			spec.OperandEntropy = uniform(r, 0.05, 1)
 		}
 		if _, err := b.Config(p, spec.Nodes); err != nil {
 			spec.Nodes = 1
 		}
 		// Uncapped first, then the drawn caps from the highest down:
 		// runtime may only grow along the list.
-		caps := []float64{r.Uniform(p.GPU.MinPowerLimit, p.GPU.TDP),
-			r.Uniform(p.GPU.MinPowerLimit, p.GPU.TDP), r.Uniform(200, p.GPU.TDP)}
+		caps := []float64{uniform(r, p.GPU.MinPowerLimit, p.GPU.TDP),
+			uniform(r, p.GPU.MinPowerLimit, p.GPU.TDP), uniform(r, 200, p.GPU.TDP)}
 		sort.Sort(sort.Reverse(sort.Float64Slice(caps)))
 		caps = append([]float64{0}, caps...)
 		label := fmt.Sprintf("%s nodes=%d repeats=%d entropy=%.2f", b.Name, spec.Nodes, spec.Repeats, spec.OperandEntropy)
@@ -222,8 +222,11 @@ func checkDomains(t *testing.T, at string, n *node.Node) {
 func checkNodeRange(t *testing.T, at string, n *node.Node, p platform.Platform) {
 	t.Helper()
 	tr := n.TotalTrace()
-	if lo, idle := tr.MinPower(), n.IdlePower(); lo < idle {
-		t.Fatalf("%s: node power %v W below its idle %v W", at, lo, idle)
+	idle := n.IdlePower()
+	for _, seg := range tr.Segments() {
+		if seg.Power < idle {
+			t.Fatalf("%s: node power %v W below its idle %v W", at, seg.Power, idle)
+		}
 	}
 	if hi := tr.MaxPower(); hi > p.Node.TDP {
 		t.Fatalf("%s: node power %v W above the %v W node TDP", at, hi, p.Node.TDP)
@@ -253,3 +256,6 @@ func maxOf(v []float64) float64 {
 	}
 	return m
 }
+
+// uniform returns a uniform deviate in [lo, hi).
+func uniform(r *rng.Stream, lo, hi float64) float64 { return lo + (hi-lo)*r.Float64() }
