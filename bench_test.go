@@ -10,13 +10,10 @@ package vasppower_test
 // The per-iteration wall time is the cost of regenerating the whole
 // experiment; cmd/powerstudy prints the actual figures.
 //
-// Cache policy: every benchmark calls experiments.ResetCache() at the
-// top of each iteration, without exception — even for runners that do
-// not currently consult the shared measurement cache (TableI renders
-// static data; the scheduler and MILC studies keep their own state).
-// A cold cache per iteration is what makes the numbers comparable
-// across benchmarks and stable when a runner later gains or loses
-// cached measurements.
+// Cache policy: benchCfg carries no run environment, so every runner
+// call measures in a fresh private one — a cold cache per iteration,
+// which is what makes the numbers comparable across benchmarks and
+// stable when a runner later gains or loses cached measurements.
 
 import (
 	"testing"
@@ -32,7 +29,6 @@ func benchCfg() experiments.Config {
 
 func BenchmarkTableI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
 		if _, err := experiments.RunTableI(benchCfg()); err != nil {
 			b.Fatal(err)
 		}
@@ -41,7 +37,6 @@ func BenchmarkTableI(b *testing.B) {
 
 func BenchmarkFig1ProtocolRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
 		if _, err := experiments.RunFig1(benchCfg()); err != nil {
 			b.Fatal(err)
 		}
@@ -50,7 +45,6 @@ func BenchmarkFig1ProtocolRun(b *testing.B) {
 
 func BenchmarkFig2SamplingRates(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
 		if _, err := experiments.RunFig2(benchCfg()); err != nil {
 			b.Fatal(err)
 		}
@@ -59,7 +53,6 @@ func BenchmarkFig2SamplingRates(b *testing.B) {
 
 func BenchmarkFig3Timelines(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
 		if _, err := experiments.RunFig3(benchCfg()); err != nil {
 			b.Fatal(err)
 		}
@@ -68,7 +61,6 @@ func BenchmarkFig3Timelines(b *testing.B) {
 
 func BenchmarkFig4And5Scaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
 		if _, err := experiments.RunScaling(benchCfg()); err != nil {
 			b.Fatal(err)
 		}
@@ -77,7 +69,6 @@ func BenchmarkFig4And5Scaling(b *testing.B) {
 
 func BenchmarkFig6SizeSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
 		if _, err := experiments.RunFig6(benchCfg()); err != nil {
 			b.Fatal(err)
 		}
@@ -86,7 +77,6 @@ func BenchmarkFig6SizeSweep(b *testing.B) {
 
 func BenchmarkFig7ParameterSweeps(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
 		if _, err := experiments.RunFig7(benchCfg()); err != nil {
 			b.Fatal(err)
 		}
@@ -95,7 +85,6 @@ func BenchmarkFig7ParameterSweeps(b *testing.B) {
 
 func BenchmarkFig8Concurrency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
 		if _, err := experiments.RunFig8(benchCfg()); err != nil {
 			b.Fatal(err)
 		}
@@ -104,7 +93,6 @@ func BenchmarkFig8Concurrency(b *testing.B) {
 
 func BenchmarkFig9MethodViolins(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
 		if _, err := experiments.RunFig9(benchCfg()); err != nil {
 			b.Fatal(err)
 		}
@@ -113,7 +101,6 @@ func BenchmarkFig9MethodViolins(b *testing.B) {
 
 func BenchmarkFig10And12CapStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
 		if _, err := experiments.RunCapStudy(benchCfg()); err != nil {
 			b.Fatal(err)
 		}
@@ -122,7 +109,6 @@ func BenchmarkFig10And12CapStudy(b *testing.B) {
 
 func BenchmarkFig11CapTimeline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
 		if _, err := experiments.RunFig11(benchCfg()); err != nil {
 			b.Fatal(err)
 		}
@@ -131,7 +117,6 @@ func BenchmarkFig11CapTimeline(b *testing.B) {
 
 func BenchmarkFig13CapsAcrossNodeCounts(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
 		if _, err := experiments.RunFig13(benchCfg()); err != nil {
 			b.Fatal(err)
 		}
@@ -140,7 +125,6 @@ func BenchmarkFig13CapsAcrossNodeCounts(b *testing.B) {
 
 func BenchmarkExtScheduler(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
 		if _, err := experiments.RunExtScheduler(benchCfg()); err != nil {
 			b.Fatal(err)
 		}
@@ -149,7 +133,6 @@ func BenchmarkExtScheduler(b *testing.B) {
 
 func BenchmarkExtRepeats(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
 		if _, err := experiments.RunExtRepeats(benchCfg()); err != nil {
 			b.Fatal(err)
 		}
@@ -158,7 +141,6 @@ func BenchmarkExtRepeats(b *testing.B) {
 
 func BenchmarkExtCDVFSVsCapping(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
 		if _, err := experiments.RunExtC(benchCfg()); err != nil {
 			b.Fatal(err)
 		}
@@ -167,7 +149,6 @@ func BenchmarkExtCDVFSVsCapping(b *testing.B) {
 
 func BenchmarkExtDPowerPrediction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
 		if _, err := experiments.RunExtD(benchCfg()); err != nil {
 			b.Fatal(err)
 		}
@@ -176,7 +157,6 @@ func BenchmarkExtDPowerPrediction(b *testing.B) {
 
 func BenchmarkExtEMILC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
 		if _, err := experiments.RunExtE(benchCfg()); err != nil {
 			b.Fatal(err)
 		}
@@ -185,7 +165,6 @@ func BenchmarkExtEMILC(b *testing.B) {
 
 func BenchmarkExtFSignatureClustering(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
 		if _, err := experiments.RunExtF(benchCfg()); err != nil {
 			b.Fatal(err)
 		}
@@ -194,7 +173,6 @@ func BenchmarkExtFSignatureClustering(b *testing.B) {
 
 func BenchmarkExtGMetricAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
 		if _, err := experiments.RunExtG(benchCfg()); err != nil {
 			b.Fatal(err)
 		}
@@ -202,51 +180,57 @@ func BenchmarkExtGMetricAblation(b *testing.B) {
 }
 
 // Warm-disk variants: each measures a runner against a populated
-// persistent cache, with the memory tier reset every iteration — the
+// persistent cache, with a fresh memory tier every iteration — the
 // shape of a warm-start sweep, where a fresh process finds every
 // measurement already on disk. Compare against the plain benchmark of
 // the same runner for the warm-vs-cold ratio (BENCH.md records both).
 //
-// warmDisk attaches a fresh disk tier, runs populate once to fill it,
-// and resets the timer so only warm iterations are measured.
-func warmDisk(b *testing.B, populate func() error) {
+// warmDisk fills a fresh disk tier by running populate once, resets
+// the timer, and returns a function that opens a new run environment
+// over the same directory (untimed) for each warm iteration.
+func warmDisk(b *testing.B, populate func(experiments.Config) error) func() experiments.Config {
 	b.Helper()
-	experiments.ResetCache()
-	if _, err := experiments.EnableDiskCache(b.TempDir(), 0); err != nil {
-		b.Fatal(err)
+	dir := b.TempDir()
+	open := func() experiments.Config {
+		b.StopTimer()
+		defer b.StartTimer()
+		env, err := experiments.NewEnv(experiments.EnvOptions{CacheDir: dir})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := benchCfg()
+		cfg.Env = env
+		return cfg
 	}
-	b.Cleanup(experiments.DisableDiskCache)
-	if err := populate(); err != nil {
+	if err := populate(open()); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
+	return open
 }
 
 func BenchmarkTableIWarmDisk(b *testing.B) {
-	warmDisk(b, func() error { _, err := experiments.RunTableI(benchCfg()); return err })
+	warm := warmDisk(b, func(cfg experiments.Config) error { _, err := experiments.RunTableI(cfg); return err })
 	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
-		if _, err := experiments.RunTableI(benchCfg()); err != nil {
+		if _, err := experiments.RunTableI(warm()); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFig4And5ScalingWarmDisk(b *testing.B) {
-	warmDisk(b, func() error { _, err := experiments.RunScaling(benchCfg()); return err })
+	warm := warmDisk(b, func(cfg experiments.Config) error { _, err := experiments.RunScaling(cfg); return err })
 	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
-		if _, err := experiments.RunScaling(benchCfg()); err != nil {
+		if _, err := experiments.RunScaling(warm()); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFig10And12CapStudyWarmDisk(b *testing.B) {
-	warmDisk(b, func() error { _, err := experiments.RunCapStudy(benchCfg()); return err })
+	warm := warmDisk(b, func(cfg experiments.Config) error { _, err := experiments.RunCapStudy(cfg); return err })
 	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
-		if _, err := experiments.RunCapStudy(benchCfg()); err != nil {
+		if _, err := experiments.RunCapStudy(warm()); err != nil {
 			b.Fatal(err)
 		}
 	}

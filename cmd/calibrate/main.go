@@ -10,8 +10,8 @@
 //	calibrate -fit-tables      refit the platform's efficiency table
 //	                           from black-box device probes, emit JSON
 //
-// Every measurement goes through the process-wide two-tier result
-// cache; with -cache-dir set, repeated calibration passes (the whole
+// Every measurement goes through the run's two-tier result cache
+// (experiments.Env); with -cache-dir set, repeated calibration passes (the whole
 // point of the tool) reuse each other's simulations instead of
 // re-running them.
 package main
@@ -73,10 +73,9 @@ func main() {
 		return
 	}
 
-	if *cacheDir != "" {
-		if _, err := experiments.EnableDiskCache(*cacheDir, *cacheMaxBytes); err != nil {
-			fatal(err)
-		}
+	env, err := experiments.NewEnv(experiments.EnvOptions{CacheDir: *cacheDir, CacheMaxBytes: *cacheMaxBytes})
+	if err != nil {
+		fatal(err)
 	}
 
 	tol := defaultTolerances()
@@ -88,7 +87,7 @@ func main() {
 	}
 
 	const seed = 42
-	measure := experiments.CachedMeasureSpec
+	measure := env.Measure
 	rep, err := buildReport(measure, p, tol, seed)
 	if err != nil {
 		fatal(err)

@@ -8,8 +8,8 @@
 //	minivasp -incar INCAR [-kpoints KPOINTS] -si-atoms 256 [-nodes 1]
 //	minivasp -milc [-nodes 2] [-cap 200]        (the MILC application)
 //
-// VASP measurements run through the process-wide two-tier result
-// cache; with -cache-dir set, re-running the same job (same inputs,
+// VASP measurements run through the run's two-tier result cache
+// (experiments.Env); with -cache-dir set, re-running the same job (same inputs,
 // nodes, cap, seed) serves its profile from disk instead of
 // re-simulating. The MILC path keeps its own raw-trace pipeline and is
 // not cached.
@@ -56,10 +56,9 @@ func main() {
 		return
 	}
 
-	if *cacheDir != "" {
-		if _, err := experiments.EnableDiskCache(*cacheDir, *cacheMaxBytes); err != nil {
-			fatalf("%v", err)
-		}
+	env, err := experiments.NewEnv(experiments.EnvOptions{CacheDir: *cacheDir, CacheMaxBytes: *cacheMaxBytes})
+	if err != nil {
+		fatalf("%v", err)
 	}
 
 	if *list {
@@ -99,7 +98,7 @@ func main() {
 	}
 	fmt.Println()
 
-	jp, err := experiments.CachedMeasureSpec(vasppower.MeasureSpec{
+	jp, err := env.Measure(vasppower.MeasureSpec{
 		Bench: bench, Nodes: *nodes, Repeats: *repeats, CapW: *cap, Seed: *seed,
 	})
 	if err != nil {

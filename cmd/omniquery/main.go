@@ -12,8 +12,8 @@
 //
 // After answering the store queries, the tool cross-checks them
 // against a reference profile of the same job produced by the
-// measurement pipeline. That reference goes through the process-wide
-// two-tier result cache, so with -cache-dir set, repeated queries of
+// measurement pipeline. That reference goes through the run's
+// two-tier result cache (experiments.Env), so with -cache-dir set, repeated queries of
 // the same benchmark reuse one simulation.
 package main
 
@@ -46,8 +46,6 @@ func main() {
 		"stream per-host per-domain power samples, pump them into the store as power.<domain> metrics, and serve Prometheus text at /metrics on this address")
 	hold := flag.Duration("hold", 0,
 		"keep the /metrics endpoint serving after the queries complete: a duration, or negative (e.g. -1s) to serve until SIGINT/SIGTERM (a signal always ends the hold early)")
-	telemetryHold := flag.Duration("telemetry-hold", 0,
-		"deprecated alias for -hold")
 	version := flag.Bool("version", false, "print module version, VCS revision, and dirty flag, then exit")
 	flag.Parse()
 
@@ -55,17 +53,9 @@ func main() {
 		fmt.Println(obs.VersionString("omniquery"))
 		return
 	}
-	if *cacheDir != "" {
-		if _, err := experiments.EnableDiskCache(*cacheDir, *cacheMaxBytes); err != nil {
-			fmt.Fprintln(os.Stderr, "omniquery:", err)
-			os.Exit(2)
-		}
-	}
-
 	bench, ok := vasppower.BenchmarkByName(*benchName)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "omniquery: unknown benchmark %q\n", *benchName)
-		os.Exit(1)
+		fatal(1, fmt.Errorf("unknown benchmark %q", *benchName))
 	}
 
 	store := omni.NewStore()
@@ -77,45 +67,27 @@ func main() {
 	var streamSub *telemetry.Subscription
 	pumpDone := make(chan struct{})
 	var pumped int
+	var reg *obs.Registry
+	var hub *telemetry.Hub
 	if *telemetryAddr != "" {
-		reg := obs.NewRegistry()
-		experiments.Instrument(reg)
-		hub := telemetry.NewHub()
-		smp, err := telemetry.NewSampler(hub, 1.0)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "omniquery:", err)
-			os.Exit(2)
-		}
-		telemetry.SetDefault(smp)
+		reg = obs.NewRegistry()
+		hub = telemetry.NewHub()
 		col, err := promexp.NewCollector(hub, reg, 1<<16)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "omniquery:", err)
-			os.Exit(2)
+			fatal(2, err)
 		}
 		defer col.Close()
 		ds, err := obs.ServeDebug(*telemetryAddr, reg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "omniquery:", err)
-			os.Exit(2)
+			fatal(2, err)
 		}
 		defer ds.Close()
 		ds.Handle("/metrics", col)
 		fmt.Fprintf(os.Stderr, "omniquery: telemetry endpoint on http://%s/metrics\n", ds.Addr)
-		if *hold == 0 {
-			*hold = *telemetryHold // deprecated spelling
-		}
-		if *hold != 0 {
-			holdFor := *hold
-			defer func() {
-				fmt.Fprintf(os.Stderr, "omniquery: holding /metrics open for %s\n", holdFor)
-				reason := serve.WaitForShutdown(holdFor)
-				fmt.Fprintf(os.Stderr, "omniquery: hold ended (%s)\n", reason)
-			}()
-		}
+		defer serve.Hold(os.Stderr, "omniquery", *hold)
 		streamSub, err = hub.Subscribe("", 1<<16)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "omniquery:", err)
-			os.Exit(2)
+			fatal(2, err)
 		}
 		go func() {
 			defer close(pumpDone)
@@ -127,13 +99,20 @@ func main() {
 		}()
 	}
 
-	// 1. Run the job (with the burn-in prelude, as production jobs do).
-	out, err := vasppower.Run(vasppower.RunSpec{
-		Bench: bench, Nodes: *nodes, Repeats: 1, Prelude: true, Seed: *seed,
+	env, err := experiments.NewEnv(experiments.EnvOptions{
+		Obs: &obs.Obs{Metrics: reg}, Hub: hub,
+		CacheDir: *cacheDir, CacheMaxBytes: *cacheMaxBytes,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "omniquery:", err)
-		os.Exit(1)
+		fatal(2, err)
+	}
+
+	// 1. Run the job (with the burn-in prelude, as production jobs do).
+	out, err := vasppower.Run(vasppower.RunSpec{
+		Bench: bench, Nodes: *nodes, Repeats: 1, Prelude: true, Seed: *seed, Sink: env.Sampler(),
+	})
+	if err != nil {
+		fatal(1, err)
 	}
 
 	// The run has published everything it will; close the pump's
@@ -150,13 +129,11 @@ func main() {
 	for _, n := range out.Nodes {
 		series, err := monitor.SampleNode(n, cfg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "omniquery:", err)
-			os.Exit(1)
+			fatal(1, err)
 		}
 		for m, s := range series {
 			if err := store.Insert(n.Name, m, s); err != nil {
-				fmt.Fprintln(os.Stderr, "omniquery:", err)
-				os.Exit(1)
+				fatal(1, err)
 			}
 		}
 	}
@@ -171,8 +148,7 @@ func main() {
 		Nodes: hostnames, Start: out.VASPStart, End: out.VASPEnd,
 	}
 	if err := store.RegisterJob(job); err != nil {
-		fmt.Fprintln(os.Stderr, "omniquery:", err)
-		os.Exit(1)
+		fatal(1, err)
 	}
 
 	// 4. Query it back.
@@ -180,8 +156,7 @@ func main() {
 		len(store.Hosts()), store.MetricsOf(store.Hosts()[0]))
 	perNode, err := store.JobPower(job.ID, *metric)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "omniquery:", err)
-		os.Exit(1)
+		fatal(1, err)
 	}
 	var names []string
 	for h := range perNode {
@@ -205,16 +180,21 @@ func main() {
 	// 5. Cross-check against the measurement pipeline's profile of the
 	// same (benchmark, nodes, seed) — served from the two-tier result
 	// cache, so repeated queries skip the second simulation.
-	jp, err := experiments.CachedMeasureSpec(vasppower.MeasureSpec{
+	jp, err := env.Measure(vasppower.MeasureSpec{
 		Bench: bench, Nodes: *nodes, Repeats: 1, Seed: *seed,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "omniquery:", err)
-		os.Exit(1)
+		fatal(1, err)
 	}
 	fmt.Printf("\nreference profile (measurement pipeline, cached): ")
 	if m, ok := jp.NodeTotal.HighMode(); ok {
 		fmt.Printf("node high power mode %.0f W (FWHM %.0f), ", m.X, m.FWHM)
 	}
 	fmt.Printf("runtime %.0f s, energy %.2f MJ\n", jp.Runtime, jp.EnergyJ/1e6)
+}
+
+// fatal reports err and exits with code.
+func fatal(code int, err error) {
+	fmt.Fprintln(os.Stderr, "omniquery:", err)
+	os.Exit(code)
 }

@@ -24,8 +24,8 @@
 // hour and restores 2 MW after two). Budget 0 means unconstrained
 // from that point on.
 //
-// The profile catalog's measurements run through the process-wide
-// two-tier result cache. Before the simulations start, every profile
+// The profile catalog's measurements run through the run's two-tier
+// result cache (experiments.Env). Before the simulations start, every profile
 // the mix can need — each drawn (benchmark, nodes) at the baseline and
 // at each cap the policies give its class — is measured into that
 // cache, one cap group per configuration, in parallel; the policies'
@@ -101,19 +101,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "pmsched:", err)
 		return 2
 	}
-	if *cacheDir != "" {
-		if _, err := experiments.EnableDiskCache(*cacheDir, *cacheMaxBytes); err != nil {
-			fmt.Fprintln(stderr, "pmsched:", err)
-			return 2
-		}
-	}
 	var reg *obs.Registry
 	if *manifestPath != "" {
 		reg = obs.NewRegistry()
-		experiments.Instrument(reg)
-		// Uninstall on return, so a later run in the same process
+		// The Env points the engine's process-wide metric hooks at reg;
+		// detach them on return, so a later run in the same process
 		// (the tests) does not count into this run's registry.
 		defer experiments.Instrument(nil)
+	}
+	env, err := experiments.NewEnv(experiments.EnvOptions{
+		Obs: &obs.Obs{Metrics: reg}, CacheDir: *cacheDir, CacheMaxBytes: *cacheMaxBytes,
+	})
+	if err != nil {
+		fmt.Fprintln(stderr, "pmsched:", err)
+		return 2
 	}
 	started := time.Now()
 
@@ -132,11 +133,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// One mix for all three policies, and its profiles measured before
 	// any simulation starts.
 	mix := sched.NewSyntheticMix(*jobsN, *arrival, *seed)
-	prefetch(mix, policies, *nodes, *seed)
+	prefetch(env, mix, policies, *nodes, *seed)
 	// The policies are independent simulations, so they run at once,
 	// one worker each, each with its own cursor over the shared mix and
-	// its own catalog. The catalogs measure through the shared two-tier
-	// cache, which prefetch has filled (and later invocations reuse,
+	// its own catalog. The catalogs measure through the run's Env,
+	// whose cache prefetch has filled (and later invocations reuse,
 	// with -cache-dir). Each worker keeps only its table row, not the
 	// per-job outcomes.
 	type row struct {
@@ -147,7 +148,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	err = par.ForEach(context.Background(), len(policies), len(policies),
 		func(_ context.Context, i int) error {
 			cat := vasppower.NewSchedulerCatalog(*seed)
-			cat.SetMeasure(experiments.CachedMeasureSpec)
+			cat.SetMeasure(env.Measure)
 			res, err := vasppower.SimulateSchedulerStream(vasppower.SchedulerConfig{
 				ClusterNodes:   *nodes,
 				BudgetW:        *budgetKW * 1000,
@@ -232,12 +233,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 // drew that fits the cluster, the baseline and each distinct binding
 // cap the policies give its class, as one cap group (one resolution
 // phase, one solve per cap) per configuration, the configurations
-// spread over the CPUs. The profiles land in the process-wide two-tier
-// cache under the keys the catalogs look up, bit-identical to what the
-// catalogs would measure themselves. An error is dropped: the catalog
+// spread over the CPUs. The profiles land in env's cache under the
+// keys the catalogs look up, bit-identical to what the catalogs would
+// measure themselves. An error is dropped: the catalog
 // meets it again lazily and drops the configuration's jobs, as it
 // would without prefetch.
-func prefetch(mix *sched.SyntheticMix, policies []vasppower.SchedulerPolicy, clusterNodes int, seed uint64) {
+func prefetch(env *experiments.Env, mix *sched.SyntheticMix, policies []vasppower.SchedulerPolicy, clusterNodes int, seed uint64) {
 	pairs := mix.Pairs()
 	p := platform.Default()
 	_ = par.ForEach(context.Background(), runtime.GOMAXPROCS(0), len(pairs),
@@ -253,7 +254,7 @@ func prefetch(mix *sched.SyntheticMix, policies []vasppower.SchedulerPolicy, clu
 					caps = append(caps, c)
 				}
 			}
-			_, _ = experiments.CachedMeasureGroup(core.MeasureSpec{
+			_, _ = env.MeasureGroup(core.MeasureSpec{
 				Bench: pair.Bench, Platform: p, Nodes: pair.Nodes, Seed: seed,
 			}, caps)
 			return nil

@@ -113,17 +113,24 @@ func main() {
 // with a ready channel and a signal.
 func run(opts options, stdout, stderr io.Writer) error {
 	reg := obs.NewRegistry()
-	experiments.Instrument(reg)
-
-	if opts.cacheDir != "" {
-		st, err := experiments.EnableDiskCache(opts.cacheDir, opts.cacheMaxBytes)
-		if err != nil {
-			return err
-		}
+	var hub *telemetry.Hub
+	if opts.telemetry {
+		hub = telemetry.NewHub()
+	}
+	env, err := experiments.NewEnv(experiments.EnvOptions{
+		Obs: &obs.Obs{Metrics: reg}, Hub: hub,
+		CacheDir: opts.cacheDir, CacheMaxBytes: opts.cacheMaxBytes,
+	})
+	if err != nil {
+		return err
+	}
+	if st := env.Store(); st != nil {
 		fmt.Fprintf(stderr, "powerd: persistent measurement cache at %s (%d entries)\n", st.Dir(), st.Len())
 	}
 
 	cfg := serve.Config{
+		Measure:        env.Measure,
+		MeasureGroup:   env.MeasureGroup,
 		Workers:        opts.workers,
 		MaxInFlight:    opts.maxInFlight,
 		MaxQueue:       opts.maxQueue,
@@ -134,13 +141,7 @@ func run(opts options, stdout, stderr io.Writer) error {
 	}
 
 	var col *promexp.Collector
-	if opts.telemetry {
-		hub := telemetry.NewHub()
-		smp, err := telemetry.NewSampler(hub, 1.0)
-		if err != nil {
-			return err
-		}
-		telemetry.SetDefault(smp)
+	if hub != nil {
 		c, err := promexp.NewCollector(hub, reg, 1<<16)
 		if err != nil {
 			return err

@@ -2,12 +2,14 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"regexp"
 	"strings"
 	"testing"
 
 	"vasppower/internal/experiments"
+	"vasppower/internal/obs"
 )
 
 var timingLine = regexp.MustCompile(`regenerated in [0-9]+\.[0-9]+s`)
@@ -48,6 +50,28 @@ func TestQuickOutputGolden(t *testing.T) {
 		}
 	}
 	t.Fatalf("quick output diverged from golden: %d lines vs %d", len(gl), len(wl))
+}
+
+// TestRunMeasuresEveryTime: each run measures in its own Env, so
+// nothing a run reports is served by an earlier run in the process.
+// Three runs in a row each compute the same nonzero number of distinct
+// measurements.
+func TestRunMeasuresEveryTime(t *testing.T) {
+	var misses []int64
+	for range 3 {
+		o := obs.New()
+		env, err := experiments.NewEnv(experiments.EnvOptions{Obs: o})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := run(experiments.Config{Seed: 2024, Quick: true, Env: env}, "", "", io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		misses = append(misses, o.Metrics.Snapshot().Counters["memo.misses"])
+	}
+	if misses[0] == 0 || misses[1] != misses[0] || misses[2] != misses[0] {
+		t.Fatalf("memo.misses per run = %v, want the same nonzero count every run", misses)
+	}
 }
 
 // TestQuickRunsOnEveryPlatform smoke-tests the non-default platforms

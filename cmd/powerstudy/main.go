@@ -65,18 +65,17 @@ type result interface {
 	CSV() artifact.Table
 }
 
-// unit is one independently-runnable entry of the experiment list.
-type unit struct {
-	name string
-	run  func() (string, []artifact.Table, error)
-}
-
-// output is a completed unit's contribution, printed strictly in list
+// unit is one independently-runnable entry of the experiment list and,
+// once done is closed, its contribution, printed strictly in list
 // order regardless of completion order.
-type output struct {
-	text   string
-	tables []artifact.Table
-	err    error
+type unit struct {
+	name    string
+	run     func() (string, []artifact.Table, error)
+	done    chan struct{}
+	text    string
+	tables  []artifact.Table
+	err     error
+	seconds float64
 }
 
 func main() {
@@ -98,8 +97,6 @@ func main() {
 		"stream per-host per-domain power samples and serve them as Prometheus text at /metrics on this address (e.g. localhost:9100)")
 	hold := flag.Duration("hold", 0,
 		"keep the /metrics endpoint serving after the run completes: a duration, or negative (e.g. -1s) to serve until SIGINT/SIGTERM (a signal always ends the hold early)")
-	telemetryHold := flag.Duration("telemetry-hold", 0,
-		"deprecated alias for -hold")
 	version := flag.Bool("version", false, "print module version, VCS revision, and dirty flag, then exit")
 	flag.Parse()
 
@@ -120,9 +117,10 @@ func main() {
 
 	// Observability: any of the four flags turns the recorder on; all
 	// off leaves every hot path on its nil no-op default.
+	var o *obs.Obs
+	var hub *telemetry.Hub
 	if *tracePath != "" || *manifestPath != "" || *debugAddr != "" || *telemetryAddr != "" {
-		cfg.Obs = obs.New()
-		experiments.Instrument(cfg.Obs.Metrics)
+		o = obs.New()
 		if *tracePath != "" {
 			f, err := os.Create(*tracePath)
 			if err != nil {
@@ -130,11 +128,11 @@ func main() {
 				os.Exit(2)
 			}
 			defer f.Close()
-			cfg.Obs.Tracer = obs.NewTracer(f)
+			o.Tracer = obs.NewTracer(f)
 		}
 		var ds *obs.DebugServer
 		if *debugAddr != "" {
-			srv, err := obs.ServeDebug(*debugAddr, cfg.Obs.Metrics)
+			srv, err := obs.ServeDebug(*debugAddr, o.Metrics)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "powerstudy:", err)
 				os.Exit(2)
@@ -144,14 +142,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "powerstudy: debug endpoint on http://%s (pprof, /debug/vars)\n", ds.Addr)
 		}
 		if *telemetryAddr != "" {
-			hub := telemetry.NewHub()
-			smp, err := telemetry.NewSampler(hub, 1.0)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "powerstudy:", err)
-				os.Exit(2)
-			}
-			telemetry.SetDefault(smp)
-			col, err := promexp.NewCollector(hub, cfg.Obs.Reg(), 1<<16)
+			hub = telemetry.NewHub()
+			col, err := promexp.NewCollector(hub, o.Metrics, 1<<16)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "powerstudy:", err)
 				os.Exit(2)
@@ -161,7 +153,7 @@ func main() {
 			// address; otherwise the telemetry endpoint gets its own.
 			tds := ds
 			if tds == nil || *telemetryAddr != *debugAddr {
-				srv, err := obs.ServeDebug(*telemetryAddr, cfg.Obs.Metrics)
+				srv, err := obs.ServeDebug(*telemetryAddr, o.Metrics)
 				if err != nil {
 					fmt.Fprintln(os.Stderr, "powerstudy:", err)
 					os.Exit(2)
@@ -171,29 +163,22 @@ func main() {
 			}
 			tds.Handle("/metrics", col)
 			fmt.Fprintf(os.Stderr, "powerstudy: telemetry endpoint on http://%s/metrics\n", tds.Addr)
-			if *hold == 0 {
-				*hold = *telemetryHold // deprecated spelling
-			}
-			if *hold != 0 {
-				holdFor := *hold
-				defer func() {
-					fmt.Fprintf(os.Stderr, "powerstudy: holding /metrics open for %s\n", holdFor)
-					reason := serve.WaitForShutdown(holdFor)
-					fmt.Fprintf(os.Stderr, "powerstudy: hold ended (%s)\n", reason)
-				}()
-			}
+			defer serve.Hold(os.Stderr, "powerstudy", *hold)
 		}
 	}
 
-	if *cacheDir != "" {
-		st, err := experiments.EnableDiskCache(*cacheDir, *cacheMaxBytes)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "powerstudy:", err)
-			os.Exit(2)
-		}
+	env, err := experiments.NewEnv(experiments.EnvOptions{
+		Obs: o, Hub: hub, CacheDir: *cacheDir, CacheMaxBytes: *cacheMaxBytes,
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "powerstudy:", err)
+		os.Exit(2)
+	}
+	if st := env.Store(); st != nil {
 		fmt.Fprintf(os.Stderr, "powerstudy: persistent measurement cache at %s (%d entries)\n",
 			st.Dir(), st.Len())
 	}
+	cfg.Env = env
 
 	started := time.Now()
 	timings, err := run(cfg, *only, *artifactDir, os.Stdout)
@@ -224,7 +209,7 @@ func platformName(cfg experiments.Config) string {
 // time, and the final metrics snapshot.
 func writeManifest(path string, cfg experiments.Config, started time.Time, timings []obs.ExperimentTiming) error {
 	var snap *obs.Snapshot
-	if reg := cfg.Obs.Reg(); reg != nil {
+	if reg := cfg.Env.Obs().Reg(); reg != nil {
 		s := reg.Snapshot()
 		snap = &s
 	}
@@ -257,31 +242,39 @@ func run(cfg experiments.Config, only, artifactDir string, w io.Writer) ([]obs.E
 
 	exportCSV := artifactDir != ""
 	sep := strings.Repeat("=", 78)
-	// simple wraps a single-result experiment in the standard emit
-	// format (separator, render, timing line).
-	simple := func(name string, f func() (result, error)) unit {
-		return unit{name: name, run: func() (string, []artifact.Table, error) {
+	var units []unit
+	// emit wraps one experiment in the standard format: separator, its
+	// rendered sections, and a timing line labelled label with note
+	// appended. csv is called only when exporting.
+	emit := func(name, label string, f func() (sections []string, note string, csv func() artifact.Table, err error)) {
+		units = append(units, unit{name: name, done: make(chan struct{}), run: func() (string, []artifact.Table, error) {
 			start := time.Now()
-			r, err := f()
+			sections, note, csv, err := f()
 			if err != nil {
 				return "", nil, err
 			}
 			var sb strings.Builder
 			fmt.Fprintln(&sb, sep)
-			fmt.Fprintln(&sb, r.Render())
-			fmt.Fprintf(&sb, "[%s regenerated in %.1fs]\n\n", name, time.Since(start).Seconds())
+			for _, sec := range sections {
+				fmt.Fprintln(&sb, sec)
+			}
+			fmt.Fprintf(&sb, "[%s regenerated in %.1fs%s]\n\n", label, time.Since(start).Seconds(), note)
 			var tabs []artifact.Table
 			if exportCSV {
-				tabs = append(tabs, r.CSV())
+				tabs = append(tabs, csv())
 			}
 			return sb.String(), tabs, nil
-		}}
+		}})
 	}
-
-	var units []unit
 	add := func(name string, f func() (result, error)) {
 		if want(name) {
-			units = append(units, simple(name, f))
+			emit(name, name, func() ([]string, string, func() artifact.Table, error) {
+				r, err := f()
+				if err != nil {
+					return nil, "", nil, err
+				}
+				return []string{r.Render()}, "", r.CSV, nil
+			})
 		}
 	}
 
@@ -294,49 +287,32 @@ func run(cfg experiments.Config, only, artifactDir string, w io.Writer) ([]obs.E
 	// and the default stdout is pinned byte-identical by the golden
 	// test, so it never joins the default list.
 	if selected["fig2smi"] {
-		units = append(units, unit{name: "fig2smi", run: func() (string, []artifact.Table, error) {
-			start := time.Now()
+		emit("fig2smi", "fig2smi", func() ([]string, string, func() artifact.Table, error) {
 			r, err := experiments.RunFig2(cfg)
 			if err != nil {
-				return "", nil, err
+				return nil, "", nil, err
 			}
-			var sb strings.Builder
-			fmt.Fprintln(&sb, sep)
-			fmt.Fprintln(&sb, r.RenderPipelines())
-			fmt.Fprintf(&sb, "[fig2smi regenerated in %.1fs]\n\n", time.Since(start).Seconds())
-			var tabs []artifact.Table
-			if exportCSV {
-				tabs = append(tabs, r.PipelinesCSV())
-			}
-			return sb.String(), tabs, nil
-		}})
+			return []string{r.RenderPipelines()}, "", r.PipelinesCSV, nil
+		})
 	}
 	add("fig3", func() (result, error) { r, err := experiments.RunFig3(cfg); return r, err })
 
 	if want("fig4") || want("fig5") {
-		units = append(units, unit{name: "fig4/5", run: func() (string, []artifact.Table, error) {
-			start := time.Now()
+		emit("fig4/5", "fig4+fig5", func() ([]string, string, func() artifact.Table, error) {
 			sc, err := experiments.RunScaling(cfg)
 			if err != nil {
-				return "", nil, err
+				return nil, "", nil, err
 			}
-			var sb strings.Builder
-			fmt.Fprintln(&sb, sep)
+			var sections []string
 			if want("fig4") {
-				fmt.Fprintln(&sb, sc.Fig4Render())
+				sections = append(sections, sc.Fig4Render())
 			}
 			if want("fig5") {
-				fmt.Fprintln(&sb, sc.Fig5Render())
+				sections = append(sections, sc.Fig5Render())
 			}
 			lo, hi := sc.ModeRange()
-			fmt.Fprintf(&sb, "[fig4+fig5 regenerated in %.1fs; 1-node mode range %.0f–%.0f W (paper: 766–1814 W)]\n\n",
-				time.Since(start).Seconds(), lo, hi)
-			var tabs []artifact.Table
-			if exportCSV {
-				tabs = append(tabs, sc.CSV())
-			}
-			return sb.String(), tabs, nil
-		}})
+			return sections, fmt.Sprintf("; 1-node mode range %.0f–%.0f W (paper: 766–1814 W)", lo, hi), sc.CSV, nil
+		})
 	}
 
 	add("fig6", func() (result, error) { r, err := experiments.RunFig6(cfg); return r, err })
@@ -345,27 +321,20 @@ func run(cfg experiments.Config, only, artifactDir string, w io.Writer) ([]obs.E
 	add("fig9", func() (result, error) { r, err := experiments.RunFig9(cfg); return r, err })
 
 	if want("fig10") || want("fig12") {
-		units = append(units, unit{name: "fig10/12", run: func() (string, []artifact.Table, error) {
-			start := time.Now()
+		emit("fig10/12", "fig10+fig12", func() ([]string, string, func() artifact.Table, error) {
 			cs, err := experiments.RunCapStudy(cfg)
 			if err != nil {
-				return "", nil, err
+				return nil, "", nil, err
 			}
-			var sb strings.Builder
-			fmt.Fprintln(&sb, sep)
+			var sections []string
 			if want("fig10") {
-				fmt.Fprintln(&sb, cs.Fig10Render())
+				sections = append(sections, cs.Fig10Render())
 			}
 			if want("fig12") {
-				fmt.Fprintln(&sb, cs.Fig12Render())
+				sections = append(sections, cs.Fig12Render())
 			}
-			fmt.Fprintf(&sb, "[fig10+fig12 regenerated in %.1fs]\n\n", time.Since(start).Seconds())
-			var tabs []artifact.Table
-			if exportCSV {
-				tabs = append(tabs, cs.CSV())
-			}
-			return sb.String(), tabs, nil
-		}})
+			return sections, "", cs.CSV, nil
+		})
 	}
 
 	add("fig11", func() (result, error) { r, err := experiments.RunFig11(cfg); return r, err })
@@ -384,36 +353,31 @@ func run(cfg experiments.Config, only, artifactDir string, w io.Writer) ([]obs.E
 	// position in the list, exactly like the serial CLI did. Each unit
 	// gets an "experiment" span and a manifest timing entry; neither
 	// touches the rendered output.
-	outputs := make([]output, len(units))
-	seconds := make([]float64, len(units))
-	done := make([]chan struct{}, len(units))
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
 	platName := platformName(cfg)
 	go par.ForEach(context.Background(), par.Workers(cfg.Workers), len(units),
 		func(_ context.Context, i int) error {
-			sp := cfg.Obs.Span("experiment")
+			u := &units[i]
+			sp := cfg.Env.Obs().Span("experiment")
 			start := time.Now()
-			outputs[i].text, outputs[i].tables, outputs[i].err = units[i].run()
-			seconds[i] = time.Since(start).Seconds()
-			sp.Set("name", units[i].name).Set("platform", platName).
-				Set("error", outputs[i].err != nil)
+			u.text, u.tables, u.err = u.run()
+			u.seconds = time.Since(start).Seconds()
+			sp.Set("name", u.name).Set("platform", platName).Set("error", u.err != nil)
 			sp.End()
-			close(done[i])
+			close(u.done)
 			return nil // errors surface in list order below
 		})
 
 	var tables []artifact.Table
 	timings := make([]obs.ExperimentTiming, 0, len(units))
 	for i := range units {
-		<-done[i]
-		if err := outputs[i].err; err != nil {
-			return nil, fmt.Errorf("%s: %w", units[i].name, err)
+		u := &units[i]
+		<-u.done
+		if u.err != nil {
+			return nil, fmt.Errorf("%s: %w", u.name, u.err)
 		}
-		fmt.Fprint(w, outputs[i].text)
-		tables = append(tables, outputs[i].tables...)
-		timings = append(timings, obs.ExperimentTiming{Name: units[i].name, Seconds: seconds[i]})
+		fmt.Fprint(w, u.text)
+		tables = append(tables, u.tables...)
+		timings = append(timings, obs.ExperimentTiming{Name: u.name, Seconds: u.seconds})
 	}
 
 	if exportCSV && len(tables) > 0 {

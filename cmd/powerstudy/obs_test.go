@@ -24,10 +24,12 @@ func TestObservabilityRun(t *testing.T) {
 	var trace bytes.Buffer
 	o := obs.New()
 	o.Tracer = obs.NewTracer(&trace)
-	experiments.Instrument(o.Metrics)
-	defer experiments.Instrument(nil)
+	env, err := experiments.NewEnv(experiments.EnvOptions{Obs: o})
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	cfg := experiments.Config{Seed: 2024, Quick: true, Workers: 4, Obs: o}
+	cfg := experiments.Config{Seed: 2024, Quick: true, Workers: 4, Env: env}
 	var out bytes.Buffer
 	started := time.Now()
 	timings, err := run(cfg, "", "", &out)

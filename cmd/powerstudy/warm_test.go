@@ -15,27 +15,24 @@ import (
 // byte-identical to both the cold run that populated the cache and the
 // pinned golden file.
 func TestWarmQuickRunFromDisk(t *testing.T) {
-	// Earlier tests in this package leave the memory tier warm; drop it
-	// so the cold run below actually writes every entry to disk.
-	experiments.ResetCache()
-	if _, err := experiments.EnableDiskCache(t.TempDir(), 0); err != nil {
+	dir := t.TempDir()
+	env, err := experiments.NewEnv(experiments.EnvOptions{CacheDir: dir})
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer experiments.DisableDiskCache()
-
 	var cold bytes.Buffer
-	if _, err := run(experiments.Config{Seed: 2024, Quick: true}, "", "", &cold); err != nil {
+	if _, err := run(experiments.Config{Seed: 2024, Quick: true, Env: env}, "", "", &cold); err != nil {
 		t.Fatal(err)
 	}
 
-	// Warm run: memory tier cold again (a fresh process), disk tier
-	// populated, counters attached so we can prove where lookups landed.
-	experiments.ResetCache()
+	// Warm run: a fresh Env (a fresh process) over the populated
+	// directory, counters attached so we can prove where lookups landed.
 	o := obs.New()
-	experiments.Instrument(o.Metrics)
-	defer experiments.Instrument(nil)
+	if env, err = experiments.NewEnv(experiments.EnvOptions{Obs: o, CacheDir: dir}); err != nil {
+		t.Fatal(err)
+	}
 	var warm bytes.Buffer
-	if _, err := run(experiments.Config{Seed: 2024, Quick: true, Obs: o}, "", "", &warm); err != nil {
+	if _, err := run(experiments.Config{Seed: 2024, Quick: true, Env: env}, "", "", &warm); err != nil {
 		t.Fatal(err)
 	}
 

@@ -15,6 +15,7 @@ import (
 	"vasppower/internal/hw/platform"
 	"vasppower/internal/par"
 	"vasppower/internal/stats"
+	"vasppower/internal/telemetry"
 	"vasppower/internal/timeseries"
 	"vasppower/internal/workloads"
 )
@@ -199,6 +200,9 @@ type MeasureSpec struct {
 	// count: each repeat draws from its own seed-split noise stream and
 	// the minimum-runtime repeat is selected by index.
 	Workers int
+	// Sink streams the profiled repeat's traces, as in RunSpec; like
+	// Workers it sits outside the cache key.
+	Sink *telemetry.Sampler
 	// Entropy stamps every GPU kernel in the schedule with this operand
 	// entropy in [0,1]; 0 leaves kernels at the platform table's
 	// reference (no power shift).
@@ -239,6 +243,7 @@ func Measure(spec MeasureSpec) (JobProfile, error) {
 		Seed:           spec.Seed,
 		Workers:        spec.Workers,
 		OperandEntropy: spec.Entropy,
+		Sink:           spec.Sink,
 	})
 	if err != nil {
 		return JobProfile{}, err

@@ -68,6 +68,7 @@ func (c *SweepContext) MeasureCap(capW float64) (JobProfile, error) {
 			Seed:           c.spec.Seed,
 			Workers:        1,
 			OperandEntropy: c.spec.Entropy,
+			Sink:           c.spec.Sink,
 		})
 	}
 	if c.err != nil {

@@ -110,9 +110,7 @@ func TestSweepContextOracleFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	telemetry.SetDefault(s)
-	defer telemetry.SetDefault(nil)
-	spec := MeasureSpec{Bench: benchByName(t, "PdO2"), Seed: 5}
+	spec := MeasureSpec{Bench: benchByName(t, "PdO2"), Seed: 5, Sink: s}
 	sctx = NewSweepContext(spec)
 	defer sctx.Close()
 	arenas := workloads.ActiveSweeps()

@@ -37,12 +37,10 @@ func countTempFiles(t *testing.T, dir string) int {
 // and no temp files remain.
 func TestCachedMeasureGroupMidSweepFailure(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := EnableDiskCache(dir, 0); err != nil {
+	env, err := NewEnv(EnvOptions{CacheDir: dir})
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer DisableDiskCache()
-	ResetCache()
-	defer ResetCache()
 
 	b, ok := workloads.ByName("B.hR105_hse")
 	if !ok {
@@ -51,8 +49,7 @@ func TestCachedMeasureGroupMidSweepFailure(t *testing.T) {
 	spec := core.MeasureSpec{Bench: b, Nodes: 1, Repeats: 1, Seed: 3}
 	before := workloads.ActiveSweeps()
 	badCap := quickCfg().platform().GPU.MinPowerLimit / 2
-	_, err := CachedMeasureGroup(spec, []float64{0, 250, badCap})
-	if err == nil {
+	if _, err := env.MeasureGroup(spec, []float64{0, 250, badCap}); err == nil {
 		t.Fatalf("cap %g W below the settable range did not fail the sweep", badCap)
 	}
 	if got := workloads.ActiveSweeps(); got != before {
@@ -68,7 +65,7 @@ func TestCachedMeasureGroupMidSweepFailure(t *testing.T) {
 	for _, capW := range []float64{0, 250} {
 		pt := spec
 		pt.CapW = capW
-		if _, err := CachedMeasureSpec(pt); err != nil {
+		if _, err := env.Measure(pt); err != nil {
 			t.Fatalf("completed point cap=%g unreadable after failed sweep: %v", capW, err)
 		}
 	}

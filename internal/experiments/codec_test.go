@@ -44,12 +44,11 @@ func (s *recordingStore) Len() int {
 // the memory tier holds, and re-encode to the same bytes (so every
 // float keeps its bits).
 func TestProfileCodecRoundTripsQuickRun(t *testing.T) {
-	ResetCache()
 	st := &recordingStore{data: map[string][]byte{}}
-	cache.SetStore(st, profileCodec())
-	defer DisableDiskCache()
+	env := newEnv()
+	env.cache.SetStore(st, profileCodec())
 
-	cfg := Config{Seed: 2024, Quick: true}
+	cfg := Config{Seed: 2024, Quick: true, Env: env}
 	runners := map[string]func() error{
 		"table1":   func() error { _, err := RunTableI(cfg); return err },
 		"fig1":     func() error { _, err := RunFig1(cfg); return err },
@@ -77,11 +76,11 @@ func TestProfileCodecRoundTripsQuickRun(t *testing.T) {
 		}
 	}
 
-	if st.Len() == 0 || st.Len() != cache.Len() {
-		t.Fatalf("%d profiles stored for %d computed", st.Len(), cache.Len())
+	if st.Len() == 0 || st.Len() != env.cache.Len() {
+		t.Fatalf("%d profiles stored for %d computed", st.Len(), env.cache.Len())
 	}
 	for key, data := range st.data {
-		want, ok := cache.Get(key)
+		want, ok := env.cache.Get(key)
 		if !ok {
 			t.Fatalf("%s: stored but not in the memory tier", key)
 		}
@@ -102,16 +101,15 @@ func TestProfileCodecRoundTripsQuickRun(t *testing.T) {
 // intact but whose codec payload is malformed is quarantined and
 // recomputed, never served.
 func TestCorruptProfilePayloadRecomputed(t *testing.T) {
-	st, err := EnableDiskCache(t.TempDir(), 0)
+	reg := obs.NewRegistry()
+	env, err := NewEnv(EnvOptions{Obs: &obs.Obs{Metrics: reg}, CacheDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer DisableDiskCache()
-	reg := obs.NewRegistry()
-	Instrument(reg)
-	defer Instrument(nil)
+	st := env.Store()
 
 	cfg := quickCfg()
+	cfg.Env = env
 	b, _ := workloads.ByName("PdO2")
 	key := SpecKey(cfg.spec(b, 1, 1))
 	want, err := core.Measure(core.MeasureSpec{Bench: b, Platform: cfg.platform(), Seed: cfg.seed()})
@@ -127,7 +125,7 @@ func TestCorruptProfilePayloadRecomputed(t *testing.T) {
 		"has-mode byte": badHasMode,
 	}
 	for name, payload := range corrupt {
-		ResetCache()
+		env.cache.Reset()
 		st.Put(key, payload)
 		got, err := measure(cfg, b, 1, 1, 0)
 		if err != nil {
@@ -149,19 +147,21 @@ func TestCorruptProfilePayloadRecomputed(t *testing.T) {
 // catalogs share the measurement cache, so each distinct spec is
 // computed once, under the same key the other runners use.
 func TestExtSchedulerMeasuresThroughCache(t *testing.T) {
-	ResetCache()
 	reg := obs.NewRegistry()
-	Instrument(reg)
-	defer Instrument(nil)
+	env, err := NewEnv(EnvOptions{Obs: &obs.Obs{Metrics: reg}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := quickCfg()
+	cfg.Env = env
 	if _, err := RunExtScheduler(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if misses := reg.Snapshot().Counters["memo.misses"]; cache.Len() == 0 || misses != int64(cache.Len()) {
-		t.Fatalf("memo.misses = %d for %d distinct specs: a spec was measured twice", misses, cache.Len())
+	if misses := reg.Snapshot().Counters["memo.misses"]; env.cache.Len() == 0 || misses != int64(env.cache.Len()) {
+		t.Fatalf("memo.misses = %d for %d distinct specs: a spec was measured twice", misses, env.cache.Len())
 	}
 	for _, j := range sched.SyntheticJobMix(8, 90, cfg.seed()) {
-		if _, ok := cache.Get(SpecKey(cfg.spec(j.Bench, j.Nodes, 1))); !ok {
+		if _, ok := env.cache.Get(SpecKey(cfg.spec(j.Bench, j.Nodes, 1))); !ok {
 			t.Errorf("%s on %d nodes: uncapped baseline not under the runners' key", j.Bench.Name, j.Nodes)
 		}
 	}

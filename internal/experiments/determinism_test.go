@@ -20,12 +20,10 @@ func TestRunScalingParallelMatchesSerial(t *testing.T) {
 	parallelCfg := serialCfg
 	parallelCfg.Workers = 8
 
-	ResetCache()
 	serial, err := RunScaling(serialCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ResetCache()
 	parallel, err := RunScaling(parallelCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -40,12 +38,10 @@ func TestRunCapStudyParallelMatchesSerial(t *testing.T) {
 	parallelCfg := serialCfg
 	parallelCfg.Workers = 8
 
-	ResetCache()
 	serial, err := RunCapStudy(serialCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ResetCache()
 	parallel, err := RunCapStudy(parallelCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +78,7 @@ func TestSpecKeyCapNormalization(t *testing.T) {
 
 // TestCachedMeasureGroupMatchesSpec: the group path (one shared
 // incremental sweep context) must be bit-identical to independent
-// CachedMeasureSpec calls, including a non-binding cap point that
+// Measure calls, including a non-binding cap point that
 // shares the uncapped point's cache entry.
 func TestCachedMeasureGroupMatchesSpec(t *testing.T) {
 	b, ok := workloads.ByName("B.hR105_hse")
@@ -92,16 +88,15 @@ func TestCachedMeasureGroupMatchesSpec(t *testing.T) {
 	spec := core.MeasureSpec{Bench: b, Nodes: 1, Repeats: 1, Seed: 11}
 	tdp := quickCfg().platform().GPU.TDP
 	caps := []float64{0, 250, tdp + 100}
-	ResetCache()
-	got, err := CachedMeasureGroup(spec, caps)
+	got, err := newEnv().MeasureGroup(spec, caps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ResetCache()
+	env := newEnv()
 	for i, capW := range caps {
 		pt := spec
 		pt.CapW = capW
-		want, err := CachedMeasureSpec(pt)
+		want, err := env.Measure(pt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,25 +106,25 @@ func TestCachedMeasureGroupMatchesSpec(t *testing.T) {
 	}
 }
 
-// Hammer the shared measurement cache from many goroutines asking for
+// Hammer one Env's measurement cache from many goroutines asking for
 // a handful of overlapping keys. Under -race this is the proof that
 // the singleflight cache and the measurement path are data-race free;
 // in any mode it checks that concurrent callers of the same key all
 // observe the same profile.
 func TestConcurrentMeasureConsistency(t *testing.T) {
-	ResetCache()
 	benches := workloads.TableI()[:3]
 
-	// Reference profiles, measured serially on a fresh cache.
+	// Reference profiles, measured serially in their own Env.
 	want := make([]core.JobProfile, len(benches))
+	ref := Config{Seed: 42, Env: newEnv()}
 	for i, b := range benches {
-		jp, err := measure(Config{Seed: 42}, b, 1, 1, 0)
+		jp, err := measure(ref, b, 1, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = jp
 	}
-	ResetCache()
+	cfg := Config{Seed: 42, Env: newEnv()}
 
 	const goroutines = 16
 	const iters = 8
@@ -141,7 +136,7 @@ func TestConcurrentMeasureConsistency(t *testing.T) {
 			defer wg.Done()
 			for it := 0; it < iters; it++ {
 				i := (g + it) % len(benches)
-				jp, err := measure(Config{Seed: 42}, benches[i], 1, 1, 0)
+				jp, err := measure(cfg, benches[i], 1, 1, 0)
 				if err != nil {
 					errs <- err
 					return

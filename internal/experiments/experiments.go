@@ -8,7 +8,6 @@ package experiments
 import (
 	"context"
 	"strconv"
-	"sync"
 
 	"vasppower/internal/core"
 	"vasppower/internal/hw/platform"
@@ -43,10 +42,18 @@ type Config struct {
 	// sweep assembles by index, so results are identical for all
 	// values.
 	Workers int
-	// Obs carries the run's telemetry sinks (metrics and span tracer).
-	// Nil — the default — disables telemetry entirely; metrics and
-	// spans never influence results or rendered output either way.
-	Obs *obs.Obs
+	// Env is the run environment measurements go through. Nil means a
+	// fresh private one per measurement, so nothing is shared between
+	// them. It never changes a result.
+	Env *Env
+}
+
+// env returns c's Env, or a fresh memory-only one.
+func (c Config) env() *Env {
+	if c.Env == nil {
+		return newEnv()
+	}
+	return c.Env
 }
 
 func (c Config) repeats() int {
@@ -83,13 +90,86 @@ func (c Config) platform() platform.Platform {
 	return p
 }
 
-// measurement cache: the scaling, capping, and profiling figures share
-// many runs; each (benchmark, nodes, cap, repeats, seed) is measured
-// once per process. The sharded singleflight cache deduplicates
-// concurrent misses — when parallel runners race to the same key, one
-// computes and the rest wait for its result. EnableDiskCache attaches
-// a persistent second tier that carries results across processes.
-var cache = memo.New[core.JobProfile]()
+// Env is one run's measurement environment: the memory cache, the
+// optional disk tier behind it, the run's telemetry, and the sampler
+// computed runs stream their traces into. What a run reports comes
+// from its Env alone, whatever else ran in the process. One Env
+// measures each (benchmark, nodes, cap, repeats, seed) once; when
+// parallel runners race to one key, one computes and the rest wait.
+type Env struct {
+	cache *memo.Cache[core.JobProfile]
+	store *diskcache.Store
+	obs   *obs.Obs
+	sink  *telemetry.Sampler
+}
+
+// EnvOptions configures NewEnv. The zero value is a memory-only Env
+// with no telemetry.
+type EnvOptions struct {
+	// Obs receives the cache metrics and a "measure" span per lookup;
+	// its registry also takes the engine's process-wide metric hooks.
+	Obs *obs.Obs
+	// Hub, when set, receives the traces of every run the Env computes,
+	// sampled at 1 s.
+	Hub *telemetry.Hub
+	// CacheDir attaches a persistent second tier under this directory
+	// (memory → disk → compute); empty means memory only.
+	CacheDir string
+	// CacheMaxBytes bounds CacheDir by LRU eviction (0 = unbounded).
+	CacheMaxBytes int64
+}
+
+// NewEnv builds a run environment.
+func NewEnv(opts EnvOptions) (*Env, error) {
+	e := newEnv()
+	e.obs = opts.Obs
+	if opts.Hub != nil {
+		var err error
+		if e.sink, err = telemetry.NewSampler(opts.Hub, 1.0); err != nil {
+			return nil, err
+		}
+	}
+	if opts.CacheDir != "" {
+		st, err := diskcache.Open(diskcache.Options{Dir: opts.CacheDir, MaxBytes: opts.CacheMaxBytes, Epoch: CacheEpoch})
+		if err != nil {
+			return nil, err
+		}
+		e.store = st
+		e.cache.SetStore(st, profileCodec())
+	}
+	if reg := opts.Obs.Reg(); reg != nil {
+		e.instrument(reg)
+	}
+	return e, nil
+}
+
+func newEnv() *Env { return &Env{cache: memo.New[core.JobProfile]()} }
+
+// Obs returns the Env's telemetry (nil for a nil Env or none).
+func (e *Env) Obs() *obs.Obs {
+	if e == nil {
+		return nil
+	}
+	return e.obs
+}
+
+// Store returns the Env's disk tier (nil when it has none).
+func (e *Env) Store() *diskcache.Store { return e.store }
+
+// Sampler returns the Env's telemetry sampler, for runs made outside
+// the cache (nil for a nil Env or none).
+func (e *Env) Sampler() *telemetry.Sampler {
+	if e == nil {
+		return nil
+	}
+	return e.sink
+}
+
+// defaultEnv serves CachedMeasureSpec, CachedMeasureGroup, ResetCache
+// and Instrument, and so every serve.Server built without a Measure.
+// It is the one mutable variable of this package: the perfbench
+// harness drives an in-process server through those four functions.
+var defaultEnv = newEnv()
 
 // CacheEpoch versions the persistent tier's value schema. It is mixed
 // into every disk entry's content address and header, so entries from
@@ -110,44 +190,6 @@ const CacheEpoch = "jobprofile-bin-v1"
 func profileCodec() memo.Codec[core.JobProfile] {
 	encode := func(jp core.JobProfile) ([]byte, error) { return core.AppendJobProfile(nil, jp), nil }
 	return memo.Codec[core.JobProfile]{Encode: encode, Decode: core.DecodeJobProfile}
-}
-
-// diskMu guards the EnableDiskCache/Instrument handshake: whichever
-// runs second must still connect the store to the registry.
-var (
-	diskMu    sync.Mutex
-	diskStore *diskcache.Store
-	diskReg   *obs.Registry
-)
-
-// EnableDiskCache attaches a persistent content-addressed result cache
-// under dir as the measurement cache's second tier (memory → disk →
-// compute), bounded to maxBytes by LRU eviction (0 = unbounded). It
-// returns the opened store so callers can inspect it. If Instrument
-// has installed (or later installs) a registry, the store's counters
-// register under "diskcache." and land in the run manifest.
-func EnableDiskCache(dir string, maxBytes int64) (*diskcache.Store, error) {
-	st, err := diskcache.Open(diskcache.Options{Dir: dir, MaxBytes: maxBytes, Epoch: CacheEpoch})
-	if err != nil {
-		return nil, err
-	}
-	diskMu.Lock()
-	diskStore = st
-	if diskReg != nil {
-		st.Instrument(diskcache.NewMetrics(diskReg, "diskcache"))
-	}
-	diskMu.Unlock()
-	cache.SetStore(st, profileCodec())
-	return st, nil
-}
-
-// DisableDiskCache detaches the persistent tier (entries on disk are
-// kept). Tests use it to restore the memory-only configuration.
-func DisableDiskCache() {
-	diskMu.Lock()
-	diskStore = nil
-	diskMu.Unlock()
-	cache.SetStore(nil, memo.Codec[core.JobProfile]{})
 }
 
 // appendMeasureKey appends the cache key of one measurement. It
@@ -194,44 +236,39 @@ func appendMeasureKey(dst []byte, p platform.Platform, b workloads.Benchmark, no
 	return dst
 }
 
-// Instrument threads reg through every hot path the measurement
-// engine owns: the measurement cache, the worker pools, the simulation
-// engine, the OMNI store, and the trace pipeline. Call once at startup
-// (a nil reg detaches everything); telemetry is process-wide from then
-// on.
-func Instrument(reg *obs.Registry) {
-	diskMu.Lock()
-	diskReg = reg
-	st := diskStore
-	diskMu.Unlock()
+// Instrument threads reg through the default Env's cache and the
+// engine's process-wide metric hooks: the worker pools, the scheduler,
+// the simulation engine, the OMNI store, and the trace pipeline. A nil
+// reg detaches them all.
+func Instrument(reg *obs.Registry) { defaultEnv.instrument(reg) }
+
+// instrument points e's cache tiers, and the process-wide metric
+// hooks, at reg (nil detaches them).
+func (e *Env) instrument(reg *obs.Registry) {
+	e.cache.Instrument(metricsOn(reg, func(r *obs.Registry) *memo.Metrics { return memo.NewMetrics(r, "memo") }))
+	if e.store != nil {
+		e.store.Instrument(metricsOn(reg, func(r *obs.Registry) *diskcache.Metrics { return diskcache.NewMetrics(r, "diskcache") }))
+	}
+	par.SetMetrics(metricsOn(reg, par.NewMetrics))
+	sched.SetMetrics(metricsOn(reg, sched.NewMetrics))
+	sim.SetMetrics(metricsOn(reg, sim.NewMetrics))
+	omni.SetMetrics(metricsOn(reg, omni.NewMetrics))
+	timeseries.SetMetrics(metricsOn(reg, timeseries.NewMetrics))
+	telemetry.SetMetrics(metricsOn(reg, telemetry.NewMetrics))
+}
+
+// metricsOn builds a package's metric handles on reg, or returns nil —
+// the detached hook — when reg is nil.
+func metricsOn[M any](reg *obs.Registry, build func(*obs.Registry) *M) *M {
 	if reg == nil {
-		cache.Instrument(nil)
-		if st != nil {
-			st.Instrument(nil)
-		}
-		par.SetMetrics(nil)
-		sched.SetMetrics(nil)
-		sim.SetMetrics(nil)
-		omni.SetMetrics(nil)
-		timeseries.SetMetrics(nil)
-		telemetry.SetMetrics(nil)
-		return
+		return nil
 	}
-	cache.Instrument(memo.NewMetrics(reg, "memo"))
-	if st != nil {
-		st.Instrument(diskcache.NewMetrics(reg, "diskcache"))
-	}
-	par.SetMetrics(par.NewMetrics(reg))
-	sched.SetMetrics(sched.NewMetrics(reg))
-	sim.SetMetrics(sim.NewMetrics(reg))
-	omni.SetMetrics(omni.NewMetrics(reg))
-	timeseries.SetMetrics(timeseries.NewMetrics(reg))
-	telemetry.SetMetrics(telemetry.NewMetrics(reg))
+	return build(reg)
 }
 
 // SpecKey returns the canonical cache identity of spec: the string the
 // measurement cache keys it under, after applying the same defaults
-// CachedMeasureSpec applies. Two specs with equal SpecKeys are the
+// Env.Measure applies. Two specs with equal SpecKeys are the
 // same measurement — the serving layer's response cache leans on this
 // to give semantically identical requests (reordered JSON fields,
 // explicit-vs-implicit defaults) one pre-serialized response.
@@ -254,34 +291,22 @@ func AppendSpecKey(dst []byte, spec core.MeasureSpec) []byte {
 	return appendMeasureKey(dst, spec.Platform, spec.Bench, spec.Nodes, spec.Repeats, spec.CapW, spec.Seed, spec.Entropy)
 }
 
-// CachedMeasureSpec runs spec through the process-wide two-tier
-// measurement cache: memory, then the disk tier when EnableDiskCache
-// has attached one, then core.Measure. It is the entry point the CLIs
-// outside powerstudy share, so a profile measured by any tool warms
-// every other tool's sweep. Zero spec fields take core.Measure's
-// protocol defaults before keying, so equivalent specs hit the same
-// entry.
-func CachedMeasureSpec(spec core.MeasureSpec) (core.JobProfile, error) {
-	return cachedMeasure(nil, spec, func() (core.JobProfile, error) { return core.Measure(spec) })
+// Measure runs spec through the Env's cache: memory, then the disk
+// tier when the Env has one, then core.Measure. Zero spec fields take
+// core.Measure's protocol defaults before keying, so equivalent specs
+// hit the same entry.
+func (e *Env) Measure(spec core.MeasureSpec) (core.JobProfile, error) {
+	spec.Sink = e.sink
+	return e.lookup(spec, func() (core.JobProfile, error) { return core.Measure(spec) })
 }
 
-// CachedMeasureGroup measures spec at each cap point through the same
-// two-tier cache as CachedMeasureSpec, but shares one incremental
-// sweep context (the cap-independent resolution phase) across every
-// point that actually computes. The context is built lazily on the
-// first cache miss, so a fully warm group touches only the cache; each
-// point still goes through cache.Do individually, keeping singleflight
-// dedup and disk write-back per point. Results are bit-identical to
-// per-point CachedMeasureSpec calls.
-func CachedMeasureGroup(spec core.MeasureSpec, caps []float64) ([]core.JobProfile, error) {
-	return cachedMeasureCaps(nil, spec, caps)
-}
-
-// cachedMeasureCaps is CachedMeasureGroup with spans: each point is one
-// cachedMeasure lookup, and the points that miss share one sweep
-// context, built on the first miss so a warm sweep never pays the
-// resolution phase.
-func cachedMeasureCaps(o *obs.Obs, spec core.MeasureSpec, caps []float64) ([]core.JobProfile, error) {
+// MeasureGroup measures spec at each cap point through the same cache
+// as Measure, one lookup per point, but the points that compute share
+// one incremental sweep context (the cap-independent resolution
+// phase), built on the first miss. Results are bit-identical to
+// per-point Measure calls.
+func (e *Env) MeasureGroup(spec core.MeasureSpec, caps []float64) ([]core.JobProfile, error) {
+	spec.Sink = e.sink
 	out := make([]core.JobProfile, len(caps))
 	var sctx *core.SweepContext
 	defer func() {
@@ -292,7 +317,7 @@ func cachedMeasureCaps(o *obs.Obs, spec core.MeasureSpec, caps []float64) ([]cor
 	for i, capW := range caps {
 		pt := spec
 		pt.CapW = capW
-		jp, err := cachedMeasure(o, pt, func() (core.JobProfile, error) {
+		jp, err := e.lookup(pt, func() (core.JobProfile, error) {
 			if sctx == nil {
 				base := spec
 				base.CapW = 0
@@ -308,15 +333,13 @@ func cachedMeasureCaps(o *obs.Obs, spec core.MeasureSpec, caps []float64) ([]cor
 	return out, nil
 }
 
-// cachedMeasure is the one keyed lookup behind every cached
-// measurement: memory, then disk, then compute, under SpecKey(spec).
-// With o carrying a tracer, each lookup opens a "measure" span
-// recording the spec, the wall time, and whether the cache — either
-// tier — served it without computing.
-func cachedMeasure(o *obs.Obs, spec core.MeasureSpec, compute func() (core.JobProfile, error)) (core.JobProfile, error) {
-	sp := o.Span("measure")
+// lookup is the one keyed lookup behind every cached measurement:
+// memory, then disk, then compute, under SpecKey(spec), in a "measure"
+// span that records whether either tier served it.
+func (e *Env) lookup(spec core.MeasureSpec, compute func() (core.JobProfile, error)) (core.JobProfile, error) {
+	sp := e.obs.Span("measure")
 	computed := false
-	jp, err := cache.Do(context.Background(), SpecKey(spec), func() (core.JobProfile, error) {
+	jp, err := e.cache.Do(context.Background(), SpecKey(spec), func() (core.JobProfile, error) {
 		computed = true
 		return compute()
 	})
@@ -329,29 +352,37 @@ func cachedMeasure(o *obs.Obs, spec core.MeasureSpec, compute func() (core.JobPr
 	return jp, err
 }
 
+// CachedMeasureSpec is Measure on the default Env.
+func CachedMeasureSpec(spec core.MeasureSpec) (core.JobProfile, error) {
+	return defaultEnv.Measure(spec)
+}
+
+// CachedMeasureGroup is MeasureGroup on the default Env.
+func CachedMeasureGroup(spec core.MeasureSpec, caps []float64) ([]core.JobProfile, error) {
+	return defaultEnv.MeasureGroup(spec, caps)
+}
+
+// ResetCache clears the default Env's memory cache.
+func ResetCache() { defaultEnv.cache.Reset() }
+
 // spec returns the measurement of b on cfg's platform at cfg's seed.
 func (c Config) spec(b workloads.Benchmark, nodes, repeats int) core.MeasureSpec {
 	return core.MeasureSpec{Bench: b, Platform: c.platform(), Nodes: nodes, Repeats: repeats, Seed: c.seed()}
 }
 
 // measure runs (or recalls) one benchmark measurement on cfg's
-// platform at cfg's seed.
+// platform at cfg's seed, through cfg's Env.
 func measure(cfg Config, b workloads.Benchmark, nodes, repeats int, capW float64) (core.JobProfile, error) {
 	spec := cfg.spec(b, nodes, repeats)
 	spec.CapW = capW
-	return cachedMeasure(cfg.Obs, spec, func() (core.JobProfile, error) { return core.Measure(spec) })
+	return cfg.env().Measure(spec)
 }
 
 // measureGroup is measure across a cap sweep of one benchmark.
 // Results are bit-identical to per-point measure calls.
 func measureGroup(cfg Config, b workloads.Benchmark, nodes, repeats int, caps []float64) ([]core.JobProfile, error) {
-	return cachedMeasureCaps(cfg.Obs, cfg.spec(b, nodes, repeats), caps)
+	return cfg.env().MeasureGroup(cfg.spec(b, nodes, repeats), caps)
 }
-
-// ResetCache clears the measurement cache's memory tier (tests use it
-// to force fresh in-process runs). With a disk tier attached the next
-// lookup hits disk, not a recomputation.
-func ResetCache() { cache.Reset() }
 
 // highMode extracts the node-level high power mode (0 when absent).
 func highMode(jp core.JobProfile) float64 {

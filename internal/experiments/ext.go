@@ -41,8 +41,8 @@ func RunExtScheduler(cfg Config) (ExtSchedulerResult, error) {
 	}
 	// Simulate copies the job list and each policy gets its own
 	// catalog, so the three policies run concurrently. Every catalog
-	// measures through the shared cache, so a spec is measured once
-	// across the policies and the other runners. The catalog leaves
+	// measures through cfg's Env, so with one given a spec is measured
+	// once across the policies and the other runners. The catalog leaves
 	// Nodes and Repeats zero for core.Measure's defaults of 1, which
 	// must be applied before keying to hit the runners' entries.
 	catMeasure := func(spec core.MeasureSpec) (core.JobProfile, error) {
@@ -139,6 +139,7 @@ func RunExtRepeats(cfg Config) (ExtRepeatsResult, error) {
 				Nodes:    1,
 				Repeats:  1,
 				Seed:     cfg.seed() + uint64(i)*7919,
+				Sink:     cfg.Env.Sampler(),
 			})
 			if err != nil {
 				return err

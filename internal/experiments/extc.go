@@ -87,7 +87,7 @@ func RunExtC(cfg Config) (ExtCResult, error) {
 			loMHz, hiMHz := gspec.MinClockFrac*gspec.MaxClockMHz, gspec.MaxClockMHz
 			spec := workloads.RunSpec{
 				Bench: b, Platform: cfg.platform(), Nodes: 1,
-				Repeats: cfg.repeats(), Seed: cfg.seed(),
+				Repeats: cfg.repeats(), Seed: cfg.seed(), Sink: cfg.Env.Sampler(),
 			}
 			sw, err := workloads.NewSweep(spec)
 			if err != nil {

@@ -54,7 +54,7 @@ func RunExtE(cfg Config) (ExtEResult, error) {
 			out, err := workloads.RunMILC(workloads.MILCRunSpec{
 				Spec: spec, Platform: cfg.platform(), Nodes: res.Nodes,
 				Repeats: cfg.repeats(), GPUPowerLimit: capOrZero(caps[i], cfg.platform().GPU.TDP),
-				Seed: cfg.seed(),
+				Seed: cfg.seed(), Sink: cfg.Env.Sampler(),
 			})
 			if err != nil {
 				return err
@@ -243,7 +243,7 @@ func RunExtF(cfg Config) (ExtFResult, error) {
 		tasks = append(tasks, func() (ExtFJob, error) {
 			out, err := workloads.RunMILC(workloads.MILCRunSpec{
 				Spec: spec, Platform: cfg.platform(), Nodes: nodes,
-				Repeats: 1, Seed: cfg.seed(),
+				Repeats: 1, Seed: cfg.seed(), Sink: cfg.Env.Sampler(),
 			})
 			if err != nil {
 				return ExtFJob{}, err

@@ -47,6 +47,7 @@ func RunFig1(cfg Config) (Fig1Result, error) {
 		Repeats:  1,
 		Prelude:  true,
 		Seed:     cfg.seed(),
+		Sink:     cfg.Env.Sampler(),
 	})
 	if err != nil {
 		return Fig1Result{}, err

@@ -74,6 +74,7 @@ func RunFig2(cfg Config) (Fig2Result, error) {
 		Nodes:    1,
 		Repeats:  1,
 		Seed:     cfg.seed(),
+		Sink:     cfg.Env.Sampler(),
 	})
 	if err != nil {
 		return Fig2Result{}, err

@@ -27,8 +27,8 @@ func readModes(jp core.JobProfile) (ptrs []uintptr, highs []stats.Mode) {
 // (the same backing array, so no second KDE ran), and a later read of
 // every mode allocates nothing.
 func TestCachedProfileModesComputedOnce(t *testing.T) {
-	ResetCache()
 	cfg := quickCfg()
+	cfg.Env = newEnv()
 	b, _ := workloads.ByName("PdO2")
 	jp, err := measure(cfg, b, 1, 1, 0)
 	if err != nil {

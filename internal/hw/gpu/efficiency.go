@@ -147,8 +147,9 @@ func (e EntropyModel) Scale(entropy float64) float64 {
 // EfficiencyModel is a platform's complete achieved-efficiency table:
 // per-class MFU/MBU/SM-activity responses plus the shared launch
 // latency, occupancy floor, and entropy factor. Models are treated as
-// immutable once in use (they are shared by pointer across a
-// platform's devices and hashed into cache keys); edit a Clone.
+// immutable once in use: they are shared by pointer across a
+// platform's devices, and Hash keys cached measurements by the content
+// it saw on its first call.
 type EfficiencyModel struct {
 	Name string `json:"name"`
 	// OccFloor clamps resolved compute/memory occupancies from below,
@@ -160,6 +161,9 @@ type EfficiencyModel struct {
 	Entropy EntropyModel `json:"entropy"`
 	// Classes holds one response table per kernel class.
 	Classes map[KernelClass]ClassEfficiency `json:"classes"`
+
+	hashOnce sync.Once
+	hash     string
 }
 
 // sat is the saturating response curve work/(work+half).
@@ -283,26 +287,22 @@ func (r Response) validate(name string, minCap float64) error {
 	return nil
 }
 
-// modelHashes memoizes Hash by pointer: tables are immutable once in
-// use, and the hash sits on the measurement cache-key hot path.
-var modelHashes sync.Map // *EfficiencyModel → string
-
 // Hash returns a short content hash of the table, suitable for cache
 // keys: two platforms with byte-identical tables hash equally, and any
 // edited response changes the hash (invalidating cached measurements
-// taken under the old table).
+// taken under the old table). It sits on the measurement cache-key hot
+// path, so the model computes it once, on the first call, and keeps
+// it.
 func (m *EfficiencyModel) Hash() string {
-	if v, ok := modelHashes.Load(m); ok {
-		return v.(string)
-	}
-	b, err := json.Marshal(m) // map keys marshal in sorted order
-	if err != nil {
-		panic(fmt.Sprintf("gpu: hashing efficiency table %q: %v", m.Name, err))
-	}
-	sum := sha256.Sum256(b)
-	h := hex.EncodeToString(sum[:8])
-	modelHashes.Store(m, h)
-	return h
+	m.hashOnce.Do(func() {
+		b, err := json.Marshal(m) // map keys marshal in sorted order
+		if err != nil {
+			panic(fmt.Sprintf("gpu: hashing efficiency table %q: %v", m.Name, err))
+		}
+		sum := sha256.Sum256(b)
+		m.hash = hex.EncodeToString(sum[:8])
+	})
+	return m.hash
 }
 
 func nonfinite(x float64) bool {

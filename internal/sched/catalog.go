@@ -66,8 +66,8 @@ func NewCatalogOn(p platform.Platform, seed uint64) *Catalog {
 
 // SetMeasure replaces the measurement function profiles are gathered
 // with — the hook pmsched uses to route catalog measurements through
-// the process-wide two-tier result cache so repeated scheduler studies
-// reuse prior simulations. Call before the first lookup.
+// its run's two-tier result cache so repeated scheduler studies reuse
+// prior simulations. Call before the first lookup.
 func (c *Catalog) SetMeasure(fn func(core.MeasureSpec) (core.JobProfile, error)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"testing"
 
@@ -19,7 +20,10 @@ import (
 //   - an accepted body, sent again, returns the same bytes as a cache
 //     hit (or, for an NDJSON stream, which bypasses the cache, as the
 //     same recomputed stream);
-//   - the accepted response's size stays under a per-endpoint bound.
+//   - the accepted response's size stays under a per-endpoint bound;
+//   - for a measurement, the spec an accepted response echoes back,
+//     posted as a new body, is served from the same canonical entry:
+//     the same bytes, with no second evaluation.
 
 const (
 	fuzzMaxSweepPoints  = 16
@@ -29,7 +33,7 @@ const (
 // fuzzServer is the server every fuzz target drives: deterministic,
 // flushes each sweep batch immediately, and small enough that any
 // accepted body evaluates in milliseconds.
-func fuzzServer() *Server {
+func fuzzServer() (*Server, *fakeMeasure) {
 	f := &fakeMeasure{}
 	return New(Config{
 		Measure:         f.fn,
@@ -37,18 +41,19 @@ func fuzzServer() *Server {
 		BatchWindow:     -1,
 		MaxSweepPoints:  fuzzMaxSweepPoints,
 		MaxScheduleJobs: fuzzMaxScheduleJobs,
-	})
+	}), f
 }
 
 // fuzzEndpoint posts body to path twice and checks the properties
-// above; maxResp bounds an accepted response's size.
-func fuzzEndpoint(t *testing.T, s *Server, path string, body []byte, maxResp int) {
+// above; maxResp bounds an accepted response's size. It returns the
+// accepted response, or nil.
+func fuzzEndpoint(t *testing.T, s *Server, path string, body []byte, maxResp int) []byte {
 	status, resp := s.OneShot(http.MethodPost, path, body)
 	if status >= 500 {
 		t.Fatalf("status %d for body %q: %s", status, body, resp)
 	}
 	if status != http.StatusOK {
-		return
+		return nil
 	}
 	if len(resp) > maxResp {
 		t.Fatalf("accepted response is %d bytes, bound %d (body %q)", len(resp), maxResp, body)
@@ -60,6 +65,31 @@ func fuzzEndpoint(t *testing.T, s *Server, path string, body []byte, maxResp int
 	}
 	if s.Metrics().Hits.Value() == hits && !isStream(body) {
 		t.Fatalf("repeat of accepted body %q was not a cache hit", body)
+	}
+	return resp
+}
+
+// fuzzRekey posts the spec an accepted measure response echoes back
+// (the resolved defaults spelled out) as a new body. It names the same
+// measurement as the body that produced resp, so it must be a cache
+// hit on the canonical entry, byte-identical to resp, and must not
+// evaluate again.
+func fuzzRekey(t *testing.T, s *Server, fake *fakeMeasure, resp []byte) {
+	var echo measureRequest
+	if err := json.Unmarshal(resp, &echo); err != nil {
+		t.Fatalf("accepted response is not JSON: %v\n%s", err, resp)
+	}
+	rekeyed, err := json.Marshal(echo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evals, hits := fake.evals.Load(), s.Metrics().Hits.Value()
+	status, again := s.OneShot(http.MethodPost, "/v1/measure", rekeyed)
+	if status != http.StatusOK || !bytes.Equal(again, resp) {
+		t.Fatalf("echoed spec %q: status %d, bytes differ:\n%s\n%s", rekeyed, status, resp, again)
+	}
+	if fake.evals.Load() != evals || s.Metrics().Hits.Value() == hits {
+		t.Fatalf("echoed spec %q was evaluated again instead of served from the canonical entry", rekeyed)
 	}
 }
 
@@ -87,9 +117,11 @@ func FuzzMeasureRequest(f *testing.F) {
 	} {
 		f.Add([]byte(body))
 	}
-	s := fuzzServer()
+	s, fake := fuzzServer()
 	f.Fuzz(func(t *testing.T, body []byte) {
-		fuzzEndpoint(t, s, "/v1/measure", body, 2<<10)
+		if resp := fuzzEndpoint(t, s, "/v1/measure", body, 2<<10); resp != nil {
+			fuzzRekey(t, s, fake, resp)
+		}
 	})
 }
 
@@ -108,7 +140,7 @@ func FuzzSweepRequest(f *testing.F) {
 	} {
 		f.Add([]byte(body))
 	}
-	s := fuzzServer()
+	s, _ := fuzzServer()
 	f.Fuzz(func(t *testing.T, body []byte) {
 		fuzzEndpoint(t, s, "/v1/sweep", body, fuzzMaxSweepPoints<<10)
 	})
@@ -127,7 +159,7 @@ func FuzzScheduleRequest(f *testing.F) {
 	} {
 		f.Add([]byte(body))
 	}
-	s := fuzzServer()
+	s, _ := fuzzServer()
 	f.Fuzz(func(t *testing.T, body []byte) {
 		fuzzEndpoint(t, s, "/v1/schedule", body, 1<<10)
 	})

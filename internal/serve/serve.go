@@ -37,13 +37,14 @@ import (
 )
 
 // Config assembles a Server. The zero value works: every knob has a
-// serving-grade default, evaluation runs through the process-wide
-// two-tier measurement cache, and metrics are no-ops until a registry
+// serving-grade default, evaluation runs through the measurement
+// package's default run environment, and metrics are no-ops until a registry
 // is supplied.
 type Config struct {
 	// Measure evaluates one spec; nil means
-	// experiments.CachedMeasureSpec (the shared two-tier cache). Tests
-	// inject counters and gates here.
+	// experiments.CachedMeasureSpec (the default run environment).
+	// powerd passes its own Env's Measure; tests inject counters and
+	// gates here.
 	Measure func(core.MeasureSpec) (core.JobProfile, error)
 	// MeasureGroup evaluates one spec at several cap points through a
 	// shared incremental sweep context. It defaults to

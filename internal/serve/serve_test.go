@@ -1004,15 +1004,14 @@ func (w *cancelOnWriteRecorder) Write(p []byte) (int, error) {
 // whole, committed entries (no tmp-* files).
 func TestSweepStreamCancelReleasesArenaAndDisk(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := experiments.EnableDiskCache(dir, 0); err != nil {
+	env, err := experiments.NewEnv(experiments.EnvOptions{CacheDir: dir})
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer experiments.DisableDiskCache()
-	experiments.ResetCache()
-	defer experiments.ResetCache()
 
 	before := workloads.ActiveSweeps()
-	s := New(Config{Reg: obs.NewRegistry(), BatchWindow: 10 * time.Millisecond})
+	s := New(Config{Reg: obs.NewRegistry(), BatchWindow: 10 * time.Millisecond,
+		Measure: env.Measure, MeasureGroup: env.MeasureGroup})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	req := httptest.NewRequest(http.MethodPost, "/v1/sweep",
@@ -1037,7 +1036,7 @@ func TestSweepStreamCancelReleasesArenaAndDisk(t *testing.T) {
 		t.Fatalf("ActiveSweeps = %d, want %d (arena leaked after dropped stream)", got, before)
 	}
 	tmp := 0
-	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -16,13 +18,23 @@ import (
 //   - hold > 0: wait up to hold, a signal ends the wait early.
 //
 // It returns the reason ("signal" or "hold elapsed") so callers can
-// log which path ended the run. This replaces the old fixed
-// `-telemetry-hold` sleep on the CLI tools: a scrape-and-kill CI job
-// or an operator's Ctrl-C now ends the hold the moment it fires
-// instead of waiting out the timer, and the binaries get a uniform
-// graceful-drain trigger.
+// log which path ended the run. It is the `-hold` of the CLI tools,
+// not a fixed sleep: a scrape-and-kill CI job or an operator's Ctrl-C
+// ends the hold the moment it fires instead of waiting out the timer,
+// and the binaries get a uniform graceful-drain trigger.
 func WaitForShutdown(hold time.Duration) string {
 	return NotifyShutdown(hold)()
+}
+
+// Hold is a tool's -hold: it keeps the process, and so its /metrics
+// endpoint, up after the run as WaitForShutdown does, and logs to w
+// when the hold starts and how it ended. A zero hold returns at once.
+func Hold(w io.Writer, tool string, hold time.Duration) {
+	if hold == 0 {
+		return
+	}
+	fmt.Fprintf(w, "%s: holding /metrics open for %s\n", tool, hold)
+	fmt.Fprintf(w, "%s: hold ended (%s)\n", tool, WaitForShutdown(hold))
 }
 
 // NotifyShutdown installs the signal handler of WaitForShutdown at once

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"vasppower/internal/hw/node"
 	"vasppower/internal/timeseries"
@@ -138,7 +137,7 @@ func (s *Sampler) emitLocked(host string, hs *hostState, a, b float64) {
 // (under its own name), fully drained, and unregistered, advancing the
 // per-host stream clocks. Nodes already registered are skipped (they
 // are being sampled live). This is the hook the workload layer calls
-// after every run when a process-wide sampler is installed.
+// after every run whose spec carries a sampler.
 func (s *Sampler) PublishRun(nodes []*node.Node) {
 	for _, n := range nodes {
 		if n == nil {
@@ -156,16 +155,6 @@ func (s *Sampler) PublishRun(nodes []*node.Node) {
 		_ = s.Unregister(n.Name) // Unregister drains and flushes the tail
 	}
 }
-
-var defaultSink atomic.Pointer[Sampler]
-
-// SetDefault installs (or, with nil, removes) the process-wide sampler
-// that workload runs publish into. Install once at startup.
-func SetDefault(s *Sampler) { defaultSink.Store(s) }
-
-// ActiveSink returns the process-wide sampler, or nil when streaming
-// telemetry is off.
-func ActiveSink() *Sampler { return defaultSink.Load() }
 
 // SampleStore is the streaming-insert surface of a telemetry database
 // (omni.Store implements it).

@@ -336,22 +336,6 @@ func TestPublishRunSkipsLiveHosts(t *testing.T) {
 	}
 }
 
-func TestDefaultSink(t *testing.T) {
-	if ActiveSink() != nil {
-		t.Fatal("default sink should start nil")
-	}
-	h := NewHub()
-	s, _ := NewSampler(h, 1)
-	SetDefault(s)
-	if ActiveSink() != s {
-		t.Fatal("SetDefault did not install")
-	}
-	SetDefault(nil)
-	if ActiveSink() != nil {
-		t.Fatal("SetDefault(nil) did not clear")
-	}
-}
-
 type memStore struct {
 	samples map[string][]float64 // host/metric → times
 	fail    bool

@@ -7,6 +7,7 @@ import (
 	"vasppower/internal/dft/parallel"
 	"vasppower/internal/hw/gpu"
 	"vasppower/internal/hw/platform"
+	"vasppower/internal/telemetry"
 )
 
 // MILC is NERSC's second-largest application by cycles (§VI-B: the
@@ -151,6 +152,8 @@ type MILCRunSpec struct {
 	// OperandEntropy mirrors RunSpec.OperandEntropy: the operand
 	// entropy of the lattice data stream (0 = reference).
 	OperandEntropy float64
+	// Sink receives the selected repeat's traces, as in RunSpec.
+	Sink *telemetry.Sampler
 }
 
 // RunMILC executes a MILC measurement run with the same protocol as
@@ -184,5 +187,5 @@ func RunMILC(spec MILCRunSpec) (RunOutput, error) {
 		sched:    sched,
 		decomp:   d,
 	}, spec.Repeats)
-	return pr.run(spec.Workers)
+	return pr.run(spec.Workers, spec.Sink)
 }

@@ -50,6 +50,9 @@ type RunSpec struct {
 	// platform's reference calibration data). Same work, different
 	// data, different watts — the entropy power axis.
 	OperandEntropy float64
+	// Sink, when non-nil, streams the selected repeat's traces after
+	// the run. Like Workers, it never changes a result.
+	Sink *telemetry.Sampler
 }
 
 // RunOutput is the result of a measurement run.
@@ -244,7 +247,7 @@ func (pr *protocol) repeat(r int) (repeatRun, error) {
 // assembles the protocol output: results land by repeat index (never
 // completion order) and the minimum-runtime repeat is selected, per
 // §III-B.
-func (pr *protocol) run(workers int) (RunOutput, error) {
+func (pr *protocol) run(workers int, sink *telemetry.Sampler) (RunOutput, error) {
 	runs := make([]repeatRun, len(pr.noises))
 	err := par.ForEach(context.Background(), par.Workers(workers), len(runs),
 		func(_ context.Context, r int) error {
@@ -270,12 +273,12 @@ func (pr *protocol) run(workers int) (RunOutput, error) {
 	out.BestResult = best.result
 	out.PhaseWindows = best.phases
 	out.VASPStart, out.VASPEnd = best.phases["vasp"][0], best.phases["vasp"][1]
-	// Stream the selected repeat's traces into the process-wide
-	// telemetry sampler, when one is installed (-telemetry-addr). The
-	// sampler never blocks — slow subscribers shed load in their own
-	// rings — so this cannot slow a run down.
-	if s := telemetry.ActiveSink(); s != nil {
-		s.PublishRun(out.Nodes)
+	// Stream the selected repeat's traces into the run's telemetry
+	// sampler, when it has one. The sampler never blocks — slow
+	// subscribers shed load in their own rings — so this cannot slow a
+	// run down.
+	if sink != nil {
+		sink.PublishRun(out.Nodes)
 	}
 	return out, nil
 }
@@ -286,7 +289,7 @@ func Run(spec RunSpec) (RunOutput, error) {
 	if err != nil {
 		return RunOutput{}, err
 	}
-	return pr.run(spec.Workers)
+	return pr.run(spec.Workers, spec.Sink)
 }
 
 // DGEMMSchedule builds the burn-in DGEMM phase for the given GPU: a

@@ -57,6 +57,7 @@ type Sweep struct {
 	bestRes   solver.Result
 	bestPhase map[string]float64
 	windows   map[string][2]float64
+	sink      *telemetry.Sampler
 	closed    bool
 }
 
@@ -103,6 +104,7 @@ func NewSweep(spec RunSpec) (*Sweep, error) {
 		runtimes:  make([]float64, len(noises)),
 		bestPhase: make(map[string]float64, 8),
 		windows:   make(map[string][2]float64, 1),
+		sink:      spec.Sink,
 	}
 	activeSweeps.Add(1)
 	return s, nil
@@ -167,8 +169,8 @@ func (s *Sweep) run(capW, mhz float64) (RunOutput, error) {
 	// Stream the point's winning traces exactly as Run does. PublishRun
 	// registers, drains and unregisters each node before it returns,
 	// so no cursor outlives the point and the arena is free to reset.
-	if sink := telemetry.ActiveSink(); sink != nil {
-		sink.PublishRun(s.nodes)
+	if s.sink != nil {
+		s.sink.PublishRun(s.nodes)
 	}
 	return RunOutput{
 		Nodes:        s.nodes,

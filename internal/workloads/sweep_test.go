@@ -296,8 +296,10 @@ func TestSweepRejectsUnsupportedSpecs(t *testing.T) {
 	}
 
 	caps := []float64{0, 250, 150}
-	viaSweep := publishedSamples(t, func() {
-		sw, err := NewSweep(base)
+	viaSweep := publishedSamples(t, func(sink *telemetry.Sampler) {
+		spec := base
+		spec.Sink = sink
+		sw, err := NewSweep(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,10 +310,11 @@ func TestSweepRejectsUnsupportedSpecs(t *testing.T) {
 			}
 		}
 	})
-	viaRun := publishedSamples(t, func() {
+	viaRun := publishedSamples(t, func(sink *telemetry.Sampler) {
 		for _, capW := range caps {
 			pt := base
 			pt.GPUPowerLimit = capW
+			pt.Sink = sink
 			if _, err := Run(pt); err != nil {
 				t.Fatal(err)
 			}
@@ -330,9 +333,9 @@ func TestSweepRejectsUnsupportedSpecs(t *testing.T) {
 	}
 }
 
-// publishedSamples runs fn with a fresh process-wide telemetry sink
-// attached and returns every sample it published, in order.
-func publishedSamples(t *testing.T, fn func()) []telemetry.Sample {
+// publishedSamples runs fn with a fresh telemetry sink and returns
+// every sample fn's runs published into it, in order.
+func publishedSamples(t *testing.T, fn func(*telemetry.Sampler)) []telemetry.Sample {
 	t.Helper()
 	hub := telemetry.NewHub()
 	sub, err := hub.Subscribe("", 1<<17)
@@ -343,9 +346,7 @@ func publishedSamples(t *testing.T, fn func()) []telemetry.Sample {
 	if err != nil {
 		t.Fatal(err)
 	}
-	telemetry.SetDefault(s)
-	defer telemetry.SetDefault(nil)
-	fn()
+	fn(s)
 	if d := sub.Dropped(); d != 0 {
 		t.Fatalf("subscription dropped %d samples; raise its capacity", d)
 	}

@@ -4,8 +4,9 @@ package vasppower_test
 // internal/ must be reached from a program root — a command, an
 // example, the vasppower façade or the perfbench harness — or be named
 // in the allowlist below; so must every exported method of an internal
-// interface be called. Code that only tests reach belongs in a
-// _test.go file, or nowhere. The analysis is standard-library only:
+// interface be called, and every unexported function and method be
+// reached from a root or an allowlisted hook. Code that only tests
+// reach belongs in a _test.go file, or nowhere. The analysis is standard-library only:
 // go/build lists each package's non-test files, go/parser reads them
 // and go/types resolves every identifier, with the standard library
 // type-checked from source.
@@ -20,11 +21,13 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -34,7 +37,6 @@ var testOnlyHooks = map[string]string{
 	"internal/dft/solver/solveroracle.Run":   "step-by-step executor the solver, workloads and core differential tests compare the prepared engine against",
 	"internal/dft/solver/solveroracle.Noise": "the oracle's jitter stream, which the workloads and core differential tests seed identically on both sides",
 	"internal/workloads.ActiveSweeps":        "arena-leak detector read by the core, experiments and serve tests",
-	"internal/experiments.DisableDiskCache":  "process-global fixture the root benchmarks and the powerstudy and serve tests use to keep the disk tier out of a run; it goes with the run-environment item",
 	"internal/hw/gpu.GPU.PowerLimit":         "cap read-back the node, cluster and root integration tests check the set path against",
 	"internal/hw/gpu.GPU.ClockLimit":         "clock-lock read-back the node tests check the set path against",
 	"internal/hw/node.Node.IdlePower":        "the node's idle draw, the floor the workloads and cluster tests pin node power against",
@@ -47,13 +49,11 @@ func TestShippedCodeReachable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the module and the standard library from source")
 	}
-	got, err := unreached([]module{
-		{path: "vasppower", dir: "."},
-		{path: "vasppower/perfbench", dir: "perfbench"},
-	})
+	prog, err := loadRepo()
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := unreached(prog, testOnlyHooks)
 	unreachedSet := make(map[string]bool, len(got))
 	for _, id := range got {
 		unreachedSet[id] = true
@@ -77,19 +77,21 @@ func TestReachabilityFixture(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks a fixture against the standard library from source")
 	}
-	got, err := unreached([]module{
+	prog, err := loadModules([]module{
 		{path: "fixture", dir: "testdata/reach"},
 		{path: "fixture/harness", dir: "testdata/reach/harness"},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := unreached(prog, nil)
 	want := []string{
 		"internal/lib.Buffer.Drain",
 		"internal/lib.Helper.Unused",
 		"internal/lib.OnlyTested",
 		"internal/lib.OnlyTestedConst",
 		"internal/lib.Sink.Drain",
+		"internal/lib.orphan",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("unreached = %q, want %q", got, want)
@@ -227,21 +229,24 @@ func isRoot(p *pkgInfo) bool {
 	return p.types.Name() == "main" || !isInternal(p.path)
 }
 
-// decl is one package-level declaration: the nodes whose identifiers
-// it references, and the package whose Info resolves them.
-type decl struct {
-	pkg   *pkgInfo
-	nodes []ast.Node
+// program is every package of a set of modules, type-checked.
+type program struct {
+	*loader
+	pkgs []*pkgInfo
 }
 
-// unreached type-checks every package of mods and returns, sorted, each
-// exported package-level identifier and exported method declared under
-// an internal/ directory of the first module that no root reaches, and
-// each exported method of a reached internal interface that no reached
-// code calls. The roots are every declaration in a command or in a
-// package outside internal/, and the init functions and blank
-// variables of every package.
-func unreached(mods []module) ([]string, error) {
+// loadRepo loads the module and the perfbench harness once for every
+// check that reads them.
+var loadRepo = sync.OnceValues(func() (*program, error) {
+	return loadModules([]module{
+		{path: "vasppower", dir: "."},
+		{path: "vasppower/perfbench", dir: "perfbench"},
+	})
+})
+
+// loadModules type-checks every package of mods from its non-test
+// files.
+func loadModules(mods []module) (*program, error) {
 	ctxt := build.Default
 	// Without cgo the standard library type-checks from pure-Go files,
 	// with no C toolchain and no cgo subprocess. The source importer
@@ -253,7 +258,7 @@ func unreached(mods []module) ([]string, error) {
 
 	fset := token.NewFileSet()
 	l := &loader{fset: fset, ctxt: ctxt, mods: mods, std: importer.ForCompiler(fset, "source", nil), pkgs: map[string]*pkgInfo{}}
-	var all []*pkgInfo
+	prog := &program{loader: l}
 	for _, mod := range mods {
 		paths, err := packagePaths(&ctxt, mod)
 		if err != nil {
@@ -264,9 +269,29 @@ func unreached(mods []module) ([]string, error) {
 			if err != nil {
 				return nil, err
 			}
-			all = append(all, p)
+			prog.pkgs = append(prog.pkgs, p)
 		}
 	}
+	return prog, nil
+}
+
+// decl is one package-level declaration: the nodes whose identifiers
+// it references, and the package whose Info resolves them.
+type decl struct {
+	pkg   *pkgInfo
+	nodes []ast.Node
+}
+
+// unreached type-checks every package of mods and returns, sorted, each
+// exported package-level identifier and exported method declared under
+// an internal/ directory of the first module that no root reaches, each
+// exported method of a reached internal interface that no reached code
+// calls, and each unexported function and method there that neither a
+// root nor one of hooks (names as reported) reaches. The roots are
+// every declaration in a command or in a package outside internal/,
+// and the init functions and blank variables of every package.
+func unreached(prog *program, hooks map[string]string) []string {
+	l, all, mods := prog.loader, prog.pkgs, prog.mods
 
 	decls := map[types.Object]*decl{}
 	var roots []types.Object
@@ -398,7 +423,8 @@ func unreached(mods []module) ([]string, error) {
 		}
 		return false
 	}
-	for {
+	var propagate func()
+	propagate = func() {
 		for len(queue) > 0 {
 			obj := queue[len(queue)-1]
 			queue = queue[:len(queue)-1]
@@ -433,17 +459,14 @@ func unreached(mods []module) ([]string, error) {
 				}
 			}
 		}
-		if len(queue) == 0 {
-			break
+		if len(queue) > 0 {
+			propagate()
 		}
 	}
+	propagate()
 
 	main := mods[0]
-	var out []string
-	for obj, d := range decls {
-		if reached[obj] || d.pkg.mod != main || !isInternal(d.pkg.path) || !obj.Exported() {
-			continue
-		}
+	nameOf := func(obj types.Object, d *decl) string {
 		name := obj.Name()
 		if f, ok := obj.(*types.Func); ok {
 			if recv := f.Type().(*types.Signature).Recv(); recv != nil {
@@ -454,15 +477,36 @@ func unreached(mods []module) ([]string, error) {
 				name = t.(*types.Named).Obj().Name() + "." + name
 			}
 		}
-		out = append(out, strings.TrimPrefix(d.pkg.path, main.path+"/")+"."+name)
+		return strings.TrimPrefix(d.pkg.path, main.path+"/") + "." + name
+	}
+	// Exports are judged from the program roots alone. The test hooks
+	// then join the roots, so a function only a hook calls is not
+	// reported: the hook already is, or is allowlisted.
+	fromRoots, calledFromRoots := maps.Clone(reached), maps.Clone(calledIface)
+	for obj, d := range decls {
+		if _, ok := hooks[nameOf(obj, d)]; ok {
+			mark(obj)
+		}
+	}
+	propagate()
+
+	var out []string
+	for obj, d := range decls {
+		if d.pkg.mod != main || !isInternal(d.pkg.path) {
+			continue
+		}
+		_, isFunc := obj.(*types.Func)
+		if obj.Exported() && !fromRoots[obj] || !obj.Exported() && isFunc && !reached[obj] {
+			out = append(out, nameOf(obj, d))
+		}
 	}
 	// An interface method no reached code calls is a requirement no
 	// binary needs, even when the interface itself is reached.
 	for _, im := range ifaceMethods {
-		if reached[im.iface] && !calledIface[im.m] && im.pkg.mod == main && isInternal(im.pkg.path) && im.m.Exported() {
+		if fromRoots[im.iface] && !calledFromRoots[im.m] && im.pkg.mod == main && isInternal(im.pkg.path) && im.m.Exported() {
 			out = append(out, strings.TrimPrefix(im.pkg.path, main.path+"/")+"."+im.iface.Name()+"."+im.m.Name())
 		}
 	}
 	sort.Strings(out)
-	return out, nil
+	return out
 }

@@ -7,6 +7,9 @@ func Used() int { return helper() }
 
 func helper() int { return 1 }
 
+// orphan is unexported and nothing calls it, so it is reported.
+func orphan() int { return 5 }
+
 // OnlyTested is referenced only from lib_test.go, so it is reported.
 func OnlyTested() int { return 2 }
 
