@@ -26,6 +26,7 @@ import (
 	"os"
 
 	"vasppower"
+	"vasppower/internal/core"
 	"vasppower/internal/dft/incar"
 	"vasppower/internal/dft/lattice"
 	"vasppower/internal/dft/method"
@@ -140,11 +141,12 @@ func runMILC(nodes int, cap float64, repeats int, seed uint64) {
 	n := out.Nodes[0]
 	fmt.Printf("\nruntime   %s\n", report.Seconds(out.BestResult.Runtime))
 	fmt.Printf("energy    %.2f MJ\n", out.BestResult.EnergyJ/1e6)
-	s := n.TotalTrace().Sample(2).Slice(out.VASPStart, out.VASPEnd)
-	fmt.Println(report.SeriesLine("node", s, 70))
-	for i := 0; i < n.NumGPUs(); i++ {
-		g := n.GPUTrace(i).Sample(2).Slice(out.VASPStart, out.VASPEnd)
-		fmt.Println(report.SeriesLine(fmt.Sprintf("gpu%d", i), g, 70))
+	// The job window, profiled at the same 2 s telemetry as the VASP
+	// path.
+	jp := core.ProfileWindow(n, out.VASPStart, out.VASPEnd, core.DefaultSamplingInterval)
+	fmt.Println(report.SeriesLine("node", jp.NodeTotal.Series, 70))
+	for i := range jp.GPUs {
+		fmt.Println(report.SeriesLine(fmt.Sprintf("gpu%d", i), jp.GPUs[i].Series, 70))
 	}
 }
 

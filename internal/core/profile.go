@@ -38,12 +38,15 @@ type Profile struct {
 // ProfileSeries builds a Profile from a sampled series. The profile
 // keeps s.Values for its modes, so the caller must not modify them
 // afterwards.
-func ProfileSeries(s timeseries.Series) Profile {
+func ProfileSeries(s timeseries.Series) Profile { return (*Arena)(nil).profileSeries(s) }
+
+// profileSeries is ProfileSeries sorting in a's scratch.
+func (a *Arena) profileSeries(s timeseries.Series) Profile {
 	p := Profile{Series: s}
 	if s.Len() == 0 {
 		return p
 	}
-	p.Summary, _ = stats.Describe(s.Values)
+	p.Summary, _ = stats.DescribeInto(s.Values, a.sortScratch())
 	p.modes = &modeCell{values: s.Values}
 	return p
 }
@@ -151,33 +154,44 @@ func (jp JobProfile) GPUHighMode() float64 {
 // ProfileWindow profiles one node's traces over [start, end] at the
 // given sampling interval.
 func ProfileWindow(n *node.Node, start, end, interval float64) JobProfile {
+	jp := (*Arena)(nil).profileWindow(n, start, end, interval)
+	jp.EnergyJ = n.TotalTrace().EnergyBetween(start, end)
+	return jp
+}
+
+// profileWindow is ProfileWindow without the energy, sorting in a's
+// scratch. Each series is sampled straight into its own exact-size
+// slices, which the profile keeps.
+func (a *Arena) profileWindow(n *node.Node, start, end, interval float64) JobProfile {
 	jp := JobProfile{Name: n.Name, SamplingInterval: interval, Runtime: end - start}
 	sample := func(tr *timeseries.Trace) Profile {
-		s := tr.Sample(interval)
-		return ProfileSeries(s.Slice(start, end))
+		return a.profileSeries(tr.SampleWindow(start, end, interval))
 	}
-	jp.NodeTotal = ProfileSeries(n.TotalTrace().Sample(interval).Slice(start, end))
+	jp.NodeTotal = sample(n.TotalTrace())
 	jp.CPU = sample(n.CPUTrace())
 	jp.Mem = sample(n.MemTrace())
 	jp.GPUs = make([]Profile, n.NumGPUs())
-	for i := 0; i < n.NumGPUs(); i++ {
+	for i := range jp.GPUs {
 		jp.GPUs[i] = sample(n.GPUTrace(i))
 	}
-	jp.GPUSum = ProfileSeries(n.GPUSumTrace().Sample(interval).Slice(start, end))
-	jp.EnergyJ = n.TotalTrace().EnergyBetween(start, end)
+	jp.GPUSum = sample(n.GPUSumTrace())
 	return jp
 }
 
 // ProfileRun profiles the selected VASP repeat of a measurement run
 // (node 0's view, as the benchmarks are node-balanced).
 func ProfileRun(out workloads.RunOutput, interval float64) JobProfile {
+	return (*Arena)(nil).profileRun(out, interval)
+}
+
+// profileRun is ProfileRun sorting in a's scratch.
+func (a *Arena) profileRun(out workloads.RunOutput, interval float64) JobProfile {
 	if len(out.Nodes) == 0 {
 		return JobProfile{}
 	}
-	jp := ProfileWindow(out.Nodes[0], out.VASPStart, out.VASPEnd, interval)
+	jp := a.profileWindow(out.Nodes[0], out.VASPStart, out.VASPEnd, interval)
 	jp.Runtime = out.BestResult.Runtime
 	// Aggregate energy across all nodes for energy-to-solution.
-	jp.EnergyJ = 0
 	for _, n := range out.Nodes {
 		jp.EnergyJ += n.TotalTrace().EnergyBetween(out.VASPStart, out.VASPEnd)
 	}
@@ -232,7 +246,21 @@ func (spec MeasureSpec) withDefaults() MeasureSpec {
 
 // Measure runs a benchmark with the paper's protocol (prelude burn-in,
 // repeats, min-runtime selection) and returns its profile.
-func Measure(spec MeasureSpec) (JobProfile, error) {
+func Measure(spec MeasureSpec) (JobProfile, error) { return MeasureIn(nil, spec) }
+
+// MeasureIn is Measure reusing a's storage: the spec runs as a
+// one-point sweep built in a (repeats serial, whatever spec.Workers
+// says), and the arena gets its storage back once the profile, which
+// owns everything it keeps, is built. The profile is bit-identical to
+// Measure's. a must serve no other measurement until MeasureIn
+// returns; a nil a measures as Measure always has, each repeat on its
+// own allocation.
+func MeasureIn(a *Arena, spec MeasureSpec) (JobProfile, error) {
+	if a != nil {
+		c := NewSweepContextIn(a, spec)
+		defer c.Close()
+		return c.MeasureCap(spec.CapW)
+	}
 	spec = spec.withDefaults()
 	out, err := workloads.Run(workloads.RunSpec{
 		Bench:          spec.Bench,

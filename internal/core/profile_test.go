@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"vasppower/internal/hw/node"
 	"vasppower/internal/stats"
 	"vasppower/internal/timeseries"
 	"vasppower/internal/workloads"
@@ -200,6 +201,65 @@ func TestProfileRunUsesVASPWindow(t *testing.T) {
 	// First profiled sample must start after the prelude.
 	if jp.NodeTotal.Series.Times[0] < out.VASPStart {
 		t.Fatal("profile includes prelude samples")
+	}
+}
+
+// profileWindowReference is ProfileWindow as it was built before
+// windowed sampling: every trace sampled whole, then sliced.
+func profileWindowReference(n *node.Node, start, end, interval float64) JobProfile {
+	sample := func(tr *timeseries.Trace) Profile {
+		return ProfileSeries(tr.Sample(interval).Slice(start, end))
+	}
+	jp := JobProfile{Name: n.Name, SamplingInterval: interval, Runtime: end - start}
+	jp.NodeTotal = sample(n.TotalTrace())
+	jp.CPU = sample(n.CPUTrace())
+	jp.Mem = sample(n.MemTrace())
+	for i := 0; i < n.NumGPUs(); i++ {
+		jp.GPUs = append(jp.GPUs, sample(n.GPUTrace(i)))
+	}
+	jp.GPUSum = sample(n.GPUSumTrace())
+	jp.EnergyJ = n.TotalTrace().EnergyBetween(start, end)
+	return jp
+}
+
+// TestProfileWindowMatchesReference profiles every phase window of a
+// two-node prelude run — the burn-in phases included — with
+// ProfileWindow and through one reused Arena, and requires both to
+// encode as the whole-trace reference does. ProfileRun must equal
+// node 0's VASP window with the solver's runtime and every node's
+// energy.
+func TestProfileWindowMatchesReference(t *testing.T) {
+	b, _ := workloads.ByName("B.hR105_hse")
+	out, err := workloads.Run(workloads.RunSpec{Bench: b, Nodes: 2, Repeats: 1, Prelude: true, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := out.Nodes[0]
+	a := new(Arena)
+	for _, phase := range []string{"dgemm", "stream", "idle", "vasp"} {
+		w := out.PhaseWindows[phase]
+		for _, interval := range []float64{0.5, DefaultSamplingInterval, 3} {
+			want := AppendJobProfile(nil, profileWindowReference(n, w[0], w[1], interval))
+			if got := AppendJobProfile(nil, ProfileWindow(n, w[0], w[1], interval)); string(got) != string(want) {
+				t.Fatalf("%s window at %g s: ProfileWindow differs from the reference", phase, interval)
+			}
+			jp := a.profileWindow(n, w[0], w[1], interval)
+			jp.EnergyJ = n.TotalTrace().EnergyBetween(w[0], w[1])
+			if got := AppendJobProfile(nil, jp); string(got) != string(want) {
+				t.Fatalf("%s window at %g s: the arena's profile differs from the reference", phase, interval)
+			}
+		}
+	}
+	want := profileWindowReference(n, out.VASPStart, out.VASPEnd, DefaultSamplingInterval)
+	want.Runtime = out.BestResult.Runtime
+	want.EnergyJ = 0
+	for _, n := range out.Nodes {
+		want.EnergyJ += n.TotalTrace().EnergyBetween(out.VASPStart, out.VASPEnd)
+	}
+	for _, got := range []JobProfile{ProfileRun(out, DefaultSamplingInterval), a.profileRun(out, DefaultSamplingInterval)} {
+		if string(AppendJobProfile(nil, got)) != string(AppendJobProfile(nil, want)) {
+			t.Fatal("ProfileRun differs from node 0's window profile with all nodes' energy")
+		}
 	}
 }
 

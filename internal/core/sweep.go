@@ -30,6 +30,7 @@ import (
 type SweepContext struct {
 	mu     sync.Mutex
 	spec   MeasureSpec
+	arena  *Arena // nil: the context owns its storage
 	sw     *workloads.Sweep
 	err    error // construction error, returned for every point
 	inited bool
@@ -38,11 +39,16 @@ type SweepContext struct {
 
 // NewSweepContext prepares a context for sweeping spec across caps
 // (spec.CapW is ignored; each MeasureCap call supplies the cap).
-func NewSweepContext(spec MeasureSpec) *SweepContext {
+func NewSweepContext(spec MeasureSpec) *SweepContext { return NewSweepContextIn(nil, spec) }
+
+// NewSweepContextIn is NewSweepContext building its sweep and profiles
+// in a's storage, which Close hands back; points are bit-identical to
+// NewSweepContext's. a must serve nothing else until Close returns.
+func NewSweepContextIn(a *Arena, spec MeasureSpec) *SweepContext {
 	spec = spec.withDefaults()
 	spec.CapW = 0
 	spec.Workers = 1 // parallelism belongs across points, repeats stay serial
-	return &SweepContext{spec: spec}
+	return &SweepContext{spec: spec, arena: a}
 }
 
 // MeasureCap measures the context's spec under one GPU power cap,
@@ -60,7 +66,7 @@ func (c *SweepContext) MeasureCap(capW float64) (JobProfile, error) {
 	}
 	if !c.inited {
 		c.inited = true
-		c.sw, c.err = workloads.NewSweep(workloads.RunSpec{
+		c.sw, c.err = workloads.NewSweepIn(c.arena.sweepArena(), workloads.RunSpec{
 			Bench:          c.spec.Bench,
 			Platform:       c.spec.Platform,
 			Nodes:          c.spec.Nodes,
@@ -78,16 +84,17 @@ func (c *SweepContext) MeasureCap(capW float64) (JobProfile, error) {
 	if err != nil {
 		return JobProfile{}, err
 	}
-	// The profile deep-copies everything it keeps (sampled series,
-	// summaries), so it stays valid after the arena is reused or
+	// The profile owns everything it keeps (sampled series, summaries),
+	// so it stays valid after the sweep's storage is reused or
 	// released.
-	jp := ProfileRun(out, DefaultSamplingInterval)
+	jp := c.arena.profileRun(out, DefaultSamplingInterval)
 	jp.Name = c.spec.Bench.Name
 	return jp, nil
 }
 
-// Close releases the context's node arena (a no-op if the resolution
-// phase never ran, e.g. every point was a cache hit). Idempotent.
+// Close releases the context's nodes and hands its storage back to its
+// Arena (a no-op if the resolution phase never ran, e.g. every point
+// was a cache hit). Idempotent.
 func (c *SweepContext) Close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -182,11 +182,21 @@ func (c Config) Validate() error {
 }
 
 // Build constructs the schedule for the configuration.
-func Build(c Config) (*Schedule, error) {
+func Build(c Config) (*Schedule, error) { return BuildInto(nil, c) }
+
+// BuildInto is Build appending the steps to buf[:0]: it reuses buf's
+// storage when its capacity covers the schedule and otherwise makes
+// one allocation of the exact step count. The schedule's Steps share
+// that storage, so buf must not be built into again while the
+// schedule is in use.
+func BuildInto(buf []Step, c Config) (*Schedule, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	b := &builder{cfg: c, steps: make([]Step, 0, stepCount(c))}
+	b := &builder{cfg: c, steps: buf[:0]}
+	if n := stepCount(c); cap(b.steps) < n {
+		b.steps = make([]Step, 0, n)
+	}
 	switch c.Kind {
 	case DFTRMM, DFTBD, DFTBDRMM, DFTCG, VDW:
 		b.buildSCF(c.Kind)

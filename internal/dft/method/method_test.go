@@ -1,6 +1,7 @@
 package method
 
 import (
+	"reflect"
 	"testing"
 
 	"vasppower/internal/dft/incar"
@@ -342,6 +343,41 @@ func TestStepCountExact(t *testing.T) {
 					t.Fatalf("%v kpar=%d nelm=%d: %d steps (cap %d), stepCount %d",
 						kind, kpar, nelm, len(s.Steps), cap(s.Steps), stepCount(c))
 				}
+			}
+		}
+	}
+}
+
+// TestBuildIntoMatchesBuild builds every kind into one reused buffer,
+// twice over: each schedule equals Build's, whatever the buffer held
+// before, and once the buffer has grown to the largest schedule (after
+// the first pass) every build appends into its storage.
+func TestBuildIntoMatchesBuild(t *testing.T) {
+	d, err := parallel.Decompose(640, 8, 2, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf []Step
+	for pass := 0; pass < 2; pass++ {
+		for _, kind := range Kinds() {
+			c := testConfig(kind)
+			c.Decomp = d
+			want, err := Build(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := BuildInto(buf, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("pass %d %v: BuildInto differs from Build", pass, kind)
+			}
+			if pass == 1 && &got.Steps[:1][0] != &buf[:1][0] {
+				t.Fatalf("%v: BuildInto reallocated a buffer of capacity %d for %d steps", kind, cap(buf), len(got.Steps))
+			}
+			if cap(got.Steps) > cap(buf) {
+				buf = got.Steps[:0]
 			}
 		}
 	}

@@ -101,6 +101,10 @@ type Env struct {
 	store *diskcache.Store
 	obs   *obs.Obs
 	sink  *telemetry.Sampler
+	// arenas is the free list of idle measurement arenas, one taken per
+	// computed measurement. Its capacity, one per CPU, is as many as
+	// can compute at once; an arena returned to a full list is dropped.
+	arenas chan *core.Arena
 }
 
 // EnvOptions configures NewEnv. The zero value is a memory-only Env
@@ -143,7 +147,28 @@ func NewEnv(opts EnvOptions) (*Env, error) {
 	return e, nil
 }
 
-func newEnv() *Env { return &Env{cache: memo.New[core.JobProfile]()} }
+func newEnv() *Env {
+	return &Env{cache: memo.New[core.JobProfile](), arenas: make(chan *core.Arena, par.Workers(0))}
+}
+
+// takeArena returns an idle arena, or a new one when none is idle.
+func (e *Env) takeArena() *core.Arena {
+	select {
+	case a := <-e.arenas:
+		return a
+	default:
+		return new(core.Arena)
+	}
+}
+
+// putArena returns a to the free list, or drops it when the list is
+// full. Only an arena no measurement uses any longer may be put.
+func (e *Env) putArena(a *core.Arena) {
+	select {
+	case e.arenas <- a:
+	default:
+	}
+}
 
 // Obs returns the Env's telemetry (nil for a nil Env or none).
 func (e *Env) Obs() *obs.Obs {
@@ -296,8 +321,18 @@ func AppendSpecKey(dst []byte, spec core.MeasureSpec) []byte {
 // core.Measure's protocol defaults before keying, so equivalent specs
 // hit the same entry.
 func (e *Env) Measure(spec core.MeasureSpec) (core.JobProfile, error) {
+	return e.lookup(spec, func() (core.JobProfile, error) { return e.compute(spec) })
+}
+
+// compute measures spec in one of e's arenas, streaming into e's
+// sampler, without consulting or filling the cache: Measure's compute
+// step, and the whole measurement for runners that must run every time.
+func (e *Env) compute(spec core.MeasureSpec) (core.JobProfile, error) {
 	spec.Sink = e.sink
-	return e.lookup(spec, func() (core.JobProfile, error) { return core.Measure(spec) })
+	a := e.takeArena()
+	jp, err := core.MeasureIn(a, spec)
+	e.putArena(a)
+	return jp, err
 }
 
 // MeasureGroup measures spec at each cap point through the same cache
@@ -309,9 +344,11 @@ func (e *Env) MeasureGroup(spec core.MeasureSpec, caps []float64) ([]core.JobPro
 	spec.Sink = e.sink
 	out := make([]core.JobProfile, len(caps))
 	var sctx *core.SweepContext
+	var arena *core.Arena
 	defer func() {
 		if sctx != nil {
 			sctx.Close()
+			e.putArena(arena)
 		}
 	}()
 	for i, capW := range caps {
@@ -321,7 +358,8 @@ func (e *Env) MeasureGroup(spec core.MeasureSpec, caps []float64) ([]core.JobPro
 			if sctx == nil {
 				base := spec
 				base.CapW = 0
-				sctx = core.NewSweepContext(base)
+				arena = e.takeArena()
+				sctx = core.NewSweepContextIn(arena, base)
 			}
 			return sctx.MeasureCap(capW)
 		})

@@ -124,7 +124,9 @@ func RunExtRepeats(cfg Config) (ExtRepeatsResult, error) {
 	}
 	// Run each repeat separately so per-repeat power modes can be
 	// compared (the protocol's premise: runtime varies, power modes
-	// don't). Each repeat has its own seed, so they fan out freely.
+	// don't). Each repeat has its own seed, so they fan out freely;
+	// none goes through the cache, as the study is of running again.
+	env := cfg.env()
 	type rep struct {
 		runtime float64
 		mode    float64
@@ -133,20 +135,14 @@ func RunExtRepeats(cfg Config) (ExtRepeatsResult, error) {
 	reps := make([]rep, repeats)
 	err := par.ForEach(context.Background(), cfg.workers(), repeats,
 		func(_ context.Context, i int) error {
-			out, err := workloads.Run(workloads.RunSpec{
-				Bench:    bench,
-				Platform: cfg.platform(),
-				Nodes:    1,
-				Repeats:  1,
-				Seed:     cfg.seed() + uint64(i)*7919,
-				Sink:     cfg.Env.Sampler(),
-			})
+			spec := cfg.spec(bench, 1, 1)
+			spec.Seed = cfg.seed() + uint64(i)*7919
+			jp, err := env.compute(spec)
 			if err != nil {
 				return err
 			}
-			reps[i].runtime = out.BestResult.Runtime
-			s := out.Nodes[0].TotalTrace().Sample(2).Slice(out.VASPStart, out.VASPEnd)
-			if hm, ok := stats.HighPowerModeOf(s.Values); ok {
+			reps[i].runtime = jp.Runtime
+			if hm, ok := jp.NodeTotal.HighMode(); ok {
 				reps[i].mode = hm.X
 				reps[i].hasMode = true
 			}

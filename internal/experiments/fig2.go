@@ -80,7 +80,7 @@ func RunFig2(cfg Config) (Fig2Result, error) {
 		return Fig2Result{}, err
 	}
 	// 0.1 s lossless sampling of GPU 0, as in the paper's experiment.
-	base := out.Nodes[0].GPUTrace(0).Sample(0.1).Slice(out.VASPStart, out.VASPEnd)
+	base := out.Nodes[0].GPUTrace(0).SampleWindow(out.VASPStart, out.VASPEnd, 0.1)
 	res := Fig2Result{Bench: bench.Name, BaseTrace: base}
 	for _, iv := range Fig2Intervals() {
 		s := base

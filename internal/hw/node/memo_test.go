@@ -140,6 +140,57 @@ func TestTotalTraceStorageContract(t *testing.T) {
 	}
 }
 
+// TestExchangeStorageMovesStorage: ExchangeStorage leaves the node with
+// empty traces and the bank with the node's storage, so a second node
+// that takes the bank records into it — its first TotalTrace is built
+// in the first node's TotalTrace storage — with the values a fresh node
+// records.
+func TestExchangeStorageMovesStorage(t *testing.T) {
+	record := func(n *Node) {
+		busy := n.Idle()
+		busy.CPU = 250
+		for i := range busy.GPUs {
+			busy.GPUs[i] = 300 + float64(i)
+		}
+		n.RecordIdle(2)
+		n.Record(3, busy)
+		n.RecordIdle(1)
+	}
+	var bank TraceBank
+	a := New("nid001", platform.Default(), nil)
+	record(a)
+	total := a.TotalTrace()
+	a.ExchangeStorage(&bank)
+	if a.TraceDuration() != 0 || a.TotalTrace().Len() != 0 {
+		t.Fatal("ExchangeStorage left recorded traces on the node")
+	}
+
+	b := New("nid002", platform.Default(), nil)
+	b.ExchangeStorage(&bank)
+	if b.TraceDuration() != 0 {
+		t.Fatal("the bank handed back recorded segments")
+	}
+	record(b)
+	if got := b.TotalTrace(); got != total {
+		t.Fatal("the bank's TotalTrace storage was not reused")
+	}
+	fresh := New("nid002", platform.Default(), nil)
+	record(fresh)
+	for _, tr := range []struct {
+		name      string
+		got, want *timeseries.Trace
+	}{
+		{"total", b.TotalTrace(), fresh.TotalTrace()},
+		{"cpu", b.CPUTrace(), fresh.CPUTrace()},
+		{"gpu3", b.GPUTrace(3), fresh.GPUTrace(3)},
+		{"gpu3 memory", b.GPUMemTrace(3), fresh.GPUMemTrace(3)},
+	} {
+		if !slices.Equal(tr.got.Segments(), tr.want.Segments()) {
+			t.Fatalf("%s: recorded into the bank %+v, fresh %+v", tr.name, tr.got.Segments(), tr.want.Segments())
+		}
+	}
+}
+
 func BenchmarkTotalTrace(b *testing.B) {
 	n := New("nid001", platform.Default(), nil)
 	p := n.Idle()

@@ -405,13 +405,18 @@ func (n *Node) ResetTracesReuse() {
 
 // TraceBank is detachable trace storage for one node: the sweep engine
 // keeps the best repeat's traces in a bank while later repeats rebuild
-// into the node's working set, then swaps the winner back in. The zero
-// value is ready to use.
+// into the node's working set, then swaps the winner back in; a
+// measurement arena keeps a node's whole storage in one between runs
+// (ExchangeStorage). The zero value is ready to use.
 type TraceBank struct {
 	cpu     timeseries.Trace
 	mem     timeseries.Trace
 	gpus    []timeseries.Trace
 	gpuMems []timeseries.Trace
+	// total and sum hold the TotalTrace storage and the component-sum
+	// buffer; only ExchangeStorage moves them.
+	total *timeseries.Trace
+	sum   timeseries.Trace
 }
 
 // SwapTraces exchanges the node's recorded traces with the bank's and
@@ -428,6 +433,21 @@ func (n *Node) SwapTraces(b *TraceBank) {
 	n.memTrace, b.mem = b.mem, n.memTrace
 	n.gpuTraces, b.gpus = b.gpus, n.gpuTraces
 	n.gpuMemTraces, b.gpuMems = b.gpuMems, n.gpuMemTraces
+}
+
+// ExchangeStorage empties the node's traces and trades all of its trace
+// storage — the component traces, the TotalTrace storage and the
+// component-sum buffer — for the bank's. A measurement arena calls it
+// twice per run: on a fresh node before the run, so the run records
+// into storage sized by earlier runs, and after the run is profiled,
+// to take the storage back. Like ResetTracesReuse, it invalidates any
+// TotalTrace handed out earlier; the other derived traces own fresh
+// storage and are unaffected.
+func (n *Node) ExchangeStorage(b *TraceBank) {
+	n.ResetTracesReuse()
+	n.SwapTraces(b)
+	n.totalSpare, b.total = b.total, n.totalSpare
+	n.sumBuf, b.sum = b.sum, n.sumBuf
 }
 
 // SetGPUPowerLimits applies the same cap to all GPUs, returning the

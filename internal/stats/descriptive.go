@@ -28,11 +28,23 @@ type Summary struct {
 
 // Describe computes a Summary of xs. It returns ErrEmpty for an empty
 // sample.
-func Describe(xs []float64) (Summary, error) {
+func Describe(xs []float64) (Summary, error) { return DescribeInto(xs, nil) }
+
+// DescribeInto is Describe with its sort copy made in *scratch, which
+// it grows as needed and leaves holding the sorted sample, so a caller
+// summarizing series one after another sorts without allocating. A nil
+// scratch allocates the copy, as Describe does. The Summary is
+// identical either way.
+func DescribeInto(xs []float64, scratch *[]float64) (Summary, error) {
 	if len(xs) == 0 {
 		return Summary{}, ErrEmpty
 	}
-	return describeSorted(xs, sortedCopy(xs)), nil
+	if scratch == nil {
+		scratch = new([]float64)
+	}
+	*scratch = append((*scratch)[:0], xs...)
+	sort.Float64s(*scratch)
+	return describeSorted(xs, *scratch), nil
 }
 
 // describeSorted summarizes the non-empty xs given sorted, an ascending

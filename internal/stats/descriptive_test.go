@@ -216,3 +216,43 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	return quantileSorted(sortedCopy(xs), q)
 }
+
+// TestDescribeIntoMatchesDescribe reuses one scratch buffer across
+// samples of growing and shrinking size (so it holds stale, longer
+// contents) and requires every Summary field to keep Describe's bits,
+// signed zeros and NaNs included.
+func TestDescribeIntoMatchesDescribe(t *testing.T) {
+	bits := func(s Summary) [8]uint64 {
+		return [8]uint64{uint64(s.N), math.Float64bits(s.Min), math.Float64bits(s.Max), math.Float64bits(s.Mean),
+			math.Float64bits(s.Median), math.Float64bits(s.StdDev), math.Float64bits(s.Q1), math.Float64bits(s.Q3)}
+	}
+	var scratch []float64
+	r := rng.New(11)
+	for iter := 0; iter < 300; iter++ {
+		xs := make([]float64, 1+r.IntN(200))
+		for i := range xs {
+			switch r.IntN(12) {
+			case 0:
+				xs[i] = math.Copysign(0, -1)
+			case 1:
+				xs[i] = 0
+			default:
+				xs[i] = float64(r.IntN(8)) * 50
+				if r.IntN(2) == 0 {
+					xs[i] = r.Float64() * 400
+				}
+			}
+		}
+		if iter%50 == 0 {
+			xs[0] = math.NaN()
+		}
+		want, _ := Describe(xs)
+		got, err := DescribeInto(xs, &scratch)
+		if err != nil || bits(got) != bits(want) {
+			t.Fatalf("iter %d: DescribeInto = %+v, %v; Describe = %+v", iter, got, err, want)
+		}
+	}
+	if _, err := DescribeInto(nil, &scratch); err != ErrEmpty {
+		t.Fatalf("empty sample: err = %v, want ErrEmpty", err)
+	}
+}

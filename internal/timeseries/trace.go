@@ -416,6 +416,49 @@ func (t *Trace) Sample(interval float64) Series {
 	return s
 }
 
+// SampleWindow returns Sample(interval).Slice(start, end) bit for bit
+// — the same window instants, the same cursor arithmetic — while
+// sampling only the windows whose end lies in [start, end], straight
+// into an output allocated once at its exact size. Both slices are nil
+// when no window end falls in [start, end], as Slice returns them.
+//
+// Window ends are non-decreasing in the window index, so the kept
+// windows are one index range, found by binary search; the segment
+// cursor starts where Sample's would stand at the first kept window:
+// on the first segment ending after that window's start.
+func (t *Trace) SampleWindow(start, end, interval float64) Series {
+	if interval <= 0 {
+		panic("timeseries: non-positive sampling interval")
+	}
+	dur := t.Duration()
+	n := int(math.Ceil(dur/interval - 1e-9))
+	if n < 0 {
+		n = 0
+	}
+	windowEnd := func(i int) float64 {
+		a := float64(i) * interval
+		return math.Min(a+interval, dur)
+	}
+	// !(x <= end) rather than x > end, so a NaN bound keeps nothing,
+	// as in Slice.
+	lo := sort.Search(n, func(i int) bool { return windowEnd(i) >= start })
+	hi := sort.Search(n, func(i int) bool { return !(windowEnd(i) <= end) })
+	if hi <= lo {
+		return Series{}
+	}
+	s := Series{Times: make([]float64, hi-lo), Values: make([]float64, hi-lo)}
+	a0 := float64(lo) * interval
+	cur := sort.Search(len(t.segs), func(j int) bool { return t.segs[j].End() > a0 })
+	for i := lo; i < hi; i++ {
+		a := float64(i) * interval
+		b := math.Min(a+interval, dur)
+		s.Times[i-lo] = b
+		s.Values[i-lo] = t.meanBetweenFrom(&cur, a, b)
+	}
+	countSamples(hi - lo)
+	return s
+}
+
 // meanBetweenFrom is MeanBetween with a resumable segment cursor:
 // *cur is advanced past segments that end at or before a, so sampling
 // consecutive windows visits each segment O(1) times overall (the

@@ -117,7 +117,7 @@ func effectiveCap(sp gpu.Spec, capW float64) float64 {
 // when its effective level is at least this.
 func floorPower(t *testing.T, spec RunSpec) float64 {
 	t.Helper()
-	pr, err := resolve(spec)
+	pr, err := resolve(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -141,10 +141,10 @@ func newProtocol(pr protocol, repeats int) protocol {
 	return pr
 }
 
-// resolve validates a VASP spec and builds its schedule. Run and
-// NewSweep both resolve through it, so they reject a spec with the
-// same error.
-func resolve(spec RunSpec) (protocol, error) {
+// resolve validates a VASP spec and builds its schedule, into a's step
+// storage when a is not nil. Run and NewSweep both resolve through it,
+// so they reject a spec with the same error.
+func resolve(spec RunSpec, a *Arena) (protocol, error) {
 	if err := spec.Bench.Validate(); err != nil {
 		return protocol{}, err
 	}
@@ -156,7 +156,7 @@ func resolve(spec RunSpec) (protocol, error) {
 	if err != nil {
 		return protocol{}, err
 	}
-	sched, err := method.Build(cfg)
+	sched, err := a.build(cfg)
 	if err != nil {
 		return protocol{}, err
 	}
@@ -285,7 +285,7 @@ func (pr *protocol) run(workers int, sink *telemetry.Sampler) (RunOutput, error)
 
 // Run executes the spec and returns traces plus the selected repeat.
 func Run(spec RunSpec) (RunOutput, error) {
-	pr, err := resolve(spec)
+	pr, err := resolve(spec, nil)
 	if err != nil {
 		return RunOutput{}, err
 	}

@@ -58,21 +58,29 @@ type Sweep struct {
 	bestPhase map[string]float64
 	windows   map[string][2]float64
 	sink      *telemetry.Sampler
+	arena     *Arena // nil: the sweep owns its storage
 	closed    bool
 }
 
 // NewSweep performs the cap-independent resolution phase for spec.
 // The spec must not request the prelude protocol or carry its own
 // cap/clock limits (those are per-point: RunCap, RunClockMHz).
-func NewSweep(spec RunSpec) (*Sweep, error) {
+func NewSweep(spec RunSpec) (*Sweep, error) { return NewSweepIn(nil, spec) }
+
+// NewSweepIn is NewSweep building the schedule and recording the
+// traces in a's storage, which Close hands back to a; results are
+// bit-identical to NewSweep's. a must serve no other sweep until this
+// one is closed. A nil a is NewSweep.
+func NewSweepIn(a *Arena, spec RunSpec) (*Sweep, error) {
 	if spec.Prelude {
 		return nil, fmt.Errorf("workloads: sweep engine does not support the prelude protocol")
 	}
 	if spec.GPUPowerLimit != 0 || spec.GPUClockLimitMHz != 0 {
 		return nil, fmt.Errorf("workloads: sweep specs carry no cap/clock limits (set them per point)")
 	}
-	pr, err := resolve(spec)
+	pr, err := resolve(spec, a)
 	if err != nil {
+		a.reclaim(nil)
 		return nil, err
 	}
 	// Snapshot every repeat's noise stream by value: a scratch copy per
@@ -87,10 +95,13 @@ func NewSweep(spec RunSpec) (*Sweep, error) {
 	// same by construction.
 	pool, nodes, err := pr.allocate()
 	if err != nil {
+		a.reclaim(nil)
 		return nil, err
 	}
+	a.lend(nodes)
 	prep, err := solver.Prepare(pr.job(nodes))
 	if err != nil {
+		a.reclaim(nodes)
 		pool.Release(nodes)
 		return nil, err
 	}
@@ -105,6 +116,7 @@ func NewSweep(spec RunSpec) (*Sweep, error) {
 		bestPhase: make(map[string]float64, 8),
 		windows:   make(map[string][2]float64, 1),
 		sink:      spec.Sink,
+		arena:     a,
 	}
 	activeSweeps.Add(1)
 	return s, nil
@@ -190,8 +202,10 @@ func (s *Sweep) swapBanks() {
 }
 
 // Close releases the arena: nodes return to the pool with traces,
-// power limits, and clock limits reset. Idempotent. Outputs of earlier
-// Run* calls are invalid afterwards.
+// power limits, and clock limits reset, and a sweep built by
+// NewSweepIn first hands its schedule and trace storage back to its
+// Arena. Idempotent. Outputs of earlier Run* calls are invalid
+// afterwards.
 func (s *Sweep) Close() {
 	if s.closed {
 		return
@@ -200,6 +214,7 @@ func (s *Sweep) Close() {
 	for _, n := range s.nodes {
 		n.ResetGPUClockLimits()
 	}
+	s.arena.reclaim(s.nodes)
 	s.pool.Release(s.nodes)
 	activeSweeps.Add(-1)
 }
