@@ -169,13 +169,14 @@ func TestControlPlaneRoundTrip(t *testing.T) {
 	if got := n.GPUs[0].PowerLimit(); got != 250 {
 		t.Fatalf("limit read back as %v W, want 250", got)
 	}
-	_, err = solver.Run(solver.Job{
+	prep, err := solver.Prepare(solver.Job{
 		Name: "ctl", Schedule: sched, Nodes: []*node.Node{n},
 		Decomp: cfgM.Decomp, Fabric: interconnect.Slingshot(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	prep.RunNoEnergy(nil)
 	for i := 0; i < n.NumGPUs(); i++ {
 		if max := n.GPUTrace(i).MaxPower(); max > 250.01 {
 			t.Fatalf("gpu %d exceeded the set cap: %v", i, max)

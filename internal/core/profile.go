@@ -209,10 +209,9 @@ type MeasureSpec struct {
 	Repeats  int               // 0 = 1; best (min-runtime) repeat is profiled
 	CapW     float64           // GPU power cap, W; <= 0 or >= GPU TDP = uncapped
 	Seed     uint64
-	// Workers fans the repeat loop out over goroutines (0 = one per
-	// CPU, 1 = serial). The profile is identical for every worker
-	// count: each repeat draws from its own seed-split noise stream and
-	// the minimum-runtime repeat is selected by index.
+	// Workers bounds how many of MeasureCapResponse's points run
+	// concurrently (0 or 1 = serial); repeats always run serially. The
+	// response is identical for every worker count.
 	Workers int
 	// Sink streams the profiled repeat's traces, as in RunSpec; like
 	// Workers it sits outside the cache key.
@@ -244,41 +243,19 @@ func (spec MeasureSpec) withDefaults() MeasureSpec {
 	return spec
 }
 
-// Measure runs a benchmark with the paper's protocol (prelude burn-in,
-// repeats, min-runtime selection) and returns its profile.
+// Measure runs a benchmark with the paper's protocol (repeats,
+// min-runtime selection) and returns its profile.
 func Measure(spec MeasureSpec) (JobProfile, error) { return MeasureIn(nil, spec) }
 
 // MeasureIn is Measure reusing a's storage: the spec runs as a
-// one-point sweep built in a (repeats serial, whatever spec.Workers
-// says), and the arena gets its storage back once the profile, which
-// owns everything it keeps, is built. The profile is bit-identical to
-// Measure's. a must serve no other measurement until MeasureIn
-// returns; a nil a measures as Measure always has, each repeat on its
-// own allocation.
+// one-point sweep built in a, and the arena gets its storage back once
+// the profile, which owns everything it keeps, is built. The profile
+// is bit-identical to one measured without an arena. a must serve no
+// other measurement until MeasureIn returns; a nil a allocates.
 func MeasureIn(a *Arena, spec MeasureSpec) (JobProfile, error) {
-	if a != nil {
-		c := NewSweepContextIn(a, spec)
-		defer c.Close()
-		return c.MeasureCap(spec.CapW)
-	}
-	spec = spec.withDefaults()
-	out, err := workloads.Run(workloads.RunSpec{
-		Bench:          spec.Bench,
-		Platform:       spec.Platform,
-		Nodes:          spec.Nodes,
-		GPUPowerLimit:  spec.CapW,
-		Repeats:        spec.Repeats,
-		Seed:           spec.Seed,
-		Workers:        spec.Workers,
-		OperandEntropy: spec.Entropy,
-		Sink:           spec.Sink,
-	})
-	if err != nil {
-		return JobProfile{}, err
-	}
-	jp := ProfileRun(out, DefaultSamplingInterval)
-	jp.Name = spec.Bench.Name
-	return jp, nil
+	c := NewSweepContextIn(a, spec)
+	defer c.Close()
+	return c.MeasureCap(spec.CapW)
 }
 
 // CapPoint is one power-cap measurement.

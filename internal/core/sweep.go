@@ -47,7 +47,6 @@ func NewSweepContext(spec MeasureSpec) *SweepContext { return NewSweepContextIn(
 func NewSweepContextIn(a *Arena, spec MeasureSpec) *SweepContext {
 	spec = spec.withDefaults()
 	spec.CapW = 0
-	spec.Workers = 1 // parallelism belongs across points, repeats stay serial
 	return &SweepContext{spec: spec, arena: a}
 }
 
@@ -72,7 +71,6 @@ func (c *SweepContext) MeasureCap(capW float64) (JobProfile, error) {
 			Nodes:          c.spec.Nodes,
 			Repeats:        c.spec.Repeats,
 			Seed:           c.spec.Seed,
-			Workers:        1,
 			OperandEntropy: c.spec.Entropy,
 			Sink:           c.spec.Sink,
 		})

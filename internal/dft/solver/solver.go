@@ -49,20 +49,6 @@ type Result struct {
 	Steps          int
 }
 
-// Run prepares the job and executes it once, appending to each node's
-// traces (callers reset traces between repeats), with jitter drawn from
-// job.Noise, and returns the summary, energy settled by NodeEnergy.
-func Run(job Job) (Result, error) {
-	p, err := Prepare(job)
-	if err != nil {
-		return Result{}, err
-	}
-	start := job.Nodes[0].TraceDuration()
-	res := p.RunNoEnergy(job.Noise)
-	res.EnergyJ = NodeEnergy(job.Nodes, start)
-	return res, nil
-}
-
 // NodeEnergy is the summed node-sensor energy of nodes from start to
 // each node's trace end, read from the memoized TotalTrace: the merge
 // the profiling pass reads next, so a measurement pays for it once.

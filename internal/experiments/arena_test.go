@@ -69,8 +69,7 @@ func arenaSequence(t testing.TB) []arenaStep {
 }
 
 // freshBytes encodes spec measured in a fresh Env, after checking that
-// it equals the arena-free engine's profile (core.Measure, each repeat
-// on its own allocation).
+// it equals the arena-free engine's profile (core.Measure).
 func freshBytes(t *testing.T, spec core.MeasureSpec) []byte {
 	t.Helper()
 	fresh, err := newEnv().Measure(spec)

@@ -12,8 +12,7 @@ import (
 // The parallel engine's contract: worker count is invisible in the
 // results. Every random draw comes from a seed-split stream and every
 // result lands in a slot chosen by index, so Workers:8 must reproduce
-// Workers:1 bit for bit — including with Repeats > 1, where the
-// repeats themselves fan out.
+// Workers:1 bit for bit — including with Repeats > 1.
 
 func TestRunScalingParallelMatchesSerial(t *testing.T) {
 	serialCfg := Config{Seed: 42, Quick: true, Repeats: 2, Workers: 1}

@@ -147,8 +147,6 @@ type MILCRunSpec struct {
 	GPUClockLimitMHz float64
 	Repeats          int
 	Seed             uint64
-	// Workers bounds concurrent repeats, as in RunSpec.
-	Workers int
 	// OperandEntropy mirrors RunSpec.OperandEntropy: the operand
 	// entropy of the lattice data stream (0 = reference).
 	OperandEntropy float64
@@ -187,5 +185,5 @@ func RunMILC(spec MILCRunSpec) (RunOutput, error) {
 		sched:    sched,
 		decomp:   d,
 	}, spec.Repeats)
-	return pr.run(spec.Workers, spec.Sink)
+	return pr.runOnce(spec.Sink)
 }

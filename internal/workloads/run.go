@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"context"
 	"fmt"
 
 	"vasppower/internal/cluster"
@@ -12,7 +11,6 @@ import (
 	"vasppower/internal/hw/node"
 	"vasppower/internal/hw/platform"
 	"vasppower/internal/interconnect"
-	"vasppower/internal/par"
 	"vasppower/internal/rng"
 	"vasppower/internal/telemetry"
 )
@@ -40,10 +38,8 @@ type RunSpec struct {
 	Prelude bool
 	// Seed drives node variability and run-to-run noise.
 	Seed uint64
-	// Workers bounds how many repeats run concurrently (0 = one per
-	// available CPU, 1 = serial). Every repeat draws its noise from a
-	// label-split of Seed and runs on its own identically-seeded node
-	// allocation, so results are independent of the worker count.
+	// Workers is ignored: repeats run serially on one node
+	// allocation. It stays declared for callers that still set it.
 	Workers int
 	// OperandEntropy ∈ [0,1] is the operand entropy of the job's data
 	// stream, stamped onto every GPU kernel of the schedule (0 = the
@@ -51,16 +47,15 @@ type RunSpec struct {
 	// data, different watts — the entropy power axis.
 	OperandEntropy float64
 	// Sink, when non-nil, streams the selected repeat's traces after
-	// the run. Like Workers, it never changes a result.
+	// the run. It never changes a result.
 	Sink *telemetry.Sampler
 }
 
 // RunOutput is the result of a measurement run.
 type RunOutput struct {
 	// Nodes carry the full recorded traces of the selected repeat
-	// (prelude + VASP). Each repeat runs on its own allocation of the
-	// same simulated hardware, like resubmitting a job script with the
-	// same node list.
+	// (prelude + VASP). Every repeat runs on the same simulated
+	// hardware, like resubmitting a job script with the same node list.
 	Nodes []*node.Node
 	// Runtimes per repeat; Best indexes the minimum.
 	Runtimes []float64
@@ -83,41 +78,12 @@ const (
 	idleSeconds   = 10.0
 )
 
-// repeatRun is one repeat's self-contained execution: its own node
-// allocation and traces, its solver result, and the window of every
-// phase (prelude and "vasp") within those traces.
-type repeatRun struct {
-	nodes  []*node.Node
-	result solver.Result
-	phases map[string][2]float64
-}
-
-// phase is one window of a repeat: a schedule, or an idle window when
-// sched is nil.
-type phase struct {
-	name  string
-	sched *method.Schedule
-}
-
-// repeatNoise derives the run-to-run noise stream for repeat r.
-// Repeat 0 keeps the historical "noise" label, so single-repeat runs
-// (every cached measurement in the experiment harness) are
-// bit-identical to the pre-parallel engine; later repeats get their
-// own labeled streams instead of continuing repeat 0's, which is what
-// makes repeats order-independent.
-func repeatNoise(root *rng.Stream, r int) *rng.Stream {
-	if r == 0 {
-		return root.Split("noise")
-	}
-	return root.Split(fmt.Sprintf("noise/repeat%d", r))
-}
-
 // protocol is a measurement resolved down to what each repeat runs: a
 // schedule on an allocation of the platform, the limits and prelude
-// around it, and every repeat's noise stream — derived up front, in
-// index order, from the one root, so execution order can never
-// influence a draw. VASP runs, MILC runs and the sweep engine all
-// execute through it.
+// around it, and every repeat's initial noise-stream state — derived
+// up front, in index order, from the one root, and kept by value, so
+// every replay of a repeat sees the same draws. VASP runs, MILC runs
+// and the sweep engine all execute through it.
 type protocol struct {
 	name     string
 	platform platform.Platform
@@ -128,15 +94,23 @@ type protocol struct {
 	prelude  bool
 	sched    *method.Schedule
 	decomp   parallel.Decomposition
-	noises   []*rng.Stream
+	noises   []rng.Stream
 }
 
-// newProtocol fills in the repeat count's noise streams.
+// newProtocol fills in the repeat count's noise streams. Repeat 0
+// keeps the historical "noise" label, so single-repeat runs (every
+// cached measurement in the experiment harness) are bit-identical to
+// the pre-parallel engine; later repeats get their own labeled streams
+// instead of continuing repeat 0's, which keeps repeats independent.
 func newProtocol(pr protocol, repeats int) protocol {
 	root := rng.New(pr.seed)
-	pr.noises = make([]*rng.Stream, max(repeats, 1))
+	pr.noises = make([]rng.Stream, max(repeats, 1))
 	for r := range pr.noises {
-		pr.noises[r] = repeatNoise(root, r)
+		label := "noise"
+		if r > 0 {
+			label = fmt.Sprintf("noise/repeat%d", r)
+		}
+		pr.noises[r] = *root.Split(label)
 	}
 	return pr
 }
@@ -180,8 +154,7 @@ func resolve(spec RunSpec, a *Arena) (protocol, error) {
 // identity (and with it the manufacturing variability) is owned by the
 // cluster, exactly as the batch system hands out nodes on the real
 // machine. Every call allocates from an identically-seeded pool, so
-// every repeat — and the sweep engine's one allocation — sees the same
-// simulated hardware.
+// every allocation of a spec sees the same simulated hardware.
 func (pr *protocol) allocate() (*cluster.Cluster, []*node.Node, error) {
 	pool := cluster.New(pr.platform, pr.nodes, pr.seed)
 	nodes, err := pool.Allocate(pr.nodes)
@@ -199,88 +172,16 @@ func (pr *protocol) job(nodes []*node.Node) solver.Job {
 	}
 }
 
-// repeat executes repeat r on its own allocation: set the limits, run
-// the prelude, then the schedule.
-func (pr *protocol) repeat(r int) (repeatRun, error) {
-	_, nodes, err := pr.allocate()
-	if err != nil {
-		return repeatRun{}, err
-	}
-	for _, n := range nodes {
-		if err := n.SetGPULimits(pr.capW, pr.clockMHz); err != nil {
-			return repeatRun{}, err
-		}
-	}
-	// The burn-in phases are one-step schedules through the same
-	// solver, drawing from the repeat's noise stream ahead of VASP.
-	phases := []phase{{"vasp", pr.sched}}
-	if pr.prelude {
-		phases = []phase{
-			{"dgemm", DGEMMSchedule(pr.platform.GPU, dgemmSeconds)},
-			{"stream", StreamSchedule(pr.platform.GPU, streamSeconds)},
-			{"idle", nil},
-			phases[0],
-		}
-	}
-	job := pr.job(nodes)
-	job.Noise = pr.noises[r]
-	run := repeatRun{nodes: nodes, phases: make(map[string][2]float64, len(phases))}
-	for _, ph := range phases {
-		start := nodes[0].TraceDuration()
-		if ph.sched == nil {
-			for _, n := range nodes {
-				n.RecordIdle(idleSeconds)
-			}
-		} else {
-			job.Schedule = ph.sched
-			// VASP runs last, so its result is the one kept.
-			if run.result, err = solver.Run(job); err != nil {
-				return repeatRun{}, err
-			}
-		}
-		run.phases[ph.name] = [2]float64{start, nodes[0].TraceDuration()}
-	}
-	return run, nil
-}
-
-// run executes every repeat through a bounded worker pool and
-// assembles the protocol output: results land by repeat index (never
-// completion order) and the minimum-runtime repeat is selected, per
-// §III-B.
-func (pr *protocol) run(workers int, sink *telemetry.Sampler) (RunOutput, error) {
-	runs := make([]repeatRun, len(pr.noises))
-	err := par.ForEach(context.Background(), par.Workers(workers), len(runs),
-		func(_ context.Context, r int) error {
-			run, err := pr.repeat(r)
-			if err != nil {
-				return err
-			}
-			runs[r] = run
-			return nil
-		})
+// runOnce measures the protocol at its own cap and clock as the one
+// point of a sweep. The caller keeps the nodes and their traces: the
+// sweep is never closed, holds no arena storage and is not counted in
+// ActiveSweeps.
+func (pr *protocol) runOnce(sink *telemetry.Sampler) (RunOutput, error) {
+	s, err := newSweep(nil, pr, sink)
 	if err != nil {
 		return RunOutput{}, err
 	}
-	var out RunOutput
-	for r := range runs {
-		out.Runtimes = append(out.Runtimes, runs[r].result.Runtime)
-		if out.Runtimes[r] < out.Runtimes[out.Best] {
-			out.Best = r
-		}
-	}
-	best := runs[out.Best]
-	out.Nodes = best.nodes
-	out.BestResult = best.result
-	out.PhaseWindows = best.phases
-	out.VASPStart, out.VASPEnd = best.phases["vasp"][0], best.phases["vasp"][1]
-	// Stream the selected repeat's traces into the run's telemetry
-	// sampler, when it has one. The sampler never blocks — slow
-	// subscribers shed load in their own rings — so this cannot slow a
-	// run down.
-	if sink != nil {
-		sink.PublishRun(out.Nodes)
-	}
-	return out, nil
+	return s.run(pr.capW, pr.clockMHz)
 }
 
 // Run executes the spec and returns traces plus the selected repeat.
@@ -289,7 +190,7 @@ func Run(spec RunSpec) (RunOutput, error) {
 	if err != nil {
 		return RunOutput{}, err
 	}
-	return pr.run(spec.Workers, spec.Sink)
+	return pr.runOnce(spec.Sink)
 }
 
 // DGEMMSchedule builds the burn-in DGEMM phase for the given GPU: a

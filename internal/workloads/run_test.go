@@ -2,10 +2,13 @@ package workloads
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"vasppower/internal/dft/parallel"
 	"vasppower/internal/hw/gpu"
+	"vasppower/internal/hw/node"
+	"vasppower/internal/timeseries"
 )
 
 func TestRunBasicProtocol(t *testing.T) {
@@ -193,6 +196,90 @@ func TestMicroAndMILCResolutionPinned(t *testing.T) {
 		}
 		if got != c.want {
 			t.Fatalf("%s resolved %+v, want %+v", c.k.Name, got, c.want)
+		}
+	}
+}
+
+// TestRunOwnsItsOutput: Run's nodes and traces belong to the caller.
+// Later Runs, RunMILCs and an arena sweep must leave them bit-unchanged
+// (a one-point sweep that was closed, or that lent its storage to an
+// arena, would reset or recycle them), and no Run may leave a live
+// sweep behind.
+func TestRunOwnsItsOutput(t *testing.T) {
+	b, _ := ByName("B.hR105_hse")
+	spec := RunSpec{Bench: b, Nodes: 2, Repeats: 2, Prelude: true, GPUPowerLimit: 300, Seed: 3}
+	active := ActiveSweeps()
+	out, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ActiveSweeps(); got != active {
+		t.Fatalf("Run left %d live sweeps, want %d", got, active)
+	}
+	type snap struct {
+		traces [][]timeseries.Segment
+		energy float64
+	}
+	take := func(n *node.Node) snap {
+		trs := []*timeseries.Trace{n.CPUTrace(), n.MemTrace(), n.TotalTrace()}
+		for gi := 0; gi < n.NumGPUs(); gi++ {
+			trs = append(trs, n.GPUTrace(gi), n.GPUMemTrace(gi))
+		}
+		var s snap
+		for _, tr := range trs {
+			s.traces = append(s.traces, slices.Clone(tr.Segments()))
+		}
+		s.energy = n.TotalTrace().Energy()
+		return s
+	}
+	// The traces Run hands back hold the whole selected repeat.
+	checkEnergy(t, "Run", out)
+	var want []snap
+	for ni, n := range out.Nodes {
+		if d := n.TraceDuration(); d != out.VASPEnd || d <= out.PhaseWindows["idle"][1] {
+			t.Fatalf("node %d: traces end at %v, want the VASP window's end %v", ni, d, out.VASPEnd)
+		}
+		want = append(want, take(n))
+	}
+
+	for _, later := range []func() error{
+		func() error { _, err := Run(spec); return err },
+		func() error { _, err := Run(RunSpec{Bench: b, Nodes: 1, Repeats: 3, Seed: 8}); return err },
+		func() error {
+			m := DefaultMILC()
+			m.Trajectories = 1
+			_, err := RunMILC(MILCRunSpec{Spec: m, Nodes: 2, Repeats: 2, GPUPowerLimit: 250, Seed: 3})
+			return err
+		},
+		func() error {
+			var a Arena
+			sw, err := NewSweepIn(&a, RunSpec{Bench: b, Nodes: 2, Repeats: 2, Seed: 3})
+			if err != nil {
+				return err
+			}
+			defer sw.Close()
+			_, err = sw.RunCap(250)
+			return err
+		},
+	} {
+		before := ActiveSweeps()
+		if err := later(); err != nil {
+			t.Fatal(err)
+		}
+		if got := ActiveSweeps(); got != before {
+			t.Fatalf("live sweeps %d after a later run, want %d", got, before)
+		}
+	}
+
+	for ni, n := range out.Nodes {
+		got := take(n)
+		if got.energy != want[ni].energy {
+			t.Fatalf("node %d: total energy %v, was %v", ni, got.energy, want[ni].energy)
+		}
+		for ti := range want[ni].traces {
+			if !slices.Equal(got.traces[ti], want[ni].traces[ti]) {
+				t.Fatalf("node %d: trace %d changed after later runs", ni, ti)
+			}
 		}
 	}
 }

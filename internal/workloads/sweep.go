@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"vasppower/internal/cluster"
+	"vasppower/internal/dft/method"
 	"vasppower/internal/dft/solver"
 	"vasppower/internal/hw/node"
 	"vasppower/internal/rng"
@@ -26,14 +27,14 @@ func ActiveSweeps() int64 { return activeSweeps.Load() }
 // (cap solver + trace recording) re-run per point. Node power traces
 // are rebuilt in a reusable arena: reset between repeats and points
 // instead of reallocated, so a P-point sweep costs O(schedule)
-// preparation plus O(P) solves.
+// preparation plus O(P) solves. Run and RunMILC are one-point sweeps.
 //
-// Every point is bit-identical to an independent Run of the same spec
-// with that point's cap or clock limit: each repeat draws from a value
-// snapshot of the same labeled noise stream, the single node
-// allocation is identical to the per-repeat allocations (same platform
-// + seed), and both go through the same prepared solver (the
-// differential tests pin both against the step-by-step oracle).
+// Every point is bit-identical to the serial repeat protocol on fresh
+// nodes under that point's cap or clock limit: each repeat replays a
+// value snapshot of its labeled noise stream, and the single node
+// allocation is identical to any other allocation of the spec (same
+// platform + seed). The differential tests pin both against the
+// step-by-step oracle.
 //
 // A Sweep is not safe for concurrent use. The RunOutput of a Run*
 // call — its nodes' traces and the derived traces read from them
@@ -41,10 +42,13 @@ func ActiveSweeps() int64 { return activeSweeps.Load() }
 // slice, result map, and phase windows — is valid only until the next
 // Run* or Close call.
 type Sweep struct {
-	repeats int
-	pool    *cluster.Cluster
-	nodes   []*node.Node
-	prep    *solver.Prepared
+	pool  *cluster.Cluster
+	nodes []*node.Node
+	prep  *solver.Prepared
+	// prelude holds the DGEMM and STREAM burn-in phases, replayed with
+	// the idle window ahead of VASP in every repeat (nil without the
+	// prelude protocol).
+	prelude []*solver.Prepared
 
 	// noises holds each repeat's initial noise-stream state by value; a
 	// scratch copy per run gives every point the exact draws an
@@ -83,42 +87,57 @@ func NewSweepIn(a *Arena, spec RunSpec) (*Sweep, error) {
 		a.reclaim(nil)
 		return nil, err
 	}
-	// Snapshot every repeat's noise stream by value: a scratch copy per
-	// run gives every point the exact draws an independent Run's repeat
-	// would see.
-	noises := make([]rng.Stream, len(pr.noises))
-	for r, n := range pr.noises {
-		noises[r] = *n
+	s, err := newSweep(a, &pr, spec.Sink)
+	if err != nil {
+		return nil, err
 	}
-	// One allocation serves every repeat and point: each Run repeat
-	// allocates from an identically-seeded pool, so the hardware is the
-	// same by construction.
+	activeSweeps.Add(1)
+	return s, nil
+}
+
+// newSweep allocates pr's nodes, lends them a's trace storage, and
+// prepares the schedule and, when pr asks for it, the prelude. On an
+// error it hands everything back.
+func newSweep(a *Arena, pr *protocol, sink *telemetry.Sampler) (*Sweep, error) {
+	// One allocation serves every repeat and point: any allocation
+	// from an identically-seeded pool is the same hardware.
 	pool, nodes, err := pr.allocate()
 	if err != nil {
 		a.reclaim(nil)
 		return nil, err
 	}
 	a.lend(nodes)
-	prep, err := solver.Prepare(pr.job(nodes))
-	if err != nil {
-		a.reclaim(nodes)
-		pool.Release(nodes)
-		return nil, err
-	}
 	s := &Sweep{
-		repeats:   len(noises),
 		pool:      pool,
 		nodes:     nodes,
-		prep:      prep,
-		noises:    noises,
+		noises:    pr.noises,
 		banks:     make([]node.TraceBank, len(nodes)),
-		runtimes:  make([]float64, len(noises)),
+		runtimes:  make([]float64, len(pr.noises)),
 		bestPhase: make(map[string]float64, 8),
-		windows:   make(map[string][2]float64, 1),
-		sink:      spec.Sink,
+		windows:   make(map[string][2]float64, 4),
+		sink:      sink,
 		arena:     a,
 	}
-	activeSweeps.Add(1)
+	job := pr.job(nodes)
+	if s.prep, err = solver.Prepare(job); err != nil {
+		s.release()
+		return nil, err
+	}
+	if pr.prelude {
+		// The burn-in phases are one-step schedules on the same nodes.
+		for _, sched := range []*method.Schedule{
+			DGEMMSchedule(pr.platform.GPU, dgemmSeconds),
+			StreamSchedule(pr.platform.GPU, streamSeconds),
+		} {
+			job.Schedule = sched
+			p, err := solver.Prepare(job)
+			if err != nil {
+				s.release()
+				return nil, err
+			}
+			s.prelude = append(s.prelude, p)
+		}
+	}
 	return s, nil
 }
 
@@ -134,22 +153,32 @@ func (s *Sweep) RunClockMHz(mhz float64) (RunOutput, error) { return s.run(0, mh
 
 // run executes the repeat protocol against the frozen context under
 // the given limits: reset the arena, replay each repeat's noise
-// snapshot, keep the best (minimum-runtime, lowest index on ties)
-// repeat's traces via O(1) bank swaps.
+// snapshot through the prelude (if any) and the schedule, keep the
+// best (minimum-runtime, lowest index on ties) repeat's traces via
+// O(1) bank swaps.
 func (s *Sweep) run(capW, mhz float64) (RunOutput, error) {
 	if s.closed {
 		return RunOutput{}, fmt.Errorf("workloads: sweep is closed")
+	}
+	for _, p := range s.prelude {
+		if err := p.SetGPULimits(capW, mhz); err != nil {
+			return RunOutput{}, err
+		}
 	}
 	if err := s.prep.SetGPULimits(capW, mhz); err != nil {
 		return RunOutput{}, err
 	}
 	best := 0
 	var bestRuntime, bestStart, bestEnd float64
-	for r := 0; r < s.repeats; r++ {
+	var pre, bestPre [3][2]float64 // prelude windows: dgemm, stream, idle
+	for r := range s.noises {
 		for _, n := range s.nodes {
 			n.ResetTracesReuse()
 		}
 		s.scratch = s.noises[r]
+		if s.prelude != nil {
+			pre = s.runPrelude()
+		}
 		start := s.nodes[0].TraceDuration()
 		// Energy is deferred: only the winning repeat's energy is ever
 		// reported, so the trace merge runs once per point (below, on
@@ -159,7 +188,7 @@ func (s *Sweep) run(capW, mhz float64) (RunOutput, error) {
 		s.runtimes[r] = res.Runtime
 		if r == 0 || res.Runtime < bestRuntime {
 			best, bestRuntime = r, res.Runtime
-			bestStart, bestEnd = start, end
+			bestStart, bestEnd, bestPre = start, end, pre
 			// The prepared solver reuses its PhaseDurations map; copy
 			// into the sweep-owned map that outlives the loop.
 			clear(s.bestPhase)
@@ -177,10 +206,16 @@ func (s *Sweep) run(capW, mhz float64) (RunOutput, error) {
 	s.swapBanks()
 	s.bestRes.EnergyJ = solver.NodeEnergy(s.nodes, bestStart)
 	clear(s.windows)
+	if s.prelude != nil {
+		s.windows["dgemm"], s.windows["stream"], s.windows["idle"] = bestPre[0], bestPre[1], bestPre[2]
+	}
 	s.windows["vasp"] = [2]float64{bestStart, bestEnd}
-	// Stream the point's winning traces exactly as Run does. PublishRun
-	// registers, drains and unregisters each node before it returns,
-	// so no cursor outlives the point and the arena is free to reset.
+	// Stream the point's winning traces into the run's telemetry
+	// sampler, when it has one. The sampler never blocks — slow
+	// subscribers shed load in their own rings — so this cannot slow a
+	// run down. PublishRun registers, drains and unregisters each node
+	// before it returns, so no cursor outlives the point and the arena
+	// is free to reset.
 	if s.sink != nil {
 		s.sink.PublishRun(s.nodes)
 	}
@@ -193,6 +228,24 @@ func (s *Sweep) run(capW, mhz float64) (RunOutput, error) {
 		VASPEnd:      bestEnd,
 		PhaseWindows: s.windows,
 	}, nil
+}
+
+// runPrelude records the burn-in ahead of a repeat's schedule —
+// DGEMM, STREAM, then the idle window, drawing from the repeat's noise
+// as the job script does — and returns the three phases' windows.
+func (s *Sweep) runPrelude() (win [3][2]float64) {
+	n0 := s.nodes[0]
+	for i, p := range s.prelude {
+		win[i][0] = n0.TraceDuration()
+		p.RunNoEnergy(&s.scratch)
+		win[i][1] = n0.TraceDuration()
+	}
+	win[2][0] = n0.TraceDuration()
+	for _, n := range s.nodes {
+		n.RecordIdle(idleSeconds)
+	}
+	win[2][1] = n0.TraceDuration()
+	return win
 }
 
 func (s *Sweep) swapBanks() {
@@ -214,7 +267,13 @@ func (s *Sweep) Close() {
 	for _, n := range s.nodes {
 		n.ResetGPUClockLimits()
 	}
+	s.release()
+	activeSweeps.Add(-1)
+}
+
+// release hands the trace storage back to the arena and the nodes back
+// to the pool.
+func (s *Sweep) release() {
 	s.arena.reclaim(s.nodes)
 	s.pool.Release(s.nodes)
-	activeSweeps.Add(-1)
 }

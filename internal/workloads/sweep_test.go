@@ -131,7 +131,9 @@ func TestSweepCapPointsMatchRun(t *testing.T) {
 
 // TestRunMatchesOracle pins Run — every single measurement, the Fig 1
 // prelude protocol included — to the step-by-step oracle across node
-// counts, repeats, caps, clock locks, entropy and worker counts.
+// counts, repeats, caps, clock locks and entropy. The prelude-repeats
+// case selects repeat 1, so it pins the prelude's replay in every
+// repeat and the winner's prelude windows.
 func TestRunMatchesOracle(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -140,7 +142,8 @@ func TestRunMatchesOracle(t *testing.T) {
 		{"plain", func(*RunSpec) {}},
 		{"prelude-capped", func(s *RunSpec) { s.Prelude = true; s.GPUPowerLimit = 250 }},
 		{"clock-entropy-1node", func(s *RunSpec) { s.Nodes = 1; s.GPUClockLimitMHz = 1100; s.OperandEntropy = 0.4 }},
-		{"repeats-parallel", func(s *RunSpec) { s.Repeats = 3; s.Workers = 2; s.GPUPowerLimit = 180 }},
+		{"repeats-capped", func(s *RunSpec) { s.Repeats = 3; s.GPUPowerLimit = 180 }},
+		{"prelude-repeats-clock", func(s *RunSpec) { s.Prelude = true; s.Repeats = 3; s.GPUClockLimitMHz = 1200 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := sweepTestSpec(t, 1, 0)
@@ -154,54 +157,61 @@ func TestRunMatchesOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			sweepOutputsEqual(t, want, got)
+			if tc.name == "prelude-repeats-clock" && got.Best == 0 {
+				t.Fatal("repeat 0 won: the case no longer pins a later repeat's prelude")
+			}
 		})
 	}
 }
 
-// TestRunMILCMatchesOracle pins the MILC protocol, which shares Run's
-// per-repeat executor, to the oracle executor on the same schedule.
+// TestRunMILCMatchesOracle pins the MILC protocol, which runs through
+// Run's one-point sweep, to the oracle executor on the same schedule.
 func TestRunMILCMatchesOracle(t *testing.T) {
-	spec := MILCRunSpec{Spec: DefaultMILC(), Nodes: 2, Repeats: 2, Seed: 5, GPUPowerLimit: 220}
-	spec.Spec.Trajectories = 1
-	got, err := RunMILC(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := platform.Default()
-	d, err := parallel.Decompose(spec.Spec.Lattice[3], 1, spec.Nodes, p.GPUsPerNode, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := milcSchedule(spec.Spec, d)
-	root := rng.New(spec.Seed)
-	for r := 0; r < spec.Repeats; r++ {
-		nodes, err := cluster.New(p, spec.Nodes, spec.Seed).Allocate(spec.Nodes)
+	for _, spec := range []MILCRunSpec{
+		{Spec: DefaultMILC(), Nodes: 2, Repeats: 2, Seed: 5, GPUPowerLimit: 220},
+		{Spec: DefaultMILC(), Nodes: 1, Repeats: 3, Seed: 11, GPUPowerLimit: 250},
+	} {
+		spec.Spec.Trajectories = 1
+		got, err := RunMILC(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, n := range nodes {
-			if err := n.SetGPUPowerLimits(spec.GPUPowerLimit); err != nil {
+		p := platform.Default()
+		d, err := parallel.Decompose(spec.Spec.Lattice[3], 1, spec.Nodes, p.GPUsPerNode, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched := milcSchedule(spec.Spec, d)
+		root := rng.New(spec.Seed)
+		for r := 0; r < spec.Repeats; r++ {
+			nodes, err := cluster.New(p, spec.Nodes, spec.Seed).Allocate(spec.Nodes)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		want, err := solveroracle.Run(solver.Job{
-			Schedule: sched, Nodes: nodes, Decomp: d,
-			Fabric: interconnect.Slingshot(), Noise: solveroracle.Noise(root, r),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Runtimes[r] != want.Runtime {
-			t.Fatalf("repeat %d runtime %v vs oracle %v", r, got.Runtimes[r], want.Runtime)
-		}
-		if r == got.Best {
-			if got.BestResult.EnergyJ != want.EnergyJ {
-				t.Fatalf("energy %v vs oracle %v", got.BestResult.EnergyJ, want.EnergyJ)
+			for _, n := range nodes {
+				if err := n.SetGPUPowerLimits(spec.GPUPowerLimit); err != nil {
+					t.Fatal(err)
+				}
 			}
-			for ni := range nodes {
-				sweepTracesEqual(t, "total", nodes[ni].TotalTrace(), got.Nodes[ni].TotalTrace())
-				for gi := 0; gi < nodes[ni].NumGPUs(); gi++ {
-					sweepTracesEqual(t, "gpu", nodes[ni].GPUTrace(gi), got.Nodes[ni].GPUTrace(gi))
+			want, err := solveroracle.Run(solver.Job{
+				Schedule: sched, Nodes: nodes, Decomp: d,
+				Fabric: interconnect.Slingshot(), Noise: solveroracle.Noise(root, r),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Runtimes[r] != want.Runtime {
+				t.Fatalf("repeats=%d: repeat %d runtime %v vs oracle %v", spec.Repeats, r, got.Runtimes[r], want.Runtime)
+			}
+			if r == got.Best {
+				if got.BestResult.EnergyJ != want.EnergyJ {
+					t.Fatalf("repeats=%d: energy %v vs oracle %v", spec.Repeats, got.BestResult.EnergyJ, want.EnergyJ)
+				}
+				for ni := range nodes {
+					sweepTracesEqual(t, "total", nodes[ni].TotalTrace(), got.Nodes[ni].TotalTrace())
+					for gi := 0; gi < nodes[ni].NumGPUs(); gi++ {
+						sweepTracesEqual(t, "gpu", nodes[ni].GPUTrace(gi), got.Nodes[ni].GPUTrace(gi))
+					}
 				}
 			}
 		}

@@ -113,8 +113,7 @@ func Run(spec RunSpec) (RunOutput, error) { return workloads.Run(spec) }
 // Measure runs a benchmark with the paper's protocol and returns its
 // power profile at the standard 2 s telemetry interval. Zero spec
 // fields take protocol defaults (default platform, 1 node, 1 repeat,
-// uncapped, serial); set spec.Workers to fan repeats out over a
-// worker pool — the profile is identical for every worker count.
+// uncapped); the repeats run serially, and spec.Workers is not used.
 func Measure(spec MeasureSpec) (JobProfile, error) { return core.Measure(spec) }
 
 // MeasureCapResponse measures a benchmark under each GPU power cap
