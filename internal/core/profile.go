@@ -40,7 +40,7 @@ type Profile struct {
 // afterwards.
 func ProfileSeries(s timeseries.Series) Profile { return (*Arena)(nil).profileSeries(s) }
 
-// profileSeries is ProfileSeries sorting in a's scratch.
+// profileSeries is ProfileSeries summarizing in a's scratch.
 func (a *Arena) profileSeries(s timeseries.Series) Profile {
 	p := Profile{Series: s}
 	if s.Len() == 0 {
@@ -154,20 +154,24 @@ func (jp JobProfile) GPUHighMode() float64 {
 // ProfileWindow profiles one node's traces over [start, end] at the
 // given sampling interval.
 func ProfileWindow(n *node.Node, start, end, interval float64) JobProfile {
-	jp := (*Arena)(nil).profileWindow(n, start, end, interval)
+	jp := (*Arena)(nil).profileWindow(n, start, end, interval, false)
 	jp.EnergyJ = n.TotalTrace().EnergyBetween(start, end)
 	return jp
 }
 
-// profileWindow is ProfileWindow without the energy, sorting in a's
+// profileWindow is ProfileWindow without the energy, summarizing in a's
 // scratch. Each series is sampled straight into its own exact-size
-// slices, which the profile keeps.
-func (a *Arena) profileWindow(n *node.Node, start, end, interval float64) JobProfile {
+// slices, which the profile keeps. With nodeOnly it samples the node
+// sensor alone and leaves the other profiles zero.
+func (a *Arena) profileWindow(n *node.Node, start, end, interval float64, nodeOnly bool) JobProfile {
 	jp := JobProfile{Name: n.Name, SamplingInterval: interval, Runtime: end - start}
 	sample := func(tr *timeseries.Trace) Profile {
 		return a.profileSeries(tr.SampleWindow(start, end, interval))
 	}
 	jp.NodeTotal = sample(n.TotalTrace())
+	if nodeOnly {
+		return jp
+	}
 	jp.CPU = sample(n.CPUTrace())
 	jp.Mem = sample(n.MemTrace())
 	jp.GPUs = make([]Profile, n.NumGPUs())
@@ -181,15 +185,16 @@ func (a *Arena) profileWindow(n *node.Node, start, end, interval float64) JobPro
 // ProfileRun profiles the selected VASP repeat of a measurement run
 // (node 0's view, as the benchmarks are node-balanced).
 func ProfileRun(out workloads.RunOutput, interval float64) JobProfile {
-	return (*Arena)(nil).profileRun(out, interval)
+	return (*Arena)(nil).profileRun(out, interval, false)
 }
 
-// profileRun is ProfileRun sorting in a's scratch.
-func (a *Arena) profileRun(out workloads.RunOutput, interval float64) JobProfile {
+// profileRun is ProfileRun summarizing in a's scratch, at node
+// resolution with nodeOnly (see profileWindow).
+func (a *Arena) profileRun(out workloads.RunOutput, interval float64, nodeOnly bool) JobProfile {
 	if len(out.Nodes) == 0 {
 		return JobProfile{}
 	}
-	jp := a.profileWindow(out.Nodes[0], out.VASPStart, out.VASPEnd, interval)
+	jp := a.profileWindow(out.Nodes[0], out.VASPStart, out.VASPEnd, interval, nodeOnly)
 	jp.Runtime = out.BestResult.Runtime
 	// Aggregate energy across all nodes for energy-to-solution.
 	for _, n := range out.Nodes {
@@ -254,6 +259,19 @@ func Measure(spec MeasureSpec) (JobProfile, error) { return MeasureIn(nil, spec)
 // other measurement until MeasureIn returns; a nil a allocates.
 func MeasureIn(a *Arena, spec MeasureSpec) (JobProfile, error) {
 	c := NewSweepContextIn(a, spec)
+	defer c.Close()
+	return c.MeasureCap(spec.CapW)
+}
+
+// MeasureNodeIn is MeasureIn at node resolution, for a reader of the
+// node sensor's profile alone (the high power mode, §III-B.3): the same
+// one-point sweep, of which only the node sensor is sampled and
+// summarized. Name, SamplingInterval, Runtime, the all-node EnergyJ
+// and NodeTotal are bit-identical to MeasureIn's; CPU, Mem and GPUSum
+// are zero profiles and GPUs is nil.
+func MeasureNodeIn(a *Arena, spec MeasureSpec) (JobProfile, error) {
+	c := NewSweepContextIn(a, spec)
+	c.nodeOnly = true
 	defer c.Close()
 	return c.MeasureCap(spec.CapW)
 }

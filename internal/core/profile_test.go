@@ -243,7 +243,7 @@ func TestProfileWindowMatchesReference(t *testing.T) {
 			if got := AppendJobProfile(nil, ProfileWindow(n, w[0], w[1], interval)); string(got) != string(want) {
 				t.Fatalf("%s window at %g s: ProfileWindow differs from the reference", phase, interval)
 			}
-			jp := a.profileWindow(n, w[0], w[1], interval)
+			jp := a.profileWindow(n, w[0], w[1], interval, false)
 			jp.EnergyJ = n.TotalTrace().EnergyBetween(w[0], w[1])
 			if got := AppendJobProfile(nil, jp); string(got) != string(want) {
 				t.Fatalf("%s window at %g s: the arena's profile differs from the reference", phase, interval)
@@ -256,7 +256,7 @@ func TestProfileWindowMatchesReference(t *testing.T) {
 	for _, n := range out.Nodes {
 		want.EnergyJ += n.TotalTrace().EnergyBetween(out.VASPStart, out.VASPEnd)
 	}
-	for _, got := range []JobProfile{ProfileRun(out, DefaultSamplingInterval), a.profileRun(out, DefaultSamplingInterval)} {
+	for _, got := range []JobProfile{ProfileRun(out, DefaultSamplingInterval), a.profileRun(out, DefaultSamplingInterval, false)} {
 		if string(AppendJobProfile(nil, got)) != string(AppendJobProfile(nil, want)) {
 			t.Fatal("ProfileRun differs from node 0's window profile with all nodes' energy")
 		}

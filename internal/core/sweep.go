@@ -35,6 +35,8 @@ type SweepContext struct {
 	err    error // construction error, returned for every point
 	inited bool
 	closed bool
+	// nodeOnly profiles each point at node resolution (MeasureNodeIn).
+	nodeOnly bool
 }
 
 // NewSweepContext prepares a context for sweeping spec across caps
@@ -85,7 +87,7 @@ func (c *SweepContext) MeasureCap(capW float64) (JobProfile, error) {
 	// The profile owns everything it keeps (sampled series, summaries),
 	// so it stays valid after the sweep's storage is reused or
 	// released.
-	jp := c.arena.profileRun(out, DefaultSamplingInterval)
+	jp := c.arena.profileRun(out, DefaultSamplingInterval, c.nodeOnly)
 	jp.Name = c.spec.Bench.Name
 	return jp, nil
 }

@@ -297,3 +297,46 @@ func BenchmarkMeasureOnePoint(b *testing.B) {
 		})
 	}
 }
+
+// TestMeasureNodeMatchesFull: a node-resolution measurement runs the
+// same sweep as a full one, so its node profile (series, summary,
+// modes), runtime, all-node energy, name and interval keep the full
+// profile's bits, the other profiles stay zero, and the disk codec
+// round-trips it.
+func TestMeasureNodeMatchesFull(t *testing.T) {
+	cases := []struct {
+		bench   string
+		nodes   int
+		repeats int
+		capW    float64
+	}{
+		{"PdO2", 1, 1, 0},
+		{"B.hR105_hse", 2, 1, 250},
+		{"GaAsBi-64", 1, 2, 300},
+		{"Si128_acfdtr", 2, 2, 0},
+	}
+	var a Arena
+	for _, tc := range cases {
+		label := fmt.Sprintf("%s nodes=%d repeats=%d cap=%v", tc.bench, tc.nodes, tc.repeats, tc.capW)
+		spec := MeasureSpec{Bench: benchByName(t, tc.bench), Nodes: tc.nodes, Repeats: tc.repeats, CapW: tc.capW, Seed: 11}
+		full, err := MeasureIn(&a, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := MeasureNodeIn(&a, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bitEqual(reflect.ValueOf(viewOf(got.NodeTotal)), reflect.ValueOf(viewOf(full.NodeTotal))) {
+			t.Fatalf("%s: node profile differs from the full measurement's", label)
+		}
+		head := func(jp JobProfile) []float64 { return []float64{jp.SamplingInterval, jp.Runtime, jp.EnergyJ} }
+		if got.Name != full.Name || !bitEqual(reflect.ValueOf(head(got)), reflect.ValueOf(head(full))) {
+			t.Fatalf("%s: name/interval/runtime/energy %q %v, full %q %v", label, got.Name, head(got), full.Name, head(full))
+		}
+		if got.GPUs != nil || !reflect.DeepEqual([]Profile{got.CPU, got.Mem, got.GPUSum}, make([]Profile, 3)) {
+			t.Fatalf("%s: a node-resolution profile filled more than NodeTotal", label)
+		}
+		roundTrip(t, label, got)
+	}
+}

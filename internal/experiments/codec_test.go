@@ -190,3 +190,50 @@ func TestSpecKeyPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestNodeResolutionKeys: a spec's node-resolution and full entries live
+// under different keys, so neither ever serves a lookup of the other,
+// in the memory tier or from the disk tier of a fresh Env over the same
+// directory, whichever was measured first.
+func TestNodeResolutionKeys(t *testing.T) {
+	b, ok := workloads.ByName("PdO2")
+	if !ok {
+		t.Fatal("PdO2 missing from Table I")
+	}
+	spec := core.MeasureSpec{Bench: b, Nodes: 1, Repeats: 1, Seed: 2024}
+	lookups := map[string]func(*Env) (core.JobProfile, error){
+		"node": func(e *Env) (core.JobProfile, error) { return e.measureNode(spec) },
+		"full": func(e *Env) (core.JobProfile, error) { return e.Measure(spec) },
+	}
+	// check looks up each resolution in order on a fresh Env over dir
+	// and returns its counters.
+	check := func(dir string, order ...string) map[string]int64 {
+		t.Helper()
+		reg := obs.NewRegistry()
+		env, err := NewEnv(EnvOptions{Obs: &obs.Obs{Metrics: reg}, CacheDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, res := range order {
+			jp, err := lookups[res](env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if full := jp.GPUs != nil; full != (res == "full") {
+				t.Fatalf("order %v: the %s lookup was served a profile with GPUs %v", order, res, jp.GPUs != nil)
+			}
+		}
+		return reg.Snapshot().Counters
+	}
+	for _, order := range [][]string{{"node", "full"}, {"full", "node"}} {
+		dir := t.TempDir()
+		if c := check(dir, order...); c["memo.misses"] != 2 || c["diskcache.misses"] != 2 {
+			t.Fatalf("order %v, cold: memo.misses %d, diskcache.misses %d, want 2 and 2",
+				order, c["memo.misses"], c["diskcache.misses"])
+		}
+		if c := check(dir, order[1], order[0]); c["diskcache.hits"] != 2 || c["diskcache.misses"] != 0 {
+			t.Fatalf("order %v, warm: diskcache.hits %d, misses %d, want 2 and 0",
+				order, c["diskcache.hits"], c["diskcache.misses"])
+		}
+	}
+}

@@ -321,16 +321,34 @@ func AppendSpecKey(dst []byte, spec core.MeasureSpec) []byte {
 // core.Measure's protocol defaults before keying, so equivalent specs
 // hit the same entry.
 func (e *Env) Measure(spec core.MeasureSpec) (core.JobProfile, error) {
-	return e.lookup(spec, func() (core.JobProfile, error) { return e.compute(spec) })
+	return e.lookup(SpecKey(spec), spec, "full", func() (core.JobProfile, error) {
+		return e.compute(core.MeasureIn, spec)
+	})
 }
 
-// compute measures spec in one of e's arenas, streaming into e's
-// sampler, without consulting or filling the cache: Measure's compute
-// step, and the whole measurement for runners that must run every time.
-func (e *Env) compute(spec core.MeasureSpec) (core.JobProfile, error) {
+// nodeKeyPrefix opens the key of every node-resolution entry, so that
+// no node-only profile can serve a full lookup, nor a full profile a
+// node lookup, in either tier.
+const nodeKeyPrefix = "node|"
+
+// measureNode is Measure at node resolution: core.MeasureNodeIn, for
+// runners that read nothing but the node sensor's profile, cached under
+// nodeKeyPrefix + SpecKey(spec).
+func (e *Env) measureNode(spec core.MeasureSpec) (core.JobProfile, error) {
+	return e.lookup(nodeKeyPrefix+SpecKey(spec), spec, "node", func() (core.JobProfile, error) {
+		return e.compute(core.MeasureNodeIn, spec)
+	})
+}
+
+// compute measures spec with measure (core.MeasureIn or
+// core.MeasureNodeIn) in one of e's arenas, streaming into e's sampler,
+// without consulting or filling the cache: the compute step of Measure
+// and measureNode, and the whole measurement for runners that must run
+// every time.
+func (e *Env) compute(measure func(*core.Arena, core.MeasureSpec) (core.JobProfile, error), spec core.MeasureSpec) (core.JobProfile, error) {
 	spec.Sink = e.sink
 	a := e.takeArena()
-	jp, err := core.MeasureIn(a, spec)
+	jp, err := measure(a, spec)
 	e.putArena(a)
 	return jp, err
 }
@@ -354,7 +372,7 @@ func (e *Env) MeasureGroup(spec core.MeasureSpec, caps []float64) ([]core.JobPro
 	for i, capW := range caps {
 		pt := spec
 		pt.CapW = capW
-		jp, err := e.lookup(pt, func() (core.JobProfile, error) {
+		jp, err := e.lookup(SpecKey(pt), pt, "full", func() (core.JobProfile, error) {
 			if sctx == nil {
 				base := spec
 				base.CapW = 0
@@ -372,19 +390,20 @@ func (e *Env) MeasureGroup(spec core.MeasureSpec, caps []float64) ([]core.JobPro
 }
 
 // lookup is the one keyed lookup behind every cached measurement:
-// memory, then disk, then compute, under SpecKey(spec), in a "measure"
-// span that records whether either tier served it.
-func (e *Env) lookup(spec core.MeasureSpec, compute func() (core.JobProfile, error)) (core.JobProfile, error) {
+// memory, then disk, then compute, under key, in a "measure" span that
+// records spec, the profile's resolution ("full" or "node") and whether
+// either tier served it.
+func (e *Env) lookup(key string, spec core.MeasureSpec, resolution string, compute func() (core.JobProfile, error)) (core.JobProfile, error) {
 	sp := e.obs.Span("measure")
 	computed := false
-	jp, err := e.cache.Do(context.Background(), SpecKey(spec), func() (core.JobProfile, error) {
+	jp, err := e.cache.Do(context.Background(), key, func() (core.JobProfile, error) {
 		computed = true
 		return compute()
 	})
 	if sp != nil {
 		sp.Set("bench", spec.Bench.Name).Set("platform", platform.OrDefault(spec.Platform).Name).
 			Set("nodes", spec.Nodes).Set("repeats", spec.Repeats).Set("cap_w", spec.CapW).
-			Set("cache_hit", !computed).Set("error", err != nil)
+			Set("resolution", resolution).Set("cache_hit", !computed).Set("error", err != nil)
 		sp.End()
 	}
 	return jp, err

@@ -137,7 +137,7 @@ func RunExtRepeats(cfg Config) (ExtRepeatsResult, error) {
 		func(_ context.Context, i int) error {
 			spec := cfg.spec(bench, 1, 1)
 			spec.Seed = cfg.seed() + uint64(i)*7919
-			jp, err := env.compute(spec)
+			jp, err := env.compute(core.MeasureIn, spec)
 			if err != nil {
 				return err
 			}

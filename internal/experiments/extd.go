@@ -115,10 +115,13 @@ func RunExtD(cfg Config) (ExtDResult, error) {
 			}
 		}
 	}
+	// The model fits the node's high power mode alone, so the corpus is
+	// measured at node resolution. The held-out benchmarks below are
+	// measured in full: other runners share those entries.
 	modes := make([]float64, len(tasks))
 	par.ForEach(context.Background(), cfg.workers(), len(tasks),
 		func(_ context.Context, i int) error {
-			jp, err := measure(cfg, tasks[i].bench, tasks[i].nodes, 1, 0)
+			jp, err := cfg.env().measureNode(cfg.spec(tasks[i].bench, tasks[i].nodes, 1))
 			if err != nil {
 				return nil // size does not decompose at this count
 			}

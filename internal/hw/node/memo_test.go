@@ -90,8 +90,8 @@ func TestZeroDurationRecordKeepsCache(t *testing.T) {
 // TestTotalTraceStorageContract pins who may keep a TotalTrace: Record
 // and ResetTraces only drop the memo, so a held trace keeps its
 // segments; the arena resets (ResetTracesReuse, SwapTraces) recycle
-// its storage into the next TotalTrace, whose values are still those
-// of a fresh merge.
+// its storage (and GPUSumTrace's) into the next one, whose values are
+// still those of a fresh merge.
 func TestTotalTraceStorageContract(t *testing.T) {
 	n := New("nid001", platform.Default(), nil)
 	busy := n.Idle()
@@ -124,13 +124,21 @@ func TestTotalTraceStorageContract(t *testing.T) {
 		{"ResetTracesReuse", n.ResetTracesReuse},
 		{"SwapTraces", func() { n.SwapTraces(&TraceBank{}) }},
 	} {
-		before := n.TotalTrace()
+		before, beforeGPU := n.TotalTrace(), n.GPUSumTrace()
 		reset.do()
 		n.RecordIdle(1)
 		n.Record(2, busy)
 		got := n.TotalTrace()
 		if got != before {
 			t.Fatalf("%s: TotalTrace storage not recycled", reset.name)
+		}
+		gotGPU := n.GPUSumTrace()
+		if gotGPU != beforeGPU {
+			t.Fatalf("%s: GPUSumTrace storage not recycled", reset.name)
+		}
+		freshGPU := timeseries.Sum(n.GPUTrace(0), n.GPUTrace(1), n.GPUTrace(2), n.GPUTrace(3))
+		if g, w := gotGPU.Segments(), freshGPU.Segments(); !slices.Equal(g, w) {
+			t.Fatalf("%s: recycled GPUSumTrace %+v, fresh merge %+v", reset.name, g, w)
 		}
 		fresh := timeseries.Sum(n.CPUTrace(), n.MemTrace(), n.GPUTrace(0), n.GPUTrace(1), n.GPUTrace(2), n.GPUTrace(3)).
 			AddConstant(n.PeripheralPower())
@@ -142,9 +150,9 @@ func TestTotalTraceStorageContract(t *testing.T) {
 
 // TestExchangeStorageMovesStorage: ExchangeStorage leaves the node with
 // empty traces and the bank with the node's storage, so a second node
-// that takes the bank records into it — its first TotalTrace is built
-// in the first node's TotalTrace storage — with the values a fresh node
-// records.
+// that takes the bank records into it — its first TotalTrace and
+// GPUSumTrace are built in the first node's storage for them — with
+// the values a fresh node records.
 func TestExchangeStorageMovesStorage(t *testing.T) {
 	record := func(n *Node) {
 		busy := n.Idle()
@@ -159,9 +167,9 @@ func TestExchangeStorageMovesStorage(t *testing.T) {
 	var bank TraceBank
 	a := New("nid001", platform.Default(), nil)
 	record(a)
-	total := a.TotalTrace()
+	total, gpuSum := a.TotalTrace(), a.GPUSumTrace()
 	a.ExchangeStorage(&bank)
-	if a.TraceDuration() != 0 || a.TotalTrace().Len() != 0 {
+	if a.TraceDuration() != 0 || a.TotalTrace().Len() != 0 || a.GPUSumTrace().Len() != 0 {
 		t.Fatal("ExchangeStorage left recorded traces on the node")
 	}
 
@@ -174,6 +182,9 @@ func TestExchangeStorageMovesStorage(t *testing.T) {
 	if got := b.TotalTrace(); got != total {
 		t.Fatal("the bank's TotalTrace storage was not reused")
 	}
+	if got := b.GPUSumTrace(); got != gpuSum {
+		t.Fatal("the bank's GPUSumTrace storage was not reused")
+	}
 	fresh := New("nid002", platform.Default(), nil)
 	record(fresh)
 	for _, tr := range []struct {
@@ -181,6 +192,7 @@ func TestExchangeStorageMovesStorage(t *testing.T) {
 		got, want *timeseries.Trace
 	}{
 		{"total", b.TotalTrace(), fresh.TotalTrace()},
+		{"gpu sum", b.GPUSumTrace(), fresh.GPUSumTrace()},
 		{"cpu", b.CPUTrace(), fresh.CPUTrace()},
 		{"gpu3", b.GPUTrace(3), fresh.GPUTrace(3)},
 		{"gpu3 memory", b.GPUMemTrace(3), fresh.GPUMemTrace(3)},

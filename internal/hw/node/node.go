@@ -54,12 +54,14 @@ type Node struct {
 	gpuSumCache  *timeseries.Trace
 	domainCaches map[Domain]*timeseries.Trace
 
-	// totalSpare is the storage of a TotalTrace the arena resets
-	// (ResetTracesReuse, SwapTraces) took back; the next TotalTrace is
-	// built into it. sumBuf holds the component sum TotalTrace offsets
-	// by the peripheral draw; it is never handed out.
-	totalSpare *timeseries.Trace
-	sumBuf     timeseries.Trace
+	// totalSpare and gpuSumSpare are the storage of a TotalTrace and a
+	// GPUSumTrace the arena resets (ResetTracesReuse, SwapTraces) took
+	// back; the next such trace is built into it. sumBuf holds the
+	// component sum TotalTrace offsets by the peripheral draw; it is
+	// never handed out.
+	totalSpare  *timeseries.Trace
+	gpuSumSpare *timeseries.Trace
+	sumBuf      timeseries.Trace
 }
 
 // New builds a node of the given platform. r seeds per-node
@@ -126,13 +128,15 @@ func (n *Node) MemActivePower() float64 { return n.Platform.Node.MemActiveWatts 
 // PeripheralPower returns this node's (constant) peripheral draw.
 func (n *Node) PeripheralPower() float64 { return n.peripheralWatts }
 
-// IdlePower returns the node's total idle draw.
+// IdlePower returns the node's total idle draw, summed in TotalTrace's
+// order (components, then peripherals), so an idle node sensor reads
+// exactly this value.
 func (n *Node) IdlePower() float64 {
-	p := n.CPU.IdlePower() + n.MemIdlePower() + n.peripheralWatts
+	p := n.CPU.IdlePower() + n.MemIdlePower()
 	for _, g := range n.GPUs {
 		p += g.IdlePower()
 	}
-	return p
+	return p + n.peripheralWatts
 }
 
 // ComponentPowers is a snapshot of per-component power for one
@@ -222,15 +226,21 @@ func (n *Node) MemTrace() *timeseries.Trace { return &n.memTrace }
 func (n *Node) GPUTrace(i int) *timeseries.Trace { return &n.gpuTraces[i] }
 
 // GPUSumTrace returns the pointwise sum of all GPU traces. The result
-// is memoized until the next Record or ResetTraces; callers must not
-// mutate it.
+// is memoized until the next Record or trace reset; callers must not
+// mutate it. Its storage follows TotalTrace's contract: the arena
+// resets recycle it into the next GPUSumTrace.
 func (n *Node) GPUSumTrace() *timeseries.Trace {
 	if n.gpuSumCache == nil {
-		traces := make([]*timeseries.Trace, len(n.gpuTraces))
+		var buf [8]*timeseries.Trace
+		traces := buf[:0]
 		for i := range n.gpuTraces {
-			traces[i] = &n.gpuTraces[i]
+			traces = append(traces, &n.gpuTraces[i])
 		}
-		n.gpuSumCache = timeseries.Sum(traces...)
+		dst := n.gpuSumSpare
+		if dst == nil {
+			dst = new(timeseries.Trace)
+		}
+		n.gpuSumCache, n.gpuSumSpare = timeseries.SumInto(dst, traces...), nil
 	}
 	return n.gpuSumCache
 }
@@ -265,10 +275,14 @@ func (n *Node) TotalTrace() *timeseries.Trace {
 }
 
 // recycleTotal invalidates the memoized derived traces for an arena
-// reset, keeping the TotalTrace storage for the next TotalTrace.
+// reset, keeping the TotalTrace and GPUSumTrace storage for the next
+// ones.
 func (n *Node) recycleTotal() {
 	if n.totalCache != nil {
 		n.totalSpare = n.totalCache
+	}
+	if n.gpuSumCache != nil {
+		n.gpuSumSpare = n.gpuSumCache
 	}
 	n.totalCache, n.gpuSumCache, n.domainCaches = nil, nil, nil
 }
@@ -377,7 +391,7 @@ func (n *Node) TraceDuration() float64 { return n.cpuTrace.Duration() }
 // valid.
 func (n *Node) ResetTraces() {
 	n.totalCache, n.gpuSumCache, n.domainCaches = nil, nil, nil
-	n.totalSpare, n.sumBuf = nil, timeseries.Trace{}
+	n.totalSpare, n.gpuSumSpare, n.sumBuf = nil, nil, timeseries.Trace{}
 	n.cpuTrace = timeseries.Trace{}
 	n.memTrace = timeseries.Trace{}
 	for i := range n.gpuTraces {
@@ -390,9 +404,9 @@ func (n *Node) ResetTraces() {
 // keeps each trace's segment storage — the arena reset the incremental
 // sweep engine applies between repeats and cap points so steady-state
 // re-solves append into already-sized backing arrays. The last
-// TotalTrace's storage is kept too and rebuilt by the next TotalTrace,
-// so a TotalTrace handed out earlier is invalid afterwards; the other
-// derived traces own fresh storage and are unaffected.
+// TotalTrace's and GPUSumTrace's storage is kept too and rebuilt by the
+// next such trace, so one handed out earlier is invalid afterwards; the
+// other derived traces own fresh storage and are unaffected.
 func (n *Node) ResetTracesReuse() {
 	n.recycleTotal()
 	n.cpuTrace.Reset()
@@ -413,15 +427,17 @@ type TraceBank struct {
 	mem     timeseries.Trace
 	gpus    []timeseries.Trace
 	gpuMems []timeseries.Trace
-	// total and sum hold the TotalTrace storage and the component-sum
-	// buffer; only ExchangeStorage moves them.
-	total *timeseries.Trace
-	sum   timeseries.Trace
+	// total, gpuSum and sum hold the TotalTrace and GPUSumTrace
+	// storage and the component-sum buffer; only ExchangeStorage moves
+	// them.
+	total  *timeseries.Trace
+	gpuSum *timeseries.Trace
+	sum    timeseries.Trace
 }
 
 // SwapTraces exchanges the node's recorded traces with the bank's and
-// invalidates the memoized derived traces, recycling the TotalTrace
-// storage as ResetTracesReuse does. Device state (power and clock
+// invalidates the memoized derived traces, recycling the TotalTrace and
+// GPUSumTrace storage as ResetTracesReuse does. Device state (power and clock
 // limits) is untouched. Swapping is O(1): only slice headers move.
 func (n *Node) SwapTraces(b *TraceBank) {
 	if len(b.gpus) != len(n.gpuTraces) {
@@ -436,17 +452,18 @@ func (n *Node) SwapTraces(b *TraceBank) {
 }
 
 // ExchangeStorage empties the node's traces and trades all of its trace
-// storage — the component traces, the TotalTrace storage and the
-// component-sum buffer — for the bank's. A measurement arena calls it
-// twice per run: on a fresh node before the run, so the run records
-// into storage sized by earlier runs, and after the run is profiled,
-// to take the storage back. Like ResetTracesReuse, it invalidates any
-// TotalTrace handed out earlier; the other derived traces own fresh
-// storage and are unaffected.
+// storage — the component traces, the TotalTrace and GPUSumTrace
+// storage and the component-sum buffer — for the bank's. A measurement
+// arena calls it twice per run: on a fresh node before the run, so the
+// run records into storage sized by earlier runs, and after the run is
+// profiled, to take the storage back. Like ResetTracesReuse, it
+// invalidates any TotalTrace or GPUSumTrace handed out earlier; the
+// other derived traces own fresh storage and are unaffected.
 func (n *Node) ExchangeStorage(b *TraceBank) {
 	n.ResetTracesReuse()
 	n.SwapTraces(b)
 	n.totalSpare, b.total = b.total, n.totalSpare
+	n.gpuSumSpare, b.gpuSum = b.gpuSum, n.gpuSumSpare
 	n.sumBuf, b.sum = b.sum, n.sumBuf
 }
 

@@ -1,8 +1,10 @@
 package stats
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -207,6 +209,36 @@ func sameSummary(got, want Summary) string {
 	return ""
 }
 
+// sameOrderStats is sameSummary for a summary whose order statistics
+// were selected rather than sorted: N, Mean and StdDev, which sum in
+// input order, must keep their bits, and Min, Max, Median, Q1 and Q3
+// must compare equal as floats or both be NaN. Neither sorting nor
+// selection is stable, so a zero's sign and a NaN's payload at an order
+// statistic depend on the algorithm.
+func sameOrderStats(got, want Summary) string {
+	if got.N != want.N {
+		return fmt.Sprintf("N %d vs %d", got.N, want.N)
+	}
+	for _, f := range []struct {
+		name      string
+		got, want float64
+		exact     bool
+	}{
+		{"Min", got.Min, want.Min, false}, {"Max", got.Max, want.Max, false},
+		{"Mean", got.Mean, want.Mean, true}, {"Median", got.Median, want.Median, false},
+		{"StdDev", got.StdDev, want.StdDev, true}, {"Q1", got.Q1, want.Q1, false}, {"Q3", got.Q3, want.Q3, false},
+	} {
+		same := f.got == f.want || (math.IsNaN(f.got) && math.IsNaN(f.want))
+		if f.exact {
+			same = sameBits(f.got, f.want)
+		}
+		if !same {
+			return fmt.Sprintf("%s %v vs %v", f.name, f.got, f.want)
+		}
+	}
+	return ""
+}
+
 // Quantile returns the q-th quantile (0 ≤ q ≤ 1) using linear
 // interpolation between order statistics (type-7, the numpy default).
 // It returns NaN for an empty sample.
@@ -254,5 +286,89 @@ func TestDescribeIntoMatchesDescribe(t *testing.T) {
 	}
 	if _, err := DescribeInto(nil, &scratch); err != ErrEmpty {
 		t.Fatalf("empty sample: err = %v, want ErrEmpty", err)
+	}
+}
+
+// FuzzDescribeInto decodes bytes into a sample (the first byte picks
+// the decoding) and requires DescribeInto, which selects its order
+// statistics, to agree with the sort-based describeReference; the
+// scratch it is handed holds stale values from a longer sample.
+func FuzzDescribeInto(f *testing.F) {
+	f.Add([]byte{0, 1, 1, 1, 7, 7, 3, 200, 200, 200})
+	f.Add([]byte("\x00 0123456789abcdefghijklmnopqrstuvwxyz 0123456789abcdefghijklmnopqrstuvwxyz"))
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte("1000000\xff\xff000001\xff\xff")) // two NaN payloads
+	f.Add([]byte("\x02\x00\x01\x00\x01\x00\x02\x00\x00\x01\x01\x00\x02\x02\x00\x01\x00\x00\x01\x02\x00"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const maxSamples = 4096
+		var xs []float64
+		if len(data) > 0 {
+			mode, rest := data[0]%3, data[1:]
+			switch mode {
+			case 0:
+				// Heavily tied: one of 32 watt levels per byte.
+				for _, b := range rest {
+					xs = append(xs, 100+float64(b%32))
+				}
+			case 1:
+				// Any float64, NaN and ±Inf included.
+				for ; len(rest) >= 8; rest = rest[8:] {
+					xs = append(xs, math.Float64frombits(binary.LittleEndian.Uint64(rest)))
+				}
+			default:
+				// Signed zeros, NaNs and one other value.
+				for _, b := range rest {
+					xs = append(xs, [...]float64{0, math.Copysign(0, -1), math.NaN(), 1}[b%4])
+				}
+			}
+		}
+		if len(xs) > maxSamples {
+			xs = xs[:maxSamples]
+		}
+		scratch := make([]float64, len(xs)+7)
+		for i := range scratch {
+			scratch[i] = -1
+		}
+		want, wantErr := describeReference(xs)
+		got, err := DescribeInto(xs, &scratch)
+		if err != wantErr {
+			t.Fatalf("DescribeInto error %v, want %v", err, wantErr)
+		}
+		if diff := sameOrderStats(got, want); diff != "" {
+			t.Fatalf("n=%d: DescribeInto differs from the sorted reference: %s", len(xs), diff)
+		}
+		if len(xs) > 0 {
+			sorted, perm := slices.Clone(xs), slices.Clone(scratch)
+			slices.Sort(sorted)
+			slices.Sort(perm)
+			if !slices.EqualFunc(perm, sorted, func(a, b float64) bool {
+				return a == b || (math.IsNaN(a) && math.IsNaN(b))
+			}) {
+				t.Fatalf("n=%d: the scratch is not a permutation of the sample", len(xs))
+			}
+		}
+	})
+}
+
+// TestSelectAtDepthLimit: once selectAt's partitioning passes run out
+// it sorts what is left, and every requested position still holds its
+// sorted value.
+func TestSelectAtDepthLimit(t *testing.T) {
+	r := rng.New(7)
+	xs := make([]float64, 1000)
+	for i := range xs {
+		xs[i] = float64(r.IntN(40))
+	}
+	sorted := slices.Clone(xs)
+	slices.Sort(sorted)
+	ks := []int{0, 1, 249, 250, 499, 500, 748, 749, 998, 999}
+	for depth := 0; depth <= 3; depth++ {
+		v := slices.Clone(xs)
+		selectAt(v, 0, ks, depth)
+		for _, k := range ks {
+			if v[k] != sorted[k] {
+				t.Fatalf("depth %d: position %d holds %v, sorted %v", depth, k, v[k], sorted[k])
+			}
+		}
 	}
 }

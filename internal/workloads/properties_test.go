@@ -102,16 +102,14 @@ func TestEngineProperties(t *testing.T) {
 					}
 					checkEnergy(t, at, out)
 					for _, n := range out.Nodes {
-						// Two known defects fail these checks on prelude
-						// traces; apply them to the prelude engine again
-						// once both are fixed:
-						//   - checkTotal: timeseries.SumInto's absolute
-						//     1e-12 s end tolerance drops components whose
-						//     traces end a few ulps early after a ~50 s
-						//     prelude shift.
-						//   - checkNodeRange: Node.IdlePower adds the
-						//     peripheral draw before the GPUs, TotalTrace
-						//     after them, one ulp apart in the idle window.
+						// A known defect fails both checks on prelude
+						// traces: timeseries.SumInto's absolute 1e-12 s end
+						// tolerance drops components whose traces end a
+						// few ulps early after a ~50 s prelude shift, so
+						// the node sensor's last sliver misses them and
+						// reads below the components' sum and below idle.
+						// Apply them to the prelude engine again once
+						// SumInto is fixed.
 						if engine != "prelude" {
 							checkTotal(t, at, n)
 							checkNodeRange(t, at, n, p)
