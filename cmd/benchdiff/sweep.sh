@@ -37,7 +37,7 @@ threshold=0.10
 # A top-level '|' in -bench separates whole name paths, so each
 # nodes=1800/jobs=10000 filter applies to its own benchmark
 # (BenchmarkSimulateStream, BenchmarkSimulatePolicies) alone.
-bench='BenchmarkCapSweep|BenchmarkMeasureOnePoint|BenchmarkCapSolverSolve|BenchmarkKDE|BenchmarkProfileSeries|BenchmarkProfileRun|BenchmarkProfileCodec|BenchmarkScheduleFire$|BenchmarkSimulateStream$/nodes=1800/jobs=10000$|BenchmarkSimulatePolicies$/nodes=1800/jobs=10000$|BenchmarkSum|BenchmarkTotalTrace|BenchmarkDoHit$|BenchmarkColdMeasure$|BenchmarkWarmMeasure$|BenchmarkEnvMeasureCold$|BenchmarkQuickStudyCold$|BenchmarkQuickStudyWarm$'
+bench='BenchmarkCapSweep|BenchmarkMeasureOnePoint|BenchmarkCapSolverSolve|BenchmarkKDE|BenchmarkProfileSeries|BenchmarkProfileRun|BenchmarkProfileCodec|BenchmarkScheduleFire$|BenchmarkSimulateStream$/nodes=1800/jobs=10000$|BenchmarkSimulatePolicies$/nodes=1800/jobs=10000$|BenchmarkSum|BenchmarkTotalTrace|BenchmarkDoHit$|BenchmarkColdMeasure$|BenchmarkWarmMeasure$|BenchmarkEnvMeasureCold$|BenchmarkQuickStudyCold$|BenchmarkQuickStudyDiskCold$|BenchmarkQuickStudyWarm$'
 pkgs=(./internal/workloads ./internal/core ./internal/hw/gpu ./internal/stats ./internal/sched ./internal/sim ./internal/timeseries ./internal/hw/node ./internal/memo ./internal/serve ./internal/experiments ./cmd/powerstudy)
 
 benchdiff=$(mktemp -d)/benchdiff

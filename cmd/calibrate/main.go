@@ -101,6 +101,7 @@ func main() {
 		rep.writeText(os.Stdout)
 		printParallelEfficiency(measure, p, seed)
 	}
+	env.Flush()
 	if !rep.Pass && (*jsonOut || *tolPath != "") {
 		os.Exit(1)
 	}

@@ -121,6 +121,7 @@ func main() {
 	for i := range jp.GPUs {
 		fmt.Println(report.SeriesLine(fmt.Sprintf("gpu%d", i), jp.GPUs[i].Series, 70))
 	}
+	env.Flush()
 }
 
 // runMILC executes the MILC workload and prints its profile.

@@ -191,6 +191,7 @@ func main() {
 		fmt.Printf("node high power mode %.0f W (FWHM %.0f), ", m.X, m.FWHM)
 	}
 	fmt.Printf("runtime %.0f s, energy %.2f MJ\n", jp.Runtime, jp.EnergyJ/1e6)
+	env.Flush()
 }
 
 // fatal reports err and exits with code.

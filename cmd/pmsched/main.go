@@ -206,6 +206,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(stdout, "profile-aware capping reserves measured power instead of TDP, so more jobs")
 	fmt.Fprintln(stdout, "fit under the budget at a per-job cost the study bounds below 10% (§V-C).")
+	env.Flush()
 
 	if *manifestPath != "" {
 		snap := reg.Snapshot()

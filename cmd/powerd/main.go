@@ -35,6 +35,12 @@
 // closes, in-flight requests finish, then the -manifest file (with
 // the final serve.* metrics) is written.
 //
+// -cache-dir DIR backs the measurement cache with a persistent
+// directory. Entries are written behind the requests that computed
+// them: every 5 s, and once more after the drain at shutdown, with the
+// KDE modes the daemon has read by then; a killed daemon loses at most
+// the last 5 s of them.
+//
 // -oneshot JSON evaluates one /v1/measure request through the same
 // pipeline without listening and prints the response body to stdout —
 // byte-identical to the served response for the same spec, which CI
@@ -78,6 +84,9 @@ type options struct {
 	// ready, when non-nil, receives the bound address once the server
 	// is listening (the tests' startup synchronization).
 	ready chan<- string
+	// flushTick, when positive, replaces flushInterval (the tests'
+	// clock).
+	flushTick time.Duration
 }
 
 func main() {
@@ -162,6 +171,7 @@ func run(opts options, stdout, stderr io.Writer) error {
 	if opts.oneshot != "" {
 		status, body := srv.OneShot("POST", "/v1/measure", []byte(opts.oneshot))
 		stdout.Write(body)
+		env.Flush()
 		if status != 200 {
 			return fmt.Errorf("oneshot: status %d", status)
 		}
@@ -179,6 +189,14 @@ func run(opts options, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintf(stderr, "powerd: serving on http://%s (/v1/measure, /v1/sweep, /v1/schedule, /v1/omni/*, /healthz)\n", ds.Addr)
 	wait := serve.NotifyShutdown(opts.hold)
+	stopFlushing := func() {}
+	if env.Store() != nil {
+		interval := flushInterval
+		if opts.flushTick > 0 {
+			interval = opts.flushTick
+		}
+		stopFlushing = flushEvery(env, interval)
+	}
 	if opts.ready != nil {
 		opts.ready <- ds.Addr
 	}
@@ -190,6 +208,8 @@ func run(opts options, stdout, stderr io.Writer) error {
 	if err := ds.Shutdown(ctx); err != nil {
 		fmt.Fprintf(stderr, "powerd: drain incomplete: %v\n", err)
 	}
+	stopFlushing()
+	env.Flush()
 	if col != nil {
 		col.Close()
 	}
@@ -200,6 +220,35 @@ func run(opts options, stdout, stderr io.Writer) error {
 		srv.Metrics().Requests.Value(), srv.Metrics().Hits.Value(),
 		srv.Metrics().Coalesced.Value(), time.Since(started).Round(time.Millisecond))
 	return nil
+}
+
+// flushInterval is how often a daemon with a disk tier writes the
+// entries it has computed (or filled more modes of) since the last
+// write.
+const flushInterval = 5 * time.Second
+
+// flushEvery flushes env every interval until the returned stop is
+// called; stop returns once no flush is running.
+func flushEvery(env *experiments.Env, interval time.Duration) (stop func()) {
+	done := make(chan struct{})
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-t.C:
+				env.Flush()
+			case <-done:
+				return
+			}
+		}
+	}()
+	return func() {
+		close(done)
+		<-exited
+	}
 }
 
 func writeManifest(opts options, reg *obs.Registry, started time.Time) error {

@@ -161,3 +161,59 @@ func TestHoldElapses(t *testing.T) {
 	_, errc := startDaemon(t, options{hold: 50 * time.Millisecond, drainTimeout: 10 * time.Second})
 	waitExit(t, errc)
 }
+
+// cacheEntries counts the entry files under a cache directory.
+func cacheEntries(t *testing.T, dir string) int {
+	t.Helper()
+	entries, err := filepath.Glob(filepath.Join(dir, "*", "*.cache"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(entries)
+}
+
+func measureOnce(t *testing.T, addr string) {
+	t.Helper()
+	resp, err := http.Post("http://"+addr+"/v1/measure", "application/json", strings.NewReader(testSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+}
+
+// TestCacheDirFlushed: with -cache-dir, the daemon writes what it
+// computed on its flush ticker while serving, and again after the drain
+// at shutdown; -oneshot writes before it exits.
+func TestCacheDirFlushed(t *testing.T) {
+	dir := t.TempDir()
+	addr, errc := startDaemon(t, options{hold: -1, cacheDir: dir, flushTick: 10 * time.Millisecond, drainTimeout: 10 * time.Second})
+	measureOnce(t, addr)
+	for deadline := time.Now().Add(10 * time.Second); cacheEntries(t, dir) == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no entry written by the flush ticker while serving")
+		}
+	}
+	sigterm(t)
+	waitExit(t, errc)
+
+	dir = t.TempDir()
+	addr, errc = startDaemon(t, options{hold: -1, cacheDir: dir, flushTick: time.Hour, drainTimeout: 10 * time.Second})
+	measureOnce(t, addr)
+	sigterm(t)
+	waitExit(t, errc)
+	if cacheEntries(t, dir) == 0 {
+		t.Fatal("no entry written at shutdown")
+	}
+
+	dir = t.TempDir()
+	if err := run(options{oneshot: testSpec, cacheDir: dir}, io.Discard, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if cacheEntries(t, dir) == 0 {
+		t.Fatal("no entry written by -oneshot")
+	}
+}

@@ -28,7 +28,9 @@
 // atomically written under DIR, so a second run of the same sweep
 // serves its measurements from disk instead of re-simulating — a warm
 // -quick run skips essentially all simulation and its stdout stays
-// byte-identical to the cold run that populated the cache.
+// byte-identical to the cold run that populated the cache. Entries are
+// written when the run finishes, with the KDE modes the run computed;
+// a run killed before then leaves none.
 // -cache-max-bytes bounds the directory (LRU eviction; 0 = unbounded).
 // The cache never touches stdout either.
 //
@@ -186,6 +188,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	// Before the manifest, so its diskcache counters hold the writes.
+	env.Flush()
 	if *manifestPath != "" {
 		if err := writeManifest(*manifestPath, cfg, started, timings); err != nil {
 			fmt.Fprintln(os.Stderr, "powerstudy:", err)

@@ -47,8 +47,11 @@ func TestObservabilityRun(t *testing.T) {
 	}
 
 	// 2. One "experiment" span per unit, "measure" spans with
-	// cache-hit status, every line valid JSON.
+	// cache-hit status, every line valid JSON. Each computed measure's
+	// span names its cache key, and no two name the same one: same-named
+	// benchmarks of different sizes stay apart.
 	expSpans := map[string]bool{}
+	computedKeys := map[string]bool{}
 	measures, cacheHits := 0, 0
 	for _, line := range strings.Split(strings.TrimSuffix(trace.String(), "\n"), "\n") {
 		var span map[string]any
@@ -69,7 +72,13 @@ func TestObservabilityRun(t *testing.T) {
 			}
 			if hit {
 				cacheHits++
+				break
 			}
+			key, _ := span["key"].(string)
+			if key == "" || computedKeys[key] {
+				t.Fatalf("computed measure span with an empty or repeated key: %q", line)
+			}
+			computedKeys[key] = true
 		}
 	}
 	if len(timings) == 0 || len(expSpans) != len(timings) {

@@ -24,6 +24,7 @@ func TestWarmQuickRunFromDisk(t *testing.T) {
 	if _, err := run(experiments.Config{Seed: 2024, Quick: true, Env: env}, "", "", &cold); err != nil {
 		t.Fatal(err)
 	}
+	env.Flush() // as main does: the entries are written after the run
 
 	// Warm run: a fresh Env (a fresh process) over the populated
 	// directory, counters attached so we can prove where lookups landed.
@@ -35,6 +36,7 @@ func TestWarmQuickRunFromDisk(t *testing.T) {
 	if _, err := run(experiments.Config{Seed: 2024, Quick: true, Env: env}, "", "", &warm); err != nil {
 		t.Fatal(err)
 	}
+	env.Flush()
 
 	if normalize(cold.String()) != normalize(warm.String()) {
 		t.Error("warm run output diverged from the cold run that populated the cache")
@@ -56,6 +58,11 @@ func TestWarmQuickRunFromDisk(t *testing.T) {
 	}
 	if c["diskcache.corrupt"] != 0 || c["diskcache.errors"] != 0 {
 		t.Fatalf("disk tier reported corruption or errors on a clean warm run: %v", c)
+	}
+	// The cold run stored every mode the run reads, so the warm one
+	// fills none and rewrites nothing.
+	if c["diskcache.bytes_written"] != 0 {
+		t.Fatalf("the warm run wrote %d bytes, want 0", c["diskcache.bytes_written"])
 	}
 	// Every memory-tier miss was absorbed by the disk tier.
 	if c["memo.misses"] != c["diskcache.hits"] {

@@ -16,9 +16,13 @@ import (
 //	JobProfile: name | SamplingInterval | Runtime | EnergyJ
 //	            | NodeTotal | CPU | Mem | count(GPUs) | GPUs... | GPUSum
 //	Profile:    floats(Values) | grid(Times) | Summary | count(Modes)
-//	            | Modes... | HighMode | HasMode (one byte, 0 or 1)
-//	            (Modes, HighMode and HasMode are what the accessors
-//	            return; encoding computes them if nothing has yet)
+//	            | Modes... | HighMode | cell (one byte)
+//	cell:       0 or 1: the modes were computed; Modes and HighMode
+//	            are what the accessors return, and 1 means HighMode is
+//	            a mode (the accessor's ok)
+//	            2: lazy, nothing read the modes; Modes is nil, HighMode
+//	            all zero bits and Values non-empty, and the decoded
+//	            profile computes its modes from Values on first read
 //	Summary:    N | Min | Max | Mean | Median | StdDev | Q1 | Q3
 //	Mode:       X | Density | FWHM
 //	name:       byte length | bytes
@@ -36,15 +40,22 @@ const (
 	wordBytes = 8
 	modeBytes = 3 * wordBytes
 	// minProfileBytes is the shortest encoded Profile: nil Values, an
-	// inline nil grid, Summary, nil Modes, HighMode and HasMode.
+	// inline nil grid, Summary, nil Modes, HighMode and the cell byte.
 	minProfileBytes = (1+2+8+1)*wordBytes + modeBytes + 1
 	nilCount        = 0
 	inlineGrid      = 0
+
+	// The cell byte.
+	cellNoMode = 0
+	cellMode   = 1
+	cellLazy   = 2
 )
 
 // AppendJobProfile appends the binary encoding of jp to dst and returns
 // the extended buffer. DecodeJobProfile inverts it exactly: nil and
-// empty slices stay distinct and every float keeps its bits.
+// empty slices stay distinct, every float keeps its bits, and a series
+// whose modes nothing has read yet stays lazy: encoding computes no
+// KDE.
 func AppendJobProfile(dst []byte, jp JobProfile) []byte {
 	e := profileEncoder{buf: dst}
 	e.word(uint64(len(jp.Name)))
@@ -95,6 +106,12 @@ func (e *profileEncoder) profile(p Profile) {
 	for _, f := range [...]float64{s.Min, s.Max, s.Mean, s.Median, s.StdDev, s.Q1, s.Q3} {
 		e.float(f)
 	}
+	if p.modes != nil && !p.modes.isFilled() {
+		e.word(nilCount)
+		e.mode(stats.Mode{})
+		e.buf = append(e.buf, cellLazy)
+		return
+	}
 	modes := p.Modes()
 	e.count(len(modes), modes == nil)
 	for _, m := range modes {
@@ -102,11 +119,11 @@ func (e *profileEncoder) profile(p Profile) {
 	}
 	high, has := p.HighMode()
 	e.mode(high)
-	var hasMode byte
+	cell := byte(cellNoMode)
 	if has {
-		hasMode = 1
+		cell = cellMode
 	}
-	e.buf = append(e.buf, hasMode)
+	e.buf = append(e.buf, cell)
 }
 
 // grid writes times as a back-reference when an earlier profile of the
@@ -152,9 +169,10 @@ func sameBits(a, b []float64) bool {
 
 // DecodeJobProfile decodes one AppendJobProfile encoding. It rejects,
 // with an error and never a panic, short input, trailing bytes, lengths
-// longer than the bytes left, bad back-references and flag bytes other
-// than 0 or 1. Every slice of the result is freshly allocated, so two
-// decoded profiles (or two series of one) never share memory.
+// longer than the bytes left, bad back-references, cell bytes other
+// than 0, 1 or 2, and a lazy cell with modes, a high mode or no series.
+// Every slice of the result is freshly allocated, so two decoded
+// profiles (or two series of one) never share memory.
 func DecodeJobProfile(data []byte) (JobProfile, error) {
 	d := profileDecoder{b: data, size: len(data)}
 	var jp JobProfile
@@ -292,18 +310,24 @@ func (d *profileDecoder) profile() Profile {
 		d.fail("truncated")
 		return p
 	}
-	has := d.b[0] == 1
-	if d.b[0] > 1 {
-		d.fail("HasMode byte %d", d.b[0])
-		return p
-	}
+	cell := d.b[0]
 	d.b = d.b[1:]
+	zeroHigh := math.Float64bits(high.X)|math.Float64bits(high.Density)|math.Float64bits(high.FWHM) == 0
+	switch {
+	case cell == cellLazy:
+		if len(values) == 0 || modes != nil || !zeroHigh {
+			d.fail("lazy mode cell with %d values, stored modes %v, a stored high mode %v", len(values), modes != nil, !zeroHigh)
+			return p
+		}
+		p.modes = d.cell()
+		p.modes.values = values
+	case cell > cellLazy:
+		d.fail("mode cell byte %d", cell)
 	// ProfileSeries gives an empty series no cell, and so no modes; so
 	// does the decoder, unless the entry says otherwise.
-	zeroHigh := math.Float64bits(high.X)|math.Float64bits(high.Density)|math.Float64bits(high.FWHM) == 0
-	if len(values) > 0 || modes != nil || has || !zeroHigh {
+	case len(values) > 0 || modes != nil || cell == cellMode || !zeroHigh:
 		p.modes = d.cell()
-		p.modes.setFilled(modes, high, has)
+		p.modes.setFilled(modes, high, cell == cellMode)
 	}
 	return p
 }

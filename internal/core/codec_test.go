@@ -163,14 +163,16 @@ func roundTrip(t *testing.T, name string, jp JobProfile) []byte {
 	if err != nil {
 		t.Fatalf("%s: decode: %v", name, err)
 	}
+	// Re-encode before anything reads the modes: a lazy cell decodes
+	// lazy and so encodes again as it was.
+	if again := AppendJobProfile(nil, got); !bytes.Equal(again, enc) {
+		t.Fatalf("%s: re-encoding the decoded profile changed the bytes", name)
+	}
 	if !sameProfile(got, jp) {
 		t.Fatalf("%s: round trip is not bit-identical:\n got  %+v\n want %+v", name, got, jp)
 	}
 	if !hasNaN(reflect.ValueOf(view(jp))) && !reflect.DeepEqual(view(got), view(jp)) {
 		t.Fatalf("%s: round trip is not reflect.DeepEqual", name)
-	}
-	if again := AppendJobProfile(nil, got); !bytes.Equal(again, enc) {
-		t.Fatalf("%s: re-encoding the decoded profile changed the bytes", name)
 	}
 	return enc
 }
@@ -189,7 +191,7 @@ func seriesProfile(times, values []float64) Profile {
 
 // syntheticProfiles are the codec's edge cases: special float bits,
 // nil versus empty slices at every level, zero GPUs, single samples,
-// shared and unshared grids.
+// shared and unshared grids, and lazy mode cells.
 func syntheticProfiles() map[string]JobProfile {
 	nan := math.Float64frombits(0x7ff8_dead_beef_0001) // quiet NaN with a payload
 	snan := math.Float64frombits(0x7ff0_0000_0000_0002)
@@ -238,6 +240,10 @@ func syntheticProfiles() map[string]JobProfile {
 			GPUSum: seriesProfile([]float64{2, 4, negZero}, []float64{1, 2, 3}), // differs only in a sign bit
 		},
 		"many-gpus": {GPUs: make([]Profile, 40)},
+		"lazy": {
+			NodeTotal: ProfileSeries(timeseries.Series{Times: grid(3), Values: []float64{700, 710, 705}}),
+			GPUSum:    ProfileSeries(timeseries.Series{Times: grid(1), Values: []float64{nan}}),
+		},
 	}
 }
 
@@ -272,30 +278,61 @@ func TestProfileCodecRealProfiles(t *testing.T) {
 	}
 }
 
-// TestProfileCodecForcesModes: encoding a profile nobody has read the
-// modes of gives the same bytes as encoding it after every mode was
-// read, and as encoding the profile an eager DescribeKDE builds.
-func TestProfileCodecForcesModes(t *testing.T) {
+// TestProfileCodecKeepsLazyModes: encoding computes no KDE. A profile
+// nobody has read the modes of encodes every cell lazy and decodes
+// lazy, and its modes then read bit-identical to the profile an eager
+// DescribeKDE builds; a profile whose modes were all read decodes with
+// every cell filled, so reading them runs no KDE; a partly read one
+// stores just the cells that were read.
+func TestProfileCodecKeepsLazyModes(t *testing.T) {
 	for _, name := range []string{"GaAsBi-64", "PdO2", "Si256_hse", "CuC_vdw"} {
 		spec := MeasureSpec{Bench: benchByName(t, name), Nodes: 2, Seed: 2024}
 		unread, err := Measure(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
+		series := 4 + len(unread.GPUs)
+		enc := AppendJobProfile(nil, unread)
+		if n := unread.FilledModes(); n != 0 {
+			t.Fatalf("%s: encoding filled %d mode cells", name, n)
+		}
+		lazy, err := DecodeJobProfile(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := lazy.FilledModes(); n != 0 {
+			t.Fatalf("%s: an unread profile decodes with %d filled cells, want 0", name, n)
+		}
+		eager := eagerJobProfile(unread)
+		if !sameProfile(lazy, eager) {
+			t.Errorf("%s: a decoded lazy profile reads other modes than an eager one", name)
+		}
+
 		read, err := Measure(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v := view(read); !v.NodeTotal.HasMode {
-			t.Fatalf("%s: no node mode", name)
+		read.NodeTotal.HighMode()
+		partial, err := DecodeJobProfile(AppendJobProfile(nil, read))
+		if err != nil {
+			t.Fatal(err)
 		}
-		eager := eagerJobProfile(unread)
-		got := AppendJobProfile(nil, unread)
-		if want := AppendJobProfile(nil, read); !bytes.Equal(got, want) {
-			t.Errorf("%s: a never-read profile encodes differently from a read one", name)
+		if n := partial.FilledModes(); n != 1 {
+			t.Errorf("%s: a profile read at the node decodes with %d filled cells, want 1", name, n)
 		}
-		if want := AppendJobProfile(nil, eager); !bytes.Equal(got, want) {
-			t.Errorf("%s: a never-read profile encodes differently from an eager one", name)
+		view(read) // reads every mode
+		if n := read.FilledModes(); n != series {
+			t.Fatalf("%s: %d of %d cells filled after reading every mode", name, n, series)
+		}
+		filled, err := DecodeJobProfile(AppendJobProfile(nil, read))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := filled.FilledModes(); n != series {
+			t.Errorf("%s: a read profile decodes with %d of %d cells filled", name, n, series)
+		}
+		if !sameProfile(filled, eager) {
+			t.Errorf("%s: a decoded read profile differs from an eager one", name)
 		}
 	}
 }
@@ -415,13 +452,14 @@ func TestProfileCodecFieldCensus(t *testing.T) {
 	// The census above only proves the fields it filled; pin the shape
 	// so a new field's zero value cannot slip through unnoticed either.
 	// A Profile is its Series, its Summary and a mode cell, whose
-	// once-guard and pending values are not data; the view must mirror
-	// the JobProfile field for field.
+	// once-guard, pending values and filled flag are not data (the cell
+	// byte carries whether it is filled); the view must mirror the
+	// JobProfile field for field.
 	want := map[reflect.Type]int{
 		reflect.TypeOf(JobProfile{}):        9,
 		reflect.TypeOf(jobProfileView{}):    9,
 		reflect.TypeOf(Profile{}):           3,
-		reflect.TypeOf(modeCell{}):          5,
+		reflect.TypeOf(modeCell{}):          6,
 		reflect.TypeOf(profileView{}):       5,
 		reflect.TypeOf(timeseries.Series{}): 2,
 		reflect.TypeOf(stats.Summary{}):     8,
@@ -435,8 +473,9 @@ func TestProfileCodecFieldCensus(t *testing.T) {
 }
 
 // TestProfileCodecRejectsCorruption: every proper prefix, trailing
-// bytes, bad back-references, flag bytes and oversized lengths are
-// errors, never a value or a panic.
+// bytes, bad back-references, cell bytes, lazy cells that carry modes
+// or lack a series, and oversized lengths are errors, never a value or
+// a panic.
 func TestProfileCodecRejectsCorruption(t *testing.T) {
 	jp := syntheticProfiles()["shared-grid"]
 	enc := AppendJobProfile(nil, jp)
@@ -452,16 +491,32 @@ func TestProfileCodecRejectsCorruption(t *testing.T) {
 	// Hand-built entries around one valid shape: NodeTotal with an
 	// inline 2-sample grid, CPU referring to it, then nil Mem, GPUs and
 	// GPUSum.
-	build := func(cpu entry, hasMode byte) []byte {
+	// buildCPU takes the whole CPU profile; build ends it with a zero
+	// Summary, nil Modes, a zero HighMode and the cell byte.
+	buildCPU := func(cpu entry) []byte {
 		e := entry(nil).word(0, 0, 0, 0) // empty name, three scalars
 		e = e.floats(1, 2).word(inlineGrid).floats(2, 4).rest(0)
-		e = append(e, cpu...).rest(hasMode)
+		e = append(e, cpu...)
 		e = e.word(nilCount, inlineGrid, nilCount).rest(0) // Mem
 		e = e.word(nilCount)                               // GPUs
 		return e.word(nilCount, inlineGrid, nilCount).rest(0)
 	}
-	if _, err := DecodeJobProfile(build(entry(nil).floats(3, 4).word(1), 0)); err != nil {
-		t.Fatalf("hand-built entry rejected: %v", err)
+	build := func(cpu entry, cell byte) []byte { return buildCPU(cpu.rest(cell)) }
+	for _, cell := range []byte{cellNoMode, cellMode, cellLazy} {
+		if _, err := DecodeJobProfile(build(entry(nil).floats(3, 4).word(1), cell)); err != nil {
+			t.Fatalf("hand-built entry with cell byte %d rejected: %v", cell, err)
+		}
+	}
+	summary := make([]uint64, 8)
+	lazyWith := func(modes uint64, highX float64) []byte {
+		cpu := entry(nil).floats(3, 4).word(1).word(summary...).word(modes)
+		for i := uint64(1); i < modes; i++ {
+			cpu = cpu.word(1, 2, 3)
+		}
+		return buildCPU(append(cpu.word(math.Float64bits(highX), 0, 0), cellLazy))
+	}
+	if _, err := DecodeJobProfile(lazyWith(nilCount, 0)); err != nil {
+		t.Fatalf("hand-built lazy cell rejected: %v", err)
 	}
 	cases := map[string][]byte{
 		"self reference":       build(entry(nil).floats(3, 4).word(2), 0),
@@ -469,7 +524,13 @@ func TestProfileCodecRejectsCorruption(t *testing.T) {
 		"reference overflow":   build(entry(nil).floats(3, 4).word(math.MaxUint64), 0),
 		"reference, 1 value":   build(entry(nil).floats(3).word(1), 0),
 		"reference, no values": build(entry(nil).floats().word(1), 0),
-		"has-mode byte":        build(entry(nil).floats(3, 4).word(1), 2),
+		"cell byte":            build(entry(nil).floats(3, 4).word(1), 3),
+		"lazy, a mode":         lazyWith(2, 0),
+		"lazy, empty modes":    lazyWith(1, 0),
+		"lazy, high mode":      lazyWith(nilCount, 1),
+		"lazy, -0 high mode":   lazyWith(nilCount, math.Copysign(0, -1)),
+		"lazy, empty values":   build(entry(nil).floats().word(inlineGrid, nilCount), 2),
+		"lazy, nil values":     build(entry(nil).word(nilCount, inlineGrid, nilCount), 2),
 		"huge values length":   entry(nil).word(0, 0, 0, 0, math.MaxUint64),
 		"huge name length":     entry(nil).word(math.MaxUint64 - 7),
 		"huge gpu count":       entry(build(nil, 0)[:4*wordBytes+3*minProfileBytes]).word(math.MaxUint64 / 2),
@@ -500,9 +561,9 @@ func (e entry) floats(xs ...float64) entry {
 }
 
 // rest ends a profile: a zero Summary, nil Modes, a zero HighMode and
-// the HasMode byte.
-func (e entry) rest(hasMode byte) entry {
-	return append(e.word(make([]uint64, 8+1+3)...), hasMode)
+// the cell byte.
+func (e entry) rest(cell byte) entry {
+	return append(e.word(make([]uint64, 8+1+3)...), cell)
 }
 
 // FuzzProfileDecode feeds arbitrary bytes to the decoder, seeded with
@@ -510,7 +571,8 @@ func (e entry) rest(hasMode byte) entry {
 // decoder must not panic, must not allocate out of proportion to its
 // input, and any value it accepts must survive a re-encode bit for bit.
 // The real seed is a short run (three samples a series, ~1.4 kB), so
-// minimizing an interesting input stays quick.
+// minimizing an interesting input stays quick; it is encoded unread,
+// every cell lazy, and once more after every mode was read.
 func FuzzProfileDecode(f *testing.F) {
 	b, err := workloads.SiliconBenchmark(64, method.DFTRMM)
 	if err != nil {
@@ -532,6 +594,8 @@ func FuzzProfileDecode(f *testing.F) {
 	for _, jp := range syntheticProfiles() {
 		f.Add(AppendJobProfile(nil, jp))
 	}
+	view(jp)
+	f.Add(AppendJobProfile(nil, jp))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"vasppower/internal/hw/node"
 	"vasppower/internal/hw/platform"
@@ -74,19 +75,24 @@ func (p Profile) HighMode() (m stats.Mode, ok bool) {
 // stats.NewKDE with Silverman's bandwidth on a 512-point grid, which
 // stats.DescribeKDE documents as bit-identical to its own, so the
 // modes do not depend on when, or whether eagerly, they are computed.
-// A decoded profile's cell is built already filled.
+// A decoded profile's cell is built filled when its entry stored the
+// modes, and lazy over the decoded series when it did not.
 type modeCell struct {
 	once   sync.Once
 	values []float64 // the series to estimate; nil once filled
 	modes  []stats.Mode
 	high   stats.Mode
 	has    bool
+	filled atomic.Bool // set once modes, high and has hold the result
 }
 
 // setFilled stores modes read from elsewhere (a cache entry) in c and
 // marks it filled, so it never runs the KDE.
 func (c *modeCell) setFilled(modes []stats.Mode, high stats.Mode, has bool) {
-	c.once.Do(func() { c.modes, c.high, c.has = modes, high, has })
+	c.once.Do(func() {
+		c.modes, c.high, c.has = modes, high, has
+		c.filled.Store(true)
+	})
 }
 
 func (c *modeCell) get() *modeCell {
@@ -100,7 +106,11 @@ func (c *modeCell) fill() {
 		c.high, c.has = c.modes[len(c.modes)-1], true
 	}
 	c.values = nil
+	c.filled.Store(true)
 }
+
+// isFilled reports whether c holds its modes, without computing them.
+func (c *modeCell) isFilled() bool { return c != nil && c.filled.Load() }
 
 // JobProfile holds per-component profiles of one executed job window.
 type JobProfile struct {
@@ -114,6 +124,24 @@ type JobProfile struct {
 	Mem       Profile
 	GPUs      []Profile // one per device on the node
 	GPUSum    Profile   // all GPUs combined
+}
+
+// FilledModes counts the series of jp whose modes have been computed
+// (or decoded) so far, without computing any. Reading a mode can only
+// raise it.
+func (jp JobProfile) FilledModes() int {
+	n := 0
+	for _, p := range [...]Profile{jp.NodeTotal, jp.CPU, jp.Mem, jp.GPUSum} {
+		if p.modes.isFilled() {
+			n++
+		}
+	}
+	for _, p := range jp.GPUs {
+		if p.modes.isFilled() {
+			n++
+		}
+	}
+	return n
 }
 
 // GPUShareOfNode returns the fraction of mean node power drawn by the

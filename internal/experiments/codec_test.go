@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"reflect"
-	"sync"
 	"testing"
 
 	"vasppower/internal/core"
@@ -13,43 +12,10 @@ import (
 	"vasppower/internal/workloads"
 )
 
-// recordingStore is a memory-backed memo.Store that keeps every Put.
-type recordingStore struct {
-	mu   sync.Mutex
-	data map[string][]byte
-}
-
-func (s *recordingStore) Get(key string) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d, ok := s.data[key]
-	return d, ok
-}
-
-func (s *recordingStore) Put(key string, data []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.data[key] = data
-}
-
-func (s *recordingStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.data)
-}
-
-// TestProfileCodecRoundTripsQuickRun runs every -quick runner cold
-// with the disk tier's codec behind a recording store, then checks
-// each profile the run computed: its stored bytes decode to the value
-// the memory tier holds, and re-encode to the same bytes (so every
-// float keeps its bits).
-func TestProfileCodecRoundTripsQuickRun(t *testing.T) {
-	st := &recordingStore{data: map[string][]byte{}}
-	env := newEnv()
-	env.cache.SetStore(st, profileCodec())
-
-	cfg := Config{Seed: 2024, Quick: true, Env: env}
-	runners := map[string]func() error{
+// quickRunners are the -quick runners on cfg, by the name powerstudy's
+// -only selects them with.
+func quickRunners(cfg Config) map[string]func() error {
+	return map[string]func() error{
 		"table1":   func() error { _, err := RunTableI(cfg); return err },
 		"fig1":     func() error { _, err := RunFig1(cfg); return err },
 		"fig2":     func() error { _, err := RunFig2(cfg); return err },
@@ -70,36 +36,54 @@ func TestProfileCodecRoundTripsQuickRun(t *testing.T) {
 		"extf":     func() error { _, err := RunExtF(cfg); return err },
 		"extg":     func() error { _, err := RunExtG(cfg); return err },
 	}
-	for name, run := range runners {
+}
+
+// TestProfileCodecRoundTripsQuickRun runs every -quick runner cold
+// through an Env with a disk tier and flushes it, then checks each
+// profile the run computed: its stored bytes decode to the value the
+// memory tier holds, and re-encode to the same bytes (so every float
+// keeps its bits).
+func TestProfileCodecRoundTripsQuickRun(t *testing.T) {
+	env, err := NewEnv(EnvOptions{CacheDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, run := range quickRunners(Config{Seed: 2024, Quick: true, Env: env}) {
 		if err := run(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
+	env.Flush()
 
-	if st.Len() == 0 || st.Len() != env.cache.Len() {
-		t.Fatalf("%d profiles stored for %d computed", st.Len(), env.cache.Len())
+	if len(env.led) == 0 || len(env.led) != env.cache.Len() {
+		t.Fatalf("%d profiles led for %d in memory", len(env.led), env.cache.Len())
 	}
-	for key, data := range st.data {
-		want, ok := env.cache.Get(key)
+	for _, l := range env.led {
+		data, ok := env.Store().Get(l.key)
 		if !ok {
-			t.Fatalf("%s: stored but not in the memory tier", key)
+			t.Fatalf("%s: computed but not stored", l.key)
+		}
+		want, ok := env.cache.Get(l.key)
+		if !ok {
+			t.Fatalf("%s: stored but not in the memory tier", l.key)
 		}
 		got, err := core.DecodeJobProfile(data)
 		if err != nil {
-			t.Fatalf("%s: %v", key, err)
+			t.Fatalf("%s: %v", l.key, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: decoded profile differs from the computed one", key)
+			t.Fatalf("%s: decoded profile differs from the computed one", l.key)
 		}
 		if again := core.AppendJobProfile(nil, got); !bytes.Equal(again, data) {
-			t.Fatalf("%s: re-encoding the decoded profile changed the bytes", key)
+			t.Fatalf("%s: re-encoding the decoded profile changed the bytes", l.key)
 		}
 	}
 }
 
 // TestCorruptProfilePayloadRecomputed: an entry whose disk framing is
 // intact but whose codec payload is malformed is quarantined and
-// recomputed, never served.
+// recomputed, never served, and the next Flush stores the recomputed
+// profile in its place.
 func TestCorruptProfilePayloadRecomputed(t *testing.T) {
 	reg := obs.NewRegistry()
 	env, err := NewEnv(EnvOptions{Obs: &obs.Obs{Metrics: reg}, CacheDir: t.TempDir()})
@@ -117,12 +101,12 @@ func TestCorruptProfilePayloadRecomputed(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := core.AppendJobProfile(nil, want)
-	badHasMode := bytes.Clone(good)
-	badHasMode[len(badHasMode)-1] = 7
+	badCell := bytes.Clone(good)
+	badCell[len(badCell)-1] = 7
 	corrupt := map[string][]byte{
 		"truncated":     good[:len(good)-1],
 		"trailing byte": append(bytes.Clone(good), 0),
-		"has-mode byte": badHasMode,
+		"cell byte":     badCell,
 	}
 	for name, payload := range corrupt {
 		env.cache.Reset()
@@ -134,6 +118,10 @@ func TestCorruptProfilePayloadRecomputed(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: served a profile other than the recomputed one", name)
 		}
+		if _, ok := st.Get(key); ok {
+			t.Fatalf("%s: the corrupt entry is still served", name)
+		}
+		env.Flush()
 		if data, ok := st.Get(key); !ok || !bytes.Equal(data, good) {
 			t.Fatalf("%s: the recomputed profile did not replace the corrupt entry", name)
 		}
@@ -223,6 +211,7 @@ func TestNodeResolutionKeys(t *testing.T) {
 				t.Fatalf("order %v: the %s lookup was served a profile with GPUs %v", order, res, jp.GPUs != nil)
 			}
 		}
+		env.Flush()
 		return reg.Snapshot().Counters
 	}
 	for _, order := range [][]string{{"node", "full"}, {"full", "node"}} {

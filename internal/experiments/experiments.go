@@ -8,6 +8,7 @@ package experiments
 import (
 	"context"
 	"strconv"
+	"sync"
 
 	"vasppower/internal/core"
 	"vasppower/internal/hw/platform"
@@ -96,6 +97,9 @@ func (c Config) platform() platform.Platform {
 // from its Env alone, whatever else ran in the process. One Env
 // measures each (benchmark, nodes, cap, repeats, seed) once; when
 // parallel runners race to one key, one computes and the rest wait.
+//
+// The cache reads the disk tier but does not write it: the Env writes
+// behind the run, in Flush, so an entry stores the modes the run read.
 type Env struct {
 	cache *memo.Cache[core.JobProfile]
 	store *diskcache.Store
@@ -105,6 +109,23 @@ type Env struct {
 	// computed measurement. Its capacity, one per CPU, is as many as
 	// can compute at once; an arena returned to a full list is dropped.
 	arenas chan *core.Arena
+
+	// ledMu guards led: with a disk tier, every entry this Env's
+	// lookups led (computed, or decoded from disk), in lead order.
+	ledMu sync.Mutex
+	led   []*ledEntry
+	// flushMu serializes Flush and guards buf and every ledEntry's
+	// stored count.
+	flushMu sync.Mutex
+	buf     []byte
+}
+
+// ledEntry is one entry an Env's lookup led, and how many of its mode
+// cells the disk tier holds filled: -1 until the Env writes it.
+type ledEntry struct {
+	key    string
+	jp     core.JobProfile
+	stored int
 }
 
 // EnvOptions configures NewEnv. The zero value is a memory-only Env
@@ -117,7 +138,8 @@ type EnvOptions struct {
 	// sampled at 1 s.
 	Hub *telemetry.Hub
 	// CacheDir attaches a persistent second tier under this directory
-	// (memory → disk → compute); empty means memory only.
+	// (memory → disk → compute), which Flush writes; empty means memory
+	// only.
 	CacheDir string
 	// CacheMaxBytes bounds CacheDir by LRU eviction (0 = unbounded).
 	CacheMaxBytes int64
@@ -181,6 +203,36 @@ func (e *Env) Obs() *obs.Obs {
 // Store returns the Env's disk tier (nil when it has none).
 func (e *Env) Store() *diskcache.Store { return e.store }
 
+// Flush writes to the disk tier every entry this Env led whose filled
+// mode cells differ from what the tier holds: a computed entry not yet
+// written, a disk entry whose lazy cells this run has since read, and
+// an entry written by an earlier Flush whose cells were read after it.
+// A cell is stored filled only if the run filled it. Flush is a no-op
+// without a disk tier; flushes serialize, and lookups go on meanwhile.
+// Writes are best-effort, as the tier is: a process that exits without
+// flushing leaves only a recomputation for the next one.
+func (e *Env) Flush() {
+	if e.store == nil {
+		return
+	}
+	e.flushMu.Lock()
+	defer e.flushMu.Unlock()
+	e.ledMu.Lock()
+	led := e.led
+	e.ledMu.Unlock()
+	for _, l := range led {
+		// Count before encoding: a cell filled in between is written
+		// filled and counted on the next Flush, never the reverse.
+		filled := l.jp.FilledModes()
+		if filled == l.stored {
+			continue
+		}
+		e.buf = core.AppendJobProfile(e.buf[:0], l.jp)
+		e.store.Put(l.key, e.buf)
+		l.stored = filled
+	}
+}
+
 // Sampler returns the Env's telemetry sampler, for runs made outside
 // the cache (nil for a nil Env or none).
 func (e *Env) Sampler() *telemetry.Sampler {
@@ -206,15 +258,14 @@ var defaultEnv = newEnv()
 // platform name, benchmark size parameters, nodes, repeats, cap, and
 // seed at full precision, so ordinary configuration changes need no
 // bump.
-const CacheEpoch = "jobprofile-bin-v1"
+const CacheEpoch = "jobprofile-bin-v2"
 
-// profileCodec translates JobProfiles for the byte-level disk tier.
-// The encoding keeps every float's bits, which is what makes a warm
-// run's rendered output byte-identical to the cold run that populated
-// the cache.
+// profileCodec reads JobProfiles from the byte-level disk tier (Flush
+// writes them with core.AppendJobProfile). The encoding keeps every
+// float's bits, which is what makes a warm run's rendered output
+// byte-identical to the cold run that populated the cache.
 func profileCodec() memo.Codec[core.JobProfile] {
-	encode := func(jp core.JobProfile) ([]byte, error) { return core.AppendJobProfile(nil, jp), nil }
-	return memo.Codec[core.JobProfile]{Encode: encode, Decode: core.DecodeJobProfile}
+	return memo.Codec[core.JobProfile]{Decode: core.DecodeJobProfile}
 }
 
 // appendMeasureKey appends the cache key of one measurement. It
@@ -391,17 +442,31 @@ func (e *Env) MeasureGroup(spec core.MeasureSpec, caps []float64) ([]core.JobPro
 
 // lookup is the one keyed lookup behind every cached measurement:
 // memory, then disk, then compute, under key, in a "measure" span that
-// records spec, the profile's resolution ("full" or "node") and whether
-// either tier served it.
+// records the key, spec, the profile's resolution ("full" or "node")
+// and whether either tier served it. With a disk tier, it records each
+// entry it leads for Flush.
 func (e *Env) lookup(key string, spec core.MeasureSpec, resolution string, compute func() (core.JobProfile, error)) (core.JobProfile, error) {
 	sp := e.obs.Span("measure")
 	computed := false
-	jp, err := e.cache.Do(context.Background(), key, func() (core.JobProfile, error) {
+	jp, how, err := e.cache.Flight(context.Background(), key, func() (core.JobProfile, error) {
 		computed = true
 		return compute()
 	})
+	if how == memo.Led && err == nil && e.store != nil {
+		// A disk entry holds filled the cells it decodes filled. A
+		// caller that joined this flight may fill one before the count
+		// is taken; that cell is then not written back, which costs the
+		// next run one KDE.
+		stored := -1
+		if !computed {
+			stored = jp.FilledModes()
+		}
+		e.ledMu.Lock()
+		e.led = append(e.led, &ledEntry{key: key, jp: jp, stored: stored})
+		e.ledMu.Unlock()
+	}
 	if sp != nil {
-		sp.Set("bench", spec.Bench.Name).Set("platform", platform.OrDefault(spec.Platform).Name).
+		sp.Set("key", key).Set("bench", spec.Bench.Name).Set("platform", platform.OrDefault(spec.Platform).Name).
 			Set("nodes", spec.Nodes).Set("repeats", spec.Repeats).Set("cap_w", spec.CapW).
 			Set("resolution", resolution).Set("cache_hit", !computed).Set("error", err != nil)
 		sp.End()

@@ -363,15 +363,13 @@ func TestMetricsCounters(t *testing.T) {
 // TestConcurrentWarmSameKey is the tentpole's concurrency contract:
 // two goroutines warming the same key through a memo.Cache backed by
 // the disk tier share one computation (singleflight spans both tiers),
-// and a second cache — a fresh process — then serves the key from disk
-// without computing at all.
+// the caller that led it writes the value behind, as experiments.Env
+// does, and a second cache — a fresh process — then serves the key
+// from disk without computing at all.
 func TestConcurrentWarmSameKey(t *testing.T) {
 	dir := t.TempDir()
 	st := mustOpen(t, Options{Dir: dir, Epoch: "e"})
-	codec := memo.Codec[string]{
-		Encode: func(s string) ([]byte, error) { return []byte(s), nil },
-		Decode: func(b []byte) (string, error) { return string(b), nil },
-	}
+	codec := memo.Codec[string]{Decode: func(b []byte) (string, error) { return string(b), nil }}
 
 	c1 := memo.New[string]()
 	c1.SetStore(st, codec)
@@ -381,12 +379,17 @@ func TestConcurrentWarmSameKey(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, err := c1.Do(context.Background(), "shared", func() (string, error) {
+			computed := false
+			v, how, err := c1.Flight(context.Background(), "shared", func() (string, error) {
 				computes.Add(1)
+				computed = true
 				return "value", nil
 			})
 			if err != nil || v != "value" {
 				t.Errorf("Do = %q, %v", v, err)
+			}
+			if how == memo.Led && computed {
+				st.Put("shared", []byte(v))
 			}
 		}()
 	}
@@ -398,7 +401,7 @@ func TestConcurrentWarmSameKey(t *testing.T) {
 	// Fresh memory tier, same directory: disk serves, compute never runs.
 	c2 := memo.New[string]()
 	c2.SetStore(mustOpen(t, Options{Dir: dir, Epoch: "e"}), codec)
-	v, err := c2.Do(context.Background(), "shared", func() (string, error) {
+	v, _, err := c2.Flight(context.Background(), "shared", func() (string, error) {
 		t.Error("compute ran despite a warm disk entry")
 		return "", nil
 	})

@@ -25,12 +25,12 @@ import (
 // any plausible worker count.
 const shardCount = 32
 
-// Metrics is the cache's observability hook. Every Do call counts one
+// Metrics is the cache's observability hook. Every Flight call counts one
 // Lookup and exactly one of Hits or Misses (so hits+misses == lookups
 // always holds); Dedups counts the subset of hits that arrived while
 // the flight was still computing, and WaitMS records how long those
 // deduplicated callers blocked. A nil *Metrics (the default) costs one
-// atomic pointer load per Do.
+// atomic pointer load per Flight.
 type Metrics struct {
 	Lookups *obs.Counter
 	Hits    *obs.Counter
@@ -56,9 +56,9 @@ func NewMetrics(reg *obs.Registry, prefix string) *Metrics {
 }
 
 // Cache is a sharded singleflight memoization cache, optionally backed
-// by a persistent second tier (SetStore): lookups go memory → store →
-// compute, with computed values written back down. The zero value is
-// not usable; call New or NewBounded.
+// by a persistent second tier (SetStore) that it reads through but never
+// writes: lookups go memory → store → compute. The zero value is not
+// usable; call New or NewBounded.
 type Cache[V any] struct {
 	shards      [shardCount]shard[V]
 	maxPerShard int // 0 = unbounded
@@ -100,7 +100,7 @@ func NewBounded[V any](maxEntries int) *Cache[V] {
 }
 
 // Instrument attaches (or, with nil, detaches) metrics. Counting
-// starts with the next Do; in-flight calls keep the recorder they
+// starts with the next Flight; in-flight calls keep the recorder they
 // loaded at entry.
 func (c *Cache[V]) Instrument(m *Metrics) { c.metrics.Store(m) }
 
@@ -141,30 +141,27 @@ func (m *Metrics) count(how How) {
 	}
 }
 
-// Do returns the cached value for key, computing it with compute on
-// the first call. Concurrent calls for the same key share one
-// computation: exactly one caller runs compute, the rest block until
-// it finishes (or their context is canceled) and receive the same
-// result. Failed computations are not cached — the error is delivered
-// to every caller of that flight, and the next call retries — matching
-// the retry semantics of the serial cache this replaces.
+// Flight returns the cached value for key, computing it with compute
+// on the first call, and reports how it was obtained: Led by the caller
+// that claimed the key, Joined by callers that waited on its
+// computation, Found by callers arriving after it completed. Concurrent
+// calls for the same key share one computation: exactly one caller runs
+// compute, the rest block until it finishes (or their context is
+// canceled) and receive the same result. ctx bounds only a Joined
+// caller's wait; the leader runs compute to completion so waiters
+// always get a result. Failed computations are not cached — the error
+// is delivered to every caller of that flight, and the next call
+// retries — matching the retry semantics of the serial cache this
+// replaces.
 //
 // With a backing store attached (SetStore), a memory miss first
 // consults the store; a store hit skips compute entirely and is
-// promoted into the memory tier, and a computed value is written back
-// to the store. Singleflight covers both tiers: the per-key flight is
-// claimed before the store is consulted, so concurrent misses share
-// one store read or one computation, never both.
-func (c *Cache[V]) Do(ctx context.Context, key string, compute func() (V, error)) (V, error) {
-	v, _, err := c.Flight(ctx, key, compute)
-	return v, err
-}
-
-// Flight is Do that also reports how the value was obtained: Led by
-// the caller that claimed the key, Joined by callers that waited on
-// its computation, Found by callers arriving after it completed. ctx
-// bounds only a Joined caller's wait; the leader runs compute to
-// completion so waiters always get a result.
+// promoted into the memory tier. A computed value stays in memory: the
+// Cache never writes the store. Singleflight covers both tiers: the
+// per-key flight is claimed before the store is consulted, so
+// concurrent misses share one store read or one computation, never
+// both. A Led caller that ran compute knows the value is not in the
+// store.
 func (c *Cache[V]) Flight(ctx context.Context, key string, compute func() (V, error)) (V, How, error) {
 	m := c.metrics.Load()
 	s := c.shard(key)
@@ -202,9 +199,6 @@ func (c *Cache[V]) Flight(ctx context.Context, key string, compute func() (V, er
 		e.val = v
 	} else {
 		e.val, e.err = compute()
-		if e.err == nil {
-			c.storePut(key, e.val)
-		}
 	}
 	if e.err != nil {
 		s.mu.Lock()
@@ -256,10 +250,9 @@ func (c *Cache[V]) Len() int {
 }
 
 // Reset drops every cached entry in the memory tier only — a backing
-// store keeps its entries, so the next Do on a previously computed key
-// is a store hit, not a recomputation. In-flight computations complete and deliver their result to
-// waiters but are not re-cached in memory (their store write-back
-// still lands).
+// store keeps its entries, so the next Flight on a key the store holds is
+// a store hit, not a recomputation. In-flight computations complete
+// and deliver their result to waiters but are not re-cached in memory.
 func (c *Cache[V]) Reset() {
 	for i := range c.shards {
 		s := &c.shards[i]

@@ -1,19 +1,18 @@
 package memo
 
 // Store is a byte-level second cache tier behind a Cache: a persistent
-// backing store consulted on memory misses and written back to after
-// computations. Implementations own their durability, integrity
-// checking, and eviction policy (see memo/diskcache); from the Cache's
-// side a Store is best-effort — a Get miss or a dropped Put only costs
-// a recomputation, never correctness.
+// backing store consulted on memory misses. The Cache only reads it;
+// writing computed values down is its owner's job, done when the owner
+// chooses (experiments.Env writes behind the run). Implementations own
+// their durability, integrity checking, and eviction policy (see
+// memo/diskcache); from the Cache's side a Store is best-effort — a Get
+// miss only costs a recomputation, never correctness.
 //
 // Implementations must be safe for concurrent use. Get returns the
 // stored bytes for key, or ok=false when the key is absent (or the
-// entry failed the implementation's integrity checks). Put stores data
-// under key, best-effort.
+// entry failed the implementation's integrity checks).
 type Store interface {
 	Get(key string) (data []byte, ok bool)
-	Put(key string, data []byte)
 }
 
 // CorruptMarker is an optional Store extension: when the Cache's codec
@@ -24,12 +23,10 @@ type CorruptMarker interface {
 	MarkCorrupt(key string)
 }
 
-// Codec converts cached values to and from a Store's byte format. Both
-// functions must be inverses over valid values; Decode must reject
+// Codec converts a Store's bytes to cached values. Decode must reject
 // (with an error) bytes it cannot faithfully decode rather than
 // returning a partial value.
 type Codec[V any] struct {
-	Encode func(V) ([]byte, error)
 	Decode func([]byte) (V, error)
 }
 
@@ -40,14 +37,12 @@ type backing[V any] struct {
 	codec Codec[V]
 }
 
-// SetStore attaches a persistent second tier: Do lookups go
-// memory → store → compute, with computed values encoded and written
-// back to the store, and store hits promoted into the memory tier.
-// Singleflight spans both tiers — concurrent misses on one key share a
-// single store read (or computation). A nil store detaches the tier.
-//
-// Attach at startup: entries computed before the store was attached
-// live only in memory and are not backfilled.
+// SetStore attaches a persistent second tier, read-through only: Flight
+// lookups go memory → store → compute, and store hits are promoted into
+// the memory tier. Computed values are not written to the store; its
+// owner does that. Singleflight spans both tiers — concurrent misses on
+// one key share a single store read (or computation). A nil store
+// detaches the tier.
 func (c *Cache[V]) SetStore(st Store, codec Codec[V]) {
 	if st == nil {
 		c.backing.Store(nil)
@@ -77,19 +72,4 @@ func (c *Cache[V]) storeGet(key string) (V, bool) {
 		return zero, false
 	}
 	return v, true
-}
-
-// storePut writes a computed value down to the backing store,
-// best-effort: encode failures drop the write (the value still serves
-// from memory).
-func (c *Cache[V]) storePut(key string, v V) {
-	b := c.backing.Load()
-	if b == nil {
-		return
-	}
-	data, err := b.codec.Encode(v)
-	if err != nil {
-		return
-	}
-	b.store.Put(key, data)
 }

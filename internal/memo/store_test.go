@@ -52,10 +52,7 @@ func (f *fakeStore) MarkCorrupt(key string) {
 }
 
 func intCodec() Codec[int] {
-	return Codec[int]{
-		Encode: func(v int) ([]byte, error) { return []byte(strconv.Itoa(v)), nil },
-		Decode: func(b []byte) (int, error) { return strconv.Atoi(string(b)) },
-	}
+	return Codec[int]{Decode: func(b []byte) (int, error) { return strconv.Atoi(string(b)) }}
 }
 
 func noCompute(t *testing.T) func() (int, error) {
@@ -67,21 +64,23 @@ func noCompute(t *testing.T) func() (int, error) {
 }
 
 // TestTierOrder pins the lookup path: memory → store → compute, with
-// write-back on compute and promotion on store hits.
+// promotion on store hits and no write on compute — writing is the
+// store's owner's job, which the test does by hand.
 func TestTierOrder(t *testing.T) {
 	ctx := context.Background()
 	st := newFakeStore()
 	c := New[int]()
 	c.SetStore(st, intCodec())
 
-	// Cold: both tiers miss, compute runs, value written back to store.
+	// Cold: both tiers miss, compute runs, and the store is not written.
 	v, err := c.Do(ctx, "k", func() (int, error) { return 41, nil })
 	if v != 41 || err != nil {
 		t.Fatalf("cold Do = %d, %v", v, err)
 	}
-	if st.gets != 1 || st.puts != 1 {
-		t.Fatalf("cold gets/puts = %d/%d, want 1/1", st.gets, st.puts)
+	if st.gets != 1 || st.puts != 0 {
+		t.Fatalf("cold gets/puts = %d/%d, want 1/0", st.gets, st.puts)
 	}
+	st.Put("k", []byte("41")) // the owner writes behind
 
 	// Memory hit: the store is not consulted.
 	if v, _ := c.Do(ctx, "k", noCompute(t)); v != 41 {
@@ -105,10 +104,14 @@ func TestTierOrder(t *testing.T) {
 	if st.gets != gets {
 		t.Fatal("store consulted again after promotion into memory")
 	}
+	if st.puts != 1 {
+		t.Fatalf("the cache wrote the store: puts = %d, want the owner's 1", st.puts)
+	}
 }
 
-// TestComputeErrorNotWrittenBack: failed computations stay out of both
-// tiers, preserving the retry semantics.
+// TestComputeErrorNotWrittenBack: the cache writes no computation to
+// the store, failed or not, and a failed one stays out of memory too,
+// preserving the retry semantics.
 func TestComputeErrorNotWrittenBack(t *testing.T) {
 	ctx := context.Background()
 	st := newFakeStore()
@@ -121,12 +124,12 @@ func TestComputeErrorNotWrittenBack(t *testing.T) {
 	if st.puts != 0 || st.Len() != 0 {
 		t.Fatalf("failed computation written back (puts=%d len=%d)", st.puts, st.Len())
 	}
-	// The retry computes again and this time persists.
+	// The retry computes again; it too stays out of the store.
 	if v, err := c.Do(ctx, "k", func() (int, error) { return 7, nil }); v != 7 || err != nil {
 		t.Fatalf("retry Do = %d, %v", v, err)
 	}
-	if st.Len() != 1 {
-		t.Fatal("successful retry not written back")
+	if st.puts != 0 || st.Len() != 0 {
+		t.Fatalf("computation written back (puts=%d len=%d)", st.puts, st.Len())
 	}
 }
 
@@ -146,9 +149,10 @@ func TestDecodeFailureQuarantinesAndRecomputes(t *testing.T) {
 	if len(st.corrupts) != 1 || st.corrupts[0] != "k" {
 		t.Fatalf("MarkCorrupt calls = %v, want [k]", st.corrupts)
 	}
-	// The recomputed value replaced the corrupt bytes.
-	if string(st.data["k"]) != "5" {
-		t.Fatalf("store holds %q after recompute", st.data["k"])
+	// The corrupt bytes are gone and the recomputed value is the
+	// owner's to write.
+	if d, ok := st.data["k"]; ok || st.puts != 0 {
+		t.Fatalf("store holds %q (puts %d) after recompute", d, st.puts)
 	}
 }
 
@@ -160,6 +164,7 @@ func TestResetSemantics(t *testing.T) {
 	c := New[int]()
 	c.SetStore(st, intCodec())
 	c.Do(ctx, "k", func() (int, error) { return 1, nil })
+	st.Put("k", []byte("1")) // the owner writes behind
 	if c.Len() != 1 || c.StoreLen() != 1 {
 		t.Fatalf("Len/StoreLen = %d/%d", c.Len(), c.StoreLen())
 	}
@@ -178,7 +183,7 @@ func TestResetSemantics(t *testing.T) {
 }
 
 // TestSetStoreNilDetaches: after detaching, lookups no longer consult
-// or write the store, and StoreLen reports 0.
+// the store, and StoreLen reports 0.
 func TestSetStoreNilDetaches(t *testing.T) {
 	ctx := context.Background()
 	st := newFakeStore()

@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -73,6 +74,64 @@ func TestProgramOutputsGolden(t *testing.T) {
 					}
 				}
 				t.Fatalf("output diverged from %s: %d lines vs %d", path, len(gl), len(wl))
+			}
+		})
+	}
+}
+
+// flushCases are the commands that build a run environment, each run
+// with -cache-dir. Table I measures nothing, so powerstudy runs fig3.
+var flushCases = []struct {
+	name string
+	args []string
+}{
+	{"powerstudy", []string{"-quick", "-only", "fig3"}},
+	{"minivasp", []string{"-bench", "PdO2"}},
+	{"omniquery", nil},
+	{"calibrate", nil},
+	{"pmsched", []string{"-jobs", "8"}},
+}
+
+// timingLine is powerstudy's wall-clock figure, the one part of its
+// output that differs between identical runs.
+var timingLine = regexp.MustCompile(`regenerated in [0-9]+\.[0-9]+s`)
+
+// TestCommandsFlushCache: every command that measures through a cache
+// directory writes its entries there before it exits, and a second run
+// over the directory prints the same stdout.
+func TestCommandsFlushCache(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds five programs")
+	}
+	bin := t.TempDir()
+	build := exec.Command("go", "build", "-buildvcs=false", "-o", bin+string(filepath.Separator),
+		"./cmd/powerstudy", "./cmd/minivasp", "./cmd/omniquery", "./cmd/calibrate", "./cmd/pmsched")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, c := range flushCases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			run := func() string {
+				t.Helper()
+				var stdout, stderr bytes.Buffer
+				cmd := exec.Command(filepath.Join(bin, c.name), append(c.args, "-cache-dir", dir)...)
+				cmd.Stdout, cmd.Stderr = &stdout, &stderr
+				if err := cmd.Run(); err != nil {
+					t.Fatalf("%v\n%s", err, stderr.Bytes())
+				}
+				return timingLine.ReplaceAllString(stdout.String(), "regenerated in _s")
+			}
+			cold := run()
+			entries, err := filepath.Glob(filepath.Join(dir, "*", "*.cache"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) == 0 {
+				t.Fatal("no cache entry written")
+			}
+			if warm := run(); warm != cold {
+				t.Fatalf("the run over the filled directory printed other output:\n%s\nwant:\n%s", warm, cold)
 			}
 		})
 	}
