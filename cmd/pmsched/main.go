@@ -96,6 +96,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "pmsched:", err)
 		return 2
 	}
+	if *jobsN < 0 {
+		fmt.Fprintf(stderr, "pmsched: -jobs %d must be >= 0\n", *jobsN)
+		return 2
+	}
 	schedule, err := parseEnvelope(*envelope)
 	if err != nil {
 		fmt.Fprintln(stderr, "pmsched:", err)

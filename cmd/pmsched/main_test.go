@@ -17,10 +17,12 @@ import (
 // golden is the one that pins packing under contention. The
 // policies run concurrently and share the process-wide measurement
 // cache, so under -race this is also the concurrency check of that
-// path. job0000–job9999 sort by ID in arrival order; from job10000 on
-// they do not ("job10000" < "job2000"), so only the 20,000-job run
-// orders outcomes by a real permutation. Regenerate after an
-// intentional change with:
+// path. The simulations write each outcome at the mix's rank for its
+// job. job0000–job9999 rank in arrival order; from job10000 on they do
+// not ("job10000" < "job2000"), so only the 20,000-job run's ranks
+// are a real permutation (a merge of the 4- and 5-digit IDs), and it
+// is the golden that pins the sums over that order. Regenerate after
+// an intentional change with:
 //
 //	go run ./cmd/pmsched > cmd/pmsched/testdata/default.golden
 //	go run ./cmd/pmsched -preset facility -jobs 5000 > cmd/pmsched/testdata/facility-5000.golden
@@ -90,6 +92,7 @@ func TestUsageErrors(t *testing.T) {
 		{"-preset", "campus"},
 		{"-envelope", "3600"},
 		{"-no-such-flag"},
+		{"-jobs", "-5"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 {
@@ -102,17 +105,30 @@ func TestUsageErrors(t *testing.T) {
 }
 
 // TestSimulationError pins the failure path of the concurrent policy
-// loop: a mix the cluster cannot hold (2-node jobs on one node) exits
-// 1 with the simulation's error and prints no table.
+// loop: a run the simulator rejects exits 1 with the simulation's
+// error and prints no table. The cases are a mix the cluster cannot
+// hold (2-node jobs on one node), arrivals that are not finite (a NaN
+// mean inter-arrival) and a NaN or negative budget.
 func TestSimulationError(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-nodes", "1", "-jobs", "40"}, &stdout, &stderr); code != 1 {
-		t.Fatalf("exit %d, want 1 (stderr %q)", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "needs 2 nodes, cluster has 1") {
-		t.Fatalf("stderr %q does not carry the simulation error", stderr.String())
-	}
-	if strings.Contains(stdout.String(), "policy") {
-		t.Fatalf("table printed despite the failure:\n%s", stdout.String())
+	for _, tc := range []struct {
+		args []string
+		frag string
+	}{
+		{[]string{"-nodes", "1", "-jobs", "40"}, "needs 2 nodes, cluster has 1"},
+		{[]string{"-arrival", "NaN", "-jobs", "3"}, "sched: job job0000 with non-finite arrival NaN"},
+		{[]string{"-budget-kw", "NaN", "-jobs", "3"}, "sched: invalid budget NaN"},
+		{[]string{"-budget-kw", "-1", "-jobs", "3"}, "sched: invalid budget -1000"},
+	} {
+		name := strings.Join(tc.args, " ")
+		var stdout, stderr bytes.Buffer
+		if code := run(tc.args, &stdout, &stderr); code != 1 {
+			t.Fatalf("%s: exit %d, want 1 (stderr %q)", name, code, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), tc.frag) {
+			t.Fatalf("%s: stderr %q does not carry the simulation error %q", name, stderr.String(), tc.frag)
+		}
+		if strings.Contains(stdout.String(), "policy") {
+			t.Fatalf("%s: table printed despite the failure:\n%s", name, stdout.String())
+		}
 	}
 }

@@ -329,6 +329,72 @@ func TestSimulateStreamMatchesSlice(t *testing.T) {
 	}
 }
 
+// TestRankedStreamMatchesSliceAtScale pins the ranked result path
+// where the ID order is a real permutation: at 12,000 jobs (IDs past
+// job9999 sort between earlier ones), SimulateStream over a mix, which
+// writes each outcome at its rank, equals Simulate over the same jobs
+// as a slice, which sorts, bit for bit — with no drops and with a
+// benchmark whose jobs are all dropped — and the outcomes end at their
+// capacity either way.
+func TestRankedStreamMatchesSliceAtScale(t *testing.T) {
+	const n, mean, seed = 12000, 0.4, 2024
+	jobs := SyntheticJobMix(n, mean, seed)
+	for _, drops := range []bool{false, true} {
+		cfg := func() SimConfig {
+			cat := fakeCatalog(1)
+			if drops {
+				var calls int
+				cat.SetMeasure(failOn("CuC_vdw", &calls))
+			}
+			c := simCfg(DefaultProfileAware(), 0, cat)
+			c.ClusterNodes, c.BudgetW, c.JitterSeed = 1800, 1800*1100, 42
+			return c
+		}
+		want, err := Simulate(cfg(), jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := SimulateStream(cfg(), SyntheticJobStream(n, mean, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (got.Dropped > 0) != drops || got.Completed+got.Dropped != n {
+			t.Fatalf("drops=%v: %d completed, %d dropped of %d", drops, got.Completed, got.Dropped, n)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("drops=%v: ranked stream result diverged from the sorted slice result", drops)
+		}
+		if cap(got.Outcomes) != len(got.Outcomes) {
+			t.Fatalf("drops=%v: outcomes cap %d > len %d", drops, cap(got.Outcomes), len(got.Outcomes))
+		}
+	}
+}
+
+// TestMovedMixCursorSorts pins the fallback for a MixStream that has
+// been read from: the mix's ranks number the whole mix, so the rest of
+// it is simulated on the sorting path, exactly as the same jobs as a
+// slice.
+func TestMovedMixCursorSorts(t *testing.T) {
+	const n, mean, seed = 10500, 0.4, 7
+	src := SyntheticJobStream(n, mean, seed)
+	for range 3 {
+		src.Next()
+	}
+	cfg := simCfg(DefaultProfileAware(), 0, fakeCatalog(1))
+	cfg.ClusterNodes = 1800
+	got, err := SimulateStream(cfg, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Simulate(cfg, SyntheticJobMix(n, mean, seed)[3:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Completed != n-3 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("moved cursor: %d completed, result equal to the slice's: %v", got.Completed, reflect.DeepEqual(got, want))
+	}
+}
+
 // TestSyntheticStreamMatchesMix pins that the lazy generator and the
 // materialized mix are one generator: draining the stream yields
 // exactly the slice.

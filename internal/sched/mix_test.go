@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -114,6 +115,58 @@ func TestSharedMixConcurrentPolicies(t *testing.T) {
 		}
 		if got[i].Completed != n {
 			t.Fatalf("%s: completed %d of %d", p.Name(), got[i].Completed, n)
+		}
+	}
+}
+
+// TestMixRankMatchesIDSort pins the mix's ranks against a sort: the
+// jobs ordered by rank are the jobs stably sorted by ID, for sizes on
+// both sides of the 4→5 and 5→6 digit ID widths (below job10000 the
+// order is the identity; from there on it is a real permutation), and
+// for a draw table whose skipped draws leave gaps in the IDs.
+func TestMixRankMatchesIDSort(t *testing.T) {
+	withMissing := resolveMix([]mixEntry{
+		{name: "PdO2", weight: 0.5, nodes: []int{1, 2}},
+		{name: "no-such-benchmark", weight: 0.2, nodes: []int{1}},
+		{name: "Si128_acfdtr", weight: 0.3, nodes: []int{2}},
+	})
+	for _, tc := range []struct {
+		mix []mixEntry
+		n   int
+	}{
+		{mixSuite, 0}, {mixSuite, 1}, {mixSuite, 9999}, {mixSuite, 10000},
+		{mixSuite, 10001}, {mixSuite, 100001}, {withMissing, 12000},
+	} {
+		m := drawMix(tc.mix, tc.n, 5, 7)
+		n := len(m.jobs)
+		if len(m.rank) != n {
+			t.Fatalf("entries=%d/n=%d: %d ranks for %d jobs", len(tc.mix), tc.n, len(m.rank), n)
+		}
+		want := make([]int, n)
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(a, b int) bool { return m.id(want[a]) < m.id(want[b]) })
+		got := make([]int, n)
+		for i := range got {
+			got[i] = -1
+		}
+		for i, r := range m.rank {
+			if r < 0 || int(r) >= n || got[r] >= 0 {
+				t.Fatalf("entries=%d/n=%d: rank %d of job %d is out of range or taken", len(tc.mix), tc.n, r, i)
+			}
+			got[r] = i
+		}
+		if !slices.Equal(got, want) {
+			p := 0
+			for got[p] == want[p] {
+				p++
+			}
+			t.Fatalf("entries=%d/n=%d: position %d holds %s, the ID sort puts %s there",
+				len(tc.mix), tc.n, p, m.id(got[p]), m.id(want[p]))
+		}
+		if !tc.mix[1].ok && n >= tc.n {
+			t.Fatalf("entries=%d/n=%d: no draw skipped; the case needs gaps in the IDs", len(tc.mix), tc.n)
 		}
 	}
 }

@@ -16,6 +16,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"vasppower/internal/dft/method"
@@ -166,6 +167,9 @@ func validateJob(id string, nodes int, arrival float64) error {
 	}
 	if arrival < 0 {
 		return fmt.Errorf("sched: job %s with negative arrival", id)
+	}
+	if math.IsNaN(arrival) || math.IsInf(arrival, 0) {
+		return fmt.Errorf("sched: job %s with non-finite arrival %v", id, arrival)
 	}
 	return nil
 }

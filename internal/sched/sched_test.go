@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"vasppower/internal/dft/method"
@@ -62,6 +63,9 @@ func TestJobValidate(t *testing.T) {
 		{ID: "", Bench: b, Nodes: 1},
 		{ID: "j", Bench: b, Nodes: 0},
 		{ID: "j", Bench: b, Nodes: 1, Arrival: -1},
+		{ID: "j", Bench: b, Nodes: 1, Arrival: math.NaN()},
+		{ID: "j", Bench: b, Nodes: 1, Arrival: math.Inf(1)},
+		{ID: "j", Bench: b, Nodes: 1, Arrival: math.Inf(-1)},
 	}
 	for i, j := range bad {
 		if err := j.Validate(); err == nil {

@@ -127,7 +127,9 @@ func Simulate(cfg SimConfig, jobs []Job) (Result, error) {
 // pulled in arrival order instead of materializing up front. Jobs are
 // validated as they are drawn, so an invalid job surfaces only once
 // virtual time reaches its arrival. A *MixStream is read record by
-// record, without a Job per draw.
+// record, without a Job per draw; from the start of its mix, each
+// outcome is written at the rank the mix gives it, so the Result needs
+// no sort.
 func SimulateStream(cfg SimConfig, src JobStream) (Result, error) {
 	if err := validateConfig(cfg); err != nil {
 		return Result{}, err
@@ -144,6 +146,12 @@ func validateConfig(cfg SimConfig) error {
 	}
 	if cfg.Policy == nil || cfg.Catalog == nil {
 		return fmt.Errorf("sched: missing policy or catalog")
+	}
+	if math.IsNaN(cfg.BudgetW) || cfg.BudgetW < 0 {
+		return fmt.Errorf("sched: invalid budget %v", cfg.BudgetW)
+	}
+	if math.IsNaN(cfg.IdleNodeW) || cfg.IdleNodeW < 0 {
+		return fmt.Errorf("sched: invalid idle node power %v", cfg.IdleNodeW)
 	}
 	prev := math.Inf(-1)
 	for i, ph := range cfg.BudgetSchedule {
@@ -279,16 +287,17 @@ func (a *mixSource) draw(s *simState) (pendingJob, bool, error) {
 // while running) and its queue linkage while waiting. Jobs are
 // addressed by index (arrival sequence) everywhere — no string keys,
 // no per-job closures. The record holds no Job and no outcome: the
-// job's outcome lives at the same index in simState.outs, and until
-// the job starts the outcome's Start holds its arrival, which keeps a
-// record at 8 bytes where the Job alone is 336.
+// job's outcome lives in simState.outs at simState.at(index), and
+// until the job starts the outcome's Start holds its arrival, which
+// keeps a record at 8 bytes where the Job alone is 336.
 type jobRec struct {
 	slot int32 // index into simState.slots
 	next int32 // next index in the same bucket's FIFO, -1 = none
 }
 
-// outKey is the sort key of one completed job: the first eight bytes
-// of its ID, big-endian and zero-padded, and its arrival sequence.
+// outKey is the sort key of one completed job on the sorting path (a
+// source without ranks): the first eight bytes of its ID, big-endian
+// and zero-padded, and its arrival sequence.
 // Comparing prefixes orders IDs exactly as comparing the strings does
 // whenever the prefixes differ; only a tie needs the full strings, and
 // the sequence breaks ties between equal IDs.
@@ -312,7 +321,7 @@ func idPrefix(id string) uint64 {
 // bound once (arriveFn/passFn/envFn/completeFn), so the steady state
 // allocates nothing per job in the loop beyond the amortized growth of
 // recs, outs and keys (a JobStream may allocate each job it yields; a
-// MixStream does not).
+// MixStream does not, and its outs and ranks are sized up front).
 type simState struct {
 	cfg    SimConfig
 	engine *sim.Engine
@@ -321,8 +330,13 @@ type simState struct {
 	lazy   bool // validate jobs as drawn (stream path)
 	m      *Metrics
 
-	recs    []jobRec
-	outs    []JobOutcome    // by job index: ID, Nodes and (as Start) the arrival set at enqueue, the rest at start
+	recs []jobRec
+	// outs holds every job's outcome: ID, Nodes and (as Start) the
+	// arrival set at enqueue, the rest at start. With rank set, job i's
+	// outcome sits at rank[i], its place in ID order; without, at i, in
+	// arrival order, and result sorts.
+	outs    []JobOutcome
+	rank    []int32         // shared read-only with the mix; nil = sort at the end
 	benches []internedBench // intern table
 	slots   []benchSlot     // profile table behind jobRec.slot
 	buckets []bucket
@@ -338,11 +352,11 @@ type simState struct {
 	budgetW   float64
 	phaseIdx  int
 
-	waiting     int
-	started     int
-	droppedIDs  []string
-	droppedSeqs []int32  // dropped jobs' indices, in drop order
-	done        []outKey // completed jobs, in completion order
+	waiting    int
+	started    int
+	droppedIDs []string
+	dropped    []int32  // dropped jobs' indices into outs, in drop order
+	done       []outKey // completed jobs, in completion order (sorting path only)
 
 	passScheduled bool
 	passAt        float64 // the armed pass's time, while passScheduled
@@ -374,12 +388,20 @@ func simulate(cfg SimConfig, src JobStream, lazy bool) (Result, error) {
 	}
 	if c, ok := src.(*MixStream); ok {
 		s.src = newMixSource(c)
+		// The ranks number the whole mix, so they serve a cursor that
+		// has not yet moved; one that has falls back to the sort.
+		if c.i == 0 {
+			s.rank = c.m.rank
+			s.outs = make([]JobOutcome, len(s.rank))
+		}
 	}
 	if h, ok := src.(SizeHinter); ok {
 		if n := h.SizeHint(); n > 0 {
 			s.recs = make([]jobRec, 0, n)
-			s.outs = make([]JobOutcome, 0, n)
-			s.done = make([]outKey, 0, n)
+			if s.rank == nil {
+				s.outs = make([]JobOutcome, 0, n)
+				s.done = make([]outKey, 0, n)
+			}
 		}
 	}
 	s.arriveFn = s.arrive
@@ -491,13 +513,24 @@ func (s *simState) drainArrivals(now float64) {
 	}
 }
 
-// enqueue appends a job's record and outcome and links the record
-// onto its bucket's FIFO.
+// at returns the index in outs of the job at arrival index idx.
+func (s *simState) at(idx int32) int32 {
+	if s.rank != nil {
+		return s.rank[idx]
+	}
+	return idx
+}
+
+// enqueue appends a job's record, writes its outcome where at puts it
+// and links the record onto its bucket's FIFO.
 func (s *simState) enqueue(j *pendingJob) {
 	idx := int32(len(s.recs))
 	slot := s.slotOf(j.bench, j.nodes)
 	s.recs = append(s.recs, jobRec{slot: slot, next: -1})
-	s.outs = append(s.outs, JobOutcome{ID: j.id, Start: j.arrival, Nodes: j.nodes})
+	if s.rank == nil {
+		s.outs = append(s.outs, JobOutcome{})
+	}
+	s.outs[s.at(idx)] = JobOutcome{ID: j.id, Start: j.arrival, Nodes: j.nodes}
 	b := &s.buckets[s.slots[slot].bucket]
 	if b.tail >= 0 {
 		s.recs[b.tail].next = idx
@@ -699,13 +732,14 @@ func (s *simState) pack(now float64) {
 // profiled.
 func (s *simState) startOrDrop(now float64, idx int32, b *bucket) {
 	rec := &s.recs[idx]
-	o := &s.outs[idx]
+	oi := s.at(idx)
+	o := &s.outs[oi]
 	prof, err := s.profile(rec.slot)
 	if err != nil {
 		// Unrunnable configuration: drop the job rather than
 		// deadlocking the queue, and record it in the Result.
 		s.droppedIDs = append(s.droppedIDs, o.ID)
-		s.droppedSeqs = append(s.droppedSeqs, idx)
+		s.dropped = append(s.dropped, oi)
 		if s.m != nil {
 			s.m.JobsDropped.Inc()
 		}
@@ -720,15 +754,15 @@ func (s *simState) startOrDrop(now float64, idx int32, b *bucket) {
 	if s.reservedW > s.peakW {
 		s.peakW = s.reservedW
 	}
-	*o = JobOutcome{
-		ID: o.ID, Class: b.class, CapW: b.capW,
-		Start: now, End: now + rt, Wait: now - o.Start, // Start held the arrival
-		Runtime: rt, PerfLoss: prof.PerfLoss(),
-		EnergyJ:     prof.EnergyJ,
-		PowerW:      float64(o.Nodes) * b.perNodeW,
-		Nodes:       o.Nodes,
-		ActualMeanW: float64(o.Nodes) * prof.MeanNodeW,
-	}
+	// Field by field, not as one literal: ID and Nodes stay, and no
+	// 104-byte temporary is built and copied.
+	o.Class, o.CapW = b.class, b.capW
+	o.Wait = now - o.Start // Start held the arrival
+	o.Start, o.End = now, now+rt
+	o.Runtime, o.PerfLoss = rt, prof.PerfLoss()
+	o.EnergyJ = prof.EnergyJ
+	o.PowerW = float64(o.Nodes) * b.perNodeW
+	o.ActualMeanW = float64(o.Nodes) * prof.MeanNodeW
 	s.started++
 	if s.m != nil {
 		s.m.JobsStarted.Inc()
@@ -740,10 +774,12 @@ func (s *simState) startOrDrop(now float64, idx int32, b *bucket) {
 // job's capacity, record its completion, and arm a pass if anything is
 // waiting for that capacity.
 func (s *simState) complete(idx int) {
-	o := &s.outs[idx]
+	o := &s.outs[s.at(int32(idx))]
 	s.freeNodes += o.Nodes
 	s.reservedW -= s.buckets[s.slots[s.recs[idx].slot].bucket].needW
-	s.done = append(s.done, outKey{prefix: idPrefix(o.ID), seq: int32(idx)})
+	if s.rank == nil {
+		s.done = append(s.done, outKey{prefix: idPrefix(o.ID), seq: int32(idx)})
+	}
 	if s.m != nil {
 		s.m.JobsCompleted.Inc()
 	}
@@ -751,37 +787,34 @@ func (s *simState) complete(idx int) {
 }
 
 // result assembles the Result exactly as the reference loop does
-// (sort by ID, then arrival sequence, and accumulate in that order, so
-// the floating-point sums are bit-identical). It sorts the 16-byte
-// keys, orders the outcome array in place by them and returns its
-// completed prefix, rather than sorting or copying outcomes.
+// (completed jobs by ID, then arrival sequence, and the sums
+// accumulated in that order, so the floating-point sums are
+// bit-identical). outs is put in that order in place and its completed
+// prefix returned: with ranks it already is, and only drops leave gaps
+// to close (closeDropGaps); without, the completions' keys are sorted
+// and outs permuted by them (orderOutcomes).
 func (s *simState) result() Result {
 	res := Result{
 		Policy: s.cfg.Policy.Name(), BudgetW: s.cfg.BudgetW, ClusterNodes: s.cfg.ClusterNodes,
-		Dropped: len(s.droppedSeqs), DroppedIDs: s.droppedIDs,
+		Dropped: len(s.dropped), DroppedIDs: s.droppedIDs,
 	}
 	res.PeakPowerW = s.peakW
-	outs := s.outs
-	slices.SortFunc(s.done, func(a, b outKey) int {
-		if a.prefix != b.prefix {
-			return cmp.Compare(a.prefix, b.prefix)
-		}
-		if c := strings.Compare(outs[a.seq].ID, outs[b.seq].ID); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.seq, b.seq)
-	})
-	var outcomes []JobOutcome
-	if n := len(s.done); n > 0 {
+	if s.rank != nil {
+		s.closeDropGaps()
+	} else {
 		s.orderOutcomes()
-		// Full slice expression: an append to the Result must not
-		// overwrite the dropped jobs' records behind it.
-		outcomes = outs[:n:n]
+	}
+	var outcomes []JobOutcome
+	if n := len(s.outs) - len(s.dropped); n > 0 {
+		// Full slice expression: an append to the Result must
+		// reallocate rather than write into the records behind it.
+		outcomes = s.outs[:n:n]
 	}
 	res.Outcomes = outcomes
 	res.Completed = len(outcomes)
 	var waitSum, lossSum float64
-	for _, o := range outcomes {
+	for i := range outcomes {
+		o := &outcomes[i]
 		res.TotalEnergyJ += o.EnergyJ
 		waitSum += o.Wait
 		res.MaxWait = math.Max(res.MaxWait, o.Wait)
@@ -801,18 +834,52 @@ func (s *simState) result() Result {
 	return res
 }
 
-// orderOutcomes permutes outs in place so that its first len(done)
-// entries are the completed jobs in the order of the sorted keys and
-// the dropped jobs follow in drop order. Every job either completed
-// or was dropped, so the sources — done's sequences, then
-// droppedSeqs — are a permutation of outs' indices; following each of
-// its cycles once moves every outcome once, through one temporary.
-// The source indices are consumed (set to -1) as they are applied.
+// closeDropGaps makes the completed jobs a prefix of the ranked outs,
+// still in ID order: one stable pass moves each completed outcome down
+// over the slots of the jobs dropped before it. The records left
+// behind the prefix are unreachable (Result.Outcomes ends at its
+// capacity), so the dropped ones are not kept there. It sorts
+// s.dropped.
+func (s *simState) closeDropGaps() {
+	if len(s.dropped) == 0 {
+		return
+	}
+	slices.Sort(s.dropped)
+	w, k := int(s.dropped[0]), 0
+	for i := w; i < len(s.outs); i++ {
+		if k < len(s.dropped) && int(s.dropped[k]) == i {
+			k++
+			continue
+		}
+		s.outs[w] = s.outs[i]
+		w++
+	}
+}
+
+// orderOutcomes puts outs in ID order on the sorting path. It sorts
+// the completions' keys (a prefix tie compares the full IDs, an ID tie
+// the sequences) and permutes outs in place so that its first
+// len(done) entries are the completed jobs in that order and the
+// dropped jobs follow in drop order. Every job either completed or was
+// dropped, so the sources — done's sequences, then the dropped
+// indices — are a permutation of outs' indices; following each of its
+// cycles once moves every outcome once, through one temporary. The
+// source indices are consumed (set to -1) as they are applied.
 func (s *simState) orderOutcomes() {
-	for _, seq := range s.droppedSeqs {
+	outs := s.outs
+	slices.SortFunc(s.done, func(a, b outKey) int {
+		if a.prefix != b.prefix {
+			return cmp.Compare(a.prefix, b.prefix)
+		}
+		if c := strings.Compare(outs[a.seq].ID, outs[b.seq].ID); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
+	for _, seq := range s.dropped {
 		s.done = append(s.done, outKey{seq: seq})
 	}
-	outs, src := s.outs, s.done
+	src := s.done
 	for i := range outs {
 		if src[i].seq < 0 {
 			continue // placed by an earlier cycle

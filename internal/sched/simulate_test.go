@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -104,6 +106,44 @@ func TestSimulateValidation(t *testing.T) {
 	big[0].Nodes = 99
 	if _, err := Simulate(simCfg(NoCap{NodeTDP: 2350}, 0, cat), big); err == nil {
 		t.Fatal("oversized job accepted")
+	}
+
+	// A NaN or negative base budget or idle draw fails like a bad
+	// budget phase, instead of running unconstrained.
+	jobs = smallMix(2, 1)
+	for _, tc := range []struct {
+		name         string
+		budget, idle float64
+		frag         string
+	}{
+		{"NaN budget", math.NaN(), 460, "invalid budget NaN"},
+		{"negative budget", -1, 460, "invalid budget -1"},
+		{"NaN idle", 0, math.NaN(), "invalid idle node power NaN"},
+		{"negative idle", 0, -460, "invalid idle node power -460"},
+	} {
+		cfg := simCfg(NoCap{NodeTDP: 2350}, tc.budget, cat)
+		cfg.IdleNodeW = tc.idle
+		if _, err := Simulate(cfg, jobs); err == nil || !strings.Contains(err.Error(), tc.frag) {
+			t.Fatalf("%s: got %v, want an error with %q", tc.name, err, tc.frag)
+		}
+		if _, err := SimulateStream(cfg, SyntheticJobStream(2, 60, 1)); err == nil || !strings.Contains(err.Error(), tc.frag) {
+			t.Fatalf("%s (stream): got %v, want an error with %q", tc.name, err, tc.frag)
+		}
+	}
+
+	// A non-finite arrival is an error on both paths, not an event the
+	// engine cannot schedule: a NaN mean draws NaN arrivals, and a huge
+	// one overflows the arrival sum to +Inf.
+	nan := smallMix(2, 1)
+	nan[1].Arrival = math.NaN()
+	if _, err := Simulate(simCfg(NoCap{NodeTDP: 2350}, 0, cat), nan); err == nil || !strings.Contains(err.Error(), "non-finite arrival") {
+		t.Fatalf("NaN arrival: got %v", err)
+	}
+	for _, mean := range []float64{math.NaN(), 1e308} {
+		_, err := SimulateStream(simCfg(NoCap{NodeTDP: 2350}, 0, fakeCatalog(1)), SyntheticJobStream(50, mean, 1))
+		if err == nil || !strings.Contains(err.Error(), "non-finite arrival") {
+			t.Fatalf("mean inter-arrival %v: got %v", mean, err)
+		}
 	}
 }
 

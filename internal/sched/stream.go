@@ -118,11 +118,13 @@ type MixPair struct {
 // SyntheticMix is a synthetic job mix drawn once into a table of
 // compact records. It is read-only once built, so any number of
 // MixStreams over it can feed concurrent simulations: the three
-// policies of a comparison share one draw and one set of ID strings.
+// policies of a comparison share one draw, one set of ID strings and
+// one ranking of the jobs by ID.
 type SyntheticMix struct {
 	mix   []mixEntry
 	jobs  []mixJob
-	ids   string // every job's ID, back to back
+	ids   string  // every job's ID, back to back
+	rank  []int32 // per job, its position in ID order (Result.Outcomes order)
 	pairs []MixPair
 }
 
@@ -139,7 +141,7 @@ func NewSyntheticMix(n int, meanInterArrival float64, seed uint64) *SyntheticMix
 // draw is then skipped, its ID unused), a uniform node-count option;
 // the job is "job%04d" of i. Every ID is written into one buffer, sized
 // up front, so the whole mix makes one ID allocation and each ID is a
-// substring of it.
+// substring of it. The jobs are then ranked by ID (rankByID).
 func drawMix(mix []mixEntry, n int, mean float64, seed uint64) *SyntheticMix {
 	r := rng.New(seed)
 	m := &SyntheticMix{mix: mix, jobs: make([]mixJob, 0, max(n, 0))}
@@ -178,7 +180,42 @@ func drawMix(mix []mixEntry, n int, mean float64, seed uint64) *SyntheticMix {
 		})
 	}
 	m.ids = ids.String()
+	m.rank = m.rankByID()
 	return m
+}
+
+// rankByID returns each job's position in ID order, without a sort.
+// IDs are "job%04d" of the draw index, which rises with the job index,
+// so the jobs of one ID width form a contiguous run already in ID
+// order ("job9999" < "job10000" does not hold across widths, but
+// within one width string order is numeric order). The ID order is
+// the merge of those runs — at most six for a mix the table can hold —
+// by string comparison of the runs' heads. IDs are distinct, so the
+// order is total.
+func (m *SyntheticMix) rankByID() []int32 {
+	n := len(m.jobs)
+	rank := make([]int32, n)
+	var next, end []int // per run: its next unranked job, and its end
+	for i := 0; i < n; i++ {
+		if i == 0 || len(m.id(i)) != len(m.id(i-1)) {
+			if i > 0 {
+				end = append(end, i)
+			}
+			next = append(next, i)
+		}
+	}
+	end = append(end, n)
+	for p := range rank {
+		best := -1
+		for r := range next {
+			if next[r] < end[r] && (best < 0 || m.id(next[r]) < m.id(next[best])) {
+				best = r
+			}
+		}
+		rank[next[best]] = int32(p)
+		next[best]++
+	}
+	return rank
 }
 
 // id returns job i's ID.

@@ -156,6 +156,7 @@ func FuzzScheduleRequest(f *testing.F) {
 		`{"policy":"nocap","cluster_nodes":0,"jobs":2}`,
 		`{"policy":"nocap","cluster_nodes":4,"jobs":101}`,
 		`{"policy":"nocap","cluster_nodes":4,"jobs":2,"envelope":[{"start_s":10,"budget_kw":5},{"start_s":5,"budget_kw":4}]}`,
+		`{"policy":"nocap","cluster_nodes":8,"jobs":50,"arrival_s":1e308}`,
 	} {
 		f.Add([]byte(body))
 	}

@@ -739,6 +739,10 @@ const (
 	defaultIdleNodeW = 460 // Perlmutter idle node draw, W (pmsched's default)
 	defaultUniformW  = 200
 	defaultArrivalS  = 90
+	// maxArrivalS bounds the mean inter-arrival so that every accepted
+	// mix draws finite arrivals: at 1e9 s, even the largest mix's
+	// arrival sum stays far below overflow.
+	maxArrivalS = 1e9
 )
 
 func (req scheduleRequest) validate(maxJobs int) *apiError {
@@ -759,6 +763,9 @@ func (req scheduleRequest) validate(maxJobs int) *apiError {
 		if f.v < 0 {
 			return badRequest("%s %g must be >= 0", f.name, f.v)
 		}
+	}
+	if req.ArrivalS > maxArrivalS {
+		return badRequest("arrival_s %g out of range [0, %g]", req.ArrivalS, float64(maxArrivalS))
 	}
 	last := math.Inf(-1)
 	for i, ph := range req.Envelope {

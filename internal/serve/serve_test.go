@@ -455,6 +455,7 @@ func TestScheduleErrors(t *testing.T) {
 		{"no nodes", `{"policy":"nocap","cluster_nodes":0,"jobs":2}`, "cluster_nodes"},
 		{"too many jobs", `{"policy":"nocap","cluster_nodes":4,"jobs":101}`, "jobs"},
 		{"unsorted envelope", `{"policy":"nocap","cluster_nodes":4,"jobs":2,"envelope":[{"start_s":10,"budget_kw":5},{"start_s":5,"budget_kw":4}]}`, "increasing"},
+		{"arrival overflows", `{"policy":"nocap","cluster_nodes":8,"jobs":50,"arrival_s":1e308}`, "arrival_s 1e+308 out of range [0, 1e+09]"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
