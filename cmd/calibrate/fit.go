@@ -128,7 +128,7 @@ func fitTables(p platform.Platform) (*gpu.EfficiencyModel, error) {
 // the duration of a flops-only probe: occ = F / (d · PeakFlops).
 func (f *fitter) compOcc(c gpu.KernelClass) func([3]float64) float64 {
 	return func(axes [3]float64) float64 {
-		k := gpu.Kernel{Name: "fit-comp", Class: c, Flops: probeFlops, Axes: axes}
+		k := gpu.Kernel{Class: c, Flops: probeFlops, Axes: axes}
 		return probeFlops / (f.g.UncappedDuration(k) * f.sp.PeakFlops)
 	}
 }
@@ -137,7 +137,7 @@ func (f *fitter) compOcc(c gpu.KernelClass) func([3]float64) float64 {
 // occ = B / (d · PeakMemBW).
 func (f *fitter) memOcc(c gpu.KernelClass) func([3]float64) float64 {
 	return func(axes [3]float64) float64 {
-		k := gpu.Kernel{Name: "fit-mem", Class: c, Bytes: probeBytes, Axes: axes}
+		k := gpu.Kernel{Class: c, Bytes: probeBytes, Axes: axes}
 		return probeBytes / (f.g.UncappedDuration(k) * f.sp.PeakMemBW)
 	}
 }
@@ -148,7 +148,7 @@ func (f *fitter) memOcc(c gpu.KernelClass) func([3]float64) float64 {
 func (f *fitter) smAct(c gpu.KernelClass) func([3]float64) float64 {
 	cf := f.sp.Gamma + (1 - f.sp.Gamma)
 	return func(axes [3]float64) float64 {
-		k := gpu.Kernel{Name: "fit-sma", Class: c, Flops: probeFlops, Axes: axes}
+		k := gpu.Kernel{Class: c, Flops: probeFlops, Axes: axes}
 		p := f.g.UncappedPower(k)
 		return (p - f.sp.IdleWatts - f.sp.ActiveBase) / (f.sp.CompPowerFull * cf)
 	}
@@ -156,7 +156,7 @@ func (f *fitter) smAct(c gpu.KernelClass) func([3]float64) float64 {
 
 // launchSlope measures d(duration)/d(launches) at saturated axes.
 func (f *fitter) launchSlope(c gpu.KernelClass) float64 {
-	k := gpu.Kernel{Name: "fit-lat", Class: c, Flops: probeFlops,
+	k := gpu.Kernel{Class: c, Flops: probeFlops,
 		Axes: [3]float64{probeHuge, probeHuge, probeHuge}}
 	d0 := f.g.UncappedDuration(k)
 	k.Launches = 1e6
@@ -168,7 +168,7 @@ func (f *fitter) launchSlope(c gpu.KernelClass) float64 {
 // probes: scale(e) = dyn(e)/dyn(0) = 1 + S·(e − Ref).
 func (f *fitter) fitEntropy(c gpu.KernelClass) gpu.EntropyModel {
 	dyn := func(e float64) float64 {
-		k := gpu.Kernel{Name: "fit-entropy", Class: c, Flops: probeFlops,
+		k := gpu.Kernel{Class: c, Flops: probeFlops,
 			Axes: [3]float64{probeHuge, probeHuge, probeHuge}, Entropy: e}
 		return f.g.UncappedPower(k) - f.sp.IdleWatts - f.sp.ActiveBase
 	}

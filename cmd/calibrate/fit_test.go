@@ -56,7 +56,7 @@ func TestFitRecoversDefaultTable(t *testing.T) {
 			for _, a1 := range vals {
 				for _, a2 := range vals {
 					k := gpu.Kernel{
-						Name: "sweep", Class: c,
+						Class: c,
 						Flops: 1e12, Bytes: 1e11,
 						Axes:     [3]float64{a0, a1, a2},
 						Launches: 17, LatencyScale: 12, Entropy: 0.4,

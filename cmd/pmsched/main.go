@@ -61,13 +61,14 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, nil))
 }
 
 // run is the whole command: it parses args, simulates the three
 // policies and prints their table to stdout, and returns the exit
-// status (0 ok, 1 run failure, 2 usage error).
-func run(args []string, stdout, stderr io.Writer) int {
+// status (0 ok, 1 run failure, 2 usage error). The run's metrics go to
+// reg when it is not nil, as they go to -manifest's own registry.
+func run(args []string, stdout, stderr io.Writer, reg *obs.Registry) int {
 	fs := flag.NewFlagSet("pmsched", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	nodes := fs.Int("nodes", 8, "cluster size (GPU nodes)")
@@ -105,9 +106,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "pmsched:", err)
 		return 2
 	}
-	var reg *obs.Registry
-	if *manifestPath != "" {
+	if reg == nil && *manifestPath != "" {
 		reg = obs.NewRegistry()
+	}
+	if reg != nil {
 		// The Env points the engine's process-wide metric hooks at reg;
 		// detach them on return, so a later run in the same process
 		// (the tests) does not count into this run's registry.
@@ -122,6 +124,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	started := time.Now()
 
+	policies := []vasppower.SchedulerPolicy{
+		vasppower.PolicyNoCap,
+		vasppower.PolicyUniform200,
+		vasppower.PolicyProfileAware,
+	}
+	// Each policy's configuration is checked before anything is
+	// measured, so a run the simulator would reject exits at once.
+	cfgs := make([]vasppower.SchedulerConfig, len(policies))
+	for i, pol := range policies {
+		cat := vasppower.NewSchedulerCatalog(*seed)
+		cat.SetMeasure(env.Measure)
+		cfgs[i] = vasppower.SchedulerConfig{
+			ClusterNodes:   *nodes,
+			BudgetW:        *budgetKW * 1000,
+			BudgetSchedule: schedule,
+			IdleNodeW:      460,
+			Policy:         pol,
+			Catalog:        cat,
+		}
+		if err := cfgs[i].Validate(); err != nil {
+			fmt.Fprintln(stderr, "pmsched:", err)
+			return 1
+		}
+	}
+
 	fmt.Fprintf(stdout, "job mix: %d VASP jobs over ~%.0f s of arrivals on %d nodes, budget %.1f kW\n",
 		*jobsN, float64(*jobsN)*(*arrival), *nodes, *budgetKW)
 	if len(schedule) > 0 {
@@ -129,11 +156,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(stdout)
 
-	policies := []vasppower.SchedulerPolicy{
-		vasppower.PolicyNoCap,
-		vasppower.PolicyUniform200,
-		vasppower.PolicyProfileAware,
-	}
 	// One mix for all three policies, and its profiles measured before
 	// any simulation starts.
 	mix := sched.NewSyntheticMix(*jobsN, *arrival, *seed)
@@ -151,16 +173,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rows := make([]row, len(policies))
 	err = par.ForEach(context.Background(), len(policies), len(policies),
 		func(_ context.Context, i int) error {
-			cat := vasppower.NewSchedulerCatalog(*seed)
-			cat.SetMeasure(env.Measure)
-			res, err := vasppower.SimulateSchedulerStream(vasppower.SchedulerConfig{
-				ClusterNodes:   *nodes,
-				BudgetW:        *budgetKW * 1000,
-				BudgetSchedule: schedule,
-				IdleNodeW:      460,
-				Policy:         policies[i],
-				Catalog:        cat,
-			}, mix.Stream())
+			res, err := vasppower.SimulateSchedulerStream(cfgs[i], mix.Stream())
 			if err != nil {
 				return err
 			}

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"vasppower/internal/obs"
 )
 
 // TestOutputGolden pins pmsched's stdout byte for byte for the default
@@ -44,7 +46,7 @@ func TestOutputGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			var stdout, stderr bytes.Buffer
-			if code := run(tc.args, &stdout, &stderr); code != 0 {
+			if code := run(tc.args, &stdout, &stderr, nil); code != 0 {
 				t.Fatalf("exit %d: %s", code, stderr.String())
 			}
 			if got := stdout.String(); got != string(want) {
@@ -61,7 +63,7 @@ func TestManifestCountsEveryPolicy(t *testing.T) {
 	const jobs = 2000
 	mf := filepath.Join(t.TempDir(), "manifest.json")
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-preset", "facility", "-jobs", "2000", "-manifest", mf}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-preset", "facility", "-jobs", "2000", "-manifest", mf}, &stdout, &stderr, nil); code != 0 {
 		t.Fatalf("exit %d: %s", code, stderr.String())
 	}
 	raw, err := os.ReadFile(mf)
@@ -95,7 +97,7 @@ func TestUsageErrors(t *testing.T) {
 		{"-jobs", "-5"},
 	} {
 		var stdout, stderr bytes.Buffer
-		if code := run(args, &stdout, &stderr); code != 2 {
+		if code := run(args, &stdout, &stderr, nil); code != 2 {
 			t.Errorf("%s: exit %d, want 2", strings.Join(args, " "), code)
 		}
 		if stdout.Len() != 0 {
@@ -121,7 +123,7 @@ func TestSimulationError(t *testing.T) {
 	} {
 		name := strings.Join(tc.args, " ")
 		var stdout, stderr bytes.Buffer
-		if code := run(tc.args, &stdout, &stderr); code != 1 {
+		if code := run(tc.args, &stdout, &stderr, nil); code != 1 {
 			t.Fatalf("%s: exit %d, want 1 (stderr %q)", name, code, stderr.String())
 		}
 		if !strings.Contains(stderr.String(), tc.frag) {
@@ -129,6 +131,47 @@ func TestSimulationError(t *testing.T) {
 		}
 		if strings.Contains(stdout.String(), "policy") {
 			t.Fatalf("%s: table printed despite the failure:\n%s", name, stdout.String())
+		}
+	}
+}
+
+// TestRejectedRunMeasuresNothing: a configuration the simulator
+// rejects exits 1 before the catalog prefetch measures anything. No
+// manifest is written on that path, so the test counts the Env's
+// cache lookups through a registry of its own; a run that simulates
+// is the control that the count sees the prefetch.
+func TestRejectedRunMeasuresNothing(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		code int
+		frag string
+	}{
+		{[]string{"-jobs", "3"}, 0, ""},
+		{[]string{"-preset", "facility", "-budget-kw", "NaN"}, 1, "sched: invalid budget NaN"},
+		{[]string{"-preset", "facility", "-jobs", "20000", "-budget-kw", "700"},
+			1, "budget 700000 W is below the idle reservation of 828000 W (1800 nodes × 460 W)"},
+	} {
+		name := strings.Join(tc.args, " ")
+		reg := obs.NewRegistry()
+		var stdout, stderr bytes.Buffer
+		if code := run(tc.args, &stdout, &stderr, reg); code != tc.code {
+			t.Fatalf("%s: exit %d, want %d (stderr %q)", name, code, tc.code, stderr.String())
+		}
+		lookups := reg.Snapshot().Counters["memo.lookups"]
+		if tc.code == 0 {
+			if lookups == 0 {
+				t.Fatalf("%s: a simulated run counted no measure lookups", name)
+			}
+			continue
+		}
+		if lookups != 0 {
+			t.Fatalf("%s: rejected run looked up %d measures", name, lookups)
+		}
+		if !strings.Contains(stderr.String(), tc.frag) {
+			t.Fatalf("%s: stderr %q lacks %q", name, stderr.String(), tc.frag)
+		}
+		if stdout.Len() != 0 {
+			t.Fatalf("%s: rejected run wrote %q to stdout", name, stdout.String())
 		}
 	}
 }

@@ -6,7 +6,6 @@ package vasppower_test
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"vasppower"
@@ -170,7 +169,7 @@ func TestControlPlaneRoundTrip(t *testing.T) {
 		t.Fatalf("limit read back as %v W, want 250", got)
 	}
 	prep, err := solver.Prepare(solver.Job{
-		Name: "ctl", Schedule: sched, Nodes: []*node.Node{n},
+		Schedule: sched, Nodes: []*node.Node{n},
 		Decomp: cfgM.Decomp, Fabric: interconnect.Slingshot(),
 	})
 	if err != nil {
@@ -202,7 +201,8 @@ func TestDecompositionConsistency(t *testing.T) {
 		}
 		n := 0
 		for _, st := range sched.Steps {
-			if st.Kind == method.StepComm && strings.Contains(st.Label, "density") {
+			// The density all-reduce is the one job-wide all-reduce.
+			if st.Kind == method.StepComm && st.Comm.Op == method.CommAllReduce && st.Comm.Scope == method.ScopeAll {
 				n++
 			}
 		}

@@ -29,10 +29,8 @@ func oracleMeasure(spec MeasureSpec) (JobProfile, error) {
 		return JobProfile{}, err
 	}
 	if spec.Entropy != 0 {
-		for i := range sched.Steps {
-			if sched.Steps[i].Kind == method.StepGPU {
-				sched.Steps[i].GPU.Entropy = spec.Entropy
-			}
+		for i := range sched.Kernels {
+			sched.Kernels[i].Entropy = spec.Entropy
 		}
 	}
 	root := rng.New(spec.Seed)
@@ -51,7 +49,7 @@ func oracleMeasure(spec MeasureSpec) (JobProfile, error) {
 		}
 		start := nodes[0].TraceDuration()
 		res, err := solveroracle.Run(solver.Job{
-			Name: spec.Bench.Name, Schedule: sched, Nodes: nodes,
+			Schedule: sched, Nodes: nodes,
 			Decomp: cfg.Decomp, Fabric: interconnect.Slingshot(),
 			Noise: solveroracle.Noise(root, r),
 		})

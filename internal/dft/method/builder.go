@@ -1,7 +1,7 @@
 package method
 
 import (
-	"fmt"
+	"slices"
 
 	"vasppower/internal/hw/cpu"
 	"vasppower/internal/hw/gpu"
@@ -38,8 +38,9 @@ func hApplications(k Kind, iter int) int {
 }
 
 type builder struct {
-	cfg   Config
-	steps []Step
+	cfg     Config
+	kernels []gpu.Kernel
+	steps   []Step
 }
 
 // stepCount returns how many steps the builder emits for c, so the
@@ -64,23 +65,29 @@ func stepCount(c Config) int {
 	return 2 + c.NELM*scf(c.Kind)
 }
 
-func (b *builder) add(s Step) { b.steps = append(b.steps, s) }
-
-func (b *builder) gpuStep(label, phase string, k gpu.Kernel, mem float64) {
-	b.add(Step{Label: label, Kind: StepGPU, GPU: k, MemActivity: mem, Phase: phase})
+// gpuStep appends a step running k on every GPU. k is interned into
+// the descriptor table by a linear == scan — a schedule holds 6–8
+// descriptors — so every field of k, and any field added to
+// gpu.Kernel later, separates descriptors.
+func (b *builder) gpuStep(k gpu.Kernel, mem float64) {
+	ki := slices.Index(b.kernels, k)
+	if ki < 0 {
+		ki = len(b.kernels)
+		b.kernels = append(b.kernels, k)
+	}
+	b.steps = append(b.steps, Step{Kind: StepGPU, Kernel: int32(ki), MemActivity: mem})
 }
 
-func (b *builder) commStep(label, phase string, op CommOp, bytes float64, scope CommScope) {
-	b.add(Step{Label: label, Kind: StepComm, Comm: Comm{Op: op, Bytes: bytes, Scope: scope},
-		MemActivity: memComm, Phase: phase})
+func (b *builder) commStep(op CommOp, bytes float64, scope CommScope) {
+	b.steps = append(b.steps, Step{Kind: StepComm, Comm: Comm{Op: op, Bytes: bytes, Scope: scope}, MemActivity: memComm})
 }
 
-func (b *builder) hostStep(label, phase string, dur float64) {
-	b.add(Step{Label: label, Kind: StepHost, HostSeconds: dur, MemActivity: memHost, Phase: phase})
+func (b *builder) hostStep(dur float64) {
+	b.steps = append(b.steps, Step{Kind: StepHost, HostSeconds: dur, MemActivity: memHost})
 }
 
-func (b *builder) cpuStep(label, phase string, t cpu.Task) {
-	b.add(Step{Label: label, Kind: StepCPU, CPU: t, MemActivity: memCPU, Phase: phase})
+func (b *builder) cpuStep(t cpu.Task) {
+	b.steps = append(b.steps, Step{Kind: StepCPU, CPU: t, MemActivity: memCPU})
 }
 
 // hostPerKpt is the serial host time per k-point per iteration:
@@ -99,53 +106,45 @@ func (b *builder) hostMix() float64 {
 
 // scfIteration emits the steps of one SCF iteration of the plain-DFT
 // flavors (and the non-exchange part of HSE iterations).
-func (b *builder) scfIteration(kind Kind, iter int, phase string) {
+func (b *builder) scfIteration(kind Kind, iter int) {
 	c := b.cfg
 	d := c.Decomp
 	bpr := d.BandsPerRank
 	nH := hApplications(kind, iter)
 	for kp := 0; kp < d.KPointsPerGroup; kp++ {
-		pfx := fmt.Sprintf("it%02d.k%d", iter, kp)
 		// H·ψ: transform every local band to real space and back for
 		// each H application.
-		b.gpuStep(pfx+".fft-hpsi", phase,
-			fftBatchKernel(pfx+".fft-hpsi", bpr*nH*2, c.NPLWV, c.NSim, bpr), memFFT)
+		b.gpuStep(fftBatchKernel(bpr*nH*2, c.NPLWV, c.NSim, bpr), memFFT)
 		// Nonlocal pseudopotential projection (real space).
-		b.gpuStep(pfx+".nonlocal", phase,
-			nonlocalKernel(pfx+".nonlocal", c.NIons, bpr, nH), memNL)
+		b.gpuStep(nonlocalKernel(c.NIons, bpr, nH), memNL)
 		// Subspace matrix build: S = Ψ†·(HΨ), distributed over bands.
-		b.gpuStep(pfx+".subspace-gemm", phase,
-			gemmKernel(pfx+".subspace-gemm", c.NBands, bpr, c.NPW), memGEMM)
+		b.gpuStep(gemmKernel(c.NBands, bpr, c.NPW), memGEMM)
 		// Subspace matrix all-reduce within the KPAR group.
-		b.commStep(pfx+".subspace-allreduce", phase, CommAllReduce,
-			float64(c.NBands)*float64(c.NBands)*complexBytes, ScopeGroup)
+		b.commStep(CommAllReduce, float64(c.NBands)*float64(c.NBands)*complexBytes, ScopeGroup)
 		// Subspace diagonalization (replicated on each GPU).
-		b.gpuStep(pfx+".subspace-eig", phase, eigKernel(pfx+".subspace-eig", c.NBands), memEig)
+		b.gpuStep(eigKernel(c.NBands), memEig)
 		// Rotation: Ψ ← Ψ·U.
-		b.gpuStep(pfx+".rotate-gemm", phase,
-			gemmKernel(pfx+".rotate-gemm", c.NPW, bpr, c.NBands), memGEMM)
+		b.gpuStep(gemmKernel(c.NPW, bpr, c.NBands), memGEMM)
 		// New density contribution: one transform per local band.
-		b.gpuStep(pfx+".fft-density", phase,
-			fftBatchKernel(pfx+".fft-density", bpr, c.NPLWV, c.NSim, bpr), memFFT)
-		b.hostStep(pfx+".host", phase, b.hostPerKpt())
+		b.gpuStep(fftBatchKernel(bpr, c.NPLWV, c.NSim, bpr), memFFT)
+		b.hostStep(b.hostPerKpt())
 	}
 	// Density all-reduce across the whole job (sums over bands and
 	// k-point groups); the density is real-valued.
-	b.commStep(fmt.Sprintf("it%02d.density-allreduce", iter), phase,
-		CommAllReduce, float64(c.NPLWV)*8, ScopeAll)
+	b.commStep(CommAllReduce, float64(c.NPLWV)*8, ScopeAll)
 	if kind == VDW {
-		b.gpuStep(fmt.Sprintf("it%02d.vdw", iter), phase, vdwKernel(c.NIons), 0.2)
+		b.gpuStep(vdwKernel(c.NIons), 0.2)
 	}
-	b.hostStep(fmt.Sprintf("it%02d.mix", iter), phase, b.hostMix())
+	b.hostStep(b.hostMix())
 }
 
 // buildSCF emits a plain-DFT job: setup, NELM iterations, wrap-up.
 func (b *builder) buildSCF(kind Kind) {
-	b.hostStep("setup", "setup", b.setupTime())
+	b.hostStep(b.setupTime())
 	for it := 0; it < b.cfg.NELM; it++ {
-		b.scfIteration(kind, it, "scf")
+		b.scfIteration(kind, it)
 	}
-	b.hostStep("finalize", "finalize", 0.5)
+	b.hostStep(0.5)
 }
 
 // setupTime covers reading inputs, symmetry analysis, and wavefunction
@@ -175,27 +174,23 @@ func (b *builder) buildHSE() {
 	if npwx < 512 {
 		npwx = 512
 	}
-	b.hostStep("setup", "setup", b.setupTime()*1.5)
+	b.hostStep(b.setupTime() * 1.5)
 	const nHx = 2 // exchange applications per band per iteration
 	for it := 0; it < c.NELM; it++ {
 		for kp := 0; kp < d.KPointsPerGroup; kp++ {
-			pfx := fmt.Sprintf("it%02d.k%d", it, kp)
 			for h := 0; h < nHx; h++ {
-				hp := fmt.Sprintf("%s.x%d", pfx, h)
 				// Pair FFTs: each local band against every occupied
 				// band, forward and back, batched aggressively.
-				b.gpuStep(hp+".exch-fft", "scf",
-					exchangeFFTKernel(hp+".exch-fft", bpr*nocc, 2, npwx), memFFT)
+				b.gpuStep(exchangeFFTKernel(bpr*nocc, 2, npwx), memFFT)
 				// Exchange accumulation/ACE-projection GEMM passes.
-				b.gpuStep(hp+".exch-gemm", "scf",
-					exchangeGemmKernel(hp+".exch-gemm", npwx, bpr, nocc), memGEMM)
+				b.gpuStep(exchangeGemmKernel(npwx, bpr, nocc), memGEMM)
 			}
 		}
 		// The non-exchange part of the iteration (local H, subspace,
 		// rotation, density).
-		b.scfIteration(HSE, it, "scf")
+		b.scfIteration(HSE, it)
 	}
-	b.hostStep("finalize", "finalize", 0.5)
+	b.hostStep(0.5)
 }
 
 // buildACFDTR emits an RPA job, the three-phase structure behind the
@@ -212,7 +207,7 @@ func (b *builder) buildHSE() {
 func (b *builder) buildACFDTR() {
 	c := b.cfg
 	d := c.Decomp
-	b.hostStep("setup", "setup", b.setupTime()*2)
+	b.hostStep(b.setupTime() * 2)
 
 	// Phase 1: ground-state DFT (blocked Davidson, ~14 iterations).
 	scfIters := 14
@@ -220,30 +215,26 @@ func (b *builder) buildACFDTR() {
 		scfIters = c.NELM
 	}
 	for it := 0; it < scfIters; it++ {
-		b.scfIteration(DFTBD, it, "scf")
+		b.scfIteration(DFTBD, it)
 	}
 
 	// Phase 2: exact diagonalization on the host.
-	b.hostStep("exact-diag.setup", "exact-diag", 2.0)
-	b.cpuStep("exact-diag.eigensolve", "exact-diag", rpaEigensolveTask(c.NBandsExact))
+	b.hostStep(2.0)
+	b.cpuStep(rpaEigensolveTask(c.NBandsExact))
 	// Redistribute the full orbital set to the GPUs afterwards.
-	b.commStep("exact-diag.scatter", "exact-diag", CommBroadcast,
-		float64(c.NPW)*float64(min(c.NBandsExact, 4*c.NBands))*complexBytes, ScopeAll)
+	b.commStep(CommBroadcast, float64(c.NPW)*float64(min(c.NBandsExact, 4*c.NBands))*complexBytes, ScopeAll)
 
 	// Phase 3: frequency sweep. Each frequency point: a host/transform
 	// gap, an orbital-block broadcast, then the polarizability GEMM.
 	const nFreq = 24
 	for f := 0; f < nFreq; f++ {
-		pfx := fmt.Sprintf("rpa.f%02d", f)
-		b.hostStep(pfx+".transform", "rpa", 1.2+float64(c.NPLWV)*1.5e-9)
-		b.commStep(pfx+".bcast", "rpa", CommBroadcast,
-			float64(c.NPW)*float64(c.NBands)*complexBytes/4, ScopeAll)
+		b.hostStep(1.2 + float64(c.NPLWV)*1.5e-9)
+		b.commStep(CommBroadcast, float64(c.NPW)*float64(c.NBands)*complexBytes/4, ScopeAll)
 		// χ₀ accumulation: the rank-local slab of a npw×npw update
 		// contracted over occupied bands × imaginary-time points.
-		b.gpuStep(pfx+".chi0-gemm", "rpa",
-			chi0Kernel(pfx+".chi0-gemm", c.NPW, d.Ranks, c.NElectrons/2), memGEMM)
+		b.gpuStep(chi0Kernel(c.NPW, d.Ranks, c.NElectrons/2), memGEMM)
 	}
-	b.hostStep("finalize", "finalize", 1.0)
+	b.hostStep(1.0)
 }
 
 // rpaEigensolveTask sizes the CPU-only exact diagonalization. The
@@ -254,11 +245,4 @@ func rpaEigensolveTask(nBandsExact int) cpu.Task {
 	t := cpu.EigensolveTask(nBandsExact)
 	t.Efficiency = 0.18
 	return t
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

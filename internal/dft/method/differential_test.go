@@ -33,22 +33,23 @@ func TestTableResolutionMatchesLegacyOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", bench.Name, kind, err)
 			}
-			for _, st := range sched.Steps {
+			for si, st := range sched.Steps {
 				if st.Kind != method.StepGPU {
 					continue
 				}
-				got, err := p.Efficiency.Resolve(st.GPU)
+				k := sched.Kernels[st.Kernel]
+				got, err := p.Efficiency.Resolve(k)
 				if err != nil {
-					t.Fatalf("%s/%s step %q: %v", bench.Name, kind, st.Label, err)
+					t.Fatalf("%s/%s step %d: %v", bench.Name, kind, si, err)
 				}
-				want, ok := method.LegacyResolve(st.GPU)
+				want, ok := method.LegacyResolve(k)
 				if !ok {
-					t.Fatalf("%s/%s step %q: class %q unknown to the oracle",
-						bench.Name, kind, st.Label, st.GPU.Class)
+					t.Fatalf("%s/%s step %d: class %q unknown to the oracle",
+						bench.Name, kind, si, k.Class)
 				}
 				if got != want {
-					t.Fatalf("%s/%s step %q (class %q): table %+v != oracle %+v",
-						bench.Name, kind, st.Label, st.GPU.Class, got, want)
+					t.Fatalf("%s/%s step %d (class %q): table %+v != oracle %+v",
+						bench.Name, kind, si, k.Class, got, want)
 				}
 				kernels++
 			}

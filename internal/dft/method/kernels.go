@@ -78,15 +78,14 @@ func coarse(k gpu.Kernel) gpu.Kernel {
 // (GaAsBi-64) draw far less power than large ones (PdO4) on identical
 // hardware (Fig. 5). Both are size axes of the platform's FFT
 // efficiency response.
-func fftBatchKernel(label string, count, nplwv, nsim, bpr int) gpu.Kernel {
+func fftBatchKernel(count, nplwv, nsim, bpr int) gpu.Kernel {
 	if count <= 0 || nplwv <= 0 || nsim <= 0 || bpr <= 0 {
-		panic(fmt.Sprintf("method: invalid FFT batch %s", label))
+		panic(fmt.Sprintf("method: fftBatchKernel(count=%d, nplwv=%d, nsim=%d, bpr=%d)", count, nplwv, nsim, bpr))
 	}
 	n := float64(nplwv)
 	perFFTFlops := 5 * n * math.Log2(n) * fftFlopFactor
 	perFFTBytes := complexBytes * n * fftBytesPasses
 	return coarse(gpu.Kernel{
-		Name:     label,
 		Class:    gpu.ClassFFT,
 		Flops:    float64(count) * perFFTFlops,
 		Bytes:    float64(count) * perFFTBytes,
@@ -101,14 +100,13 @@ func fftBatchKernel(label string, count, nplwv, nsim, bpr int) gpu.Kernel {
 // even small systems batch thousands of transforms — which is why
 // hybrid calculations run hot on systems whose plain-DFT kernels
 // would idle half the GPU (B.hR105_hse vs GaAsBi-64).
-func exchangeFFTKernel(label string, pairs, transformsPerPair, npwx int) gpu.Kernel {
+func exchangeFFTKernel(pairs, transformsPerPair, npwx int) gpu.Kernel {
 	if pairs <= 0 || transformsPerPair <= 0 || npwx <= 0 {
-		panic(fmt.Sprintf("method: invalid exchange FFT %s", label))
+		panic(fmt.Sprintf("method: exchangeFFTKernel(pairs=%d, transformsPerPair=%d, npwx=%d)", pairs, transformsPerPair, npwx))
 	}
 	n := float64(npwx)
 	count := float64(pairs) * float64(transformsPerPair)
 	return coarse(gpu.Kernel{
-		Name:     label,
 		Class:    gpu.ClassExchangeFFT,
 		Flops:    count * 5 * n * math.Log2(n) * fftFlopFactor,
 		Bytes:    count * complexBytes * n * fftBytesPasses,
@@ -120,13 +118,12 @@ func exchangeFFTKernel(label string, pairs, transformsPerPair, npwx int) gpu.Ker
 // gemmKernel models a complex GEMM C(m×n) += A(m×k)·B(k×n). The
 // platform's GEMM response saturates per dimension, so the descriptor
 // carries m, n, k as its size axes.
-func gemmKernel(label string, m, n, k int) gpu.Kernel {
+func gemmKernel(m, n, k int) gpu.Kernel {
 	if m <= 0 || n <= 0 || k <= 0 {
-		panic(fmt.Sprintf("method: invalid GEMM %s (%d×%d×%d)", label, m, n, k))
+		panic(fmt.Sprintf("method: gemmKernel(m=%d, n=%d, k=%d)", m, n, k))
 	}
 	fm, fn, fk := float64(m), float64(n), float64(k)
 	return coarse(gpu.Kernel{
-		Name:     label,
 		Class:    gpu.ClassGEMM,
 		Flops:    8 * fm * fn * fk,
 		Bytes:    complexBytes * (fm*fn + fm*fk + fn*fk) * gemmBytesFactor,
@@ -138,8 +135,8 @@ func gemmKernel(label string, m, n, k int) gpu.Kernel {
 // exchangeGemmKernel models the exchange accumulation/ACE-projection
 // GEMM passes of one H·ψ application (exchGemmSweeps blocked passes
 // over spin and augmentation channels).
-func exchangeGemmKernel(label string, npwx, bpr, nocc int) gpu.Kernel {
-	k := gemmKernel(label, npwx, bpr, nocc)
+func exchangeGemmKernel(npwx, bpr, nocc int) gpu.Kernel {
+	k := gemmKernel(npwx, bpr, nocc)
 	k.Flops *= exchGemmSweeps
 	k.Bytes *= exchGemmSweeps / 4 // blocked passes re-read operands from cache
 	return k
@@ -148,14 +145,13 @@ func exchangeGemmKernel(label string, npwx, bpr, nocc int) gpu.Kernel {
 // eigKernel models a dense complex eigensolve of an n×n subspace
 // matrix on the GPU: heavily serialized panels, so the efficiency
 // response saturates with the total flop count (axis 0).
-func eigKernel(label string, n int) gpu.Kernel {
+func eigKernel(n int) gpu.Kernel {
 	if n <= 0 {
-		panic("method: invalid eigensolve size")
+		panic(fmt.Sprintf("method: eigKernel(n=%d)", n))
 	}
 	fn := float64(n)
 	flops := eigFlopFactor * fn * fn * fn
 	return coarse(gpu.Kernel{
-		Name:     label,
 		Class:    gpu.ClassEig,
 		Flops:    flops,
 		Bytes:    complexBytes * fn * fn * 12,
@@ -168,11 +164,10 @@ func eigKernel(label string, n int) gpu.Kernel {
 // bands in one H·ψ application set. Compute saturates with the total
 // projection work (axis 0); bandwidth and SM activity with the
 // resident band count (axis 1).
-func nonlocalKernel(label string, nions, bands, nApply int) gpu.Kernel {
+func nonlocalKernel(nions, bands, nApply int) gpu.Kernel {
 	proj := projectorsPerIon * float64(nions)
 	work := 8 * proj * float64(bands) * nlRealPoints * float64(nApply)
 	return coarse(gpu.Kernel{
-		Name:     label,
 		Class:    gpu.ClassNonlocal,
 		Flops:    work,
 		Bytes:    work / 4,
@@ -187,7 +182,6 @@ func nonlocalKernel(label string, nions, bands, nApply int) gpu.Kernel {
 func vdwKernel(nions int) gpu.Kernel {
 	fi := float64(nions)
 	return coarse(gpu.Kernel{
-		Name:     "vdw-dispersion",
 		Class:    gpu.ClassVdW,
 		Flops:    600 * fi * fi,
 		Bytes:    64 * fi * fi,
@@ -200,11 +194,11 @@ func vdwKernel(nions int) gpu.Kernel {
 // for one frequency point: a rank-local slab of the npw×npw update
 // contracted over occupied bands × imaginary-time points. Near-peak
 // GEMM work — the power peaks of the ACFDTR timeline (Figs. 3, 11).
-func chi0Kernel(label string, npw, ranks, nocc int) gpu.Kernel {
+func chi0Kernel(npw, ranks, nocc int) gpu.Kernel {
 	n := npw / ranks
 	if n < 64 {
 		n = 64
 	}
 	k := int(float64(nocc) * rpaTimePoints)
-	return gemmKernel(label, npw, n, k)
+	return gemmKernel(npw, n, k)
 }

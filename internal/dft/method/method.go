@@ -128,21 +128,24 @@ type Comm struct {
 
 // Step is one entry of a schedule.
 type Step struct {
-	Label       string
-	Kind        StepKind
-	GPU         gpu.Kernel // StepGPU
-	CPU         cpu.Task   // StepCPU
-	Comm        Comm       // StepComm
-	HostSeconds float64    // StepHost
-	MemActivity float64    // DDR activity ∈ [0,1] during the step
-	Phase       string     // coarse phase label ("scf", "exact-diag", "rpa")
+	Kind StepKind
+	// Kernel indexes the schedule's Kernels: the work descriptor every
+	// GPU runs (StepGPU).
+	Kernel      int32
+	CPU         cpu.Task // StepCPU
+	Comm        Comm     // StepComm
+	HostSeconds float64  // StepHost
+	MemActivity float64  // DDR activity ∈ [0,1] during the step
 }
 
 // Schedule is the full ordered step list of one job (all SCF
-// iterations flattened).
+// iterations flattened) and the table of GPU work descriptors its
+// steps run. A schedule repeats a handful of descriptors every SCF
+// iteration, so the table holds each distinct one once, in first-use
+// order, and every entry is run by some GPU step.
 type Schedule struct {
-	Name  string
-	Steps []Step
+	Kernels []gpu.Kernel
+	Steps   []Step
 }
 
 // Config carries everything a schedule builder needs.
@@ -182,18 +185,24 @@ func (c Config) Validate() error {
 }
 
 // Build constructs the schedule for the configuration.
-func Build(c Config) (*Schedule, error) { return BuildInto(nil, c) }
-
-// BuildInto is Build appending the steps to buf[:0]: it reuses buf's
-// storage when its capacity covers the schedule and otherwise makes
-// one allocation of the exact step count. The schedule's Steps share
-// that storage, so buf must not be built into again while the
-// schedule is in use.
-func BuildInto(buf []Step, c Config) (*Schedule, error) {
-	if err := c.Validate(); err != nil {
+func Build(c Config) (*Schedule, error) {
+	s := new(Schedule)
+	if err := BuildInto(s, c); err != nil {
 		return nil, err
 	}
-	b := &builder{cfg: c, steps: buf[:0]}
+	return s, nil
+}
+
+// BuildInto builds c's schedule into s, reusing the storage of its
+// step list and descriptor table: a step list too short for the
+// schedule is replaced by one allocation of the exact step count, and
+// once s has held a schedule as long, with as many descriptors, a
+// build allocates nothing. On an error s is left as it was.
+func BuildInto(s *Schedule, c Config) error {
+	if err := c.Validate(); err != nil {
+		return err
+	}
+	b := &builder{cfg: c, kernels: s.Kernels[:0], steps: s.Steps[:0]}
 	if n := stepCount(c); cap(b.steps) < n {
 		b.steps = make([]Step, 0, n)
 	}
@@ -205,9 +214,10 @@ func BuildInto(buf []Step, c Config) (*Schedule, error) {
 	case ACFDTR:
 		b.buildACFDTR()
 	default:
-		return nil, fmt.Errorf("method: unknown kind %v", c.Kind)
+		return fmt.Errorf("method: unknown kind %v", c.Kind)
 	}
-	return &Schedule{Name: c.Kind.String(), Steps: b.steps}, nil
+	*s = Schedule{Kernels: b.kernels, Steps: b.steps}
+	return nil
 }
 
 // MemoryPerGPU estimates the per-GPU HBM footprint of the

@@ -40,27 +40,29 @@ func TestBuildAllKinds(t *testing.T) {
 		if len(s.Steps) == 0 {
 			t.Fatalf("%v: empty schedule", k)
 		}
-		if s.Name != k.String() {
-			t.Fatalf("%v: name %q", k, s.Name)
+		// Every descriptor is valid, and every GPU step runs one.
+		for i, kern := range s.Kernels {
+			if err := kern.Validate(); err != nil {
+				t.Fatalf("%v: descriptor %d: %v", k, i, err)
+			}
 		}
-		// Every GPU step carries a valid kernel.
-		for _, st := range s.Steps {
+		for i, st := range s.Steps {
 			switch st.Kind {
 			case StepGPU:
-				if err := st.GPU.Validate(); err != nil {
-					t.Fatalf("%v: step %q: %v", k, st.Label, err)
+				if st.Kernel < 0 || int(st.Kernel) >= len(s.Kernels) {
+					t.Fatalf("%v: GPU step %d runs descriptor %d of %d", k, i, st.Kernel, len(s.Kernels))
 				}
 			case StepComm:
 				if st.Comm.Bytes <= 0 {
-					t.Fatalf("%v: comm step %q has no bytes", k, st.Label)
+					t.Fatalf("%v: comm step %d has no bytes", k, i)
 				}
 			case StepHost:
 				if st.HostSeconds <= 0 {
-					t.Fatalf("%v: host step %q has no duration", k, st.Label)
+					t.Fatalf("%v: host step %d has no duration", k, i)
 				}
 			}
 			if st.MemActivity < 0 || st.MemActivity > 1 {
-				t.Fatalf("%v: step %q mem activity %v", k, st.Label, st.MemActivity)
+				t.Fatalf("%v: step %d mem activity %v", k, i, st.MemActivity)
 			}
 		}
 	}
@@ -104,7 +106,7 @@ func TestHSEContainsExchangeSteps(t *testing.T) {
 	}
 	exch := 0
 	for _, st := range s.Steps {
-		if st.Kind == StepGPU && containsSub(st.Label, "exch") {
+		if st.Kind == StepGPU && s.Kernels[st.Kernel].Class == gpu.ClassExchangeFFT {
 			exch++
 		}
 	}
@@ -128,24 +130,28 @@ func TestACFDTRHasThreePhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	phases := map[string]bool{}
-	cpuSteps := 0
+	// The ground-state SCF runs FFTs on the GPUs, the exact
+	// diagonalization is CPU-only, and the RPA sweep after it runs only
+	// polarizability GEMMs.
+	scfFFT, cpuSteps, rpaGEMM := 0, 0, 0
 	for _, st := range s.Steps {
-		phases[st.Phase] = true
-		if st.Kind == StepCPU {
+		switch {
+		case st.Kind == StepCPU:
 			cpuSteps++
 			if st.CPU.Flops <= 0 {
 				t.Fatal("CPU step has no work")
 			}
+		case st.Kind != StepGPU:
+		case cpuSteps == 0 && s.Kernels[st.Kernel].Class == gpu.ClassFFT:
+			scfFFT++
+		case cpuSteps > 0 && s.Kernels[st.Kernel].Class == gpu.ClassGEMM:
+			rpaGEMM++
+		case cpuSteps > 0:
+			t.Fatalf("RPA sweep runs a %s kernel", s.Kernels[st.Kernel].Class)
 		}
 	}
-	for _, want := range []string{"scf", "exact-diag", "rpa"} {
-		if !phases[want] {
-			t.Fatalf("ACFDTR missing phase %q (have %v)", want, phases)
-		}
-	}
-	if cpuSteps == 0 {
-		t.Fatal("ACFDTR has no CPU-only exact-diagonalization step")
+	if cpuSteps != 1 || scfFFT == 0 || rpaGEMM == 0 {
+		t.Fatalf("ACFDTR phases: %d SCF FFT steps, %d CPU steps, %d RPA GEMM steps", scfFFT, cpuSteps, rpaGEMM)
 	}
 }
 
@@ -153,7 +159,7 @@ func TestVDWAddsDispersionKernel(t *testing.T) {
 	s, _ := Build(testConfig(VDW))
 	found := false
 	for _, st := range s.Steps {
-		if st.Kind == StepGPU && st.GPU.Name == "vdw-dispersion" {
+		if st.Kind == StepGPU && s.Kernels[st.Kernel].Class == gpu.ClassVdW {
 			found = true
 		}
 	}
@@ -228,17 +234,17 @@ func TestKindStrings(t *testing.T) {
 }
 
 func TestKernelBuildersScale(t *testing.T) {
-	small := fftBatchKernel("s", 10, 100000, 4, 100)
-	big := fftBatchKernel("b", 10, 800000, 4, 100)
+	small := fftBatchKernel(10, 100000, 4, 100)
+	big := fftBatchKernel(10, 800000, 4, 100)
 	if big.Flops <= small.Flops || big.Bytes <= small.Bytes {
 		t.Fatal("FFT kernel does not scale with grid")
 	}
 	model := gpu.DefaultEfficiency()
-	p1, err := model.Resolve(gemmKernel("g1", 100, 100, 100))
+	p1, err := model.Resolve(gemmKernel(100, 100, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := model.Resolve(gemmKernel("g2", 1000, 1000, 1000))
+	p2, err := model.Resolve(gemmKernel(1000, 1000, 1000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +272,7 @@ func gpuSeconds(s *Schedule, g *gpu.GPU) float64 {
 	var t float64
 	for _, st := range s.Steps {
 		if st.Kind == StepGPU {
-			t += g.UncappedDuration(st.GPU)
+			t += g.UncappedDuration(s.Kernels[st.Kernel])
 		}
 	}
 	return t
@@ -281,15 +287,6 @@ func countKind(s *Schedule, k StepKind) int {
 		}
 	}
 	return n
-}
-
-func containsSub(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }
 
 func TestMemoryPerGPU(t *testing.T) {
@@ -348,16 +345,16 @@ func TestStepCountExact(t *testing.T) {
 	}
 }
 
-// TestBuildIntoMatchesBuild builds every kind into one reused buffer,
-// twice over: each schedule equals Build's, whatever the buffer held
-// before, and once the buffer has grown to the largest schedule (after
-// the first pass) every build appends into its storage.
+// TestBuildIntoMatchesBuild builds every kind into one reused
+// schedule, twice over: each schedule equals Build's, whatever the
+// storage held before, and once the storage has grown to the largest
+// schedule (after the first pass) every build appends into it.
 func TestBuildIntoMatchesBuild(t *testing.T) {
 	d, err := parallel.Decompose(640, 8, 2, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf []Step
+	var buf Schedule
 	for pass := 0; pass < 2; pass++ {
 		for _, kind := range Kinds() {
 			c := testConfig(kind)
@@ -366,19 +363,81 @@ func TestBuildIntoMatchesBuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := BuildInto(buf, c)
-			if err != nil {
+			steps, kernels := buf.Steps[:cap(buf.Steps)], buf.Kernels[:cap(buf.Kernels)]
+			if err := BuildInto(&buf, c); err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want) {
+			if !reflect.DeepEqual(&buf, want) {
 				t.Fatalf("pass %d %v: BuildInto differs from Build", pass, kind)
 			}
-			if pass == 1 && &got.Steps[:1][0] != &buf[:1][0] {
-				t.Fatalf("%v: BuildInto reallocated a buffer of capacity %d for %d steps", kind, cap(buf), len(got.Steps))
-			}
-			if cap(got.Steps) > cap(buf) {
-				buf = got.Steps[:0]
+			if pass == 1 && (&buf.Steps[0] != &steps[0] || &buf.Kernels[0] != &kernels[0]) {
+				t.Fatalf("%v: BuildInto reallocated storage that held every schedule", kind)
 			}
 		}
+	}
+}
+
+// TestBuildIntoWarmAllocs pins the arena claim: into storage that has
+// held the schedule, a build allocates nothing, however many steps
+// the schedule has.
+func TestBuildIntoWarmAllocs(t *testing.T) {
+	for _, kind := range Kinds() {
+		for _, nelm := range []int{3, 30} {
+			c := testConfig(kind)
+			c.NELM = nelm
+			var s Schedule
+			if err := BuildInto(&s, c); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(5, func() {
+				if err := BuildInto(&s, c); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("%v nelm=%d (%d steps): warm BuildInto allocates %v objects, want 0", kind, nelm, len(s.Steps), allocs)
+			}
+		}
+	}
+}
+
+// TestInternKeysEveryKernelField: the builder's descriptor table
+// separates two kernels that differ in any one field, and only those.
+// The cases cover every field of gpu.Kernel, so a field added later
+// fails here until it gets a case.
+func TestInternKeysEveryKernelField(t *testing.T) {
+	cases := []struct {
+		name    string
+		perturb func(k *gpu.Kernel)
+	}{
+		{"Class", func(k *gpu.Kernel) { k.Class = gpu.ClassStencil }},
+		{"Flops", func(k *gpu.Kernel) { k.Flops *= 1.5 }},
+		{"Bytes", func(k *gpu.Kernel) { k.Bytes *= 1.5 }},
+		{"Axes", func(k *gpu.Kernel) { k.Axes[2] = k.Axes[2]*0.5 + 1 }},
+		{"Launches", func(k *gpu.Kernel) { k.Launches += 3 }},
+		{"LatencyScale", func(k *gpu.Kernel) { k.LatencyScale = 2 }},
+		{"Entropy", func(k *gpu.Kernel) { k.Entropy = 0.9 }},
+	}
+	if n := reflect.TypeOf(gpu.Kernel{}).NumField(); n != len(cases) {
+		t.Fatalf("gpu.Kernel has %d fields, the test perturbs %d", n, len(cases))
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			k := gemmKernel(640, 160, 33280)
+			other := k
+			tc.perturb(&other)
+			var b builder
+			for _, kern := range []gpu.Kernel{k, other, k, other, k} {
+				b.gpuStep(kern, memGEMM)
+			}
+			if len(b.kernels) != 2 || b.kernels[0] != k || b.kernels[1] != other {
+				t.Fatalf("table %+v, want the two kernels in first-use order", b.kernels)
+			}
+			for i, st := range b.steps {
+				if want := int32(i % 2); st.Kernel != want {
+					t.Fatalf("step %d runs descriptor %d, want %d", i, st.Kernel, want)
+				}
+			}
+		})
 	}
 }

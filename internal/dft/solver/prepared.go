@@ -12,13 +12,13 @@ import (
 
 // Prepared is a job split into its cap-independent part, done once,
 // and the cap-dependent remainder, re-run per call: the step executor
-// of every run. Prepare validates the schedule, resolves every GPU
-// step's work descriptor through the (shared) platform efficiency
-// table into a gpu.CapSolver, runs CPU-step tasks, prices collectives
-// on the fabric, and tabulates the per-node powers that do not depend
-// on the GPUs' cap state. What remains per run is the cap solver's
-// clock decision per (GPU step, device), the jitter draws, and trace
-// recording.
+// of every run. Prepare validates the schedule, resolves each work
+// descriptor its GPU steps run through the (shared) platform
+// efficiency table into a gpu.CapSolver, runs CPU-step tasks, prices
+// collectives on the fabric, and tabulates the per-node powers that do
+// not depend on the GPUs' cap state. What remains per run is the cap
+// solver's clock decision per (GPU step, device), the jitter draws,
+// and trace recording.
 //
 // The split leans on a structural fact of the model: a step's wall
 // time and recorded powers depend on the cap only through
@@ -30,15 +30,14 @@ import (
 // it (package solveroracle).
 //
 // Layout is flat and sized by the schedule, not by nodes × steps. A
-// schedule repeats a handful of work descriptors (FFT batches, GEMMs,
-// nonlocal projection, subspace eig) every SCF iteration: the Table I
-// schedules have 6–8 distinct descriptors across hundreds to
-// thousands of GPU steps. So there is one CapSolver per distinct
-// descriptor — the step's gpu.Kernel with its Name cleared — and GPU
-// steps index into that table. Each CapSolver is shared by every
-// device, since devices of one spec differ only by variability scalars
-// folded in at solve time. DDR power is a row per (memory-activity
-// level, node), of which a schedule has a handful.
+// schedule carries its distinct work descriptors as a table (the
+// Table I schedules have 6–8 across hundreds to thousands of GPU
+// steps), so there is one CapSolver per table entry a step runs,
+// validated and resolved once, and GPU steps index into that table.
+// Each CapSolver is shared by every device, since devices of one spec
+// differ only by variability scalars folded in at solve time. DDR
+// power is a row per (memory-activity level, node), of which a
+// schedule has a handful.
 //
 // A Prepared is not safe for concurrent use.
 type Prepared struct {
@@ -48,10 +47,9 @@ type Prepared struct {
 	devs   []*gpu.GPU
 	devOff []int
 
-	steps  []prepStep
-	phases []string // distinct phase labels, indexed by prepStep.phase
+	steps []prepStep
 
-	kernels []gpu.CapSolver // one per distinct work descriptor, in first-use order
+	kernels []gpu.CapSolver // one per descriptor the steps run, in first-use order
 	// execs[ki*len(devs)+d] is descriptor ki's execution on device d
 	// under the current cap/clock state, rebuilt lazily after a Set*
 	// call.
@@ -67,15 +65,12 @@ type Prepared struct {
 	cpuW      []float64   // cpuW[ci*len(nodes)+ni]: CPU step ci's CPU power
 
 	// Reusable scratch, so steady-state runs allocate nothing.
-	gpuCP    []node.ComponentPowers // per node, slices preallocated
-	phaseDur []float64
-	phaseMap map[string]float64
+	gpuCP []node.ComponentPowers // per node, slices preallocated
 }
 
 // prepStep is one schedule step with its cap-independent work done.
 type prepStep struct {
 	kind  method.StepKind
-	phase int32 // index into Prepared.phases
 	level int32 // memory-activity level, index into memW rows
 	// idx is the GPU step's descriptor (kernels, execs) or the CPU
 	// step's ordinal among CPU steps (its cpuW row).
@@ -139,7 +134,8 @@ func Prepare(job Job) (*Prepared, error) {
 		p.gpuCP[ni] = node.ComponentPowers{GPUs: cp[:g:g], GPUMems: cp[g:]}
 	}
 
-	steps := job.Schedule.Steps
+	sched := job.Schedule
+	steps := sched.Steps
 	var cpuSteps int
 	for si := range steps {
 		if steps[si].Kind == method.StepCPU {
@@ -148,18 +144,15 @@ func Prepare(job Job) (*Prepared, error) {
 	}
 	p.steps = make([]prepStep, len(steps))
 	p.cpuW = make([]float64, 0, cpuSteps*nn)
-	// descriptors maps a GPU step's work descriptor to its kernels
-	// index. The key is the whole gpu.Kernel minus its label, so every
-	// field that feeds Resolve or the cap solver — including any added
-	// later — separates descriptors. Validate admits only finite,
-	// non-negative fields, on which == is bit equality except for the
-	// sign of zero, which neither Resolve nor the cap solver observes.
-	descriptors := make(map[gpu.Kernel]int32)
+	// solverOf maps a descriptor's table index to its kernels index
+	// plus one (0: not yet resolved). The first step that runs a
+	// descriptor validates and resolves it, so an error names that
+	// step, and an entry no step runs costs nothing.
+	solverOf := make([]int32, len(sched.Kernels))
 	var levels []float64
 	for si := range steps {
 		st := &steps[si]
-		ps := prepStep{kind: st.Kind, phase: p.phaseIndex(st.Phase)}
-		ps.level = int32(len(levels))
+		ps := prepStep{kind: st.Kind, level: int32(len(levels))}
 		for li, a := range levels {
 			if a == st.MemActivity {
 				ps.level = int32(li)
@@ -177,28 +170,25 @@ func Prepare(job Job) (*Prepared, error) {
 		}
 		switch st.Kind {
 		case method.StepGPU:
-			if err := st.GPU.Validate(); err != nil {
-				return nil, err
+			if st.Kernel < 0 || int(st.Kernel) >= len(sched.Kernels) {
+				return nil, fmt.Errorf("solver: GPU step %d runs descriptor %d of a %d-entry table", si, st.Kernel, len(sched.Kernels))
 			}
-			if dev0 == nil {
-				return nil, fmt.Errorf("solver: GPU step %q on a job with no GPUs", st.Label)
-			}
-			key := st.GPU
-			key.Name = ""
-			ki, ok := descriptors[key]
-			if !ok {
-				// The first step of a descriptor resolves it, so a
-				// resolve error names the same step as a per-step
-				// resolve would.
-				prof, err := dev0.Resolve(st.GPU)
-				if err != nil {
-					return nil, err
+			if solverOf[st.Kernel] == 0 {
+				k := sched.Kernels[st.Kernel]
+				if dev0 == nil {
+					return nil, fmt.Errorf("solver: GPU step %d (%s) on a job with no GPUs", si, k.Class)
 				}
-				ki = int32(len(p.kernels))
-				descriptors[key] = ki
-				p.kernels = append(p.kernels, gpu.NewCapSolver(dev0.Spec, st.GPU, prof))
+				if err := k.Validate(); err != nil {
+					return nil, fmt.Errorf("solver: GPU step %d (%s): %w", si, k.Class, err)
+				}
+				prof, err := dev0.Resolve(k)
+				if err != nil {
+					return nil, fmt.Errorf("solver: GPU step %d (%s): %w", si, k.Class, err)
+				}
+				p.kernels = append(p.kernels, gpu.NewCapSolver(dev0.Spec, k, prof))
+				solverOf[st.Kernel] = int32(len(p.kernels))
 			}
-			ps.idx = ki
+			ps.idx = solverOf[st.Kernel] - 1
 		case method.StepCPU:
 			ps.idx = int32(len(p.cpuW) / nn)
 			maxDur := 0.0
@@ -227,24 +217,12 @@ func Prepare(job Job) (*Prepared, error) {
 		}
 		p.steps[si] = ps
 	}
-	p.phaseDur = make([]float64, len(p.phases))
 	// Every step appends at most one segment per trace; the CPU trace
 	// changes power only around CPU steps.
 	for _, n := range job.Nodes {
 		n.GrowTraces(1+2*cpuSteps, len(steps))
 	}
 	return p, nil
-}
-
-// phaseIndex interns a phase label (schedules carry a handful).
-func (p *Prepared) phaseIndex(phase string) int32 {
-	for i, name := range p.phases {
-		if name == phase {
-			return int32(i)
-		}
-	}
-	p.phases = append(p.phases, phase)
-	return int32(len(p.phases) - 1)
 }
 
 // commDuration prices one collective on the fabric.
@@ -299,14 +277,10 @@ func (p *Prepared) buildExecs() {
 // left at 0 — callers settle it with NodeEnergy (the sweep engine once
 // per point, for the surviving repeat). The jitter draw order is one
 // whole-run factor, then one per-step factor in step order.
-//
-// The returned Result's PhaseDurations map is reused by the next call
-// on this Prepared; callers keeping it across runs must copy it.
 func (p *Prepared) RunNoEnergy(noise *rng.Stream) Result {
 	if !p.execsValid {
 		p.buildExecs()
 	}
-	clear(p.phaseDur)
 	runScale := 1.0
 	if noise != nil {
 		runScale = noise.LogNormal(0, runJitterSigma)
@@ -373,18 +347,6 @@ func (p *Prepared) RunNoEnergy(noise *rng.Stream) Result {
 				n.Record(dur, node.ComponentPowers{CPU: p.hostOrchW[ni], Mem: memW[ni], GPUs: p.gpuIdle[ni]})
 			}
 		}
-		p.phaseDur[st.phase] += dur
 	}
-	if p.phaseMap == nil {
-		p.phaseMap = make(map[string]float64, len(p.phases))
-	}
-	clear(p.phaseMap)
-	for i, name := range p.phases {
-		p.phaseMap[name] = p.phaseDur[i]
-	}
-	return Result{
-		Runtime:        nodes[0].TraceDuration() - start,
-		PhaseDurations: p.phaseMap,
-		Steps:          len(p.steps),
-	}
+	return Result{Runtime: nodes[0].TraceDuration() - start, Steps: len(p.steps)}
 }

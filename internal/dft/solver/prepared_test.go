@@ -2,6 +2,8 @@ package solver_test
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"vasppower/internal/dft/method"
@@ -61,14 +63,6 @@ func resultsEqual(t *testing.T, oracle, prep solver.Result) {
 	}
 	if oracle.Steps != prep.Steps {
 		t.Fatalf("steps %d vs oracle %d", prep.Steps, oracle.Steps)
-	}
-	if len(oracle.PhaseDurations) != len(prep.PhaseDurations) {
-		t.Fatalf("phases %v vs oracle %v", prep.PhaseDurations, oracle.PhaseDurations)
-	}
-	for k, v := range oracle.PhaseDurations {
-		if prep.PhaseDurations[k] != v {
-			t.Fatalf("phase %q: %v vs oracle %v", k, prep.PhaseDurations[k], v)
-		}
 	}
 }
 
@@ -172,28 +166,6 @@ func TestPreparedSweepMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestPreparedPhaseMapReused documents the scratch contract: the next
-// Run overwrites the previous Result's PhaseDurations.
-func TestPreparedPhaseMapReused(t *testing.T) {
-	job := testJob(t, method.DFTRMM, 1, false)
-	prep, err := solver.Prepare(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1 := prep.RunNoEnergy(nil)
-	m1 := r1.PhaseDurations
-	for _, n := range job.Nodes {
-		n.ResetTracesReuse()
-	}
-	r2 := prep.RunNoEnergy(nil)
-	if &m1 == &r2.PhaseDurations {
-	} // same map is expected; the assertion is aliasing, below
-	m1["sentinel"] = 1
-	if r2.PhaseDurations["sentinel"] != 1 {
-		t.Fatal("PhaseDurations no longer aliases the prepared scratch map (update the doc contract)")
-	}
-}
-
 // TestPreparedSetLimitErrors mirrors the per-device range checks.
 func TestPreparedSetLimitErrors(t *testing.T) {
 	prep, err := solver.Prepare(testJob(t, method.DFTRMM, 1, false))
@@ -237,6 +209,26 @@ func TestPreparedValidation(t *testing.T) {
 		}
 	}
 
+	// A GPU step's descriptor index must fall in the table, and the
+	// descriptor must be valid; the error names the step and its class.
+	for _, tc := range []struct {
+		name   string
+		mutate func(*method.Schedule)
+		want   string
+	}{
+		{"index out of range", func(s *method.Schedule) { s.Steps[1].Kernel = int32(len(s.Kernels)) }, "GPU step 1 runs descriptor"},
+		{"NaN flops", func(s *method.Schedule) { s.Kernels[s.Steps[1].Kernel].Flops = math.NaN() }, "GPU step 1 (fft)"},
+	} {
+		bad := testJob(t, method.DFTRMM, 1, false)
+		if bad.Schedule.Steps[1].Kind != method.StepGPU {
+			t.Fatal("step 1 of the test schedule is not a GPU step")
+		}
+		tc.mutate(bad.Schedule)
+		if _, err := solver.Prepare(bad); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: got %v, want an error with %q", tc.name, err, tc.want)
+		}
+	}
+
 	mixed := testJob(t, method.DFTRMM, 2, false)
 	mixed.Nodes[1] = node.New("n80", platform.A10080GB500W(), nil)
 	if _, err := solver.Prepare(mixed); err == nil {
@@ -271,20 +263,6 @@ func TestPreparedRunSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// distinctDescriptors counts a schedule's GPU work descriptors: its
-// GPU steps' kernels with their labels cleared.
-func distinctDescriptors(sched *method.Schedule) int {
-	seen := map[gpu.Kernel]bool{}
-	for _, st := range sched.Steps {
-		if st.Kind == method.StepGPU {
-			k := st.GPU
-			k.Name = ""
-			seen[k] = true
-		}
-	}
-	return len(seen)
-}
-
 // TestPrepareOneCapSolverPerDescriptor: a Table I schedule repeats a
 // handful of work descriptors over thousands of GPU steps, and Prepare
 // builds exactly one cap solver per descriptor.
@@ -311,7 +289,7 @@ func TestPrepareOneCapSolverPerDescriptor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := distinctDescriptors(sched)
+		want := len(sched.Kernels)
 		if want != 8 {
 			t.Fatalf("nodes=%d: GaAsBi-64 has %d distinct descriptors, want 8", nodes, want)
 		}
@@ -321,53 +299,13 @@ func TestPrepareOneCapSolverPerDescriptor(t *testing.T) {
 	}
 }
 
-// TestPrepareIgnoresKernelNames: a kernel's Name is a label, not work.
-// Giving every GPU step a unique name must leave the descriptor table,
-// the Result and every trace bit-identical, uncapped and capped.
-func TestPrepareIgnoresKernelNames(t *testing.T) {
-	plain := testJob(t, method.HSE, 2, true)
-	named := testJob(t, method.HSE, 2, true)
-	for si := range named.Schedule.Steps {
-		if st := &named.Schedule.Steps[si]; st.Kind == method.StepGPU {
-			st.GPU.Name = fmt.Sprintf("step%d", si)
-		}
-	}
-	prepPlain, err := solver.Prepare(plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prepNamed, err := solver.Prepare(named)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := prepPlain.CapSolvers(), prepNamed.CapSolvers(); a != b {
-		t.Fatalf("renaming kernels changed the descriptor count: %d vs %d", a, b)
-	}
-	for _, capW := range []float64{0, 250} {
-		for _, j := range []struct {
-			job  solver.Job
-			prep *solver.Prepared
-		}{{plain, prepPlain}, {named, prepNamed}} {
-			for _, n := range j.job.Nodes {
-				n.ResetTracesReuse()
-			}
-			if err := j.prep.SetGPULimits(capW, 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want := runPrepared(prepPlain, plain.Nodes, rng.New(9))
-		got := runPrepared(prepNamed, named.Nodes, rng.New(9))
-		resultsEqual(t, want, got)
-		nodesEqual(t, plain.Nodes, named.Nodes)
-	}
-}
-
-// TestPrepareKeysEveryKernelField: two steps whose kernels differ in
-// any one work field are different descriptors. Every other occurrence
-// of each descriptor gets one field perturbed, so a descriptor key
-// that ignored the field would hand half the steps the wrong cap
-// solver; the prepared run must still match the oracle bit for bit,
-// capped and uncapped.
+// TestPrepareKeysEveryKernelField: Prepare gives every table entry a
+// step runs its own cap solver, however little it differs from
+// another. Every other occurrence of each descriptor is pointed at a
+// copy with one field perturbed, so a Prepare that shared solvers
+// between entries equal but for that field would hand half the steps
+// the wrong cap solver; the prepared run must still match the oracle
+// bit for bit, capped and uncapped.
 func TestPrepareKeysEveryKernelField(t *testing.T) {
 	for _, field := range []struct {
 		name    string
@@ -384,15 +322,20 @@ func TestPrepareKeysEveryKernelField(t *testing.T) {
 		t.Run(field.name, func(t *testing.T) {
 			perturbed := func() solver.Job {
 				job := testJob(t, method.HSE, 1, true)
-				seen := map[gpu.Kernel]int{}
-				for si := range job.Schedule.Steps {
-					if st := &job.Schedule.Steps[si]; st.Kind == method.StepGPU {
-						k := st.GPU
-						k.Name = ""
-						if seen[k]%2 == 1 {
-							field.perturb(&st.GPU)
+				sched := job.Schedule
+				n := int32(len(sched.Kernels))
+				for _, k := range sched.Kernels[:n] {
+					field.perturb(&k)
+					sched.Kernels = append(sched.Kernels, k)
+				}
+				seen := make([]int, n)
+				for si := range sched.Steps {
+					if st := &sched.Steps[si]; st.Kind == method.StepGPU {
+						ki := st.Kernel
+						if seen[ki]%2 == 1 {
+							st.Kernel += n
 						}
-						seen[k]++
+						seen[ki]++
 					}
 				}
 				return job

@@ -32,7 +32,6 @@ const (
 
 // Job binds a schedule to hardware.
 type Job struct {
-	Name     string
 	Schedule *method.Schedule
 	Nodes    []*node.Node
 	Decomp   parallel.Decomposition
@@ -43,10 +42,9 @@ type Job struct {
 
 // Result summarizes one executed job.
 type Result struct {
-	Runtime        float64            // wall seconds
-	EnergyJ        float64            // node-level energy over all nodes
-	PhaseDurations map[string]float64 // wall seconds per phase label
-	Steps          int
+	Runtime float64 // wall seconds
+	EnergyJ float64 // node-level energy over all nodes
+	Steps   int
 }
 
 // NodeEnergy is the summed node-sensor energy of nodes from start to

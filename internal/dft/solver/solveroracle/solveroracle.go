@@ -51,23 +51,21 @@ func Run(j solver.Job) (solver.Result, error) {
 	if job.Noise != nil {
 		job.runScale = job.Noise.LogNormal(0, runJitterSigma)
 	}
-	res := solver.Result{PhaseDurations: make(map[string]float64)}
+	var res solver.Result
 	start := job.Nodes[0].TraceDuration()
 	for _, st := range job.Schedule.Steps {
-		var dur float64
 		switch st.Kind {
 		case method.StepGPU:
-			dur = gpuStep(job, st)
+			gpuStep(job, st)
 		case method.StepCPU:
-			dur = cpuStep(job, st)
+			cpuStep(job, st)
 		case method.StepComm:
-			dur = commStep(job, st)
+			commStep(job, st)
 		case method.StepHost:
-			dur = hostStep(job, st)
+			hostStep(job, st)
 		default:
 			panic(fmt.Sprintf("solver: unknown step kind %v", st.Kind))
 		}
-		res.PhaseDurations[st.Phase] += dur
 		res.Steps++
 	}
 	res.Runtime = job.Nodes[0].TraceDuration() - start
@@ -102,7 +100,8 @@ func kernel(g *gpu.GPU, k gpu.Kernel) gpu.Execution {
 	return s.Solve(g)
 }
 
-func gpuStep(job runJob, st method.Step) float64 {
+func gpuStep(job runJob, st method.Step) {
+	k := job.Schedule.Kernels[st.Kernel]
 	// Every GPU runs the same kernel; the step ends at the slowest
 	// device (implicit barrier).
 	var execs [][]gpu.Execution
@@ -110,7 +109,7 @@ func gpuStep(job runJob, st method.Step) float64 {
 	for _, n := range job.Nodes {
 		row := make([]gpu.Execution, n.NumGPUs())
 		for i, g := range n.GPUs {
-			row[i] = kernel(g, st.GPU)
+			row[i] = kernel(g, k)
 			if row[i].Duration > maxDur {
 				maxDur = row[i].Duration
 			}
@@ -138,10 +137,9 @@ func gpuStep(job runJob, st method.Step) float64 {
 		}
 		n.Record(maxDur, cp)
 	}
-	return maxDur
 }
 
-func cpuStep(job runJob, st method.Step) float64 {
+func cpuStep(job runJob, st method.Step) {
 	maxDur := 0.0
 	var powers []float64
 	for _, n := range job.Nodes {
@@ -158,10 +156,9 @@ func cpuStep(job runJob, st method.Step) float64 {
 		cp.Mem = memPower(n, st.MemActivity)
 		n.Record(maxDur, cp)
 	}
-	return maxDur
 }
 
-func commStep(job runJob, st method.Step) float64 {
+func commStep(job runJob, st method.Step) {
 	var topo interconnect.Topology
 	switch st.Comm.Scope {
 	case method.ScopeGroup:
@@ -190,10 +187,9 @@ func commStep(job runJob, st method.Step) float64 {
 		}
 		n.Record(dur, cp)
 	}
-	return dur
 }
 
-func hostStep(job runJob, st method.Step) float64 {
+func hostStep(job runJob, st method.Step) {
 	dur := st.HostSeconds * jitter(job)
 	for _, n := range job.Nodes {
 		cp := n.Idle()
@@ -201,7 +197,6 @@ func hostStep(job runJob, st method.Step) float64 {
 		cp.Mem = memPower(n, st.MemActivity)
 		n.Record(dur, cp)
 	}
-	return dur
 }
 
 // memPower interpolates DDR power between idle and active with

@@ -109,7 +109,6 @@ func (c *CPU) HostOrchestrationPower() float64 { return c.PowerAt(0.12) }
 
 // Task is a CPU-side computation (e.g. a ScaLAPACK eigensolve).
 type Task struct {
-	Name  string
 	Flops float64 // total FP work
 	// Efficiency is the achieved fraction of all-core peak (parallel
 	// efficiency × vectorization efficiency), ∈ (0, 1].
@@ -140,7 +139,6 @@ func (c *CPU) Run(t Task) Execution {
 // at modest parallel efficiency, running the package near full tilt.
 func EigensolveTask(n int) Task {
 	return Task{
-		Name:        fmt.Sprintf("eigensolve-%d", n),
 		Flops:       (10.0 / 3.0) * math.Pow(float64(n), 3),
 		Efficiency:  0.25, // eigensolvers are far from GEMM efficiency
 		Utilization: 0.75,

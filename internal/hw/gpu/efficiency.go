@@ -191,7 +191,7 @@ func floorOcc(x, floor float64) float64 {
 func (m *EfficiencyModel) Resolve(k Kernel) (ExecProfile, error) {
 	ce, ok := m.Classes[k.Class]
 	if !ok {
-		return ExecProfile{}, fmt.Errorf("gpu: efficiency table %q has no class %q (kernel %q)", m.Name, k.Class, k.Name)
+		return ExecProfile{}, fmt.Errorf("gpu: efficiency table %q has no class %q", m.Name, k.Class)
 	}
 	var comp, mem, sma float64
 	if ce.Fill != ([3]float64{}) {

@@ -8,15 +8,15 @@ import (
 
 func TestResolveUnknownClass(t *testing.T) {
 	m := DefaultEfficiency()
-	if _, err := m.Resolve(Kernel{Name: "x", Class: "no-such-class", Flops: 1}); err == nil {
+	if _, err := m.Resolve(Kernel{Class: "no-such-class", Flops: 1}); err == nil {
 		t.Fatal("unknown class resolved")
 	}
 }
 
 func TestResolveSharedFillScalesAllResponses(t *testing.T) {
 	m := DefaultEfficiency()
-	small := Kernel{Name: "s", Class: ClassFFT, Flops: 1e9, Bytes: 1e9, Axes: [3]float64{1e5, 10}}
-	big := Kernel{Name: "b", Class: ClassFFT, Flops: 1e9, Bytes: 1e9, Axes: [3]float64{1e9, 1e5}}
+	small := Kernel{Class: ClassFFT, Flops: 1e9, Bytes: 1e9, Axes: [3]float64{1e5, 10}}
+	big := Kernel{Class: ClassFFT, Flops: 1e9, Bytes: 1e9, Axes: [3]float64{1e9, 1e5}}
 	ps, err := m.Resolve(small)
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +39,7 @@ func TestResolveChainedAxes(t *testing.T) {
 	// GEMM: each dimension saturates independently; shrinking any one
 	// axis lowers the compute occupancy.
 	m := DefaultEfficiency()
-	base := Kernel{Name: "g", Class: ClassGEMM, Flops: 1, Axes: [3]float64{5000, 640, 640}}
+	base := Kernel{Class: ClassGEMM, Flops: 1, Axes: [3]float64{5000, 640, 640}}
 	pb, err := m.Resolve(base)
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestResolveChainedAxes(t *testing.T) {
 
 func TestResolveOccFloor(t *testing.T) {
 	m := DefaultEfficiency()
-	k := Kernel{Name: "tiny", Class: ClassGEMM, Flops: 1, Axes: [3]float64{1, 1, 1}}
+	k := Kernel{Class: ClassGEMM, Flops: 1, Axes: [3]float64{1, 1, 1}}
 	p, err := m.Resolve(k)
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +79,7 @@ func TestResolveOccFloor(t *testing.T) {
 
 func TestResolveLatencyChain(t *testing.T) {
 	m := DefaultEfficiency()
-	k := Kernel{Name: "eig", Class: ClassEig, Flops: 1, Launches: 10, LatencyScale: 12}
+	k := Kernel{Class: ClassEig, Flops: 1, Launches: 10, LatencyScale: 12}
 	p, err := m.Resolve(k)
 	if err != nil {
 		t.Fatal(err)
@@ -169,9 +169,9 @@ func TestModelJSONRoundTrip(t *testing.T) {
 	}
 	// Behavioral equality on a spread of descriptors.
 	r := []Kernel{
-		{Name: "f", Class: ClassFFT, Flops: 1e12, Bytes: 1e11, Axes: [3]float64{2e6, 128}, Launches: 50, LatencyScale: 12},
-		{Name: "g", Class: ClassGEMM, Flops: 1e12, Bytes: 1e10, Axes: [3]float64{512, 64, 96}, Launches: 1, LatencyScale: 12},
-		{Name: "n", Class: ClassNonlocal, Flops: 1e10, Bytes: 2.5e9, Axes: [3]float64{1e10, 200}, Launches: 8, LatencyScale: 12, Entropy: 0.7},
+		{Class: ClassFFT, Flops: 1e12, Bytes: 1e11, Axes: [3]float64{2e6, 128}, Launches: 50, LatencyScale: 12},
+		{Class: ClassGEMM, Flops: 1e12, Bytes: 1e10, Axes: [3]float64{512, 64, 96}, Launches: 1, LatencyScale: 12},
+		{Class: ClassNonlocal, Flops: 1e10, Bytes: 2.5e9, Axes: [3]float64{1e10, 200}, Launches: 8, LatencyScale: 12, Entropy: 0.7},
 	}
 	for _, k := range r {
 		pa, err := a.Resolve(k)
@@ -183,7 +183,7 @@ func TestModelJSONRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		if pa != pb {
-			t.Fatalf("round-tripped table resolves %q differently: %+v vs %+v", k.Name, pa, pb)
+			t.Fatalf("round-tripped table resolves %s differently: %+v vs %+v", k.Class, pa, pb)
 		}
 	}
 }

@@ -134,7 +134,6 @@ func DefaultVariability() Variability {
 // — never how well the hardware runs it; that resolution belongs to
 // the platform's EfficiencyModel.
 type Kernel struct {
-	Name string
 	// Class selects the efficiency responses in the platform table.
 	Class KernelClass
 	// Flops is the total floating-point work, in flop.
@@ -181,26 +180,26 @@ func (k Kernel) Validate() error {
 	}
 	for i, a := range k.Axes {
 		if nonfinite(a) || a < 0 {
-			return fmt.Errorf("gpu: kernel %q Axes[%d] = %v", k.Name, i, a)
+			return fmt.Errorf("gpu: %s kernel Axes[%d] = %v", k.Class, i, a)
 		}
 	}
 	switch {
 	case k.Entropy > 1:
-		return fmt.Errorf("gpu: kernel %q Entropy %v out of [0,1]", k.Name, k.Entropy)
+		return fmt.Errorf("gpu: %s kernel Entropy %v out of [0,1]", k.Class, k.Entropy)
 	case k.Class == "":
-		return fmt.Errorf("gpu: kernel %q has no class", k.Name)
+		return fmt.Errorf("gpu: kernel has no class")
 	case k.Flops == 0 && k.Bytes == 0 && k.Launches == 0:
-		return fmt.Errorf("gpu: kernel %q is empty", k.Name)
+		return fmt.Errorf("gpu: %s kernel is empty", k.Class)
 	}
 	return nil
 }
 
 func (k Kernel) checkField(field string, v float64) error {
 	if nonfinite(v) {
-		return fmt.Errorf("gpu: kernel %q %s is not finite (%v)", k.Name, field, v)
+		return fmt.Errorf("gpu: %s kernel %s is not finite (%v)", k.Class, field, v)
 	}
 	if v < 0 {
-		return fmt.Errorf("gpu: kernel %q %s is negative (%v)", k.Name, field, v)
+		return fmt.Errorf("gpu: %s kernel %s is negative (%v)", k.Class, field, v)
 	}
 	return nil
 }

@@ -13,7 +13,6 @@ import (
 func dgemmKernel() Kernel {
 	n := 8192.0
 	return Kernel{
-		Name:  "dgemm",
 		Class: ClassDGEMMPeak,
 		Flops: 2 * n * n * n,
 		Bytes: 3 * n * n * 8,
@@ -27,7 +26,6 @@ func dgemmKernel() Kernel {
 func streamKernel() Kernel {
 	n := 4e8 // elements
 	return Kernel{
-		Name:  "stream",
 		Class: ClassStreamTriad,
 		Flops: 2 * n,
 		Bytes: 3 * n * 8,
@@ -56,7 +54,6 @@ var allClasses = []KernelClass{
 // randomKernel draws a random but valid work descriptor.
 func randomKernel(r *rng.Stream) Kernel {
 	return Kernel{
-		Name:     "rand",
 		Class:    allClasses[int(r.Uint64()%uint64(len(allClasses)))],
 		Flops:    r.Float64() * 1e13,
 		Bytes:    r.Float64() * 1e11,
@@ -184,7 +181,6 @@ func TestLatencyBoundKernelCapInsensitive(t *testing.T) {
 	// count puts ~100 µs of fixed latency against ~50 ns of work.
 	g := nominal()
 	k := Kernel{
-		Name:     "tiny-vdw",
 		Class:    ClassVdW,
 		Flops:    5e7,
 		Bytes:    4e6,
@@ -222,7 +218,7 @@ func TestPowerMonotoneInClock(t *testing.T) {
 		for c := g.Spec.MinClockFrac; c <= 1.0; c += 0.01 {
 			pw := g.powerAt(k, p, c)
 			if pw < prev-1e-9 {
-				t.Fatalf("power not monotone in clock for %s (%s) at c=%v", k.Name, k.Class, c)
+				t.Fatalf("power not monotone in clock for %s at c=%v", k.Class, c)
 			}
 			prev = pw
 		}
@@ -246,7 +242,7 @@ func TestDurationMonotoneInClock(t *testing.T) {
 		for c := g.Spec.MinClockFrac; c <= 1.0; c += 0.01 {
 			d := g.timeAt(k, p, c)
 			if d > prev+1e-12 {
-				t.Fatalf("duration not non-increasing in clock for %s (%s)", k.Name, k.Class)
+				t.Fatalf("duration not non-increasing in clock for %s", k.Class)
 			}
 			prev = d
 		}
@@ -312,29 +308,32 @@ func TestVariabilityIsDeterministic(t *testing.T) {
 
 func TestKernelValidate(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
-	bad := []Kernel{
-		{Name: "neg", Class: ClassGEMM, Flops: -1},
-		{Name: "nan-flops", Class: ClassGEMM, Flops: nan},
-		{Name: "inf-flops", Class: ClassGEMM, Flops: inf},
-		{Name: "nan-bytes", Class: ClassGEMM, Flops: 1, Bytes: nan},
-		{Name: "neg-inf-bytes", Class: ClassGEMM, Flops: 1, Bytes: math.Inf(-1)},
-		{Name: "nan-launches", Class: ClassGEMM, Flops: 1, Launches: nan},
-		{Name: "nan-axis", Class: ClassGEMM, Flops: 1, Axes: [3]float64{1, nan, 1}},
-		{Name: "inf-axis", Class: ClassGEMM, Flops: 1, Axes: [3]float64{inf}},
-		{Name: "neg-axis", Class: ClassGEMM, Flops: 1, Axes: [3]float64{-1}},
-		{Name: "nan-scale", Class: ClassGEMM, Flops: 1, LatencyScale: nan},
-		{Name: "nan-entropy", Class: ClassGEMM, Flops: 1, Entropy: nan},
-		{Name: "big-entropy", Class: ClassGEMM, Flops: 1, Entropy: 1.5},
-		{Name: "neg-entropy", Class: ClassGEMM, Flops: 1, Entropy: -0.1},
-		{Name: "classless", Flops: 1},
-		{Name: "empty", Class: ClassGEMM},
+	bad := []struct {
+		name string
+		k    Kernel
+	}{
+		{"neg", Kernel{Class: ClassGEMM, Flops: -1}},
+		{"nan-flops", Kernel{Class: ClassGEMM, Flops: nan}},
+		{"inf-flops", Kernel{Class: ClassGEMM, Flops: inf}},
+		{"nan-bytes", Kernel{Class: ClassGEMM, Flops: 1, Bytes: nan}},
+		{"neg-inf-bytes", Kernel{Class: ClassGEMM, Flops: 1, Bytes: math.Inf(-1)}},
+		{"nan-launches", Kernel{Class: ClassGEMM, Flops: 1, Launches: nan}},
+		{"nan-axis", Kernel{Class: ClassGEMM, Flops: 1, Axes: [3]float64{1, nan, 1}}},
+		{"inf-axis", Kernel{Class: ClassGEMM, Flops: 1, Axes: [3]float64{inf}}},
+		{"neg-axis", Kernel{Class: ClassGEMM, Flops: 1, Axes: [3]float64{-1}}},
+		{"nan-scale", Kernel{Class: ClassGEMM, Flops: 1, LatencyScale: nan}},
+		{"nan-entropy", Kernel{Class: ClassGEMM, Flops: 1, Entropy: nan}},
+		{"big-entropy", Kernel{Class: ClassGEMM, Flops: 1, Entropy: 1.5}},
+		{"neg-entropy", Kernel{Class: ClassGEMM, Flops: 1, Entropy: -0.1}},
+		{"classless", Kernel{Flops: 1}},
+		{"empty", Kernel{Class: ClassGEMM}},
 	}
-	for _, k := range bad {
-		if err := k.Validate(); err == nil {
-			t.Fatalf("kernel %q should be invalid", k.Name)
+	for _, b := range bad {
+		if err := b.k.Validate(); err == nil {
+			t.Fatalf("kernel %q should be invalid", b.name)
 		}
 	}
-	good := Kernel{Name: "ok", Class: ClassGEMM, Flops: 1, Axes: [3]float64{1, 1, 1}}
+	good := Kernel{Class: ClassGEMM, Flops: 1, Axes: [3]float64{1, 1, 1}}
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +345,7 @@ func TestRunPanicsOnInvalidKernel(t *testing.T) {
 			t.Fatal("invalid kernel did not panic")
 		}
 	}()
-	nominal().Run(Kernel{Name: "bad", Class: ClassGEMM, Flops: math.NaN()})
+	nominal().Run(Kernel{Class: ClassGEMM, Flops: math.NaN()})
 }
 
 func TestRunPanicsOnUnknownClass(t *testing.T) {
@@ -355,7 +354,7 @@ func TestRunPanicsOnUnknownClass(t *testing.T) {
 			t.Fatal("unknown class did not panic")
 		}
 	}()
-	nominal().Run(Kernel{Name: "mystery", Class: "warp-drive", Flops: 1})
+	nominal().Run(Kernel{Class: "warp-drive", Flops: 1})
 }
 
 func TestMemoryBoundOvershootsDeepCap(t *testing.T) {

@@ -106,7 +106,7 @@ type Result struct {
 // repeatedly starting the lowest-sequence fitting bucket head, and a
 // pass after an unchanged cycle is provably a no-op.
 func Simulate(cfg SimConfig, jobs []Job) (Result, error) {
-	if err := validateConfig(cfg); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
 	for _, j := range jobs {
@@ -131,7 +131,7 @@ func Simulate(cfg SimConfig, jobs []Job) (Result, error) {
 // outcome is written at the rank the mix gives it, so the Result needs
 // no sort.
 func SimulateStream(cfg SimConfig, src JobStream) (Result, error) {
-	if err := validateConfig(cfg); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
 	if src == nil {
@@ -140,7 +140,14 @@ func SimulateStream(cfg SimConfig, src JobStream) (Result, error) {
 	return simulate(cfg, src, true)
 }
 
-func validateConfig(cfg SimConfig) error {
+// Validate checks the configuration before a simulation runs. Beyond
+// the field checks it rejects a budget no job can ever start under: if
+// every budget the envelope takes (BudgetW and each phase's) is a limit
+// below the smallest reservation the cluster can hold — every node idle
+// or running the class the policy reserves least for — the fit test
+// fails for every job in every phase, and the run would simulate every
+// arrival only to report that no job started.
+func (cfg SimConfig) Validate() error {
 	if cfg.ClusterNodes <= 0 {
 		return fmt.Errorf("sched: cluster size %d", cfg.ClusterNodes)
 	}
@@ -166,7 +173,21 @@ func validateConfig(cfg SimConfig) error {
 		}
 		prev = ph.Start
 	}
-	return nil
+	floor := cfg.IdleNodeW
+	for c := ClassDFT; c <= ClassRPA; c++ {
+		floor = min(floor, cfg.Policy.BudgetPowerPerNode(c))
+	}
+	floor *= float64(cfg.ClusterNodes)
+	if !(cfg.BudgetW > 0 && cfg.BudgetW < floor) {
+		return nil
+	}
+	for _, ph := range cfg.BudgetSchedule {
+		if !(ph.BudgetW > 0 && ph.BudgetW < floor) {
+			return nil
+		}
+	}
+	return fmt.Errorf("sched: budget %.0f W is below the idle reservation of %.0f W (%d nodes × %.0f W) in every budget phase: no job could ever start",
+		cfg.BudgetW, float64(cfg.ClusterNodes)*cfg.IdleNodeW, cfg.ClusterNodes, cfg.IdleNodeW)
 }
 
 // bucket is one FIFO of waiting jobs with identical packing

@@ -131,6 +131,39 @@ func TestSimulateValidation(t *testing.T) {
 		}
 	}
 
+	// A budget below the 8 × 460 W idle reservation fails the fit test
+	// for every job, so it is rejected before the run, naming the budget
+	// and the reservation; so is an envelope whose every phase is below
+	// it. An envelope that starts below the reservation and later rises
+	// above it runs, its jobs waiting for the rise.
+	below := simCfg(NoCap{NodeTDP: 2350}, 8*460-100, fakeCatalog(1))
+	const frag = "budget 3580 W is below the idle reservation of 3680 W (8 nodes × 460 W)"
+	if _, err := Simulate(below, jobs); err == nil || !strings.Contains(err.Error(), frag) {
+		t.Fatalf("below-idle budget: got %v, want an error with %q", err, frag)
+	}
+	if _, err := SimulateStream(below, SyntheticJobStream(2, 60, 1)); err == nil || !strings.Contains(err.Error(), frag) {
+		t.Fatalf("below-idle budget (stream): got %v, want an error with %q", err, frag)
+	}
+	allBelow := below
+	allBelow.BudgetSchedule = []BudgetPhase{{Start: 600, BudgetW: 8 * 400}}
+	if _, err := Simulate(allBelow, jobs); err == nil || !strings.Contains(err.Error(), frag) {
+		t.Fatalf("below-idle envelope: got %v", err)
+	}
+	rising := simCfg(NoCap{NodeTDP: 2350}, 0, fakeCatalog(1))
+	rising.BudgetSchedule = []BudgetPhase{{Start: 0, BudgetW: 8*460 - 100}, {Start: 600, BudgetW: 8 * 2350}}
+	res, err := Simulate(rising, jobs)
+	if err != nil {
+		t.Fatalf("envelope rising above the idle reservation: %v", err)
+	}
+	if res.Completed != len(jobs) {
+		t.Fatalf("envelope rising above the idle reservation completed %d of %d jobs", res.Completed, len(jobs))
+	}
+	for _, o := range res.Outcomes {
+		if o.Start < 600 {
+			t.Fatalf("job %s started at %v, under the below-idle phase", o.ID, o.Start)
+		}
+	}
+
 	// A non-finite arrival is an error on both paths, not an event the
 	// engine cannot schedule: a NaN mean draws NaN arrivals, and a huge
 	// one overflows the arrival sum to +Inf.

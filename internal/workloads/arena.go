@@ -6,31 +6,30 @@ import (
 )
 
 // Arena is the storage one worker's sweeps reuse, one sweep at a time:
-// the schedule's step list and one trace bank per node of the last
-// sweep. A sweep built in an arena (NewSweepIn) builds its schedule
-// into the arena's steps and records into the arena's banks, and its
-// Close hands both back: a sweep allocates neither once the arena has
-// held a schedule as long and its last sweep ran on as many nodes,
-// with traces as long. Arena storage is only ever reachable from the
-// one live sweep: outputs that outlive it (profiles) must be copied
-// out before Close. The zero value is ready to use; a nil *Arena
+// the schedule (its step list and descriptor table) and one trace bank
+// per node of the last sweep. A sweep built in an arena (NewSweepIn)
+// builds its schedule into the arena's and records into the arena's
+// banks, and its Close hands both back: a sweep allocates neither once
+// the arena has held a schedule as long and its last sweep ran on as
+// many nodes, with traces as long. Arena storage is only ever
+// reachable from the one live sweep: outputs that outlive it
+// (profiles) must be copied out before Close. The zero value is ready to use; a nil *Arena
 // allocates everything per sweep.
 type Arena struct {
-	steps []method.Step
+	sched method.Schedule
 	banks []node.TraceBank
 }
 
-// build builds cfg's schedule into the arena's step storage, which then
-// holds it until reclaim.
+// build builds cfg's schedule into the arena's schedule storage, which
+// then holds it until reclaim.
 func (a *Arena) build(cfg method.Config) (*method.Schedule, error) {
 	if a == nil {
 		return method.Build(cfg)
 	}
-	sched, err := method.BuildInto(a.steps, cfg)
-	if sched != nil {
-		a.steps = sched.Steps
+	if err := method.BuildInto(&a.sched, cfg); err != nil {
+		return nil, err
 	}
-	return sched, err
+	return &a.sched, nil
 }
 
 // lend moves the arena's trace storage into freshly allocated nodes,
@@ -48,7 +47,7 @@ func (a *Arena) lend(nodes []*node.Node) {
 }
 
 // reclaim takes the trace storage back from the nodes lend filled
-// (none when a sweep failed before allocating) and clears the step
+// (none when a sweep failed before allocating) and clears the schedule
 // storage, so the arena holds no schedule or trace of the finished
 // sweep, only its capacity. Banks beyond those nodes are dropped:
 // kept idle through runs on fewer nodes, they raised the live heap the
@@ -63,6 +62,5 @@ func (a *Arena) reclaim(nodes []*node.Node) {
 	}
 	clear(a.banks[len(nodes):])
 	a.banks = a.banks[:len(nodes)]
-	clear(a.steps)
-	a.steps = a.steps[:0]
+	a.sched = method.Schedule{Kernels: a.sched.Kernels[:0], Steps: a.sched.Steps[:0]}
 }

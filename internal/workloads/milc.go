@@ -79,59 +79,47 @@ const (
 // the schedule/solver layers are application-agnostic.
 func milcSchedule(spec MILCSpec, d parallel.Decomposition) *method.Schedule {
 	sitesPerRank := float64(spec.Sites()) / float64(d.Ranks)
-	sched := &method.Schedule{Name: spec.Name,
-		Steps: make([]method.Step, 0, 1+spec.Trajectories*(3*spec.MDSteps+1))}
+	// Two CG solves per MD step, each CGIters applications of the
+	// dslash stencil: bandwidth-bound, high occupancy, SMs mostly
+	// waiting on HBM. Then the force computation and link update: SU(3)
+	// matrix algebra, compute-leaning.
+	cg := float64(2 * spec.CGIters)
+	const dslash, force = 0, 1
+	sched := &method.Schedule{
+		Kernels: []gpu.Kernel{
+			dslash: {
+				Class: gpu.ClassStencil,
+				Flops: cg * milcDslashFlopsPerSite * sitesPerRank,
+				Bytes: cg * milcDslashBytesPerSite * sitesPerRank,
+			},
+			force: {
+				Class: gpu.ClassSU3Force,
+				Flops: milcForceFlopsPerSite * sitesPerRank * 8,
+				Bytes: milcForceBytesPerSite * sitesPerRank * 8,
+			},
+		},
+		Steps: make([]method.Step, 0, 1+spec.Trajectories*(3*spec.MDSteps+1)),
+	}
 	add := func(s method.Step) { sched.Steps = append(sched.Steps, s) }
 
-	add(method.Step{
-		Label: "setup", Kind: method.StepHost, HostSeconds: 2.0,
-		MemActivity: 0.2, Phase: "setup",
-	})
+	add(method.Step{Kind: method.StepHost, HostSeconds: 2.0, MemActivity: 0.2})
 	for tr := 0; tr < spec.Trajectories; tr++ {
 		for st := 0; st < spec.MDSteps; st++ {
-			pfx := fmt.Sprintf("tr%02d.md%02d", tr, st)
-			// Two CG solves per step, each CGIters applications of the
-			// dslash stencil: bandwidth-bound, high occupancy, SMs
-			// mostly waiting on HBM.
-			cg := float64(2 * spec.CGIters)
-			add(method.Step{
-				Label: pfx + ".cg-dslash", Kind: method.StepGPU,
-				GPU: gpu.Kernel{
-					Name:  pfx + ".cg-dslash",
-					Class: gpu.ClassStencil,
-					Flops: cg * milcDslashFlopsPerSite * sitesPerRank,
-					Bytes: cg * milcDslashBytesPerSite * sitesPerRank,
-				},
-				MemActivity: 0.85, Phase: "cg",
-			})
-			// Force computation and link update: SU(3) matrix algebra,
-			// compute-leaning.
-			add(method.Step{
-				Label: pfx + ".force", Kind: method.StepGPU,
-				GPU: gpu.Kernel{
-					Name:  pfx + ".force",
-					Class: gpu.ClassSU3Force,
-					Flops: milcForceFlopsPerSite * sitesPerRank * 8,
-					Bytes: milcForceBytesPerSite * sitesPerRank * 8,
-				},
-				MemActivity: 0.6, Phase: "force",
-			})
+			add(method.Step{Kind: method.StepGPU, Kernel: dslash, MemActivity: 0.85})
+			add(method.Step{Kind: method.StepGPU, Kernel: force, MemActivity: 0.6})
 			// Halo exchange for the next step.
 			add(method.Step{
-				Label: pfx + ".halo", Kind: method.StepComm,
+				Kind: method.StepComm,
 				Comm: method.Comm{
 					Op:    method.CommAllToAll,
 					Bytes: milcHaloBytesPerSite * sitesPerRank * float64(d.Ranks) * float64(spec.CGIters) / 50,
 					Scope: method.ScopeAll,
 				},
-				MemActivity: 0.3, Phase: "comm",
+				MemActivity: 0.3,
 			})
 		}
 		// Metropolis accept/reject + plaquette measurement on the host.
-		add(method.Step{
-			Label: fmt.Sprintf("tr%02d.measure", tr), Kind: method.StepHost,
-			HostSeconds: 1.5, MemActivity: 0.2, Phase: "measure",
-		})
+		add(method.Step{Kind: method.StepHost, HostSeconds: 1.5, MemActivity: 0.2})
 	}
 	return sched
 }
@@ -176,7 +164,6 @@ func RunMILC(spec MILCRunSpec) (RunOutput, error) {
 		return RunOutput{}, err
 	}
 	pr := newProtocol(protocol{
-		name:     spec.Spec.Name,
 		platform: spec.Platform,
 		nodes:    spec.Nodes,
 		seed:     spec.Seed,

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"vasppower/internal/dft/method"
 	"vasppower/internal/hw/gpu"
 	"vasppower/internal/hw/node"
 	"vasppower/internal/hw/platform"
@@ -157,27 +156,24 @@ func floorPower(t *testing.T, spec RunSpec) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	steps := pr.sched.Steps
+	kernels := pr.sched.Kernels
 	if spec.Prelude {
-		steps = append(slices.Clip(steps),
-			DGEMMSchedule(pr.platform.GPU, dgemmSeconds).Steps[0],
-			StreamSchedule(pr.platform.GPU, streamSeconds).Steps[0])
+		kernels = append(slices.Clip(kernels),
+			DGEMMSchedule(pr.platform.GPU, dgemmSeconds).Kernels[0],
+			StreamSchedule(pr.platform.GPU, streamSeconds).Kernels[0])
 	}
 	floor := 0.0
-	for _, st := range steps {
-		if st.Kind != method.StepGPU {
-			continue
-		}
+	for _, k := range kernels {
 		for _, n := range nodes {
 			for _, g := range n.GPUs {
 				if err := g.SetClockLimitMHz(g.Spec.MinClockFrac * g.Spec.MaxClockMHz); err != nil {
 					t.Fatal(err)
 				}
-				prof, err := g.Resolve(st.GPU)
+				prof, err := g.Resolve(k)
 				if err != nil {
 					t.Fatal(err)
 				}
-				s := gpu.NewCapSolver(g.Spec, st.GPU, prof)
+				s := gpu.NewCapSolver(g.Spec, k, prof)
 				floor = max(floor, s.Solve(g).Power)
 			}
 		}

@@ -31,10 +31,8 @@ func oracleRun(spec RunSpec) (RunOutput, error) {
 		return RunOutput{}, err
 	}
 	if spec.OperandEntropy != 0 {
-		for i := range sched.Steps {
-			if sched.Steps[i].Kind == method.StepGPU {
-				sched.Steps[i].GPU.Entropy = spec.OperandEntropy
-			}
+		for i := range sched.Kernels {
+			sched.Kernels[i].Entropy = spec.OperandEntropy
 		}
 	}
 	repeats := max(spec.Repeats, 1)
@@ -58,7 +56,7 @@ func oracleRun(spec RunSpec) (RunOutput, error) {
 			}
 		}
 		job := solver.Job{
-			Name: spec.Bench.Name, Schedule: sched, Nodes: nodes,
+			Schedule: sched, Nodes: nodes,
 			Decomp: cfg.Decomp, Fabric: interconnect.Slingshot(),
 			Noise: solveroracle.Noise(root, r),
 		}

@@ -85,7 +85,6 @@ const (
 // every replay of a repeat sees the same draws. VASP runs, MILC runs
 // and the sweep engine all execute through it.
 type protocol struct {
-	name     string
 	platform platform.Platform
 	nodes    int
 	seed     uint64
@@ -138,7 +137,6 @@ func resolve(spec RunSpec, a *Arena) (protocol, error) {
 		return protocol{}, err
 	}
 	return newProtocol(protocol{
-		name:     spec.Bench.Name,
 		platform: spec.Platform,
 		nodes:    spec.Nodes,
 		seed:     spec.Seed,
@@ -164,7 +162,6 @@ func (pr *protocol) allocate() (*cluster.Cluster, []*node.Node, error) {
 // job binds the protocol's schedule to nodes.
 func (pr *protocol) job(nodes []*node.Node) solver.Job {
 	return solver.Job{
-		Name:     pr.name,
 		Schedule: pr.sched,
 		Nodes:    nodes,
 		Decomp:   pr.decomp,
@@ -198,17 +195,13 @@ func Run(spec RunSpec) (RunOutput, error) {
 // full clock. How close to peak it lands is the platform table's
 // dgemm-peak response, not a property of the schedule.
 func DGEMMSchedule(spec gpu.Spec, seconds float64) *method.Schedule {
-	k := gpu.Kernel{
-		Name:  "dgemm-burnin",
-		Class: gpu.ClassDGEMMPeak,
-		Flops: seconds * 0.95 * spec.PeakFlops,
-		Bytes: seconds * 0.10 * spec.PeakMemBW,
-	}
 	return &method.Schedule{
-		Name: "dgemm",
-		Steps: []method.Step{{
-			Label: "dgemm", Kind: method.StepGPU, GPU: k, MemActivity: 0.4, Phase: "dgemm",
+		Kernels: []gpu.Kernel{{
+			Class: gpu.ClassDGEMMPeak,
+			Flops: seconds * 0.95 * spec.PeakFlops,
+			Bytes: seconds * 0.10 * spec.PeakMemBW,
 		}},
+		Steps: []method.Step{{Kind: method.StepGPU, Kernel: 0, MemActivity: 0.4}},
 	}
 }
 
@@ -216,22 +209,18 @@ func DGEMMSchedule(spec gpu.Spec, seconds float64) *method.Schedule {
 // given GPU: a bandwidth-bound kernel sized for about `seconds` at
 // full bandwidth.
 func StreamSchedule(spec gpu.Spec, seconds float64) *method.Schedule {
-	k := gpu.Kernel{
-		Name:  "stream-triad",
-		Class: gpu.ClassStreamTriad,
-		Flops: seconds * 0.04 * spec.PeakFlops,
-		Bytes: seconds * 0.92 * spec.PeakMemBW,
-	}
 	return &method.Schedule{
-		Name: "stream",
-		Steps: []method.Step{{
-			Label: "stream", Kind: method.StepGPU, GPU: k, MemActivity: 0.95, Phase: "stream",
+		Kernels: []gpu.Kernel{{
+			Class: gpu.ClassStreamTriad,
+			Flops: seconds * 0.04 * spec.PeakFlops,
+			Bytes: seconds * 0.92 * spec.PeakMemBW,
 		}},
+		Steps: []method.Step{{Kind: method.StepGPU, Kernel: 0, MemActivity: 0.95}},
 	}
 }
 
-// stampEntropy writes the run's operand entropy into every GPU work
-// descriptor of the schedule. Entropy is a property of the data the
+// stampEntropy writes the run's operand entropy into every work
+// descriptor of the schedule's table. Entropy is a property of the data the
 // job streams through the kernels — the same schedule on low-entropy
 // inputs draws measurably less dynamic power (the platform table's
 // entropy response decides how much). Zero leaves the descriptors at
@@ -243,10 +232,8 @@ func stampEntropy(sched *method.Schedule, entropy float64) error {
 	if entropy < 0 || entropy > 1 {
 		return fmt.Errorf("workloads: operand entropy %v out of [0,1]", entropy)
 	}
-	for i := range sched.Steps {
-		if sched.Steps[i].Kind == method.StepGPU {
-			sched.Steps[i].GPU.Entropy = entropy
-		}
+	for i := range sched.Kernels {
+		sched.Kernels[i].Entropy = entropy
 	}
 	return nil
 }

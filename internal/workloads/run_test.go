@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"vasppower/internal/dft/method"
 	"vasppower/internal/dft/parallel"
 	"vasppower/internal/hw/gpu"
 	"vasppower/internal/hw/node"
@@ -135,19 +136,19 @@ func TestRunDeterministicAcrossCalls(t *testing.T) {
 func TestMicroSchedules(t *testing.T) {
 	spec := gpu.A100SXM40GB()
 	dg := DGEMMSchedule(spec, 10)
-	if len(dg.Steps) != 1 || dg.Steps[0].GPU.Flops <= 0 {
+	if len(dg.Steps) != 1 || len(dg.Kernels) != 1 || dg.Steps[0].Kernel != 0 || dg.Kernels[0].Flops <= 0 {
 		t.Fatal("DGEMM schedule malformed")
 	}
 	st := StreamSchedule(spec, 10)
-	if len(st.Steps) != 1 || st.Steps[0].GPU.Bytes <= 0 {
+	if len(st.Steps) != 1 || len(st.Kernels) != 1 || st.Steps[0].Kernel != 0 || st.Kernels[0].Bytes <= 0 {
 		t.Fatal("STREAM schedule malformed")
 	}
 	g := gpu.New(spec, nil, 0, nil, gpu.DefaultVariability())
-	dp, err := g.Resolve(dg.Steps[0].GPU)
+	dp, err := g.Resolve(dg.Kernels[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := g.Resolve(st.Steps[0].GPU)
+	sp, err := g.Resolve(st.Kernels[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,32 +171,35 @@ func TestMicroAndMILCResolutionPinned(t *testing.T) {
 	sched := milcSchedule(DefaultMILC(), d)
 	var dslash, force gpu.Kernel
 	for _, s := range sched.Steps {
-		switch {
-		case s.Label == "tr00.md00.cg-dslash":
-			dslash = s.GPU
-		case s.Label == "tr00.md00.force":
-			force = s.GPU
+		if s.Kind != method.StepGPU {
+			continue
+		}
+		switch k := sched.Kernels[s.Kernel]; k.Class {
+		case gpu.ClassStencil:
+			dslash = k
+		case gpu.ClassSU3Force:
+			force = k
 		}
 	}
 	cases := []struct {
 		k    gpu.Kernel
 		want gpu.ExecProfile
 	}{
-		{DGEMMSchedule(spec, 10).Steps[0].GPU, gpu.ExecProfile{ComputeOcc: 0.95, MemOcc: 0.85, PowerScale: 1}},
-		{StreamSchedule(spec, 10).Steps[0].GPU, gpu.ExecProfile{ComputeOcc: 0.9, MemOcc: 0.92, SMActivity: 0.30, PowerScale: 1}},
+		{DGEMMSchedule(spec, 10).Kernels[0], gpu.ExecProfile{ComputeOcc: 0.95, MemOcc: 0.85, PowerScale: 1}},
+		{StreamSchedule(spec, 10).Kernels[0], gpu.ExecProfile{ComputeOcc: 0.9, MemOcc: 0.92, SMActivity: 0.30, PowerScale: 1}},
 		{dslash, gpu.ExecProfile{ComputeOcc: 0.60, MemOcc: 0.75, SMActivity: 0.42, PowerScale: 1}},
 		{force, gpu.ExecProfile{ComputeOcc: 0.55, MemOcc: 0.60, SMActivity: 0.62, PowerScale: 1}},
 	}
 	for _, c := range cases {
-		if c.k.Name == "" {
+		if c.k.Class == "" {
 			t.Fatal("pin case kernel not found in schedule")
 		}
 		got, err := model.Resolve(c.k)
 		if err != nil {
-			t.Fatalf("%s: %v", c.k.Name, err)
+			t.Fatalf("%s: %v", c.k.Class, err)
 		}
 		if got != c.want {
-			t.Fatalf("%s resolved %+v, want %+v", c.k.Name, got, c.want)
+			t.Fatalf("%s resolved %+v, want %+v", c.k.Class, got, c.want)
 		}
 	}
 }

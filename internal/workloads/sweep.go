@@ -39,8 +39,8 @@ func ActiveSweeps() int64 { return activeSweeps.Load() }
 // A Sweep is not safe for concurrent use. The RunOutput of a Run*
 // call — its nodes' traces and the derived traces read from them
 // (TotalTrace, whose storage the next point recycles), runtimes
-// slice, result map, and phase windows — is valid only until the next
-// Run* or Close call.
+// slice and phase windows — is valid only until the next Run* or
+// Close call.
 type Sweep struct {
 	pool  *cluster.Cluster
 	nodes []*node.Node
@@ -56,14 +56,13 @@ type Sweep struct {
 	noises  []rng.Stream
 	scratch rng.Stream
 
-	banks     []node.TraceBank // best repeat's traces during the loop
-	runtimes  []float64
-	bestRes   solver.Result
-	bestPhase map[string]float64
-	windows   map[string][2]float64
-	sink      *telemetry.Sampler
-	arena     *Arena // nil: the sweep owns its storage
-	closed    bool
+	banks    []node.TraceBank // best repeat's traces during the loop
+	runtimes []float64
+	bestRes  solver.Result
+	windows  map[string][2]float64
+	sink     *telemetry.Sampler
+	arena    *Arena // nil: the sweep owns its storage
+	closed   bool
 }
 
 // NewSweep performs the cap-independent resolution phase for spec.
@@ -108,15 +107,14 @@ func newSweep(a *Arena, pr *protocol, sink *telemetry.Sampler) (*Sweep, error) {
 	}
 	a.lend(nodes)
 	s := &Sweep{
-		pool:      pool,
-		nodes:     nodes,
-		noises:    pr.noises,
-		banks:     make([]node.TraceBank, len(nodes)),
-		runtimes:  make([]float64, len(pr.noises)),
-		bestPhase: make(map[string]float64, 8),
-		windows:   make(map[string][2]float64, 4),
-		sink:      sink,
-		arena:     a,
+		pool:     pool,
+		nodes:    nodes,
+		noises:   pr.noises,
+		banks:    make([]node.TraceBank, len(nodes)),
+		runtimes: make([]float64, len(pr.noises)),
+		windows:  make(map[string][2]float64, 4),
+		sink:     sink,
+		arena:    a,
 	}
 	job := pr.job(nodes)
 	if s.prep, err = solver.Prepare(job); err != nil {
@@ -189,14 +187,7 @@ func (s *Sweep) run(capW, mhz float64) (RunOutput, error) {
 		if r == 0 || res.Runtime < bestRuntime {
 			best, bestRuntime = r, res.Runtime
 			bestStart, bestEnd, bestPre = start, end, pre
-			// The prepared solver reuses its PhaseDurations map; copy
-			// into the sweep-owned map that outlives the loop.
-			clear(s.bestPhase)
-			for k, v := range res.PhaseDurations {
-				s.bestPhase[k] = v
-			}
 			s.bestRes = res
-			s.bestRes.PhaseDurations = s.bestPhase
 			s.swapBanks()
 		}
 	}

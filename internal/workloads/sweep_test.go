@@ -58,15 +58,8 @@ func sweepOutputsEqual(t *testing.T, oracle, got RunOutput) {
 	if oracle.Best != got.Best {
 		t.Fatalf("best %d vs oracle %d", got.Best, oracle.Best)
 	}
-	if oracle.BestResult.Runtime != got.BestResult.Runtime ||
-		oracle.BestResult.EnergyJ != got.BestResult.EnergyJ ||
-		oracle.BestResult.Steps != got.BestResult.Steps {
+	if oracle.BestResult != got.BestResult {
 		t.Fatalf("best result %+v vs oracle %+v", got.BestResult, oracle.BestResult)
-	}
-	for k, v := range oracle.BestResult.PhaseDurations {
-		if got.BestResult.PhaseDurations[k] != v {
-			t.Fatalf("phase %q: %v vs oracle %v", k, got.BestResult.PhaseDurations[k], v)
-		}
 	}
 	if oracle.VASPStart != got.VASPStart || oracle.VASPEnd != got.VASPEnd {
 		t.Fatalf("window [%v,%v] vs oracle [%v,%v]",
