@@ -40,8 +40,8 @@ threshold=0.10
 # 100,000-job policy row is the one whose outcome order is a real
 # permutation of arrival order (IDs past job9999); at 10,000 jobs it
 # is the identity.
-bench='BenchmarkCapSweep|BenchmarkMeasureOnePoint|BenchmarkCapSolverSolve|BenchmarkKDE|BenchmarkProfileSeries|BenchmarkProfileRun|BenchmarkProfileCodec|BenchmarkScheduleFire$|BenchmarkSimulateStream$/nodes=1800/jobs=10000$|BenchmarkSimulatePolicies$/nodes=1800/jobs=10000$|BenchmarkSimulatePolicies$/nodes=1800/jobs=100000$|BenchmarkSum|BenchmarkTotalTrace|BenchmarkDoHit$|BenchmarkColdMeasure$|BenchmarkWarmMeasure$|BenchmarkEnvMeasureCold$|BenchmarkQuickStudyCold$|BenchmarkQuickStudyDiskCold$|BenchmarkQuickStudyWarm$|BenchmarkScheduleBuild'
-pkgs=(./internal/workloads ./internal/dft/method ./internal/core ./internal/hw/gpu ./internal/stats ./internal/sched ./internal/sim ./internal/timeseries ./internal/hw/node ./internal/memo ./internal/serve ./internal/experiments ./cmd/powerstudy)
+bench='BenchmarkCapSweep|BenchmarkMeasureOnePoint|BenchmarkCapSolverSolve|BenchmarkKDE|BenchmarkProfileSeries|BenchmarkProfileRun|BenchmarkProfileCodec|BenchmarkScheduleFire$|BenchmarkSimulateStream$/nodes=1800/jobs=10000$|BenchmarkSimulatePolicies$/nodes=1800/jobs=10000$|BenchmarkSimulatePolicies$/nodes=1800/jobs=100000$|BenchmarkSum|BenchmarkTotalTrace|BenchmarkDoHit$|BenchmarkColdMeasure$|BenchmarkWarmMeasure$|BenchmarkEnvMeasureCold$|BenchmarkQuickStudyCold$|BenchmarkQuickStudyDiskCold$|BenchmarkQuickStudyWarm$|BenchmarkScheduleBuild|BenchmarkOpenAndRead$'
+pkgs=(./internal/workloads ./internal/dft/method ./internal/core ./internal/hw/gpu ./internal/stats ./internal/sched ./internal/sim ./internal/timeseries ./internal/hw/node ./internal/memo ./internal/memo/diskcache ./internal/serve ./internal/experiments ./cmd/powerstudy)
 
 benchdiff=$(mktemp -d)/benchdiff
 (cd "$head" && go build -o "$benchdiff" ./cmd/benchdiff)

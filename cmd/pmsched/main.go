@@ -149,6 +149,14 @@ func run(args []string, stdout, stderr io.Writer, reg *obs.Registry) int {
 		}
 	}
 
+	// One mix for all three policies, checked, like the policies, before
+	// anything is measured.
+	mix := sched.NewSyntheticMix(*jobsN, *arrival, *seed)
+	if err := mix.Validate(); err != nil {
+		fmt.Fprintln(stderr, "pmsched:", err)
+		return 1
+	}
+
 	fmt.Fprintf(stdout, "job mix: %d VASP jobs over ~%.0f s of arrivals on %d nodes, budget %.1f kW\n",
 		*jobsN, float64(*jobsN)*(*arrival), *nodes, *budgetKW)
 	if len(schedule) > 0 {
@@ -156,9 +164,7 @@ func run(args []string, stdout, stderr io.Writer, reg *obs.Registry) int {
 	}
 	fmt.Fprintln(stdout)
 
-	// One mix for all three policies, and its profiles measured before
-	// any simulation starts.
-	mix := sched.NewSyntheticMix(*jobsN, *arrival, *seed)
+	// The mix's profiles are measured before any simulation starts.
 	prefetch(env, mix, policies, *nodes, *seed)
 	// The policies are independent simulations, so they run at once,
 	// one worker each, each with its own cursor over the shared mix and

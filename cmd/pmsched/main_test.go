@@ -150,6 +150,8 @@ func TestRejectedRunMeasuresNothing(t *testing.T) {
 		{[]string{"-preset", "facility", "-budget-kw", "NaN"}, 1, "sched: invalid budget NaN"},
 		{[]string{"-preset", "facility", "-jobs", "20000", "-budget-kw", "700"},
 			1, "budget 700000 W is below the idle reservation of 828000 W (1800 nodes × 460 W)"},
+		{[]string{"-arrival", "NaN", "-jobs", "3"}, 1, "sched: job job0000 with non-finite arrival NaN"},
+		{[]string{"-preset", "facility", "-arrival", "1e308"}, 1, "sched: job job0002 with non-finite arrival +Inf"},
 	} {
 		name := strings.Join(tc.args, " ")
 		reg := obs.NewRegistry()

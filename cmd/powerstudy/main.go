@@ -177,8 +177,9 @@ func main() {
 		os.Exit(2)
 	}
 	if st := env.Store(); st != nil {
-		fmt.Fprintf(os.Stderr, "powerstudy: persistent measurement cache at %s (%d entries)\n",
-			st.Dir(), st.Len())
+		// No entry count: counting lists the directory, which a run
+		// that only reads never needs to.
+		fmt.Fprintf(os.Stderr, "powerstudy: persistent measurement cache at %s\n", st.Dir())
 	}
 	cfg.Env = env
 

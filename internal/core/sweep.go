@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sync"
 
+	"vasppower/internal/hw/platform"
 	"vasppower/internal/workloads"
 )
 
@@ -37,6 +38,10 @@ type SweepContext struct {
 	closed bool
 	// nodeOnly profiles each point at node resolution (MeasureNodeIn).
 	nodeOnly bool
+	// milc, when set, is the MILC run the context sweeps instead of
+	// spec's benchmark; its profiles keep node 0's name, as
+	// ProfileRun's do.
+	milc *workloads.MILCRunSpec
 }
 
 // NewSweepContext prepares a context for sweeping spec across caps
@@ -50,6 +55,16 @@ func NewSweepContextIn(a *Arena, spec MeasureSpec) *SweepContext {
 	spec = spec.withDefaults()
 	spec.CapW = 0
 	return &SweepContext{spec: spec, arena: a}
+}
+
+// NewMILCSweepContextIn is NewSweepContextIn for a MILC run
+// (spec.GPUPowerLimit is ignored): each MeasureCap point is
+// bit-identical to ProfileRun of RunMILC at that cap, at
+// DefaultSamplingInterval.
+func NewMILCSweepContextIn(a *Arena, spec workloads.MILCRunSpec) *SweepContext {
+	spec.Platform = platform.OrDefault(spec.Platform)
+	spec.GPUPowerLimit = 0
+	return &SweepContext{spec: MeasureSpec{Platform: spec.Platform}, arena: a, milc: &spec}
 }
 
 // MeasureCap measures the context's spec under one GPU power cap,
@@ -67,15 +82,7 @@ func (c *SweepContext) MeasureCap(capW float64) (JobProfile, error) {
 	}
 	if !c.inited {
 		c.inited = true
-		c.sw, c.err = workloads.NewSweepIn(c.arena.sweepArena(), workloads.RunSpec{
-			Bench:          c.spec.Bench,
-			Platform:       c.spec.Platform,
-			Nodes:          c.spec.Nodes,
-			Repeats:        c.spec.Repeats,
-			Seed:           c.spec.Seed,
-			OperandEntropy: c.spec.Entropy,
-			Sink:           c.spec.Sink,
-		})
+		c.sw, c.err = c.open()
 	}
 	if c.err != nil {
 		return JobProfile{}, c.err
@@ -88,8 +95,27 @@ func (c *SweepContext) MeasureCap(capW float64) (JobProfile, error) {
 	// so it stays valid after the sweep's storage is reused or
 	// released.
 	jp := c.arena.profileRun(out, DefaultSamplingInterval, c.nodeOnly)
-	jp.Name = c.spec.Bench.Name
+	if c.milc == nil {
+		jp.Name = c.spec.Bench.Name
+	}
 	return jp, nil
+}
+
+// open performs the resolution phase: the context's sweep, built in its
+// arena's storage.
+func (c *SweepContext) open() (*workloads.Sweep, error) {
+	if c.milc != nil {
+		return workloads.NewMILCSweepIn(c.arena.sweepArena(), *c.milc)
+	}
+	return workloads.NewSweepIn(c.arena.sweepArena(), workloads.RunSpec{
+		Bench:          c.spec.Bench,
+		Platform:       c.spec.Platform,
+		Nodes:          c.spec.Nodes,
+		Repeats:        c.spec.Repeats,
+		Seed:           c.spec.Seed,
+		OperandEntropy: c.spec.Entropy,
+		Sink:           c.spec.Sink,
+	})
 }
 
 // Close releases the context's nodes and hands its storage back to its

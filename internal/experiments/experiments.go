@@ -372,7 +372,7 @@ func AppendSpecKey(dst []byte, spec core.MeasureSpec) []byte {
 // core.Measure's protocol defaults before keying, so equivalent specs
 // hit the same entry.
 func (e *Env) Measure(spec core.MeasureSpec) (core.JobProfile, error) {
-	return e.lookup(SpecKey(spec), spec, "full", func() (core.JobProfile, error) {
+	return e.lookup(SpecKey(spec), measuredSpec(spec), "full", func() (core.JobProfile, error) {
 		return e.compute(core.MeasureIn, spec)
 	})
 }
@@ -386,7 +386,7 @@ const nodeKeyPrefix = "node|"
 // runners that read nothing but the node sensor's profile, cached under
 // nodeKeyPrefix + SpecKey(spec).
 func (e *Env) measureNode(spec core.MeasureSpec) (core.JobProfile, error) {
-	return e.lookup(nodeKeyPrefix+SpecKey(spec), spec, "node", func() (core.JobProfile, error) {
+	return e.lookup(nodeKeyPrefix+SpecKey(spec), measuredSpec(spec), "node", func() (core.JobProfile, error) {
 		return e.compute(core.MeasureNodeIn, spec)
 	})
 }
@@ -411,6 +411,77 @@ func (e *Env) compute(measure func(*core.Arena, core.MeasureSpec) (core.JobProfi
 // per-point Measure calls.
 func (e *Env) MeasureGroup(spec core.MeasureSpec, caps []float64) ([]core.JobProfile, error) {
 	spec.Sink = e.sink
+	return e.measureGroup(caps, "full", func(capW float64) (string, measured) {
+		pt := spec
+		pt.CapW = capW
+		return SpecKey(pt), measuredSpec(pt)
+	}, func(a *core.Arena) *core.SweepContext {
+		return core.NewSweepContextIn(a, spec)
+	})
+}
+
+// milcKeyPrefix opens the key of every MILC entry, so that no MILC
+// profile can serve a VASP or node lookup, nor the reverse.
+const milcKeyPrefix = "milc|"
+
+// MILCKey returns the canonical cache identity of a MILC run: the
+// platform's name and efficiency-table hash, every MILCSpec field,
+// nodes, the cap, repeats, seed, clock limit and operand entropy, each
+// float at full precision, behind milcKeyPrefix. Like SpecKey it
+// applies the run's defaults first (the default platform, at least one
+// repeat) and keys a cap at or above the GPU's TDP as uncapped.
+func MILCKey(spec workloads.MILCRunSpec) string {
+	p := platform.OrDefault(spec.Platform)
+	capW := spec.GPUPowerLimit
+	if capW <= 0 || capW >= p.GPU.TDP {
+		capW = 0
+	}
+	m := spec.Spec
+	dst := append(make([]byte, 0, 128), milcKeyPrefix...)
+	dst = append(dst, p.Name...)
+	dst = append(dst, '|')
+	if p.Efficiency != nil {
+		dst = append(dst, p.Efficiency.Hash()...)
+	}
+	dst = append(dst, '|')
+	dst = append(dst, m.Name...)
+	for _, n := range [...]int{m.Lattice[0], m.Lattice[1], m.Lattice[2], m.Lattice[3], m.Trajectories, m.MDSteps, m.CGIters, spec.Nodes} {
+		dst = append(dst, '|')
+		dst = strconv.AppendInt(dst, int64(n), 10)
+	}
+	dst = append(dst, '|')
+	dst = strconv.AppendFloat(dst, capW, 'g', -1, 64)
+	dst = append(dst, '|')
+	dst = strconv.AppendInt(dst, int64(max(spec.Repeats, 1)), 10)
+	dst = append(dst, '|')
+	dst = strconv.AppendUint(dst, spec.Seed, 10)
+	dst = append(dst, '|')
+	dst = strconv.AppendFloat(dst, spec.GPUClockLimitMHz, 'g', -1, 64)
+	dst = append(dst, '|')
+	dst = strconv.AppendFloat(dst, spec.OperandEntropy, 'g', -1, 64)
+	return string(dst)
+}
+
+// MeasureMILCGroup is MeasureGroup for a MILC run (spec.GPUPowerLimit
+// is ignored): one lookup per cap point under MILCKey, the points that
+// miss sharing one MILC sweep in one of the Env's arenas. Each profile
+// is bit-identical to core.ProfileRun of workloads.RunMILC at that cap.
+func (e *Env) MeasureMILCGroup(spec workloads.MILCRunSpec, caps []float64) ([]core.JobProfile, error) {
+	spec.Sink = e.sink
+	return e.measureGroup(caps, "milc", func(capW float64) (string, measured) {
+		pt := spec
+		pt.GPUPowerLimit = capW
+		return MILCKey(pt), measured{bench: spec.Spec.Name, platform: spec.Platform, nodes: spec.Nodes, repeats: spec.Repeats, capW: capW}
+	}, func(a *core.Arena) *core.SweepContext {
+		return core.NewMILCSweepContextIn(a, spec)
+	})
+}
+
+// measureGroup looks up each cap point under the key point returns, at
+// resolution; the points that miss share one sweep context, opened in
+// one of e's arenas on the first miss and closed, with the arena given
+// back, once every point is looked up.
+func (e *Env) measureGroup(caps []float64, resolution string, point func(capW float64) (string, measured), open func(*core.Arena) *core.SweepContext) ([]core.JobProfile, error) {
 	out := make([]core.JobProfile, len(caps))
 	var sctx *core.SweepContext
 	var arena *core.Arena
@@ -421,14 +492,11 @@ func (e *Env) MeasureGroup(spec core.MeasureSpec, caps []float64) ([]core.JobPro
 		}
 	}()
 	for i, capW := range caps {
-		pt := spec
-		pt.CapW = capW
-		jp, err := e.lookup(SpecKey(pt), pt, "full", func() (core.JobProfile, error) {
+		key, m := point(capW)
+		jp, err := e.lookup(key, m, resolution, func() (core.JobProfile, error) {
 			if sctx == nil {
-				base := spec
-				base.CapW = 0
 				arena = e.takeArena()
-				sctx = core.NewSweepContextIn(arena, base)
+				sctx = open(arena)
 			}
 			return sctx.MeasureCap(capW)
 		})
@@ -440,12 +508,25 @@ func (e *Env) MeasureGroup(spec core.MeasureSpec, caps []float64) ([]core.JobPro
 	return out, nil
 }
 
+// measured names the measurement of one lookup in its "measure" span.
+type measured struct {
+	bench          string
+	platform       platform.Platform
+	nodes, repeats int
+	capW           float64
+}
+
+// measuredSpec is what a span records of a benchmark measurement.
+func measuredSpec(spec core.MeasureSpec) measured {
+	return measured{bench: spec.Bench.Name, platform: spec.Platform, nodes: spec.Nodes, repeats: spec.Repeats, capW: spec.CapW}
+}
+
 // lookup is the one keyed lookup behind every cached measurement:
 // memory, then disk, then compute, under key, in a "measure" span that
-// records the key, spec, the profile's resolution ("full" or "node")
-// and whether either tier served it. With a disk tier, it records each
-// entry it leads for Flush.
-func (e *Env) lookup(key string, spec core.MeasureSpec, resolution string, compute func() (core.JobProfile, error)) (core.JobProfile, error) {
+// records the key, what was measured, the profile's resolution
+// ("full", "node" or "milc") and whether either tier served it. With a
+// disk tier, it records each entry it leads for Flush.
+func (e *Env) lookup(key string, m measured, resolution string, compute func() (core.JobProfile, error)) (core.JobProfile, error) {
 	sp := e.obs.Span("measure")
 	computed := false
 	jp, how, err := e.cache.Flight(context.Background(), key, func() (core.JobProfile, error) {
@@ -466,8 +547,8 @@ func (e *Env) lookup(key string, spec core.MeasureSpec, resolution string, compu
 		e.ledMu.Unlock()
 	}
 	if sp != nil {
-		sp.Set("key", key).Set("bench", spec.Bench.Name).Set("platform", platform.OrDefault(spec.Platform).Name).
-			Set("nodes", spec.Nodes).Set("repeats", spec.Repeats).Set("cap_w", spec.CapW).
+		sp.Set("key", key).Set("bench", m.bench).Set("platform", platform.OrDefault(m.platform).Name).
+			Set("nodes", m.nodes).Set("repeats", m.repeats).Set("cap_w", m.capW).
 			Set("resolution", resolution).Set("cache_hit", !computed).Set("error", err != nil)
 		sp.End()
 	}

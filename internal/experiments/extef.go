@@ -47,21 +47,10 @@ func RunExtE(cfg Config) (ExtEResult, error) {
 	}
 	res := ExtEResult{Spec: spec, Nodes: 1}
 	caps := StudyCapsFor(cfg.platform())
-	// Every cap point is an independent MILC run at the same seed.
-	profiles := make([]core.JobProfile, len(caps))
-	err := par.ForEach(context.Background(), cfg.workers(), len(caps),
-		func(_ context.Context, i int) error {
-			out, err := workloads.RunMILC(workloads.MILCRunSpec{
-				Spec: spec, Platform: cfg.platform(), Nodes: res.Nodes,
-				Repeats: cfg.repeats(), GPUPowerLimit: capOrZero(caps[i], cfg.platform().GPU.TDP),
-				Seed: cfg.seed(), Sink: cfg.Env.Sampler(),
-			})
-			if err != nil {
-				return err
-			}
-			profiles[i] = core.ProfileRun(out, core.DefaultSamplingInterval)
-			return nil
-		})
+	// Every cap point is the same MILC run at the same seed: one
+	// lookup each, the points that compute sharing one sweep. A cap at
+	// or above the TDP is the default limit, and runs uncapped.
+	profiles, err := cfg.env().MeasureMILCGroup(milcRun(cfg, spec, res.Nodes, cfg.repeats()), caps)
 	if err != nil {
 		return res, err
 	}
@@ -83,13 +72,9 @@ func RunExtE(cfg Config) (ExtEResult, error) {
 	return res, nil
 }
 
-// capOrZero maps caps at or above the platform GPU's TDP to 0 (the
-// default limit).
-func capOrZero(cap, tdp float64) float64 {
-	if cap >= tdp {
-		return 0
-	}
-	return cap
+// milcRun is the MILC run of spec on cfg's platform at cfg's seed.
+func milcRun(cfg Config, spec workloads.MILCSpec, nodes, repeats int) workloads.MILCRunSpec {
+	return workloads.MILCRunSpec{Spec: spec, Platform: cfg.platform(), Nodes: nodes, Repeats: repeats, Seed: cfg.seed()}
 }
 
 // Render draws the MILC study.
@@ -241,14 +226,11 @@ func RunExtF(cfg Config) (ExtFResult, error) {
 	for _, nodes := range []int{1, 2} {
 		nodes := nodes
 		tasks = append(tasks, func() (ExtFJob, error) {
-			out, err := workloads.RunMILC(workloads.MILCRunSpec{
-				Spec: spec, Platform: cfg.platform(), Nodes: nodes,
-				Repeats: 1, Seed: cfg.seed(), Sink: cfg.Env.Sampler(),
-			})
+			jps, err := cfg.env().MeasureMILCGroup(milcRun(cfg, spec, nodes, 1), []float64{0})
 			if err != nil {
 				return ExtFJob{}, err
 			}
-			jp := core.ProfileRun(out, core.DefaultSamplingInterval)
+			jp := jps[0]
 			return ExtFJob{
 				Name:      fmt.Sprintf("%s@%d", spec.Name, nodes),
 				TrueClass: "milc",

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
+	"strings"
 	"sync"
 	"testing"
 
@@ -22,7 +24,15 @@ var studyWarmRunners = []string{
 func flushedRun(t *testing.T, dir string, names []string) (*Env, int64) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	env, err := NewEnv(EnvOptions{Obs: &obs.Obs{Metrics: reg}, CacheDir: dir})
+	env := observedRun(t, &obs.Obs{Metrics: reg}, dir, names)
+	return env, reg.Snapshot().Counters["diskcache.bytes_written"]
+}
+
+// observedRun runs the named -quick runners through a fresh Env over
+// dir ("" = memory only) reporting to o, and flushes it.
+func observedRun(t *testing.T, o *obs.Obs, dir string, names []string) *Env {
+	t.Helper()
+	env, err := NewEnv(EnvOptions{Obs: o, CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +43,7 @@ func flushedRun(t *testing.T, dir string, names []string) (*Env, int64) {
 		}
 	}
 	env.Flush()
-	return env, reg.Snapshot().Counters["diskcache.bytes_written"]
+	return env
 }
 
 // storedPayloads returns what env's disk tier holds under each key env
@@ -64,14 +74,70 @@ func TestWarmRunFillsNoModes(t *testing.T) {
 	if written != 0 {
 		t.Fatalf("the warm run wrote %d bytes, want 0", written)
 	}
-	if len(warm.led) == 0 {
-		t.Fatal("the warm run led no lookups")
+	milc := 0
+	for _, l := range warm.led {
+		if strings.HasPrefix(l.key, milcKeyPrefix) {
+			milc++
+		}
+	}
+	if milc == 0 {
+		t.Fatalf("the warm run led %d lookups, none of a MILC entry", len(warm.led))
 	}
 	for key, data := range storedPayloads(t, warm) {
 		jp, _ := warm.cache.Get(key)
 		if !bytes.Equal(core.AppendJobProfile(nil, jp), data) {
 			t.Errorf("%s: the warm run filled a mode cell of a stored entry", key)
 		}
+	}
+}
+
+// TestWarmStudyComputesOnlyFig1: over a directory its own cold run
+// filled, a warm run of the study-warm runners serves every measure
+// span, the MILC ones included, from the cache; it misses nothing on
+// disk, writes nothing, and samples no trace but fig1's, which no cache
+// holds.
+func TestWarmStudyComputesOnlyFig1(t *testing.T) {
+	dir := t.TempDir()
+	flushedRun(t, dir, studyWarmRunners)
+	var trace bytes.Buffer
+	reg := obs.NewRegistry()
+	observedRun(t, &obs.Obs{Metrics: reg, Tracer: obs.NewTracer(&trace)}, dir, studyWarmRunners)
+	warm := reg.Snapshot().Counters
+
+	spans, milc := 0, 0
+	for _, line := range strings.Split(strings.TrimSuffix(trace.String(), "\n"), "\n") {
+		var sp struct {
+			Span       string `json:"span"`
+			Key        string `json:"key"`
+			Resolution string `json:"resolution"`
+			CacheHit   bool   `json:"cache_hit"`
+		}
+		if err := json.Unmarshal([]byte(line), &sp); err != nil {
+			t.Fatalf("trace line %q: %v", line, err)
+		}
+		if sp.Span != "measure" {
+			continue
+		}
+		spans++
+		if !sp.CacheHit {
+			t.Errorf("%s (%s): computed on the warm run", sp.Key, sp.Resolution)
+		}
+		if sp.Resolution == "milc" {
+			milc++
+		}
+	}
+	if spans == 0 || milc == 0 {
+		t.Fatalf("%d measure spans, %d of them MILC: the warm run's lookups are not traced", spans, milc)
+	}
+	if warm["diskcache.misses"] != 0 || warm["diskcache.bytes_written"] != 0 {
+		t.Fatalf("diskcache misses %d, bytes written %d, want 0 and 0", warm["diskcache.misses"], warm["diskcache.bytes_written"])
+	}
+
+	fig1 := obs.NewRegistry()
+	observedRun(t, &obs.Obs{Metrics: fig1}, "", []string{"fig1"})
+	want := fig1.Snapshot().Counters["timeseries.samples"]
+	if got := warm["timeseries.samples"]; got != want || want == 0 {
+		t.Fatalf("the warm run sampled %d values, a fig1-only run %d: a runner outside fig1 computes", got, want)
 	}
 }
 

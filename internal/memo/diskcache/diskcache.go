@@ -53,8 +53,8 @@ const (
 	entryExt = ".cache"
 	quarExt  = ".quar"
 
-	// tmpPrefix names in-progress atomic writes; Open sweeps any left
-	// behind by a killed process.
+	// tmpPrefix names in-progress atomic writes; the scan before a
+	// store's first write sweeps any left behind by a killed process.
 	tmpPrefix = "tmp-"
 
 	// maxHeaderStr bounds the epoch and key lengths a decoder will
@@ -116,6 +116,9 @@ type indexEntry struct {
 // within a process; across processes, atomic writes and full
 // verification keep readers safe, while the size accounting is
 // per-process (each process bounds what it has seen).
+//
+// A store lists its directory once, before its first write (or Len):
+// a run that only reads does one open and one read per entry.
 type Store struct {
 	dir      string
 	maxBytes int64
@@ -126,12 +129,15 @@ type Store struct {
 	index map[string]*indexEntry // entry name (hex digest) → state
 	total int64                  // sum of live entry file sizes
 	clock int64                  // logical LRU clock
+	// scanned reports whether the directory scan has built index;
+	// until it has, hits holds the names Get served, in order.
+	scanned bool
+	hits    []string
 }
 
-// Open opens (creating if needed) the cache directory and scans
-// existing entries into the in-memory LRU index, oldest first by file
-// modification time. If the scanned total already exceeds MaxBytes the
-// GC runs immediately.
+// Open opens the cache directory, creating it if needed. It reads
+// nothing: the scan that indexes the existing entries runs before the
+// store's first write.
 func Open(opts Options) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("diskcache: empty cache directory")
@@ -146,15 +152,29 @@ func Open(opts Options) (*Store, error) {
 		index:    make(map[string]*indexEntry),
 	}
 	s.metrics.Store(&Metrics{})
+	return s, nil
+}
+
+// scanLocked lists the directory once, before the store's first write
+// or Len: it sweeps the temp files a killed writer left, indexes every
+// entry, oldest first by modification time, replays the hits served
+// before it in order, so the LRU order is the one a scan at Open would
+// have built, and runs the GC if the directory is over MaxBytes.
+func (s *Store) scanLocked(m *Metrics) {
+	if s.scanned {
+		return
+	}
+	s.scanned = true
 	type scanned struct {
 		name string
 		size int64
 		mod  int64
 	}
 	var found []scanned
-	err := filepath.WalkDir(opts.Dir, func(path string, d fs.DirEntry, err error) error {
+	// The walk skips what it cannot read, so it returns no error.
+	_ = filepath.WalkDir(s.dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
-			// A vanished or unreadable file is not an open failure.
+			// A vanished or unreadable file is not a scan failure.
 			return nil
 		}
 		if strings.HasPrefix(d.Name(), tmpPrefix) {
@@ -176,9 +196,6 @@ func Open(opts Options) (*Store, error) {
 		found = append(found, scanned{name: name, size: info.Size(), mod: info.ModTime().UnixNano()})
 		return nil
 	})
-	if err != nil {
-		return nil, fmt.Errorf("diskcache: scanning %s: %w", opts.Dir, err)
-	}
 	sort.Slice(found, func(i, j int) bool {
 		if found[i].mod != found[j].mod {
 			return found[i].mod < found[j].mod
@@ -190,10 +207,16 @@ func Open(opts Options) (*Store, error) {
 		s.index[f.name] = &indexEntry{size: f.size, lastUse: s.clock}
 		s.total += f.size
 	}
-	s.mu.Lock()
-	s.gcLocked(s.metrics.Load())
-	s.mu.Unlock()
-	return s, nil
+	// A hit's entry may have been quarantined or removed since; only
+	// the entries the scan found are touched.
+	for _, name := range s.hits {
+		if e, ok := s.index[name]; ok {
+			s.clock++
+			e.lastUse = s.clock
+		}
+	}
+	s.hits = nil
+	s.gcLocked(m)
 }
 
 // Instrument attaches (or, with nil, detaches) metrics. The store
@@ -334,7 +357,11 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	}
 	m.Hits.Add(1)
 	m.BytesRead.Add(int64(len(raw)))
-	s.touchLocked(name, int64(len(raw)))
+	if s.scanned {
+		s.touchLocked(name, int64(len(raw)))
+	} else {
+		s.hits = append(s.hits, name)
+	}
 	// Best-effort mtime bump so a future process's scan rebuilds the
 	// same recency order this process observed.
 	now := time.Now()
@@ -353,6 +380,7 @@ func (s *Store) Put(key string, data []byte) {
 	m := s.metrics.Load()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.scanLocked(m)
 	if err := s.writeAtomic(path, entry); err != nil {
 		m.Errors.Add(1)
 		return
@@ -455,9 +483,11 @@ func (s *Store) gcLocked(m *Metrics) {
 	}
 }
 
-// Len reports the number of live entries this process knows about.
+// Len reports the number of live entries this process knows about,
+// scanning the directory first if no write has yet.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.scanLocked(s.metrics.Load())
 	return len(s.index)
 }

@@ -10,12 +10,13 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"vasppower/internal/memo"
 	"vasppower/internal/obs"
 )
 
-func mustOpen(t *testing.T, opts Options) *Store {
+func mustOpen(t testing.TB, opts Options) *Store {
 	t.Helper()
 	s, err := Open(opts)
 	if err != nil {
@@ -177,11 +178,13 @@ func TestEveryTruncationDetected(t *testing.T) {
 	}
 }
 
-// TestOrphanTempFilesSweptOnOpen: a process killed mid-write (a
-// cancelled sweep, a crash) leaves a tmp-* file the atomic rename
-// never published. Open must delete it without indexing it, and the
-// published entries around it stay intact.
-func TestOrphanTempFilesSweptOnOpen(t *testing.T) {
+// TestOrphanTempFilesSweptBeforeFirstWrite: a process killed mid-write
+// (a cancelled sweep, a crash) leaves a tmp-* file the atomic rename
+// never published. A store lists its directory only before its first
+// write, so the orphans survive an Open and a read; the first Put
+// deletes them without indexing them, and the published entries
+// around them stay intact.
+func TestOrphanTempFilesSweptBeforeFirstWrite(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, Options{Dir: dir, Epoch: "e1"})
 	payload := []byte("published entry")
@@ -196,17 +199,83 @@ func TestOrphanTempFilesSweptOnOpen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s2 := mustOpen(t, Options{Dir: dir, Epoch: "e1"})
-	for _, p := range orphans {
-		if _, err := os.Stat(p); !os.IsNotExist(err) {
-			t.Fatalf("orphan %s survived Open (err %v)", p, err)
+	orphansLive := func(when string, want bool) {
+		t.Helper()
+		for _, p := range orphans {
+			if _, err := os.Stat(p); (err == nil) != want {
+				t.Fatalf("%s: orphan %s live = %v, want %v (err %v)", when, p, err == nil, want, err)
+			}
 		}
 	}
-	if s2.Len() != 1 {
-		t.Fatalf("Len = %d, want 1 (orphans must not be indexed)", s2.Len())
+	s2 := mustOpen(t, Options{Dir: dir, Epoch: "e1"})
+	orphansLive("after Open", true)
+	if got, ok := s2.Get("k"); !ok || !bytes.Equal(got, payload) {
+		t.Fatalf("published entry: %q, %v", got, ok)
+	}
+	orphansLive("after a read", true)
+	s2.Put("k2", payload)
+	orphansLive("after the first write", false)
+	if s2.Len() != 2 {
+		t.Fatalf("Len = %d, want 2 (orphans must not be indexed)", s2.Len())
 	}
 	if got, ok := s2.Get("k"); !ok || !bytes.Equal(got, payload) {
 		t.Fatalf("published entry damaged by sweep: %q, %v", got, ok)
+	}
+}
+
+// TestReadsBeforeFirstWriteKeepRecency: the hits a store serves before
+// its first write decide eviction order as they would if the directory
+// had been indexed at Open. Every entry's mtime is set to one instant
+// after the reads, so the files carry no recency and the reads alone
+// must: the entry kept hot by reads survives Puts past the bound, and
+// the unread entries go first.
+func TestReadsBeforeFirstWriteKeepRecency(t *testing.T) {
+	dir := t.TempDir()
+	payload := bytes.Repeat([]byte("x"), 1000)
+	probe := encodeEntry("e", "key-0", payload)
+	maxBytes := int64(4*len(probe) + len(probe)/2)
+	fill := mustOpen(t, Options{Dir: dir, Epoch: "e"})
+	for i := 0; i < 4; i++ {
+		fill.Put(fmt.Sprintf("key-%d", i), payload)
+	}
+
+	s := mustOpen(t, Options{Dir: dir, MaxBytes: maxBytes, Epoch: "e"})
+	for _, key := range []string{"key-2", "key-0"} {
+		if _, ok := s.Get(key); !ok {
+			t.Fatalf("%s missed", key)
+		}
+	}
+	same := time.Unix(1_700_000_000, 0)
+	for i := 0; i < 4; i++ {
+		if err := os.Chtimes(entryFile(s, fmt.Sprintf("key-%d", i)), same, same); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := func(key string) bool {
+		_, err := os.Stat(entryFile(s, key))
+		return err == nil
+	}
+	// Each Put past the bound evicts one entry: the two unread ones (in
+	// either order, as their mtimes tie), then key-2, read before key-0.
+	for i, want := range []struct{ gone, kept []string }{
+		{kept: []string{"key-0", "key-2"}},
+		{gone: []string{"key-1", "key-3"}, kept: []string{"key-0", "key-2"}},
+		{gone: []string{"key-2"}, kept: []string{"key-0"}},
+	} {
+		s.Put(fmt.Sprintf("new-%d", i), payload)
+		for _, key := range want.gone {
+			if live(key) {
+				t.Fatalf("after put %d: %s survived", i, key)
+			}
+		}
+		for _, key := range want.kept {
+			if !live(key) {
+				t.Fatalf("after put %d: %s evicted", i, key)
+			}
+		}
+	}
+	if got := totalBytes(s); got > maxBytes {
+		t.Fatalf("total bytes = %d > bound %d", got, maxBytes)
 	}
 }
 
@@ -434,9 +503,66 @@ func TestConcurrentStoreStress(t *testing.T) {
 	wg.Wait()
 }
 
+// TestConcurrentReadsBeforeFirstWrite: goroutines read a filled
+// directory while one of them writes, so the scan runs with hits made
+// before it and after it (run it with -race). Every read is served, and
+// the store then knows every entry, each once.
+func TestConcurrentReadsBeforeFirstWrite(t *testing.T) {
+	dir := t.TempDir()
+	fill := mustOpen(t, Options{Dir: dir, Epoch: "e"})
+	for i := 0; i < 13; i++ {
+		fill.Put(fmt.Sprintf("key-%d", i), []byte("payload"))
+	}
+	s := mustOpen(t, Options{Dir: dir, MaxBytes: 1 << 20, Epoch: "e"})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 13; i++ {
+				key := fmt.Sprintf("key-%d", (g+i)%13)
+				if _, ok := s.Get(key); !ok {
+					t.Errorf("%s missed", key)
+				}
+				if g == 0 && i == 6 {
+					s.Put("new", []byte("payload"))
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := s.Len(); n != 14 {
+		t.Fatalf("Len = %d, want 14", n)
+	}
+}
+
 // totalBytes reports the live entry bytes the store knows about.
 func totalBytes(s *Store) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.total
+}
+
+// BenchmarkOpenAndRead is a read-only warm run's disk tier: open a
+// store over a directory of 110 entries of 16 KB (about what a warm
+// study reads) and read each entry once.
+func BenchmarkOpenAndRead(b *testing.B) {
+	dir := b.TempDir()
+	fill := mustOpen(b, Options{Dir: dir, Epoch: "e"})
+	payload := bytes.Repeat([]byte("p"), 16<<10)
+	keys := make([]string, 110)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%d", i)
+		fill.Put(keys[i], payload)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := mustOpen(b, Options{Dir: dir, Epoch: "e"})
+		for _, key := range keys {
+			if _, ok := s.Get(key); !ok {
+				b.Fatalf("%s missed", key)
+			}
+		}
+	}
 }

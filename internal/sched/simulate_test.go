@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -176,6 +177,15 @@ func TestSimulateValidation(t *testing.T) {
 		_, err := SimulateStream(simCfg(NoCap{NodeTDP: 2350}, 0, fakeCatalog(1)), SyntheticJobStream(50, mean, 1))
 		if err == nil || !strings.Contains(err.Error(), "non-finite arrival") {
 			t.Fatalf("mean inter-arrival %v: got %v", mean, err)
+		}
+	}
+	// A mix's own check rejects exactly what its simulation would, with
+	// the same error, before anything runs.
+	for _, mean := range []float64{math.NaN(), 1e308, math.Inf(1), -5, 0, 90} {
+		mix := NewSyntheticMix(50, mean, 1)
+		_, simErr := SimulateStream(simCfg(NoCap{NodeTDP: 2350}, 0, fakeCatalog(1)), mix.Stream())
+		if err := mix.Validate(); fmt.Sprint(err) != fmt.Sprint(simErr) {
+			t.Fatalf("mean inter-arrival %v: Validate %v, simulation %v", mean, err, simErr)
 		}
 	}
 }

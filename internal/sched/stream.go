@@ -227,6 +227,30 @@ func (m *SyntheticMix) id(i int) string {
 	return m.ids[start:m.jobs[i].idEnd]
 }
 
+// Validate returns the error a simulation of the mix would stop at, or
+// nil: the job check's error for the first job, in arrival order, that
+// fails it. A mix's arrivals are running sums of draws of one mean's
+// sign, so they move in one direction, and once non-finite they stay
+// so: if any job fails, the first or the last does, and a valid mix
+// costs two checks.
+func (m *SyntheticMix) Validate() error {
+	n := len(m.jobs)
+	if n == 0 || m.check(0) == nil && m.check(n-1) == nil {
+		return nil
+	}
+	for i := range m.jobs {
+		if err := m.check(i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// check applies the job check to job i.
+func (m *SyntheticMix) check(i int) error {
+	return validateJob(m.id(i), int(m.jobs[i].nodes), m.jobs[i].arrival)
+}
+
 // Pairs returns the distinct (benchmark, nodes) configurations the mix
 // drew, in the order of their first draw — everything a scheduler
 // catalog can be asked to profile for this mix. The slice is shared;

@@ -32,6 +32,16 @@ func (a *Arena) build(cfg method.Config) (*method.Schedule, error) {
 	return &a.sched, nil
 }
 
+// schedule returns the arena's schedule storage for a builder that
+// fills it directly (a fresh schedule for a nil arena), which then
+// holds the schedule until reclaim.
+func (a *Arena) schedule() *method.Schedule {
+	if a == nil {
+		return new(method.Schedule)
+	}
+	return &a.sched
+}
+
 // lend moves the arena's trace storage into freshly allocated nodes,
 // before their run's solver.Prepare sizes it.
 func (a *Arena) lend(nodes []*node.Node) {

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"fmt"
+	"slices"
 
 	"vasppower/internal/dft/method"
 	"vasppower/internal/dft/parallel"
@@ -75,9 +76,10 @@ const (
 )
 
 // milcSchedule builds the step list for a MILC run over the given
-// decomposition. The Step vocabulary is shared with the DFT solver —
-// the schedule/solver layers are application-agnostic.
-func milcSchedule(spec MILCSpec, d parallel.Decomposition) *method.Schedule {
+// decomposition into sched, reusing the storage of its step list and
+// descriptor table, and returns sched. The Step vocabulary is shared with
+// the DFT solver — the schedule/solver layers are application-agnostic.
+func milcSchedule(sched *method.Schedule, spec MILCSpec, d parallel.Decomposition) *method.Schedule {
 	sitesPerRank := float64(spec.Sites()) / float64(d.Ranks)
 	// Two CG solves per MD step, each CGIters applications of the
 	// dslash stencil: bandwidth-bound, high occupancy, SMs mostly
@@ -85,21 +87,19 @@ func milcSchedule(spec MILCSpec, d parallel.Decomposition) *method.Schedule {
 	// matrix algebra, compute-leaning.
 	cg := float64(2 * spec.CGIters)
 	const dslash, force = 0, 1
-	sched := &method.Schedule{
-		Kernels: []gpu.Kernel{
-			dslash: {
-				Class: gpu.ClassStencil,
-				Flops: cg * milcDslashFlopsPerSite * sitesPerRank,
-				Bytes: cg * milcDslashBytesPerSite * sitesPerRank,
-			},
-			force: {
-				Class: gpu.ClassSU3Force,
-				Flops: milcForceFlopsPerSite * sitesPerRank * 8,
-				Bytes: milcForceBytesPerSite * sitesPerRank * 8,
-			},
+	sched.Kernels = append(sched.Kernels[:0], []gpu.Kernel{
+		dslash: {
+			Class: gpu.ClassStencil,
+			Flops: cg * milcDslashFlopsPerSite * sitesPerRank,
+			Bytes: cg * milcDslashBytesPerSite * sitesPerRank,
 		},
-		Steps: make([]method.Step, 0, 1+spec.Trajectories*(3*spec.MDSteps+1)),
-	}
+		force: {
+			Class: gpu.ClassSU3Force,
+			Flops: milcForceFlopsPerSite * sitesPerRank * 8,
+			Bytes: milcForceBytesPerSite * sitesPerRank * 8,
+		},
+	}...)
+	sched.Steps = slices.Grow(sched.Steps[:0], 1+spec.Trajectories*(3*spec.MDSteps+1))
 	add := func(s method.Step) { sched.Steps = append(sched.Steps, s) }
 
 	add(method.Step{Kind: method.StepHost, HostSeconds: 2.0, MemActivity: 0.2})
@@ -145,11 +145,35 @@ type MILCRunSpec struct {
 // RunMILC executes a MILC measurement run with the same protocol as
 // the VASP runs (repeats, min-runtime selection, per-node traces).
 func RunMILC(spec MILCRunSpec) (RunOutput, error) {
-	if err := spec.Spec.Validate(); err != nil {
+	pr, err := resolveMILC(spec, nil)
+	if err != nil {
 		return RunOutput{}, err
 	}
+	return pr.runOnce(spec.Sink)
+}
+
+// NewMILCSweepIn is NewSweepIn for a MILC run: the cap-independent
+// resolution phase of spec, built in a's storage (nil: the sweep owns
+// its storage), whose points RunCap measures. Each point is
+// bit-identical to RunMILC with that point's GPUPowerLimit. As for
+// NewSweepIn, the spec carries no cap or clock limit.
+func NewMILCSweepIn(a *Arena, spec MILCRunSpec) (*Sweep, error) {
+	if spec.GPUPowerLimit != 0 || spec.GPUClockLimitMHz != 0 {
+		return nil, fmt.Errorf("workloads: sweep specs carry no cap/clock limits (set them per point)")
+	}
+	pr, err := resolveMILC(spec, a)
+	return openSweep(a, pr, err, spec.Sink)
+}
+
+// resolveMILC validates a MILC spec and builds its schedule, into a's
+// schedule storage when a is not nil: resolve's counterpart, shared by
+// RunMILC and NewMILCSweepIn.
+func resolveMILC(spec MILCRunSpec, a *Arena) (protocol, error) {
+	if err := spec.Spec.Validate(); err != nil {
+		return protocol{}, err
+	}
 	if spec.Nodes <= 0 {
-		return RunOutput{}, fmt.Errorf("workloads: node count %d", spec.Nodes)
+		return protocol{}, fmt.Errorf("workloads: node count %d", spec.Nodes)
 	}
 	spec.Platform = platform.OrDefault(spec.Platform)
 	// MILC decomposes the lattice over ranks; the "bands" level is the
@@ -157,13 +181,13 @@ func RunMILC(spec MILCRunSpec) (RunOutput, error) {
 	// pseudo-band per site row.
 	d, err := parallel.Decompose(spec.Spec.Lattice[3], 1, spec.Nodes, spec.Platform.GPUsPerNode, 1)
 	if err != nil {
-		return RunOutput{}, err
+		return protocol{}, err
 	}
-	sched := milcSchedule(spec.Spec, d)
+	sched := milcSchedule(a.schedule(), spec.Spec, d)
 	if err := stampEntropy(sched, spec.OperandEntropy); err != nil {
-		return RunOutput{}, err
+		return protocol{}, err
 	}
-	pr := newProtocol(protocol{
+	return newProtocol(protocol{
 		platform: spec.Platform,
 		nodes:    spec.Nodes,
 		seed:     spec.Seed,
@@ -171,6 +195,5 @@ func RunMILC(spec MILCRunSpec) (RunOutput, error) {
 		clockMHz: spec.GPUClockLimitMHz,
 		sched:    sched,
 		decomp:   d,
-	}, spec.Repeats)
-	return pr.runOnce(spec.Sink)
+	}, spec.Repeats), nil
 }

@@ -95,3 +95,56 @@ func TestRunMILCValidation(t *testing.T) {
 		t.Fatal("invalid cap accepted")
 	}
 }
+
+// TestMILCSweepMatchesRunMILC: every RunCap point of a MILC sweep is
+// bit-identical to RunMILC at that cap, in an arena that last held a
+// longer VASP schedule on more nodes, and in one that held the MILC
+// sweep before; the spec must carry no limits of its own.
+func TestMILCSweepMatchesRunMILC(t *testing.T) {
+	m := DefaultMILC()
+	m.Trajectories = 1
+	spec := MILCRunSpec{Spec: m, Nodes: 1, Repeats: 2, Seed: 9, OperandEntropy: 0.4}
+	var a Arena
+	b, _ := ByName("B.hR105_hse")
+	vasp, err := NewSweepIn(&a, RunSpec{Bench: b, Nodes: 2, Repeats: 1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := vasp.RunCap(0); err != nil {
+		t.Fatal(err)
+	}
+	vasp.Close()
+	active := ActiveSweeps()
+	for round := 0; round < 2; round++ {
+		sw, err := NewMILCSweepIn(&a, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, capW := range []float64{0, 250, 150, 0} {
+			pt := spec
+			pt.GPUPowerLimit = capW
+			want, err := RunMILC(pt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sw.RunCap(capW)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sweepOutputsEqual(t, want, got)
+		}
+		sw.Close()
+		if got := ActiveSweeps(); got != active {
+			t.Fatalf("live sweeps %d after Close, want %d", got, active)
+		}
+	}
+	for _, bad := range []MILCRunSpec{
+		{Spec: m, Nodes: 1, GPUPowerLimit: 250},
+		{Spec: m, Nodes: 1, GPUClockLimitMHz: 1200},
+		{Spec: m, Nodes: 0},
+	} {
+		if _, err := NewMILCSweepIn(&a, bad); err == nil {
+			t.Fatalf("%+v accepted", bad)
+		}
+	}
+}

@@ -168,7 +168,7 @@ func TestMicroAndMILCResolutionPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := milcSchedule(DefaultMILC(), d)
+	sched := milcSchedule(new(method.Schedule), DefaultMILC(), d)
 	var dslash, force gpu.Kernel
 	for _, s := range sched.Steps {
 		if s.Kind != method.StepGPU {

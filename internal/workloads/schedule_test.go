@@ -97,7 +97,7 @@ func TestDescriptorTables(t *testing.T) {
 		sched             *method.Schedule
 		kernels, gpuSteps int
 	}{
-		{"milc", milcSchedule(milc, d), 2, 2 * milc.Trajectories * milc.MDSteps},
+		{"milc", milcSchedule(new(method.Schedule), milc, d), 2, 2 * milc.Trajectories * milc.MDSteps},
 		{"dgemm", DGEMMSchedule(spec, dgemmSeconds), 1, 1},
 		{"stream", StreamSchedule(spec, streamSeconds), 1, 1},
 	} {

@@ -82,11 +82,17 @@ func NewSweepIn(a *Arena, spec RunSpec) (*Sweep, error) {
 		return nil, fmt.Errorf("workloads: sweep specs carry no cap/clock limits (set them per point)")
 	}
 	pr, err := resolve(spec, a)
+	return openSweep(a, pr, err, spec.Sink)
+}
+
+// openSweep builds the sweep of pr, resolved into a with the error
+// err; a failed resolution hands a's storage back.
+func openSweep(a *Arena, pr protocol, err error, sink *telemetry.Sampler) (*Sweep, error) {
 	if err != nil {
 		a.reclaim(nil)
 		return nil, err
 	}
-	s, err := newSweep(a, &pr, spec.Sink)
+	s, err := newSweep(a, &pr, sink)
 	if err != nil {
 		return nil, err
 	}

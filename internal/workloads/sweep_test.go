@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"vasppower/internal/cluster"
+	"vasppower/internal/dft/method"
 	"vasppower/internal/dft/parallel"
 	"vasppower/internal/dft/solver"
 	"vasppower/internal/dft/solver/solveroracle"
@@ -174,7 +175,7 @@ func TestRunMILCMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sched := milcSchedule(spec.Spec, d)
+		sched := milcSchedule(new(method.Schedule), spec.Spec, d)
 		root := rng.New(spec.Seed)
 		for r := 0; r < spec.Repeats; r++ {
 			nodes, err := cluster.New(p, spec.Nodes, spec.Seed).Allocate(spec.Nodes)
