@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"vasppower/internal/hw/node"
+	"vasppower/internal/hw/platform"
 	"vasppower/internal/stats"
 	"vasppower/internal/timeseries"
 	"vasppower/internal/workloads"
@@ -183,24 +186,42 @@ func TestMeasureCapResponse(t *testing.T) {
 
 func TestProfileRunUsesVASPWindow(t *testing.T) {
 	b, _ := workloads.ByName("B.hR105_hse")
-	out, err := workloads.Run(workloads.RunSpec{
-		Bench: b, Nodes: 1, Repeats: 1, Prelude: true, Seed: 9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	jp := ProfileRun(out, DefaultSamplingInterval)
-	// The profile covers the VASP window only: its runtime must match
-	// the solver result, not the whole trace (which includes DGEMM).
-	if math.Abs(jp.Runtime-out.BestResult.Runtime) > 1e-6 {
-		t.Fatalf("profile runtime %v vs solver %v", jp.Runtime, out.BestResult.Runtime)
-	}
-	if jp.NodeTotal.Series.Len() == 0 {
-		t.Fatal("empty profile series")
-	}
-	// First profiled sample must start after the prelude.
-	if jp.NodeTotal.Series.Times[0] < out.VASPStart {
-		t.Fatal("profile includes prelude samples")
+	si, _ := workloads.ByName("Si128_acfdtr")
+	for _, spec := range []workloads.RunSpec{
+		{Bench: b, Nodes: 1, Repeats: 1, Prelude: true, Seed: 9},
+		// Fig. 11's capped run at -quick, where a GPU trace that ended
+		// a few ulps after the node's lost its last sample.
+		{Bench: si, Nodes: 1, Repeats: 1, Seed: 2024, GPUPowerLimit: platform.Default().GPU.TDP / 2},
+	} {
+		out, err := workloads.Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jp := ProfileRun(out, DefaultSamplingInterval)
+		// The profile covers the VASP window only: its runtime must match
+		// the solver result, not the whole trace (which includes DGEMM).
+		if math.Abs(jp.Runtime-out.BestResult.Runtime) > 1e-6 {
+			t.Fatalf("%s: profile runtime %v vs solver %v", spec.Bench.Name, jp.Runtime, out.BestResult.Runtime)
+		}
+		if jp.NodeTotal.Series.Len() == 0 {
+			t.Fatalf("%s: empty profile series", spec.Bench.Name)
+		}
+		// First profiled sample must start after the prelude.
+		if jp.NodeTotal.Series.Times[0] < out.VASPStart {
+			t.Fatalf("%s: profile includes prelude samples", spec.Bench.Name)
+		}
+		// Every sensor is sampled at the node sensor's instants: the
+		// traces share one clock, so none ends past the window.
+		series := map[string]timeseries.Series{"cpu": jp.CPU.Series, "mem": jp.Mem.Series, "gpu sum": jp.GPUSum.Series}
+		for i, g := range jp.GPUs {
+			series[fmt.Sprintf("gpu%d", i)] = g.Series
+		}
+		for name, s := range series {
+			if !slices.Equal(s.Times, jp.NodeTotal.Series.Times) {
+				t.Fatalf("%s: %s series has %d samples, node %d, at other instants",
+					spec.Bench.Name, name, len(s.Times), len(jp.NodeTotal.Series.Times))
+			}
+		}
 	}
 }
 

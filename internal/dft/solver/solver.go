@@ -48,8 +48,7 @@ type Result struct {
 }
 
 // NodeEnergy is the summed node-sensor energy of nodes from start to
-// each node's trace end, read from the memoized TotalTrace: the merge
-// the profiling pass reads next, so a measurement pays for it once.
+// each node's trace end, integrated over the recorded TotalTrace.
 func NodeEnergy(nodes []*node.Node, start float64) float64 {
 	var e float64
 	for _, n := range nodes {

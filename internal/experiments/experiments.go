@@ -258,7 +258,7 @@ var defaultEnv = newEnv()
 // platform name, benchmark size parameters, nodes, repeats, cap, and
 // seed at full precision, so ordinary configuration changes need no
 // bump.
-const CacheEpoch = "jobprofile-bin-v2"
+const CacheEpoch = "jobprofile-bin-v3"
 
 // profileCodec reads JobProfiles from the byte-level disk tier (Flush
 // writes them with core.AppendJobProfile). The encoding keeps every

@@ -42,26 +42,16 @@ type Node struct {
 	memTrace     timeseries.Trace
 	gpuTraces    []timeseries.Trace
 	gpuMemTraces []timeseries.Trace // HBM-domain share of each gpuTrace
+	// totalTrace (the node sensor) and gpuSumTrace (the GPU board sum)
+	// are recorded with the components, on the same instants.
+	totalTrace  timeseries.Trace
+	gpuSumTrace timeseries.Trace
 
-	// Memoized derived traces. TotalTrace and GPUSumTrace are read
-	// once per metric by the telemetry pipeline and again by the
-	// analysis layer; recomputing the k-way sum on every sensor read
-	// dominated profile assembly. Record and the trace resets
-	// invalidate all of them. The cached traces are shared across
-	// callers, which must treat them as read-only (the same contract
-	// Segments already states).
-	totalCache   *timeseries.Trace
-	gpuSumCache  *timeseries.Trace
+	// domainCaches memoizes the NVML gpu and memory scopes, summed on
+	// first read (only the telemetry pipeline reads them). Record and
+	// the trace resets invalidate them. Callers must treat the cached
+	// traces as read-only (the same contract Segments already states).
 	domainCaches map[Domain]*timeseries.Trace
-
-	// totalSpare and gpuSumSpare are the storage of a TotalTrace and a
-	// GPUSumTrace the arena resets (ResetTracesReuse, SwapTraces) took
-	// back; the next such trace is built into it. sumBuf holds the
-	// component sum TotalTrace offsets by the peripheral draw; it is
-	// never handed out.
-	totalSpare  *timeseries.Trace
-	gpuSumSpare *timeseries.Trace
-	sumBuf      timeseries.Trace
 }
 
 // New builds a node of the given platform. r seeds per-node
@@ -128,9 +118,9 @@ func (n *Node) MemActivePower() float64 { return n.Platform.Node.MemActiveWatts 
 // PeripheralPower returns this node's (constant) peripheral draw.
 func (n *Node) PeripheralPower() float64 { return n.peripheralWatts }
 
-// IdlePower returns the node's total idle draw, summed in TotalTrace's
-// order (components, then peripherals), so an idle node sensor reads
-// exactly this value.
+// IdlePower returns the node's total idle draw, summed in the node
+// sensor's order (components, then peripherals), so an idle node
+// sensor reads exactly this value.
 func (n *Node) IdlePower() float64 {
 	p := n.CPU.IdlePower() + n.MemIdlePower()
 	for _, g := range n.GPUs {
@@ -169,8 +159,13 @@ func (n *Node) Idle() ComponentPowers {
 }
 
 // Record appends one synchronized segment of the given duration to all
-// component traces. The workload drivers call this as virtual time
-// advances; all traces stay aligned by construction.
+// component traces, the node sensor and the GPU board sum. The
+// workload drivers call this as virtual time advances. The segment's
+// end is computed once, on the node's clock, and appended to every
+// trace, so every trace holds each instant as the same float.
+//
+// The node sensor reads ((CPU + DDR) + GPU0 + …) + peripherals and
+// the board sum GPU0 + GPU1 + …, added in that order.
 func (n *Node) Record(dur float64, p ComponentPowers) {
 	if dur < 0 {
 		panic("node: negative record duration")
@@ -186,17 +181,24 @@ func (n *Node) Record(dur float64, p ComponentPowers) {
 	if dur == 0 {
 		return
 	}
-	n.totalCache, n.gpuSumCache, n.domainCaches = nil, nil, nil
-	n.cpuTrace.Append(dur, p.CPU)
-	n.memTrace.Append(dur, p.Mem)
+	n.domainCaches = nil
+	end := n.TraceDuration() + dur
+	n.cpuTrace.Append(end, p.CPU)
+	n.memTrace.Append(end, p.Mem)
+	total, gpuSum := p.CPU+p.Mem, 0.0
 	for i := range n.gpuTraces {
-		n.gpuTraces[i].Append(dur, p.GPUs[i])
+		w := p.GPUs[i]
+		n.gpuTraces[i].Append(end, w)
+		total += w
+		gpuSum += w
 		memW := n.GPUs[i].HBMIdlePower()
 		if p.GPUMems != nil {
 			memW = p.GPUMems[i]
 		}
-		n.gpuMemTraces[i].Append(dur, memW)
+		n.gpuMemTraces[i].Append(end, memW)
 	}
+	n.totalTrace.Append(end, total+n.peripheralWatts)
+	n.gpuSumTrace.Append(end, gpuSum)
 }
 
 // GrowTraces makes room for cpu more segments on the CPU trace and
@@ -207,6 +209,8 @@ func (n *Node) Record(dur float64, p ComponentPowers) {
 func (n *Node) GrowTraces(cpu, rest int) {
 	n.cpuTrace.Grow(cpu)
 	n.memTrace.Grow(rest)
+	n.totalTrace.Grow(rest)
+	n.gpuSumTrace.Grow(rest)
 	for i := range n.gpuTraces {
 		n.gpuTraces[i].Grow(rest)
 		n.gpuMemTraces[i].Grow(rest)
@@ -225,67 +229,14 @@ func (n *Node) MemTrace() *timeseries.Trace { return &n.memTrace }
 // GPUTrace returns GPU i's power trace.
 func (n *Node) GPUTrace(i int) *timeseries.Trace { return &n.gpuTraces[i] }
 
-// GPUSumTrace returns the pointwise sum of all GPU traces. The result
-// is memoized until the next Record or trace reset; callers must not
-// mutate it. Its storage follows TotalTrace's contract: the arena
-// resets recycle it into the next GPUSumTrace.
-func (n *Node) GPUSumTrace() *timeseries.Trace {
-	if n.gpuSumCache == nil {
-		var buf [8]*timeseries.Trace
-		traces := buf[:0]
-		for i := range n.gpuTraces {
-			traces = append(traces, &n.gpuTraces[i])
-		}
-		dst := n.gpuSumSpare
-		if dst == nil {
-			dst = new(timeseries.Trace)
-		}
-		n.gpuSumCache, n.gpuSumSpare = timeseries.SumInto(dst, traces...), nil
-	}
-	return n.gpuSumCache
-}
+// GPUSumTrace returns the GPU board sum: the pointwise sum of all GPU
+// traces, recorded with them. Callers must not mutate it.
+func (n *Node) GPUSumTrace() *timeseries.Trace { return &n.gpuSumTrace }
 
 // TotalTrace returns the node power trace: all components plus the
-// constant peripheral draw. This is what the node-level sensor reads.
-// The result is memoized until the next Record or trace reset; callers
-// must not mutate it.
-//
-// A returned trace stays valid across Record and ResetTraces, which
-// only drop the memo: holders such as telemetry cursors keep reading
-// it. The arena resets, ResetTracesReuse and SwapTraces, instead
-// recycle its storage into the next TotalTrace, so a caller of those
-// must not keep a TotalTrace across them (the sweep engine's outputs
-// are valid only until its next point).
-func (n *Node) TotalTrace() *timeseries.Trace {
-	if n.totalCache == nil {
-		var buf [8]*timeseries.Trace
-		traces := append(buf[:0], &n.cpuTrace, &n.memTrace)
-		for i := range n.gpuTraces {
-			traces = append(traces, &n.gpuTraces[i])
-		}
-		sum := timeseries.SumInto(&n.sumBuf, traces...)
-		if n.totalSpare != nil {
-			n.totalCache = sum.AddConstantInto(n.totalSpare, n.peripheralWatts)
-			n.totalSpare = nil
-		} else {
-			n.totalCache = sum.AddConstant(n.peripheralWatts)
-		}
-	}
-	return n.totalCache
-}
-
-// recycleTotal invalidates the memoized derived traces for an arena
-// reset, keeping the TotalTrace and GPUSumTrace storage for the next
-// ones.
-func (n *Node) recycleTotal() {
-	if n.totalCache != nil {
-		n.totalSpare = n.totalCache
-	}
-	if n.gpuSumCache != nil {
-		n.gpuSumSpare = n.gpuSumCache
-	}
-	n.totalCache, n.gpuSumCache, n.domainCaches = nil, nil, nil
-}
+// constant peripheral draw, recorded with them. This is what the
+// node-level sensor reads. Callers must not mutate it.
+func (n *Node) TotalTrace() *timeseries.Trace { return &n.totalTrace }
 
 // Domain is an NVML-style power scope over the node's accelerators,
 // plus the whole-node scope the Cray PM node sensor reads. The GPU
@@ -341,21 +292,23 @@ func coreTrace(module, mem *timeseries.Trace) *timeseries.Trace {
 }
 
 // DomainTrace returns the node's power trace for one domain scope:
-// DomainGPU and DomainMemory sum the per-device core and HBM traces,
-// DomainModule is the board-power sum (GPUSumTrace), DomainNode is the
-// node sensor (TotalTrace). Results are memoized until the next Record
-// or ResetTraces and must be treated as read-only. By construction
+// DomainGPU and DomainMemory sum the per-device core and HBM traces
+// (memoized until the next Record or trace reset), DomainModule is the
+// board-power sum (GPUSumTrace), DomainNode is the node sensor
+// (TotalTrace). Results must be treated as read-only. By construction
 // gpu + memory ≤ module ≤ node pointwise. Unknown domains panic.
 func (n *Node) DomainTrace(d Domain) *timeseries.Trace {
+	switch d {
+	case DomainModule:
+		return n.GPUSumTrace()
+	case DomainNode:
+		return n.TotalTrace()
+	}
 	if tr, ok := n.domainCaches[d]; ok {
 		return tr
 	}
 	var tr *timeseries.Trace
 	switch d {
-	case DomainModule:
-		tr = n.GPUSumTrace()
-	case DomainNode:
-		tr = n.TotalTrace()
 	case DomainMemory:
 		traces := make([]*timeseries.Trace, len(n.gpuMemTraces))
 		for i := range n.gpuMemTraces {
@@ -375,7 +328,7 @@ func (n *Node) DomainTrace(d Domain) *timeseries.Trace {
 		panic(fmt.Sprintf("node: unknown power domain %q", d))
 	}
 	if n.domainCaches == nil {
-		n.domainCaches = make(map[Domain]*timeseries.Trace, 4)
+		n.domainCaches = make(map[Domain]*timeseries.Trace, 2)
 	}
 	n.domainCaches[d] = tr
 	return tr
@@ -387,30 +340,26 @@ func (n *Node) TraceDuration() float64 { return n.cpuTrace.Duration() }
 
 // ResetTraces clears all recorded traces (e.g. between benchmark
 // repeats) without touching device state such as power limits, and
-// releases their storage. Derived traces handed out earlier stay
-// valid.
+// releases their storage. Summed power scopes handed out earlier
+// (DomainGPU, DomainMemory) stay valid.
 func (n *Node) ResetTraces() {
-	n.totalCache, n.gpuSumCache, n.domainCaches = nil, nil, nil
-	n.totalSpare, n.gpuSumSpare, n.sumBuf = nil, nil, timeseries.Trace{}
-	n.cpuTrace = timeseries.Trace{}
-	n.memTrace = timeseries.Trace{}
-	for i := range n.gpuTraces {
-		n.gpuTraces[i] = timeseries.Trace{}
-		n.gpuMemTraces[i] = timeseries.Trace{}
-	}
+	n.domainCaches = nil
+	n.cpuTrace, n.memTrace = timeseries.Trace{}, timeseries.Trace{}
+	n.totalTrace, n.gpuSumTrace = timeseries.Trace{}, timeseries.Trace{}
+	clear(n.gpuTraces)
+	clear(n.gpuMemTraces)
 }
 
 // ResetTracesReuse clears all recorded traces like ResetTraces but
 // keeps each trace's segment storage — the arena reset the incremental
 // sweep engine applies between repeats and cap points so steady-state
-// re-solves append into already-sized backing arrays. The last
-// TotalTrace's and GPUSumTrace's storage is kept too and rebuilt by the
-// next such trace, so one handed out earlier is invalid afterwards; the
-// other derived traces own fresh storage and are unaffected.
+// re-solves append into already-sized backing arrays.
 func (n *Node) ResetTracesReuse() {
-	n.recycleTotal()
+	n.domainCaches = nil
 	n.cpuTrace.Reset()
 	n.memTrace.Reset()
+	n.totalTrace.Reset()
+	n.gpuSumTrace.Reset()
 	for i := range n.gpuTraces {
 		n.gpuTraces[i].Reset()
 		n.gpuMemTraces[i].Reset()
@@ -423,48 +372,36 @@ func (n *Node) ResetTracesReuse() {
 // measurement arena keeps a node's whole storage in one between runs
 // (ExchangeStorage). The zero value is ready to use.
 type TraceBank struct {
-	cpu     timeseries.Trace
-	mem     timeseries.Trace
-	gpus    []timeseries.Trace
-	gpuMems []timeseries.Trace
-	// total, gpuSum and sum hold the TotalTrace and GPUSumTrace
-	// storage and the component-sum buffer; only ExchangeStorage moves
-	// them.
-	total  *timeseries.Trace
-	gpuSum *timeseries.Trace
-	sum    timeseries.Trace
+	cpu, mem      timeseries.Trace
+	total, gpuSum timeseries.Trace
+	gpus, gpuMems []timeseries.Trace
 }
 
 // SwapTraces exchanges the node's recorded traces with the bank's and
-// invalidates the memoized derived traces, recycling the TotalTrace and
-// GPUSumTrace storage as ResetTracesReuse does. Device state (power and clock
+// invalidates the summed power scopes. Device state (power and clock
 // limits) is untouched. Swapping is O(1): only slice headers move.
 func (n *Node) SwapTraces(b *TraceBank) {
 	if len(b.gpus) != len(n.gpuTraces) {
 		b.gpus = make([]timeseries.Trace, len(n.gpuTraces))
 		b.gpuMems = make([]timeseries.Trace, len(n.gpuMemTraces))
 	}
-	n.recycleTotal()
+	n.domainCaches = nil
 	n.cpuTrace, b.cpu = b.cpu, n.cpuTrace
 	n.memTrace, b.mem = b.mem, n.memTrace
+	n.totalTrace, b.total = b.total, n.totalTrace
+	n.gpuSumTrace, b.gpuSum = b.gpuSum, n.gpuSumTrace
 	n.gpuTraces, b.gpus = b.gpus, n.gpuTraces
 	n.gpuMemTraces, b.gpuMems = b.gpuMems, n.gpuMemTraces
 }
 
 // ExchangeStorage empties the node's traces and trades all of its trace
-// storage — the component traces, the TotalTrace and GPUSumTrace
-// storage and the component-sum buffer — for the bank's. A measurement
-// arena calls it twice per run: on a fresh node before the run, so the
-// run records into storage sized by earlier runs, and after the run is
-// profiled, to take the storage back. Like ResetTracesReuse, it
-// invalidates any TotalTrace or GPUSumTrace handed out earlier; the
-// other derived traces own fresh storage and are unaffected.
+// storage for the bank's. A measurement arena calls it twice per run:
+// on a fresh node before the run, so the run records into storage
+// sized by earlier runs, and after the run is profiled, to take the
+// storage back.
 func (n *Node) ExchangeStorage(b *TraceBank) {
 	n.ResetTracesReuse()
 	n.SwapTraces(b)
-	n.totalSpare, b.total = b.total, n.totalSpare
-	n.gpuSumSpare, b.gpuSum = b.gpuSum, n.gpuSumSpare
-	n.sumBuf, b.sum = b.sum, n.sumBuf
 }
 
 // SetGPUPowerLimits applies the same cap to all GPUs, returning the

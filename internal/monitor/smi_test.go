@@ -71,8 +71,8 @@ func TestSampleSMIConstantTrace(t *testing.T) {
 func TestSampleSMIMissesTransient(t *testing.T) {
 	tr := &timeseries.Trace{}
 	tr.Append(0.42, 100)
-	tr.Append(0.05, 400) // 50 ms spike between update ticks
-	tr.Append(9.53, 100)
+	tr.Append(0.47, 400) // 50 ms spike between update ticks
+	tr.Append(10, 100)
 	smi, err := SampleSMI(tr, SMIDefault())
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestSampleSMIMissesTransient(t *testing.T) {
 func TestSampleSMIReadingAge(t *testing.T) {
 	tr := &timeseries.Trace{}
 	tr.Append(0.95, 100)
-	tr.Append(9.05, 350)
+	tr.Append(10, 350)
 	// Update ticks every 0.5 s: the tick at t=0.5 reads 100 W; a poll
 	// at t=1 (past the step at 0.95) must return the stale 100 W
 	// because the next tick lands exactly at the poll — with phase 0.25
@@ -121,8 +121,8 @@ func TestSampleSMIReadingAge(t *testing.T) {
 func TestSampleSMIAliasesPeriodicLoad(t *testing.T) {
 	tr := &timeseries.Trace{}
 	for i := 0; i < 40; i++ { // 1 Hz square wave between 100 and 400 W
-		tr.Append(0.5, 100)
-		tr.Append(0.5, 400)
+		tr.Append(tr.Duration()+0.5, 100)
+		tr.Append(tr.Duration()+0.5, 400)
 	}
 	s, err := SampleSMI(tr, SMIDefault())
 	if err != nil {
@@ -143,7 +143,7 @@ func TestSampleSMIAliasesPeriodicLoad(t *testing.T) {
 func TestSampleSMIAveragingWindow(t *testing.T) {
 	tr := &timeseries.Trace{}
 	tr.Append(0.95, 100)
-	tr.Append(9.05, 300)
+	tr.Append(10, 300)
 	cfg := SMIConfig{PollInterval: 1, UpdateInterval: 1}
 	// Point sample at u=1: nudged inside the second segment boundary,
 	// reads 300? No — u=1.0 reads the power at 1.0-ε = 300 (the step

@@ -946,13 +946,11 @@ func (r Result) Timelines(idleNodeW float64) (reserved, actual *timeseries.Trace
 	base := float64(r.ClusterNodes) * idleNodeW
 	reserved, actual = &timeseries.Trace{}, &timeseries.Trace{}
 	curR, curA := base, base
-	prev := 0.0
 	for _, e := range edges {
-		if e.t > prev {
-			reserved.Append(e.t-prev, curR)
-			actual.Append(e.t-prev, curA)
-			prev = e.t
-		}
+		// Coincident edges extend nothing: Append ignores an end at
+		// the trace's current end.
+		reserved.Append(e.t, curR)
+		actual.Append(e.t, curA)
 		curR += e.dReserve
 		curA += e.dActual
 	}

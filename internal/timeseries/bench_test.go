@@ -23,7 +23,8 @@ var (
 )
 
 // benchTraces builds k traces of ~n segments each whose boundaries
-// rarely coincide — the worst case for breakpoint deduplication.
+// rarely coincide — the worst case for the merge: almost every end is
+// a breakpoint of its own.
 func benchTraces(k, n int) []*Trace {
 	root := rng.New(77)
 	out := make([]*Trace, k)
@@ -31,7 +32,7 @@ func benchTraces(k, n int) []*Trace {
 		r := root.Split(fmt.Sprintf("trace%d", i))
 		tr := &Trace{}
 		for j := 0; j < n; j++ {
-			tr.Append(0.05+r.Float64()*0.2, 50+float64(r.IntN(300)))
+			tr.Append(tr.Duration()+0.05+r.Float64()*0.2, 50+float64(r.IntN(300)))
 		}
 		out[i] = tr
 	}
@@ -49,16 +50,17 @@ func nodeTraces(n int) []*Trace {
 	for i := range out {
 		out[i] = &Trace{}
 	}
+	end := 0.0
 	for j := 0; j < n; j++ {
-		d := 0.001 + r.Float64()*0.05
+		end += 0.001 + r.Float64()*0.05
 		cpu := 95.0
 		if r.IntN(20) == 0 {
 			cpu = 180 + float64(r.IntN(40))
 		}
-		out[0].Append(d, cpu)
-		out[1].Append(d, 40+float64(r.IntN(3))*15)
+		out[0].Append(end, cpu)
+		out[1].Append(end, 40+float64(r.IntN(3))*15)
 		for g := 2; g < 6; g++ {
-			out[g].Append(d, 60+r.Float64()*340)
+			out[g].Append(end, 60+r.Float64()*340)
 		}
 	}
 	return out
@@ -82,8 +84,9 @@ func BenchmarkSum(b *testing.B) {
 			}
 		})
 	}
-	// The shape every TotalTrace call sums: boundaries shared across
-	// the traces, so most of them are deduplicated.
+	// The shape of traces recorded on one clock (a node's power
+	// scopes): boundaries shared across the traces, so most ends are
+	// breakpoints of several cursors at once.
 	traces := nodeTraces(2880)
 	b.Run("shape=node/steps=2880/impl=merge", func(b *testing.B) {
 		b.ReportAllocs()

@@ -15,7 +15,7 @@ func TestCursorMatchesMeanBetween(t *testing.T) {
 		r := rng.New(root.Uint64())
 		tr := &Trace{}
 		for i := 0; i < 40; i++ {
-			tr.Append(0.01+r.Float64()*3, r.Float64()*500)
+			tr.Append(tr.Duration()+0.01+r.Float64()*3, r.Float64()*500)
 		}
 		c := NewCursor(tr)
 		a := 0.0
@@ -39,7 +39,7 @@ func TestCursorSeesAppendedSegments(t *testing.T) {
 	if got := c.MeanBetween(0, 2); !almostEqual(got, 100, 1e-12) {
 		t.Fatalf("initial mean = %v", got)
 	}
-	tr.Append(2, 300)
+	tr.Append(4, 300)
 	if got := c.MeanBetween(2, 4); !almostEqual(got, 300, 1e-12) {
 		t.Fatalf("post-append mean = %v, want 300", got)
 	}
@@ -51,7 +51,7 @@ func TestCursorSeesAppendedSegments(t *testing.T) {
 func TestCursorAttachRebuiltTrace(t *testing.T) {
 	long := &Trace{}
 	for i := 0; i < 10; i++ {
-		long.Append(1, float64(100+i))
+		long.Append(float64(i+1), float64(100+i))
 	}
 	c := NewCursor(long)
 	_ = c.MeanBetween(8, 9) // advance deep into the trace
@@ -66,7 +66,7 @@ func TestCursorAttachRebuiltTrace(t *testing.T) {
 func TestTraceMap(t *testing.T) {
 	tr := &Trace{}
 	tr.Append(2, 100)
-	tr.Append(3, -40)
+	tr.Append(5, -40)
 	clamped := tr.Map(func(p float64) float64 {
 		if p < 0 {
 			return 0

@@ -2,6 +2,7 @@ package timeseries
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"vasppower/internal/rng"
@@ -16,10 +17,8 @@ import (
 // genDiffTrace builds one randomized trace for the differential
 // harness, covering the shapes the optimized walks special-case:
 // empty traces, single segments, equal-power runs (which Append
-// merges away), micro-segments near the 1e-12 dedup tolerance, and
-// offset-origin traces assembled directly from segments (the
-// origin-normalization path in Sum; unreachable through Append, which
-// always starts at 0).
+// merges away) and micro-segments a few picoseconds long, whose ends
+// sit ulps from their neighbors'.
 func genDiffTrace(r *rng.Stream) *Trace {
 	switch r.IntN(8) {
 	case 0:
@@ -28,24 +27,12 @@ func genDiffTrace(r *rng.Stream) *Trace {
 		tr := &Trace{}
 		tr.Append(0.1+r.Float64()*5, r.Float64()*400)
 		return tr
-	case 2:
-		at := 0.5 + r.Float64()*3
-		n := 1 + r.IntN(5)
-		segs := make([]Segment, 0, n)
-		for i := 0; i < n; i++ {
-			d := 0.05 + r.Float64()*2
-			segs = append(segs, Segment{Start: at, Dur: d, Power: r.Float64() * 300})
-			at += d
-		}
-		return &Trace{segs: segs}
 	default:
 		tr := &Trace{}
 		n := 1 + r.IntN(40)
 		for i := 0; i < n; i++ {
 			var d float64
 			if r.IntN(10) == 0 {
-				// Micro-segment: boundaries land within the dedup
-				// tolerance of their neighbors.
 				d = 1e-13 + r.Float64()*2e-12
 			} else {
 				d = 0.01 + r.Float64()*2
@@ -56,25 +43,32 @@ func genDiffTrace(r *rng.Stream) *Trace {
 			if r.IntN(3) == 0 {
 				p = r.Float64() * 450
 			}
-			tr.Append(d, p)
+			tr.Append(tr.Duration()+d, p)
 		}
 		return tr
 	}
 }
 
-// tracesIdentical reports exact, bitwise segment equality.
-func tracesIdentical(a, b *Trace) bool {
-	if a.Len() != b.Len() {
-		return false
+// genAlignedTraces builds k traces recorded on one clock, as a node
+// records its components: every trace ends each step at the same
+// instant, and equal-power runs merge differently in each trace.
+func genAlignedTraces(r *rng.Stream, k int) []*Trace {
+	traces := make([]*Trace, k)
+	for i := range traces {
+		traces[i] = &Trace{}
 	}
-	for i, s := range a.segs {
-		o := b.segs[i]
-		if s.Start != o.Start || s.Dur != o.Dur || s.Power != o.Power {
-			return false
+	end := 0.0
+	for n := 1 + r.IntN(40); n > 0; n-- {
+		end += 0.01 + r.Float64()*2
+		for i, tr := range traces {
+			tr.Append(end, float64(r.IntN(3+i))*60)
 		}
 	}
-	return true
+	return traces
 }
+
+// tracesIdentical reports exact, bitwise segment equality.
+func tracesIdentical(a, b *Trace) bool { return slices.Equal(a.segs, b.segs) }
 
 // seriesIdentical reports exact, bitwise sample equality.
 func seriesIdentical(a, b Series) bool {
@@ -104,21 +98,39 @@ func TestSumMatchesReference(t *testing.T) {
 			t.Fatalf("iter %d: Sum diverges from reference\n got: %+v\nwant: %+v",
 				iter, got.segs, want.segs)
 		}
+		aligned := genAlignedTraces(r, 1+r.IntN(6))
+		if got, want := Sum(aligned...), sumReference(aligned...); !tracesIdentical(got, want) {
+			t.Fatalf("iter %d: Sum of aligned traces diverges from reference\n got: %+v\nwant: %+v",
+				iter, got.segs, want.segs)
+		}
 	}
 }
 
-// TestSumMatchesReferenceAtTolerance puts a boundary exactly eps
-// (1e-12) past the first breakpoint. The reference drops a boundary
-// when v − prev ≤ eps, so the merge must drop it too — ≤, not <.
+// TestSumMatchesReferenceAtTolerance: boundaries are instants compared
+// with ==, with no tolerance, so two ends one ulp apart, or 1e-12 s
+// apart, are two breakpoints, and the sliver between them sums the
+// powers that hold there.
 func TestSumMatchesReferenceAtTolerance(t *testing.T) {
-	a := &Trace{}
-	a.Append(1e-12, 100)
-	a.Append(2, 50)
-	b := &Trace{}
-	b.Append(3, 10)
-	for _, traces := range [][]*Trace{{a, b}, {b, a}} {
-		if got, want := Sum(traces...), sumReference(traces...); !tracesIdentical(got, want) {
-			t.Fatalf("Sum diverges from reference\n got: %+v\nwant: %+v", got.segs, want.segs)
+	for _, x := range []float64{2, 1e-12} {
+		next := math.Nextafter(x, 3)
+		if x < 1 {
+			next = 2 * x
+		}
+		a := &Trace{}
+		a.Append(x, 100)
+		a.Append(3, 50)
+		b := &Trace{}
+		b.Append(next, 10)
+		b.Append(3, 20)
+		want := []Segment{{x, 110}, {next, 60}, {3, 70}}
+		for _, traces := range [][]*Trace{{a, b}, {b, a}} {
+			got := Sum(traces...)
+			if !slices.Equal(got.segs, want) {
+				t.Fatalf("Sum = %+v, want %+v", got.segs, want)
+			}
+			if ref := sumReference(traces...); !tracesIdentical(got, ref) {
+				t.Fatalf("Sum diverges from reference\n got: %+v\nwant: %+v", got.segs, ref.segs)
+			}
 		}
 	}
 }
@@ -157,8 +169,8 @@ func TestEnergyBetweenMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSumOfSummedIsStillIdentical runs the whole chain the node sensor
-// uses — Sum, AddConstant, then Sample — against the reference chain.
+// TestSumChainMatchesReference runs the chain a summed power scope
+// goes through — Sum, then Sample — against the reference chain.
 func TestSumChainMatchesReference(t *testing.T) {
 	root := rng.New(5005)
 	for iter := 0; iter < 200; iter++ {
@@ -167,17 +179,10 @@ func TestSumChainMatchesReference(t *testing.T) {
 		for i := range traces {
 			traces[i] = genDiffTrace(r)
 		}
-		offset := r.Float64() * 500
-		got := Sum(traces...).AddConstant(offset).Sample(0.5)
-
-		ref := sumReference(traces...)
-		shifted := &Trace{}
-		for _, s := range ref.segs {
-			shifted.Append(s.Dur, s.Power+offset)
-		}
-		want := shifted.sampleReference(0.5)
+		got := Sum(traces...).Sample(0.5)
+		want := sumReference(traces...).sampleReference(0.5)
 		if !seriesIdentical(got, want) {
-			t.Fatalf("iter %d: sensor chain diverges from reference", iter)
+			t.Fatalf("iter %d: sum chain diverges from reference", iter)
 		}
 	}
 }
@@ -204,11 +209,10 @@ func TestSampleWindowEnergySumsToTraceEnergy(t *testing.T) {
 			continue
 		}
 		dur := tr.Duration()
-		start := tr.segs[0].Start
 		var got float64
 		for i, tm := range s.Times {
 			a := float64(i) * interval
-			cov := math.Min(tm, dur) - math.Max(a, start)
+			cov := math.Min(tm, dur) - a
 			if cov > 0 {
 				got += s.Values[i] * cov
 			}
@@ -227,13 +231,13 @@ func TestSampleWindowEnergySumsToTraceEnergy(t *testing.T) {
 
 // decodeFuzzTraces turns fuzz bytes into 1–8 finite traces. The first
 // byte picks the trace count; each trace then reads a header byte
-// (segment count, and whether the trace starts at an offset origin)
-// and two bytes per segment (duration, power). Durations include
-// micro-segments straddling the 1e-12 dedup tolerance; powers come
-// from a coarse palette most of the time, so equal-power runs coalesce
-// through Append. Offset-origin traces are assembled from segments,
-// the only way to reach Sum's origin normalization. Missing bytes read
-// as zero, so every input decodes.
+// (segment count, and whether the trace is recorded on trace 0's
+// clock) and two bytes per segment (duration, power). A trace on
+// trace 0's clock ends its segments at trace 0's instants, so the
+// traces share boundaries bit for bit, as a node's do. Durations
+// include micro-segments a few picoseconds long; powers come from a
+// coarse palette most of the time, so equal-power runs coalesce
+// through Append. Missing bytes read as zero, so every input decodes.
 func decodeFuzzTraces(data []byte) []*Trace {
 	next := func() byte {
 		if len(data) == 0 {
@@ -244,13 +248,13 @@ func decodeFuzzTraces(data []byte) []*Trace {
 		return b
 	}
 	traces := make([]*Trace, 1+int(next()%8))
+	var clock []float64 // trace 0's segment ends, one per decoded segment
 	for i := range traces {
 		h := next()
 		n := int(h % 32)
-		offset := h&0x80 != 0
-		at := 0.0
-		if offset {
-			at = float64(next()%16)*0.25 + float64(next()%4)*4e-13
+		aligned := h&0x80 != 0 && i > 0
+		if aligned {
+			n = min(n, len(clock))
 		}
 		tr := &Trace{}
 		for j := 0; j < n; j++ {
@@ -266,11 +270,13 @@ func decodeFuzzTraces(data []byte) []*Trace {
 			if pb >= 192 {
 				p = float64(pb) * 1.7
 			}
-			if offset {
-				tr.segs = append(tr.segs, Segment{Start: at, Dur: d, Power: p})
-				at += d
-			} else {
-				tr.Append(d, p)
+			end := tr.Duration() + d
+			if aligned {
+				end = clock[j]
+			}
+			tr.Append(end, p)
+			if i == 0 {
+				clock = append(clock, end)
 			}
 		}
 		traces[i] = tr
@@ -279,21 +285,16 @@ func decodeFuzzTraces(data []byte) []*Trace {
 }
 
 // FuzzSum is the differential target of the cursor merge: on any
-// decoded set of traces, Sum — and SumInto into storage left over from
-// a different sum — must equal sumReference bit for bit.
+// decoded set of traces, Sum must equal sumReference bit for bit.
 func FuzzSum(f *testing.F) {
 	f.Add([]byte{1, 3, 4, 80, 4, 80, 8, 0})
 	f.Add([]byte{3, 2, 0, 0, 0, 1, 0x84, 2, 1, 5, 3, 7, 200, 9, 1, 3, 0, 6, 1, 4, 8, 5})
 	f.Add([]byte{7, 0x9f, 15, 3, 0, 0, 4, 0, 0, 1, 8, 0, 1, 1, 12, 250, 0, 0, 5, 5, 5, 5})
+	f.Add([]byte{3, 6, 1, 0, 4, 1, 5, 2, 9, 3, 0, 4, 2, 5, 0x86, 1, 7, 2, 8, 3, 9, 4, 10, 5, 11, 0, 12, 0x83, 200, 1, 3, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		traces := decodeFuzzTraces(data)
-		want := sumReference(traces...)
-		if got := Sum(traces...); !tracesIdentical(got, want) {
+		if got, want := Sum(traces...), sumReference(traces...); !tracesIdentical(got, want) {
 			t.Fatalf("Sum diverges from reference\n got: %+v\nwant: %+v", got.segs, want.segs)
-		}
-		dst := Sum(traces[len(traces)-1], traces[0])
-		if got := SumInto(dst, traces...); !tracesIdentical(got, want) {
-			t.Fatalf("SumInto over reused storage diverges from reference\n got: %+v\nwant: %+v", got.segs, want.segs)
 		}
 	})
 }

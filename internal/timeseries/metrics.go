@@ -8,12 +8,12 @@ import (
 
 // Metrics counts the work of the trace hot path across the process.
 // SumSegments is the number of output segments Sum has emitted (the
-// unit of the k-way merge's inner loop); Samples is the number of
-// samples Sample has produced. Together they are
-// the denominator of "where does a sweep's wall-clock go": every
-// figure regenerates by summing component traces and sampling them
-// through the telemetry model. Install with SetMetrics; the nil
-// default costs one atomic pointer load per call.
+// unit of the k-way merge's inner loop); a measurement merges no
+// trace, since a node records its sensors with its components, so only
+// the telemetry pipeline's summed power scopes count here. Samples is
+// the number of samples Sample and SampleWindow have produced: every
+// figure regenerates by sampling recorded traces. Install with
+// SetMetrics; the nil default costs one atomic pointer load per call.
 type Metrics struct {
 	SumSegments *obs.Counter
 	Samples     *obs.Counter

@@ -13,7 +13,7 @@ func TestMetricsCountSumSegmentsAndSamples(t *testing.T) {
 
 	a := &Trace{}
 	a.Append(1, 100)
-	a.Append(1, 200)
+	a.Append(2, 200)
 	b := &Trace{}
 	b.Append(1.5, 50)
 	sum := Sum(a, b)

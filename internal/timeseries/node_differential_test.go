@@ -12,10 +12,11 @@ import (
 // TestSumMatchesReferenceOnNodeTraces is the node-shaped differential
 // case: component traces recorded by the prepared engine — aligned
 // boundaries, long equal-power runs on the CPU trace, cap-solved GPU
-// powers — summed by Sum and by the reference, bit for bit. The node
-// sensor (TotalTrace) is checked against the reference chain too, on a
-// standalone run and on a sweep point whose sensor storage the arena
-// recycled from the previous point.
+// powers — summed by Sum and by the reference, bit for bit. The
+// recorded node sensor (TotalTrace) and GPU board sum (GPUSumTrace)
+// must equal the reference merge of the components they sum, on a
+// standalone run and on a sweep point recorded into storage the arena
+// reused from the previous point.
 func TestSumMatchesReferenceOnNodeTraces(t *testing.T) {
 	for _, tc := range []struct {
 		bench   string
@@ -77,7 +78,8 @@ func checkNodeSums(t *testing.T, n *node.Node) {
 	}{{"components", comps}, {"gpus", gpus}, {"hbm", hbms}} {
 		segsEqual(t, c.name, timeseries.Sum(c.traces...), timeseries.SumReference(c.traces...))
 	}
-	want := timeseries.SumReference(comps...).AddConstant(n.PeripheralPower())
+	segsEqual(t, "gpu sum", n.GPUSumTrace(), timeseries.SumReference(gpus...))
+	want := timeseries.SumReference(comps...).Map(func(p float64) float64 { return p + n.PeripheralPower() })
 	segsEqual(t, "node sensor", n.TotalTrace(), want)
 }
 

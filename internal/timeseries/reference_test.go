@@ -2,6 +2,7 @@ package timeseries
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -21,51 +22,30 @@ import (
 //   - sampleReference: O(n·m) — every window rescans every segment;
 //   - energyBetweenReference: O(n) per window.
 
-// sumReference is the original Sum: collect every segment boundary,
-// sort, deduplicate, then binary-search every input trace once per
-// output interval.
+// sumReference is Sum by another route: collect every segment end,
+// sort, drop exact duplicates, then binary-search every input trace
+// once per output interval for the segment that covers it (the first
+// one ending at or after the interval's end). Boundaries are compared
+// with ==, as Sum compares them.
 func sumReference(traces ...*Trace) *Trace {
-	// Collect all breakpoints.
 	var points []float64
 	for _, tr := range traces {
 		for _, s := range tr.segs {
-			points = append(points, s.Start, s.End())
+			points = append(points, s.End)
 		}
-	}
-	if len(points) == 0 {
-		return &Trace{}
 	}
 	sort.Float64s(points)
-	// Deduplicate (within a tiny tolerance to absorb fp noise from
-	// repeated accumulation of segment durations).
-	const eps = 1e-12
-	uniq := points[:1]
-	for _, p := range points[1:] {
-		if p-uniq[len(uniq)-1] > eps {
-			uniq = append(uniq, p)
-		}
-	}
+	points = slices.Compact(points)
 	out := &Trace{}
-	for i := 0; i+1 < len(uniq); i++ {
-		a, b := uniq[i], uniq[i+1]
-		mid := (a + b) / 2
+	for _, b := range points {
 		var p float64
 		for _, tr := range traces {
-			if mid >= 0 && mid < tr.Duration() {
-				p += tr.PowerAt(mid)
+			if b <= tr.Duration() {
+				i := sort.Search(len(tr.segs), func(i int) bool { return tr.segs[i].End >= b })
+				p += tr.segs[i].Power
 			}
 		}
-		out.Append(b-a, p)
-	}
-	// Normalize origin: Sum assumes all traces start at 0; if the first
-	// breakpoint is positive, prepend zero power from t=0.
-	if len(out.segs) > 0 && uniq[0] > eps {
-		shifted := &Trace{}
-		shifted.Append(uniq[0], 0)
-		for _, s := range out.segs {
-			shifted.Append(s.Dur, s.Power)
-		}
-		return shifted
+		out.Append(b, p)
 	}
 	return out
 }
@@ -77,9 +57,9 @@ func (t *Trace) energyBetweenReference(a, b float64) float64 {
 		return 0
 	}
 	var e float64
-	for _, s := range t.segs {
-		lo := math.Max(a, s.Start)
-		hi := math.Min(b, s.End())
+	for i, s := range t.segs {
+		lo := math.Max(a, t.start(i))
+		hi := math.Min(b, s.End)
 		if hi > lo {
 			e += s.Power * (hi - lo)
 		}
@@ -93,7 +73,7 @@ func (t *Trace) meanBetweenReference(a, b float64) float64 {
 	if b <= a || len(t.segs) == 0 {
 		return 0
 	}
-	covLo := math.Max(a, t.segs[0].Start)
+	covLo := math.Max(a, 0)
 	covHi := math.Min(b, t.Duration())
 	if covHi <= covLo {
 		return 0

@@ -59,12 +59,12 @@ func TestSampleWindowMatchesSampleSlice(t *testing.T) {
 // land exactly on sample instants, where [start, end] must keep both.
 func TestSampleWindowPreludeBoundaries(t *testing.T) {
 	tr := &Trace{}
-	tr.Append(20, 1900)   // dgemm
-	tr.Append(20, 1500)   // stream
-	tr.Append(10, 460)    // idle
-	tr.Append(0.7, 900)   // job setup
-	tr.Append(33.3, 1700) // job body
-	tr.Append(3.1, 700)
+	tr.Append(20, 1900)  // dgemm
+	tr.Append(40, 1500)  // stream
+	tr.Append(50, 460)   // idle
+	tr.Append(50.7, 900) // job setup
+	tr.Append(84, 1700)  // job body
+	tr.Append(87.1, 700)
 	for _, interval := range []float64{0.1, 1, 2, 2.5, 3, 7} {
 		for _, w := range [][2]float64{{0, 20}, {20, 40}, {40, 50}, {50, tr.Duration()}, {50, 84}, {49.9, 50.1}} {
 			sampleWindowMatches(t, tr, w[0], w[1], interval)

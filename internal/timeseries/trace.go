@@ -2,9 +2,10 @@
 // throughout the simulator:
 //
 //   - Trace: an exact, piecewise-constant power signal produced by the
-//     hardware models (a kernel draws P watts for d seconds). Traces
-//     support exact energy integration and pointwise algebra, which is
-//     how a node's total power is assembled from its components.
+//     hardware models (a kernel draws P watts until the clock reads t).
+//     Traces support exact energy integration and pointwise algebra,
+//     which is how the NVML-style power scopes are assembled from the
+//     per-device traces.
 //
 //   - Series: a sampled signal, as a telemetry system like LDMS would
 //     record it. Series are produced by sampling a Trace at an interval
@@ -19,41 +20,41 @@ import (
 	"sort"
 )
 
-// Segment is one constant-power span of a Trace.
+// Segment is one constant-power span of a Trace: it holds Power from
+// the previous segment's End (0 for the first segment) up to its own.
 type Segment struct {
-	Start float64 // seconds since trace origin
-	Dur   float64 // seconds, > 0
+	End   float64 // seconds since the trace origin
 	Power float64 // watts
 }
 
-// End returns the segment's end time.
-func (s Segment) End() float64 { return s.Start + s.Dur }
-
-// Trace is a piecewise-constant power signal. Segments are contiguous
-// and ordered; gaps are not allowed (append zero-power segments to
-// represent idle time). The zero value is an empty trace ready to use.
+// Trace is a piecewise-constant power signal starting at 0. Segments
+// are contiguous and ordered; gaps are not allowed (append zero-power
+// segments to represent idle time). Storing each segment's end instant
+// rather than its duration keeps instants exact: writers that append
+// up to the same clock reading share one float per boundary, in every
+// trace. The zero value is an empty trace ready to use.
 type Trace struct {
 	segs []Segment
 }
 
-// Append adds a constant-power span of the given duration to the end of
-// the trace. Zero-duration spans are ignored; negative durations panic
-// (they indicate a simulator bug).
-func (t *Trace) Append(dur, power float64) {
-	if dur < 0 {
-		panic(fmt.Sprintf("timeseries: negative segment duration %v", dur))
+// Append extends the trace to the instant end at the given power. An
+// end at the trace's current end is ignored; an end before it (or NaN)
+// panics (it indicates a simulator bug).
+func (t *Trace) Append(end, power float64) {
+	d := t.Duration()
+	if !(end >= d) {
+		panic(fmt.Sprintf("timeseries: segment end %v before the trace end %v", end, d))
 	}
-	if dur == 0 {
+	if end == d {
 		return
 	}
-	start := t.Duration()
 	// Merge with the previous segment when power is identical; keeps
 	// traces compact when a phase emits many same-power kernels.
 	if n := len(t.segs); n > 0 && t.segs[n-1].Power == power {
-		t.segs[n-1].Dur += dur
+		t.segs[n-1].End = end
 		return
 	}
-	t.segs = append(t.segs, Segment{Start: start, Dur: dur, Power: power})
+	t.segs = append(t.segs, Segment{End: end, Power: power})
 }
 
 // Grow makes room for n more segments without reallocating, so a
@@ -68,27 +69,35 @@ func (t *Trace) Segments() []Segment { return t.segs }
 // Reset empties the trace while keeping its segment storage for reuse
 // — the arena primitive behind incremental sweeps, where the same
 // traces are rebuilt once per cap point. Derived traces previously
-// handed out (Sum results, memoized node sensors) are unaffected: they
-// own fresh storage.
+// handed out (Sum results) are unaffected: they own fresh storage.
 func (t *Trace) Reset() { t.segs = t.segs[:0] }
 
 // Len returns the number of segments.
 func (t *Trace) Len() int { return len(t.segs) }
 
-// Duration returns the total trace duration in seconds.
+// Duration returns the total trace duration in seconds: the last
+// segment's end.
 func (t *Trace) Duration() float64 {
 	if len(t.segs) == 0 {
 		return 0
 	}
-	last := t.segs[len(t.segs)-1]
-	return last.Start + last.Dur
+	return t.segs[len(t.segs)-1].End
+}
+
+// start returns segment i's start instant: the previous segment's end.
+func (t *Trace) start(i int) float64 {
+	if i == 0 {
+		return 0
+	}
+	return t.segs[i-1].End
 }
 
 // Energy returns the exact integral of power over time, in joules.
 func (t *Trace) Energy() float64 {
-	var e float64
+	var e, prev float64
 	for _, s := range t.segs {
-		e += s.Power * s.Dur
+		e += s.Power * (s.End - prev)
+		prev = s.End
 	}
 	return e
 }
@@ -113,11 +122,8 @@ func (t *Trace) PowerAt(x float64) float64 {
 	if n == 0 {
 		return 0
 	}
-	if x < t.segs[0].Start {
-		return t.segs[0].Power
-	}
 	// Binary search for the segment containing x.
-	i := sort.Search(n, func(i int) bool { return t.segs[i].End() > x })
+	i := sort.Search(n, func(i int) bool { return t.segs[i].End > x })
 	if i == n {
 		return t.segs[n-1].Power
 	}
@@ -130,19 +136,18 @@ func (t *Trace) PowerAt(x float64) float64 {
 // Cost is O(log n + w) for a window overlapping w segments: a binary
 // search locates the first segment ending after a, and the scan stops
 // at the first segment starting at or after b. Segments outside that
-// range contributed nothing to the original full scan, so restricting
-// to it leaves the sum — and its floating-point addition order —
-// bit-identical (pinned against energyBetweenReference by the
-// differential tests).
+// range contribute nothing to a full scan, so restricting to it leaves
+// the sum — and its floating-point addition order — bit-identical
+// (pinned against energyBetweenReference by the differential tests).
 func (t *Trace) EnergyBetween(a, b float64) float64 {
 	if b <= a || len(t.segs) == 0 {
 		return 0
 	}
-	i := sort.Search(len(t.segs), func(i int) bool { return t.segs[i].End() > a })
+	i := sort.Search(len(t.segs), func(i int) bool { return t.segs[i].End > a })
 	var e float64
-	for ; i < len(t.segs) && t.segs[i].Start < b; i++ {
-		lo := math.Max(a, t.segs[i].Start)
-		hi := math.Min(b, t.segs[i].End())
+	for ; i < len(t.segs) && t.start(i) < b; i++ {
+		lo := math.Max(a, t.start(i))
+		hi := math.Min(b, t.segs[i].End)
 		if hi > lo {
 			e += t.segs[i].Power * (hi - lo)
 		}
@@ -157,7 +162,7 @@ func (t *Trace) MeanBetween(a, b float64) float64 {
 	if b <= a || len(t.segs) == 0 {
 		return 0
 	}
-	covLo := math.Max(a, t.segs[0].Start)
+	covLo := math.Max(a, 0)
 	covHi := math.Min(b, t.Duration())
 	if covHi <= covLo {
 		return 0
@@ -181,204 +186,93 @@ func (t *Trace) Scale(k float64) *Trace {
 	return c
 }
 
-// AddConstant returns a new trace with k added to every power value
-// (how the node sensor layers the unmetered peripheral draw onto the
-// component sum). The result is built through Append into a
-// preallocated trace, so adjacent segments whose offset powers round
-// to the same value merge exactly as if appended directly.
-func (t *Trace) AddConstant(k float64) *Trace {
-	return t.AddConstantInto(&Trace{segs: make([]Segment, 0, len(t.segs))}, k)
-}
-
-// AddConstantInto is AddConstant into a caller-owned trace, reusing
-// dst's segment storage (the sweep engine's arena form). dst is reset
-// first and must not be t; values are identical to AddConstant's.
-func (t *Trace) AddConstantInto(dst *Trace, k float64) *Trace {
-	dst.segs = dst.segs[:0]
-	for _, s := range t.segs {
-		dst.Append(s.Dur, s.Power+k)
-	}
-	return dst
-}
-
 // Map returns a new trace with every power value replaced by f(power).
 // The result is rebuilt through Append, so adjacent segments whose
-// mapped powers coincide merge (the same contract as AddConstant).
+// mapped powers coincide merge.
 func (t *Trace) Map(f func(p float64) float64) *Trace {
 	c := &Trace{segs: make([]Segment, 0, len(t.segs))}
 	for _, s := range t.segs {
-		c.Append(s.Dur, f(s.Power))
-	}
-	return c
-}
-
-// Shift returns a new trace whose origin is moved by dt seconds
-// (dt >= 0): a zero-power segment of length dt is prepended.
-func (t *Trace) Shift(dt float64) *Trace {
-	if dt < 0 {
-		panic("timeseries: negative shift")
-	}
-	c := &Trace{}
-	if dt > 0 {
-		c.Append(dt, 0)
-	}
-	for _, s := range t.segs {
-		c.Append(s.Dur, s.Power)
+		c.Append(s.End, f(s.Power))
 	}
 	return c
 }
 
 // sumCursor tracks one non-empty input trace through the k-way merge
-// in Sum. bi walks the trace's boundary stream — Start then End of
-// each segment, in order, 2n points total — and si walks segments for
-// the power lookup (query midpoints are non-decreasing, so si only
-// moves forward).
+// in Sum: segs[i] is the segment holding the interval being summed.
 type sumCursor struct {
 	segs []Segment
-	dur  float64
-	bi   int // next boundary index in [0, 2·len(segs)]
-	si   int // current segment for power lookups
-}
-
-// boundary returns the cursor's next unconsumed breakpoint.
-func (c *sumCursor) boundary() float64 {
-	if c.bi%2 == 0 {
-		return c.segs[c.bi/2].Start
-	}
-	return c.segs[c.bi/2].End()
+	i    int
 }
 
 // Sum returns the pointwise sum of the given traces. Each input is
-// treated as zero outside its own duration, so traces of different
-// lengths may be summed; the result spans the longest input. The sum
-// of zero traces is an empty trace.
+// treated as zero beyond its own end, so traces of different lengths
+// may be summed; the result spans the longest input. The sum of zero
+// traces is an empty trace.
 //
-// Sum is a k-way cursor merge over the inputs' segment boundaries.
-// Each trace's boundary stream is sorted (segments are contiguous with
-// positive durations). After a breakpoint prev is kept, every cursor
-// skips its boundaries v with v−prev ≤ eps, and the smallest boundary
-// left across the cursors is the next breakpoint kept. IEEE
-// subtraction is monotone, so those skipped boundaries are a prefix
-// of each stream and exactly the ones the reference's sorted,
-// eps-deduplicated breakpoint list drops: the kept breakpoints, the
-// interval midpoints and the per-interval power sums (added in
-// argument order) match sumReference bit for bit (pinned by the
-// differential tests and FuzzSum). The cost is O(k) per kept
-// breakpoint plus O(1) per skipped boundary: O(K·k + B) for K kept
-// breakpoints and B boundaries across k traces. A node's component
-// traces share most boundaries, so K is about B/(2k).
+// Sum is a k-way cursor merge over the inputs' segment ends. Each
+// step takes the smallest end left across the cursors as the next
+// breakpoint, adds the power of every cursor's current segment (in
+// argument order) and advances the cursors whose segment ends exactly
+// there. Instants are compared with ==: traces recorded on one clock
+// share their boundaries bit for bit, so no tolerance is needed, and
+// two boundaries an ulp apart are two boundaries. The cost is O(k) per
+// output breakpoint: O(K·k) for K distinct ends across k traces.
+//
+// The output starts at the longest input's length (the sum of traces
+// on one clock is about as long as its finest input) and, if a merge
+// outgrows that, grows once to the bound Σn on the output of traces
+// with Σn segments in all, rather than doubling its way there.
 func Sum(traces ...*Trace) *Trace {
-	return SumInto(&Trace{}, traces...)
-}
-
-// SumInto computes Sum(traces...) into dst, reusing dst's segment
-// storage across calls — the allocation-free form the node sensor
-// uses to rebuild its trace once per cap point. dst is reset first
-// and must not be one of the inputs. The merged values are
-// bit-identical to Sum's (it is the same cursor merge).
-//
-// Fresh storage is sized at the longest input plus one segment: the
-// sum of aligned traces — a node's components, recorded in lockstep —
-// has about as many segments as its finest input. A merge that
-// outgrows it (traces whose boundaries rarely coincide) grows once, to
-// the bound Σn + k on the output of k traces with Σn segments in all,
-// rather than doubling its way there.
-func SumInto(dst *Trace, traces ...*Trace) *Trace {
-	const eps = 1e-12
-	// The cursor slice lives on the stack for any realistic component
-	// count (a node sums CPU + DDR + a handful of GPUs), keeping the
-	// steady-state call allocation-free.
+	// The cursor slice lives on the stack for any realistic trace
+	// count (a node's devices).
 	var cbuf [8]sumCursor
 	cursors := cbuf[:0]
-	if len(traces) > len(cbuf) {
-		cursors = make([]sumCursor, 0, len(traces))
-	}
 	longest, total := 0, 0
-	var prev float64
 	for _, tr := range traces {
-		// Empty traces contribute no breakpoints and no power (their
-		// duration is 0); dropping them here preserves the argument
-		// order of the remaining traces, and with it the power
-		// summation order.
-		if len(tr.segs) == 0 {
-			continue
+		// Empty traces contribute no breakpoints and no power; dropping
+		// them preserves the argument order of the rest, and with it
+		// the power summation order.
+		if len(tr.segs) > 0 {
+			cursors = append(cursors, sumCursor{segs: tr.segs})
+			longest = max(longest, len(tr.segs))
+			total += len(tr.segs)
 		}
-		// The first breakpoint is the smallest first boundary.
-		if start := tr.segs[0].Start; len(cursors) == 0 || start < prev {
-			prev = start
-		}
-		cursors = append(cursors, sumCursor{segs: tr.segs, dur: tr.Duration()})
-		longest = max(longest, len(tr.segs))
-		total += len(tr.segs)
 	}
-	dst.segs = dst.segs[:0]
+	out := &Trace{}
 	if len(cursors) == 0 {
-		return dst
+		return out
 	}
-	if cap(dst.segs) <= longest {
-		dst.segs = make([]Segment, 0, longest+1)
-	}
-	origin := prev
+	out.segs = make([]Segment, 0, longest)
 	for {
-		// Skip each cursor past the boundaries within eps of the last
-		// kept breakpoint (a tolerance absorbing fp noise from repeated
-		// accumulation of segment durations), then pick the smallest
-		// boundary left. k is small (one cursor per component trace),
-		// so a linear scan beats a heap.
-		best := -1
-		var bv float64
-		for i := range cursors {
-			c := &cursors[i]
-			n := 2 * len(c.segs)
-			for c.bi < n && c.boundary()-prev <= eps {
-				c.bi++
-			}
-			if c.bi == n {
-				continue
-			}
-			if v := c.boundary(); best < 0 || v < bv {
-				best, bv = i, v
+		// k is small (one cursor per trace), so a linear scan beats a
+		// heap.
+		running := false
+		var end float64
+		for _, c := range cursors {
+			if c.i < len(c.segs) && (!running || c.segs[c.i].End < end) {
+				running, end = true, c.segs[c.i].End
 			}
 		}
-		if best < 0 {
+		if !running {
 			break
 		}
-		mid := (prev + bv) / 2
 		var p float64
-		for i := range cursors {
-			c := &cursors[i]
-			for c.si < len(c.segs) && c.segs[c.si].End() <= mid {
-				c.si++
-			}
-			if mid >= 0 && mid < c.dur {
-				if c.si < len(c.segs) {
-					p += c.segs[c.si].Power
-				} else {
-					p += c.segs[len(c.segs)-1].Power
+		for k := range cursors {
+			c := &cursors[k]
+			if c.i < len(c.segs) {
+				p += c.segs[c.i].Power
+				if c.segs[c.i].End == end {
+					c.i++
 				}
 			}
 		}
-		if len(dst.segs) == cap(dst.segs) {
-			// Kept intervals are at most the Σ(n+1) distinct
-			// breakpoints less one, plus the origin lead-in.
-			dst.segs = slices.Grow(dst.segs, total+len(cursors)-len(dst.segs))
+		if len(out.segs) == cap(out.segs) {
+			out.segs = slices.Grow(out.segs, total-len(out.segs))
 		}
-		dst.Append(bv-prev, p)
-		prev = bv
+		out.Append(end, p)
 	}
-	// Normalize origin: Sum assumes all traces start at 0; if the
-	// first breakpoint is positive, lead with zero power from t=0. An
-	// all-deduplicated merge (no kept intervals) stays empty. Shift
-	// re-appends every segment after the lead-in, as the reference
-	// does: a lead-in appended before the first interval instead would
-	// add a merged zero-power run onto it one interval at a time and
-	// round differently. Only offset-origin inputs, which the engine
-	// never records, take this path (and allocate).
-	if origin > eps && len(dst.segs) > 0 {
-		*dst = *dst.Shift(origin)
-	}
-	countSumSegments(dst.Len())
-	return dst
+	countSumSegments(out.Len())
+	return out
 }
 
 // Sample produces a Series by averaging the trace over consecutive
@@ -448,7 +342,7 @@ func (t *Trace) SampleWindow(start, end, interval float64) Series {
 	}
 	s := Series{Times: make([]float64, hi-lo), Values: make([]float64, hi-lo)}
 	a0 := float64(lo) * interval
-	cur := sort.Search(len(t.segs), func(j int) bool { return t.segs[j].End() > a0 })
+	cur := sort.Search(len(t.segs), func(j int) bool { return t.segs[j].End > a0 })
 	for i := lo; i < hi; i++ {
 		a := float64(i) * interval
 		b := math.Min(a+interval, dur)
@@ -470,18 +364,18 @@ func (t *Trace) meanBetweenFrom(cur *int, a, b float64) float64 {
 	if b <= a || len(t.segs) == 0 {
 		return 0
 	}
-	covLo := math.Max(a, t.segs[0].Start)
+	covLo := math.Max(a, 0)
 	covHi := math.Min(b, t.Duration())
 	if covHi <= covLo {
 		return 0
 	}
-	for *cur < len(t.segs) && t.segs[*cur].End() <= a {
+	for *cur < len(t.segs) && t.segs[*cur].End <= a {
 		*cur++
 	}
 	var e float64
-	for j := *cur; j < len(t.segs) && t.segs[j].Start < b; j++ {
-		lo := math.Max(a, t.segs[j].Start)
-		hi := math.Min(b, t.segs[j].End())
+	for j := *cur; j < len(t.segs) && t.start(j) < b; j++ {
+		lo := math.Max(a, t.start(j))
+		hi := math.Min(b, t.segs[j].End)
 		if hi > lo {
 			e += t.segs[j].Power * (hi - lo)
 		}
@@ -497,7 +391,7 @@ func (t *Trace) meanBetweenFrom(cur *int, a, b float64) float64 {
 // walk instead of O(log n) per window.
 //
 // A cursor does not own the trace. When the underlying trace is a
-// rebuilt derived trace (a node's memoized TotalTrace is recomputed
+// rebuilt derived trace (a node's summed power scopes are recomputed
 // after every Record), call Attach with the fresh pointer: as long as
 // the new trace extends the old one in time, the saved segment index
 // remains a valid starting point because the walk only ever advances

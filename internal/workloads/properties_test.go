@@ -14,8 +14,8 @@ import (
 )
 
 // TestEngineProperties checks the paper's physics as properties of the
-// whole engine rather than per figure. Over random specs (benchmark,
-// 1 or 2 nodes, cap set, operand entropy, repeats), every measurement
+// whole engine rather than per figure. Over random specs (platform,
+// benchmark, 1 or 2 nodes, cap set, operand entropy, repeats), every measurement
 // — through Run and through one Sweep per spec — must satisfy the
 // properties below. About half of the specs also run through Run with
 // the DGEMM/STREAM/idle prelude ("prelude"), whose traces must keep
@@ -28,7 +28,8 @@ import (
 //   - energy reconciliation: EnergyJ equals the node-total trace
 //     integral over the VASP window, exactly;
 //   - sensor composition: the node total equals CPU + DDR + GPUs +
-//     peripheral power, segment by segment, exactly;
+//     peripheral power, between every pair of recorded instants,
+//     exactly;
 //   - domain nesting: the NVML gpu + memory scopes stay at or below
 //     the module scope, and the module scope below the node sensor, at
 //     every instant;
@@ -37,15 +38,19 @@ import (
 //   - cap monotonicity: runtime does not rise as the cap rises.
 func TestEngineProperties(t *testing.T) {
 	r := rng.New(2024)
-	// The prelude draws come from their own stream, so the specs (and
-	// the subtest names) drawn from r stay as they were.
+	// The prelude and platform draws come from their own streams, so
+	// the specs (and the subtest names) drawn from r stay as they were.
 	preludes := rng.New(2025)
-	p := platform.Default()
+	platforms, plats := platform.List(), rng.New(2026)
 	names := Names()
 	capChecks := 0
 	for i := 0; i < 10; i++ {
+		p, err := platform.Get(platforms[plats.IntN(len(platforms))])
+		if err != nil {
+			t.Fatal(err)
+		}
 		b, _ := ByName(names[r.IntN(len(names))])
-		spec := RunSpec{Bench: b, Nodes: 1 + r.IntN(2), Repeats: 1 + r.IntN(2), Seed: r.Uint64()}
+		spec := RunSpec{Bench: b, Platform: p, Nodes: 1 + r.IntN(2), Repeats: 1 + r.IntN(2), Seed: r.Uint64()}
 		if r.Bool(0.5) {
 			spec.OperandEntropy = uniform(r, 0.05, 1)
 		}
@@ -93,7 +98,7 @@ func TestEngineProperties(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					at := fmt.Sprintf("%s cap=%.1fW", engine, capW)
+					at := fmt.Sprintf("%s %s cap=%.1fW", p.Name, engine, capW)
 					if rt := out.BestResult.Runtime; rt < prev {
 						t.Fatalf("%s: runtime %v fell below the higher cap's %v", at, rt, prev)
 					} else {
@@ -101,18 +106,8 @@ func TestEngineProperties(t *testing.T) {
 					}
 					checkEnergy(t, at, out)
 					for _, n := range out.Nodes {
-						// A known defect fails both checks on prelude
-						// traces: timeseries.SumInto's absolute 1e-12 s end
-						// tolerance drops components whose traces end a
-						// few ulps early after a ~50 s prelude shift, so
-						// the node sensor's last sliver misses them and
-						// reads below the components' sum and below idle.
-						// Apply them to the prelude engine again once
-						// SumInto is fixed.
-						if engine != "prelude" {
-							checkTotal(t, at, n)
-							checkNodeRange(t, at, n, p)
-						}
+						checkTotal(t, at, n)
+						checkNodeRange(t, at, n, p)
 						checkDomains(t, at, n)
 						if limit := effectiveCap(p.GPU, capW); floors[engine] <= limit {
 							checkCap(t, at, n, limit)
@@ -194,59 +189,73 @@ func checkEnergy(t *testing.T, at string, out RunOutput) {
 	}
 }
 
-// checkTotal: at the middle of every node-total segment the total is
-// the component sum plus the peripheral draw, added in sensor order.
+// instants returns every segment end of the given traces, sorted, each
+// once. Each trace is constant between two consecutive instants.
+func instants(traces ...*timeseries.Trace) []float64 {
+	var ends []float64
+	for _, tr := range traces {
+		for _, seg := range tr.Segments() {
+			ends = append(ends, seg.End)
+		}
+	}
+	slices.Sort(ends)
+	return slices.Compact(ends)
+}
+
+// powerBefore is tr's power on the interval that ends at the instant
+// x: the power of the first segment ending at or after x.
+func powerBefore(tr *timeseries.Trace, x float64) float64 {
+	segs := tr.Segments()
+	i := sort.Search(len(segs), func(i int) bool { return segs[i].End >= x })
+	return segs[i].Power
+}
+
+// checkTotal: between every pair of instants any component trace
+// records, the node total is the component sum plus the peripheral
+// draw, added in sensor order, and every trace ends at the same
+// instant.
 func checkTotal(t *testing.T, at string, n *node.Node) {
 	t.Helper()
-	for _, seg := range n.TotalTrace().Segments() {
-		mid := seg.Start + seg.Dur/2
-		sum := n.CPUTrace().PowerAt(mid) + n.MemTrace().PowerAt(mid)
-		for gi := 0; gi < n.NumGPUs(); gi++ {
-			sum += n.GPUTrace(gi).PowerAt(mid)
+	comps := []*timeseries.Trace{n.CPUTrace(), n.MemTrace()}
+	for gi := 0; gi < n.NumGPUs(); gi++ {
+		comps = append(comps, n.GPUTrace(gi))
+	}
+	total := n.TotalTrace()
+	for _, tr := range comps {
+		if tr.Duration() != total.Duration() {
+			t.Fatalf("%s: a component trace ends at %v, the node total at %v", at, tr.Duration(), total.Duration())
+		}
+	}
+	for _, x := range instants(append(comps, total)...) {
+		sum := powerBefore(comps[0], x) + powerBefore(comps[1], x)
+		for _, tr := range comps[2:] {
+			sum += powerBefore(tr, x)
 		}
 		sum += n.PeripheralPower()
-		if sum != seg.Power {
-			t.Fatalf("%s: node total %v at t=%v, components sum to %v", at, seg.Power, mid, sum)
+		if got := powerBefore(total, x); got != sum {
+			t.Fatalf("%s: node total %v up to t=%v, components sum to %v", at, got, x, sum)
 		}
 	}
 }
 
-// checkDomains: gpu + memory ≤ module ≤ node pointwise, checked at
-// the midpoint of every interval between the four domain traces'
-// merged boundaries (each trace is constant on such an interval).
-//
-// Boundaries closer than 1e-12 s + 1e-14·t are one instant. A trace
-// stores durations, and its segment starts are re-accumulated from
-// them, so one step boundary lands a few ulps apart in different
-// domain traces (at most 3 ulps, 1.4e-12 s at t = 2680 s, over these
-// specs). Between such twins lies a rounding sliver, not a time the
-// model resolves: there one scope has switched and another not yet.
+// checkDomains: gpu + memory ≤ module ≤ node on every interval between
+// the four domain traces' instants, compared exactly: every trace is
+// recorded on the node's one clock, so a step boundary is one float in
+// every domain.
 func checkDomains(t *testing.T, at string, n *node.Node) {
 	t.Helper()
 	gpuT := n.DomainTrace(node.DomainGPU)
 	memT := n.DomainTrace(node.DomainMemory)
 	modT := n.DomainTrace(node.DomainModule)
 	nodeT := n.DomainTrace(node.DomainNode)
-	var bounds []float64
-	for _, tr := range []*timeseries.Trace{gpuT, memT, modT, nodeT} {
-		for _, seg := range tr.Segments() {
-			bounds = append(bounds, seg.Start, seg.End())
-		}
-	}
-	sort.Float64s(bounds)
-	prev := bounds[0]
-	for _, b := range bounds[1:] {
-		if b-prev <= 1e-12+1e-14*b {
-			continue
-		}
-		mid := (prev + b) / 2
-		prev = b
-		g, m, mod, nd := gpuT.PowerAt(mid), memT.PowerAt(mid), modT.PowerAt(mid), nodeT.PowerAt(mid)
+	for _, x := range instants(gpuT, memT, modT, nodeT) {
+		g, m := powerBefore(gpuT, x), powerBefore(memT, x)
+		mod, nd := powerBefore(modT, x), powerBefore(nodeT, x)
 		if g+m > mod {
-			t.Fatalf("%s: at t=%v gpu %v + memory %v exceeds module %v", at, mid, g, m, mod)
+			t.Fatalf("%s: up to t=%v gpu %v + memory %v exceeds module %v", at, x, g, m, mod)
 		}
 		if mod > nd {
-			t.Fatalf("%s: at t=%v module %v exceeds node %v", at, mid, mod, nd)
+			t.Fatalf("%s: up to t=%v module %v exceeds node %v", at, x, mod, nd)
 		}
 	}
 }

@@ -37,10 +37,9 @@ func ActiveSweeps() int64 { return activeSweeps.Load() }
 // step-by-step oracle.
 //
 // A Sweep is not safe for concurrent use. The RunOutput of a Run*
-// call — its nodes' traces and the derived traces read from them
-// (TotalTrace, whose storage the next point recycles), runtimes
-// slice and phase windows — is valid only until the next Run* or
-// Close call.
+// call — its nodes' traces (TotalTrace included: the next point
+// records into the same storage), runtimes slice and phase windows —
+// is valid only until the next Run* or Close call.
 type Sweep struct {
 	pool  *cluster.Cluster
 	nodes []*node.Node
@@ -185,8 +184,8 @@ func (s *Sweep) run(capW, mhz float64) (RunOutput, error) {
 		}
 		start := s.nodes[0].TraceDuration()
 		// Energy is deferred: only the winning repeat's energy is ever
-		// reported, so the trace merge runs once per point (below, on
-		// the surviving traces) instead of once per repeat.
+		// reported, so the node sensor is integrated once per point
+		// (below, on the surviving traces) instead of once per repeat.
 		res := s.prep.RunNoEnergy(&s.scratch)
 		end := s.nodes[0].TraceDuration()
 		s.runtimes[r] = res.Runtime
