@@ -134,7 +134,9 @@ func run(opts options, stdout, stderr io.Writer) error {
 		return err
 	}
 	if st := env.Store(); st != nil {
-		fmt.Fprintf(stderr, "powerd: persistent measurement cache at %s (%d entries)\n", st.Dir(), st.Len())
+		// No entry count: counting lists every shard of the directory,
+		// which the store defers until its first write.
+		fmt.Fprintf(stderr, "powerd: persistent measurement cache at %s\n", st.Dir())
 	}
 
 	cfg := serve.Config{

@@ -185,6 +185,31 @@ func measureOnce(t *testing.T, addr string) {
 	}
 }
 
+// TestStartupLeavesDiskTierUnlisted: start-up does not list the
+// -cache-dir directory. The store lists it once, before its first
+// write, and sweeps orphaned tmp-* files then; an orphan that survives
+// start-up shows that nothing listed it.
+func TestStartupLeavesDiskTierUnlisted(t *testing.T) {
+	dir := t.TempDir()
+	orphans := []string{filepath.Join(dir, "tmp-789"), filepath.Join(dir, "ab", "tmp-123456")}
+	for _, p := range orphans {
+		if err := os.MkdirAll(filepath.Dir(p), 0o777); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte("partial write"), 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, errc := startDaemon(t, options{hold: -1, cacheDir: dir, flushTick: time.Hour, drainTimeout: 10 * time.Second})
+	for _, p := range orphans {
+		if _, err := os.Stat(p); err != nil {
+			t.Fatalf("orphan %s gone after start-up: %v", p, err)
+		}
+	}
+	sigterm(t)
+	waitExit(t, errc)
+}
+
 // TestCacheDirFlushed: with -cache-dir, the daemon writes what it
 // computed on its flush ticker while serving, and again after the drain
 // at shutdown; -oneshot writes before it exits.

@@ -47,8 +47,9 @@ func nodesEqual(t *testing.T, a, b []*node.Node) {
 		tracesEqual(t, "mem", a[ni].MemTrace(), b[ni].MemTrace())
 		for gi := 0; gi < a[ni].NumGPUs(); gi++ {
 			tracesEqual(t, "gpu", a[ni].GPUTrace(gi), b[ni].GPUTrace(gi))
-			tracesEqual(t, "gpumem", a[ni].GPUMemTrace(gi), b[ni].GPUMemTrace(gi))
 		}
+		tracesEqual(t, "gpu scope", a[ni].DomainTrace(node.DomainGPU), b[ni].DomainTrace(node.DomainGPU))
+		tracesEqual(t, "memory scope", a[ni].DomainTrace(node.DomainMemory), b[ni].DomainTrace(node.DomainMemory))
 		tracesEqual(t, "total", a[ni].TotalTrace(), b[ni].TotalTrace())
 	}
 }

@@ -2,11 +2,13 @@ package node
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"vasppower/internal/hw/gpu"
 	"vasppower/internal/hw/platform"
 	"vasppower/internal/rng"
+	"vasppower/internal/timeseries"
 )
 
 func TestDomainsAndValidDomain(t *testing.T) {
@@ -30,25 +32,28 @@ func TestRecordGPUMems(t *testing.T) {
 	p.GPUs = []float64{300, 300, 300, 300}
 	p.GPUMems = []float64{80, 70, 60, 50}
 	n.Record(4, p)
-	for i := 0; i < n.NumGPUs(); i++ {
-		if got := n.GPUMemTrace(i).PowerAt(2); !almostEq(got, p.GPUMems[i]) {
-			t.Fatalf("gpu %d mem trace = %v, want %v", i, got, p.GPUMems[i])
-		}
-		core := coreTrace(&n.gpuTraces[i], &n.gpuMemTraces[i]).PowerAt(2)
-		want := 300*(1-gpu.ModuleVRFrac) - p.GPUMems[i]
-		if !almostEq(core, want) {
-			t.Fatalf("gpu %d core trace = %v, want %v", i, core, want)
-		}
+	wantMem, wantGPU := 0.0, 0.0
+	for i := range p.GPUMems {
+		wantMem += p.GPUMems[i]
+		wantGPU += 300*(1-gpu.ModuleVRFrac) - p.GPUMems[i]
+	}
+	if got := n.DomainTrace(DomainMemory).PowerAt(2); !almostEq(got, wantMem) {
+		t.Fatalf("memory scope = %v, want %v", got, wantMem)
+	}
+	if got := n.DomainTrace(DomainGPU).PowerAt(2); !almostEq(got, wantGPU) {
+		t.Fatalf("gpu scope = %v, want %v", got, wantGPU)
 	}
 }
 
 func TestRecordNilGPUMemsDefaultsToHBMIdle(t *testing.T) {
 	n := New("nid001", platform.Default(), nil)
 	n.RecordIdle(5)
-	for i := 0; i < n.NumGPUs(); i++ {
-		if got, want := n.GPUMemTrace(i).PowerAt(1), n.GPUs[i].HBMIdlePower(); !almostEq(got, want) {
-			t.Fatalf("gpu %d idle mem trace = %v, want HBM idle %v", i, got, want)
-		}
+	want := 0.0
+	for _, g := range n.GPUs {
+		want += g.HBMIdlePower()
+	}
+	if got := n.DomainTrace(DomainMemory).PowerAt(1); !almostEq(got, want) {
+		t.Fatalf("idle memory scope = %v, want the HBM idle sum %v", got, want)
 	}
 }
 
@@ -93,24 +98,58 @@ func TestDomainTraceAggregates(t *testing.T) {
 	}
 }
 
-func TestDomainTraceMemoizedAndInvalidated(t *testing.T) {
+// TestDomainTraceStableAcrossRecord: every scope is a trace the node
+// records into, so the pointer DomainTrace returns holds for the
+// node's life — across records, resets and storage exchanges — and a
+// cursor opened on it before recording reads what is recorded later,
+// as the telemetry sampler's cursors do. A zero-duration record
+// changes no scope.
+func TestDomainTraceStableAcrossRecord(t *testing.T) {
 	n := New("nid001", platform.Default(), nil)
-	n.RecordIdle(2)
-	first := n.DomainTrace(DomainMemory)
-	if n.DomainTrace(DomainMemory) != first {
-		t.Fatal("DomainTrace not memoized between records")
+	scopes := make(map[Domain]*timeseries.Trace)
+	cursors := make(map[Domain]*timeseries.Cursor)
+	for _, d := range Domains() {
+		scopes[d] = n.DomainTrace(d)
+		cursors[d] = timeseries.NewCursor(scopes[d])
+	}
+	same := func(when string) {
+		t.Helper()
+		for _, d := range Domains() {
+			if n.DomainTrace(d) != scopes[d] {
+				t.Fatalf("DomainTrace(%s) moved %s", d, when)
+			}
+		}
 	}
 	n.RecordIdle(2)
-	again := n.DomainTrace(DomainMemory)
-	if again == first {
-		t.Fatal("Record did not invalidate the domain cache")
+	n.Record(2, busyPowers(n))
+	same("after Record")
+	for _, d := range Domains() {
+		if got, want := cursors[d].MeanBetween(2, 4), scopes[d].PowerAt(3); got != want {
+			t.Fatalf("cursor on %s read %v over the second record, want %v", d, got, want)
+		}
 	}
-	if d := again.Duration(); !almostEq(d, 4) {
-		t.Fatalf("rebuilt domain trace duration = %v, want 4", d)
+	lens := make(map[Domain]int)
+	for _, d := range Domains() {
+		lens[d] = scopes[d].Len()
 	}
+	n.Record(0, busyPowers(n))
+	for _, d := range Domains() {
+		if scopes[d].Len() != lens[d] || scopes[d].Duration() != 4 {
+			t.Fatalf("zero-duration record changed %s: %+v", d, scopes[d].Segments())
+		}
+	}
+	n.ResetTracesReuse()
+	same("after ResetTracesReuse")
+	var bank TraceBank
+	n.RecordIdle(1)
+	n.ExchangeStorage(&bank)
+	same("after ExchangeStorage")
 	n.ResetTraces()
-	if d := n.DomainTrace(DomainMemory).Duration(); d != 0 {
-		t.Fatalf("domain trace after reset = %v, want empty", d)
+	same("after ResetTraces")
+	for _, d := range Domains() {
+		if scopes[d].Len() != 0 {
+			t.Fatalf("%s scope after ResetTraces = %+v, want empty", d, scopes[d].Segments())
+		}
 	}
 }
 
@@ -139,7 +178,7 @@ func TestDomainInvariantProperty(t *testing.T) {
 			if r.Float64() < 0.7 {
 				p.GPUMems = make([]float64, len(p.GPUs))
 				for i := range p.GPUMems {
-					// Anything up to the board draw; coreTrace clamps.
+					// Anything up to the board draw; Record clamps.
 					p.GPUMems[i] = r.Float64() * p.GPUs[i]
 				}
 			}
@@ -156,6 +195,65 @@ func TestDomainInvariantProperty(t *testing.T) {
 			}
 			if md > nd+1e-6 {
 				t.Fatalf("trial %d t=%v: module %v > node %v", trial, x, md, nd)
+			}
+		}
+	}
+}
+
+// TestRecordedScopesMatchDerivation: on random records the gpu and
+// memory scopes Record sums equal, bit for bit, the scopes derived
+// from per-device board and HBM traces by merging them after the
+// fact — GPUMems omitted on some records (HBM idle power), and HBM
+// shares above the die's part of the board draw, where the per-device
+// clamp acts.
+func TestRecordedScopesMatchDerivation(t *testing.T) {
+	root := rng.New(91)
+	for trial := 0; trial < 40; trial++ {
+		r := rng.New(root.Uint64())
+		n := New("nid001", platform.Default(), r.Split("node"))
+		boards := make([]*timeseries.Trace, n.NumGPUs())
+		hbms := make([]*timeseries.Trace, n.NumGPUs())
+		for i := range boards {
+			boards[i], hbms[i] = &timeseries.Trace{}, &timeseries.Trace{}
+		}
+		clamped := false
+		for s := 0; s < 30; s++ {
+			p := n.Idle()
+			for i := range p.GPUs {
+				// A coarse palette repeats powers, so equal-power runs
+				// merge differently in every trace.
+				p.GPUs[i] = 60 + float64(r.IntN(4))*100
+			}
+			if r.Float64() < 0.7 {
+				p.GPUMems = make([]float64, len(p.GPUs))
+				for i := range p.GPUMems {
+					// Up to 1.2× the board draw: beyond its (1−vr) share
+					// the device's core power clamps at zero.
+					p.GPUMems[i] = r.Float64() * 1.2 * p.GPUs[i]
+					clamped = clamped || p.GPUMems[i] > p.GPUs[i]*(1-gpu.ModuleVRFrac)
+				}
+			}
+			n.Record(0.01+r.Float64(), p)
+			end := n.TraceDuration()
+			for i := range boards {
+				boards[i].Append(end, p.GPUs[i])
+				hbm := n.GPUs[i].HBMIdlePower()
+				if p.GPUMems != nil {
+					hbm = p.GPUMems[i]
+				}
+				hbms[i].Append(end, hbm)
+			}
+		}
+		if trial == 0 && !clamped {
+			t.Fatal("no record exercised the clamp")
+		}
+		wantGPU, wantMem := refScopes(boards, hbms)
+		for _, c := range []struct {
+			d    Domain
+			want *timeseries.Trace
+		}{{DomainGPU, wantGPU}, {DomainMemory, wantMem}} {
+			if got := n.DomainTrace(c.d).Segments(); !slices.Equal(got, c.want.Segments()) {
+				t.Fatalf("trial %d: %s scope %+v, derived %+v", trial, c.d, got, c.want.Segments())
 			}
 		}
 	}

@@ -38,20 +38,16 @@ type Node struct {
 	peripheralWatts float64 // with per-node variability
 	memScale        float64
 
-	cpuTrace     timeseries.Trace
-	memTrace     timeseries.Trace
-	gpuTraces    []timeseries.Trace
-	gpuMemTraces []timeseries.Trace // HBM-domain share of each gpuTrace
-	// totalTrace (the node sensor) and gpuSumTrace (the GPU board sum)
-	// are recorded with the components, on the same instants.
+	cpuTrace  timeseries.Trace
+	memTrace  timeseries.Trace
+	gpuTraces []timeseries.Trace
+	// totalTrace (the node sensor), gpuSumTrace (the GPU board sum, the
+	// NVML module scope) and the NVML gpu and memory scopes are recorded
+	// with the components, on the same instants.
 	totalTrace  timeseries.Trace
 	gpuSumTrace timeseries.Trace
-
-	// domainCaches memoizes the NVML gpu and memory scopes, summed on
-	// first read (only the telemetry pipeline reads them). Record and
-	// the trace resets invalidate them. Callers must treat the cached
-	// traces as read-only (the same contract Segments already states).
-	domainCaches map[Domain]*timeseries.Trace
+	gpuScope    timeseries.Trace
+	hbmScope    timeseries.Trace
 }
 
 // New builds a node of the given platform. r seeds per-node
@@ -70,7 +66,6 @@ func New(name string, p platform.Platform, r *rng.Stream) *Node {
 		peripheralWatts: p.Node.PeripheralWatts,
 		memScale:        1,
 		gpuTraces:       make([]timeseries.Trace, p.GPUsPerNode),
-		gpuMemTraces:    make([]timeseries.Trace, p.GPUsPerNode),
 	}
 	v := p.Variability
 	var cpuR, memR *rng.Stream
@@ -159,13 +154,17 @@ func (n *Node) Idle() ComponentPowers {
 }
 
 // Record appends one synchronized segment of the given duration to all
-// component traces, the node sensor and the GPU board sum. The
-// workload drivers call this as virtual time advances. The segment's
-// end is computed once, on the node's clock, and appended to every
-// trace, so every trace holds each instant as the same float.
+// component traces and to every power scope. The workload engines call
+// this as virtual time advances. The segment's end is computed once, on
+// the node's clock, and appended to every trace, so every trace holds
+// each instant as the same float.
 //
 // The node sensor reads ((CPU + DDR) + GPU0 + …) + peripherals and
-// the board sum GPU0 + GPU1 + …, added in that order.
+// the board sum GPU0 + GPU1 + …, added in that order. With HBM_i the
+// device's GPUMems entry (its HBM idle power when GPUMems is nil), the
+// memory scope reads HBM0 + HBM1 + … and the gpu scope the sum of
+// max(0, GPUi·(1−gpu.ModuleVRFrac) − HBMi): clamping per device keeps
+// one device's HBM share from eating into another's core power.
 func (n *Node) Record(dur float64, p ComponentPowers) {
 	if dur < 0 {
 		panic("node: negative record duration")
@@ -181,11 +180,10 @@ func (n *Node) Record(dur float64, p ComponentPowers) {
 	if dur == 0 {
 		return
 	}
-	n.domainCaches = nil
 	end := n.TraceDuration() + dur
 	n.cpuTrace.Append(end, p.CPU)
 	n.memTrace.Append(end, p.Mem)
-	total, gpuSum := p.CPU+p.Mem, 0.0
+	total, gpuSum, core, hbm := p.CPU+p.Mem, 0.0, 0.0, 0.0
 	for i := range n.gpuTraces {
 		w := p.GPUs[i]
 		n.gpuTraces[i].Append(end, w)
@@ -195,10 +193,15 @@ func (n *Node) Record(dur float64, p ComponentPowers) {
 		if p.GPUMems != nil {
 			memW = p.GPUMems[i]
 		}
-		n.gpuMemTraces[i].Append(end, memW)
+		hbm += memW
+		// The conversion rounds the product before the subtraction, so
+		// no platform fuses the two into one multiply-add.
+		core += max(0, float64(w*(1-gpu.ModuleVRFrac))-memW)
 	}
 	n.totalTrace.Append(end, total+n.peripheralWatts)
 	n.gpuSumTrace.Append(end, gpuSum)
+	n.gpuScope.Append(end, core)
+	n.hbmScope.Append(end, hbm)
 }
 
 // GrowTraces makes room for cpu more segments on the CPU trace and
@@ -211,9 +214,10 @@ func (n *Node) GrowTraces(cpu, rest int) {
 	n.memTrace.Grow(rest)
 	n.totalTrace.Grow(rest)
 	n.gpuSumTrace.Grow(rest)
+	n.gpuScope.Grow(rest)
+	n.hbmScope.Grow(rest)
 	for i := range n.gpuTraces {
 		n.gpuTraces[i].Grow(rest)
-		n.gpuMemTraces[i].Grow(rest)
 	}
 }
 
@@ -241,7 +245,7 @@ func (n *Node) TotalTrace() *timeseries.Trace { return &n.totalTrace }
 // Domain is an NVML-style power scope over the node's accelerators,
 // plus the whole-node scope the Cray PM node sensor reads. The GPU
 // scopes aggregate over all devices on the host (the per-device view
-// is GPUCoreTrace/GPUMemTrace/GPUTrace).
+// is GPUTrace, the module scope of one device).
 type Domain string
 
 const (
@@ -273,65 +277,25 @@ func ValidDomain(d Domain) bool {
 	return false
 }
 
-// GPUMemTrace returns GPU i's HBM-domain (NVML memory scope) power
-// trace, recorded in lockstep with GPUTrace(i).
-func (n *Node) GPUMemTrace(i int) *timeseries.Trace { return &n.gpuMemTraces[i] }
-
-// coreTrace derives the core-domain trace from a module (board) trace
-// and its memory-domain share. The two traces cover identical time but
-// may be segmented differently (equal-power merging is per-trace), so
-// they are combined through the k-way Sum.
-func coreTrace(module, mem *timeseries.Trace) *timeseries.Trace {
-	return timeseries.Sum(module.Scale(1-gpu.ModuleVRFrac), mem.Scale(-1)).
-		Map(func(p float64) float64 {
-			if p < 0 {
-				return 0
-			}
-			return p
-		})
-}
-
 // DomainTrace returns the node's power trace for one domain scope:
-// DomainGPU and DomainMemory sum the per-device core and HBM traces
-// (memoized until the next Record or trace reset), DomainModule is the
-// board-power sum (GPUSumTrace), DomainNode is the node sensor
-// (TotalTrace). Results must be treated as read-only. By construction
-// gpu + memory ≤ module ≤ node pointwise. Unknown domains panic.
+// DomainGPU and DomainMemory are the gpu and memory scopes Record sums,
+// DomainModule is the board-power sum (GPUSumTrace), DomainNode is the
+// node sensor (TotalTrace). Every scope is recorded with the
+// components, so the pointer is stable across Record and the trace
+// resets; callers must not mutate the trace. By construction gpu +
+// memory ≤ module ≤ node pointwise. Unknown domains panic.
 func (n *Node) DomainTrace(d Domain) *timeseries.Trace {
 	switch d {
+	case DomainGPU:
+		return &n.gpuScope
+	case DomainMemory:
+		return &n.hbmScope
 	case DomainModule:
 		return n.GPUSumTrace()
 	case DomainNode:
 		return n.TotalTrace()
 	}
-	if tr, ok := n.domainCaches[d]; ok {
-		return tr
-	}
-	var tr *timeseries.Trace
-	switch d {
-	case DomainMemory:
-		traces := make([]*timeseries.Trace, len(n.gpuMemTraces))
-		for i := range n.gpuMemTraces {
-			traces[i] = &n.gpuMemTraces[i]
-		}
-		tr = timeseries.Sum(traces...)
-	case DomainGPU:
-		// Σ core_i: distribute the subtraction — Σ board_i·(1−vr) − Σ
-		// hbm_i would lose the per-device zero floor, so sum the
-		// per-device core traces instead.
-		traces := make([]*timeseries.Trace, len(n.gpuTraces))
-		for i := range n.gpuTraces {
-			traces[i] = coreTrace(&n.gpuTraces[i], &n.gpuMemTraces[i])
-		}
-		tr = timeseries.Sum(traces...)
-	default:
-		panic(fmt.Sprintf("node: unknown power domain %q", d))
-	}
-	if n.domainCaches == nil {
-		n.domainCaches = make(map[Domain]*timeseries.Trace, 2)
-	}
-	n.domainCaches[d] = tr
-	return tr
+	panic(fmt.Sprintf("node: unknown power domain %q", d))
 }
 
 // TraceDuration returns the recorded duration (identical across
@@ -340,14 +304,12 @@ func (n *Node) TraceDuration() float64 { return n.cpuTrace.Duration() }
 
 // ResetTraces clears all recorded traces (e.g. between benchmark
 // repeats) without touching device state such as power limits, and
-// releases their storage. Summed power scopes handed out earlier
-// (DomainGPU, DomainMemory) stay valid.
+// releases their storage.
 func (n *Node) ResetTraces() {
-	n.domainCaches = nil
 	n.cpuTrace, n.memTrace = timeseries.Trace{}, timeseries.Trace{}
 	n.totalTrace, n.gpuSumTrace = timeseries.Trace{}, timeseries.Trace{}
+	n.gpuScope, n.hbmScope = timeseries.Trace{}, timeseries.Trace{}
 	clear(n.gpuTraces)
-	clear(n.gpuMemTraces)
 }
 
 // ResetTracesReuse clears all recorded traces like ResetTraces but
@@ -355,14 +317,14 @@ func (n *Node) ResetTraces() {
 // sweep engine applies between repeats and cap points so steady-state
 // re-solves append into already-sized backing arrays.
 func (n *Node) ResetTracesReuse() {
-	n.domainCaches = nil
 	n.cpuTrace.Reset()
 	n.memTrace.Reset()
 	n.totalTrace.Reset()
 	n.gpuSumTrace.Reset()
+	n.gpuScope.Reset()
+	n.hbmScope.Reset()
 	for i := range n.gpuTraces {
 		n.gpuTraces[i].Reset()
-		n.gpuMemTraces[i].Reset()
 	}
 }
 
@@ -374,24 +336,25 @@ func (n *Node) ResetTracesReuse() {
 type TraceBank struct {
 	cpu, mem      timeseries.Trace
 	total, gpuSum timeseries.Trace
-	gpus, gpuMems []timeseries.Trace
+	gpuScope      timeseries.Trace
+	hbmScope      timeseries.Trace
+	gpus          []timeseries.Trace
 }
 
-// SwapTraces exchanges the node's recorded traces with the bank's and
-// invalidates the summed power scopes. Device state (power and clock
-// limits) is untouched. Swapping is O(1): only slice headers move.
+// SwapTraces exchanges the node's recorded traces, power scopes
+// included, with the bank's. Device state (power and clock limits) is
+// untouched. Swapping is O(1): only slice headers move.
 func (n *Node) SwapTraces(b *TraceBank) {
 	if len(b.gpus) != len(n.gpuTraces) {
 		b.gpus = make([]timeseries.Trace, len(n.gpuTraces))
-		b.gpuMems = make([]timeseries.Trace, len(n.gpuMemTraces))
 	}
-	n.domainCaches = nil
 	n.cpuTrace, b.cpu = b.cpu, n.cpuTrace
 	n.memTrace, b.mem = b.mem, n.memTrace
 	n.totalTrace, b.total = b.total, n.totalTrace
 	n.gpuSumTrace, b.gpuSum = b.gpuSum, n.gpuSumTrace
+	n.gpuScope, b.gpuScope = b.gpuScope, n.gpuScope
+	n.hbmScope, b.hbmScope = b.hbmScope, n.hbmScope
 	n.gpuTraces, b.gpus = b.gpus, n.gpuTraces
-	n.gpuMemTraces, b.gpuMems = b.gpuMems, n.gpuMemTraces
 }
 
 // ExchangeStorage empties the node's traces and trades all of its trace

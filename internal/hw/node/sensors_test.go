@@ -8,10 +8,10 @@ import (
 	"vasppower/internal/timeseries"
 )
 
-// The node sensor and the GPU board sum are recorded with the
-// components, on the node's one clock: every trace holds each instant
-// as the same float, and the sensors hold exactly the sums a merge of
-// the components computes.
+// The node sensor, the GPU board sum and the NVML gpu and memory
+// scopes are recorded with the components, on the node's one clock:
+// every trace holds each instant as the same float, and the sensors
+// hold exactly the sums a merge of the components computes.
 
 // busyPowers returns an active-phase snapshot: a busy CPU and GPUs
 // drawing distinct powers.
@@ -62,10 +62,10 @@ func TestRecordSensorsOnOneClock(t *testing.T) {
 	}
 	traces := map[string]*timeseries.Trace{
 		"cpu": n.CPUTrace(), "mem": n.MemTrace(), "total": n.TotalTrace(), "gpu sum": n.GPUSumTrace(),
+		"gpu scope": n.DomainTrace(DomainGPU), "memory scope": n.DomainTrace(DomainMemory),
 	}
 	for i := 0; i < n.NumGPUs(); i++ {
 		traces["gpu"] = n.GPUTrace(i)
-		traces["gpu memory"] = n.GPUMemTrace(i)
 		for name, tr := range traces {
 			if d := tr.Duration(); d != clock || d != n.TraceDuration() {
 				t.Fatalf("%s trace ends at %v, node clock %v, want %v", name, d, n.TraceDuration(), clock)
@@ -74,11 +74,11 @@ func TestRecordSensorsOnOneClock(t *testing.T) {
 	}
 
 	gpus := []*timeseries.Trace{n.GPUTrace(0), n.GPUTrace(1), n.GPUTrace(2), n.GPUTrace(3)}
-	if g, w := n.GPUSumTrace().Segments(), timeseries.Sum(gpus...).Segments(); !slices.Equal(g, w) {
+	if g, w := n.GPUSumTrace().Segments(), refSum(gpus...).Segments(); !slices.Equal(g, w) {
 		t.Fatalf("GPUSumTrace %+v, merged GPUs %+v", g, w)
 	}
-	merged := timeseries.Sum(append([]*timeseries.Trace{n.CPUTrace(), n.MemTrace()}, gpus...)...).
-		Map(func(p float64) float64 { return p + n.PeripheralPower() })
+	merged := refMap(refSum(append([]*timeseries.Trace{n.CPUTrace(), n.MemTrace()}, gpus...)...),
+		func(p float64) float64 { return p + n.PeripheralPower() })
 	if g, w := n.TotalTrace().Segments(), merged.Segments(); !slices.Equal(g, w) {
 		t.Fatalf("TotalTrace %+v, merged components %+v", g, w)
 	}
@@ -103,20 +103,11 @@ func TestTotalTraceInvalidatedByReset(t *testing.T) {
 	}
 }
 
-func TestZeroDurationRecordKeepsCache(t *testing.T) {
-	n := New("nid001", platform.Default(), nil)
-	n.RecordIdle(10)
-	a := n.DomainTrace(DomainMemory)
-	n.RecordIdle(0) // ignored by Record; must not thrash the cache
-	if b := n.DomainTrace(DomainMemory); b != a {
-		t.Fatal("zero-duration record invalidated the cache")
-	}
-}
-
 // TestExchangeStorageMovesStorage: ExchangeStorage leaves the node with
 // empty traces and the bank with the node's storage, so a second node
-// that takes the bank records into it — its node sensor and GPU sum
-// included — with the values a fresh node records.
+// that takes the bank records into it — its node sensor, GPU sum and
+// gpu and memory scopes included — with the values a fresh node
+// records.
 func TestExchangeStorageMovesStorage(t *testing.T) {
 	record := func(n *Node) {
 		n.RecordIdle(2)
@@ -126,10 +117,27 @@ func TestExchangeStorageMovesStorage(t *testing.T) {
 	var bank TraceBank
 	a := New("nid001", platform.Default(), nil)
 	record(a)
-	total, gpuSum := a.TotalTrace().Segments(), a.GPUSumTrace().Segments()
+	sensors := []struct {
+		name string
+		tr   func(*Node) *timeseries.Trace
+	}{
+		{"TotalTrace", (*Node).TotalTrace},
+		{"GPUSumTrace", (*Node).GPUSumTrace},
+		{"gpu scope", func(n *Node) *timeseries.Trace { return n.DomainTrace(DomainGPU) }},
+		{"memory scope", func(n *Node) *timeseries.Trace { return n.DomainTrace(DomainMemory) }},
+	}
+	storage := make([][]timeseries.Segment, len(sensors))
+	for i, s := range sensors {
+		storage[i] = s.tr(a).Segments()
+	}
 	a.ExchangeStorage(&bank)
-	if a.TraceDuration() != 0 || a.TotalTrace().Len() != 0 || a.GPUSumTrace().Len() != 0 {
+	if a.TraceDuration() != 0 {
 		t.Fatal("ExchangeStorage left recorded traces on the node")
+	}
+	for _, s := range sensors {
+		if s.tr(a).Len() != 0 {
+			t.Fatalf("ExchangeStorage left a recorded %s on the node", s.name)
+		}
 	}
 
 	b := New("nid002", platform.Default(), nil)
@@ -138,23 +146,22 @@ func TestExchangeStorageMovesStorage(t *testing.T) {
 		t.Fatal("the bank handed back recorded segments")
 	}
 	record(b)
-	if got := b.TotalTrace().Segments(); &got[0] != &total[0] {
-		t.Fatal("the bank's TotalTrace storage was not reused")
-	}
-	if got := b.GPUSumTrace().Segments(); &got[0] != &gpuSum[0] {
-		t.Fatal("the bank's GPUSumTrace storage was not reused")
-	}
 	fresh := New("nid002", platform.Default(), nil)
 	record(fresh)
+	for i, s := range sensors {
+		if got := s.tr(b).Segments(); &got[0] != &storage[i][0] {
+			t.Fatalf("the bank's %s storage was not reused", s.name)
+		}
+		if got, want := s.tr(b).Segments(), s.tr(fresh).Segments(); !slices.Equal(got, want) {
+			t.Fatalf("%s: recorded into the bank %+v, fresh %+v", s.name, got, want)
+		}
+	}
 	for _, tr := range []struct {
 		name      string
 		got, want *timeseries.Trace
 	}{
-		{"total", b.TotalTrace(), fresh.TotalTrace()},
-		{"gpu sum", b.GPUSumTrace(), fresh.GPUSumTrace()},
 		{"cpu", b.CPUTrace(), fresh.CPUTrace()},
 		{"gpu3", b.GPUTrace(3), fresh.GPUTrace(3)},
-		{"gpu3 memory", b.GPUMemTrace(3), fresh.GPUMemTrace(3)},
 	} {
 		if !slices.Equal(tr.got.Segments(), tr.want.Segments()) {
 			t.Fatalf("%s: recorded into the bank %+v, fresh %+v", tr.name, tr.got.Segments(), tr.want.Segments())
@@ -163,7 +170,8 @@ func TestExchangeStorageMovesStorage(t *testing.T) {
 }
 
 // BenchmarkRecord times a 2,500-step run into reused storage: every
-// component trace plus the node sensor and the GPU sum.
+// component trace plus the node sensor, the GPU sum and the gpu and
+// memory scopes.
 func BenchmarkRecord(b *testing.B) {
 	n := New("nid001", platform.Default(), nil)
 	steps := make([]ComponentPowers, 2500)

@@ -9,14 +9,13 @@ import (
 	"vasppower/internal/timeseries"
 )
 
-// timeEps absorbs float accumulation when comparing window edges to
-// trace ends.
-const timeEps = 1e-9
-
 // Sampler turns node traces into a sample stream. Unregistering a host
 // emits one sample per (whole interval, domain) pair of its trace, plus
 // the tail, through resumable segment cursors, so the walk is linear in
-// the trace's segments.
+// the trace's segments. Window k of a registration is
+// [k·interval, (k+1)·interval] in trace time, emitted once its end is
+// at or before the trace end, compared exactly; the instants are
+// computed from the window index, as Trace.Sample computes them.
 //
 // Stream time is per-host monotone across registrations: when a host
 // name is unregistered and later re-registered (the next repeat of a
@@ -36,7 +35,6 @@ type Sampler struct {
 type hostState struct {
 	n       *node.Node
 	offset  float64 // stream time of the trace's origin
-	pos     float64 // trace time already emitted
 	cursors map[node.Domain]*timeseries.Cursor
 }
 
@@ -93,25 +91,19 @@ func (s *Sampler) Unregister(host string) error {
 	if !ok {
 		return fmt.Errorf("telemetry: host %q not registered", host)
 	}
-	s.pollHostLocked(host, hs)
-	if dur := hs.n.TraceDuration(); dur > hs.pos+timeEps {
-		s.emitLocked(host, hs, hs.pos, dur)
-		hs.pos = dur
+	dur, pos := hs.n.TraceDuration(), 0.0
+	for k := 1; float64(k)*s.interval <= dur; k++ {
+		end := float64(k) * s.interval
+		s.emitLocked(host, hs, pos, end)
+		pos = end
 	}
-	s.clocks[host] = hs.offset + hs.pos
+	if dur > pos {
+		s.emitLocked(host, hs, pos, dur)
+		pos = dur
+	}
+	s.clocks[host] = hs.offset + pos
 	delete(s.hosts, host)
 	return nil
-}
-
-// pollHostLocked emits every whole-interval window of the host's trace
-// not yet emitted.
-func (s *Sampler) pollHostLocked(host string, hs *hostState) {
-	dur := hs.n.TraceDuration()
-	for hs.pos+s.interval <= dur+timeEps {
-		end := hs.pos + s.interval
-		s.emitLocked(host, hs, hs.pos, math.Min(end, dur))
-		hs.pos = end
-	}
 }
 
 // emitLocked publishes one window [a, b] across all domains. Domains
@@ -119,16 +111,11 @@ func (s *Sampler) pollHostLocked(host string, hs *hostState) {
 // scope-"" subscriber sees each timestamp's full breakdown together.
 func (s *Sampler) emitLocked(host string, hs *hostState, a, b float64) {
 	for _, d := range node.Domains() {
-		c := hs.cursors[d]
-		// Memoized domain traces are rebuilt after every Record; the
-		// cursor's segment index survives re-attachment because the new
-		// trace extends the old one.
-		c.Attach(hs.n.DomainTrace(d))
 		s.hub.Publish(Sample{
 			Host:   host,
 			Domain: d,
 			T:      hs.offset + b,
-			Watts:  c.MeanBetween(a, b),
+			Watts:  hs.cursors[d].MeanBetween(a, b),
 		})
 	}
 }

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -268,6 +269,60 @@ func TestSamplerUnregisterFlushesTail(t *testing.T) {
 		if math.Abs(times[i]-want[i]) > 1e-9 {
 			t.Fatalf("times = %v, want %v", times, want)
 		}
+	}
+}
+
+// TestSamplerWindowEdgesExact: window k ends at (k+1)·interval,
+// computed from the index and compared with the trace end exactly. A
+// trace that ends where three added intervals would overshoot (0.3 s
+// at 0.1 s) gets the last window as its tail, and the host clock stops
+// at the trace end; a trace one ulp past a window edge gets a tail one
+// ulp long; a trace one ulp short of it gets no whole window there.
+func TestSamplerWindowEdgesExact(t *testing.T) {
+	stream := func(interval float64, durs ...float64) []Sample {
+		h := NewHub()
+		sub, _ := h.Subscribe(node.DomainNode, 64)
+		s, _ := NewSampler(h, interval)
+		n := testNode(t, "nid001")
+		for _, d := range durs {
+			n.ResetTraces()
+			n.RecordIdle(d)
+			_ = s.Register("nid001", n)
+			if err := s.Unregister("nid001"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var out []Sample
+		for {
+			smp, ok := sub.TryNext()
+			if !ok {
+				return out
+			}
+			out = append(out, smp)
+		}
+	}
+	times := func(smps []Sample) []float64 {
+		var ts []float64
+		for _, smp := range smps {
+			ts = append(ts, smp.T)
+		}
+		return ts
+	}
+	interval, end := 0.1, 0.3
+	want := []float64{interval, 2 * interval, end, end + interval, end + 2*interval, end + end}
+	if got := times(stream(interval, end, end)); !slices.Equal(got, want) {
+		t.Fatalf("0.3 s twice at 0.1 s: times %v, want %v", got, want)
+	}
+	past, short := math.Nextafter(1, 2), math.Nextafter(1, 0)
+	got := stream(1, past)
+	if ts := times(got); !slices.Equal(ts, []float64{1, past}) {
+		t.Fatalf("one ulp past a window edge: times %v, want [1 %v]", ts, past)
+	}
+	if got[1].Watts != got[0].Watts {
+		t.Fatalf("the one-ulp tail reads %v W, the window before it %v W", got[1].Watts, got[0].Watts)
+	}
+	if ts := times(stream(1, short)); !slices.Equal(ts, []float64{short}) {
+		t.Fatalf("one ulp short of a window edge: times %v, want [%v]", ts, short)
 	}
 }
 

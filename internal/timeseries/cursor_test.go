@@ -44,51 +44,3 @@ func TestCursorSeesAppendedSegments(t *testing.T) {
 		t.Fatalf("post-append mean = %v, want 300", got)
 	}
 }
-
-// Attach re-targets a cursor at a rebuilt trace (e.g. a memoized
-// derived trace invalidated and recomputed); the clamped segment hint
-// must never index past the new trace.
-func TestCursorAttachRebuiltTrace(t *testing.T) {
-	long := &Trace{}
-	for i := 0; i < 10; i++ {
-		long.Append(float64(i+1), float64(100+i))
-	}
-	c := NewCursor(long)
-	_ = c.MeanBetween(8, 9) // advance deep into the trace
-	short := &Trace{}
-	short.Append(3, 50)
-	c.Attach(short)
-	if got := c.MeanBetween(0, 3); !almostEqual(got, 50, 1e-12) {
-		t.Fatalf("mean after Attach = %v, want 50", got)
-	}
-}
-
-func TestTraceMap(t *testing.T) {
-	tr := &Trace{}
-	tr.Append(2, 100)
-	tr.Append(5, -40)
-	clamped := tr.Map(func(p float64) float64 {
-		if p < 0 {
-			return 0
-		}
-		return p
-	})
-	if got := clamped.Duration(); !almostEqual(got, 5, 1e-12) {
-		t.Fatalf("Map changed duration: %v", got)
-	}
-	if got := clamped.PowerAt(1); !almostEqual(got, 100, 1e-12) {
-		t.Fatalf("Map altered positive segment: %v", got)
-	}
-	if got := clamped.PowerAt(4); got != 0 {
-		t.Fatalf("Map did not clamp negative segment: %v", got)
-	}
-	// Original untouched.
-	if got := tr.PowerAt(4); !almostEqual(got, -40, 1e-12) {
-		t.Fatalf("Map mutated receiver: %v", got)
-	}
-	// Equal mapped powers merge, like any Append.
-	flat := tr.Map(func(float64) float64 { return 7 })
-	if got := len(flat.Segments()); got != 1 {
-		t.Fatalf("mapped-constant trace has %d segments, want 1", got)
-	}
-}

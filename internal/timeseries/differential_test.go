@@ -2,14 +2,13 @@ package timeseries
 
 import (
 	"math"
-	"slices"
 	"testing"
 
 	"vasppower/internal/rng"
 )
 
-// Differential harness: the linear-time Sum/Sample/EnergyBetween must agree with the retained reference
-// implementations bit for bit — exact float equality, not tolerance —
+// Differential harness: the linear-time Sample/EnergyBetween must agree
+// with the retained reference implementations bit for bit — exact float equality, not tolerance —
 // on randomized traces. Bit-identity is the property the byte-exact
 // -quick golden output rests on, so these tests are deliberately
 // stricter than the behavioral property tests.
@@ -49,27 +48,6 @@ func genDiffTrace(r *rng.Stream) *Trace {
 	}
 }
 
-// genAlignedTraces builds k traces recorded on one clock, as a node
-// records its components: every trace ends each step at the same
-// instant, and equal-power runs merge differently in each trace.
-func genAlignedTraces(r *rng.Stream, k int) []*Trace {
-	traces := make([]*Trace, k)
-	for i := range traces {
-		traces[i] = &Trace{}
-	}
-	end := 0.0
-	for n := 1 + r.IntN(40); n > 0; n-- {
-		end += 0.01 + r.Float64()*2
-		for i, tr := range traces {
-			tr.Append(end, float64(r.IntN(3+i))*60)
-		}
-	}
-	return traces
-}
-
-// tracesIdentical reports exact, bitwise segment equality.
-func tracesIdentical(a, b *Trace) bool { return slices.Equal(a.segs, b.segs) }
-
 // seriesIdentical reports exact, bitwise sample equality.
 func seriesIdentical(a, b Series) bool {
 	if len(a.Times) != len(b.Times) || len(a.Values) != len(b.Values) {
@@ -81,58 +59,6 @@ func seriesIdentical(a, b Series) bool {
 		}
 	}
 	return true
-}
-
-func TestSumMatchesReference(t *testing.T) {
-	root := rng.New(1001)
-	for iter := 0; iter < 500; iter++ {
-		r := rng.New(root.Uint64())
-		k := r.IntN(6) // 0..5 traces, including the empty sum
-		traces := make([]*Trace, k)
-		for i := range traces {
-			traces[i] = genDiffTrace(r)
-		}
-		got := Sum(traces...)
-		want := sumReference(traces...)
-		if !tracesIdentical(got, want) {
-			t.Fatalf("iter %d: Sum diverges from reference\n got: %+v\nwant: %+v",
-				iter, got.segs, want.segs)
-		}
-		aligned := genAlignedTraces(r, 1+r.IntN(6))
-		if got, want := Sum(aligned...), sumReference(aligned...); !tracesIdentical(got, want) {
-			t.Fatalf("iter %d: Sum of aligned traces diverges from reference\n got: %+v\nwant: %+v",
-				iter, got.segs, want.segs)
-		}
-	}
-}
-
-// TestSumMatchesReferenceAtTolerance: boundaries are instants compared
-// with ==, with no tolerance, so two ends one ulp apart, or 1e-12 s
-// apart, are two breakpoints, and the sliver between them sums the
-// powers that hold there.
-func TestSumMatchesReferenceAtTolerance(t *testing.T) {
-	for _, x := range []float64{2, 1e-12} {
-		next := math.Nextafter(x, 3)
-		if x < 1 {
-			next = 2 * x
-		}
-		a := &Trace{}
-		a.Append(x, 100)
-		a.Append(3, 50)
-		b := &Trace{}
-		b.Append(next, 10)
-		b.Append(3, 20)
-		want := []Segment{{x, 110}, {next, 60}, {3, 70}}
-		for _, traces := range [][]*Trace{{a, b}, {b, a}} {
-			got := Sum(traces...)
-			if !slices.Equal(got.segs, want) {
-				t.Fatalf("Sum = %+v, want %+v", got.segs, want)
-			}
-			if ref := sumReference(traces...); !tracesIdentical(got, ref) {
-				t.Fatalf("Sum diverges from reference\n got: %+v\nwant: %+v", got.segs, ref.segs)
-			}
-		}
-	}
 }
 
 func TestSampleMatchesReference(t *testing.T) {
@@ -165,24 +91,6 @@ func TestEnergyBetweenMatchesReference(t *testing.T) {
 		if got != want {
 			t.Fatalf("iter %d: EnergyBetween(%v,%v) = %v, reference %v on %+v",
 				iter, a, b, got, want, tr.segs)
-		}
-	}
-}
-
-// TestSumChainMatchesReference runs the chain a summed power scope
-// goes through — Sum, then Sample — against the reference chain.
-func TestSumChainMatchesReference(t *testing.T) {
-	root := rng.New(5005)
-	for iter := 0; iter < 200; iter++ {
-		r := rng.New(root.Uint64())
-		traces := make([]*Trace, 1+r.IntN(5))
-		for i := range traces {
-			traces[i] = genDiffTrace(r)
-		}
-		got := Sum(traces...).Sample(0.5)
-		want := sumReference(traces...).sampleReference(0.5)
-		if !seriesIdentical(got, want) {
-			t.Fatalf("iter %d: sum chain diverges from reference", iter)
 		}
 	}
 }
@@ -229,16 +137,13 @@ func TestSampleWindowEnergySumsToTraceEnergy(t *testing.T) {
 	}
 }
 
-// decodeFuzzTraces turns fuzz bytes into 1–8 finite traces. The first
-// byte picks the trace count; each trace then reads a header byte
-// (segment count, and whether the trace is recorded on trace 0's
-// clock) and two bytes per segment (duration, power). A trace on
-// trace 0's clock ends its segments at trace 0's instants, so the
-// traces share boundaries bit for bit, as a node's do. Durations
-// include micro-segments a few picoseconds long; powers come from a
-// coarse palette most of the time, so equal-power runs coalesce
-// through Append. Missing bytes read as zero, so every input decodes.
-func decodeFuzzTraces(data []byte) []*Trace {
+// decodeFuzzTrace turns fuzz bytes into one finite trace: a header
+// byte (the segment count) and two bytes per segment (duration,
+// power). Durations include micro-segments a few picoseconds long;
+// powers come from a coarse palette most of the time, so equal-power
+// runs coalesce through Append. Missing bytes read as zero, so every
+// input decodes.
+func decodeFuzzTrace(data []byte) *Trace {
 	next := func() byte {
 		if len(data) == 0 {
 			return 0
@@ -247,54 +152,21 @@ func decodeFuzzTraces(data []byte) []*Trace {
 		data = data[1:]
 		return b
 	}
-	traces := make([]*Trace, 1+int(next()%8))
-	var clock []float64 // trace 0's segment ends, one per decoded segment
-	for i := range traces {
-		h := next()
-		n := int(h % 32)
-		aligned := h&0x80 != 0 && i > 0
-		if aligned {
-			n = min(n, len(clock))
+	tr := &Trace{}
+	for n := int(next() % 32); n > 0; n-- {
+		db, pb := next(), next()
+		var d float64
+		switch db % 4 {
+		case 0:
+			d = float64(db/4+1) * 1e-13 // up to 6.4e-12
+		default:
+			d = float64(db)*0.01 + 0.001
 		}
-		tr := &Trace{}
-		for j := 0; j < n; j++ {
-			db, pb := next(), next()
-			var d float64
-			switch db % 4 {
-			case 0:
-				d = float64(db/4+1) * 1e-13 // up to 6.4e-12
-			default:
-				d = float64(db)*0.01 + 0.001
-			}
-			p := float64(pb%6) * 80
-			if pb >= 192 {
-				p = float64(pb) * 1.7
-			}
-			end := tr.Duration() + d
-			if aligned {
-				end = clock[j]
-			}
-			tr.Append(end, p)
-			if i == 0 {
-				clock = append(clock, end)
-			}
+		p := float64(pb%6) * 80
+		if pb >= 192 {
+			p = float64(pb) * 1.7
 		}
-		traces[i] = tr
+		tr.Append(tr.Duration()+d, p)
 	}
-	return traces
-}
-
-// FuzzSum is the differential target of the cursor merge: on any
-// decoded set of traces, Sum must equal sumReference bit for bit.
-func FuzzSum(f *testing.F) {
-	f.Add([]byte{1, 3, 4, 80, 4, 80, 8, 0})
-	f.Add([]byte{3, 2, 0, 0, 0, 1, 0x84, 2, 1, 5, 3, 7, 200, 9, 1, 3, 0, 6, 1, 4, 8, 5})
-	f.Add([]byte{7, 0x9f, 15, 3, 0, 0, 4, 0, 0, 1, 8, 0, 1, 1, 12, 250, 0, 0, 5, 5, 5, 5})
-	f.Add([]byte{3, 6, 1, 0, 4, 1, 5, 2, 9, 3, 0, 4, 2, 5, 0x86, 1, 7, 2, 8, 3, 9, 4, 10, 5, 11, 0, 12, 0x83, 200, 1, 3, 2})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		traces := decodeFuzzTraces(data)
-		if got, want := Sum(traces...), sumReference(traces...); !tracesIdentical(got, want) {
-			t.Fatalf("Sum diverges from reference\n got: %+v\nwant: %+v", got.segs, want.segs)
-		}
-	})
+	return tr
 }

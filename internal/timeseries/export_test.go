@@ -1,5 +1,5 @@
 package timeseries
 
-// SumReference exposes the reference Sum to the external test package,
-// which drives it with traces recorded by the real engine.
+// SumReference exposes the reference merge to the external test
+// package, which checks the sums a node records against it.
 var SumReference = sumReference

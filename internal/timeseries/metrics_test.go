@@ -6,7 +6,7 @@ import (
 	"vasppower/internal/obs"
 )
 
-func TestMetricsCountSumSegmentsAndSamples(t *testing.T) {
+func TestMetricsCountSamples(t *testing.T) {
 	reg := obs.NewRegistry()
 	SetMetrics(NewMetrics(reg))
 	defer SetMetrics(nil)
@@ -14,19 +14,11 @@ func TestMetricsCountSumSegmentsAndSamples(t *testing.T) {
 	a := &Trace{}
 	a.Append(1, 100)
 	a.Append(2, 200)
-	b := &Trace{}
-	b.Append(1.5, 50)
-	sum := Sum(a, b)
+	win := a.Sample(0.5)
+	part := a.SampleWindow(0.5, 1.5, 0.5)
 
-	snap := reg.Snapshot()
-	if got := snap.Counters["timeseries.sum_segments"]; got != int64(sum.Len()) {
-		t.Fatalf("sum_segments = %d, want %d", got, sum.Len())
-	}
-
-	win := sum.Sample(0.5)
-	snap = reg.Snapshot()
-	want := int64(win.Len())
-	if got := snap.Counters["timeseries.samples"]; got != want {
+	want := int64(win.Len() + part.Len())
+	if got := reg.Snapshot().Counters["timeseries.samples"]; got != want {
 		t.Fatalf("samples = %d, want %d", got, want)
 	}
 }
@@ -36,7 +28,6 @@ func TestMetricsDetachedIsNoop(t *testing.T) {
 	a := &Trace{}
 	a.Append(2, 100)
 	// Must not panic and must not require a registry.
-	_ = Sum(a)
 	_ = a.Sample(0.5)
 }
 
@@ -47,6 +38,5 @@ func TestNewMetricsNilRegistry(t *testing.T) {
 	defer SetMetrics(nil)
 	a := &Trace{}
 	a.Append(1, 10)
-	_ = Sum(a)
 	_ = a.Sample(0.25)
 }

@@ -9,14 +9,14 @@ import (
 	"vasppower/internal/workloads"
 )
 
-// TestSumMatchesReferenceOnNodeTraces is the node-shaped differential
-// case: component traces recorded by the prepared engine — aligned
-// boundaries, long equal-power runs on the CPU trace, cap-solved GPU
-// powers — summed by Sum and by the reference, bit for bit. The
-// recorded node sensor (TotalTrace) and GPU board sum (GPUSumTrace)
-// must equal the reference merge of the components they sum, on a
-// standalone run and on a sweep point recorded into storage the arena
-// reused from the previous point.
+// TestSumMatchesReferenceOnNodeTraces checks the sums a node records
+// against the reference merge on component traces recorded by the
+// prepared engine — aligned boundaries, long equal-power runs on the
+// CPU trace, cap-solved GPU powers: the GPU board sum (GPUSumTrace)
+// and the node sensor (TotalTrace) must equal the reference merge of
+// the components they sum, bit for bit, on a standalone run and on a
+// sweep point recorded into storage the arena reused from the previous
+// point.
 func TestSumMatchesReferenceOnNodeTraces(t *testing.T) {
 	for _, tc := range []struct {
 		bench   string
@@ -65,22 +65,17 @@ func TestSumMatchesReferenceOnNodeTraces(t *testing.T) {
 
 func checkNodeSums(t *testing.T, n *node.Node) {
 	t.Helper()
-	comps := []*timeseries.Trace{n.CPUTrace(), n.MemTrace()}
-	var gpus, hbms []*timeseries.Trace
+	var gpus []*timeseries.Trace
 	for gi := 0; gi < n.NumGPUs(); gi++ {
 		gpus = append(gpus, n.GPUTrace(gi))
-		hbms = append(hbms, n.GPUMemTrace(gi))
-	}
-	comps = append(comps, gpus...)
-	for _, c := range []struct {
-		name   string
-		traces []*timeseries.Trace
-	}{{"components", comps}, {"gpus", gpus}, {"hbm", hbms}} {
-		segsEqual(t, c.name, timeseries.Sum(c.traces...), timeseries.SumReference(c.traces...))
 	}
 	segsEqual(t, "gpu sum", n.GPUSumTrace(), timeseries.SumReference(gpus...))
-	want := timeseries.SumReference(comps...).Map(func(p float64) float64 { return p + n.PeripheralPower() })
-	segsEqual(t, "node sensor", n.TotalTrace(), want)
+	// The peripherals draw one constant power over the whole trace,
+	// added last, as the node sensor adds them.
+	var periph timeseries.Trace
+	periph.Append(n.TraceDuration(), n.PeripheralPower())
+	comps := append([]*timeseries.Trace{n.CPUTrace(), n.MemTrace()}, gpus...)
+	segsEqual(t, "node sensor", n.TotalTrace(), timeseries.SumReference(append(comps, &periph)...))
 }
 
 func segsEqual(t *testing.T, label string, got, want *timeseries.Trace) {

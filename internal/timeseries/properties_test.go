@@ -22,61 +22,6 @@ func genTrace(seed uint64, maxSegs int) *Trace {
 	return tr
 }
 
-// Sum is commutative: Sum(a,b) == Sum(b,a) pointwise.
-func TestSumCommutativeProperty(t *testing.T) {
-	f := func(sa, sb uint64) bool {
-		a, b := genTrace(sa, 12), genTrace(sb, 12)
-		ab, ba := Sum(a, b), Sum(b, a)
-		if math.Abs(ab.Duration()-ba.Duration()) > 1e-9 {
-			return false
-		}
-		for x := 0.0; x < ab.Duration(); x += ab.Duration() / 37 {
-			if math.Abs(ab.PowerAt(x)-ba.PowerAt(x)) > 1e-6 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Sum is associative (up to fp tolerance): Sum(Sum(a,b),c) == Sum(a,b,c).
-func TestSumAssociativeProperty(t *testing.T) {
-	f := func(sa, sb, sc uint64) bool {
-		a, b, c := genTrace(sa, 8), genTrace(sb, 8), genTrace(sc, 8)
-		left := Sum(Sum(a, b), c)
-		flat := Sum(a, b, c)
-		if math.Abs(left.Energy()-flat.Energy()) > 1e-6*(1+flat.Energy()) {
-			return false
-		}
-		for x := 0.0; x < flat.Duration(); x += flat.Duration() / 29 {
-			if math.Abs(left.PowerAt(x)-flat.PowerAt(x)) > 1e-6 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Scaling by k scales energy by k and commutes with Sum.
-func TestScaleLinearityProperty(t *testing.T) {
-	f := func(sa, sb uint64, kRaw uint8) bool {
-		k := 0.1 + float64(kRaw)/64
-		a, b := genTrace(sa, 10), genTrace(sb, 10)
-		lhs := Sum(a.Scale(k), b.Scale(k))
-		rhs := Sum(a, b).Scale(k)
-		return math.Abs(lhs.Energy()-rhs.Energy()) <= 1e-6*(1+rhs.Energy())
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // EnergyBetween is additive over adjacent windows.
 func TestEnergyWindowAdditivityProperty(t *testing.T) {
 	f := func(seed uint64, cutRaw uint8) bool {

@@ -22,11 +22,14 @@ import (
 //   - sampleReference: O(n·m) — every window rescans every segment;
 //   - energyBetweenReference: O(n) per window.
 
-// sumReference is Sum by another route: collect every segment end,
-// sort, drop exact duplicates, then binary-search every input trace
-// once per output interval for the segment that covers it (the first
-// one ending at or after the interval's end). Boundaries are compared
-// with ==, as Sum compares them.
+// sumReference is the pointwise sum of the given traces, each read as
+// zero beyond its own end: collect every segment end, sort, drop exact
+// duplicates, then binary-search every input trace once per output
+// interval for the segment that covers it (the first one ending at or
+// after the interval's end), adding the powers in argument order.
+// Boundaries are compared with ==, so traces recorded on one clock
+// share them bit for bit. It is the oracle for the sums a node records
+// (the node sensor and the GPU board sum).
 func sumReference(traces ...*Trace) *Trace {
 	var points []float64
 	for _, tr := range traces {

@@ -81,7 +81,7 @@ func FuzzSampleWindow(f *testing.F) {
 	f.Add([]byte{1, 12, 250, 0, 0, 5, 5, 5, 5, 90, 7}, 3.0, 1.0, uint16(2))
 	f.Add([]byte{1, 31, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9}, -1.0, 0.5, uint16(0))
 	f.Fuzz(func(t *testing.T, data []byte, start, end float64, ib uint16) {
-		tr := decodeFuzzTraces(append([]byte{0}, data...))[0]
+		tr := decodeFuzzTrace(data)
 		// 0.01 s to about 66 s: at most ~8k windows over a fuzz trace.
 		interval := 0.01 + float64(ib)*1e-3
 		sampleWindowMatches(t, tr, start, end, interval)

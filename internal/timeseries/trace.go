@@ -3,9 +3,9 @@
 //
 //   - Trace: an exact, piecewise-constant power signal produced by the
 //     hardware models (a kernel draws P watts until the clock reads t).
-//     Traces support exact energy integration and pointwise algebra,
-//     which is how the NVML-style power scopes are assembled from the
-//     per-device traces.
+//     Traces support exact energy integration over any window; a node
+//     records every power scope it reports as a trace of its own, on
+//     the same instants as its component traces.
 //
 //   - Series: a sampled signal, as a telemetry system like LDMS would
 //     record it. Series are produced by sampling a Trace at an interval
@@ -68,8 +68,7 @@ func (t *Trace) Segments() []Segment { return t.segs }
 
 // Reset empties the trace while keeping its segment storage for reuse
 // — the arena primitive behind incremental sweeps, where the same
-// traces are rebuilt once per cap point. Derived traces previously
-// handed out (Sum results) are unaffected: they own fresh storage.
+// traces are rebuilt once per cap point.
 func (t *Trace) Reset() { t.segs = t.segs[:0] }
 
 // Len returns the number of segments.
@@ -168,111 +167,6 @@ func (t *Trace) MeanBetween(a, b float64) float64 {
 		return 0
 	}
 	return t.EnergyBetween(a, b) / (covHi - covLo)
-}
-
-// Clone returns a deep copy of the trace.
-func (t *Trace) Clone() *Trace {
-	c := &Trace{segs: make([]Segment, len(t.segs))}
-	copy(c.segs, t.segs)
-	return c
-}
-
-// Scale returns a new trace with every power value multiplied by k.
-func (t *Trace) Scale(k float64) *Trace {
-	c := t.Clone()
-	for i := range c.segs {
-		c.segs[i].Power *= k
-	}
-	return c
-}
-
-// Map returns a new trace with every power value replaced by f(power).
-// The result is rebuilt through Append, so adjacent segments whose
-// mapped powers coincide merge.
-func (t *Trace) Map(f func(p float64) float64) *Trace {
-	c := &Trace{segs: make([]Segment, 0, len(t.segs))}
-	for _, s := range t.segs {
-		c.Append(s.End, f(s.Power))
-	}
-	return c
-}
-
-// sumCursor tracks one non-empty input trace through the k-way merge
-// in Sum: segs[i] is the segment holding the interval being summed.
-type sumCursor struct {
-	segs []Segment
-	i    int
-}
-
-// Sum returns the pointwise sum of the given traces. Each input is
-// treated as zero beyond its own end, so traces of different lengths
-// may be summed; the result spans the longest input. The sum of zero
-// traces is an empty trace.
-//
-// Sum is a k-way cursor merge over the inputs' segment ends. Each
-// step takes the smallest end left across the cursors as the next
-// breakpoint, adds the power of every cursor's current segment (in
-// argument order) and advances the cursors whose segment ends exactly
-// there. Instants are compared with ==: traces recorded on one clock
-// share their boundaries bit for bit, so no tolerance is needed, and
-// two boundaries an ulp apart are two boundaries. The cost is O(k) per
-// output breakpoint: O(K·k) for K distinct ends across k traces.
-//
-// The output starts at the longest input's length (the sum of traces
-// on one clock is about as long as its finest input) and, if a merge
-// outgrows that, grows once to the bound Σn on the output of traces
-// with Σn segments in all, rather than doubling its way there.
-func Sum(traces ...*Trace) *Trace {
-	// The cursor slice lives on the stack for any realistic trace
-	// count (a node's devices).
-	var cbuf [8]sumCursor
-	cursors := cbuf[:0]
-	longest, total := 0, 0
-	for _, tr := range traces {
-		// Empty traces contribute no breakpoints and no power; dropping
-		// them preserves the argument order of the rest, and with it
-		// the power summation order.
-		if len(tr.segs) > 0 {
-			cursors = append(cursors, sumCursor{segs: tr.segs})
-			longest = max(longest, len(tr.segs))
-			total += len(tr.segs)
-		}
-	}
-	out := &Trace{}
-	if len(cursors) == 0 {
-		return out
-	}
-	out.segs = make([]Segment, 0, longest)
-	for {
-		// k is small (one cursor per trace), so a linear scan beats a
-		// heap.
-		running := false
-		var end float64
-		for _, c := range cursors {
-			if c.i < len(c.segs) && (!running || c.segs[c.i].End < end) {
-				running, end = true, c.segs[c.i].End
-			}
-		}
-		if !running {
-			break
-		}
-		var p float64
-		for k := range cursors {
-			c := &cursors[k]
-			if c.i < len(c.segs) {
-				p += c.segs[c.i].Power
-				if c.segs[c.i].End == end {
-					c.i++
-				}
-			}
-		}
-		if len(out.segs) == cap(out.segs) {
-			out.segs = slices.Grow(out.segs, total-len(out.segs))
-		}
-		out.Append(end, p)
-	}
-	countSumSegments(out.Len())
-	return out
 }
 
 // Sample produces a Series by averaging the trace over consecutive
@@ -388,14 +282,8 @@ func (t *Trace) meanBetweenFrom(cur *int, a, b float64) float64 {
 // callers that read a growing trace incrementally (the streaming
 // telemetry sampler). Successive window starts must be non-decreasing;
 // each segment is then visited O(1) times amortized across the whole
-// walk instead of O(log n) per window.
-//
-// A cursor does not own the trace. When the underlying trace is a
-// rebuilt derived trace (a node's summed power scopes are recomputed
-// after every Record), call Attach with the fresh pointer: as long as
-// the new trace extends the old one in time, the saved segment index
-// remains a valid starting point because the walk only ever advances
-// past segments that end at or before the next window start.
+// walk instead of O(log n) per window. A cursor does not own the
+// trace: appends to it stay visible to later windows.
 type Cursor struct {
 	tr  *Trace
 	seg int
@@ -403,17 +291,6 @@ type Cursor struct {
 
 // NewCursor returns a cursor positioned at the start of tr.
 func NewCursor(tr *Trace) *Cursor { return &Cursor{tr: tr} }
-
-// Attach repoints the cursor at a trace that extends the previous one
-// (same history, possibly more appended). A shorter trace — which
-// violates the contract — degrades to a rescan from the start rather
-// than an out-of-range read.
-func (c *Cursor) Attach(tr *Trace) {
-	if c.seg > len(tr.segs) {
-		c.seg = 0
-	}
-	c.tr = tr
-}
 
 // MeanBetween returns the trace's average power over [a, b], counting
 // only the covered portion (semantics of Trace.MeanBetween), resuming

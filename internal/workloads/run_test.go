@@ -225,9 +225,10 @@ func TestRunOwnsItsOutput(t *testing.T) {
 		energy float64
 	}
 	take := func(n *node.Node) snap {
-		trs := []*timeseries.Trace{n.CPUTrace(), n.MemTrace(), n.TotalTrace()}
+		trs := []*timeseries.Trace{n.CPUTrace(), n.MemTrace(), n.TotalTrace(),
+			n.DomainTrace(node.DomainGPU), n.DomainTrace(node.DomainMemory)}
 		for gi := 0; gi < n.NumGPUs(); gi++ {
-			trs = append(trs, n.GPUTrace(gi), n.GPUMemTrace(gi))
+			trs = append(trs, n.GPUTrace(gi))
 		}
 		var s snap
 		for _, tr := range trs {

@@ -8,6 +8,7 @@ import (
 	"vasppower/internal/dft/parallel"
 	"vasppower/internal/dft/solver"
 	"vasppower/internal/dft/solver/solveroracle"
+	"vasppower/internal/hw/node"
 	"vasppower/internal/hw/platform"
 	"vasppower/internal/interconnect"
 	"vasppower/internal/rng"
@@ -86,8 +87,9 @@ func sweepOutputsEqual(t *testing.T, oracle, got RunOutput) {
 		sweepTracesEqual(t, "mem", on.MemTrace(), gn.MemTrace())
 		for gi := 0; gi < on.NumGPUs(); gi++ {
 			sweepTracesEqual(t, "gpu", on.GPUTrace(gi), gn.GPUTrace(gi))
-			sweepTracesEqual(t, "gpumem", on.GPUMemTrace(gi), gn.GPUMemTrace(gi))
 		}
+		sweepTracesEqual(t, "gpu scope", on.DomainTrace(node.DomainGPU), gn.DomainTrace(node.DomainGPU))
+		sweepTracesEqual(t, "memory scope", on.DomainTrace(node.DomainMemory), gn.DomainTrace(node.DomainMemory))
 		sweepTracesEqual(t, "total", on.TotalTrace(), gn.TotalTrace())
 	}
 }

@@ -41,7 +41,6 @@ var testOnlyHooks = map[string]string{
 	"internal/hw/gpu.GPU.ClockLimit":         "clock-lock read-back the node tests check the set path against",
 	"internal/hw/node.Node.IdlePower":        "the node's idle draw, the floor the workloads and cluster tests pin node power against",
 	"internal/hw/node.Node.PeripheralPower":  "the peripheral term the workloads and timeseries tests rebuild the node sensor from",
-	"internal/hw/node.Node.GPUMemTrace":      "per-GPU memory-domain trace the solver, workloads and timeseries tests compare bit for bit",
 	"internal/timeseries.Trace.Segments":     "segment view the solver, sched and workloads tests compare traces through",
 }
 
