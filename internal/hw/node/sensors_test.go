@@ -103,6 +103,34 @@ func TestTotalTraceInvalidatedByReset(t *testing.T) {
 	}
 }
 
+// TestZeroDurationRecordChangesNoScope: Record ignores a zero-duration
+// step, so every scope keeps its pointer and its segments, the node
+// clock included.
+func TestZeroDurationRecordChangesNoScope(t *testing.T) {
+	n := New("nid001", platform.Default(), nil)
+	n.RecordIdle(2)
+	n.Record(2, busyPowers(n))
+	scopes := make(map[Domain]*timeseries.Trace)
+	segs := make(map[Domain][]timeseries.Segment)
+	for _, d := range Domains() {
+		scopes[d] = n.DomainTrace(d)
+		segs[d] = slices.Clone(scopes[d].Segments())
+	}
+	n.Record(0, busyPowers(n))
+	n.RecordIdle(0)
+	for _, d := range Domains() {
+		if n.DomainTrace(d) != scopes[d] {
+			t.Fatalf("zero-duration record moved DomainTrace(%s)", d)
+		}
+		if !slices.Equal(scopes[d].Segments(), segs[d]) {
+			t.Fatalf("zero-duration record changed %s: %+v, want %+v", d, scopes[d].Segments(), segs[d])
+		}
+	}
+	if got := n.TraceDuration(); got != 4 {
+		t.Fatalf("clock after zero-duration records = %v, want 4", got)
+	}
+}
+
 // TestExchangeStorageMovesStorage: ExchangeStorage leaves the node with
 // empty traces and the bank with the node's storage, so a second node
 // that takes the bank records into it — its node sensor, GPU sum and

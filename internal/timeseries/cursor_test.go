@@ -44,3 +44,23 @@ func TestCursorSeesAppendedSegments(t *testing.T) {
 		t.Fatalf("post-append mean = %v, want 300", got)
 	}
 }
+
+// A cursor opened on an empty trace reads the segments appended after
+// it, as the telemetry sampler's cursors on a node's recorded scopes
+// do: windows past the end read 0 and do not move the cursor, and
+// later windows match the stateless MeanBetween.
+func TestCursorOpenedOnEmptyTrace(t *testing.T) {
+	tr := &Trace{}
+	c := NewCursor(tr)
+	if got := c.MeanBetween(0, 1); got != 0 {
+		t.Fatalf("mean over an empty trace = %v, want 0", got)
+	}
+	for i := 0; i < 10; i++ {
+		tr.Append(float64(i+1), float64(100+i))
+	}
+	for a := 0.0; a < 10; a += 0.75 {
+		if got, want := c.MeanBetween(a, a+0.75), tr.MeanBetween(a, a+0.75); got != want {
+			t.Fatalf("cursor mean over [%v,%v] = %v, want %v", a, a+0.75, got, want)
+		}
+	}
+}
