@@ -13,9 +13,8 @@
 // 1,800 nodes, 100k jobs, 5 s mean inter-arrival, 2 MW budget — for
 // any of -nodes/-jobs/-arrival/-budget-kw not given explicitly. The
 // mix is drawn once into a compact table (16 bytes a job, the IDs in
-// one buffer) that the three policies share, each through its own
-// cursor; the simulator reads it in arrival order without building a
-// Job per draw. The three policies are simulated concurrently; their
+// one buffer) that the three policies share; the simulator reads it in
+// arrival order without building a Job per draw. The three policies are simulated concurrently; their
 // rows print in a fixed order.
 //
 // -envelope imposes a time-varying facility power envelope on top of
@@ -167,8 +166,8 @@ func run(args []string, stdout, stderr io.Writer, reg *obs.Registry) int {
 	// The mix's profiles are measured before any simulation starts.
 	prefetch(env, mix, policies, *nodes, *seed)
 	// The policies are independent simulations, so they run at once,
-	// one worker each, each with its own cursor over the shared mix and
-	// its own catalog. The catalogs measure through the run's Env,
+	// one worker each, each reading the shared mix with its own
+	// catalog. The catalogs measure through the run's Env,
 	// whose cache prefetch has filled (and later invocations reuse,
 	// with -cache-dir). Each worker keeps only its table row, not the
 	// per-job outcomes.
@@ -179,7 +178,7 @@ func run(args []string, stdout, stderr io.Writer, reg *obs.Registry) int {
 	rows := make([]row, len(policies))
 	err = par.ForEach(context.Background(), len(policies), len(policies),
 		func(_ context.Context, i int) error {
-			res, err := vasppower.SimulateSchedulerStream(cfgs[i], mix.Stream())
+			res, err := vasppower.SimulateSchedulerStream(cfgs[i], mix)
 			if err != nil {
 				return err
 			}

@@ -276,7 +276,10 @@ func (p *Prepared) buildExecs() {
 // noise (nil runs noise-free), and returns the summary with EnergyJ
 // left at 0 — callers settle it with NodeEnergy (the sweep engine once
 // per point, for the surviving repeat). The jitter draw order is one
-// whole-run factor, then one per-step factor in step order.
+// whole-run factor, then one per-step factor in step order. Runtime is
+// the sum of the step durations from 0, in step order: the same bits
+// as the node clock's end when the run starts at 0, and unmoved by
+// anything recorded before it (a prelude).
 func (p *Prepared) RunNoEnergy(noise *rng.Stream) Result {
 	if !p.execsValid {
 		p.buildExecs()
@@ -288,7 +291,7 @@ func (p *Prepared) RunNoEnergy(noise *rng.Stream) Result {
 	nodes := p.nodes
 	nn := len(nodes)
 	nd := len(p.devs)
-	start := nodes[0].TraceDuration()
+	runtime := 0.0
 	for si := range p.steps {
 		st := &p.steps[si]
 		j := 1.0
@@ -347,6 +350,7 @@ func (p *Prepared) RunNoEnergy(noise *rng.Stream) Result {
 				n.Record(dur, node.ComponentPowers{CPU: p.hostOrchW[ni], Mem: memW[ni], GPUs: p.gpuIdle[ni]})
 			}
 		}
+		runtime += dur
 	}
-	return Result{Runtime: nodes[0].TraceDuration() - start, Steps: len(p.steps)}
+	return Result{Runtime: runtime, Steps: len(p.steps)}
 }

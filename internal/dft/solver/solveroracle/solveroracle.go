@@ -35,7 +35,8 @@ type runJob struct {
 }
 
 // Run executes the job step by step, appending to each node's
-// traces, and returns the summary.
+// traces, and returns the summary; its Runtime is the sum of the step
+// durations from 0, in step order.
 func Run(j solver.Job) (solver.Result, error) {
 	if j.Schedule == nil || len(j.Schedule.Steps) == 0 {
 		return solver.Result{}, fmt.Errorf("solver: empty schedule")
@@ -54,21 +55,22 @@ func Run(j solver.Job) (solver.Result, error) {
 	var res solver.Result
 	start := job.Nodes[0].TraceDuration()
 	for _, st := range job.Schedule.Steps {
+		var dur float64
 		switch st.Kind {
 		case method.StepGPU:
-			gpuStep(job, st)
+			dur = gpuStep(job, st)
 		case method.StepCPU:
-			cpuStep(job, st)
+			dur = cpuStep(job, st)
 		case method.StepComm:
-			commStep(job, st)
+			dur = commStep(job, st)
 		case method.StepHost:
-			hostStep(job, st)
+			dur = hostStep(job, st)
 		default:
 			panic(fmt.Sprintf("solver: unknown step kind %v", st.Kind))
 		}
+		res.Runtime += dur
 		res.Steps++
 	}
-	res.Runtime = job.Nodes[0].TraceDuration() - start
 	for _, n := range job.Nodes {
 		res.EnergyJ += n.TotalTrace().EnergyBetween(start, n.TraceDuration())
 	}
@@ -100,7 +102,7 @@ func kernel(g *gpu.GPU, k gpu.Kernel) gpu.Execution {
 	return s.Solve(g)
 }
 
-func gpuStep(job runJob, st method.Step) {
+func gpuStep(job runJob, st method.Step) float64 {
 	k := job.Schedule.Kernels[st.Kernel]
 	// Every GPU runs the same kernel; the step ends at the slowest
 	// device (implicit barrier).
@@ -137,9 +139,10 @@ func gpuStep(job runJob, st method.Step) {
 		}
 		n.Record(maxDur, cp)
 	}
+	return maxDur
 }
 
-func cpuStep(job runJob, st method.Step) {
+func cpuStep(job runJob, st method.Step) float64 {
 	maxDur := 0.0
 	var powers []float64
 	for _, n := range job.Nodes {
@@ -156,9 +159,10 @@ func cpuStep(job runJob, st method.Step) {
 		cp.Mem = memPower(n, st.MemActivity)
 		n.Record(maxDur, cp)
 	}
+	return maxDur
 }
 
-func commStep(job runJob, st method.Step) {
+func commStep(job runJob, st method.Step) float64 {
 	var topo interconnect.Topology
 	switch st.Comm.Scope {
 	case method.ScopeGroup:
@@ -187,9 +191,10 @@ func commStep(job runJob, st method.Step) {
 		}
 		n.Record(dur, cp)
 	}
+	return dur
 }
 
-func hostStep(job runJob, st method.Step) {
+func hostStep(job runJob, st method.Step) float64 {
 	dur := st.HostSeconds * jitter(job)
 	for _, n := range job.Nodes {
 		cp := n.Idle()
@@ -197,6 +202,7 @@ func hostStep(job runJob, st method.Step) {
 		cp.Mem = memPower(n, st.MemActivity)
 		n.Record(dur, cp)
 	}
+	return dur
 }
 
 // memPower interpolates DDR power between idle and active with

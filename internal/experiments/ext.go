@@ -33,16 +33,16 @@ func RunExtScheduler(cfg Config) (ExtSchedulerResult, error) {
 	}
 	budget := float64(nodes) * 1100
 	res := ExtSchedulerResult{ClusterNodes: nodes, BudgetW: budget, Jobs: jobsN}
-	jobs := sched.SyntheticJobMix(jobsN, 90, cfg.seed())
+	mix := sched.NewSyntheticMix(jobsN, 90, cfg.seed())
 	policies := []sched.Policy{
 		sched.NoCap{NodeTDP: 2350},
 		sched.UniformCap{Watts: 200, HostWatts: 350},
 		sched.DefaultProfileAware(),
 	}
-	// Simulate copies the job list and each policy gets its own
-	// catalog, so the three policies run concurrently. Every catalog
-	// measures through cfg's Env, so with one given a spec is measured
-	// once across the policies and the other runners. The catalog leaves
+	// The mix is read-only and each policy gets its own catalog, so
+	// the three policies run concurrently. Every catalog measures
+	// through cfg's Env, so with one given a spec is measured once
+	// across the policies and the other runners. The catalog leaves
 	// Nodes and Repeats zero for core.Measure's defaults of 1, which
 	// must be applied before keying to hit the runners' entries.
 	catMeasure := func(spec core.MeasureSpec) (core.JobProfile, error) {
@@ -53,13 +53,13 @@ func RunExtScheduler(cfg Config) (ExtSchedulerResult, error) {
 		func(_ context.Context, i int) error {
 			cat := sched.NewCatalogOn(cfg.platform(), cfg.seed())
 			cat.SetMeasure(catMeasure)
-			r, err := sched.Simulate(sched.SimConfig{
+			r, err := sched.SimulateMix(sched.SimConfig{
 				ClusterNodes: nodes,
 				BudgetW:      budget,
 				IdleNodeW:    460,
 				Policy:       policies[i],
 				Catalog:      cat,
-			}, jobs)
+			}, mix)
 			if err != nil {
 				return err
 			}

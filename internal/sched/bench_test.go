@@ -3,6 +3,9 @@ package sched
 import (
 	"fmt"
 	"testing"
+
+	"vasppower/internal/obs"
+	"vasppower/internal/sim"
 )
 
 // benchConfig builds the facility benchmark configuration: budget
@@ -23,7 +26,7 @@ func benchConfig(nodes int) (SimConfig, float64) {
 
 // BenchmarkSimulate measures the incremental loop across the facility
 // grid: {8, 128, 1800} nodes × {1k, 10k, 100k} jobs. Jobs are
-// materialized outside the timer (generation is the stream's cost,
+// materialized outside the timer (generation is the table's cost,
 // not the scheduler's) and the catalog is warmed by one untimed run,
 // so allocs/op ÷ jobs is the loop's per-job allocation count.
 func BenchmarkSimulate(b *testing.B) {
@@ -51,33 +54,56 @@ func BenchmarkSimulate(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulateStream measures the streaming entry point at the
-// facility preset scale, generation included — the end-to-end cost of
-// `pmsched -preset facility`.
+// countWork installs fresh engine and scheduler metrics until the
+// benchmark ends, and returns the report to call after its timed loop:
+// engine steps and packing passes per op. At a fixed seed both are
+// exact, so a change in them is a change in the work done, not noise.
+// Call it after any untimed warm-up.
+func countWork(b *testing.B) (report func()) {
+	reg := obs.NewRegistry()
+	steps, m := sim.NewMetrics(reg), NewMetrics(reg)
+	sim.SetMetrics(steps)
+	SetMetrics(m)
+	b.Cleanup(func() {
+		sim.SetMetrics(nil)
+		SetMetrics(nil)
+	})
+	return func() {
+		b.ReportMetric(float64(steps.Steps.Value())/float64(b.N), "sim.steps/op")
+		b.ReportMetric(float64(m.PackingPasses.Value())/float64(b.N), "sched.packing_passes/op")
+	}
+}
+
+// BenchmarkSimulateStream measures the facility-scale entry point at
+// the facility preset scale, the table's draw included — the
+// end-to-end cost of one `pmsched -preset facility` policy.
 func BenchmarkSimulateStream(b *testing.B) {
 	for _, jobs := range []int{10000, 100000} {
 		b.Run(fmt.Sprintf("nodes=1800/jobs=%d", jobs), func(b *testing.B) {
 			cfg, mean := benchConfig(1800)
-			if _, err := SimulateStream(cfg, SyntheticJobStream(jobs, mean, 2024)); err != nil {
+			if _, err := SimulateMix(cfg, NewSyntheticMix(jobs, mean, 2024)); err != nil {
 				b.Fatal(err)
 			}
+			report := countWork(b)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := SimulateStream(cfg, SyntheticJobStream(jobs, mean, 2024)); err != nil {
+				if _, err := SimulateMix(cfg, NewSyntheticMix(jobs, mean, 2024)); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.StopTimer()
+			report()
 		})
 	}
 }
 
 // BenchmarkSimulatePolicies measures pmsched's policy comparison at
 // facility scale without its measurements: per iteration, one mix is
-// drawn and simulated under the three policies, each through its own
-// cursor over the shared table (sequentially, so the time is the
-// total work rather than the host's parallelism). Each policy's
-// catalog is warmed by one untimed run.
+// drawn and simulated under the three policies, each reading the
+// shared table (sequentially, so the time is the total work rather
+// than the host's parallelism). Each policy's catalog is warmed by one
+// untimed run.
 func BenchmarkSimulatePolicies(b *testing.B) {
 	policies := []Policy{NoCap{NodeTDP: 2350}, UniformCap{Watts: 200, HostWatts: 350}, DefaultProfileAware()}
 	for _, jobs := range []int{10000, 100000} {
@@ -91,7 +117,7 @@ func BenchmarkSimulatePolicies(b *testing.B) {
 			run := func() {
 				mix := NewSyntheticMix(jobs, mean, 2024)
 				for _, cfg := range cfgs {
-					res, err := SimulateStream(cfg, mix.Stream())
+					res, err := SimulateMix(cfg, mix)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -101,11 +127,14 @@ func BenchmarkSimulatePolicies(b *testing.B) {
 				}
 			}
 			run() // warm the catalogs
+			report := countWork(b)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				run()
 			}
+			b.StopTimer()
+			report()
 		})
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -239,15 +241,15 @@ func failOn(name string, calls *int) func(core.MeasureSpec) (core.JobProfile, er
 // configuration that cannot be profiled once, not once per job it
 // drops: the mix's CuC_vdw jobs all share one (benchmark, nodes, cap).
 func TestUnprofilableMeasuredOnce(t *testing.T) {
-	for _, stream := range []bool{false, true} {
+	for _, table := range []bool{false, true} {
 		calls := 0
 		cat := NewCatalog(1)
 		cat.SetMeasure(failOn("CuC_vdw", &calls))
 		cfg := simCfg(DefaultProfileAware(), 8*1100, cat)
 		var res Result
 		var err error
-		if stream {
-			res, err = SimulateStream(cfg, SyntheticJobStream(64, 60, 5))
+		if table {
+			res, err = SimulateMix(cfg, NewSyntheticMix(64, 60, 5))
 		} else {
 			res, err = Simulate(cfg, smallMix(64, 5))
 		}
@@ -255,10 +257,10 @@ func TestUnprofilableMeasuredOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		if res.Dropped < 2 {
-			t.Fatalf("stream=%v: %d dropped; the case needs several drops", stream, res.Dropped)
+			t.Fatalf("table=%v: %d dropped; the case needs several drops", table, res.Dropped)
 		}
 		if calls != 1 {
-			t.Fatalf("stream=%v: %d measurements of the failing configuration for %d dropped jobs, want 1", stream, calls, res.Dropped)
+			t.Fatalf("table=%v: %d measurements of the failing configuration for %d dropped jobs, want 1", table, calls, res.Dropped)
 		}
 	}
 }
@@ -310,9 +312,92 @@ func TestSimulateMatchesOracleTieOrder(t *testing.T) {
 	}
 }
 
-// TestSimulateStreamMatchesSlice pins that the streaming entry point
-// is the same simulation: SimulateStream over SyntheticJobStream
-// equals Simulate over the materialized SyntheticJobMix, bit for bit.
+// TestJobTableMatchesOracle pins the table Simulate builds from its
+// jobs against the oracle, which sorts its outcomes: IDs that are not
+// "job%04d" and differ in width (so ID order is a real permutation of
+// arrival order), IDs repeated across jobs, and benchmarks that share
+// a name but not every field, each with jitter and with drops.
+func TestJobTableMatchesOracle(t *testing.T) {
+	base := SyntheticJobMix(80, 30, 13)
+	for _, tc := range []struct {
+		name    string
+		edit    func(i int, j *Job)
+		entries int // the table's distinct benchmarks
+	}{
+		{"mixed widths", func(i int, j *Job) {
+			j.ID = strconv.FormatInt(int64(i*7919%100003), 36)
+		}, len(mixSuite)},
+		{"duplicates", func(i int, j *Job) {
+			j.ID = []string{"b", "a10", "a9", "c"}[i%4]
+		}, len(mixSuite)},
+		{"same name, other fields", func(i int, j *Job) {
+			if i%3 == 0 {
+				j.Bench.NELM += 5
+			}
+		}, 2 * len(mixSuite)},
+	} {
+		jobs := append([]Job(nil), base...)
+		for i := range jobs {
+			tc.edit(i, &jobs[i])
+		}
+		queue := append([]Job(nil), jobs...)
+		SortJobs(queue)
+		m, err := jobTable(queue)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(m.benches) != tc.entries {
+			t.Fatalf("%s: %d table entries, want %d", tc.name, len(m.benches), tc.entries)
+		}
+		for _, p := range []Policy{NoCap{NodeTDP: 2350}, DefaultProfileAware()} {
+			var callsA, callsB int
+			catA, catB := NewCatalog(1), NewCatalog(1)
+			catA.SetMeasure(failOn("CuC_vdw", &callsA))
+			catB.SetMeasure(failOn("CuC_vdw", &callsB))
+			cfgA, cfgB := simCfg(p, 8*1100, catA), simCfg(p, 8*1100, catB)
+			cfgA.JitterSeed, cfgB.JitterSeed = 42, 42
+			got, err := Simulate(cfgA, jobs)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", tc.name, p.Name(), err)
+			}
+			want, err := simulateOracle(cfgB, jobs)
+			if err != nil {
+				t.Fatalf("%s/%s: oracle: %v", tc.name, p.Name(), err)
+			}
+			if got.Dropped == 0 || got.Completed <= 12 {
+				t.Fatalf("%s/%s: %d completed, %d dropped; the case needs drops and more than 12 outcomes",
+					tc.name, p.Name(), got.Completed, got.Dropped)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s/%s: diverged from oracle:\n got %+v\nwant %+v", tc.name, p.Name(), got, want)
+			}
+		}
+	}
+}
+
+// TestJobTableRejectsWideJobs pins the table's node bound: a job
+// record holds up to 65,535 nodes, so a job needing more is an error
+// naming it, on a cluster large enough to hold it, rather than a
+// wrapped node count.
+func TestJobTableRejectsWideJobs(t *testing.T) {
+	cfg := simCfg(NoCap{NodeTDP: 2350}, 0, fakeCatalog(1))
+	cfg.ClusterNodes = 70000
+	jobs := smallMix(3, 1)
+	jobs[1].Nodes = math.MaxUint16
+	res, err := Simulate(cfg, jobs)
+	if err != nil || res.Completed != len(jobs) {
+		t.Fatalf("job of %d nodes: %d completed, %v", jobs[1].Nodes, res.Completed, err)
+	}
+	jobs[1].Nodes = math.MaxUint16 + 1
+	const frag = "needs 65536 nodes, more than a job table holds (65535)"
+	if _, err := Simulate(cfg, jobs); err == nil || !strings.Contains(err.Error(), frag) {
+		t.Fatalf("job of %d nodes: got %v, want an error with %q", jobs[1].Nodes, err, frag)
+	}
+}
+
+// TestSimulateStreamMatchesSlice pins that the two entry points are
+// the same simulation: SimulateMix over a drawn table equals Simulate
+// over its jobs as a SyntheticJobMix slice, bit for bit.
 func TestSimulateStreamMatchesSlice(t *testing.T) {
 	const n, mean, seed = 40, 45, 17
 	jobs := SyntheticJobMix(n, mean, seed)
@@ -320,22 +405,22 @@ func TestSimulateStreamMatchesSlice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SimulateStream(simCfg(DefaultProfileAware(), 8*1100, fakeCatalog(1)), SyntheticJobStream(n, mean, seed))
+	b, err := SimulateMix(simCfg(DefaultProfileAware(), 8*1100, fakeCatalog(1)), NewSyntheticMix(n, mean, seed))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("stream result diverged from slice result:\n got %+v\nwant %+v", b, a)
+		t.Fatalf("table result diverged from slice result:\n got %+v\nwant %+v", b, a)
 	}
 }
 
 // TestRankedStreamMatchesSliceAtScale pins the ranked result path
 // where the ID order is a real permutation: at 12,000 jobs (IDs past
-// job9999 sort between earlier ones), SimulateStream over a mix, which
-// writes each outcome at its rank, equals Simulate over the same jobs
-// as a slice, which sorts, bit for bit — with no drops and with a
-// benchmark whose jobs are all dropped — and the outcomes end at their
-// capacity either way.
+// job9999 sort between earlier ones), SimulateMix over a drawn table,
+// ranked by merging its ID widths, equals Simulate over the same jobs
+// as a slice, whose table is ranked by a sort, bit for bit — with no
+// drops and with a benchmark whose jobs are all dropped — and the
+// outcomes end at their capacity either way.
 func TestRankedStreamMatchesSliceAtScale(t *testing.T) {
 	const n, mean, seed = 12000, 0.4, 2024
 	jobs := SyntheticJobMix(n, mean, seed)
@@ -354,7 +439,7 @@ func TestRankedStreamMatchesSliceAtScale(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := SimulateStream(cfg(), SyntheticJobStream(n, mean, seed))
+		got, err := SimulateMix(cfg(), NewSyntheticMix(n, mean, seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -362,7 +447,7 @@ func TestRankedStreamMatchesSliceAtScale(t *testing.T) {
 			t.Fatalf("drops=%v: %d completed, %d dropped of %d", drops, got.Completed, got.Dropped, n)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("drops=%v: ranked stream result diverged from the sorted slice result", drops)
+			t.Fatalf("drops=%v: drawn table's result diverged from the slice's", drops)
 		}
 		if cap(got.Outcomes) != len(got.Outcomes) {
 			t.Fatalf("drops=%v: outcomes cap %d > len %d", drops, cap(got.Outcomes), len(got.Outcomes))
@@ -370,54 +455,29 @@ func TestRankedStreamMatchesSliceAtScale(t *testing.T) {
 	}
 }
 
-// TestMovedMixCursorSorts pins the fallback for a MixStream that has
-// been read from: the mix's ranks number the whole mix, so the rest of
-// it is simulated on the sorting path, exactly as the same jobs as a
-// slice.
-func TestMovedMixCursorSorts(t *testing.T) {
-	const n, mean, seed = 10500, 0.4, 7
-	src := SyntheticJobStream(n, mean, seed)
-	for range 3 {
-		src.Next()
-	}
-	cfg := simCfg(DefaultProfileAware(), 0, fakeCatalog(1))
-	cfg.ClusterNodes = 1800
-	got, err := SimulateStream(cfg, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Simulate(cfg, SyntheticJobMix(n, mean, seed)[3:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Completed != n-3 || !reflect.DeepEqual(got, want) {
-		t.Fatalf("moved cursor: %d completed, result equal to the slice's: %v", got.Completed, reflect.DeepEqual(got, want))
-	}
-}
-
-// TestSyntheticStreamMatchesMix pins that the lazy generator and the
-// materialized mix are one generator: draining the stream yields
-// exactly the slice.
+// TestSyntheticStreamMatchesMix pins that a table built from jobs is
+// the table they were drawn as: SyntheticJobMix is the pre-table draw
+// loop's output, and the table of those jobs yields them back with the
+// drawn table's ranks, here at 12,000 jobs, where ranking by ID is a
+// real permutation of arrival order.
 func TestSyntheticStreamMatchesMix(t *testing.T) {
-	const n, mean, seed = 100, 30, 9
-	want := SyntheticJobMix(n, mean, seed)
-	src := SyntheticJobStream(n, mean, seed)
-	if h := src.SizeHint(); h != n {
-		t.Fatalf("fresh SizeHint %d, want %d", h, n)
+	const n, mean, seed = 12000, 0.4, 9
+	jobs := SyntheticJobMix(n, mean, seed)
+	if want := drawLoopOracle(mixSuite, n, mean, seed); !reflect.DeepEqual(jobs, want) {
+		t.Fatalf("SyntheticJobMix yields %d jobs, the draw loop %d (or contents differ)", len(jobs), len(want))
 	}
-	var got []Job
-	for {
-		j, ok := src.Next()
-		if !ok {
-			break
-		}
-		got = append(got, j)
+	m, err := jobTable(jobs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("stream yielded %d jobs != mix %d jobs (or contents differ)", len(got), len(want))
+	if got := jobsOf(m); !reflect.DeepEqual(got, jobs) {
+		t.Fatal("the table of the jobs does not yield them back")
 	}
-	if h := src.SizeHint(); h != 0 {
-		t.Fatalf("drained SizeHint %d, want 0", h)
+	if want := NewSyntheticMix(n, mean, seed).rank; !slices.Equal(m.rank, want) {
+		t.Fatal("the table of the jobs ranks them unlike the drawn table")
+	}
+	if len(m.benches) != len(mixSuite) {
+		t.Fatalf("%d entries for the %d benchmarks drawn", len(m.benches), len(mixSuite))
 	}
 }
 
@@ -434,7 +494,7 @@ func TestFacilityScaleDeterministic(t *testing.T) {
 			Catalog:      fakeCatalog(3),
 			JitterSeed:   99,
 		}
-		res, err := SimulateStream(cfg, SyntheticJobStream(jobs, 5, 2024))
+		res, err := SimulateMix(cfg, NewSyntheticMix(jobs, 5, 2024))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -499,9 +559,9 @@ func TestBudgetEnvelope(t *testing.T) {
 // event-driven passes must still only start jobs at multiples of
 // CycleSeconds, exactly as the ticker did.
 func TestStartQuantization(t *testing.T) {
-	res, err := SimulateStream(
+	res, err := SimulateMix(
 		simCfg(DefaultProfileAware(), 8*1100, fakeCatalog(1)),
-		SyntheticJobStream(50, 45, 23))
+		NewSyntheticMix(50, 45, 23))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,35 +584,49 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 }
 
-// TestStreamValidation pins the lazy validation path and the budget
-// schedule validation.
+// TestStreamValidation pins the checks the loop runs on each job it
+// draws from a table, the checks Simulate runs up front, and the
+// budget schedule validation.
 func TestStreamValidation(t *testing.T) {
 	cfg := simCfg(NoCap{NodeTDP: 2350}, 0, fakeCatalog(1))
-	if _, err := SimulateStream(cfg, nil); err == nil {
-		t.Fatal("nil stream accepted")
+	if _, err := SimulateMix(cfg, nil); err == nil {
+		t.Fatal("nil table accepted")
+	}
+	// A table of jobs that Simulate has neither checked nor sorted:
+	// the loop stops at the first job that fails its checks.
+	tableOf := func(jobs []Job) *SyntheticMix {
+		m, err := jobTable(jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
 	jobs := smallMix(2, 1)
 	disordered := []Job{jobs[1], jobs[0]}
 	if disordered[0].Arrival <= disordered[1].Arrival {
 		t.Fatal("test setup: jobs not out of order")
 	}
-	if _, err := SimulateStream(cfg, &sliceStream{jobs: disordered}); err == nil ||
+	if _, err := SimulateMix(cfg, tableOf(disordered)); err == nil ||
 		!strings.Contains(err.Error(), "sorted by arrival") {
-		t.Fatalf("out-of-order stream: got %v", err)
+		t.Fatalf("out-of-order table: got %v", err)
 	}
 	big := append([]Job(nil), jobs...)
 	big[0].Nodes = 99
-	if _, err := SimulateStream(cfg, &sliceStream{jobs: big}); err == nil ||
+	if _, err := SimulateMix(cfg, tableOf(big)); err == nil ||
 		!strings.Contains(err.Error(), "needs 99 nodes") {
-		t.Fatalf("oversized job in stream: got %v", err)
+		t.Fatalf("oversized job in table: got %v", err)
+	}
+	mid := smallMix(8, 1)
+	unnamed := append([]Job(nil), mid...)
+	unnamed[5].ID = ""
+	if _, err := SimulateMix(cfg, tableOf(unnamed)); err == nil || err.Error() != unnamed[5].Validate().Error() {
+		t.Fatalf("job with empty ID in table: got %v", err)
 	}
 
-	// An invalid benchmark first seen mid-stream fails at that job —
-	// the stream is not drawn past it — with Job.Validate's error, which
-	// precedes the cluster-size check for a job that fails both. A
-	// benchmark sharing a valid one's Name but not its fields is
-	// interned, and so validated, on its own.
-	mid := smallMix(8, 1)
+	// An invalid benchmark fails Simulate with Job.Validate's error,
+	// which precedes the cluster-size check for a job that fails both.
+	// A benchmark sharing a valid one's Name but not its fields is
+	// checked on its own.
 	for _, tc := range []struct {
 		name string
 		edit func(j *Job)
@@ -568,13 +642,8 @@ func TestStreamValidation(t *testing.T) {
 		if want == nil {
 			t.Fatalf("%s: test setup: job 5 is valid", tc.name)
 		}
-		src := &countingStream{JobStream: &sliceStream{jobs: jobs}}
-		_, err := SimulateStream(cfg, src)
-		if err == nil || err.Error() != want.Error() {
+		if _, err := Simulate(cfg, jobs); err == nil || err.Error() != want.Error() {
 			t.Fatalf("%s: got %v, want %v", tc.name, err, want)
-		}
-		if src.drawn != 6 {
-			t.Fatalf("%s: failed after drawing %d jobs, want 6 (at job 5)", tc.name, src.drawn)
 		}
 	}
 
@@ -593,22 +662,8 @@ func TestStreamValidation(t *testing.T) {
 	}
 }
 
-// countingStream counts the jobs drawn from the stream it wraps.
-type countingStream struct {
-	JobStream
-	drawn int
-}
-
-func (c *countingStream) Next() (Job, bool) {
-	j, ok := c.JobStream.Next()
-	if ok {
-		c.drawn++
-	}
-	return j, ok
-}
-
-// TestSameNameBenchmarksInternedApart pins that the benchmark intern
-// table matches whole values, not names: jobs whose benchmark keeps a
+// TestSameNameBenchmarksInternedApart pins that a job table's entries
+// match whole values, not names: jobs whose benchmark keeps a
 // Table I name but switches its method to HSE are hybrid-class jobs,
 // with their own cap and reservation, exactly as the oracle treats
 // them.
@@ -626,7 +681,7 @@ func TestSameNameBenchmarksInternedApart(t *testing.T) {
 		t.Fatal("test setup: no DFT-class job to change")
 	}
 	for _, p := range []Policy{UniformCap{Watts: 200, HostWatts: 350}, DefaultProfileAware()} {
-		got, err := SimulateStream(simCfg(p, 8*1100, fakeCatalog(1)), &sliceStream{jobs: jobs})
+		got, err := Simulate(simCfg(p, 8*1100, fakeCatalog(1)), jobs)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
 		}

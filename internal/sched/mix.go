@@ -1,48 +1,15 @@
 package sched
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 
 	"vasppower/internal/rng"
 	"vasppower/internal/workloads"
 )
-
-// JobStream feeds jobs to SimulateStream one at a time, in
-// nondecreasing Arrival order (ties must already be in the order
-// SortJobs would put them: by ID). Streaming is what lets a 100k-job
-// facility mix run without materializing the whole slice up front —
-// the simulate loop pulls jobs as virtual time reaches them.
-type JobStream interface {
-	// Next returns the next job; ok is false once the stream is
-	// exhausted. Implementations must be deterministic: two streams
-	// built from the same inputs yield the same jobs.
-	Next() (j Job, ok bool)
-}
-
-// SizeHinter is optionally implemented by a JobStream that knows
-// (an upper bound on) how many jobs remain; SimulateStream uses the
-// hint to preallocate its per-job records.
-type SizeHinter interface {
-	SizeHint() int
-}
-
-// sliceStream adapts a pre-sorted, pre-validated []Job to JobStream.
-type sliceStream struct {
-	jobs []Job
-	i    int
-}
-
-func (s *sliceStream) Next() (Job, bool) {
-	if s.i >= len(s.jobs) {
-		return Job{}, false
-	}
-	j := s.jobs[s.i]
-	s.i++
-	return j, true
-}
-
-func (s *sliceStream) SizeHint() int { return len(s.jobs) - s.i }
 
 // mixEntry is one benchmark's weight and node-count options in the
 // synthetic production mix, with the benchmark resolved once.
@@ -96,15 +63,15 @@ func idBytes(n int) int {
 	return total
 }
 
-// mixJob is one drawn job of a SyntheticMix, 16 bytes where a Job is
-// 336: the benchmark is named by its mix entry, resolved once at
-// package init, and the ID by where it ends in the mix's ID buffer (it
-// starts where the previous job's ends). The widths bound a mix at
-// 2^32 bytes of IDs (over 400M jobs) and 2^16 entries and nodes.
+// mixJob is one job of a SyntheticMix, 16 bytes where a Job is 336:
+// the benchmark is named by its entry in the table and the ID by where
+// it ends in the table's ID buffer (it starts where the previous job's
+// ends). The widths bound a table at 2^32 bytes of IDs (over 400M
+// drawn jobs) and 2^16 entries and nodes.
 type mixJob struct {
 	arrival float64
 	idEnd   uint32
-	entry   uint16 // index into SyntheticMix.mix
+	entry   uint16 // index into SyntheticMix.benches
 	nodes   uint16
 }
 
@@ -115,17 +82,18 @@ type MixPair struct {
 	Nodes int
 }
 
-// SyntheticMix is a synthetic job mix drawn once into a table of
-// compact records. It is read-only once built, so any number of
-// MixStreams over it can feed concurrent simulations: the three
-// policies of a comparison share one draw, one set of ID strings and
-// one ranking of the jobs by ID.
+// SyntheticMix is a job table: jobs in arrival order as compact
+// records, every ID in one string, and each job's rank in ID order. It
+// is what every simulation reads (SimulateMix). It is read-only once
+// built, so any number of simulations can read one table at once: the
+// three policies of a comparison share one draw, one set of ID strings
+// and one ranking of the jobs by ID.
 type SyntheticMix struct {
-	mix   []mixEntry
-	jobs  []mixJob
-	ids   string  // every job's ID, back to back
-	rank  []int32 // per job, its position in ID order (Result.Outcomes order)
-	pairs []MixPair
+	benches []workloads.Benchmark // the table's entries, each a distinct value
+	jobs    []mixJob
+	ids     string  // every job's ID, back to back
+	rank    []int32 // per job, its position in ID order (Result.Outcomes order)
+	pairs   []MixPair
 }
 
 // NewSyntheticMix draws n jobs with Poisson-ish arrivals (mean
@@ -139,12 +107,17 @@ func NewSyntheticMix(n int, meanInterArrival float64, seed uint64) *SyntheticMix
 // takes an exponential inter-arrival, a uniform pick over the entries'
 // cumulative weights and, unless the picked entry is unresolved (the
 // draw is then skipped, its ID unused), a uniform node-count option;
-// the job is "job%04d" of i. Every ID is written into one buffer, sized
-// up front, so the whole mix makes one ID allocation and each ID is a
-// substring of it. The jobs are then ranked by ID (rankByID).
+// the job is "job%04d" of i and its entry the picked one (an
+// unresolved entry's bench is never read). Every ID is written into
+// one buffer, sized up front, so the whole mix makes one ID allocation
+// and each ID is a substring of it. The jobs are then ranked by ID
+// (rankByID).
 func drawMix(mix []mixEntry, n int, mean float64, seed uint64) *SyntheticMix {
 	r := rng.New(seed)
-	m := &SyntheticMix{mix: mix, jobs: make([]mixJob, 0, max(n, 0))}
+	m := &SyntheticMix{benches: make([]workloads.Benchmark, len(mix)), jobs: make([]mixJob, 0, max(n, 0))}
+	for k := range mix {
+		m.benches[k] = mix[k].bench
+	}
 	var ids strings.Builder
 	ids.Grow(idBytes(n))
 	var buf [24]byte
@@ -257,53 +230,70 @@ func (m *SyntheticMix) check(i int) error {
 // do not modify it.
 func (m *SyntheticMix) Pairs() []MixPair { return m.pairs }
 
-// Stream returns a new cursor at the start of the mix.
-func (m *SyntheticMix) Stream() *MixStream { return &MixStream{m: m} }
-
-// MixStream is a cursor over a SyntheticMix: a JobStream yielding its
-// jobs in arrival order. A cursor is not safe for concurrent use; the
-// mix behind it is, so give each simulation its own cursor.
-// SimulateStream reads a MixStream's records directly rather than
-// through Next.
-type MixStream struct {
-	m *SyntheticMix
-	i int
-}
-
-// SyntheticJobStream returns a cursor over a freshly drawn
-// NewSyntheticMix(n, meanInterArrival, seed). Draining it yields
-// exactly SyntheticJobMix(n, meanInterArrival, seed).
-func SyntheticJobStream(n int, meanInterArrival float64, seed uint64) *MixStream {
-	return NewSyntheticMix(n, meanInterArrival, seed).Stream()
-}
-
-// Next implements JobStream.
-func (c *MixStream) Next() (Job, bool) {
-	if c.i >= len(c.m.jobs) {
-		return Job{}, false
+// jobTable builds the table of jobs already validated and in SortJobs
+// order: each distinct Benchmark value becomes one entry (compared
+// whole, so two benchmarks sharing a name but not every field are
+// entries apart), the IDs go back to back into one buffer, and the
+// ranks come from one stable sort of the job indices by ID, which puts
+// jobs sharing an ID in arrival order. A job needing more nodes, or a
+// mix of more benchmarks, than a record holds is an error.
+func jobTable(jobs []Job) (*SyntheticMix, error) {
+	m := &SyntheticMix{jobs: make([]mixJob, len(jobs))}
+	size := 0
+	for i := range jobs {
+		size += len(jobs[i].ID)
 	}
-	j := &c.m.jobs[c.i]
-	id := c.m.id(c.i)
-	c.i++
-	return Job{ID: id, Bench: c.m.mix[j.entry].bench, Nodes: int(j.nodes), Arrival: j.arrival}, true
+	if uint64(size) > math.MaxUint32 {
+		return nil, fmt.Errorf("sched: %d bytes of job IDs, more than a job table holds (%d)", size, math.MaxUint32)
+	}
+	var ids strings.Builder
+	ids.Grow(size)
+	for i := range jobs {
+		j := &jobs[i]
+		if j.Nodes > math.MaxUint16 {
+			return nil, fmt.Errorf("sched: job %s needs %d nodes, more than a job table holds (%d)", j.ID, j.Nodes, math.MaxUint16)
+		}
+		e := slices.Index(m.benches, j.Bench)
+		if e < 0 {
+			if len(m.benches) > math.MaxUint16 {
+				return nil, fmt.Errorf("sched: job %s brings the mix to %d distinct benchmarks, more than a job table holds (%d)",
+					j.ID, len(m.benches)+1, math.MaxUint16+1)
+			}
+			e = len(m.benches)
+			m.benches = append(m.benches, j.Bench)
+		}
+		ids.WriteString(j.ID)
+		m.jobs[i] = mixJob{arrival: j.Arrival, idEnd: uint32(ids.Len()), entry: uint16(e), nodes: uint16(j.Nodes)}
+	}
+	m.ids = ids.String()
+	order := make([]int32, len(jobs))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int { return strings.Compare(m.id(int(a)), m.id(int(b))) })
+	m.rank = make([]int32, len(jobs))
+	for p, i := range order {
+		m.rank[i] = int32(p)
+	}
+	return m, nil
 }
 
-// SizeHint implements SizeHinter: the exact number of jobs left.
-func (c *MixStream) SizeHint() int { return len(c.m.jobs) - c.i }
+// job returns job i of the table as a Job.
+func (m *SyntheticMix) job(i int) Job {
+	j := &m.jobs[i]
+	return Job{ID: m.id(i), Bench: m.benches[j.entry], Nodes: int(j.nodes), Arrival: j.arrival}
+}
 
 // SyntheticJobMix builds a reproducible mix of VASP jobs drawn from
 // the Table I suite with Poisson-ish arrivals — the workload for the
-// scheduler ablation — as a slice of Jobs. It drains
-// SyntheticJobStream; facility-scale callers should keep the compact
-// SyntheticMix instead.
+// scheduler ablation — as a slice of Jobs: the jobs of
+// NewSyntheticMix(n, meanInterArrival, seed), in arrival order.
+// Simulations should keep the compact table instead.
 func SyntheticJobMix(n int, meanInterArrival float64, seed uint64) []Job {
-	src := SyntheticJobStream(n, meanInterArrival, seed)
-	var jobs []Job
-	for {
-		j, ok := src.Next()
-		if !ok {
-			return jobs
-		}
-		jobs = append(jobs, j)
+	m := NewSyntheticMix(n, meanInterArrival, seed)
+	jobs := make([]Job, len(m.jobs))
+	for i := range jobs {
+		jobs[i] = m.job(i)
 	}
+	return jobs
 }

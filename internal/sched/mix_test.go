@@ -9,16 +9,13 @@ import (
 	"testing"
 )
 
-// drain returns every job left in a stream (nil if none).
-func drain(src JobStream) []Job {
+// jobsOf returns a table's jobs in arrival order (nil if none).
+func jobsOf(m *SyntheticMix) []Job {
 	var jobs []Job
-	for {
-		j, ok := src.Next()
-		if !ok {
-			return jobs
-		}
-		jobs = append(jobs, j)
+	for i := range m.jobs {
+		jobs = append(jobs, m.job(i))
 	}
+	return jobs
 }
 
 // TestSyntheticMixMatchesDrawLoop pins the mix table to the lazy draw
@@ -51,15 +48,8 @@ func TestSyntheticMixMatchesDrawLoop(t *testing.T) {
 		name := fmt.Sprintf("entries=%d/n=%d/seed=%d", len(tc.mix), tc.n, tc.seed)
 		want := drawLoopOracle(tc.mix, tc.n, tc.mean, tc.seed)
 		m := drawMix(tc.mix, tc.n, tc.mean, tc.seed)
-		src := m.Stream()
-		if h := src.SizeHint(); h != len(want) {
-			t.Fatalf("%s: SizeHint %d, want %d", name, h, len(want))
-		}
-		if got := drain(src); !reflect.DeepEqual(got, want) {
+		if got := jobsOf(m); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: table yields %d jobs, draw loop %d (or contents differ)", name, len(got), len(want))
-		}
-		if h := src.SizeHint(); h != 0 {
-			t.Fatalf("%s: drained SizeHint %d", name, h)
 		}
 		var pairs []MixPair
 		for _, j := range want {
@@ -77,9 +67,9 @@ func TestSyntheticMixMatchesDrawLoop(t *testing.T) {
 }
 
 // TestSharedMixConcurrentPolicies pins that one mix table can feed
-// concurrent simulations: three policies simulated at once over
-// cursors of one SyntheticMix give exactly the Results of three runs
-// over freshly drawn streams. Under -race it is also the data-race
+// concurrent simulations: three policies simulated at once over one
+// SyntheticMix give exactly the Results of three runs over freshly
+// drawn tables. Under -race it is also the data-race
 // check of the shared table.
 func TestSharedMixConcurrentPolicies(t *testing.T) {
 	const n, mean, seed = 3000, 2, 2024
@@ -98,7 +88,7 @@ func TestSharedMixConcurrentPolicies(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i], errs[i] = SimulateStream(cfg(p), mix.Stream())
+			got[i], errs[i] = SimulateMix(cfg(p), mix)
 		}()
 	}
 	wg.Wait()
@@ -106,12 +96,12 @@ func TestSharedMixConcurrentPolicies(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("%s: %v", p.Name(), errs[i])
 		}
-		want, err := SimulateStream(cfg(p), SyntheticJobStream(n, mean, seed))
+		want, err := SimulateMix(cfg(p), NewSyntheticMix(n, mean, seed))
 		if err != nil {
-			t.Fatalf("%s: fresh stream: %v", p.Name(), err)
+			t.Fatalf("%s: fresh table: %v", p.Name(), err)
 		}
 		if !reflect.DeepEqual(got[i], want) {
-			t.Fatalf("%s: shared-mix result diverged from a fresh stream's", p.Name())
+			t.Fatalf("%s: shared-mix result diverged from a fresh table's", p.Name())
 		}
 		if got[i].Completed != n {
 			t.Fatalf("%s: completed %d of %d", p.Name(), got[i].Completed, n)

@@ -154,10 +154,10 @@ func (j Job) Validate() error {
 	return j.Bench.Validate()
 }
 
-// validateJob is Validate without the benchmark check, which the
-// streaming simulate loop runs once per distinct benchmark instead of
-// once per job; it takes the job's own fields, which a mix record holds
-// without a Job.
+// validateJob is Validate without the benchmark check: the check the
+// simulate loop runs on each job it draws from a job table, whose
+// records hold a job's fields without a Job and whose benchmarks are
+// valid (Table I entries, or benchmarks of jobs Simulate validated).
 func validateJob(id string, nodes int, arrival float64) error {
 	if id == "" {
 		return fmt.Errorf("sched: job with empty ID")

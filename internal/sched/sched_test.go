@@ -156,7 +156,7 @@ func jobID(i int) string {
 	return string(appendJobID(buf[:0], i))
 }
 
-// TestJobIDMatchesFmt pins the stream's hand-rolled ID formatting to
+// TestJobIDMatchesFmt pins the mix's hand-rolled ID formatting to
 // the fmt verb it replaces, across the padding boundaries.
 func TestJobIDMatchesFmt(t *testing.T) {
 	for _, i := range []int{0, 1, 9, 10, 99, 100, 999, 1000, 9999, 10000, 99999, 100000, 1234567} {

@@ -1,17 +1,14 @@
 package sched
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
 	"sort"
-	"strings"
 
 	"vasppower/internal/rng"
 	"vasppower/internal/sim"
 	"vasppower/internal/timeseries"
-	"vasppower/internal/workloads"
 )
 
 // CycleSeconds is the scheduling cycle length; the paper notes power
@@ -105,6 +102,9 @@ type Result struct {
 // shrinks, so FIFO first-fit-skip over the whole queue equals
 // repeatedly starting the lowest-sequence fitting bucket head, and a
 // pass after an unchanged cycle is provably a no-op.
+//
+// Simulate checks every job up front, sorts a copy (SortJobs) and runs
+// the loop over a job table of it, as SimulateMix does.
 func Simulate(cfg SimConfig, jobs []Job) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
@@ -119,25 +119,27 @@ func Simulate(cfg SimConfig, jobs []Job) (Result, error) {
 	}
 	queue := append([]Job(nil), jobs...)
 	SortJobs(queue)
-	return simulate(cfg, &sliceStream{jobs: queue}, false)
+	m, err := jobTable(queue)
+	if err != nil {
+		return Result{}, err
+	}
+	return simulate(cfg, m)
 }
 
-// SimulateStream is Simulate over a lazily generated job stream (see
-// JobStream): the facility-scale entry point, where a 100k-job mix is
-// pulled in arrival order instead of materializing up front. Jobs are
-// validated as they are drawn, so an invalid job surfaces only once
-// virtual time reaches its arrival. A *MixStream is read record by
-// record, without a Job per draw; from the start of its mix, each
-// outcome is written at the rank the mix gives it, so the Result needs
-// no sort.
-func SimulateStream(cfg SimConfig, src JobStream) (Result, error) {
+// SimulateMix is Simulate over a job table: the facility-scale entry
+// point, and the one input the loop reads (Simulate builds a table of
+// its jobs). Jobs are checked as they are drawn, so an invalid job
+// surfaces only once virtual time reaches its arrival; each outcome is
+// written at the rank the table gives its job, so the Result needs no
+// sort.
+func SimulateMix(cfg SimConfig, m *SyntheticMix) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	if src == nil {
-		return Result{}, fmt.Errorf("sched: nil job stream")
+	if m == nil {
+		return Result{}, fmt.Errorf("sched: nil job table")
 	}
-	return simulate(cfg, src, true)
+	return simulate(cfg, m)
 }
 
 // Validate checks the configuration before a simulation runs. Beyond
@@ -206,101 +208,32 @@ type bucket struct {
 	tail     int32
 }
 
-// internedBench is one distinct benchmark of the mix, with its class
-// and its entries in the profile table.
-type internedBench struct {
-	bench workloads.Benchmark
+// tableEntry is one entry of the job table as a simulation sees it:
+// the benchmark's class and its slots in the profile table.
+type tableEntry struct {
 	class Class
 	slots []int32 // indices into simState.slots, one per node count seen
 }
 
-// benchSlot is one entry of the per-simulation profile table: an
-// interned benchmark in one bucket, and the catalog's answer for that
-// (benchmark, nodes, cap), error included, from the first start of a
-// job of the pair on.
+// benchSlot is one entry of the per-simulation profile table: a table
+// entry in one bucket, and the catalog's answer for that (benchmark,
+// nodes, cap), error included, from the first start of a job of the
+// pair on.
 type benchSlot struct {
-	bench  int32 // index into simState.benches
+	bench  int32 // index into the table's entries
 	bucket int32 // index into simState.buckets
 	filled bool
 	prof   Profile
 	err    error
 }
 
-// pendingJob is the next job the loop will enqueue, as its source drew
-// it: the job's own fields and its benchmark's index in the intern
-// table.
+// pendingJob is the next job the loop will enqueue, as drawn from the
+// table: the job's own fields and its table entry.
 type pendingJob struct {
 	id      string
 	nodes   int
 	arrival float64
-	bench   int32 // index into simState.benches
-}
-
-// jobSource is the simulate loop's one input. draw yields the next
-// job with its benchmark interned in s (validating on the stream path,
-// in Job.Validate's order), ok false once the input is exhausted.
-type jobSource interface {
-	draw(s *simState) (p pendingJob, ok bool, err error)
-}
-
-// streamSource adapts any JobStream: it takes each Job from Next and
-// interns its benchmark by value.
-type streamSource struct{ src JobStream }
-
-func (a streamSource) draw(s *simState) (pendingJob, bool, error) {
-	j, ok := a.src.Next()
-	if !ok {
-		return pendingJob{}, false, nil
-	}
-	if s.lazy {
-		if err := validateJob(j.ID, j.Nodes, j.Arrival); err != nil {
-			return pendingJob{}, false, err
-		}
-	}
-	bench, err := s.intern(&j.Bench)
-	if err != nil {
-		return pendingJob{}, false, err
-	}
-	return pendingJob{id: j.ID, nodes: j.Nodes, arrival: j.Arrival, bench: bench}, true, nil
-}
-
-// mixSource reads a MixStream's records in place. A mix entry is
-// interned (and validated) the first time one of its jobs is drawn;
-// every later draw of the entry is an index lookup, with no Job built
-// and no benchmark compared.
-type mixSource struct {
-	c     *MixStream
-	bench []int32 // interned index per mix entry, -1 until first drawn
-}
-
-func newMixSource(c *MixStream) *mixSource {
-	a := &mixSource{c: c, bench: make([]int32, len(c.m.mix))}
-	for i := range a.bench {
-		a.bench[i] = -1
-	}
-	return a
-}
-
-func (a *mixSource) draw(s *simState) (pendingJob, bool, error) {
-	c := a.c
-	if c.i >= len(c.m.jobs) {
-		return pendingJob{}, false, nil
-	}
-	j := &c.m.jobs[c.i]
-	p := pendingJob{id: c.m.id(c.i), nodes: int(j.nodes), arrival: j.arrival, bench: a.bench[j.entry]}
-	c.i++
-	if err := validateJob(p.id, p.nodes, p.arrival); err != nil {
-		return pendingJob{}, false, err
-	}
-	if p.bench < 0 {
-		bench, err := s.intern(&c.m.mix[j.entry].bench)
-		if err != nil {
-			return pendingJob{}, false, err
-		}
-		a.bench[j.entry] = bench
-		p.bench = bench
-	}
-	return p, true, nil
+	bench   int32 // index into the table's entries
 }
 
 // jobRec is one job's hot record in the simulation: its profile-table
@@ -308,58 +241,34 @@ func (a *mixSource) draw(s *simState) (pendingJob, bool, error) {
 // while running) and its queue linkage while waiting. Jobs are
 // addressed by index (arrival sequence) everywhere — no string keys,
 // no per-job closures. The record holds no Job and no outcome: the
-// job's outcome lives in simState.outs at simState.at(index), and
-// until the job starts the outcome's Start holds its arrival, which
-// keeps a record at 8 bytes where the Job alone is 336.
+// job's outcome lives in simState.outs at its rank, and until the job
+// starts the outcome's Start holds its arrival, which keeps a record
+// at 8 bytes where the Job alone is 336.
 type jobRec struct {
 	slot int32 // index into simState.slots
 	next int32 // next index in the same bucket's FIFO, -1 = none
 }
 
-// outKey is the sort key of one completed job on the sorting path (a
-// source without ranks): the first eight bytes of its ID, big-endian
-// and zero-padded, and its arrival sequence.
-// Comparing prefixes orders IDs exactly as comparing the strings does
-// whenever the prefixes differ; only a tie needs the full strings, and
-// the sequence breaks ties between equal IDs.
-type outKey struct {
-	prefix uint64
-	seq    int32
-}
-
-func idPrefix(id string) uint64 {
-	var p uint64
-	for i := 0; i < 8; i++ {
-		p <<= 8
-		if i < len(id) {
-			p |= uint64(id[i])
-		}
-	}
-	return p
-}
-
 // simState is the incremental simulate loop. All event callbacks are
-// bound once (arriveFn/passFn/envFn/completeFn), so the steady state
-// allocates nothing per job in the loop beyond the amortized growth of
-// recs, outs and keys (a JobStream may allocate each job it yields; a
-// MixStream does not, and its outs and ranks are sized up front).
+// bound once (arriveFn/passFn/envFn/completeFn) and the per-job
+// records and outcomes are sized from the table up front, so the loop
+// allocates nothing per job.
 type simState struct {
 	cfg    SimConfig
 	engine *sim.Engine
 	jitter *rng.Stream
-	src    jobSource
-	lazy   bool // validate jobs as drawn (stream path)
+	mix    *SyntheticMix
+	next   int // the table's next job to draw
 	m      *Metrics
 
 	recs []jobRec
-	// outs holds every job's outcome: ID, Nodes and (as Start) the
-	// arrival set at enqueue, the rest at start. With rank set, job i's
-	// outcome sits at rank[i], its place in ID order; without, at i, in
-	// arrival order, and result sorts.
+	// outs holds every job's outcome at its rank, its place in ID
+	// order: ID, Nodes and (as Start) the arrival set at enqueue, the
+	// rest at start.
 	outs    []JobOutcome
-	rank    []int32         // shared read-only with the mix; nil = sort at the end
-	benches []internedBench // intern table
-	slots   []benchSlot     // profile table behind jobRec.slot
+	rank    []int32      // the table's, shared read-only
+	benches []tableEntry // per table entry
+	slots   []benchSlot  // profile table behind jobRec.slot
 	buckets []bucket
 
 	pending      pendingJob
@@ -376,8 +285,7 @@ type simState struct {
 	waiting    int
 	started    int
 	droppedIDs []string
-	dropped    []int32  // dropped jobs' indices into outs, in drop order
-	done       []outKey // completed jobs, in completion order (sorting path only)
+	dropped    []int32 // dropped jobs' indices into outs, in drop order
 
 	passScheduled bool
 	passAt        float64 // the armed pass's time, while passScheduled
@@ -392,38 +300,26 @@ type simState struct {
 	completeFn func(int)
 }
 
-func simulate(cfg SimConfig, src JobStream, lazy bool) (Result, error) {
+func simulate(cfg SimConfig, m *SyntheticMix) (Result, error) {
 	s := &simState{
 		cfg:       cfg,
 		engine:    sim.New(),
-		src:       streamSource{src},
-		lazy:      lazy,
+		mix:       m,
 		m:         metrics.Load(),
+		recs:      make([]jobRec, 0, len(m.jobs)),
+		outs:      make([]JobOutcome, len(m.jobs)),
+		rank:      m.rank,
+		benches:   make([]tableEntry, len(m.benches)),
 		freeNodes: cfg.ClusterNodes,
 		reservedW: float64(cfg.ClusterNodes) * cfg.IdleNodeW,
 		budgetW:   cfg.BudgetW,
 	}
+	for e := range s.benches {
+		s.benches[e].class = Classify(m.benches[e].Method)
+	}
 	s.peakW = s.reservedW
 	if cfg.JitterSeed != 0 {
 		s.jitter = rng.New(cfg.JitterSeed)
-	}
-	if c, ok := src.(*MixStream); ok {
-		s.src = newMixSource(c)
-		// The ranks number the whole mix, so they serve a cursor that
-		// has not yet moved; one that has falls back to the sort.
-		if c.i == 0 {
-			s.rank = c.m.rank
-			s.outs = make([]JobOutcome, len(s.rank))
-		}
-	}
-	if h, ok := src.(SizeHinter); ok {
-		if n := h.SizeHint(); n > 0 {
-			s.recs = make([]jobRec, 0, n)
-			if s.rank == nil {
-				s.outs = make([]JobOutcome, 0, n)
-				s.done = make([]outKey, 0, n)
-			}
-		}
 	}
 	s.arriveFn = s.arrive
 	s.passFn = s.pass
@@ -455,28 +351,28 @@ func simulate(cfg SimConfig, src JobStream, lazy bool) (Result, error) {
 	return s.result(), nil
 }
 
-// advance draws the next job from the source into pending (the source
-// interns its benchmark, validating lazily on the stream path) and
-// enforces arrival order on both paths. The lazy checks run in
-// Job.Validate's order and then the cluster-size check, as Simulate
-// runs them up front; a benchmark is validated once, when first
-// interned.
+// advance draws the table's next job into pending and checks it: the
+// job check, then the cluster size (the checks Simulate runs up front,
+// in its order), then arrival order.
 func (s *simState) advance() {
-	p, ok, err := s.src.draw(s)
-	if err != nil {
-		s.fail(err)
-		return
-	}
-	if !ok {
+	m := s.mix
+	if s.next >= len(m.jobs) {
 		s.havePending = false
 		return
 	}
-	if s.lazy && p.nodes > s.cfg.ClusterNodes {
+	j := &m.jobs[s.next]
+	p := pendingJob{id: m.id(s.next), nodes: int(j.nodes), arrival: j.arrival, bench: int32(j.entry)}
+	s.next++
+	if err := validateJob(p.id, p.nodes, p.arrival); err != nil {
+		s.fail(err)
+		return
+	}
+	if p.nodes > s.cfg.ClusterNodes {
 		s.fail(fmt.Errorf("sched: job %s needs %d nodes, cluster has %d", p.id, p.nodes, s.cfg.ClusterNodes))
 		return
 	}
 	if p.arrival < s.lastArrival {
-		s.fail(fmt.Errorf("sched: job %s arrives at %v, before the previous job at %v (streams must be sorted by arrival)",
+		s.fail(fmt.Errorf("sched: job %s arrives at %v, before the previous job at %v (a job table must be sorted by arrival)",
 			p.id, p.arrival, s.lastArrival))
 		return
 	}
@@ -534,24 +430,13 @@ func (s *simState) drainArrivals(now float64) {
 	}
 }
 
-// at returns the index in outs of the job at arrival index idx.
-func (s *simState) at(idx int32) int32 {
-	if s.rank != nil {
-		return s.rank[idx]
-	}
-	return idx
-}
-
-// enqueue appends a job's record, writes its outcome where at puts it
-// and links the record onto its bucket's FIFO.
+// enqueue appends a job's record, writes its outcome at its rank and
+// links the record onto its bucket's FIFO.
 func (s *simState) enqueue(j *pendingJob) {
 	idx := int32(len(s.recs))
 	slot := s.slotOf(j.bench, j.nodes)
 	s.recs = append(s.recs, jobRec{slot: slot, next: -1})
-	if s.rank == nil {
-		s.outs = append(s.outs, JobOutcome{})
-	}
-	s.outs[s.at(idx)] = JobOutcome{ID: j.id, Start: j.arrival, Nodes: j.nodes}
+	s.outs[s.rank[idx]] = JobOutcome{ID: j.id, Start: j.arrival, Nodes: j.nodes}
 	b := &s.buckets[s.slots[slot].bucket]
 	if b.tail >= 0 {
 		s.recs[b.tail].next = idx
@@ -562,8 +447,8 @@ func (s *simState) enqueue(j *pendingJob) {
 	s.waiting++
 }
 
-// slotOf returns the profile-table slot of the interned benchmark at
-// the node count, found among the benchmark's own slots (one per node
+// slotOf returns the profile-table slot of the table entry at the
+// node count, found among the benchmark's own slots (one per node
 // count it has run at). A new slot joins the (nodes, class) bucket,
 // found by a scan of the handful of buckets or created with its
 // policy-derived cap and reservation.
@@ -600,26 +485,6 @@ func (s *simState) slotOf(bench int32, nodes int) int32 {
 	return si
 }
 
-// intern returns b's index in the benchmark table, appending it on
-// first sight — after validating it, on the stream path. A mix draws
-// from a handful of benchmarks, so a linear scan with == (Benchmark
-// holds only value fields, and Validate reads nothing else) is the
-// whole index; a MixStream calls it once per mix entry.
-func (s *simState) intern(b *workloads.Benchmark) (int32, error) {
-	for i := range s.benches {
-		if s.benches[i].bench == *b {
-			return int32(i), nil
-		}
-	}
-	if s.lazy {
-		if err := b.Validate(); err != nil {
-			return 0, err
-		}
-	}
-	s.benches = append(s.benches, internedBench{bench: *b, class: Classify(b.Method)})
-	return int32(len(s.benches) - 1), nil
-}
-
 // profile returns the slot's profile under its bucket's node count
 // and cap, asking the catalog only on the first start. The catalog
 // never changes an entry it has returned, so the table answers every
@@ -630,7 +495,7 @@ func (s *simState) profile(slot int32) (*Profile, error) {
 	p := &s.slots[slot]
 	if !p.filled {
 		b := &s.buckets[p.bucket]
-		p.prof, p.err = s.cfg.Catalog.get(&s.benches[p.bench].bench, b.nodes, b.capW)
+		p.prof, p.err = s.cfg.Catalog.get(&s.mix.benches[p.bench], b.nodes, b.capW)
 		p.filled = true
 	}
 	return &p.prof, p.err
@@ -753,7 +618,7 @@ func (s *simState) pack(now float64) {
 // profiled.
 func (s *simState) startOrDrop(now float64, idx int32, b *bucket) {
 	rec := &s.recs[idx]
-	oi := s.at(idx)
+	oi := s.rank[idx]
 	o := &s.outs[oi]
 	prof, err := s.profile(rec.slot)
 	if err != nil {
@@ -795,12 +660,9 @@ func (s *simState) startOrDrop(now float64, idx int32, b *bucket) {
 // job's capacity, record its completion, and arm a pass if anything is
 // waiting for that capacity.
 func (s *simState) complete(idx int) {
-	o := &s.outs[s.at(int32(idx))]
+	o := &s.outs[s.rank[idx]]
 	s.freeNodes += o.Nodes
 	s.reservedW -= s.buckets[s.slots[s.recs[idx].slot].bucket].needW
-	if s.rank == nil {
-		s.done = append(s.done, outKey{prefix: idPrefix(o.ID), seq: int32(idx)})
-	}
 	if s.m != nil {
 		s.m.JobsCompleted.Inc()
 	}
@@ -810,21 +672,16 @@ func (s *simState) complete(idx int) {
 // result assembles the Result exactly as the reference loop does
 // (completed jobs by ID, then arrival sequence, and the sums
 // accumulated in that order, so the floating-point sums are
-// bit-identical). outs is put in that order in place and its completed
-// prefix returned: with ranks it already is, and only drops leave gaps
-// to close (closeDropGaps); without, the completions' keys are sorted
-// and outs permuted by them (orderOutcomes).
+// bit-identical). outs is already in that order, ranked; only drops
+// leave gaps to close (closeDropGaps), and its completed prefix is
+// returned.
 func (s *simState) result() Result {
 	res := Result{
 		Policy: s.cfg.Policy.Name(), BudgetW: s.cfg.BudgetW, ClusterNodes: s.cfg.ClusterNodes,
 		Dropped: len(s.dropped), DroppedIDs: s.droppedIDs,
 	}
 	res.PeakPowerW = s.peakW
-	if s.rank != nil {
-		s.closeDropGaps()
-	} else {
-		s.orderOutcomes()
-	}
+	s.closeDropGaps()
 	var outcomes []JobOutcome
 	if n := len(s.outs) - len(s.dropped); n > 0 {
 		// Full slice expression: an append to the Result must
@@ -874,49 +731,6 @@ func (s *simState) closeDropGaps() {
 		}
 		s.outs[w] = s.outs[i]
 		w++
-	}
-}
-
-// orderOutcomes puts outs in ID order on the sorting path. It sorts
-// the completions' keys (a prefix tie compares the full IDs, an ID tie
-// the sequences) and permutes outs in place so that its first
-// len(done) entries are the completed jobs in that order and the
-// dropped jobs follow in drop order. Every job either completed or was
-// dropped, so the sources — done's sequences, then the dropped
-// indices — are a permutation of outs' indices; following each of its
-// cycles once moves every outcome once, through one temporary. The
-// source indices are consumed (set to -1) as they are applied.
-func (s *simState) orderOutcomes() {
-	outs := s.outs
-	slices.SortFunc(s.done, func(a, b outKey) int {
-		if a.prefix != b.prefix {
-			return cmp.Compare(a.prefix, b.prefix)
-		}
-		if c := strings.Compare(outs[a.seq].ID, outs[b.seq].ID); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.seq, b.seq)
-	})
-	for _, seq := range s.dropped {
-		s.done = append(s.done, outKey{seq: seq})
-	}
-	src := s.done
-	for i := range outs {
-		if src[i].seq < 0 {
-			continue // placed by an earlier cycle
-		}
-		tmp := outs[i]
-		j := i
-		for {
-			k := int(src[j].seq)
-			src[j].seq = -1
-			if k == i {
-				outs[j] = tmp
-				break
-			}
-			outs[j] = outs[k]
-			j = k
-		}
 	}
 }
 

@@ -127,8 +127,8 @@ func TestSimulateValidation(t *testing.T) {
 		if _, err := Simulate(cfg, jobs); err == nil || !strings.Contains(err.Error(), tc.frag) {
 			t.Fatalf("%s: got %v, want an error with %q", tc.name, err, tc.frag)
 		}
-		if _, err := SimulateStream(cfg, SyntheticJobStream(2, 60, 1)); err == nil || !strings.Contains(err.Error(), tc.frag) {
-			t.Fatalf("%s (stream): got %v, want an error with %q", tc.name, err, tc.frag)
+		if _, err := SimulateMix(cfg, NewSyntheticMix(2, 60, 1)); err == nil || !strings.Contains(err.Error(), tc.frag) {
+			t.Fatalf("%s (table): got %v, want an error with %q", tc.name, err, tc.frag)
 		}
 	}
 
@@ -142,8 +142,8 @@ func TestSimulateValidation(t *testing.T) {
 	if _, err := Simulate(below, jobs); err == nil || !strings.Contains(err.Error(), frag) {
 		t.Fatalf("below-idle budget: got %v, want an error with %q", err, frag)
 	}
-	if _, err := SimulateStream(below, SyntheticJobStream(2, 60, 1)); err == nil || !strings.Contains(err.Error(), frag) {
-		t.Fatalf("below-idle budget (stream): got %v, want an error with %q", err, frag)
+	if _, err := SimulateMix(below, NewSyntheticMix(2, 60, 1)); err == nil || !strings.Contains(err.Error(), frag) {
+		t.Fatalf("below-idle budget (table): got %v, want an error with %q", err, frag)
 	}
 	allBelow := below
 	allBelow.BudgetSchedule = []BudgetPhase{{Start: 600, BudgetW: 8 * 400}}
@@ -174,7 +174,7 @@ func TestSimulateValidation(t *testing.T) {
 		t.Fatalf("NaN arrival: got %v", err)
 	}
 	for _, mean := range []float64{math.NaN(), 1e308} {
-		_, err := SimulateStream(simCfg(NoCap{NodeTDP: 2350}, 0, fakeCatalog(1)), SyntheticJobStream(50, mean, 1))
+		_, err := SimulateMix(simCfg(NoCap{NodeTDP: 2350}, 0, fakeCatalog(1)), NewSyntheticMix(50, mean, 1))
 		if err == nil || !strings.Contains(err.Error(), "non-finite arrival") {
 			t.Fatalf("mean inter-arrival %v: got %v", mean, err)
 		}
@@ -183,7 +183,7 @@ func TestSimulateValidation(t *testing.T) {
 	// the same error, before anything runs.
 	for _, mean := range []float64{math.NaN(), 1e308, math.Inf(1), -5, 0, 90} {
 		mix := NewSyntheticMix(50, mean, 1)
-		_, simErr := SimulateStream(simCfg(NoCap{NodeTDP: 2350}, 0, fakeCatalog(1)), mix.Stream())
+		_, simErr := SimulateMix(simCfg(NoCap{NodeTDP: 2350}, 0, fakeCatalog(1)), mix)
 		if err := mix.Validate(); fmt.Sprint(err) != fmt.Sprint(simErr) {
 			t.Fatalf("mean inter-arrival %v: Validate %v, simulation %v", mean, err, simErr)
 		}

@@ -854,14 +854,14 @@ func (c *scheduleCall) eval(_ context.Context, s *Server) ([]byte, error) {
 	}
 	cat := sched.NewCatalogOn(c.platform, req.Seed)
 	cat.SetMeasure(s.cfg.Measure)
-	res, err := sched.SimulateStream(sched.SimConfig{
+	res, err := sched.SimulateMix(sched.SimConfig{
 		ClusterNodes:   req.ClusterNodes,
 		BudgetW:        req.BudgetKW * 1000,
 		BudgetSchedule: schedule,
 		IdleNodeW:      idle,
 		Policy:         c.policy,
 		Catalog:        cat,
-	}, sched.SyntheticJobStream(req.Jobs, arrival, req.Seed))
+	}, sched.NewSyntheticMix(req.Jobs, arrival, req.Seed))
 	if err != nil {
 		return nil, err
 	}

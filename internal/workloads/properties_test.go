@@ -44,7 +44,7 @@ func TestEngineProperties(t *testing.T) {
 	platforms, plats := platform.List(), rng.New(2026)
 	names := Names()
 	capChecks := 0
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 60; i++ {
 		p, err := platform.Get(platforms[plats.IntN(len(platforms))])
 		if err != nil {
 			t.Fatal(err)
