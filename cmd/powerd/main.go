@@ -5,11 +5,11 @@
 //
 // Usage:
 //
-//	powerd [-addr localhost:8080] [-platform NAME]
+//	powerd [-addr localhost:8080]
 //	       [-cache-dir DIR] [-cache-max-bytes N]
 //	       [-max-in-flight N] [-max-queue N] [-batch-window D]
-//	       [-max-sweep-points N] [-timeout D]
-//	       [-telemetry] [-hold D] [-manifest FILE]
+//	       [-max-sweep-points N] [-timeout D] [-parallel N]
+//	       [-telemetry] [-hold D] [-drain-timeout D] [-manifest FILE]
 //	       [-oneshot JSON] [-version]
 //
 // Endpoints:

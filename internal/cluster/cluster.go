@@ -48,9 +48,6 @@ func New(p platform.Platform, n int, seed uint64) *Cluster {
 	return c
 }
 
-// Size returns the total node count.
-func (c *Cluster) Size() int { return len(c.nodes) }
-
 // Allocate reserves k free nodes (lowest names first, like a packed
 // scheduler) and returns them. It returns an error when fewer than k
 // nodes are free.

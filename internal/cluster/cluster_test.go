@@ -19,8 +19,8 @@ func freeCount(c *Cluster) int {
 
 func TestAllocateAndRelease(t *testing.T) {
 	c := New(platform.Platform{}, 8, 1)
-	if c.Size() != 8 || freeCount(c) != 8 {
-		t.Fatalf("size/free = %d/%d", c.Size(), freeCount(c))
+	if len(c.nodes) != 8 || freeCount(c) != 8 {
+		t.Fatalf("size/free = %d/%d", len(c.nodes), freeCount(c))
 	}
 	nodes, err := c.Allocate(4)
 	if err != nil {

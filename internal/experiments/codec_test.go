@@ -63,7 +63,7 @@ func TestProfileCodecRoundTripsQuickRun(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: computed but not stored", l.key)
 		}
-		want, ok := env.cache.Get(l.key)
+		want, ok := env.cached(l.key)
 		if !ok {
 			t.Fatalf("%s: stored but not in the memory tier", l.key)
 		}
@@ -149,7 +149,7 @@ func TestExtSchedulerMeasuresThroughCache(t *testing.T) {
 		t.Fatalf("memo.misses = %d for %d distinct specs: a spec was measured twice", misses, env.cache.Len())
 	}
 	for _, j := range sched.SyntheticJobMix(8, 90, cfg.seed()) {
-		if _, ok := env.cache.Get(SpecKey(cfg.spec(j.Bench, j.Nodes, 1))); !ok {
+		if _, ok := env.cached(SpecKey(cfg.spec(j.Bench, j.Nodes, 1))); !ok {
 			t.Errorf("%s on %d nodes: uncapped baseline not under the runners' key", j.Bench.Name, j.Nodes)
 		}
 	}

@@ -96,10 +96,12 @@ func (c Config) platform() platform.Platform {
 // computed runs stream their traces into. What a run reports comes
 // from its Env alone, whatever else ran in the process. One Env
 // measures each (benchmark, nodes, cap, repeats, seed) once; when
-// parallel runners race to one key, one computes and the rest wait.
+// parallel runners race to one key, one reads the disk tier or computes
+// and the rest wait.
 //
-// The cache reads the disk tier but does not write it: the Env writes
-// behind the run, in Flush, so an entry stores the modes the run read.
+// The Env owns both paths to the disk tier: a lookup reads it inside
+// the key's flight, and Flush writes behind the run, so an entry stores
+// the modes the run read.
 type Env struct {
 	cache *memo.Cache[core.JobProfile]
 	store *diskcache.Store
@@ -156,12 +158,14 @@ func NewEnv(opts EnvOptions) (*Env, error) {
 		}
 	}
 	if opts.CacheDir != "" {
-		st, err := diskcache.Open(diskcache.Options{Dir: opts.CacheDir, MaxBytes: opts.CacheMaxBytes, Epoch: CacheEpoch})
+		st, err := diskcache.Open(diskcache.Options{
+			Dir: opts.CacheDir, MaxBytes: opts.CacheMaxBytes, Epoch: CacheEpoch,
+			Metrics: diskcache.NewMetrics(opts.Obs.Reg()),
+		})
 		if err != nil {
 			return nil, err
 		}
 		e.store = st
-		e.cache.SetStore(st, profileCodec())
 	}
 	if reg := opts.Obs.Reg(); reg != nil {
 		e.instrument(reg)
@@ -260,14 +264,6 @@ var defaultEnv = newEnv()
 // bump.
 const CacheEpoch = "jobprofile-bin-v3"
 
-// profileCodec reads JobProfiles from the byte-level disk tier (Flush
-// writes them with core.AppendJobProfile). The encoding keeps every
-// float's bits, which is what makes a warm run's rendered output
-// byte-identical to the cold run that populated the cache.
-func profileCodec() memo.Codec[core.JobProfile] {
-	return memo.Codec[core.JobProfile]{Decode: core.DecodeJobProfile}
-}
-
 // appendMeasureKey appends the cache key of one measurement. It
 // includes the size parameters so same-named variants (e.g. a
 // synthetic Si128_acfdtr next to the Table I one) never collide, the
@@ -318,13 +314,11 @@ func appendMeasureKey(dst []byte, p platform.Platform, b workloads.Benchmark, no
 // reg detaches them all.
 func Instrument(reg *obs.Registry) { defaultEnv.instrument(reg) }
 
-// instrument points e's cache tiers, and the process-wide metric
-// hooks, at reg (nil detaches them).
+// instrument points e's memory cache, and the process-wide metric
+// hooks, at reg (nil detaches them). The disk tier takes its metrics
+// when NewEnv opens it.
 func (e *Env) instrument(reg *obs.Registry) {
-	e.cache.Instrument(metricsOn(reg, func(r *obs.Registry) *memo.Metrics { return memo.NewMetrics(r, "memo") }))
-	if e.store != nil {
-		e.store.Instrument(metricsOn(reg, func(r *obs.Registry) *diskcache.Metrics { return diskcache.NewMetrics(r, "diskcache") }))
-	}
+	e.cache.Instrument(metricsOn(reg, memo.NewMetrics))
 	par.SetMetrics(metricsOn(reg, par.NewMetrics))
 	sched.SetMetrics(metricsOn(reg, sched.NewMetrics))
 	sim.SetMetrics(metricsOn(reg, sim.NewMetrics))
@@ -524,28 +518,37 @@ func measuredSpec(spec core.MeasureSpec) measured {
 // lookup is the one keyed lookup behind every cached measurement:
 // memory, then disk, then compute, under key, in a "measure" span that
 // records the key, what was measured, the profile's resolution
-// ("full", "node" or "milc") and whether either tier served it. With a
-// disk tier, it records each entry it leads for Flush.
+// ("full", "node" or "milc") and whether either tier served it. The
+// disk read runs inside the key's flight, so concurrent misses share
+// one read or one computation. With a disk tier, it records each entry
+// it leads for Flush.
 func (e *Env) lookup(key string, m measured, resolution string, compute func() (core.JobProfile, error)) (core.JobProfile, error) {
 	sp := e.obs.Span("measure")
 	computed := false
-	jp, how, err := e.cache.Flight(context.Background(), key, func() (core.JobProfile, error) {
-		computed = true
-		return compute()
-	})
-	if how == memo.Led && err == nil && e.store != nil {
-		// A disk entry holds filled the cells it decodes filled. A
-		// caller that joined this flight may fill one before the count
-		// is taken; that cell is then not written back, which costs the
-		// next run one KDE.
-		stored := -1
-		if !computed {
-			stored = jp.FilledModes()
+	jp, _, err := e.cache.Flight(context.Background(), key, func() (core.JobProfile, error) {
+		if e.store == nil {
+			computed = true
+			return compute()
+		}
+		// A disk entry holds filled the cells it decodes filled; the
+		// count is taken before the flight ends, so before any caller
+		// that joins it can fill one.
+		l := &ledEntry{key: key, stored: -1}
+		if jp, ok := e.load(key); ok {
+			l.jp, l.stored = jp, jp.FilledModes()
+		} else {
+			computed = true
+			jp, err := compute()
+			if err != nil {
+				return jp, err
+			}
+			l.jp = jp
 		}
 		e.ledMu.Lock()
-		e.led = append(e.led, &ledEntry{key: key, jp: jp, stored: stored})
+		e.led = append(e.led, l)
 		e.ledMu.Unlock()
-	}
+		return l.jp, nil
+	})
 	if sp != nil {
 		sp.Set("key", key).Set("bench", m.bench).Set("platform", platform.OrDefault(m.platform).Name).
 			Set("nodes", m.nodes).Set("repeats", m.repeats).Set("cap_w", m.capW).
@@ -553,6 +556,23 @@ func (e *Env) lookup(key string, m measured, resolution string, compute func() (
 		sp.End()
 	}
 	return jp, err
+}
+
+// load reads key's profile from the disk tier. The codec keeps every
+// float's bits, which is what makes a warm run's rendered output
+// byte-identical to the cold run that filled the tier. An entry the
+// codec rejects is quarantined and read as a miss.
+func (e *Env) load(key string) (core.JobProfile, bool) {
+	data, ok := e.store.Get(key)
+	if !ok {
+		return core.JobProfile{}, false
+	}
+	jp, err := core.DecodeJobProfile(data)
+	if err != nil {
+		e.store.MarkCorrupt(key)
+		return core.JobProfile{}, false
+	}
+	return jp, true
 }
 
 // CachedMeasureSpec is Measure on the default Env.

@@ -84,7 +84,7 @@ func TestWarmRunFillsNoModes(t *testing.T) {
 		t.Fatalf("the warm run led %d lookups, none of a MILC entry", len(warm.led))
 	}
 	for key, data := range storedPayloads(t, warm) {
-		jp, _ := warm.cache.Get(key)
+		jp, _ := warm.cached(key)
 		if !bytes.Equal(core.AppendJobProfile(nil, jp), data) {
 			t.Errorf("%s: the warm run filled a mode cell of a stored entry", key)
 		}
@@ -158,7 +158,7 @@ func TestFlushRewritesOnlyFilledEntries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		jp, _ := full.cache.Get(key)
+		jp, _ := full.cached(key)
 		filled := jp.FilledModes() > was.FilledModes()
 		if changed := !bytes.Equal(old, after[key]); changed != filled {
 			t.Errorf("%s: rewritten %v, but the run filled %d cells over the stored %d", key, changed, jp.FilledModes(), was.FilledModes())

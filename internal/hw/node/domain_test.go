@@ -136,7 +136,7 @@ func TestDomainTraceStableAcrossRecord(t *testing.T) {
 	n.ResetTraces()
 	same("after ResetTraces")
 	for _, d := range Domains() {
-		if scopes[d].Len() != 0 {
+		if len(scopes[d].Segments()) != 0 {
 			t.Fatalf("%s scope after ResetTraces = %+v, want empty", d, scopes[d].Segments())
 		}
 	}

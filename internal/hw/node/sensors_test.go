@@ -90,10 +90,10 @@ func TestTotalTraceInvalidatedByReset(t *testing.T) {
 	_ = n.TotalTrace()
 	_ = n.GPUSumTrace()
 	n.ResetTraces()
-	if n.TotalTrace().Len() != 0 {
+	if len(n.TotalTrace().Segments()) != 0 {
 		t.Fatal("ResetTraces left a stale TotalTrace")
 	}
-	if n.GPUSumTrace().Len() != 0 {
+	if len(n.GPUSumTrace().Segments()) != 0 {
 		t.Fatal("ResetTraces left a stale GPUSumTrace")
 	}
 	// Recording after a reset rebuilds from scratch.
@@ -163,7 +163,7 @@ func TestExchangeStorageMovesStorage(t *testing.T) {
 		t.Fatal("ExchangeStorage left recorded traces on the node")
 	}
 	for _, s := range sensors {
-		if s.tr(a).Len() != 0 {
+		if len(s.tr(a).Segments()) != 0 {
 			t.Fatalf("ExchangeStorage left a recorded %s on the node", s.name)
 		}
 	}

@@ -1,9 +1,9 @@
-// Package diskcache is a persistent, content-addressed backing store
-// for memo.Cache: the second tier that makes warm-start sweeps cheap.
-// Every cap sweep, platform matrix, and figure regeneration re-runs
-// the same expensive MeasureSpec simulations; the in-process memo tier
-// dedups them within one run, and this package carries them across
-// runs.
+// Package diskcache is a persistent, content-addressed store of byte
+// entries: the disk tier behind experiments.Env's memory cache, which
+// makes warm-start sweeps cheap. Every cap sweep, platform matrix, and
+// figure regeneration re-runs the same expensive MeasureSpec
+// simulations; the memory tier dedups them within one run, and this
+// package carries them across runs. The Env both reads and writes it.
 //
 // Each entry is one file whose name is the SHA-256 of (epoch, key), so
 // the directory needs no manifest and two processes writing the same
@@ -30,7 +30,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"vasppower/internal/obs"
@@ -62,9 +61,9 @@ const (
 	maxHeaderStr = 1 << 20
 )
 
-// Metrics is the store's observability hook, registered under a prefix
-// (conventionally "diskcache") and surfaced in the run manifest. All
-// fields are nil-safe no-ops by default.
+// Metrics is the store's observability hook, registered under
+// "diskcache" and surfaced in the run manifest. All fields are nil-safe
+// no-ops by default.
 type Metrics struct {
 	Hits         *obs.Counter // entries served (verified) from disk
 	Misses       *obs.Counter // absent entries
@@ -75,17 +74,17 @@ type Metrics struct {
 	BytesWritten *obs.Counter // file bytes written on Puts
 }
 
-// NewMetrics registers the store metric set under prefix in reg. A nil
-// registry yields a usable all-no-op Metrics.
-func NewMetrics(reg *obs.Registry, prefix string) *Metrics {
+// NewMetrics registers the store metric set under "diskcache" in reg.
+// A nil registry yields a usable all-no-op Metrics.
+func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
-		Hits:         reg.Counter(prefix + ".hits"),
-		Misses:       reg.Counter(prefix + ".misses"),
-		Corrupt:      reg.Counter(prefix + ".corrupt"),
-		Evictions:    reg.Counter(prefix + ".evictions"),
-		Errors:       reg.Counter(prefix + ".errors"),
-		BytesRead:    reg.Counter(prefix + ".bytes_read"),
-		BytesWritten: reg.Counter(prefix + ".bytes_written"),
+		Hits:         reg.Counter("diskcache.hits"),
+		Misses:       reg.Counter("diskcache.misses"),
+		Corrupt:      reg.Counter("diskcache.corrupt"),
+		Evictions:    reg.Counter("diskcache.evictions"),
+		Errors:       reg.Counter("diskcache.errors"),
+		BytesRead:    reg.Counter("diskcache.bytes_read"),
+		BytesWritten: reg.Counter("diskcache.bytes_written"),
 	}
 }
 
@@ -104,6 +103,8 @@ type Options struct {
 	// Bump it whenever the encoded value schema or the semantics of the
 	// computation change; old entries then simply never match.
 	Epoch string
+	// Metrics receives the store's counters; nil counts nothing.
+	Metrics *Metrics
 }
 
 // indexEntry is the in-memory record of one live entry file.
@@ -112,18 +113,18 @@ type indexEntry struct {
 	lastUse int64 // logical LRU clock tick of the last hit or write
 }
 
-// Store is a directory-backed memo.Store. Safe for concurrent use
+// Store is a directory of cache entries. Safe for concurrent use
 // within a process; across processes, atomic writes and full
 // verification keep readers safe, while the size accounting is
 // per-process (each process bounds what it has seen).
 //
-// A store lists its directory once, before its first write (or Len):
-// a run that only reads does one open and one read per entry.
+// A store lists its directory once, before its first write: a run that
+// only reads does one open and one read per entry.
 type Store struct {
 	dir      string
 	maxBytes int64
 	epoch    string
-	metrics  atomic.Pointer[Metrics]
+	metrics  *Metrics
 
 	mu    sync.Mutex
 	index map[string]*indexEntry // entry name (hex digest) → state
@@ -145,22 +146,25 @@ func Open(opts Options) (*Store, error) {
 	if err := os.MkdirAll(opts.Dir, 0o777); err != nil {
 		return nil, fmt.Errorf("diskcache: %w", err)
 	}
-	s := &Store{
+	m := opts.Metrics
+	if m == nil {
+		m = &Metrics{}
+	}
+	return &Store{
 		dir:      opts.Dir,
 		maxBytes: opts.MaxBytes,
 		epoch:    opts.Epoch,
+		metrics:  m,
 		index:    make(map[string]*indexEntry),
-	}
-	s.metrics.Store(&Metrics{})
-	return s, nil
+	}, nil
 }
 
-// scanLocked lists the directory once, before the store's first write
-// or Len: it sweeps the temp files a killed writer left, indexes every
+// scanLocked lists the directory once, before the store's first write:
+// it sweeps the temp files a killed writer left, indexes every
 // entry, oldest first by modification time, replays the hits served
 // before it in order, so the LRU order is the one a scan at Open would
 // have built, and runs the GC if the directory is over MaxBytes.
-func (s *Store) scanLocked(m *Metrics) {
+func (s *Store) scanLocked() {
 	if s.scanned {
 		return
 	}
@@ -216,17 +220,7 @@ func (s *Store) scanLocked(m *Metrics) {
 		}
 	}
 	s.hits = nil
-	s.gcLocked(m)
-}
-
-// Instrument attaches (or, with nil, detaches) metrics. The store
-// always holds a non-nil Metrics whose individual counters are nil-safe
-// no-ops when detached.
-func (s *Store) Instrument(m *Metrics) {
-	if m == nil {
-		m = &Metrics{}
-	}
-	s.metrics.Store(m)
+	s.gcLocked()
 }
 
 // Dir returns the cache directory.
@@ -340,23 +334,22 @@ func decodeEntry(raw []byte, epoch, key string) ([]byte, error) {
 func (s *Store) Get(key string) ([]byte, bool) {
 	name := s.entryName(key)
 	path := s.entryPath(name)
-	m := s.metrics.Load()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		m.Misses.Add(1)
+		s.metrics.Misses.Add(1)
 		return nil, false
 	}
 	payload, err := decodeEntry(raw, s.epoch, key)
 	if err != nil {
-		s.quarantineLocked(name, m)
-		m.Corrupt.Add(1)
-		m.Misses.Add(1)
+		s.quarantineLocked(name)
+		s.metrics.Corrupt.Add(1)
+		s.metrics.Misses.Add(1)
 		return nil, false
 	}
-	m.Hits.Add(1)
-	m.BytesRead.Add(int64(len(raw)))
+	s.metrics.Hits.Add(1)
+	s.metrics.BytesRead.Add(int64(len(raw)))
 	if s.scanned {
 		s.touchLocked(name, int64(len(raw)))
 	} else {
@@ -377,17 +370,16 @@ func (s *Store) Put(key string, data []byte) {
 	name := s.entryName(key)
 	path := s.entryPath(name)
 	entry := encodeEntry(s.epoch, key, data)
-	m := s.metrics.Load()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.scanLocked(m)
+	s.scanLocked()
 	if err := s.writeAtomic(path, entry); err != nil {
-		m.Errors.Add(1)
+		s.metrics.Errors.Add(1)
 		return
 	}
-	m.BytesWritten.Add(int64(len(entry)))
+	s.metrics.BytesWritten.Add(int64(len(entry)))
 	s.touchLocked(name, int64(len(entry)))
-	s.gcLocked(m)
+	s.gcLocked()
 }
 
 // writeAtomic writes data to path via a same-directory temp file and
@@ -440,31 +432,30 @@ func (s *Store) dropLocked(name string) {
 // quarantineLocked moves a failed entry aside (same shard directory,
 // ".quar" suffix) so it stops matching lookups but survives for
 // post-mortem; if even the rename fails the file is removed.
-func (s *Store) quarantineLocked(name string, m *Metrics) {
+func (s *Store) quarantineLocked(name string) {
 	path := s.entryPath(name)
 	if err := os.Rename(path, path+quarExt); err != nil {
 		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-			m.Errors.Add(1)
+			s.metrics.Errors.Add(1)
 		}
 	}
 	s.dropLocked(name)
 }
 
-// MarkCorrupt implements memo.CorruptMarker: the cache's codec failed
-// to decode bytes this store handed back (corruption below the
-// checksum's sight is impossible, but a codec/schema mismatch within
-// one epoch is not), so quarantine the entry and count it.
+// MarkCorrupt quarantines key's entry and counts it as corrupt, for a
+// caller whose decoder rejected the payload Get returned: the checksum
+// rules out corruption on disk, but not a codec or schema mismatch
+// within one epoch.
 func (s *Store) MarkCorrupt(key string) {
-	m := s.metrics.Load()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.quarantineLocked(s.entryName(key), m)
-	m.Corrupt.Add(1)
+	s.quarantineLocked(s.entryName(key))
+	s.metrics.Corrupt.Add(1)
 }
 
 // gcLocked evicts least-recently-used entries until the live total is
 // at or under MaxBytes (when bounded).
-func (s *Store) gcLocked(m *Metrics) {
+func (s *Store) gcLocked() {
 	if s.maxBytes <= 0 {
 		return
 	}
@@ -476,18 +467,9 @@ func (s *Store) gcLocked(m *Metrics) {
 			}
 		}
 		if err := os.Remove(s.entryPath(oldest)); err != nil && !os.IsNotExist(err) {
-			m.Errors.Add(1)
+			s.metrics.Errors.Add(1)
 		}
 		s.dropLocked(oldest)
-		m.Evictions.Add(1)
+		s.metrics.Evictions.Add(1)
 	}
-}
-
-// Len reports the number of live entries this process knows about,
-// scanning the directory first if no write has yet.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.scanLocked(s.metrics.Load())
-	return len(s.index)
 }

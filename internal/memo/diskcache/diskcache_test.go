@@ -2,17 +2,14 @@ package diskcache
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"vasppower/internal/memo"
 	"vasppower/internal/obs"
 )
 
@@ -149,8 +146,7 @@ func assertQuarantined(t *testing.T, path string) {
 // corrupt — a miss, never a value.
 func TestEveryTruncationDetected(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := mustOpen(t, Options{Dir: t.TempDir(), Epoch: "epoch-1"})
-	s.Instrument(NewMetrics(reg, "dc"))
+	s := mustOpen(t, Options{Dir: t.TempDir(), Epoch: "epoch-1", Metrics: NewMetrics(reg)})
 	payload := []byte("truncation sweep payload: 0123456789abcdef")
 	s.Put("k", payload)
 	path := entryFile(s, "k")
@@ -170,10 +166,10 @@ func TestEveryTruncationDetected(t *testing.T) {
 		}
 	}
 	snap := reg.Snapshot()
-	if got := snap.Counters["dc.corrupt"]; got != int64(len(full)) {
+	if got := snap.Counters["diskcache.corrupt"]; got != int64(len(full)) {
 		t.Fatalf("corrupt counter = %d, want %d (one per truncation)", got, len(full))
 	}
-	if snap.Counters["dc.hits"] != 0 {
+	if snap.Counters["diskcache.hits"] != 0 {
 		t.Fatal("a truncated entry counted as a hit")
 	}
 }
@@ -341,8 +337,7 @@ func TestLRUGC(t *testing.T) {
 	payload := bytes.Repeat([]byte("x"), 1000)
 	probe := encodeEntry("e", "key-0", payload)
 	maxBytes := int64(3*len(probe) + len(probe)/2)
-	s := mustOpen(t, Options{Dir: t.TempDir(), MaxBytes: maxBytes, Epoch: "e"})
-	s.Instrument(NewMetrics(reg, "dc"))
+	s := mustOpen(t, Options{Dir: t.TempDir(), MaxBytes: maxBytes, Epoch: "e", Metrics: NewMetrics(reg)})
 
 	for i := 0; i < 6; i++ {
 		s.Put(fmt.Sprintf("key-%d", i), payload)
@@ -365,7 +360,7 @@ func TestLRUGC(t *testing.T) {
 	if _, ok := s.Get("key-1"); ok {
 		t.Fatal("coldest entry survived GC")
 	}
-	if ev := reg.Snapshot().Counters["dc.evictions"]; ev == 0 {
+	if ev := reg.Snapshot().Counters["diskcache.evictions"]; ev == 0 {
 		t.Fatal("evictions counter = 0")
 	}
 	// The bound also holds against the filesystem, not just the index.
@@ -399,8 +394,7 @@ func TestOversizeSingleEntryEvicted(t *testing.T) {
 // reports.
 func TestMetricsCounters(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := mustOpen(t, Options{Dir: t.TempDir(), Epoch: "e"})
-	s.Instrument(NewMetrics(reg, "diskcache"))
+	s := mustOpen(t, Options{Dir: t.TempDir(), Epoch: "e", Metrics: NewMetrics(reg)})
 
 	s.Get("k") // miss
 	payload := []byte("metrics payload")
@@ -426,56 +420,6 @@ func TestMetricsCounters(t *testing.T) {
 	}
 	if c["diskcache.errors"] != 0 {
 		t.Fatalf("errors = %d", c["diskcache.errors"])
-	}
-}
-
-// TestConcurrentWarmSameKey is the tentpole's concurrency contract:
-// two goroutines warming the same key through a memo.Cache backed by
-// the disk tier share one computation (singleflight spans both tiers),
-// the caller that led it writes the value behind, as experiments.Env
-// does, and a second cache — a fresh process — then serves the key
-// from disk without computing at all.
-func TestConcurrentWarmSameKey(t *testing.T) {
-	dir := t.TempDir()
-	st := mustOpen(t, Options{Dir: dir, Epoch: "e"})
-	codec := memo.Codec[string]{Decode: func(b []byte) (string, error) { return string(b), nil }}
-
-	c1 := memo.New[string]()
-	c1.SetStore(st, codec)
-	var computes atomic.Int32
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			computed := false
-			v, how, err := c1.Flight(context.Background(), "shared", func() (string, error) {
-				computes.Add(1)
-				computed = true
-				return "value", nil
-			})
-			if err != nil || v != "value" {
-				t.Errorf("Do = %q, %v", v, err)
-			}
-			if how == memo.Led && computed {
-				st.Put("shared", []byte(v))
-			}
-		}()
-	}
-	wg.Wait()
-	if n := computes.Load(); n != 1 {
-		t.Fatalf("compute ran %d times for one key", n)
-	}
-
-	// Fresh memory tier, same directory: disk serves, compute never runs.
-	c2 := memo.New[string]()
-	c2.SetStore(mustOpen(t, Options{Dir: dir, Epoch: "e"}), codec)
-	v, _, err := c2.Flight(context.Background(), "shared", func() (string, error) {
-		t.Error("compute ran despite a warm disk entry")
-		return "", nil
-	})
-	if err != nil || v != "value" {
-		t.Fatalf("warm Do = %q, %v", v, err)
 	}
 }
 
@@ -534,6 +478,15 @@ func TestConcurrentReadsBeforeFirstWrite(t *testing.T) {
 	if n := s.Len(); n != 14 {
 		t.Fatalf("Len = %d, want 14", n)
 	}
+}
+
+// Len reports the number of live entries the store knows about,
+// scanning the directory first if it has not written yet.
+func (s *Store) Len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.scanLocked()
+	return len(s.index)
 }
 
 // totalBytes reports the live entry bytes the store knows about.

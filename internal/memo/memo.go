@@ -43,27 +43,24 @@ type Metrics struct {
 // range from sub-millisecond trimmed runs to multi-second sweeps.
 var waitBucketsMS = []float64{0.1, 1, 10, 100, 1000, 10000}
 
-// NewMetrics registers the cache metric set under prefix (e.g. "memo")
-// in reg. A nil registry yields a usable all-no-op Metrics.
-func NewMetrics(reg *obs.Registry, prefix string) *Metrics {
+// NewMetrics registers the cache metric set under "memo" in reg. A nil
+// registry yields a usable all-no-op Metrics.
+func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
-		Lookups: reg.Counter(prefix + ".lookups"),
-		Hits:    reg.Counter(prefix + ".hits"),
-		Misses:  reg.Counter(prefix + ".misses"),
-		Dedups:  reg.Counter(prefix + ".dedups"),
-		WaitMS:  reg.Histogram(prefix+".wait_ms", waitBucketsMS),
+		Lookups: reg.Counter("memo.lookups"),
+		Hits:    reg.Counter("memo.hits"),
+		Misses:  reg.Counter("memo.misses"),
+		Dedups:  reg.Counter("memo.dedups"),
+		WaitMS:  reg.Histogram("memo.wait_ms", waitBucketsMS),
 	}
 }
 
-// Cache is a sharded singleflight memoization cache, optionally backed
-// by a persistent second tier (SetStore) that it reads through but never
-// writes: lookups go memory → store → compute. The zero value is not
-// usable; call New or NewBounded.
+// Cache is a sharded singleflight memoization cache held in memory. The
+// zero value is not usable; call New or NewBounded.
 type Cache[V any] struct {
 	shards      [shardCount]shard[V]
 	maxPerShard int // 0 = unbounded
 	metrics     atomic.Pointer[Metrics]
-	backing     atomic.Pointer[backing[V]]
 }
 
 type shard[V any] struct {
@@ -119,7 +116,7 @@ func (c *Cache[V]) shard(key string) *shard[V] {
 type How uint8
 
 const (
-	Led    How = iota // this caller claimed the key: it read the store or ran compute
+	Led    How = iota // this caller claimed the key and ran compute
 	Joined            // waited on another caller's in-flight computation
 	Found             // the value was already complete
 )
@@ -153,15 +150,6 @@ func (m *Metrics) count(how How) {
 // is delivered to every caller of that flight, and the next call
 // retries — matching the retry semantics of the serial cache this
 // replaces.
-//
-// With a backing store attached (SetStore), a memory miss first
-// consults the store; a store hit skips compute entirely and is
-// promoted into the memory tier. A computed value stays in memory: the
-// Cache never writes the store. Singleflight covers both tiers: the
-// per-key flight is claimed before the store is consulted, so
-// concurrent misses share one store read or one computation, never
-// both. A Led caller that ran compute knows the value is not in the
-// store.
 func (c *Cache[V]) Flight(ctx context.Context, key string, compute func() (V, error)) (V, How, error) {
 	m := c.metrics.Load()
 	s := c.shard(key)
@@ -195,11 +183,7 @@ func (c *Cache[V]) Flight(ctx context.Context, key string, compute func() (V, er
 	s.mu.Unlock()
 	m.count(Led)
 
-	if v, ok := c.storeGet(key); ok {
-		e.val = v
-	} else {
-		e.val, e.err = compute()
-	}
+	e.val, e.err = compute()
 	if e.err != nil {
 		s.mu.Lock()
 		// Only evict our own entry: a concurrent Reset may have already
@@ -213,31 +197,7 @@ func (c *Cache[V]) Flight(ctx context.Context, key string, compute func() (V, er
 	return e.val, Led, e.err
 }
 
-// Get returns the cached value for key without computing, and whether
-// a completed value was present.
-func (c *Cache[V]) Get(key string) (V, bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	e, ok := s.entries[key]
-	s.mu.Unlock()
-	if !ok {
-		return *new(V), false
-	}
-	select {
-	case <-e.done:
-		if e.err != nil {
-			return *new(V), false
-		}
-		return e.val, true
-	default: // still computing
-		return *new(V), false
-	}
-}
-
-// Len returns the number of cached (or in-flight) keys in the memory
-// tier only, not counting a backing store's entries. The two are
-// deliberately not summed — keys present in both tiers would be
-// double-counted, and the memory tier is the one that bounds live heap.
+// Len returns the number of cached (or in-flight) keys.
 func (c *Cache[V]) Len() int {
 	n := 0
 	for i := range c.shards {
@@ -249,10 +209,8 @@ func (c *Cache[V]) Len() int {
 	return n
 }
 
-// Reset drops every cached entry in the memory tier only — a backing
-// store keeps its entries, so the next Flight on a key the store holds is
-// a store hit, not a recomputation. In-flight computations complete
-// and deliver their result to waiters but are not re-cached in memory.
+// Reset drops every cached entry. In-flight computations complete and
+// deliver their result to waiters but are not re-cached.
 func (c *Cache[V]) Reset() {
 	for i := range c.shards {
 		s := &c.shards[i]

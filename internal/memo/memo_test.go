@@ -200,7 +200,7 @@ func TestCacheStress(t *testing.T) {
 // completed find the value.
 func TestFlightReportsHow(t *testing.T) {
 	c := New[int]()
-	m := NewMetrics(obs.NewRegistry(), "memo")
+	m := NewMetrics(obs.NewRegistry())
 	c.Instrument(m)
 	entered := make(chan struct{})
 	release := make(chan struct{})
@@ -305,5 +305,22 @@ func TestBoundedFailedFlightNotCounted(t *testing.T) {
 		if _, ok := c.Get(k); !ok {
 			t.Fatalf("key %s dropped: the failed flight counted against the bound", k)
 		}
+	}
+}
+
+// TestResetSemantics: Reset drops every entry, so the next lookup of a
+// key computes it again.
+func TestResetSemantics(t *testing.T) {
+	ctx := context.Background()
+	c := New[int]()
+	calls := 0
+	compute := func() (int, error) { calls++; return calls, nil }
+	c.Do(ctx, "k", compute)
+	c.Reset()
+	if c.Len() != 0 {
+		t.Fatalf("Len after Reset = %d", c.Len())
+	}
+	if v, _ := c.Do(ctx, "k", compute); v != 2 || calls != 2 {
+		t.Fatalf("Do after Reset = %d after %d computes, want a recomputed 2", v, calls)
 	}
 }

@@ -19,7 +19,7 @@ func TestMetricsSingleflightDedup(t *testing.T) {
 	const n = 16
 	c := New[int]()
 	reg := obs.NewRegistry()
-	m := NewMetrics(reg, "memo")
+	m := NewMetrics(reg)
 	c.Instrument(m)
 
 	computes := 0
@@ -82,7 +82,7 @@ func TestMetricsSingleflightDedup(t *testing.T) {
 func TestMetricsInvariantUnderStress(t *testing.T) {
 	c := New[string]()
 	reg := obs.NewRegistry()
-	m := NewMetrics(reg, "memo")
+	m := NewMetrics(reg)
 	c.Instrument(m)
 
 	const workers, perWorker, keys = 8, 200, 13
@@ -130,7 +130,7 @@ func TestUninstrumentedCacheCountsNothing(t *testing.T) {
 	if _, err := c.Do(context.Background(), "k", func() (int, error) { return 2, nil }); err != nil {
 		t.Fatal(err)
 	}
-	c.Instrument(NewMetrics(nil, "memo")) // nil registry: all-no-op metrics
+	c.Instrument(NewMetrics(nil)) // nil registry: all-no-op metrics
 	if _, err := c.Do(context.Background(), "k", func() (int, error) { return 3, nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func BenchmarkDoHit(b *testing.B) {
 
 func BenchmarkDoHitInstrumented(b *testing.B) {
 	c := New[int]()
-	c.Instrument(NewMetrics(obs.NewRegistry(), "memo"))
+	c.Instrument(NewMetrics(obs.NewRegistry()))
 	c.Do(context.Background(), "k", func() (int, error) { return 1, nil })
 	ctx := context.Background()
 	b.ResetTimer()

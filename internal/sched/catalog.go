@@ -128,10 +128,3 @@ func (c *Catalog) measureLocked(b workloads.Benchmark, nodes int, cap float64) (
 	c.entries[k] = p
 	return p, nil
 }
-
-// Size returns the number of cached entries.
-func (c *Catalog) Size() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}

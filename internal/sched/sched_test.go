@@ -97,12 +97,12 @@ func TestCatalogCachesAndMeasures(t *testing.T) {
 	if p1.Runtime <= 0 || p1.MeanNodeW <= 0 || p1.ModeNodeW <= 0 {
 		t.Fatalf("profile empty: %+v", p1)
 	}
-	n := cat.Size()
+	n := len(cat.entries)
 	p2, err := cat.get(&b, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cat.Size() != n {
+	if len(cat.entries) != n {
 		t.Fatal("second Get re-measured")
 	}
 	if p1 != p2 {

@@ -184,13 +184,6 @@ func (s *Subscription) popLocked() Sample {
 	return smp
 }
 
-// Len returns the number of buffered samples.
-func (s *Subscription) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}
-
 // Dropped returns how many samples this subscriber has lost to
 // overflow.
 func (s *Subscription) Dropped() uint64 {

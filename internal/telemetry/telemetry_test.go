@@ -449,3 +449,10 @@ func TestPumpSurvivesInsertErrors(t *testing.T) {
 		t.Fatalf("Pump = (%d, %v), want (0, error)", count, err)
 	}
 }
+
+// Len returns the number of buffered samples.
+func (s *Subscription) Len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.n
+}

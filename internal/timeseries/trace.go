@@ -71,9 +71,6 @@ func (t *Trace) Segments() []Segment { return t.segs }
 // traces are rebuilt once per cap point.
 func (t *Trace) Reset() { t.segs = t.segs[:0] }
 
-// Len returns the number of segments.
-func (t *Trace) Len() int { return len(t.segs) }
-
 // Duration returns the total trace duration in seconds: the last
 // segment's end.
 func (t *Trace) Duration() float64 {

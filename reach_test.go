@@ -69,9 +69,10 @@ func TestShippedCodeReachable(t *testing.T) {
 
 // TestReachabilityFixture runs the same analysis over a two-module
 // fixture so the check cannot pass vacuously: it must report an export
-// only a test uses and an interface method nothing calls, and must not
-// report a method that satisfies a used interface or an identifier only
-// the second module references.
+// only a test uses, an interface method nothing calls and a method that
+// shares only its name and signature with a standard-library interface's,
+// and must not report a method that satisfies a used interface or an
+// identifier only the second module references.
 func TestReachabilityFixture(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks a fixture against the standard library from source")
@@ -89,6 +90,7 @@ func TestReachabilityFixture(t *testing.T) {
 		"internal/lib.Helper.Unused",
 		"internal/lib.OnlyTested",
 		"internal/lib.OnlyTestedConst",
+		"internal/lib.Queue.Len",
 		"internal/lib.Sink.Drain",
 		"internal/lib.orphan",
 	}
@@ -350,16 +352,15 @@ func unreached(prog *program, hooks map[string]string) []string {
 		}
 	}
 
-	// Interface methods a dynamic call may dispatch to: those of every
-	// interface the standard library declares, of error, and every
-	// interface method reached code calls.
-	ifaces := map[string][]*types.Func{}
-	addMethod := func(m *types.Func) {
-		ifaces[m.Name()] = append(ifaces[m.Name()], m)
-	}
+	// The interfaces a dynamic call may dispatch through, by the name of
+	// the method it calls: every method of error and of each non-generic
+	// interface the standard library declares, and every interface
+	// method reached code calls.
+	ifaces := map[string][]*types.Interface{}
 	addIface := func(it *types.Interface) {
 		for i := 0; i < it.NumMethods(); i++ {
-			addMethod(it.Method(i))
+			name := it.Method(i).Name()
+			ifaces[name] = append(ifaces[name], it)
 		}
 	}
 	addIface(types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
@@ -374,8 +375,10 @@ func unreached(prog *program, hooks map[string]string) []string {
 			scope := tp.Scope()
 			for _, name := range scope.Names() {
 				if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
-					if it, ok := tn.Type().Underlying().(*types.Interface); ok {
-						addIface(it)
+					if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() == 0 {
+						if it, ok := n.Underlying().(*types.Interface); ok {
+							addIface(it)
+						}
 					}
 				}
 			}
@@ -398,7 +401,7 @@ func unreached(prog *program, hooks map[string]string) []string {
 			obj = o.Origin()
 			if recv := o.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) && !calledIface[obj] {
 				calledIface[obj] = true
-				addMethod(o)
+				ifaces[o.Name()] = append(ifaces[o.Name()], recv.Type().Underlying().(*types.Interface))
 			}
 		case *types.Var:
 			obj = o.Origin()
@@ -411,12 +414,15 @@ func unreached(prog *program, hooks map[string]string) []string {
 	for _, obj := range roots {
 		reached[obj] = true
 	}
-	satisfies := func(m *types.Func) bool {
-		for _, im := range ifaces[m.Name()] {
-			if types.Identical(m.Type(), im.Type()) {
-				return true
-			}
-			if sig := m.Type().(*types.Signature); sig.RecvTypeParams().Len() > 0 {
+	// satisfies reports whether m, a method of n, is reached through an
+	// interface: n is not generic and implements, whole, an interface
+	// whose method m a dynamic call may dispatch to.
+	satisfies := func(n *types.Named, m *types.Func) bool {
+		if n.TypeParams().Len() > 0 {
+			return false
+		}
+		for _, it := range ifaces[m.Name()] {
+			if types.Implements(types.NewPointer(n), it) {
 				return true
 			}
 		}
@@ -453,7 +459,7 @@ func unreached(prog *program, hooks map[string]string) []string {
 			ms := types.NewMethodSet(types.NewPointer(n))
 			for i := 0; i < ms.Len(); i++ {
 				m := ms.At(i).Obj().(*types.Func)
-				if !reached[m.Origin()] && satisfies(m) {
+				if !reached[m.Origin()] && satisfies(n, m) {
 					mark(m)
 				}
 			}

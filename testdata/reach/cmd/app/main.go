@@ -3,6 +3,7 @@ package main
 
 import (
 	"fmt"
+	"sort"
 
 	"fixture/internal/lib"
 )
@@ -13,5 +14,7 @@ func main() {
 	var r renderer = lib.Helper{}
 	var s lib.Sink = &lib.Buffer{}
 	s.Write(r.Render())
-	fmt.Println(lib.Used(), lib.Level(1))
+	xs := []int{2, 1}
+	sort.Ints(xs)
+	fmt.Println(lib.Used(), lib.Level(1), xs, lib.Queue{})
 }
