@@ -138,3 +138,35 @@ func TestMetricsWithStoreTier(t *testing.T) {
 			c["diskcache.hits"], c["diskcache.misses"], *calls)
 	}
 }
+
+// TestDecodeFailureQuarantinesAndRecomputes: a disk entry the profile
+// codec cannot decode is quarantined and treated as a miss, never served
+// as a value. The recomputed profile is written only at the next Flush.
+func TestDecodeFailureQuarantinesAndRecomputes(t *testing.T) {
+	compute, calls, want := profileCompute(t)
+	env, reg := tierEnv(t, t.TempDir())
+	env.Store().Put("k", []byte("not-a-profile"))
+	written := reg.Snapshot().Counters["diskcache.bytes_written"]
+
+	jp, err := env.lookup("k", measured{}, "full", compute)
+	if err != nil || *calls != 1 {
+		t.Fatalf("lookup: err %v after %d computes, want one computed profile", err, *calls)
+	}
+	if !bytes.Equal(core.AppendJobProfile(nil, jp), want) {
+		t.Fatal("served a profile other than the computed one")
+	}
+	c := reg.Snapshot().Counters
+	if c["diskcache.corrupt"] != 1 {
+		t.Fatalf("diskcache.corrupt = %d, want 1", c["diskcache.corrupt"])
+	}
+	if data, ok := env.Store().Get("k"); ok {
+		t.Fatalf("store holds %q after the recompute", data)
+	}
+	if n := c["diskcache.bytes_written"]; n != written {
+		t.Fatalf("the recomputed profile was written before Flush: %d bytes", n-written)
+	}
+	env.Flush()
+	if data, ok := env.Store().Get("k"); !ok || !bytes.Equal(data, want) {
+		t.Fatal("Flush did not write the recomputed profile")
+	}
+}
