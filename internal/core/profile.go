@@ -6,7 +6,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -14,7 +13,6 @@ import (
 
 	"vasppower/internal/hw/node"
 	"vasppower/internal/hw/platform"
-	"vasppower/internal/par"
 	"vasppower/internal/stats"
 	"vasppower/internal/telemetry"
 	"vasppower/internal/timeseries"
@@ -234,7 +232,8 @@ func (a *Arena) profileRun(out workloads.RunOutput, interval float64, nodeOnly b
 // MeasureSpec configures one measurement: which benchmark, on which
 // platform, at what scale, under which GPU power cap. It is the single
 // entry point's options struct; zero fields take the paper's protocol
-// defaults (default platform, 1 node, 1 repeat, uncapped, serial).
+// defaults (default platform, 1 node, 1 repeat, uncapped). Every
+// measurement runs serially: its repeats, and a cap response's points.
 type MeasureSpec struct {
 	Bench    workloads.Benchmark
 	Platform platform.Platform // zero = default platform
@@ -242,12 +241,8 @@ type MeasureSpec struct {
 	Repeats  int               // 0 = 1; best (min-runtime) repeat is profiled
 	CapW     float64           // GPU power cap, W; <= 0 or >= GPU TDP = uncapped
 	Seed     uint64
-	// Workers bounds how many of MeasureCapResponse's points run
-	// concurrently (0 or 1 = serial); repeats always run serially. The
-	// response is identical for every worker count.
-	Workers int
-	// Sink streams the profiled repeat's traces, as in RunSpec; like
-	// Workers it sits outside the cache key.
+	// Sink streams the profiled repeat's traces, as in RunSpec; it sits
+	// outside the cache key.
 	Sink *telemetry.Sampler
 	// Entropy stamps every GPU kernel in the schedule with this operand
 	// entropy in [0,1]; 0 leaves kernels at the platform table's
@@ -262,9 +257,6 @@ func (spec MeasureSpec) withDefaults() MeasureSpec {
 	}
 	if spec.Repeats <= 0 {
 		spec.Repeats = 1
-	}
-	if spec.Workers == 0 {
-		spec.Workers = 1
 	}
 	// Non-binding caps normalize to the uncapped default: on the real
 	// machine the TDP is the default limit, so CapW 0, TDP, and
@@ -286,7 +278,10 @@ func Measure(spec MeasureSpec) (JobProfile, error) { return MeasureIn(nil, spec)
 // is bit-identical to one measured without an arena. a must serve no
 // other measurement until MeasureIn returns; a nil a allocates.
 func MeasureIn(a *Arena, spec MeasureSpec) (JobProfile, error) {
-	c := NewSweepContextIn(a, spec)
+	c, err := NewSweepContextIn(a, spec)
+	if err != nil {
+		return JobProfile{}, err
+	}
 	defer c.Close()
 	return c.MeasureCap(spec.CapW)
 }
@@ -298,7 +293,10 @@ func MeasureIn(a *Arena, spec MeasureSpec) (JobProfile, error) {
 // and NodeTotal are bit-identical to MeasureIn's; CPU, Mem and GPUSum
 // are zero profiles and GPUs is nil.
 func MeasureNodeIn(a *Arena, spec MeasureSpec) (JobProfile, error) {
-	c := NewSweepContextIn(a, spec)
+	c, err := NewSweepContextIn(a, spec)
+	if err != nil {
+		return JobProfile{}, err
+	}
 	c.nodeOnly = true
 	defer c.Close()
 	return c.MeasureCap(spec.CapW)
@@ -322,83 +320,74 @@ type CapResponse struct {
 	Points   []CapPoint
 }
 
-// MeasureCapResponse measures the uncapped baseline and every
-// effective cap (below the platform GPU's TDP) and assembles the
-// response in cap order (spec.CapW is ignored; the caps argument
-// drives the sweep). The needed points are sharded across up to
-// spec.Workers sweep contexts, each of which resolves the schedule
-// once and re-runs only the cap solver per point; every point is
-// bit-identical to an independent Measure at the same seed (pinned by
-// the differential tests), so the response is
-// identical for every worker count. Caps of 0 or ≥ TDP reuse the
-// baseline measurement, as on the real machine where the TDP is the
-// default limit.
-func MeasureCapResponse(spec MeasureSpec, caps []float64) (CapResponse, error) {
+// AssembleCapResponse is the one assembly of a CapResponse over caps
+// (spec.CapW is ignored). measure is called once, with the points to
+// measure: slot 0 is the uncapped baseline (cap 0), then every cap that
+// binds (0 < cap < the platform GPU's TDP), in caps order. It returns
+// their profiles in that order. A cap of 0 or at or above the TDP
+// reuses the baseline, as on the real machine where the TDP is the
+// default limit; a cap <= 0 reads as the TDP.
+func AssembleCapResponse(spec MeasureSpec, caps []float64, measure func(points []float64) ([]JobProfile, error)) (CapResponse, error) {
 	spec = spec.withDefaults()
 	tdp := spec.Platform.GPU.TDP
+	binds := func(capW float64) bool { return capW > 0 && capW < tdp }
 	cr := CapResponse{Bench: spec.Bench.Name, Nodes: spec.Nodes}
-	// Slot 0 is the uncapped baseline; slot i+1 is caps[i], measured
-	// only when the cap actually binds.
-	profiles := make([]JobProfile, len(caps)+1)
-	need := make([]bool, len(caps)+1)
-	need[0] = true
-	for i, cap := range caps {
-		if cap > 0 && cap < tdp {
-			need[i+1] = true
+	points := []float64{0}
+	for _, capW := range caps {
+		if binds(capW) {
+			points = append(points, capW)
 		}
 	}
-	var idxs []int
-	for i, n := range need {
-		if n {
-			idxs = append(idxs, i)
-		}
-	}
-	workers := spec.Workers
-	if workers <= 0 || workers > len(idxs) {
-		workers = len(idxs)
-	}
-	err := par.ForEach(context.Background(), par.Workers(workers), workers,
-		func(_ context.Context, shard int) error {
-			sctx := NewSweepContext(spec)
-			defer sctx.Close()
-			for j := shard; j < len(idxs); j += workers {
-				i := idxs[j]
-				capW := 0.0
-				if i > 0 {
-					capW = caps[i-1]
-				}
-				jp, err := sctx.MeasureCap(capW)
-				if err != nil {
-					return err
-				}
-				profiles[i] = jp
-			}
-			return nil
-		})
+	profiles, err := measure(points)
 	if err != nil {
 		return cr, err
 	}
 	base := profiles[0]
 	cr.Baseline = base.Runtime
-	for i, cap := range caps {
+	next := 1
+	for _, capW := range caps {
 		jp := base
-		if need[i+1] {
-			jp = profiles[i+1]
+		if binds(capW) {
+			jp = profiles[next]
+			next++
 		}
 		pt := CapPoint{
-			CapW:    cap,
-			Runtime: jp.Runtime,
-			RelPerf: cr.Baseline / jp.Runtime,
-			EnergyJ: jp.EnergyJ,
+			CapW:        capW,
+			Runtime:     jp.Runtime,
+			RelPerf:     cr.Baseline / jp.Runtime,
+			GPUHighMode: jp.GPUHighMode(),
+			EnergyJ:     jp.EnergyJ,
 		}
-		if cap <= 0 {
+		if capW <= 0 {
 			pt.CapW = tdp
 		}
-		pt.GPUHighMode = jp.GPUHighMode()
 		pt.ModeOverCap = pt.GPUHighMode / pt.CapW
 		cr.Points = append(cr.Points, pt)
 	}
 	return cr, nil
+}
+
+// MeasureCapResponse measures the uncapped baseline and every binding
+// cap serially on one sweep context, which resolves the schedule once
+// and re-runs only the cap solver per point, and assembles the
+// response in caps order (see AssembleCapResponse). Every point is
+// bit-identical to an independent Measure at the same seed (pinned by
+// the differential tests).
+func MeasureCapResponse(spec MeasureSpec, caps []float64) (CapResponse, error) {
+	return AssembleCapResponse(spec, caps, func(points []float64) ([]JobProfile, error) {
+		sctx, err := NewSweepContext(spec)
+		if err != nil {
+			return nil, err
+		}
+		defer sctx.Close()
+		profiles := make([]JobProfile, len(points))
+		for i, capW := range points {
+			if profiles[i], err = sctx.MeasureCap(capW); err != nil {
+				return nil, err
+			}
+		}
+		return profiles, nil
+	})
 }
 
 // SlowdownAt returns the fractional slowdown (runtime increase) at the

@@ -48,7 +48,10 @@ func eagerJobProfile(jp JobProfile) JobProfile {
 func TestLazyModesMatchEager(t *testing.T) {
 	for _, b := range workloads.TableI() {
 		for _, nodes := range []int{1, 2} {
-			sctx := NewSweepContext(MeasureSpec{Bench: b, Nodes: nodes, Seed: 2024})
+			sctx, err := NewSweepContext(MeasureSpec{Bench: b, Nodes: nodes, Seed: 2024})
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, capW := range []float64{0, 250, 150} {
 				jp, err := sctx.MeasureCap(capW)
 				if err != nil {

@@ -55,7 +55,10 @@ func TestSweepContextMatchesMeasure(t *testing.T) {
 				}
 				spec.Platform = p
 			}
-			sctx := NewSweepContext(spec)
+			sctx, err := NewSweepContext(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
 			defer sctx.Close()
 			for _, capW := range tc.caps {
 				pt := spec
@@ -90,20 +93,22 @@ func profilesEqual(t *testing.T, label string, want, got JobProfile) {
 }
 
 // TestSweepContextOracleFallback: a context returns construction
-// errors as they are (Measure raises the same message), and a
-// telemetry sink changes nothing: the context still sweeps on its
-// arena, and every point still equals the oracle.
+// errors as they are (Measure raises the same message) and holds no
+// sweep after one, and a telemetry sink changes nothing: the context
+// still sweeps on its arena, and every point still equals the oracle.
 func TestSweepContextOracleFallback(t *testing.T) {
 	bad := MeasureSpec{}
-	sctx := NewSweepContext(bad)
-	defer sctx.Close()
-	_, errCtx := sctx.MeasureCap(0)
+	arenas := workloads.ActiveSweeps()
+	sctx, errCtx := NewSweepContext(bad)
 	_, errMeasure := Measure(bad)
-	if errMeasure == nil || errCtx == nil {
+	if errMeasure == nil || errCtx == nil || sctx != nil {
 		t.Fatal("invalid spec accepted")
 	}
 	if errCtx.Error() != errMeasure.Error() {
 		t.Fatalf("context error %q, Measure %q", errCtx, errMeasure)
+	}
+	if n := workloads.ActiveSweeps(); n != arenas {
+		t.Fatalf("%d sweep arenas live after a failed open, want %d", n, arenas)
 	}
 
 	s, err := telemetry.NewSampler(telemetry.NewHub(), 2)
@@ -111,9 +116,11 @@ func TestSweepContextOracleFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := MeasureSpec{Bench: benchByName(t, "PdO2"), Seed: 5, Sink: s}
-	sctx = NewSweepContext(spec)
+	sctx, err = NewSweepContext(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer sctx.Close()
-	arenas := workloads.ActiveSweeps()
 	for _, capW := range []float64{0, 260} {
 		got, err := sctx.MeasureCap(capW)
 		if err != nil {
@@ -135,7 +142,10 @@ func TestSweepContextOracleFallback(t *testing.T) {
 // TestSweepContextClosed: MeasureCap after Close fails; Close is
 // idempotent.
 func TestSweepContextClosed(t *testing.T) {
-	sctx := NewSweepContext(MeasureSpec{Bench: benchByName(t, "PdO2")})
+	sctx, err := NewSweepContext(MeasureSpec{Bench: benchByName(t, "PdO2")})
+	if err != nil {
+		t.Fatal(err)
+	}
 	sctx.Close()
 	sctx.Close()
 	if _, err := sctx.MeasureCap(0); err == nil {
@@ -175,30 +185,6 @@ func TestNonBindingCapNormalization(t *testing.T) {
 	}
 }
 
-// TestMeasureCapResponseWorkerInvariance: the sharded sweep assembles
-// the same response for every worker count (each shard owns its own
-// context; points are bit-identical regardless of which shard runs
-// them).
-func TestMeasureCapResponseWorkerInvariance(t *testing.T) {
-	spec := MeasureSpec{Bench: benchByName(t, "B.hR105_hse"), Seed: 7}
-	caps := []float64{400, 300, 250, 200}
-	base, err := MeasureCapResponse(spec, caps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8} {
-		sp := spec
-		sp.Workers = workers
-		got, err := MeasureCapResponse(sp, caps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(base, got) {
-			t.Fatalf("workers=%d response differs from serial", workers)
-		}
-	}
-}
-
 // BenchmarkCapSweep is the sweep engine's headline grid: a cold
 // 16-point cap sweep as one Measure per point versus one sweep context
 // (resolve once, re-cap per point), at single-shot
@@ -230,7 +216,10 @@ func BenchmarkCapSweep(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("points=16/repeats=%d/engine=incremental", repeats), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sctx := NewSweepContext(spec)
+				sctx, err := NewSweepContext(spec)
+				if err != nil {
+					b.Fatal(err)
+				}
 				for _, capW := range caps {
 					if _, err := sctx.MeasureCap(capW); err != nil {
 						b.Fatal(err)
@@ -265,7 +254,10 @@ func BenchmarkCapSweep(b *testing.B) {
 	// The per-point marginal cost once the context is warm: cap solve +
 	// trace recording + profiling only.
 	b.Run("phase=solve-only", func(b *testing.B) {
-		sctx := NewSweepContext(spec)
+		sctx, err := NewSweepContext(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
 		defer sctx.Close()
 		if _, err := sctx.MeasureCap(caps[0]); err != nil {
 			b.Fatal(err)

@@ -164,6 +164,41 @@ func TestEnvArenaErrors(t *testing.T) {
 	}
 }
 
+// TestEnvArenaGroupOpenFailure: a group whose sweep cannot open (the
+// resolution phase rejects the schedule, or the entropy stamp) fails
+// with the error Env.Measure reports, leaves no sweep open, and gives
+// the arena it took back to the Env's free list.
+func TestEnvArenaGroupOpenFailure(t *testing.T) {
+	pdo2, _ := workloads.ByName("PdO2")
+	broken := pdo2
+	broken.NELM = 0
+	for _, bad := range []core.MeasureSpec{
+		{Bench: broken, Seed: 1},
+		{Bench: pdo2, Seed: 1, Entropy: 1.5},
+	} {
+		_, want := newEnv().Measure(bad)
+		if want == nil {
+			t.Fatalf("Env.Measure accepted %+v", bad)
+		}
+		env := newEnv()
+		a := new(core.Arena)
+		env.putArena(a)
+		sweeps := workloads.ActiveSweeps()
+		if _, err := env.MeasureGroup(bad, []float64{0, 250}); err == nil || err.Error() != want.Error() {
+			t.Fatalf("MeasureGroup error %v, Env.Measure error %v", err, want)
+		}
+		if n := workloads.ActiveSweeps(); n != sweeps {
+			t.Fatalf("%d sweeps open after a failed group, want %d", n, sweeps)
+		}
+		if n := len(env.arenas); n != 1 {
+			t.Fatalf("%d arenas on the free list after a failed group, want 1", n)
+		}
+		if got := env.takeArena(); got != a {
+			t.Fatal("the failed group's arena is not the one it took")
+		}
+	}
+}
+
 // TestEnvArenaConcurrent shares one Env between 8 goroutines, more than
 // its free list keeps, each measuring the arena sequence at its own
 // seeds, so all compute at once, arenas pass between goroutines, and

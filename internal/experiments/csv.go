@@ -181,10 +181,11 @@ func (r CapStudyResult) CSV() artifact.Table {
 		Header: []string{"benchmark", "nodes", "cap_w", "runtime_s", "rel_perf", "gpu_mode_w", "mode_over_cap"},
 	}
 	for _, name := range workloads.Names() {
-		for _, p := range r.Series[name] {
+		cr := r.Responses[name]
+		for _, p := range cr.Points {
 			t.Rows = append(t.Rows, []string{
-				name, artifact.I(r.Nodes[name]), artifact.F(p.CapW), artifact.F(p.Runtime),
-				artifact.F(p.RelPerf), artifact.F(p.GPUMode), artifact.F(p.ModeOverCap),
+				name, artifact.I(cr.Nodes), artifact.F(p.CapW), artifact.F(p.Runtime),
+				artifact.F(p.RelPerf), artifact.F(p.GPUHighMode), artifact.F(p.ModeOverCap),
 			})
 		}
 	}

@@ -409,7 +409,7 @@ func (e *Env) MeasureGroup(spec core.MeasureSpec, caps []float64) ([]core.JobPro
 		pt := spec
 		pt.CapW = capW
 		return SpecKey(pt), measuredSpec(pt)
-	}, func(a *core.Arena) *core.SweepContext {
+	}, func(a *core.Arena) (*core.SweepContext, error) {
 		return core.NewSweepContextIn(a, spec)
 	})
 }
@@ -466,7 +466,7 @@ func (e *Env) MeasureMILCGroup(spec workloads.MILCRunSpec, caps []float64) ([]co
 		pt := spec
 		pt.GPUPowerLimit = capW
 		return MILCKey(pt), measured{bench: spec.Spec.Name, platform: spec.Platform, nodes: spec.Nodes, repeats: spec.Repeats, capW: capW}
-	}, func(a *core.Arena) *core.SweepContext {
+	}, func(a *core.Arena) (*core.SweepContext, error) {
 		return core.NewMILCSweepContextIn(a, spec)
 	})
 }
@@ -474,8 +474,9 @@ func (e *Env) MeasureMILCGroup(spec workloads.MILCRunSpec, caps []float64) ([]co
 // measureGroup looks up each cap point under the key point returns, at
 // resolution; the points that miss share one sweep context, opened in
 // one of e's arenas on the first miss and closed, with the arena given
-// back, once every point is looked up.
-func (e *Env) measureGroup(caps []float64, resolution string, point func(capW float64) (string, measured), open func(*core.Arena) *core.SweepContext) ([]core.JobProfile, error) {
+// back, once every point is looked up. A failed open gives the arena
+// back at once and fails the group.
+func (e *Env) measureGroup(caps []float64, resolution string, point func(capW float64) (string, measured), open func(*core.Arena) (*core.SweepContext, error)) ([]core.JobProfile, error) {
 	out := make([]core.JobProfile, len(caps))
 	var sctx *core.SweepContext
 	var arena *core.Arena
@@ -490,7 +491,11 @@ func (e *Env) measureGroup(caps []float64, resolution string, point func(capW fl
 		jp, err := e.lookup(key, m, resolution, func() (core.JobProfile, error) {
 			if sctx == nil {
 				arena = e.takeArena()
-				sctx = open(arena)
+				var err error
+				if sctx, err = open(arena); err != nil {
+					e.putArena(arena)
+					return core.JobProfile{}, err
+				}
 			}
 			return sctx.MeasureCap(capW)
 		})

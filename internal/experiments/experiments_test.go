@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"vasppower/internal/core"
+	"vasppower/internal/workloads"
 )
 
 func quickCfg() Config { return Config{Seed: 42, Quick: true, Repeats: 1} }
@@ -257,8 +261,8 @@ func TestCapStudyFigs10And12(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, pts := range res.Series {
-		for _, p := range pts {
+	for name, cr := range res.Responses {
+		for _, p := range cr.Points {
 			// Caps respected except at 100 W (overshoot allowed).
 			if p.CapW > 150 && p.ModeOverCap > 1.01 {
 				t.Fatalf("%s: cap %v overshot (%.2f)", name, p.CapW, p.ModeOverCap)
@@ -279,6 +283,35 @@ func TestCapStudyFigs10And12(t *testing.T) {
 	if !strings.Contains(res.Fig10Render(), "fraction") ||
 		!strings.Contains(res.Fig12Render(), "1.00") {
 		t.Fatal("renders missing content")
+	}
+}
+
+// TestCapStudyMatchesMeasureCapResponse: the -quick cap study's
+// response for each benchmark, measured through the Env's cached
+// MeasureGroup, deep-equals the uncached core.MeasureCapResponse at the
+// same spec and caps; both are built by core.AssembleCapResponse.
+func TestCapStudyMatchesMeasureCapResponse(t *testing.T) {
+	cfg := quickCfg()
+	res, err := RunCapStudy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"B.hR105_hse", "GaAsBi-64"} {
+		b, ok := workloads.ByName(name)
+		if !ok {
+			t.Fatalf("%s missing", name)
+		}
+		got, ok := res.Responses[name]
+		if !ok {
+			t.Fatalf("%s: no cap response", name)
+		}
+		want, err := core.MeasureCapResponse(cfg.spec(b, 1, cfg.repeats()), res.Caps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: cap study response differs from MeasureCapResponse\n got %+v\nwant %+v", name, got, want)
+		}
 	}
 }
 

@@ -94,10 +94,12 @@ func RunExtC(cfg Config) (ExtCResult, error) {
 				return err
 			}
 			defer sw.Close()
-			eval := func(mhz float64) (core.JobProfile, float64, error) {
+			// A probe reads only the trace maximum; only the chosen
+			// clock's run is profiled.
+			probe := func(mhz float64) (workloads.RunOutput, float64, error) {
 				out, err := sw.RunClockMHz(mhz)
 				if err != nil {
-					return core.JobProfile{}, 0, err
+					return out, 0, err
 				}
 				traceMax := 0.0
 				for i := 0; i < out.Nodes[0].NumGPUs(); i++ {
@@ -105,11 +107,11 @@ func RunExtC(cfg Config) (ExtCResult, error) {
 						traceMax = m
 					}
 				}
-				return core.ProfileRun(out, core.DefaultSamplingInterval), traceMax, nil
+				return out, traceMax, nil
 			}
 			for i := 0; i < 8; i++ {
 				mid := (loMHz + hiMHz) / 2
-				_, traceMax, err := eval(mid)
+				_, traceMax, err := probe(mid)
 				if err != nil {
 					return err
 				}
@@ -120,10 +122,11 @@ func RunExtC(cfg Config) (ExtCResult, error) {
 				}
 			}
 			row.DVFSClockMHz = loMHz
-			jp, traceMax, err := eval(loMHz)
+			out, traceMax, err := probe(loMHz)
 			if err != nil {
 				return err
 			}
+			jp := core.ProfileRun(out, core.DefaultSamplingInterval)
 			row.DVFSRuntime = jp.Runtime
 			row.DVFSMaxGPUW = traceMax
 			row.DVFSMeanGPU = meanGPU(jp)

@@ -12,22 +12,12 @@ import (
 	"vasppower/internal/workloads"
 )
 
-// CapPoint is one (benchmark, cap) measurement.
-type CapPoint struct {
-	CapW        float64
-	Runtime     float64
-	RelPerf     float64 // baseline runtime / capped runtime
-	GPUMode     float64 // mean per-GPU high power mode
-	ModeOverCap float64
-}
-
 // CapStudyResult backs Figures 10 and 12: every Table I benchmark run
 // at its optimal node count under 400/300/200/100 W GPU caps.
 type CapStudyResult struct {
-	// Series maps benchmark → points in decreasing-cap order.
-	Series map[string][]CapPoint
-	Nodes  map[string]int
-	Caps   []float64
+	// Responses maps benchmark → its response, points in Caps order.
+	Responses map[string]core.CapResponse
+	Caps      []float64
 }
 
 // StudyCapsFor lists the applied power caps (W) for a platform: the
@@ -52,9 +42,8 @@ func StudyCapsFor(p platform.Platform) []float64 {
 // RunCapStudy measures the cap sweep.
 func RunCapStudy(cfg Config) (CapStudyResult, error) {
 	res := CapStudyResult{
-		Series: map[string][]CapPoint{},
-		Nodes:  map[string]int{},
-		Caps:   StudyCapsFor(cfg.platform()),
+		Responses: map[string]core.CapResponse{},
+		Caps:      StudyCapsFor(cfg.platform()),
 	}
 	benches := workloads.TableI()
 	if cfg.Quick {
@@ -64,63 +53,29 @@ func RunCapStudy(cfg Config) (CapStudyResult, error) {
 			benches = append(benches, b)
 		}
 	}
-	// Per benchmark: one cap sweep — the uncapped baseline (slot 0)
-	// plus every binding cap — shares one incremental sweep context via
-	// measureGroup (a cap at or above the platform GPU's TDP is the
-	// default limit and reuses the baseline). The parallel shards go
-	// per benchmark so each group's resolution phase is paid once.
-	tdp := cfg.platform().GPU.TDP
-	var binding []float64
-	for _, cap := range res.Caps {
-		if cap < tdp {
-			binding = append(binding, cap)
-		}
-	}
-	benchNodes := func(b workloads.Benchmark) int {
-		if cfg.Quick {
-			return 1
-		}
-		return b.OptimalNodes
-	}
-	type sweep struct {
-		jps []core.JobProfile
-		err error
-	}
-	sweeps := make([]sweep, len(benches))
-	par.ForEach(context.Background(), cfg.workers(), len(benches),
+	// Per benchmark: one cap sweep — the uncapped baseline plus every
+	// binding cap — shares one incremental sweep context through the
+	// Env's MeasureGroup. The parallel shards go per benchmark so each
+	// group's resolution phase is paid once.
+	responses := make([]core.CapResponse, len(benches))
+	err := par.ForEach(context.Background(), cfg.workers(), len(benches),
 		func(_ context.Context, bi int) error {
-			caps := append([]float64{0}, binding...)
-			sweeps[bi].jps, sweeps[bi].err = measureGroup(
-				cfg, benches[bi], benchNodes(benches[bi]), cfg.repeats(), caps)
-			return sweeps[bi].err
+			nodes := benches[bi].OptimalNodes
+			if cfg.Quick {
+				nodes = 1
+			}
+			spec := cfg.spec(benches[bi], nodes, cfg.repeats())
+			var err error
+			responses[bi], err = core.AssembleCapResponse(spec, res.Caps, func(points []float64) ([]core.JobProfile, error) {
+				return cfg.env().MeasureGroup(spec, points)
+			})
+			return err
 		})
+	if err != nil {
+		return res, err
+	}
 	for bi, b := range benches {
-		res.Nodes[b.Name] = benchNodes(b)
-		if sweeps[bi].err != nil {
-			return res, sweeps[bi].err
-		}
-		jps := sweeps[bi].jps
-		base := jps[0]
-		bindIdx := 0
-		for _, cap := range res.Caps {
-			jp := base
-			if cap < tdp {
-				bindIdx++
-				jp = jps[bindIdx]
-			}
-			pt := CapPoint{
-				CapW:    cap,
-				Runtime: jp.Runtime,
-				GPUMode: jp.GPUHighMode(),
-			}
-			if jp.Runtime > 0 {
-				pt.RelPerf = base.Runtime / jp.Runtime
-			}
-			if cap > 0 {
-				pt.ModeOverCap = pt.GPUMode / cap
-			}
-			res.Series[b.Name] = append(res.Series[b.Name], pt)
-		}
+		res.Responses[b.Name] = responses[bi]
 	}
 	return res, nil
 }
@@ -137,16 +92,16 @@ func (r CapStudyResult) Fig10Render() string {
 	}
 	t := report.NewTable(header...)
 	for _, name := range workloads.Names() {
-		pts, ok := r.Series[name]
+		cr, ok := r.Responses[name]
 		if !ok {
 			continue
 		}
-		row := []string{fmt.Sprintf("%s (%d)", name, r.Nodes[name])}
+		row := []string{fmt.Sprintf("%s (%d)", name, cr.Nodes)}
 		for _, c := range r.Caps {
 			cell := "-"
-			for _, p := range pts {
+			for _, p := range cr.Points {
 				if p.CapW == c {
-					cell = fmt.Sprintf("%.2f (%.0f W)", p.ModeOverCap, p.GPUMode)
+					cell = fmt.Sprintf("%.2f (%.0f W)", p.ModeOverCap, p.GPUHighMode)
 				}
 			}
 			row = append(row, cell)
@@ -168,14 +123,14 @@ func (r CapStudyResult) Fig12Render() string {
 	}
 	t := report.NewTable(header...)
 	for _, name := range workloads.Names() {
-		pts, ok := r.Series[name]
+		cr, ok := r.Responses[name]
 		if !ok {
 			continue
 		}
-		row := []string{fmt.Sprintf("%s (%d)", name, r.Nodes[name])}
+		row := []string{fmt.Sprintf("%s (%d)", name, cr.Nodes)}
 		for _, c := range r.Caps {
 			cell := "-"
-			for _, p := range pts {
+			for _, p := range cr.Points {
 				if p.CapW == c {
 					cell = fmt.Sprintf("%.2f", p.RelPerf)
 				}

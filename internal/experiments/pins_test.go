@@ -33,19 +33,11 @@ func (r Fig8Result) EnergyMonotone() bool {
 
 // SlowdownAt returns the fractional slowdown of a benchmark at a cap.
 func (r CapStudyResult) SlowdownAt(bench string, capW float64) (float64, error) {
-	pts, ok := r.Series[bench]
+	cr, ok := r.Responses[bench]
 	if !ok {
-		return 0, fmt.Errorf("experiments: no cap series for %s", bench)
+		return 0, fmt.Errorf("experiments: no cap response for %s", bench)
 	}
-	for _, p := range pts {
-		if p.CapW == capW {
-			if p.RelPerf <= 0 {
-				return 0, fmt.Errorf("experiments: degenerate point")
-			}
-			return 1/p.RelPerf - 1, nil
-		}
-	}
-	return 0, fmt.Errorf("experiments: cap %v not measured", capW)
+	return cr.SlowdownAt(capW)
 }
 
 // MaxSpreadAt returns the max−min relative performance across node

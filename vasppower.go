@@ -113,13 +113,13 @@ func Run(spec RunSpec) (RunOutput, error) { return workloads.Run(spec) }
 // Measure runs a benchmark with the paper's protocol and returns its
 // power profile at the standard 2 s telemetry interval. Zero spec
 // fields take protocol defaults (default platform, 1 node, 1 repeat,
-// uncapped); the repeats run serially, and spec.Workers is not used.
+// uncapped); the repeats run serially.
 func Measure(spec MeasureSpec) (JobProfile, error) { return core.Measure(spec) }
 
 // MeasureCapResponse measures a benchmark under each GPU power cap
-// (spec.CapW is ignored; caps drives the sweep). spec.Workers fans the
-// baseline and cap points out concurrently; the response is identical
-// for every worker count.
+// (spec.CapW is ignored; caps drives the sweep). The uncapped baseline
+// and every binding cap run serially on one sweep, which resolves the
+// schedule once; each point is bit-identical to a Measure at that cap.
 func MeasureCapResponse(spec MeasureSpec, caps []float64) (CapResponse, error) {
 	return core.MeasureCapResponse(spec, caps)
 }
