@@ -187,7 +187,6 @@ func drive(client *http.Client, url, spec string, burst, conns int, duration tim
 func coldPath() (nsOp, bOp, allocsOp int64) {
 	s := serve.New(serve.Config{
 		Measure:      func(core.MeasureSpec) (core.JobProfile, error) { return core.JobProfile{}, nil },
-		BatchWindow:  -1,
 		CacheEntries: 64,
 	})
 	h := s.Handler()

@@ -7,7 +7,7 @@
 //
 //	powerd [-addr localhost:8080]
 //	       [-cache-dir DIR] [-cache-max-bytes N]
-//	       [-max-in-flight N] [-max-queue N] [-batch-window D]
+//	       [-max-in-flight N] [-max-queue N]
 //	       [-max-sweep-points N] [-timeout D] [-parallel N]
 //	       [-telemetry] [-hold D] [-drain-timeout D] [-manifest FILE]
 //	       [-oneshot JSON] [-version]
@@ -15,7 +15,7 @@
 // Endpoints:
 //
 //	POST /v1/measure    one MeasureSpec → profile summary JSON
-//	POST /v1/sweep      cap or scaling sweep (batched; "stream":true → NDJSON)
+//	POST /v1/sweep      cap or scaling sweep ("stream":true → NDJSON)
 //	POST /v1/schedule   facility what-if under a capping policy
 //	GET  /v1/omni/...   read-only telemetry-store queries
 //	GET  /v1/telemetry  drain a host's live power samples
@@ -24,10 +24,11 @@
 //	GET  /debug/pprof/  profiles; /debug/vars metrics snapshot
 //
 // The server coalesces identical concurrent requests onto one
-// evaluation, micro-batches sweep points across clients, and sheds
-// load with 429 + Retry-After once the admission queue fills. A warm
-// repeat of any request is served from pre-serialized canonical bytes
-// without parsing, evaluating, or allocating.
+// evaluation, shares the sweep points that concurrent clients have in
+// common through the measurement cache, and sheds load with 429 +
+// Retry-After once the admission queue fills. A warm repeat of any
+// request is served from pre-serialized canonical bytes without
+// parsing, evaluating, or allocating.
 //
 // -hold bounds the serving lifetime: the default -1 serves until
 // SIGINT/SIGTERM; a positive duration exits after that long (or on an
@@ -74,7 +75,6 @@ type options struct {
 	manifestPath  string
 	maxInFlight   int
 	maxQueue      int
-	batchWindow   time.Duration
 	maxSweep      int
 	timeout       time.Duration
 	workers       int
@@ -99,10 +99,9 @@ func main() {
 	flag.StringVar(&opts.manifestPath, "manifest", "", "write a run manifest (JSON, with final serve.* metrics) at exit")
 	flag.IntVar(&opts.maxInFlight, "max-in-flight", 0, "admission capacity in weight units (0 = default)")
 	flag.IntVar(&opts.maxQueue, "max-queue", 0, "admission queue bound; beyond it requests get 429 (0 = default, -1 = no queue)")
-	flag.DurationVar(&opts.batchWindow, "batch-window", 0, "sweep micro-batch window (0 = default 2ms)")
 	flag.IntVar(&opts.maxSweep, "max-sweep-points", 0, "largest accepted sweep, in points (0 = default)")
-	flag.DurationVar(&opts.timeout, "timeout", 0, "per-measure evaluation budget (0 = default 30s)")
-	flag.IntVar(&opts.workers, "parallel", 0, "batch fan-out pool size (0 = one per CPU)")
+	flag.DurationVar(&opts.timeout, "timeout", 0, "bound on a /v1/measure request's wait for admission or for another request's evaluation of the same spec; an evaluation itself runs to completion (0 = default 30s)")
+	flag.IntVar(&opts.workers, "parallel", 0, "scaling-sweep fan-out pool size (0 = one per CPU)")
 	flag.BoolVar(&opts.telemetry, "telemetry", false, "stream measurement power samples and serve Prometheus text at /metrics")
 	flag.DurationVar(&opts.drainTimeout, "drain-timeout", 30*time.Second, "grace period for in-flight requests at shutdown")
 	version := flag.Bool("version", false, "print module version, VCS revision, and dirty flag, then exit")
@@ -147,7 +146,6 @@ func run(opts options, stdout, stderr io.Writer) error {
 		MaxQueue:       opts.maxQueue,
 		Timeout:        opts.timeout,
 		MaxSweepPoints: opts.maxSweep,
-		BatchWindow:    opts.batchWindow,
 		Reg:            reg,
 	}
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"io/fs"
 	"path/filepath"
 	"strings"
@@ -34,7 +35,8 @@ func countTempFiles(t *testing.T, dir string) int {
 // cap below the GPU's settable range fails the third point here) must
 // release its SweepContext arena and leave the disk cache with only
 // whole, committed entries — the completed points' writes are atomic
-// and no temp files remain.
+// and no temp files remain — and return the completed points' profiles
+// with the error.
 func TestCachedMeasureGroupMidSweepFailure(t *testing.T) {
 	dir := t.TempDir()
 	env, err := NewEnv(EnvOptions{CacheDir: dir})
@@ -49,8 +51,12 @@ func TestCachedMeasureGroupMidSweepFailure(t *testing.T) {
 	spec := core.MeasureSpec{Bench: b, Nodes: 1, Repeats: 1, Seed: 3}
 	before := workloads.ActiveSweeps()
 	badCap := quickCfg().platform().GPU.MinPowerLimit / 2
-	if _, err := env.MeasureGroup(spec, []float64{0, 250, badCap}); err == nil {
+	done, err := env.MeasureGroup(spec, []float64{0, 250, badCap})
+	if err == nil {
 		t.Fatalf("cap %g W below the settable range did not fail the sweep", badCap)
+	}
+	if len(done) != 2 {
+		t.Fatalf("failed group returned %d profiles, want the 2 before the failing point", len(done))
 	}
 	if got := workloads.ActiveSweeps(); got != before {
 		t.Fatalf("ActiveSweeps = %d, want %d (arena leaked after mid-sweep failure)", got, before)
@@ -61,12 +67,16 @@ func TestCachedMeasureGroupMidSweepFailure(t *testing.T) {
 
 	// The points that completed before the failure are committed whole:
 	// a fresh measurement of either must be a cache hit bit-identical
-	// to what the failed sweep stored.
-	for _, capW := range []float64{0, 250} {
+	// to what the failed sweep stored and returned.
+	for i, capW := range []float64{0, 250} {
 		pt := spec
 		pt.CapW = capW
-		if _, err := env.Measure(pt); err != nil {
+		jp, err := env.Measure(pt)
+		if err != nil {
 			t.Fatalf("completed point cap=%g unreadable after failed sweep: %v", capW, err)
+		}
+		if !bytes.Equal(core.AppendJobProfile(nil, jp), core.AppendJobProfile(nil, done[i])) {
+			t.Fatalf("completed point cap=%g differs from the profile the failed sweep returned", capW)
 		}
 	}
 }

@@ -348,8 +348,7 @@ func SpecKey(spec core.MeasureSpec) string {
 
 // AppendSpecKey appends SpecKey(spec) to dst and returns the extended
 // buffer — byte-identical to SpecKey, for callers (powerd's request
-// path, the sweep micro-batcher) that key requests without
-// allocating.
+// and sweep keys) that key requests without allocating.
 func AppendSpecKey(dst []byte, spec core.MeasureSpec) []byte {
 	spec.Platform = platform.OrDefault(spec.Platform)
 	if spec.Nodes <= 0 {
@@ -402,7 +401,8 @@ func (e *Env) compute(measure func(*core.Arena, core.MeasureSpec) (core.JobProfi
 // as Measure, one lookup per point, but the points that compute share
 // one incremental sweep context (the cap-independent resolution
 // phase), built on the first miss. Results are bit-identical to
-// per-point Measure calls.
+// per-point Measure calls. On failure it returns the profiles of the
+// points before the failing one with the error.
 func (e *Env) MeasureGroup(spec core.MeasureSpec, caps []float64) ([]core.JobProfile, error) {
 	spec.Sink = e.sink
 	return e.measureGroup(caps, "full", func(capW float64) (string, measured) {
@@ -475,7 +475,8 @@ func (e *Env) MeasureMILCGroup(spec workloads.MILCRunSpec, caps []float64) ([]co
 // resolution; the points that miss share one sweep context, opened in
 // one of e's arenas on the first miss and closed, with the arena given
 // back, once every point is looked up. A failed open gives the arena
-// back at once and fails the group.
+// back at once and fails the group. A failing point ends the group: the
+// profiles of the points before it are returned with its error.
 func (e *Env) measureGroup(caps []float64, resolution string, point func(capW float64) (string, measured), open func(*core.Arena) (*core.SweepContext, error)) ([]core.JobProfile, error) {
 	out := make([]core.JobProfile, len(caps))
 	var sctx *core.SweepContext
@@ -500,7 +501,7 @@ func (e *Env) measureGroup(caps []float64, resolution string, point func(capW fl
 			return sctx.MeasureCap(capW)
 		})
 		if err != nil {
-			return nil, err
+			return out[:i], err
 		}
 		out[i] = jp
 	}

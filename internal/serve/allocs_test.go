@@ -24,7 +24,7 @@ func TestAllocBudget(t *testing.T) {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	f := &fakeMeasure{}
-	warm := New(Config{Measure: f.fn, Reg: obs.NewRegistry(), BatchWindow: -1})
+	warm := New(Config{Measure: f.fn, Reg: obs.NewRegistry()})
 	for _, ep := range []struct{ path, body string }{
 		{"/v1/measure", measureBody},
 		{"/v1/sweep", `{"kind":"cap","bench":"Si256_hse","from_w":200,"to_w":300,"step_w":50}`},
@@ -45,7 +45,7 @@ func TestAllocBudget(t *testing.T) {
 
 	// Distinct caps below the TDP defeat both cache indexes, as in
 	// BenchmarkColdMeasure.
-	cold := New(Config{Measure: f.fn, Reg: obs.NewRegistry(), BatchWindow: -1, CacheEntries: 64})
+	cold := New(Config{Measure: f.fn, Reg: obs.NewRegistry(), CacheEntries: 64})
 	run := replay(cold, "/v1/measure")
 	bodies := make([][]byte, 512)
 	for i := range bodies {

@@ -52,7 +52,7 @@ func (b *resettableBody) Close() error               { return nil }
 func newWarmServer(b *testing.B) (*Server, *http.Request, *resettableBody) {
 	b.Helper()
 	f := &fakeMeasure{}
-	s := New(Config{Measure: f.fn, Reg: obs.NewRegistry(), BatchWindow: -1})
+	s := New(Config{Measure: f.fn, Reg: obs.NewRegistry()})
 	// Prime the byte cache with one real round trip.
 	req, _ := http.NewRequest(http.MethodPost, "/v1/measure", strings.NewReader(measureBody))
 	w := newDiscardWriter()
@@ -137,7 +137,7 @@ func BenchmarkCacheLookup(b *testing.B) {
 // decode + validate + singleflight + encode + alias registration.
 func BenchmarkColdMeasure(b *testing.B) {
 	f := &fakeMeasure{}
-	s := New(Config{Measure: f.fn, Reg: obs.NewRegistry(), BatchWindow: -1, CacheEntries: 64})
+	s := New(Config{Measure: f.fn, Reg: obs.NewRegistry(), CacheEntries: 64})
 	h := s.Handler()
 	w := newDiscardWriter()
 	// Distinct cap per iteration defeats both cache indexes, so every
@@ -181,7 +181,7 @@ func itoa(n int) string {
 // sustains the target rate.
 func BenchmarkWarmHTTP(b *testing.B) {
 	f := &fakeMeasure{}
-	s := New(Config{Measure: f.fn, Reg: obs.NewRegistry(), BatchWindow: -1})
+	s := New(Config{Measure: f.fn, Reg: obs.NewRegistry()})
 	srv := &http.Server{Handler: s.Handler()}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -31,14 +31,12 @@ const (
 )
 
 // fuzzServer is the server every fuzz target drives: deterministic,
-// flushes each sweep batch immediately, and small enough that any
-// accepted body evaluates in milliseconds.
+// and small enough that any accepted body evaluates in milliseconds.
 func fuzzServer() (*Server, *fakeMeasure) {
 	f := &fakeMeasure{}
 	return New(Config{
 		Measure:         f.fn,
 		Reg:             obs.NewRegistry(),
-		BatchWindow:     -1,
 		MaxSweepPoints:  fuzzMaxSweepPoints,
 		MaxScheduleJobs: fuzzMaxScheduleJobs,
 	}), f

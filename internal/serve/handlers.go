@@ -20,6 +20,7 @@ import (
 	"vasppower/internal/hw/platform"
 	"vasppower/internal/memo"
 	"vasppower/internal/omni"
+	"vasppower/internal/par"
 	"vasppower/internal/sched"
 	"vasppower/internal/workloads"
 )
@@ -630,7 +631,7 @@ func (s *Server) parseSweep(body []byte) (call, *apiError) {
 	}
 	out := call{timeout: s.cfg.SweepTimeout, weight: int64(len(c.specs))}
 	if c.req.Stream {
-		out.stream = func(ctx context.Context, w http.ResponseWriter) { s.streamSweep(ctx, w, c.specs) }
+		out.stream = func(ctx context.Context, w http.ResponseWriter) { s.streamSweep(ctx, w, c.req.Kind, c.specs) }
 		return out, nil
 	}
 	out.key, out.eval = sweepCanonKey(c.req.Kind, c.specs), c
@@ -638,10 +639,7 @@ func (s *Server) parseSweep(body []byte) (call, *apiError) {
 }
 
 func (c *sweepCall) eval(ctx context.Context, s *Server) ([]byte, error) {
-	jps, err := s.batcher.Measure(ctx, c.specs)
-	if err != nil {
-		return nil, err
-	}
+	pts := s.measureSweep(c.req.Kind, c.specs)
 	resp := sweepResponse{
 		Kind:     c.req.Kind,
 		Bench:    c.specs[0].Bench.Name,
@@ -649,28 +647,88 @@ func (c *sweepCall) eval(ctx context.Context, s *Server) ([]byte, error) {
 		Count:    len(c.specs),
 		Points:   make([]measureResponse, len(c.specs)),
 	}
-	for i, jp := range jps {
+	for i := range pts {
+		jp, err := pts[i].wait(ctx)
+		if err != nil {
+			return nil, err
+		}
 		resp.Points[i] = buildMeasureResponse(c.specs[i], jp)
 	}
 	return encodeJSON(resp)
 }
 
+// sweepPoint is one sweep point's result, set once before done closes.
+type sweepPoint struct {
+	done chan struct{}
+	jp   core.JobProfile
+	err  error
+}
+
+// wait blocks until the point is measured (or ctx ends) and returns
+// its result.
+func (p *sweepPoint) wait(ctx context.Context) (core.JobProfile, error) {
+	select {
+	case <-p.done:
+		return p.jp, p.err
+	case <-ctx.Done():
+		return core.JobProfile{}, ctx.Err()
+	}
+}
+
+// measureSweep starts measuring a sweep's points and returns them in
+// sweep order; the measurement runs to completion in the background
+// even if the caller stops waiting. A cap sweep is one MeasureGroup
+// call, so its points land together: the ones before a failing point
+// with their profiles, the rest with the error. A scaling sweep
+// measures each point with Measure on the Workers pool. Points that
+// concurrent requests share are deduped below, by the measurement
+// cache's per-key flight.
+func (s *Server) measureSweep(kind string, specs []core.MeasureSpec) []sweepPoint {
+	pts := make([]sweepPoint, len(specs))
+	for i := range pts {
+		pts[i].done = make(chan struct{})
+	}
+	if kind == "cap" {
+		caps := make([]float64, len(specs))
+		for i, spec := range specs {
+			caps[i] = spec.CapW
+		}
+		go func() {
+			jps, err := s.cfg.MeasureGroup(specs[0], caps)
+			for i := range pts {
+				if i < len(jps) {
+					pts[i].jp = jps[i]
+				} else {
+					pts[i].err = err
+				}
+				close(pts[i].done)
+			}
+		}()
+		return pts
+	}
+	go par.ForEach(context.Background(), par.Workers(s.cfg.Workers), len(pts),
+		func(_ context.Context, i int) error {
+			pts[i].jp, pts[i].err = s.cfg.Measure(specs[i])
+			close(pts[i].done)
+			return nil // a point's error rides the point, not the pool
+		})
+	return pts
+}
+
 // streamSweep writes the sweep as NDJSON, one point per line, flushed
-// as each point's flight completes — a client watching a long sweep
-// sees points appear in order instead of waiting for the batch.
-// Streamed responses bypass the response cache (the value of a stream
-// is its incremental delivery; the memo tiers below still dedupe the
-// points themselves).
-func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, specs []core.MeasureSpec) {
+// as each point completes — a client watching a long scaling sweep
+// sees points appear in order instead of waiting for the whole sweep
+// (a cap sweep's points complete together). Streamed responses bypass
+// the response cache (the value of a stream is its incremental
+// delivery; the measurement cache below still dedupes the points
+// themselves).
+func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, kind string, specs []core.MeasureSpec) {
 	h := w.Header()
 	h["Content-Type"] = []string{"application/x-ndjson"}
 	flusher, _ := w.(http.Flusher)
-	flights := make([]*PointFlight, len(specs))
-	for i, spec := range specs {
-		flights[i] = s.batcher.Enqueue(spec)
-	}
-	for i, f := range flights {
-		jp, err := f.Wait(ctx)
+	pts := s.measureSweep(kind, specs)
+	for i := range pts {
+		jp, err := pts[i].wait(ctx)
 		if err != nil {
 			// Mid-stream failure: the status line is already out, so
 			// deliver the error as a terminal NDJSON record.

@@ -32,18 +32,6 @@ type Metrics struct {
 	// misses together; the bimodality is the point — µs hits next to
 	// ms..s evaluations).
 	LatencyMS *obs.Histogram
-
-	// Batch accounting: Flushes counts batch windows executed,
-	// BatchPoints the work items fanned out across them, BatchMerged
-	// the sweep points that joined a point already pending in the same
-	// window (cross-request dedup at point granularity), and
-	// BatchGroups the cap-sweep groups — points in one window sharing a
-	// spec-minus-cap identity — that rode one incremental sweep context
-	// instead of solving from scratch per point.
-	BatchFlushes *obs.Counter
-	BatchPoints  *obs.Counter
-	BatchMerged  *obs.Counter
-	BatchGroups  *obs.Counter
 }
 
 // latencyBucketsMS spans cached hits (tens of µs) through cold sweep
@@ -55,19 +43,15 @@ var latencyBucketsMS = []float64{0.01, 0.1, 1, 10, 100, 1000, 10000}
 // repo-wide convention.
 func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
-		Requests:     reg.Counter("serve.requests"),
-		Hits:         reg.Counter("serve.hits"),
-		Misses:       reg.Counter("serve.misses"),
-		Coalesced:    reg.Counter("serve.coalesced"),
-		Shed:         reg.Counter("serve.shed"),
-		Errors:       reg.Counter("serve.errors"),
-		Timeouts:     reg.Counter("serve.timeouts"),
-		InFlight:     reg.Gauge("serve.inflight"),
-		QueueDepth:   reg.Gauge("serve.queue_depth"),
-		LatencyMS:    reg.Histogram("serve.latency_ms", latencyBucketsMS),
-		BatchFlushes: reg.Counter("serve.batch_flushes"),
-		BatchPoints:  reg.Counter("serve.batch_points"),
-		BatchMerged:  reg.Counter("serve.batch_merged"),
-		BatchGroups:  reg.Counter("serve.batch_groups"),
+		Requests:   reg.Counter("serve.requests"),
+		Hits:       reg.Counter("serve.hits"),
+		Misses:     reg.Counter("serve.misses"),
+		Coalesced:  reg.Counter("serve.coalesced"),
+		Shed:       reg.Counter("serve.shed"),
+		Errors:     reg.Counter("serve.errors"),
+		Timeouts:   reg.Counter("serve.timeouts"),
+		InFlight:   reg.Gauge("serve.inflight"),
+		QueueDepth: reg.Gauge("serve.queue_depth"),
+		LatencyMS:  reg.Histogram("serve.latency_ms", latencyBucketsMS),
 	}
 }

@@ -1,16 +1,18 @@
 // Package serve is the long-running HTTP front end of the measurement
-// engine: the routing → admission → coalesce → batch → compute → cache
-// pipeline behind cmd/powerd.
+// engine: the routing → admission → coalesce → compute → cache pipeline
+// behind cmd/powerd.
 //
 // The design mirrors an inference-serving stack. Requests route to
 // JSON endpoints (/v1/measure, /v1/sweep, /v1/schedule, /v1/omni/...,
 // /v1/telemetry, /healthz); an admission limiter (weighted semaphore,
 // bounded queue, 429 + Retry-After on saturation) protects evaluation
 // capacity; identical concurrent requests coalesce onto one
-// evaluation; sweeps decompose into per-point work items micro-batched
-// across requests; results serialize once into a response cache of
-// canonical JSON bytes, after which the warm path performs zero
-// parsing, zero encoding, and zero allocation per request.
+// evaluation; a sweep measures its points through the same
+// measurement cache as /v1/measure, whose per-key flight dedupes the
+// points that concurrent requests share; results serialize once into
+// a response cache of canonical JSON bytes, after which the warm path
+// performs zero parsing, zero encoding, and zero allocation per
+// request.
 //
 // Invariants the pipeline maintains:
 //
@@ -46,14 +48,14 @@ type Config struct {
 	// powerd passes its own Env's Measure; tests inject counters and
 	// gates here.
 	Measure func(core.MeasureSpec) (core.JobProfile, error)
-	// MeasureGroup evaluates one spec at several cap points through a
-	// shared incremental sweep context. It defaults to
-	// experiments.CachedMeasureGroup only when Measure is also
-	// defaulted; a test injecting Measure keeps the per-point path
-	// unless it supplies its own group function.
+	// MeasureGroup evaluates one spec at several cap points, in order,
+	// through a shared incremental sweep context; a cap sweep is one
+	// call. On failure it returns the profiles of the points before the
+	// failing one together with the error. It defaults to
+	// experiments.CachedMeasureGroup when Measure is also defaulted, and
+	// otherwise to an in-order loop over Measure.
 	MeasureGroup func(core.MeasureSpec, []float64) ([]core.JobProfile, error)
-	// Workers bounds each batch window's fan-out pool (0 = one per
-	// CPU).
+	// Workers bounds a scaling sweep's fan-out pool (0 = one per CPU).
 	Workers int
 	// MaxInFlight is the admission capacity in weight units (a measure
 	// or schedule request weighs 1–2; a sweep weighs its point count).
@@ -63,8 +65,12 @@ type Config struct {
 	// requests are shed with 429. 0 = DefaultMaxQueue. Use -1 for an
 	// actually-zero queue (shed the moment capacity is full).
 	MaxQueue int
-	// Timeout bounds one measure evaluation; SweepTimeout and
-	// ScheduleTimeout bound their endpoints. 0 = defaults.
+	// Timeout, SweepTimeout and ScheduleTimeout bound how long a
+	// request to /v1/measure, /v1/sweep and /v1/schedule waits: for
+	// admission, on another caller's in-flight evaluation of the same
+	// request, and (a sweep) on its points. They do not stop an
+	// evaluation: the one a request leads runs to completion and is
+	// cached. 0 = defaults.
 	Timeout         time.Duration
 	SweepTimeout    time.Duration
 	ScheduleTimeout time.Duration
@@ -74,10 +80,6 @@ type Config struct {
 	// MaxScheduleJobs bounds one what-if run's synthetic mix (0 =
 	// DefaultMaxScheduleJobs).
 	MaxScheduleJobs int
-	// BatchWindow is the sweep micro-batch window (0 =
-	// DefaultBatchWindow; negative = flush every submission
-	// immediately, which unit tests use).
-	BatchWindow time.Duration
 	// CacheEntries bounds the response cache (canonical entries and
 	// body aliases each; 0 = DefaultCacheEntries).
 	CacheEntries int
@@ -102,7 +104,6 @@ const (
 	DefaultScheduleTimeout = 5 * time.Minute
 	DefaultMaxSweepPoints  = 4096
 	DefaultMaxScheduleJobs = 100000
-	DefaultBatchWindow     = 2 * time.Millisecond
 	DefaultCacheEntries    = 1 << 16
 	DefaultTelemetryRing   = 4096
 )
@@ -113,6 +114,9 @@ func (c Config) withDefaults() Config {
 		if c.MeasureGroup == nil {
 			c.MeasureGroup = experiments.CachedMeasureGroup
 		}
+	}
+	if c.MeasureGroup == nil {
+		c.MeasureGroup = measureEach(c.Measure)
 	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = DefaultMaxInFlight
@@ -138,9 +142,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxScheduleJobs <= 0 {
 		c.MaxScheduleJobs = DefaultMaxScheduleJobs
 	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = DefaultBatchWindow
-	}
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = DefaultCacheEntries
 	}
@@ -148,6 +149,24 @@ func (c Config) withDefaults() Config {
 		c.TelemetryRing = DefaultTelemetryRing
 	}
 	return c
+}
+
+// measureEach is the MeasureGroup of a Config that supplies only
+// Measure: each cap point measured in turn, stopping at the first
+// failure.
+func measureEach(measure func(core.MeasureSpec) (core.JobProfile, error)) func(core.MeasureSpec, []float64) ([]core.JobProfile, error) {
+	return func(spec core.MeasureSpec, caps []float64) ([]core.JobProfile, error) {
+		out := make([]core.JobProfile, 0, len(caps))
+		for _, capW := range caps {
+			spec.CapW = capW
+			jp, err := measure(spec)
+			if err != nil {
+				return out, err
+			}
+			out = append(out, jp)
+		}
+		return out, nil
+	}
 }
 
 // Server holds the pipeline's state. Build with New, mount with Mount
@@ -158,7 +177,6 @@ type Server struct {
 	m       *Metrics
 	cache   *respCache
 	limiter *Limiter
-	batcher *Batcher
 	mux     *http.ServeMux
 	started time.Time
 
@@ -177,11 +195,6 @@ func New(cfg Config) *Server {
 		mux:     http.NewServeMux(),
 		started: time.Now(),
 	}
-	window := cfg.BatchWindow
-	if window < 0 {
-		window = 0
-	}
-	s.batcher = NewBatcher(cfg.Measure, cfg.MeasureGroup, measureCanonKey, window, cfg.Workers, m)
 	s.telem.init(cfg.Hub, cfg.TelemetryRing)
 
 	s.mux.HandleFunc("/v1/measure", s.handleMeasure)
@@ -196,8 +209,7 @@ func New(cfg Config) *Server {
 }
 
 // appendMeasureCanonKey appends measureCanonKey(spec) to dst without
-// allocating — the form the sweep hashing path and the batcher's
-// group keying use.
+// allocating — the form the sweep hashing path uses.
 func appendMeasureCanonKey(dst []byte, spec core.MeasureSpec) []byte {
 	dst = append(dst, "measure|"...)
 	return experiments.AppendSpecKey(dst, spec)

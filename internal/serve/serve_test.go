@@ -58,9 +58,8 @@ func newTestServer(t *testing.T, mutate func(*Config)) (*Server, *fakeMeasure) {
 	t.Helper()
 	f := &fakeMeasure{}
 	cfg := Config{
-		Measure:     f.fn,
-		Reg:         obs.NewRegistry(),
-		BatchWindow: -1, // flush immediately: deterministic tests
+		Measure: f.fn,
+		Reg:     obs.NewRegistry(),
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -342,11 +341,11 @@ func TestSweepCap(t *testing.T) {
 }
 
 func TestSweepPointsSharedWithMeasure(t *testing.T) {
-	// A sweep and a point measure share canonical identities through
-	// the batcher's key function — but distinct endpoints still
-	// evaluate independently unless the memo tiers join them. Here both
-	// go through the same fake (no memo), so the assertion is just that
-	// the sweep's per-point spec equals the measure's canonical spec.
+	// A sweep and a point measure share canonical identities — but
+	// distinct endpoints still evaluate independently unless the
+	// measurement cache joins them. Here both go through the same fake
+	// (no cache), so the assertion is just that the sweep's per-point
+	// spec equals the measure's canonical spec.
 	s, _ := newTestServer(t, nil)
 	w := post(t, s, "/v1/sweep", `{"kind":"scaling","bench":"Si256_hse","node_counts":[1,2,4]}`)
 	if w.Code != 200 {
@@ -761,36 +760,6 @@ func TestLimiterSaturation(t *testing.T) {
 	}
 }
 
-func TestBatcherMerges(t *testing.T) {
-	f := &fakeMeasure{}
-	m := NewMetrics(obs.NewRegistry())
-	b := NewBatcher(f.fn, nil, measureCanonKey, 20*time.Millisecond, 2, m)
-	specA := mustSpec(t, measureRequest{Bench: "Si256_hse", CapW: 250})
-	specB := mustSpec(t, measureRequest{Bench: "Si256_hse", CapW: 300})
-	fa1 := b.Enqueue(specA)
-	fa2 := b.Enqueue(specA) // same point, same window → same flight
-	fb := b.Enqueue(specB)
-	if fa1 != fa2 {
-		t.Fatal("identical points in one window got separate flights")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	for _, fl := range []*PointFlight{fa1, fa2, fb} {
-		if _, err := fl.Wait(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := f.evals.Load(); n != 2 {
-		t.Fatalf("evaluations = %d, want 2 (A merged)", n)
-	}
-	if m.BatchMerged.Value() != 1 {
-		t.Fatalf("serve.batch_merged = %d, want 1", m.BatchMerged.Value())
-	}
-	if m.BatchFlushes.Value() != 1 {
-		t.Fatalf("serve.batch_flushes = %d, want 1 (shared window)", m.BatchFlushes.Value())
-	}
-}
-
 // TestNonBindingCapCanonicalization: a cap at or above the platform
 // TDP is the stock power limit, so cap_w=0, cap_w=TDP, and cap_w>TDP
 // must share one canonical cache entry — one evaluation, identical
@@ -839,9 +808,9 @@ func TestNonBindingCapCanonicalization(t *testing.T) {
 	}
 }
 
-// TestSweepGroupPath: points of one sweep that share a spec-minus-cap
-// identity ride one MeasureGroup call (serve.batch_groups), and the
-// response bytes are identical to the per-point path's.
+// TestSweepGroupPath: a cap sweep is one MeasureGroup call, and the
+// response bytes are identical to those of the group a Config with
+// only Measure derives.
 func TestSweepGroupPath(t *testing.T) {
 	f := &fakeMeasure{}
 	var groupCalls atomic.Int64
@@ -859,9 +828,7 @@ func TestSweepGroupPath(t *testing.T) {
 		}
 		return out, nil
 	}
-	// A real window so all three points land in one flush.
-	s := New(Config{Measure: f.fn, MeasureGroup: group,
-		Reg: obs.NewRegistry(), BatchWindow: 20 * time.Millisecond})
+	s := New(Config{Measure: f.fn, MeasureGroup: group, Reg: obs.NewRegistry()})
 	body := `{"kind":"cap","bench":"Si256_hse","from_w":100,"to_w":200,"step_w":50}`
 	w := post(t, s, "/v1/sweep", body)
 	if w.Code != 200 {
@@ -873,35 +840,164 @@ func TestSweepGroupPath(t *testing.T) {
 	if n := f.evals.Load(); n != 3 {
 		t.Fatalf("evaluations = %d, want 3", n)
 	}
-	if v := s.Metrics().BatchGroups.Value(); v != 1 {
-		t.Fatalf("serve.batch_groups = %d, want 1", v)
-	}
-	// The per-point path (no group fn) must produce identical bytes.
+	// The derived group (no group fn) must produce identical bytes.
 	s2, _ := newTestServer(t, func(c *Config) { c.Measure = f.fn })
 	w2 := post(t, s2, "/v1/sweep", body)
 	if w2.Code != 200 {
-		t.Fatalf("per-point status %d", w2.Code)
+		t.Fatalf("derived-group status %d", w2.Code)
 	}
 	if !bytes.Equal(w.Body.Bytes(), w2.Body.Bytes()) {
-		t.Fatalf("group-path bytes differ from per-point bytes:\n%s\n%s", w.Body, w2.Body)
+		t.Fatalf("group bytes differ from derived-group bytes:\n%s\n%s", w.Body, w2.Body)
 	}
 }
 
-// TestSweepGroupError: a failing group falls back to per-point
-// evaluation so errors stay per-point.
+// TestSweepGroupError: a group that fails at a point returns the
+// profiles before it, and the sweep fails at that point with the
+// group's error: a 500 that is not cached, or, streamed, the points
+// before it and a terminal record naming it.
 func TestSweepGroupError(t *testing.T) {
 	f := &fakeMeasure{}
-	group := func(core.MeasureSpec, []float64) ([]core.JobProfile, error) {
-		return nil, fmt.Errorf("group exploded")
+	var groupCalls atomic.Int64
+	group := func(spec core.MeasureSpec, caps []float64) ([]core.JobProfile, error) {
+		groupCalls.Add(1)
+		out := make([]core.JobProfile, 0, len(caps))
+		for i, capW := range caps {
+			if i == 2 {
+				return out, fmt.Errorf("point at %g W exploded", capW)
+			}
+			pt := spec
+			pt.CapW = capW
+			jp, _ := f.fn(pt)
+			out = append(out, jp)
+		}
+		return out, nil
 	}
-	s := New(Config{Measure: f.fn, MeasureGroup: group,
-		Reg: obs.NewRegistry(), BatchWindow: 20 * time.Millisecond})
-	w := post(t, s, "/v1/sweep", `{"kind":"cap","bench":"Si256_hse","from_w":100,"to_w":200,"step_w":50}`)
-	if w.Code != 200 {
-		t.Fatalf("status %d body %s (group failure must fall back)", w.Code, w.Body)
+	s := New(Config{Measure: f.fn, MeasureGroup: group, Reg: obs.NewRegistry()})
+	const body = `{"kind":"cap","bench":"Si256_hse","from_w":100,"to_w":200,"step_w":50}`
+	for i := 1; i <= 2; i++ {
+		w := post(t, s, "/v1/sweep", body)
+		if w.Code != http.StatusInternalServerError || !strings.Contains(w.Body.String(), "point at 200 W exploded") {
+			t.Fatalf("request %d: status %d body %s, want 500 with the failing point's error", i, w.Code, w.Body)
+		}
+		if n := groupCalls.Load(); n != int64(i) {
+			t.Fatalf("request %d: group calls = %d, want %d (a failed sweep is not cached)", i, n, i)
+		}
 	}
-	if n := f.evals.Load(); n != 3 {
-		t.Fatalf("evaluations = %d, want 3 (per-point fallback)", n)
+	if n := s.cache.entries.Len(); n != 0 {
+		t.Fatalf("%d response entries after failed sweeps, want 0", n)
+	}
+
+	w := post(t, s, "/v1/sweep", strings.TrimSuffix(body, "}")+`,"stream":true}`)
+	lines := strings.Split(strings.TrimSpace(w.Body.String()), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("%d NDJSON lines, want 3 (2 points + terminal error): %q", len(lines), w.Body)
+	}
+	for i, line := range lines[:2] {
+		var pt measureResponse
+		if err := json.Unmarshal([]byte(line), &pt); err != nil || pt.CapW != 100+50*float64(i) {
+			t.Fatalf("line %d = %s (err %v), want the point at %g W", i, line, err, 100+50*float64(i))
+		}
+	}
+	var terminal struct {
+		Error string `json:"error"`
+		Point int    `json:"point"`
+	}
+	if err := json.Unmarshal([]byte(lines[2]), &terminal); err != nil {
+		t.Fatalf("terminal line not JSON: %v", err)
+	}
+	if terminal.Point != 2 || terminal.Error != "point at 200 W exploded" {
+		t.Fatalf("terminal record = %+v, want point 2 with the group's error", terminal)
+	}
+}
+
+// TestSweepsShareDistinctPoints: two overlapping cap sweeps posted at
+// once to servers on one Env (powerd-mix's sweep pair: 8 and 16 points
+// from 150 W in 15 W steps) compute each distinct point once, through
+// the Env's per-key flight, and their bodies are byte-equal to the
+// same sweeps served one at a time on a fresh Env.
+func TestSweepsShareDistinctPoints(t *testing.T) {
+	bodies := [2]string{
+		`{"kind":"cap","bench":"B.hR105_hse","seed":5,"from_w":150,"to_w":255,"step_w":15}`,
+		`{"kind":"cap","bench":"B.hR105_hse","seed":5,"from_w":150,"to_w":375,"step_w":15}`,
+	}
+	newServer := func() (*Server, *obs.Registry) {
+		reg := obs.NewRegistry()
+		env, err := experiments.NewEnv(experiments.EnvOptions{Obs: &obs.Obs{Metrics: reg}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return New(Config{Measure: env.Measure, MeasureGroup: env.MeasureGroup}), reg
+	}
+
+	s, reg := newServer()
+	var got [2]*httptest.ResponseRecorder
+	var wg sync.WaitGroup
+	for i := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = post(t, s, "/v1/sweep", bodies[i])
+		}()
+	}
+	wg.Wait()
+	if c := reg.Snapshot().Counters; c["memo.misses"] != 16 || c["memo.hits"] != 8 {
+		t.Fatalf("memo.misses/hits = %d/%d, want 16/8 (each distinct point computed once)", c["memo.misses"], c["memo.hits"])
+	}
+
+	serial, _ := newServer()
+	for i, body := range bodies {
+		want := post(t, serial, "/v1/sweep", body)
+		if got[i].Code != 200 || want.Code != 200 {
+			t.Fatalf("sweep %d: status %d concurrent, %d serial (%s)", i, got[i].Code, want.Code, got[i].Body)
+		}
+		if !bytes.Equal(got[i].Body.Bytes(), want.Body.Bytes()) {
+			t.Fatalf("sweep %d: concurrent body differs from serial:\n%s\n%s", i, got[i].Body, want.Body)
+		}
+	}
+}
+
+// TestTimeoutBoundsTheWaitNotTheEvaluation: Config.Timeout bounds how
+// long a request waits on another caller's flight, not the evaluation
+// the leader runs. A joiner whose timeout expires gets 504; the leader,
+// past the same timeout, still answers 200 and its body is cached.
+func TestTimeoutBoundsTheWaitNotTheEvaluation(t *testing.T) {
+	f := &fakeMeasure{gate: make(chan struct{})}
+	s, _ := newTestServer(t, func(c *Config) {
+		c.Measure = f.fn
+		c.Timeout = 20 * time.Millisecond
+	})
+	leader := make(chan *httptest.ResponseRecorder, 1)
+	go func() { leader <- post(t, s, "/v1/measure", measureBody) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for f.evals.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the leader's evaluation never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	joiner := post(t, s, "/v1/measure", measureBody)
+	if joiner.Code != http.StatusGatewayTimeout {
+		t.Fatalf("joiner: status %d body %s, want 504", joiner.Code, joiner.Body)
+	}
+	if v := s.Metrics().Timeouts.Value(); v != 1 {
+		t.Fatalf("serve.timeouts = %d, want 1", v)
+	}
+	if v := s.Metrics().Coalesced.Value(); v != 1 {
+		t.Fatalf("serve.coalesced = %d, want 1 (the joiner waited on the leader's flight)", v)
+	}
+
+	close(f.gate)
+	lw := <-leader
+	if lw.Code != 200 {
+		t.Fatalf("leader: status %d body %s, want 200 past its timeout", lw.Code, lw.Body)
+	}
+	again := post(t, s, "/v1/measure", measureBody)
+	if again.Header().Get("X-Cache") != "hit" || !bytes.Equal(again.Body.Bytes(), lw.Body.Bytes()) {
+		t.Fatalf("the leader's body was not cached: X-Cache %q", again.Header().Get("X-Cache"))
+	}
+	if n := f.evals.Load(); n != 1 {
+		t.Fatalf("evaluations = %d, want 1", n)
 	}
 }
 
@@ -909,10 +1005,12 @@ func TestSweepGroupError(t *testing.T) {
 // point is still evaluating must emit a terminal NDJSON error record
 // for that point, return the handler, and release the admission
 // weight; the blocked evaluation drains in the background afterwards.
+// A scaling sweep streams its points one by one (a cap sweep's points
+// complete together).
 func TestSweepStreamCancelMidStream(t *testing.T) {
 	block := make(chan struct{})
 	measure := func(spec core.MeasureSpec) (core.JobProfile, error) {
-		if spec.CapW == 200 { // last point of the sweep below
+		if spec.Nodes == 4 { // last point of the sweep below
 			<-block
 		}
 		return core.JobProfile{Runtime: 1}, nil
@@ -921,10 +1019,10 @@ func TestSweepStreamCancelMidStream(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	req := httptest.NewRequest(http.MethodPost, "/v1/sweep",
-		strings.NewReader(`{"kind":"cap","bench":"Si256_hse","from_w":100,"to_w":200,"step_w":50,"stream":true}`)).
+		strings.NewReader(`{"kind":"scaling","bench":"Si256_hse","node_counts":[1,2,4],"stream":true}`)).
 		WithContext(ctx)
 	// Cancel once the first two points are streamed; the third is gated
-	// on block, so its Wait observes only the cancellation.
+	// on block, so its wait observes only the cancellation.
 	w := &lineSignalRecorder{ResponseRecorder: httptest.NewRecorder(), want: 2, ready: make(chan struct{})}
 	done := make(chan struct{})
 	go func() {
@@ -942,7 +1040,7 @@ func TestSweepStreamCancelMidStream(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("handler did not return after cancellation")
 	}
-	close(block) // let the background flush drain
+	close(block) // let the background measurement drain
 
 	lines := strings.Split(strings.TrimSpace(w.Body.String()), "\n")
 	if len(lines) != 3 {
@@ -1011,8 +1109,7 @@ func TestSweepStreamCancelReleasesArenaAndDisk(t *testing.T) {
 	}
 
 	before := workloads.ActiveSweeps()
-	s := New(Config{Reg: obs.NewRegistry(), BatchWindow: 10 * time.Millisecond,
-		Measure: env.Measure, MeasureGroup: env.MeasureGroup})
+	s := New(Config{Reg: obs.NewRegistry(), Measure: env.Measure, MeasureGroup: env.MeasureGroup})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	req := httptest.NewRequest(http.MethodPost, "/v1/sweep",
