@@ -58,20 +58,21 @@ func main() {
 		fatal(1, fmt.Errorf("unknown benchmark %q", *benchName))
 	}
 
-	store := omni.NewStore()
-
 	// 0. Streaming telemetry, when asked for: the run below publishes
 	// its traces into a hub; one subscriber pumps them into the store as
 	// power.<domain> metrics, another feeds the Prometheus exporter.
 	// Everything is set up before the run so no sample is missed.
+	var reg *obs.Registry
+	if *telemetryAddr != "" {
+		reg = obs.NewRegistry()
+	}
+	store := omni.NewStore(omni.NewMetrics(reg))
 	var streamSub *telemetry.Subscription
 	pumpDone := make(chan struct{})
 	var pumped int
-	var reg *obs.Registry
 	var hub *telemetry.Hub
 	if *telemetryAddr != "" {
-		reg = obs.NewRegistry()
-		hub = telemetry.NewHub()
+		hub = telemetry.NewHub(telemetry.NewMetrics(reg))
 		col, err := promexp.NewCollector(hub, reg, 1<<16)
 		if err != nil {
 			fatal(2, err)

@@ -33,8 +33,9 @@
 // -hold bounds the serving lifetime: the default -1 serves until
 // SIGINT/SIGTERM; a positive duration exits after that long (or on an
 // earlier signal). Shutdown is graceful either way: the listener
-// closes, in-flight requests finish, then the -manifest file (with
-// the final serve.* metrics) is written.
+// closes, in-flight requests finish, the telemetry pump stores what
+// its ring still holds, then the -manifest file (with the final
+// serve.* metrics) is written.
 //
 // -cache-dir DIR backs the measurement cache with a persistent
 // directory. Entries are written behind the requests that computed
@@ -123,7 +124,7 @@ func run(opts options, stdout, stderr io.Writer) error {
 	reg := obs.NewRegistry()
 	var hub *telemetry.Hub
 	if opts.telemetry {
-		hub = telemetry.NewHub()
+		hub = telemetry.NewHub(telemetry.NewMetrics(reg))
 	}
 	env, err := experiments.NewEnv(experiments.EnvOptions{
 		Obs: &obs.Obs{Metrics: reg}, Hub: hub,
@@ -150,18 +151,29 @@ func run(opts options, stdout, stderr io.Writer) error {
 	}
 
 	var col *promexp.Collector
+	stopPump := func() {}
 	if hub != nil {
 		c, err := promexp.NewCollector(hub, reg, 1<<16)
 		if err != nil {
 			return err
 		}
 		col = c
-		store := omni.NewStore()
+		store := omni.NewStore(omni.NewMetrics(reg))
 		sub, err := hub.Subscribe("", 1<<16)
 		if err != nil {
 			return err
 		}
-		go telemetry.Pump(sub, store) // ends when the hub's subs close
+		pumped := make(chan int, 1)
+		go func() {
+			n, _ := telemetry.Pump(sub, store)
+			pumped <- n
+		}()
+		// Closing the subscription ends the pump once it has stored
+		// what the ring still holds.
+		stopPump = func() {
+			sub.Close()
+			fmt.Fprintf(stderr, "powerd: pumped %d telemetry samples into the OMNI store\n", <-pumped)
+		}
 		cfg.Hub = hub
 		cfg.Store = store
 	}
@@ -172,6 +184,7 @@ func run(opts options, stdout, stderr io.Writer) error {
 		status, body := srv.OneShot("POST", "/v1/measure", []byte(opts.oneshot))
 		stdout.Write(body)
 		env.Flush()
+		stopPump()
 		if status != 200 {
 			return fmt.Errorf("oneshot: status %d", status)
 		}
@@ -210,6 +223,7 @@ func run(opts options, stdout, stderr io.Writer) error {
 	}
 	stopFlushing()
 	env.Flush()
+	stopPump()
 	if col != nil {
 		col.Close()
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -19,13 +20,20 @@ const testSpec = `{"bench":"Si256_hse","nodes":1,"cap_w":250}`
 // address plus a channel carrying run's error after shutdown.
 func startDaemon(t *testing.T, opts options) (string, chan error) {
 	t.Helper()
+	return startDaemonTo(t, opts, io.Discard)
+}
+
+// startDaemonTo is startDaemon with the daemon's stderr sent to
+// stderr, which only run writes until it returns.
+func startDaemonTo(t *testing.T, opts options, stderr io.Writer) (string, chan error) {
+	t.Helper()
 	ready := make(chan string, 1)
 	opts.ready = ready
 	if opts.addr == "" {
 		opts.addr = "127.0.0.1:0"
 	}
 	errc := make(chan error, 1)
-	go func() { errc <- run(opts, io.Discard, io.Discard) }()
+	go func() { errc <- run(opts, io.Discard, stderr) }()
 	select {
 	case addr := <-ready:
 		return addr, errc
@@ -115,6 +123,26 @@ func TestGracefulShutdown(t *testing.T) {
 	// After shutdown the listener is gone.
 	if _, err := http.Get("http://" + addr + "/healthz"); err == nil {
 		t.Fatal("listener still accepting after graceful shutdown")
+	}
+}
+
+// TestTelemetryPumpReturns: with -telemetry, a measurement's samples
+// stream into the OMNI store, and shutdown closes the pump's
+// subscription and waits for the pump to store them and return.
+func TestTelemetryPumpReturns(t *testing.T) {
+	var stderr bytes.Buffer
+	addr, errc := startDaemonTo(t, options{hold: -1, telemetry: true, drainTimeout: 30 * time.Second}, &stderr)
+	measureOnce(t, addr)
+	sigterm(t)
+	waitExit(t, errc)
+	var pumped int
+	for _, line := range strings.Split(stderr.String(), "\n") {
+		if _, err := fmt.Sscanf(line, "powerd: pumped %d telemetry samples", &pumped); err == nil {
+			break
+		}
+	}
+	if pumped == 0 {
+		t.Fatalf("no samples pumped before exit; stderr:\n%s", stderr.String())
 	}
 }
 

@@ -144,7 +144,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "powerstudy: debug endpoint on http://%s (pprof, /debug/vars)\n", ds.Addr)
 		}
 		if *telemetryAddr != "" {
-			hub = telemetry.NewHub()
+			hub = telemetry.NewHub(telemetry.NewMetrics(o.Metrics))
 			col, err := promexp.NewCollector(hub, o.Metrics, 1<<16)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "powerstudy:", err)

@@ -36,9 +36,7 @@ var processGlobals = map[string]string{
 	"internal/par.metrics":        "metric hook: counts only and is never read by a result; process-wide while the perfbench harness instruments in process through experiments.Instrument",
 	"internal/sched.metrics":      "metric hook: counts only and is never read by a result; process-wide while the perfbench harness instruments in process through experiments.Instrument",
 	"internal/sim.metrics":        "metric hook: counts only and is never read by a result; process-wide while the perfbench harness instruments in process through experiments.Instrument",
-	"internal/omni.metrics":       "metric hook: counts only and is never read by a result; process-wide while the perfbench harness instruments in process through experiments.Instrument",
 	"internal/timeseries.metrics": "metric hook: counts only and is never read by a result; process-wide while the perfbench harness instruments in process through experiments.Instrument",
-	"internal/telemetry.metrics":  "metric hook: counts only and is never read by a result; process-wide while the perfbench harness instruments in process through experiments.Instrument",
 
 	"internal/workloads.activeSweeps": "live sweep-arena count that tests read to catch leaks; no result reads it",
 }

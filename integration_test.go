@@ -34,7 +34,7 @@ func TestTelemetryPipelineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := omni.NewStore()
+	store := omni.NewStore(nil)
 	cfg := monitor.LDMSDefault()
 	for _, n := range out.Nodes {
 		series, err := monitor.SampleNode(n, cfg)

@@ -111,7 +111,7 @@ func TestSweepContextOracleFallback(t *testing.T) {
 		t.Fatalf("%d sweep arenas live after a failed open, want %d", n, arenas)
 	}
 
-	s, err := telemetry.NewSampler(telemetry.NewHub(), 2)
+	s, err := telemetry.NewSampler(telemetry.NewHub(nil), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

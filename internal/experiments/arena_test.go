@@ -100,7 +100,7 @@ func TestEnvArenaMatchesFresh(t *testing.T) {
 			var opts EnvOptions
 			var sub *telemetry.Subscription
 			if withHub {
-				opts.Hub = telemetry.NewHub()
+				opts.Hub = telemetry.NewHub(nil)
 				var err error
 				if sub, err = opts.Hub.Subscribe(node.DomainNode, 1<<16); err != nil {
 					t.Fatal(err)

@@ -15,7 +15,6 @@ import (
 	"vasppower/internal/memo"
 	"vasppower/internal/memo/diskcache"
 	"vasppower/internal/obs"
-	"vasppower/internal/omni"
 	"vasppower/internal/par"
 	"vasppower/internal/sched"
 	"vasppower/internal/sim"
@@ -310,8 +309,8 @@ func appendMeasureKey(dst []byte, p platform.Platform, b workloads.Benchmark, no
 
 // Instrument threads reg through the default Env's cache and the
 // engine's process-wide metric hooks: the worker pools, the scheduler,
-// the simulation engine, the OMNI store, and the trace pipeline. A nil
-// reg detaches them all.
+// the simulation engine, and the trace pipeline. A nil reg detaches
+// them all.
 func Instrument(reg *obs.Registry) { defaultEnv.instrument(reg) }
 
 // instrument points e's memory cache, and the process-wide metric
@@ -322,9 +321,7 @@ func (e *Env) instrument(reg *obs.Registry) {
 	par.SetMetrics(metricsOn(reg, par.NewMetrics))
 	sched.SetMetrics(metricsOn(reg, sched.NewMetrics))
 	sim.SetMetrics(metricsOn(reg, sim.NewMetrics))
-	omni.SetMetrics(metricsOn(reg, omni.NewMetrics))
 	timeseries.SetMetrics(metricsOn(reg, timeseries.NewMetrics))
-	telemetry.SetMetrics(metricsOn(reg, telemetry.NewMetrics))
 }
 
 // metricsOn builds a package's metric handles on reg, or returns nil —

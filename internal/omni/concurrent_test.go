@@ -25,10 +25,8 @@ func chunk(start float64) timeseries.Series {
 // stream in-order chunks while readers hammer Query, JobPower,
 // JobEnergy, Hosts, and MetricsOf the whole time.
 func TestConcurrentInsertWhileQuery(t *testing.T) {
-	s := NewStore()
 	m := NewMetrics(obs.NewRegistry())
-	SetMetrics(m)
-	defer SetMetrics(nil)
+	s := NewStore(m)
 
 	const hosts, chunks = 4, 50
 	hostName := func(h int) string { return fmt.Sprintf("nid%03d", h) }

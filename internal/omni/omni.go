@@ -13,24 +13,23 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"vasppower/internal/obs"
 	"vasppower/internal/timeseries"
 )
 
-// Metrics counts store traffic across every Store in the process —
-// the reproduction's stand-in for OMNI's own ingest/query accounting.
-// Inserts counts accepted Insert calls (rejected ones are not stored,
-// so they are not counted); Queries counts Query calls, including the
-// per-node queries JobPower fans out. Install with SetMetrics; the
-// nil default costs one atomic load per operation.
+// Metrics counts a Store's traffic — the reproduction's stand-in for
+// OMNI's own ingest/query accounting. Inserts counts accepted Insert
+// and InsertSample calls (rejected ones are not stored, so they are
+// not counted); Queries counts Query calls, including the per-node
+// queries JobPower fans out. Pass it to NewStore.
 type Metrics struct {
 	Inserts *obs.Counter
 	Queries *obs.Counter
 }
 
-// NewMetrics registers the store metric set under "omni." in reg.
+// NewMetrics registers the store metric set under "omni." in reg. A
+// nil registry yields a usable all-no-op Metrics.
 func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
 		Inserts: reg.Counter("omni.inserts"),
@@ -38,22 +37,22 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	}
 }
 
-var metrics atomic.Pointer[Metrics]
-
-// SetMetrics installs (or, with nil, removes) the process-wide store
-// metrics. Install once at startup, before stores see traffic.
-func SetMetrics(m *Metrics) { metrics.Store(m) }
-
 // Store is the telemetry database.
 type Store struct {
+	m      *Metrics
 	mu     sync.RWMutex
 	series map[string]map[string]timeseries.Series // host → metric → series
 	jobs   map[string]JobRecord
 }
 
-// NewStore returns an empty store.
-func NewStore() *Store {
+// NewStore returns an empty store counting its traffic in m (nil means
+// uncounted).
+func NewStore(m *Metrics) *Store {
+	if m == nil {
+		m = new(Metrics)
+	}
 	return &Store{
+		m:      m,
 		series: make(map[string]map[string]timeseries.Series),
 		jobs:   make(map[string]JobRecord),
 	}
@@ -94,25 +93,7 @@ func (s *Store) Insert(host, metric string, data timeseries.Series) error {
 	if data.Len() == 0 {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	hm := s.series[host]
-	if hm == nil {
-		hm = make(map[string]timeseries.Series)
-		s.series[host] = hm
-	}
-	existing := hm[metric]
-	if existing.Len() > 0 && data.Times[0] <= existing.Times[existing.Len()-1] {
-		return fmt.Errorf("omni: out-of-order insert for %s/%s (%v after %v)",
-			host, metric, data.Times[0], existing.Times[existing.Len()-1])
-	}
-	existing.Times = append(existing.Times, data.Times...)
-	existing.Values = append(existing.Values, data.Values...)
-	hm[metric] = existing
-	if m := metrics.Load(); m != nil {
-		m.Inserts.Add(1)
-	}
-	return nil
+	return s.appendSeries(host, metric, data.Times, data.Values)
 }
 
 // InsertSample appends a single sample for (host, metric) — the
@@ -127,6 +108,13 @@ func (s *Store) InsertSample(host, metric string, t, v float64) error {
 	if math.IsNaN(t) || math.IsInf(t, 0) || math.IsNaN(v) || math.IsInf(v, 0) {
 		return fmt.Errorf("omni: non-finite sample for %s/%s", host, metric)
 	}
+	return s.appendSeries(host, metric, []float64{t}, []float64{v})
+}
+
+// appendSeries appends validated, non-empty samples to (host, metric)
+// if they start strictly after the key's last stored sample, and
+// counts the insert.
+func (s *Store) appendSeries(host, metric string, times, values []float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	hm := s.series[host]
@@ -135,16 +123,14 @@ func (s *Store) InsertSample(host, metric string, t, v float64) error {
 		s.series[host] = hm
 	}
 	existing := hm[metric]
-	if n := existing.Len(); n > 0 && t <= existing.Times[n-1] {
+	if n := existing.Len(); n > 0 && times[0] <= existing.Times[n-1] {
 		return fmt.Errorf("omni: out-of-order insert for %s/%s (%v after %v)",
-			host, metric, t, existing.Times[n-1])
+			host, metric, times[0], existing.Times[n-1])
 	}
-	existing.Times = append(existing.Times, t)
-	existing.Values = append(existing.Values, v)
+	existing.Times = append(existing.Times, times...)
+	existing.Values = append(existing.Values, values...)
 	hm[metric] = existing
-	if m := metrics.Load(); m != nil {
-		m.Inserts.Add(1)
-	}
+	s.m.Inserts.Inc()
 	return nil
 }
 
@@ -175,9 +161,7 @@ func (s *Store) MetricsOf(host string) []string {
 
 // Query returns the samples of (host, metric) with t ∈ [t0, t1].
 func (s *Store) Query(host, metric string, t0, t1 float64) (timeseries.Series, error) {
-	if m := metrics.Load(); m != nil {
-		m.Queries.Add(1)
-	}
+	s.m.Queries.Inc()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	hm, ok := s.series[host]

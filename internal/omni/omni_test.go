@@ -19,7 +19,7 @@ func mkSeries(t0, dt float64, vals ...float64) timeseries.Series {
 }
 
 func TestInsertAndQuery(t *testing.T) {
-	st := NewStore()
+	st := NewStore(nil)
 	if err := st.Insert("nid1", "node", mkSeries(0, 2, 500, 600, 700)); err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestInsertAndQuery(t *testing.T) {
 }
 
 func TestInsertAppends(t *testing.T) {
-	st := NewStore()
+	st := NewStore(nil)
 	_ = st.Insert("nid1", "node", mkSeries(0, 1, 1, 2))
 	if err := st.Insert("nid1", "node", mkSeries(2, 1, 3, 4)); err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func TestInsertAppends(t *testing.T) {
 }
 
 func TestInsertRejectsOutOfOrder(t *testing.T) {
-	st := NewStore()
+	st := NewStore(nil)
 	_ = st.Insert("nid1", "node", mkSeries(10, 1, 1, 2))
 	if err := st.Insert("nid1", "node", mkSeries(5, 1, 3)); err == nil {
 		t.Fatal("out-of-order insert accepted")
@@ -56,7 +56,7 @@ func TestInsertRejectsOutOfOrder(t *testing.T) {
 }
 
 func TestInsertValidation(t *testing.T) {
-	st := NewStore()
+	st := NewStore(nil)
 	if err := st.Insert("", "node", mkSeries(0, 1, 1)); err == nil {
 		t.Fatal("empty host accepted")
 	}
@@ -74,7 +74,7 @@ func TestInsertValidation(t *testing.T) {
 }
 
 func TestQueryErrors(t *testing.T) {
-	st := NewStore()
+	st := NewStore(nil)
 	_ = st.Insert("nid1", "node", mkSeries(0, 1, 1))
 	if _, err := st.Query("nope", "node", 0, 1); err == nil {
 		t.Fatal("unknown host accepted")
@@ -85,7 +85,7 @@ func TestQueryErrors(t *testing.T) {
 }
 
 func TestHostsAndMetrics(t *testing.T) {
-	st := NewStore()
+	st := NewStore(nil)
 	_ = st.Insert("b", "node", mkSeries(0, 1, 1))
 	_ = st.Insert("a", "cpu", mkSeries(0, 1, 1))
 	_ = st.Insert("a", "node", mkSeries(0, 1, 1))
@@ -100,7 +100,7 @@ func TestHostsAndMetrics(t *testing.T) {
 }
 
 func TestJobRegistryAndJobPower(t *testing.T) {
-	st := NewStore()
+	st := NewStore(nil)
 	for _, h := range []string{"nid1", "nid2"} {
 		_ = st.Insert(h, "node", mkSeries(0, 2, 500, 600, 700, 800, 900))
 	}
@@ -139,7 +139,7 @@ func TestJobValidation(t *testing.T) {
 			t.Fatalf("case %d accepted", i)
 		}
 	}
-	st := NewStore()
+	st := NewStore(nil)
 	if err := st.RegisterJob(bad[0]); err == nil {
 		t.Fatal("invalid job registered")
 	}
@@ -152,7 +152,7 @@ func TestJobValidation(t *testing.T) {
 }
 
 func TestJobEnergy(t *testing.T) {
-	st := NewStore()
+	st := NewStore(nil)
 	// Constant 1000 W for 10 s on one node.
 	s := timeseries.Series{}
 	for i := 0; i <= 10; i++ {
@@ -171,7 +171,7 @@ func TestJobEnergy(t *testing.T) {
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	st := NewStore()
+	st := NewStore(nil)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

@@ -4,9 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"net/url"
 	"testing"
 
+	"vasppower/internal/hw/node"
 	"vasppower/internal/obs"
+	"vasppower/internal/omni"
+	"vasppower/internal/telemetry"
+	"vasppower/internal/timeseries"
 )
 
 // Every request decoder is an external input: the fuzz targets below
@@ -161,5 +166,86 @@ func FuzzScheduleRequest(f *testing.F) {
 	s, _ := fuzzServer()
 	f.Fuzz(func(t *testing.T, body []byte) {
 		fuzzEndpoint(t, s, "/v1/schedule", body, 1<<10)
+	})
+}
+
+// The GET endpoints' query parameters are external inputs too. The
+// targets below send arbitrary values through a server with a hub and
+// a store holding one host's series and one job. No value may panic
+// or answer 5xx, except /v1/telemetry's 503 once its rings are at the
+// cap, and no value may attach a ring past maxTelemetryRings.
+
+// fuzzGetServer is the server the GET targets drive.
+func fuzzGetServer(t testing.TB) (*Server, *telemetry.Hub) {
+	store := omni.NewStore(nil)
+	series := timeseries.Series{Times: []float64{0, 1, 2}, Values: []float64{400, 410, 405}}
+	if err := store.Insert("nid000001", "node", series); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.RegisterJob(omni.JobRecord{ID: "42", Nodes: []string{"nid000001"}, Start: 0, End: 2}); err != nil {
+		t.Fatal(err)
+	}
+	hub := telemetry.NewHub(nil)
+	return New(Config{
+		Measure: (&fakeMeasure{}).fn, Reg: obs.NewRegistry(),
+		Store: store, Hub: hub, TelemetryRing: 8,
+	}), hub
+}
+
+// fuzzGet sends a GET of path with the query parameters kv (name,
+// value pairs) and fails on a 5xx unless allowed.
+func fuzzGet(t *testing.T, s *Server, path string, allow5xx bool, kv ...string) int {
+	q := url.Values{}
+	for i := 0; i+1 < len(kv); i += 2 {
+		q.Set(kv[i], kv[i+1])
+	}
+	status, resp := s.OneShot(http.MethodGet, path+"?"+q.Encode(), nil)
+	if status >= 500 && !allow5xx {
+		t.Fatalf("GET %s?%s: status %d: %s", path, q.Encode(), status, resp)
+	}
+	return status
+}
+
+func FuzzOmniQuery(f *testing.F) {
+	f.Add("nid000001", "node", "", "")
+	f.Add("nid000001", "node", "0.5", "1.5")
+	f.Add("nid000001", "node", "NaN", "-Inf")
+	f.Add("nid000001", "node", "2", "1")
+	f.Add("nid000002", "node", "", "")
+	f.Add("nid000001", "gpu0", "x", "1e999")
+	s, _ := fuzzGetServer(f)
+	f.Fuzz(func(t *testing.T, host, metric, t0, t1 string) {
+		fuzzGet(t, s, "/v1/omni/query", false, "host", host, "metric", metric, "t0", t0, "t1", t1)
+	})
+}
+
+func FuzzOmniJobs(f *testing.F) {
+	for _, id := range []string{"", "42", "43", "42\x00", "%"} {
+		f.Add(id)
+	}
+	s, _ := fuzzGetServer(f)
+	f.Fuzz(func(t *testing.T, id string) {
+		fuzzGet(t, s, "/v1/omni/jobs", false, "id", id)
+	})
+}
+
+func FuzzTelemetryQuery(f *testing.F) {
+	f.Add("nid000001", "")
+	f.Add("nid004096", string(node.DomainGPU))
+	f.Add("nid004097", "")
+	f.Add("nid000000", "node")
+	f.Add("nid+00001", "")
+	f.Add("node00", "")
+	f.Add("nid000002", "warp")
+	s, hub := fuzzGetServer(f)
+	f.Fuzz(func(t *testing.T, host, domain string) {
+		full := len(s.telem.subs) >= maxTelemetryRings
+		status := fuzzGet(t, s, "/v1/telemetry", full, "host", host, "domain", domain)
+		if status >= 500 && status != http.StatusServiceUnavailable {
+			t.Fatalf("host %q domain %q: status %d", host, domain, status)
+		}
+		if n := hub.Subscribers(); n > maxTelemetryRings || n != len(s.telem.subs) {
+			t.Fatalf("%d hub subscriptions for %d rings, cap %d", n, len(s.telem.subs), maxTelemetryRings)
+		}
 	})
 }

@@ -1051,9 +1051,9 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusBadRequest, "host query parameter is required")
 		return
 	}
-	sub, attached, err := s.telem.sub(host, q.Get("domain"))
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, err.Error())
+	sub, attached, aerr := s.telem.sub(host, q.Get("domain"))
+	if aerr != nil {
+		s.httpError(w, aerr.status, aerr.msg)
 		return
 	}
 	type sampleJSON struct {

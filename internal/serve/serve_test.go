@@ -526,7 +526,7 @@ func TestAdmissionShed(t *testing.T) {
 }
 
 func TestOmniEndpoints(t *testing.T) {
-	store := omni.NewStore()
+	store := omni.NewStore(nil)
 	if err := store.Insert("nid000001", "power.node", timeseries.Series{
 		Times: []float64{0, 1, 2, 3}, Values: []float64{100, 200, 300, 400},
 	}); err != nil {
@@ -584,7 +584,7 @@ func TestOmniEndpoints(t *testing.T) {
 }
 
 func TestTelemetryEndpoint(t *testing.T) {
-	hub := telemetry.NewHub()
+	hub := telemetry.NewHub(nil)
 	s, _ := newTestServer(t, func(c *Config) { c.Hub = hub })
 
 	// First query attaches the host-filtered ring; samples published
@@ -637,12 +637,45 @@ func TestTelemetryEndpoint(t *testing.T) {
 	if w = get(t, s, "/v1/telemetry"); w.Code != 400 {
 		t.Fatalf("missing host: status %d, want 400", w.Code)
 	}
-	if w = get(t, s, "/v1/telemetry?host=x&domain=warp"); w.Code != 400 {
+	if w = get(t, s, "/v1/telemetry?host=nid000002&domain=warp"); w.Code != 400 {
 		t.Fatalf("bad domain: status %d, want 400", w.Code)
 	}
 	bare, _ := newTestServer(t, nil)
 	if w = get(t, bare, "/v1/telemetry?host=x"); w.Code != 404 {
 		t.Fatalf("hub-less server: status %d, want 404", w.Code)
+	}
+}
+
+// TestTelemetryRingCap: 10,000 distinct hosts attach no more than
+// maxTelemetryRings rings. A measurement node gets a ring until the
+// cap, then 503; any other host name is a 400 and attaches nothing.
+func TestTelemetryRingCap(t *testing.T) {
+	hub := telemetry.NewHub(nil)
+	s, _ := newTestServer(t, func(c *Config) { c.Hub = hub })
+	for i := 1; i <= 10000; i++ {
+		host := fmt.Sprintf("nid%06d", i)
+		want := http.StatusOK
+		switch {
+		case i > maxSpecNodes:
+			want = http.StatusBadRequest
+		case i > maxTelemetryRings:
+			want = http.StatusServiceUnavailable
+		}
+		if w := get(t, s, "/v1/telemetry?host="+host); w.Code != want {
+			t.Fatalf("host %s: status %d, want %d (%s)", host, w.Code, want, w.Body)
+		}
+	}
+	for _, host := range []string{"nid000000", "nid00001", "nid0000001", "nid+00001", "node00", "NID000001"} {
+		if w := get(t, s, "/v1/telemetry?host="+host); w.Code != http.StatusBadRequest {
+			t.Fatalf("host %q: status %d, want 400", host, w.Code)
+		}
+	}
+	// An attached ring is still served at the cap.
+	if w := get(t, s, "/v1/telemetry?host=nid000001"); w.Code != http.StatusOK {
+		t.Fatalf("attached ring at the cap: status %d", w.Code)
+	}
+	if len(s.telem.subs) != maxTelemetryRings || hub.Subscribers() != maxTelemetryRings {
+		t.Fatalf("%d rings, %d hub subscriptions; want %d", len(s.telem.subs), hub.Subscribers(), maxTelemetryRings)
 	}
 }
 

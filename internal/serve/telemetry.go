@@ -1,12 +1,19 @@
 package serve
 
 import (
-	"fmt"
+	"net/http"
+	"strings"
 	"sync"
 
 	"vasppower/internal/hw/node"
 	"vasppower/internal/telemetry"
 )
+
+// maxTelemetryRings caps how many (host, domain) rings /v1/telemetry
+// attaches over a server's lifetime. A ring is never freed, so the cap
+// bounds the endpoint's memory: 64 rings of DefaultTelemetryRing
+// samples hold about 12.6 MB.
+const maxTelemetryRings = 64
 
 // telemetryRings owns /v1/telemetry's per-(host, domain) hub
 // subscriptions, attached lazily on first query. Each ring is
@@ -31,20 +38,42 @@ func (t *telemetryRings) init(hub *telemetry.Hub, capacity int) {
 // attached reports whether this call created the ring — samples
 // published before attachment were never buffered, which the response
 // surfaces so clients don't mistake "just attached" for "host idle".
-func (t *telemetryRings) sub(host, domain string) (s *telemetry.Subscription, attached bool, err error) {
+// Only a host a measurement can publish gets a ring, and none past
+// maxTelemetryRings.
+func (t *telemetryRings) sub(host, domain string) (s *telemetry.Subscription, attached bool, aerr *apiError) {
 	key := host + "|" + domain
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if s, ok := t.subs[key]; ok {
 		return s, false, nil
 	}
-	if t.hub == nil {
-		return nil, false, fmt.Errorf("serve: telemetry hub not configured")
+	if !publishableHost(host) {
+		return nil, false, badRequest("host %q is not a measurement node (nid000001 to nid%06d)", host, maxSpecNodes)
 	}
-	s, err = t.hub.SubscribeHost(host, node.Domain(domain), t.cap)
+	if len(t.subs) >= maxTelemetryRings {
+		return nil, false, &apiError{http.StatusServiceUnavailable, "telemetry ring limit reached"}
+	}
+	s, err := t.hub.SubscribeHost(host, node.Domain(domain), t.cap)
 	if err != nil {
-		return nil, false, err
+		return nil, false, badRequest("%v", err)
 	}
 	t.subs[key] = s
 	return s, true, nil
+}
+
+// publishableHost reports whether host names a node a measurement
+// publishes: "nid" and six digits, an index from 1 to maxSpecNodes.
+func publishableHost(host string) bool {
+	digits, ok := strings.CutPrefix(host, "nid")
+	if !ok || len(digits) != 6 {
+		return false
+	}
+	i := 0
+	for _, c := range []byte(digits) {
+		if c < '0' || c > '9' {
+			return false
+		}
+		i = i*10 + int(c-'0')
+	}
+	return i >= 1 && i <= maxSpecNodes
 }

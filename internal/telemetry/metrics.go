@@ -1,18 +1,13 @@
 package telemetry
 
-import (
-	"sync/atomic"
+import "vasppower/internal/obs"
 
-	"vasppower/internal/obs"
-)
-
-// Metrics counts stream traffic across every Hub in the process.
-// Published counts samples delivered to at least one subscriber;
-// Dropped counts ring-buffer evictions (slow subscribers); and
-// Subscriptions counts Subscribe calls. Install with SetMetrics; the
-// counters land in the run manifest through the registry snapshot, so
-// a run's drop process is part of its record. The nil default costs
-// one atomic load per operation.
+// Metrics counts a Hub's stream traffic. Published counts samples
+// delivered to at least one subscriber; Dropped counts ring-buffer
+// evictions (slow subscribers); and Subscriptions counts Subscribe
+// calls. Pass it to NewHub; the counters land in the run manifest
+// through the registry snapshot, so a run's drop process is part of
+// its record.
 type Metrics struct {
 	Published     *obs.Counter
 	Dropped       *obs.Counter
@@ -20,6 +15,7 @@ type Metrics struct {
 }
 
 // NewMetrics registers the stream metric set under "telemetry." in reg.
+// A nil registry yields a usable all-no-op Metrics.
 func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
 		Published:     reg.Counter("telemetry.published"),
@@ -27,9 +23,3 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		Subscriptions: reg.Counter("telemetry.subscriptions"),
 	}
 }
-
-var metrics atomic.Pointer[Metrics]
-
-// SetMetrics installs (or, with nil, removes) the process-wide stream
-// metrics. Install once at startup, before hubs see traffic.
-func SetMetrics(m *Metrics) { metrics.Store(m) }

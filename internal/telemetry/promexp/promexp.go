@@ -86,7 +86,7 @@ func (c *Collector) run() {
 			c.series[k] = st
 		}
 		// Per-host stream clocks are monotone (they start at 0 and
-		// resume across re-registrations), so T - lastT is the sample's
+		// resume across runs), so T - lastT is the sample's
 		// window and the rectangle rule integrates the trace exactly.
 		if smp.T > st.lastT {
 			st.joules += smp.Watts * (smp.T - st.lastT)

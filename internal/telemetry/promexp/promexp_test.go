@@ -62,7 +62,7 @@ func TestCollectorScrape(t *testing.T) {
 	reg.Histogram("query.seconds", []float64{0.1, 1}).Observe(0.5)
 	reg.Histogram("query.seconds", nil).Observe(5) // overflow bucket
 
-	h := telemetry.NewHub()
+	h := telemetry.NewHub(nil)
 	c, err := NewCollector(h, reg, 1024)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestCollectorScrape(t *testing.T) {
 }
 
 func TestJoulesMonotoneAcrossScrapes(t *testing.T) {
-	h := telemetry.NewHub()
+	h := telemetry.NewHub(nil)
 	c, err := NewCollector(h, nil, 256)
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +174,7 @@ func TestLintRejectsMalformed(t *testing.T) {
 }
 
 func TestEscapeLabel(t *testing.T) {
-	h := telemetry.NewHub()
+	h := telemetry.NewHub(nil)
 	c, err := NewCollector(h, nil, 16)
 	if err != nil {
 		t.Fatal(err)

@@ -24,7 +24,7 @@ func TestStreamDomainInvariantOnWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hub := telemetry.NewHub()
+	hub := telemetry.NewHub(nil)
 	sub, err := hub.Subscribe("", 1<<20)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestStreamEnergyMatchesTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := out.Nodes[0]
-	hub := telemetry.NewHub()
+	hub := telemetry.NewHub(nil)
 	sub, _ := hub.Subscribe(node.DomainNode, 1<<20)
 	s, _ := telemetry.NewSampler(hub, 0.5)
 	s.PublishRun(out.Nodes)

@@ -10,7 +10,9 @@ package telemetry
 
 import (
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"vasppower/internal/hw/node"
 )
@@ -25,15 +27,24 @@ type Sample struct {
 
 // Hub fans samples out to subscribers. Publish never blocks: each
 // subscription owns a bounded ring and absorbs overflow by dropping
-// its oldest samples, with drops counted per subscription and in the
-// process-wide metrics.
+// its oldest samples, with drops counted per subscription, per hub and
+// in the hub's metrics. The hub holds only open subscriptions.
 type Hub struct {
+	m       *Metrics
+	dropped atomic.Uint64
+
 	mu   sync.Mutex
-	subs []*Subscription
+	subs []*Subscription // Publish reads a snapshot unlocked; remove copies, append only extends
 }
 
-// NewHub returns an empty hub.
-func NewHub() *Hub { return &Hub{} }
+// NewHub returns an empty hub counting its traffic in m (nil means
+// uncounted).
+func NewHub(m *Metrics) *Hub {
+	if m == nil {
+		m = new(Metrics)
+	}
+	return &Hub{m: m}
+}
 
 // Subscribe registers a new subscriber. domain restricts the stream to
 // one scope ("" receives every domain); capacity is the ring size —
@@ -63,9 +74,7 @@ func (h *Hub) SubscribeHost(host string, domain node.Domain, capacity int) (*Sub
 	h.mu.Lock()
 	h.subs = append(h.subs, s)
 	h.mu.Unlock()
-	if m := metrics.Load(); m != nil {
-		m.Subscriptions.Inc()
-	}
+	h.m.Subscriptions.Inc()
 	return s, nil
 }
 
@@ -83,34 +92,30 @@ func (h *Hub) Publish(smp Sample) {
 			delivered = true
 		}
 	}
-	if m := metrics.Load(); m != nil && delivered {
-		m.Published.Inc()
+	if delivered {
+		h.m.Published.Inc()
 	}
 }
 
-// Subscribers returns the number of live (unclosed) subscriptions.
+// Subscribers returns the number of open subscriptions.
 func (h *Hub) Subscribers() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	n := 0
-	for _, s := range h.subs {
-		if !s.isClosed() {
-			n++
-		}
-	}
-	return n
+	return len(h.subs)
 }
 
 // Dropped returns the total samples dropped across all subscriptions,
 // including closed ones.
-func (h *Hub) Dropped() uint64 {
+func (h *Hub) Dropped() uint64 { return h.dropped.Load() }
+
+// remove takes s off the subscriber list, into a fresh slice so that
+// snapshots Publish holds stay intact.
+func (h *Hub) remove(s *Subscription) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	var total uint64
-	for _, s := range h.subs {
-		total += s.Dropped()
+	if i := slices.Index(h.subs, s); i >= 0 {
+		h.subs = slices.Delete(slices.Clone(h.subs), i, i+1)
 	}
-	return total
 }
 
 // Subscription is one subscriber's bounded view of the stream: a ring
@@ -142,9 +147,8 @@ func (s *Subscription) push(smp Sample) {
 		s.head = (s.head + 1) % len(s.buf)
 		s.n--
 		s.dropped++
-		if m := metrics.Load(); m != nil {
-			m.Dropped.Inc()
-		}
+		s.hub.dropped.Add(1)
+		s.hub.m.Dropped.Inc()
 	}
 	s.buf[(s.head+s.n)%len(s.buf)] = smp
 	s.n++
@@ -192,17 +196,13 @@ func (s *Subscription) Dropped() uint64 {
 	return s.dropped
 }
 
-// Close ends the subscription: publishers stop delivering to it and a
-// blocked Next returns once the buffer drains. Idempotent.
+// Close ends the subscription: the hub forgets it, publishers stop
+// delivering to it, and a blocked Next returns once the buffer drains.
+// Idempotent.
 func (s *Subscription) Close() {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
 	s.cond.Broadcast()
-}
-
-func (s *Subscription) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
+	s.hub.remove(s)
 }

@@ -13,7 +13,7 @@ import (
 )
 
 func TestSubscribeValidation(t *testing.T) {
-	h := NewHub()
+	h := NewHub(nil)
 	if _, err := h.Subscribe("", 0); err == nil {
 		t.Fatal("zero capacity accepted")
 	}
@@ -26,7 +26,7 @@ func TestSubscribeValidation(t *testing.T) {
 }
 
 func TestRingDropsOldest(t *testing.T) {
-	h := NewHub()
+	h := NewHub(nil)
 	sub, err := h.Subscribe("", 3)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +53,7 @@ func TestRingDropsOldest(t *testing.T) {
 }
 
 func TestDomainScope(t *testing.T) {
-	h := NewHub()
+	h := NewHub(nil)
 	gpuOnly, _ := h.Subscribe(node.DomainGPU, 8)
 	all, _ := h.Subscribe("", 8)
 	h.Publish(Sample{Host: "n", Domain: node.DomainGPU, T: 1, Watts: 100})
@@ -71,7 +71,7 @@ func TestDomainScope(t *testing.T) {
 }
 
 func TestHostScope(t *testing.T) {
-	h := NewHub()
+	h := NewHub(nil)
 	one, err := h.SubscribeHost("nid000001", "", 8)
 	if err != nil {
 		t.Fatalf("SubscribeHost: %v", err)
@@ -116,7 +116,7 @@ func TestHostScope(t *testing.T) {
 }
 
 func TestNextBlocksUntilPublishAndClose(t *testing.T) {
-	h := NewHub()
+	h := NewHub(nil)
 	sub, _ := h.Subscribe("", 4)
 	got := make(chan Sample, 1)
 	go func() {
@@ -151,7 +151,7 @@ func TestNextBlocksUntilPublishAndClose(t *testing.T) {
 // that sleeps between reads must never stall the publisher — the
 // publisher finishes its burst regardless, shedding load as drops.
 func TestSlowSubscriberNeverBlocksPublisher(t *testing.T) {
-	h := NewHub()
+	h := NewHub(nil)
 	sub, _ := h.Subscribe("", 4)
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -186,14 +186,17 @@ func TestSlowSubscriberNeverBlocksPublisher(t *testing.T) {
 
 func TestMetricsCounters(t *testing.T) {
 	reg := obs.NewRegistry()
-	SetMetrics(NewMetrics(reg))
-	defer SetMetrics(nil)
-	h := NewHub()
+	h := NewHub(NewMetrics(reg))
 	sub, _ := h.Subscribe("", 2)
 	for i := 0; i < 3; i++ {
 		h.Publish(Sample{Host: "n", Domain: node.DomainNode, T: float64(i), Watts: 1})
 	}
 	_ = sub
+	// A hub built without metrics counts nothing in reg.
+	other := NewHub(nil)
+	other.Subscribe("", 1)
+	other.Publish(Sample{Host: "n", Domain: node.DomainNode, T: 0, Watts: 1})
+	other.Publish(Sample{Host: "n", Domain: node.DomainNode, T: 1, Watts: 1})
 	snap := reg.Snapshot()
 	if snap.Counters["telemetry.published"] != 3 {
 		t.Fatalf("published = %d", snap.Counters["telemetry.published"])
@@ -206,13 +209,102 @@ func TestMetricsCounters(t *testing.T) {
 	}
 }
 
+// TestCloseRemovesSubscription: a closed subscription leaves the hub's
+// list, receives nothing more, and its drops stay in the hub's total.
+func TestCloseRemovesSubscription(t *testing.T) {
+	h := NewHub(nil)
+	a, _ := h.Subscribe("", 1)
+	b, _ := h.Subscribe("", 1)
+	for i := 0; i < 3; i++ {
+		h.Publish(Sample{Host: "n", Domain: node.DomainNode, T: float64(i), Watts: 1})
+	}
+	if got := h.Dropped(); got != 4 {
+		t.Fatalf("hub Dropped = %d, want 4", got)
+	}
+	a.Close()
+	a.Close()
+	if got := h.Subscribers(); got != 1 || len(h.subs) != 1 || h.subs[0] != b {
+		t.Fatalf("after Close: Subscribers = %d, subs %v", got, h.subs)
+	}
+	if got := h.Dropped(); got != 4 {
+		t.Fatalf("hub Dropped = %d after Close, want 4", got)
+	}
+	h.Publish(Sample{Host: "n", Domain: node.DomainNode, T: 3, Watts: 1})
+	if a.Len() != 1 || a.Dropped() != 2 {
+		t.Fatalf("closed subscription: %d buffered, %d dropped; want 1, 2", a.Len(), a.Dropped())
+	}
+	if got := h.Dropped(); got != 5 {
+		t.Fatalf("hub Dropped = %d, want 5", got)
+	}
+	b.Close()
+	if got := h.Subscribers(); got != 0 {
+		t.Fatalf("Subscribers = %d after closing both", got)
+	}
+}
+
+// TestSubscribeClosePublishConcurrent churns subscriptions while a
+// publisher runs (meant for -race): a subscription that stays open
+// the whole time receives every sample, and the churned ones all
+// leave the hub.
+func TestSubscribeClosePublishConcurrent(t *testing.T) {
+	h := NewHub(nil)
+	steady, _ := h.Subscribe("", 1<<14)
+	const n = 5000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < n; i++ {
+			h.Publish(Sample{Host: "n", Domain: node.DomainNode, T: float64(i), Watts: 1})
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				s, _ := h.SubscribeHost("n", "", 4)
+				s.Close()
+			}
+		}()
+	}
+	wg.Wait()
+	<-done
+	if got := h.Subscribers(); got != 1 {
+		t.Fatalf("Subscribers = %d, want 1", got)
+	}
+	if got := steady.Len(); got != n {
+		t.Fatalf("steady subscription buffered %d samples, want %d", got, n)
+	}
+}
+
 func testNode(t *testing.T, name string) *node.Node {
 	t.Helper()
 	return node.New(name, platform.Default(), nil)
 }
 
+// drain returns every sample sub holds, in order.
+func drain(sub *Subscription) []Sample {
+	var out []Sample
+	for {
+		smp, ok := sub.TryNext()
+		if !ok {
+			return out
+		}
+		out = append(out, smp)
+	}
+}
+
+func times(smps []Sample) []float64 {
+	var ts []float64
+	for _, smp := range smps {
+		ts = append(ts, smp.T)
+	}
+	return ts
+}
+
 func TestSamplerValidation(t *testing.T) {
-	h := NewHub()
+	h := NewHub(nil)
 	if _, err := NewSampler(nil, 1); err == nil {
 		t.Fatal("nil hub accepted")
 	}
@@ -221,54 +313,36 @@ func TestSamplerValidation(t *testing.T) {
 			t.Fatalf("interval %v accepted", iv)
 		}
 	}
+	sub, _ := h.Subscribe("", 64)
 	s, err := NewSampler(h, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := testNode(t, "nid001")
-	if err := s.Register("", n); err == nil {
-		t.Fatal("empty host accepted")
+	// Nil and unnamed nodes are skipped; the named one still streams.
+	unnamed, named := testNode(t, ""), testNode(t, "nid001")
+	unnamed.RecordIdle(1)
+	named.RecordIdle(1)
+	s.PublishRun([]*node.Node{nil, unnamed, named})
+	got := drain(sub)
+	if len(got) != 8 {
+		t.Fatalf("published %d samples, want 8 (two windows × four domains of nid001)", len(got))
 	}
-	if err := s.Register("nid001", nil); err == nil {
-		t.Fatal("nil node accepted")
-	}
-	if err := s.Register("nid001", n); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Register("nid001", n); err == nil {
-		t.Fatal("duplicate registration accepted")
-	}
-	if err := s.Unregister("ghost"); err == nil {
-		t.Fatal("unknown unregister accepted")
+	for _, smp := range got {
+		if smp.Host != "nid001" {
+			t.Fatalf("sample from %q published", smp.Host)
+		}
 	}
 }
 
-func TestSamplerUnregisterFlushesTail(t *testing.T) {
-	h := NewHub()
+func TestPublishRunFlushesTail(t *testing.T) {
+	h := NewHub(nil)
 	sub, _ := h.Subscribe(node.DomainNode, 64)
 	s, _ := NewSampler(h, 1.0)
 	n := testNode(t, "nid001")
-	_ = s.Register("nid001", n)
 	n.RecordIdle(2.5)
-	if err := s.Unregister("nid001"); err != nil {
-		t.Fatal(err)
-	}
-	var times []float64
-	for {
-		smp, ok := sub.TryNext()
-		if !ok {
-			break
-		}
-		times = append(times, smp.T)
-	}
-	want := []float64{1, 2, 2.5}
-	if len(times) != len(want) {
-		t.Fatalf("times = %v, want %v", times, want)
-	}
-	for i := range want {
-		if math.Abs(times[i]-want[i]) > 1e-9 {
-			t.Fatalf("times = %v, want %v", times, want)
-		}
+	s.PublishRun([]*node.Node{n})
+	if got, want := times(drain(sub)), []float64{1, 2, 2.5}; !slices.Equal(got, want) {
+		t.Fatalf("times = %v, want %v", got, want)
 	}
 }
 
@@ -280,33 +354,16 @@ func TestSamplerUnregisterFlushesTail(t *testing.T) {
 // ulp long; a trace one ulp short of it gets no whole window there.
 func TestSamplerWindowEdgesExact(t *testing.T) {
 	stream := func(interval float64, durs ...float64) []Sample {
-		h := NewHub()
+		h := NewHub(nil)
 		sub, _ := h.Subscribe(node.DomainNode, 64)
 		s, _ := NewSampler(h, interval)
 		n := testNode(t, "nid001")
 		for _, d := range durs {
 			n.ResetTraces()
 			n.RecordIdle(d)
-			_ = s.Register("nid001", n)
-			if err := s.Unregister("nid001"); err != nil {
-				t.Fatal(err)
-			}
+			s.PublishRun([]*node.Node{n})
 		}
-		var out []Sample
-		for {
-			smp, ok := sub.TryNext()
-			if !ok {
-				return out
-			}
-			out = append(out, smp)
-		}
-	}
-	times := func(smps []Sample) []float64 {
-		var ts []float64
-		for _, smp := range smps {
-			ts = append(ts, smp.T)
-		}
-		return ts
+		return drain(sub)
 	}
 	interval, end := 0.1, 0.3
 	want := []float64{interval, 2 * interval, end, end + interval, end + 2*interval, end + end}
@@ -326,68 +383,59 @@ func TestSamplerWindowEdgesExact(t *testing.T) {
 	}
 }
 
-func TestSamplerClockMonotoneAcrossReregistration(t *testing.T) {
-	h := NewHub()
+// TestSamplerClockMonotoneAcrossRuns: a later run on a host name
+// resumes that host's stream clock where the last run left it, while
+// another host's clock starts from zero.
+func TestSamplerClockMonotoneAcrossRuns(t *testing.T) {
+	h := NewHub(nil)
 	sub, _ := h.Subscribe(node.DomainNode, 64)
 	s, _ := NewSampler(h, 1.0)
-	n := testNode(t, "nid001")
-	_ = s.Register("nid001", n)
+	n, other := testNode(t, "nid001"), testNode(t, "nid002")
 	n.RecordIdle(2)
-	_ = s.Unregister("nid001")
+	s.PublishRun([]*node.Node{n})
 	// The next repeat reuses the host name with a fresh trace.
 	n.ResetTraces()
 	n.RecordIdle(3)
-	_ = s.Register("nid001", n)
-	_ = s.Unregister("nid001")
-	var prev float64
-	count := 0
-	for {
-		smp, ok := sub.TryNext()
-		if !ok {
-			break
-		}
-		if smp.T <= prev {
-			t.Fatalf("stream time went backwards: %v after %v", smp.T, prev)
-		}
-		prev = smp.T
-		count++
+	other.RecordIdle(1)
+	s.PublishRun([]*node.Node{n, other})
+	byHost := map[string][]float64{}
+	for _, smp := range drain(sub) {
+		byHost[smp.Host] = append(byHost[smp.Host], smp.T)
 	}
-	if count != 5 {
-		t.Fatalf("got %d samples, want 5 (t=1..5)", count)
+	if got, want := byHost["nid001"], []float64{1, 2, 3, 4, 5}; !slices.Equal(got, want) {
+		t.Fatalf("nid001 times %v, want %v", got, want)
 	}
-	if math.Abs(prev-5) > 1e-9 {
-		t.Fatalf("final stream time = %v, want 5", prev)
+	if got, want := byHost["nid002"], []float64{1}; !slices.Equal(got, want) {
+		t.Fatalf("nid002 times %v, want %v", got, want)
 	}
 }
 
-func TestPublishRunSkipsLiveHosts(t *testing.T) {
-	h := NewHub()
-	sub, _ := h.Subscribe(node.DomainNode, 256)
+// TestPublishRunConcurrentSameHost: parallel runs allocate the same
+// host names, so concurrent PublishRuns on one name must each publish
+// every sample, one run's windows after another's on one clock.
+func TestPublishRunConcurrentSameHost(t *testing.T) {
+	const runs = 64
+	h := NewHub(nil)
+	sub, _ := h.Subscribe(node.DomainNode, 4*runs)
 	s, _ := NewSampler(h, 1.0)
-	live := testNode(t, "nid001")
-	_ = s.Register("nid001", live)
-	other := testNode(t, "nid002")
-	other.RecordIdle(2)
-	live.RecordIdle(2)
-	s.PublishRun([]*node.Node{live, other, nil})
-	// nid001 is being sampled live: PublishRun must not double-publish
-	// it (and must not unregister it).
-	hosts := map[string]int{}
-	for {
-		smp, ok := sub.TryNext()
-		if !ok {
-			break
-		}
-		hosts[smp.Host]++
+	var wg sync.WaitGroup
+	for i := 0; i < runs; i++ {
+		n := testNode(t, "nid000001")
+		n.RecordIdle(2)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.PublishRun([]*node.Node{n})
+		}()
 	}
-	if hosts["nid001"] != 0 {
-		t.Fatalf("live host republished %d samples", hosts["nid001"])
+	wg.Wait()
+	got := times(drain(sub))
+	want := make([]float64, 2*runs)
+	for i := range want {
+		want[i] = float64(i + 1)
 	}
-	if hosts["nid002"] != 2 {
-		t.Fatalf("nid002 published %d, want 2", hosts["nid002"])
-	}
-	if err := s.Unregister("nid001"); err != nil {
-		t.Fatal("PublishRun unregistered the live host")
+	if !slices.Equal(got, want) {
+		t.Fatalf("%d samples published for %d runs of two windows: times %v", len(got), runs, got)
 	}
 }
 
@@ -415,7 +463,7 @@ type failErr struct{}
 func (*failErr) Error() string { return "store down" }
 
 func TestPumpDrainsIntoStore(t *testing.T) {
-	h := NewHub()
+	h := NewHub(nil)
 	sub, _ := h.Subscribe("", 64)
 	st := &memStore{}
 	done := make(chan struct{})
@@ -438,7 +486,7 @@ func TestPumpDrainsIntoStore(t *testing.T) {
 }
 
 func TestPumpSurvivesInsertErrors(t *testing.T) {
-	h := NewHub()
+	h := NewHub(nil)
 	sub, _ := h.Subscribe("", 64)
 	st := &memStore{fail: true}
 	h.Publish(Sample{Host: "n", Domain: node.DomainGPU, T: 1, Watts: 1})

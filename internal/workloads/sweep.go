@@ -209,9 +209,9 @@ func (s *Sweep) run(capW, mhz float64) (RunOutput, error) {
 	// Stream the point's winning traces into the run's telemetry
 	// sampler, when it has one. The sampler never blocks — slow
 	// subscribers shed load in their own rings — so this cannot slow a
-	// run down. PublishRun registers, drains and unregisters each node
-	// before it returns, so no cursor outlives the point and the arena
-	// is free to reset.
+	// run down. PublishRun reads each node's trace whole before it
+	// returns, so no cursor outlives the point and the arena is free to
+	// reset.
 	if s.sink != nil {
 		s.sink.PublishRun(s.nodes)
 	}

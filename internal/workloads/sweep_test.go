@@ -343,7 +343,7 @@ func TestSweepRejectsUnsupportedSpecs(t *testing.T) {
 // every sample fn's runs published into it, in order.
 func publishedSamples(t *testing.T, fn func(*telemetry.Sampler)) []telemetry.Sample {
 	t.Helper()
-	hub := telemetry.NewHub()
+	hub := telemetry.NewHub(nil)
 	sub, err := hub.Subscribe("", 1<<17)
 	if err != nil {
 		t.Fatal(err)
