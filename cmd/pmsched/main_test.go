@@ -12,8 +12,9 @@ import (
 )
 
 // TestOutputGolden pins pmsched's stdout byte for byte for the default
-// 8-node run, for 5,000- and 20,000-job facility-preset runs, and for
-// a 10,000-job preset run under a 900 kW budget. The preset's 2 MW
+// 8-node run, for 5,000- and 20,000-job facility-preset runs, for the
+// full preset (100,000 jobs) at seeds 2024 and 7, and for a 10,000-job
+// preset run under a 900 kW budget. The preset's 2 MW
 // budget never binds (peak reservation stays near 1.1 MW); at 900 kW
 // the queue backs up behind the budget thousands of times, so that
 // golden is the one that pins packing under contention. The
@@ -29,6 +30,8 @@ import (
 //	go run ./cmd/pmsched > cmd/pmsched/testdata/default.golden
 //	go run ./cmd/pmsched -preset facility -jobs 5000 > cmd/pmsched/testdata/facility-5000.golden
 //	go run ./cmd/pmsched -preset facility -jobs 20000 > cmd/pmsched/testdata/facility-20000.golden
+//	go run ./cmd/pmsched -preset facility > cmd/pmsched/testdata/facility.golden
+//	go run ./cmd/pmsched -preset facility -seed 7 > cmd/pmsched/testdata/facility-seed7.golden
 //	go run ./cmd/pmsched -preset facility -jobs 10000 -budget-kw 900 > cmd/pmsched/testdata/facility-budget900.golden
 func TestOutputGolden(t *testing.T) {
 	for _, tc := range []struct {
@@ -38,6 +41,8 @@ func TestOutputGolden(t *testing.T) {
 		{"default.golden", nil},
 		{"facility-5000.golden", []string{"-preset", "facility", "-jobs", "5000"}},
 		{"facility-20000.golden", []string{"-preset", "facility", "-jobs", "20000"}},
+		{"facility.golden", []string{"-preset", "facility"}},
+		{"facility-seed7.golden", []string{"-preset", "facility", "-seed", "7"}},
 		{"facility-budget900.golden", []string{"-preset", "facility", "-jobs", "10000", "-budget-kw", "900"}},
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
