@@ -14,8 +14,10 @@
 // any of -nodes/-jobs/-arrival/-budget-kw not given explicitly. The
 // mix is drawn once into a compact table (16 bytes a job, the IDs in
 // one buffer) that the three policies share; the simulator reads it in
-// arrival order without building a Job per draw. The three policies are simulated concurrently; their
-// rows print in a fixed order.
+// arrival order without building a Job per draw, and keeps one 24-byte
+// record a job. The table prints only aggregates, so no per-job
+// outcome row is ever built. The three policies are simulated
+// concurrently; their rows print in a fixed order.
 //
 // -envelope imposes a time-varying facility power envelope on top of
 // the base budget: a comma-separated list of start:budget-kW phases
@@ -170,7 +172,7 @@ func run(args []string, stdout, stderr io.Writer, reg *obs.Registry) int {
 	// catalog. The catalogs measure through the run's Env,
 	// whose cache prefetch has filled (and later invocations reuse,
 	// with -cache-dir). Each worker keeps only its table row, not the
-	// per-job outcomes.
+	// Result's per-job records.
 	type row struct {
 		cells      []string
 		droppedIDs []string

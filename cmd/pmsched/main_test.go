@@ -20,11 +20,12 @@ import (
 // golden is the one that pins packing under contention. The
 // policies run concurrently and share the process-wide measurement
 // cache, so under -race this is also the concurrency check of that
-// path. The simulations write each outcome at the mix's rank for its
-// job. job0000–job9999 rank in arrival order; from job10000 on they do
-// not ("job10000" < "job2000"), so only the 20,000-job run's ranks
-// are a real permutation (a merge of the 4- and 5-digit IDs), and it
-// is the golden that pins the sums over that order. Regenerate after
+// path. The simulations sum over the mix's jobs in ID order.
+// job0000–job9999 sort in arrival order; from job10000 on they do
+// not ("job10000" < "job2000"), so only the 20,000- and 100,000-job
+// runs' orders are a real permutation (a merge of the 4- and 5-digit
+// IDs), and they are the goldens that pin the sums over that order.
+// Regenerate after
 // an intentional change with:
 //
 //	go run ./cmd/pmsched > cmd/pmsched/testdata/default.golden

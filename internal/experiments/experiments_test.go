@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"vasppower/internal/core"
+	"vasppower/internal/sched"
 	"vasppower/internal/workloads"
 )
 
@@ -348,6 +349,16 @@ func TestFig13ConcurrencyIndependence(t *testing.T) {
 	}
 	if !strings.Contains(res.Render(), "nodes") {
 		t.Fatal("render missing content")
+	}
+}
+
+// TestExtSchedulerRenderWithoutCompletions: a policy that completed
+// no job has an empty power timeline, which Render reports in a line
+// of its own rather than sampling.
+func TestExtSchedulerRenderWithoutCompletions(t *testing.T) {
+	r := ExtSchedulerResult{ClusterNodes: 8, BudgetW: 8800, Jobs: 8, Results: []sched.Result{{Policy: "nocap"}}}
+	if out := r.Render(); !strings.Contains(out, "nocap          no completed jobs\n") {
+		t.Fatalf("render lacks the no-completions line:\n%s", out)
 	}
 }
 

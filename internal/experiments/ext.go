@@ -95,6 +95,10 @@ func (r ExtSchedulerResult) Render() string {
 	sb.WriteString("\ncluster power over the schedule (reserved vs actually drawn):\n")
 	for _, res := range r.Results {
 		reserved, actual := res.Timelines(460)
+		if reserved.Duration() <= 0 {
+			fmt.Fprintf(&sb, "%-14s no completed jobs\n", res.Policy)
+			continue
+		}
 		sb.WriteString(report.SeriesLine(res.Policy+" rsv", reserved.Sample(reserved.Duration()/64), 64) + "\n")
 		sb.WriteString(report.SeriesLine(res.Policy+" act", actual.Sample(actual.Duration()/64), 64) + "\n")
 	}

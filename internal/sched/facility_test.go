@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -67,8 +68,8 @@ func TestSimulateMatchesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: oracle: %v", name, err)
 				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: incremental loop diverged from oracle:\n got %+v\nwant %+v", name, got, want)
+				if !reflect.DeepEqual(view(got), want) {
+					t.Fatalf("%s: incremental loop diverged from oracle:\n got %+v\nwant %+v", name, view(got), want)
 				}
 			}
 		}
@@ -106,8 +107,8 @@ func TestSimulateMatchesOracle(t *testing.T) {
 		if got.Dropped == 0 || got.Completed <= 12 {
 			t.Fatalf("%s/dups: %d completed, %d dropped; the case needs drops and more than 12 outcomes", p.Name(), got.Completed, got.Dropped)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s/dups: incremental loop diverged from oracle:\n got %+v\nwant %+v", p.Name(), got, want)
+		if !reflect.DeepEqual(view(got), want) {
+			t.Fatalf("%s/dups: incremental loop diverged from oracle:\n got %+v\nwant %+v", p.Name(), view(got), want)
 		}
 	}
 
@@ -134,15 +135,15 @@ func TestSimulateMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s/exact: oracle: %v", p.Name(), err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s/exact: incremental loop diverged from oracle:\n got %+v\nwant %+v", p.Name(), got, want)
+		if !reflect.DeepEqual(view(got), want) {
+			t.Fatalf("%s/exact: incremental loop diverged from oracle:\n got %+v\nwant %+v", p.Name(), view(got), want)
 		}
 		arrivals := map[float64]bool{}
 		for _, j := range exact {
 			arrivals[j.Arrival] = true
 		}
 		var onArrival, onCycle, waited int
-		for _, o := range got.Outcomes {
+		for _, o := range got.Outcomes() {
 			if arrivals[o.End] {
 				onArrival++
 			}
@@ -209,7 +210,7 @@ func TestDroppedJobsRecorded(t *testing.T) {
 		t.Fatalf("completed %d + dropped %d != %d jobs", got.Completed, got.Dropped, len(jobs))
 	}
 	for _, id := range got.DroppedIDs {
-		for _, o := range got.Outcomes {
+		for _, o := range got.Outcomes() {
 			if o.ID == id {
 				t.Fatalf("job %s both dropped and completed", id)
 			}
@@ -219,8 +220,8 @@ func TestDroppedJobsRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("drop handling diverged from oracle:\n got %+v\nwant %+v", got, want)
+	if !reflect.DeepEqual(view(got), want) {
+		t.Fatalf("drop handling diverged from oracle:\n got %+v\nwant %+v", view(got), want)
 	}
 }
 
@@ -269,9 +270,8 @@ func TestUnprofilableMeasuredOnce(t *testing.T) {
 // outcome ordering must keep: IDs longer than eight bytes that share
 // one 8-byte prefix, IDs that differ only by trailing NUL bytes (equal
 // zero-padded prefixes), and repeated IDs, with drops and jitter. It
-// also pins that the returned outcomes end at their capacity, so an
-// append by the caller cannot write over the dropped jobs' records
-// behind them.
+// also pins that a caller writing into the outcomes cannot change the
+// rows of a later call.
 func TestSimulateMatchesOracleTieOrder(t *testing.T) {
 	var ids []string
 	for _, base := range []string{"facility-job-7", "facility-job-10", "facility", "job"} {
@@ -303,11 +303,61 @@ func TestSimulateMatchesOracleTieOrder(t *testing.T) {
 		if got.Dropped == 0 || got.Completed <= 12 {
 			t.Fatalf("%s: %d completed, %d dropped; the case needs drops and more than 12 outcomes", p.Name(), got.Completed, got.Dropped)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: incremental loop diverged from oracle:\n got %+v\nwant %+v", p.Name(), got, want)
+		if !reflect.DeepEqual(view(got), want) {
+			t.Fatalf("%s: incremental loop diverged from oracle:\n got %+v\nwant %+v", p.Name(), view(got), want)
 		}
-		if cap(got.Outcomes) != len(got.Outcomes) {
-			t.Fatalf("%s: outcomes cap %d > len %d: an append would overwrite dropped records", p.Name(), cap(got.Outcomes), len(got.Outcomes))
+		requireFreshOutcomes(t, p.Name(), got)
+	}
+}
+
+// requireFreshOutcomes checks that Outcomes builds a fresh slice on
+// each call: writing into one call's rows, and appending to them,
+// leaves the next call's rows unchanged.
+func requireFreshOutcomes(t *testing.T, name string, r Result) {
+	t.Helper()
+	first := r.Outcomes()
+	want := slices.Clone(first)
+	for i := range first {
+		first[i] = JobOutcome{ID: "overwritten", End: -1}
+	}
+	_ = append(first, JobOutcome{ID: "appended"})
+	if got := r.Outcomes(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: a write into one Outcomes result reached the next call's rows", name)
+	}
+}
+
+// TestOutcomesWithoutCompletions pins the rows of a Result with no
+// completed job: a simulation that drops every job (as the oracle
+// does) and a Result no simulation built both return no outcomes, and
+// their timelines are empty.
+func TestOutcomesWithoutCompletions(t *testing.T) {
+	never := func(spec core.MeasureSpec) (core.JobProfile, error) {
+		return core.JobProfile{}, fmt.Errorf("no profile for %s", spec.Bench.Name)
+	}
+	jobs := smallMix(20, 5)
+	catA, catB := NewCatalog(1), NewCatalog(1)
+	catA.SetMeasure(never)
+	catB.SetMeasure(never)
+	got, err := Simulate(simCfg(DefaultProfileAware(), 8*1100, catA), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Completed != 0 || got.Dropped != len(jobs) {
+		t.Fatalf("%d completed, %d dropped of %d; every job should drop", got.Completed, got.Dropped, len(jobs))
+	}
+	want, err := simulateOracle(simCfg(DefaultProfileAware(), 8*1100, catB), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(view(got), want) {
+		t.Fatalf("all-dropped run diverged from oracle:\n got %+v\nwant %+v", view(got), want)
+	}
+	for _, r := range []Result{got, {Policy: "nocap"}} {
+		if o := r.Outcomes(); len(o) != 0 {
+			t.Fatalf("%s: %d outcomes without a completed job", r.Policy, len(o))
+		}
+		if reserved, actual := r.Timelines(460); reserved.Duration() != 0 || actual.Duration() != 0 {
+			t.Fatalf("%s: timelines span %v and %v s without a completed job", r.Policy, reserved.Duration(), actual.Duration())
 		}
 	}
 }
@@ -368,8 +418,8 @@ func TestJobTableMatchesOracle(t *testing.T) {
 				t.Fatalf("%s/%s: %d completed, %d dropped; the case needs drops and more than 12 outcomes",
 					tc.name, p.Name(), got.Completed, got.Dropped)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s/%s: diverged from oracle:\n got %+v\nwant %+v", tc.name, p.Name(), got, want)
+			if !reflect.DeepEqual(view(got), want) {
+				t.Fatalf("%s/%s: diverged from oracle:\n got %+v\nwant %+v", tc.name, p.Name(), view(got), want)
 			}
 		}
 	}
@@ -409,18 +459,18 @@ func TestSimulateStreamMatchesSlice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("table result diverged from slice result:\n got %+v\nwant %+v", b, a)
+	if !reflect.DeepEqual(view(a), view(b)) {
+		t.Fatalf("table result diverged from slice result:\n got %+v\nwant %+v", view(b), view(a))
 	}
 }
 
-// TestRankedStreamMatchesSliceAtScale pins the ranked result path
+// TestRankedStreamMatchesSliceAtScale pins the ID-ordered result path
 // where the ID order is a real permutation: at 12,000 jobs (IDs past
 // job9999 sort between earlier ones), SimulateMix over a drawn table,
-// ranked by merging its ID widths, equals Simulate over the same jobs
-// as a slice, whose table is ranked by a sort, bit for bit — with no
-// drops and with a benchmark whose jobs are all dropped — and the
-// outcomes end at their capacity either way.
+// ordered by merging its ID widths, equals Simulate over the same jobs
+// as a slice, whose table is ordered by a sort, bit for bit — with no
+// drops and with a benchmark whose jobs are all dropped — and each
+// Outcomes call builds fresh rows either way.
 func TestRankedStreamMatchesSliceAtScale(t *testing.T) {
 	const n, mean, seed = 12000, 0.4, 2024
 	jobs := SyntheticJobMix(n, mean, seed)
@@ -446,19 +496,17 @@ func TestRankedStreamMatchesSliceAtScale(t *testing.T) {
 		if (got.Dropped > 0) != drops || got.Completed+got.Dropped != n {
 			t.Fatalf("drops=%v: %d completed, %d dropped of %d", drops, got.Completed, got.Dropped, n)
 		}
-		if !reflect.DeepEqual(got, want) {
+		if !reflect.DeepEqual(view(got), view(want)) {
 			t.Fatalf("drops=%v: drawn table's result diverged from the slice's", drops)
 		}
-		if cap(got.Outcomes) != len(got.Outcomes) {
-			t.Fatalf("drops=%v: outcomes cap %d > len %d", drops, cap(got.Outcomes), len(got.Outcomes))
-		}
+		requireFreshOutcomes(t, fmt.Sprintf("drops=%v", drops), got)
 	}
 }
 
 // TestSyntheticStreamMatchesMix pins that a table built from jobs is
 // the table they were drawn as: SyntheticJobMix is the pre-table draw
-// loop's output, and the table of those jobs yields them back with the
-// drawn table's ranks, here at 12,000 jobs, where ranking by ID is a
+// loop's output, and the table of those jobs yields them back in the
+// drawn table's ID order, here at 12,000 jobs, where ID order is a
 // real permutation of arrival order.
 func TestSyntheticStreamMatchesMix(t *testing.T) {
 	const n, mean, seed = 12000, 0.4, 9
@@ -473,8 +521,8 @@ func TestSyntheticStreamMatchesMix(t *testing.T) {
 	if got := jobsOf(m); !reflect.DeepEqual(got, jobs) {
 		t.Fatal("the table of the jobs does not yield them back")
 	}
-	if want := NewSyntheticMix(n, mean, seed).rank; !slices.Equal(m.rank, want) {
-		t.Fatal("the table of the jobs ranks them unlike the drawn table")
+	if want := NewSyntheticMix(n, mean, seed).order; !slices.Equal(m.order, want) {
+		t.Fatal("the table of the jobs orders them unlike the drawn table")
 	}
 	if len(m.benches) != len(mixSuite) {
 		t.Fatalf("%d entries for the %d benchmarks drawn", len(m.benches), len(mixSuite))
@@ -501,7 +549,7 @@ func TestFacilityScaleDeterministic(t *testing.T) {
 		return res
 	}
 	a, b := run(), run()
-	if !reflect.DeepEqual(a, b) {
+	if !reflect.DeepEqual(view(a), view(b)) {
 		t.Fatal("facility-scale simulation not deterministic across runs")
 	}
 	if a.Completed+a.Dropped != jobs {
@@ -512,6 +560,36 @@ func TestFacilityScaleDeterministic(t *testing.T) {
 	}
 	if a.PeakPowerW > float64(nodes)*1100+1e-6 {
 		t.Fatalf("budget violated at scale: peak %v", a.PeakPowerW)
+	}
+}
+
+// TestSimulateMixBytesPerJob guards the simulation's per-job
+// footprint: one SimulateMix over a 100,000-job table, after a warm-up
+// run that fills the catalog, allocates at most 32 bytes per job
+// (runtime.MemStats.TotalAlloc, which counts every allocation,
+// however short-lived). The 24-byte record per job is most of it; a
+// stored outcome row per job would be over 100.
+func TestSimulateMixBytesPerJob(t *testing.T) {
+	const jobs, budget = 100000, 32.0
+	cfg, mean := benchConfig(1800)
+	mix := NewSyntheticMix(jobs, mean, 2024)
+	if _, err := SimulateMix(cfg, mix); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := SimulateMix(cfg, mix)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != jobs {
+		t.Fatalf("completed %d of %d", res.Completed, jobs)
+	}
+	got := float64(after.TotalAlloc-before.TotalAlloc) / jobs
+	t.Logf("SimulateMix allocated %.1f B per job", got)
+	if got > budget {
+		t.Fatalf("SimulateMix allocated %.1f B per job, want at most %.0f", got, budget)
 	}
 }
 
@@ -534,7 +612,7 @@ func TestBudgetEnvelope(t *testing.T) {
 	if res.Completed != len(jobs) {
 		t.Fatalf("completed %d of %d", res.Completed, len(jobs))
 	}
-	for _, o := range res.Outcomes {
+	for _, o := range res.Outcomes() {
 		if o.Start < 600 {
 			t.Fatalf("job %s started at %v under the pre-lift envelope", o.ID, o.Start)
 		}
@@ -545,7 +623,7 @@ func TestBudgetEnvelope(t *testing.T) {
 	cfg.BudgetSchedule = []BudgetPhase{{Start: 600, BudgetW: 0}, {Start: 660, BudgetW: idleFloor + 100}}
 	res2, err := Simulate(cfg, jobs)
 	if err == nil {
-		for _, o := range res2.Outcomes {
+		for _, o := range res2.Outcomes() {
 			if o.Start >= 600 && o.Start < 660 && o.End <= o.Start {
 				t.Fatalf("job %s truncated by budget drop: %+v", o.ID, o)
 			}
@@ -565,7 +643,7 @@ func TestStartQuantization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, o := range res.Outcomes {
+	for _, o := range res.Outcomes() {
 		if math.Mod(o.Start, CycleSeconds) != 0 {
 			t.Fatalf("job %s started off-cycle at %v", o.ID, o.Start)
 		}
@@ -689,8 +767,8 @@ func TestSameNameBenchmarksInternedApart(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: oracle: %v", p.Name(), err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: diverged from oracle:\n got %+v\nwant %+v", p.Name(), got, want)
+		if !reflect.DeepEqual(view(got), want) {
+			t.Fatalf("%s: diverged from oracle:\n got %+v\nwant %+v", p.Name(), view(got), want)
 		}
 	}
 }

@@ -83,16 +83,16 @@ type MixPair struct {
 }
 
 // SyntheticMix is a job table: jobs in arrival order as compact
-// records, every ID in one string, and each job's rank in ID order. It
-// is what every simulation reads (SimulateMix). It is read-only once
-// built, so any number of simulations can read one table at once: the
-// three policies of a comparison share one draw, one set of ID strings
-// and one ranking of the jobs by ID.
+// records, every ID in one string, and the jobs' ID order. It is what
+// every simulation reads (SimulateMix). It is read-only once built, so
+// any number of simulations can read one table at once: the three
+// policies of a comparison share one draw, one set of ID strings and
+// one ordering of the jobs by ID.
 type SyntheticMix struct {
 	benches []workloads.Benchmark // the table's entries, each a distinct value
 	jobs    []mixJob
 	ids     string  // every job's ID, back to back
-	rank    []int32 // per job, its position in ID order (Result.Outcomes order)
+	order   []int32 // ID order (Result.Outcomes order): at each position, a job's arrival index
 	pairs   []MixPair
 }
 
@@ -110,8 +110,8 @@ func NewSyntheticMix(n int, meanInterArrival float64, seed uint64) *SyntheticMix
 // the job is "job%04d" of i and its entry the picked one (an
 // unresolved entry's bench is never read). Every ID is written into
 // one buffer, sized up front, so the whole mix makes one ID allocation
-// and each ID is a substring of it. The jobs are then ranked by ID
-// (rankByID).
+// and each ID is a substring of it. The jobs are then ordered by ID
+// (orderByID).
 func drawMix(mix []mixEntry, n int, mean float64, seed uint64) *SyntheticMix {
 	r := rng.New(seed)
 	m := &SyntheticMix{benches: make([]workloads.Benchmark, len(mix)), jobs: make([]mixJob, 0, max(n, 0))}
@@ -153,11 +153,12 @@ func drawMix(mix []mixEntry, n int, mean float64, seed uint64) *SyntheticMix {
 		})
 	}
 	m.ids = ids.String()
-	m.rank = m.rankByID()
+	m.order = m.orderByID()
 	return m
 }
 
-// rankByID returns each job's position in ID order, without a sort.
+// orderByID returns the jobs' arrival indices in ID order, without a
+// sort.
 // IDs are "job%04d" of the draw index, which rises with the job index,
 // so the jobs of one ID width form a contiguous run already in ID
 // order ("job9999" < "job10000" does not hold across widths, but
@@ -165,10 +166,10 @@ func drawMix(mix []mixEntry, n int, mean float64, seed uint64) *SyntheticMix {
 // the merge of those runs — at most six for a mix the table can hold —
 // by string comparison of the runs' heads. IDs are distinct, so the
 // order is total.
-func (m *SyntheticMix) rankByID() []int32 {
+func (m *SyntheticMix) orderByID() []int32 {
 	n := len(m.jobs)
-	rank := make([]int32, n)
-	var next, end []int // per run: its next unranked job, and its end
+	order := make([]int32, n)
+	var next, end []int // per run: its next unplaced job, and its end
 	for i := 0; i < n; i++ {
 		if i == 0 || len(m.id(i)) != len(m.id(i-1)) {
 			if i > 0 {
@@ -178,17 +179,17 @@ func (m *SyntheticMix) rankByID() []int32 {
 		}
 	}
 	end = append(end, n)
-	for p := range rank {
+	for p := range order {
 		best := -1
 		for r := range next {
 			if next[r] < end[r] && (best < 0 || m.id(next[r]) < m.id(next[best])) {
 				best = r
 			}
 		}
-		rank[next[best]] = int32(p)
+		order[p] = int32(next[best])
 		next[best]++
 	}
-	return rank
+	return order
 }
 
 // id returns job i's ID.
@@ -234,8 +235,8 @@ func (m *SyntheticMix) Pairs() []MixPair { return m.pairs }
 // order: each distinct Benchmark value becomes one entry (compared
 // whole, so two benchmarks sharing a name but not every field are
 // entries apart), the IDs go back to back into one buffer, and the
-// ranks come from one stable sort of the job indices by ID, which puts
-// jobs sharing an ID in arrival order. A job needing more nodes, or a
+// order is one stable sort of the job indices by ID, which puts jobs
+// sharing an ID in arrival order. A job needing more nodes, or a
 // mix of more benchmarks, than a record holds is an error.
 func jobTable(jobs []Job) (*SyntheticMix, error) {
 	m := &SyntheticMix{jobs: make([]mixJob, len(jobs))}
@@ -266,15 +267,11 @@ func jobTable(jobs []Job) (*SyntheticMix, error) {
 		m.jobs[i] = mixJob{arrival: j.Arrival, idEnd: uint32(ids.Len()), entry: uint16(e), nodes: uint16(j.Nodes)}
 	}
 	m.ids = ids.String()
-	order := make([]int32, len(jobs))
-	for i := range order {
-		order[i] = int32(i)
+	m.order = make([]int32, len(jobs))
+	for i := range m.order {
+		m.order[i] = int32(i)
 	}
-	slices.SortStableFunc(order, func(a, b int32) int { return strings.Compare(m.id(int(a)), m.id(int(b))) })
-	m.rank = make([]int32, len(jobs))
-	for p, i := range order {
-		m.rank[i] = int32(p)
-	}
+	slices.SortStableFunc(m.order, func(a, b int32) int { return strings.Compare(m.id(int(a)), m.id(int(b))) })
 	return m, nil
 }
 

@@ -100,7 +100,7 @@ func TestSharedMixConcurrentPolicies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: fresh table: %v", p.Name(), err)
 		}
-		if !reflect.DeepEqual(got[i], want) {
+		if !reflect.DeepEqual(view(got[i]), view(want)) {
 			t.Fatalf("%s: shared-mix result diverged from a fresh table's", p.Name())
 		}
 		if got[i].Completed != n {
@@ -109,12 +109,12 @@ func TestSharedMixConcurrentPolicies(t *testing.T) {
 	}
 }
 
-// TestMixRankMatchesIDSort pins the mix's ranks against a sort: the
-// jobs ordered by rank are the jobs stably sorted by ID, for sizes on
-// both sides of the 4→5 and 5→6 digit ID widths (below job10000 the
-// order is the identity; from there on it is a real permutation), and
-// for a draw table whose skipped draws leave gaps in the IDs.
-func TestMixRankMatchesIDSort(t *testing.T) {
+// TestMixOrderMatchesIDSort pins the mix's ID order against a sort:
+// it is the jobs stably sorted by ID, for sizes on both sides of the
+// 4→5 and 5→6 digit ID widths (below job10000 the order is the
+// identity; from there on it is a real permutation), and for a draw
+// table whose skipped draws leave gaps in the IDs.
+func TestMixOrderMatchesIDSort(t *testing.T) {
 	withMissing := resolveMix([]mixEntry{
 		{name: "PdO2", weight: 0.5, nodes: []int{1, 2}},
 		{name: "no-such-benchmark", weight: 0.2, nodes: []int{1}},
@@ -129,23 +129,14 @@ func TestMixRankMatchesIDSort(t *testing.T) {
 	} {
 		m := drawMix(tc.mix, tc.n, 5, 7)
 		n := len(m.jobs)
-		if len(m.rank) != n {
-			t.Fatalf("entries=%d/n=%d: %d ranks for %d jobs", len(tc.mix), tc.n, len(m.rank), n)
-		}
-		want := make([]int, n)
+		want := make([]int32, n)
 		for i := range want {
-			want[i] = i
+			want[i] = int32(i)
 		}
-		sort.SliceStable(want, func(a, b int) bool { return m.id(want[a]) < m.id(want[b]) })
-		got := make([]int, n)
-		for i := range got {
-			got[i] = -1
-		}
-		for i, r := range m.rank {
-			if r < 0 || int(r) >= n || got[r] >= 0 {
-				t.Fatalf("entries=%d/n=%d: rank %d of job %d is out of range or taken", len(tc.mix), tc.n, r, i)
-			}
-			got[r] = i
+		sort.SliceStable(want, func(a, b int) bool { return m.id(int(want[a])) < m.id(int(want[b])) })
+		got := m.order
+		if len(got) != n {
+			t.Fatalf("entries=%d/n=%d: %d positions for %d jobs", len(tc.mix), tc.n, len(got), n)
 		}
 		if !slices.Equal(got, want) {
 			p := 0
@@ -153,7 +144,7 @@ func TestMixRankMatchesIDSort(t *testing.T) {
 				p++
 			}
 			t.Fatalf("entries=%d/n=%d: position %d holds %s, the ID sort puts %s there",
-				len(tc.mix), tc.n, p, m.id(got[p]), m.id(want[p]))
+				len(tc.mix), tc.n, p, m.id(int(got[p])), m.id(int(want[p])))
 		}
 		if !tc.mix[1].ok && n >= tc.n {
 			t.Fatalf("entries=%d/n=%d: no draw skipped; the case needs gaps in the IDs", len(tc.mix), tc.n)

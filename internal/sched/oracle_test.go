@@ -9,12 +9,29 @@ import (
 	"vasppower/internal/sim"
 )
 
+// resultView is a Result as its callers read it: the exported fields
+// and the rows Outcomes builds. Two simulations agree when their views
+// are deeply equal; the records the rows are built from are not
+// compared.
+type resultView struct {
+	Result   Result
+	Outcomes []JobOutcome
+}
+
+// view returns r's view.
+func view(r Result) resultView {
+	outcomes := r.Outcomes()
+	r.log = nil
+	return resultView{Result: r, Outcomes: outcomes}
+}
+
 // simulateOracle is the pre-refactor simulate loop, retained as the
 // reference implementation for differential tests: a 30-second
 // cycle ticker that rescans the entire waiting queue (O(cycles ×
 // queue)), per-job arrival closures, and a string-keyed active map.
 // The incremental loop in Simulate must produce bit-identical Results
-// on every input the oracle can run.
+// on every input the oracle can run; the oracle returns the view of
+// the Result it would have built (its outcomes as the rows).
 //
 // Limitations (by construction, do not fix): it ignores
 // cfg.BudgetSchedule (constant-budget only), and a job mix that can
@@ -26,19 +43,19 @@ import (
 // sort: outcomes are ordered by ID and then by arrival sequence (the
 // job's index in the sorted queue), as Simulate orders them, so jobs
 // sharing an ID cannot come out in different orders from the two.
-func simulateOracle(cfg SimConfig, jobs []Job) (Result, error) {
+func simulateOracle(cfg SimConfig, jobs []Job) (resultView, error) {
 	if cfg.ClusterNodes <= 0 {
-		return Result{}, fmt.Errorf("sched: cluster size %d", cfg.ClusterNodes)
+		return resultView{}, fmt.Errorf("sched: cluster size %d", cfg.ClusterNodes)
 	}
 	if cfg.Policy == nil || cfg.Catalog == nil {
-		return Result{}, fmt.Errorf("sched: missing policy or catalog")
+		return resultView{}, fmt.Errorf("sched: missing policy or catalog")
 	}
 	for _, j := range jobs {
 		if err := j.Validate(); err != nil {
-			return Result{}, err
+			return resultView{}, err
 		}
 		if j.Nodes > cfg.ClusterNodes {
-			return Result{}, fmt.Errorf("sched: job %s needs %d nodes, cluster has %d", j.ID, j.Nodes, cfg.ClusterNodes)
+			return resultView{}, fmt.Errorf("sched: job %s needs %d nodes, cluster has %d", j.ID, j.Nodes, cfg.ClusterNodes)
 		}
 	}
 	queue := append([]Job(nil), jobs...)
@@ -140,7 +157,7 @@ func simulateOracle(cfg SimConfig, jobs []Job) (Result, error) {
 	}
 
 	if len(waiting) > 0 {
-		return Result{}, fmt.Errorf("sched: %d jobs never started", len(waiting))
+		return resultView{}, fmt.Errorf("sched: %d jobs never started", len(waiting))
 	}
 	sort.Slice(finished, func(i, k int) bool {
 		a, b := finished[i], finished[k]
@@ -153,7 +170,6 @@ func simulateOracle(cfg SimConfig, jobs []Job) (Result, error) {
 	for _, r := range finished {
 		outcomes = append(outcomes, r.outcome)
 	}
-	res.Outcomes = outcomes
 	res.Completed = len(outcomes)
 	var waitSum, lossSum float64
 	for _, o := range outcomes {
@@ -170,7 +186,7 @@ func simulateOracle(cfg SimConfig, jobs []Job) (Result, error) {
 	if res.Makespan > 0 {
 		res.Throughput = float64(res.Completed) / (res.Makespan / 3600)
 	}
-	return res, nil
+	return resultView{Result: res, Outcomes: outcomes}, nil
 }
 
 // drawLoopOracle is the lazy synthetic-mix generator as it stood

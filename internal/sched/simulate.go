@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"vasppower/internal/rng"
@@ -65,8 +64,8 @@ type JobOutcome struct {
 	ActualMeanW float64
 }
 
-// Result summarizes one policy run over a job mix. Outcomes are
-// sorted by job ID, and jobs sharing an ID by arrival sequence.
+// Result summarizes one policy run over a job mix. Its per-job rows
+// are built on demand (Outcomes) from the records the simulation kept.
 type Result struct {
 	Policy       string
 	Completed    int
@@ -77,7 +76,6 @@ type Result struct {
 	PeakPowerW   float64 // highest reserved power at any instant
 	MeanPerfLoss float64
 	Throughput   float64 // jobs per hour over the makespan
-	Outcomes     []JobOutcome
 	BudgetW      float64
 	ClusterNodes int
 	// Dropped counts jobs discarded because their configuration could
@@ -87,6 +85,18 @@ type Result struct {
 	// vanished and why.
 	Dropped    int
 	DroppedIDs []string
+
+	log *jobLog // what Outcomes builds its rows from; nil if no simulation ran
+}
+
+// jobLog is what a finished simulation keeps for Result.Outcomes: the
+// job table, the per-job records and the profile table and buckets
+// they index. The engine and its event heap are not kept.
+type jobLog struct {
+	mix     *SyntheticMix // shared read-only with the other policies
+	recs    []jobRec      // per job, in arrival order
+	slots   []benchSlot   // profile table behind jobRec.slot
+	buckets []bucket
 }
 
 // Simulate runs the job mix through the scheduler under the policy.
@@ -129,9 +139,8 @@ func Simulate(cfg SimConfig, jobs []Job) (Result, error) {
 // SimulateMix is Simulate over a job table: the facility-scale entry
 // point, and the one input the loop reads (Simulate builds a table of
 // its jobs). Jobs are checked as they are drawn, so an invalid job
-// surfaces only once virtual time reaches its arrival; each outcome is
-// written at the rank the table gives its job, so the Result needs no
-// sort.
+// surfaces only once virtual time reaches its arrival. The Result
+// walks the table's ID order, so it needs no sort.
 func SimulateMix(cfg SimConfig, m *SyntheticMix) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
@@ -212,7 +221,7 @@ type bucket struct {
 // the benchmark's class and its slots in the profile table.
 type tableEntry struct {
 	class Class
-	slots []int32 // indices into simState.slots, one per node count seen
+	slots []int32 // indices into jobLog.slots, one per node count seen
 }
 
 // benchSlot is one entry of the per-simulation profile table: a table
@@ -221,7 +230,7 @@ type tableEntry struct {
 // pair on.
 type benchSlot struct {
 	bench  int32 // index into the table's entries
-	bucket int32 // index into simState.buckets
+	bucket int32 // index into jobLog.buckets
 	filled bool
 	prof   Profile
 	err    error
@@ -230,46 +239,39 @@ type benchSlot struct {
 // pendingJob is the next job the loop will enqueue, as drawn from the
 // table: the job's own fields and its table entry.
 type pendingJob struct {
-	id      string
 	nodes   int
 	arrival float64
 	bench   int32 // index into the table's entries
 }
 
-// jobRec is one job's hot record in the simulation: its profile-table
-// slot (which names its benchmark and bucket, and so its reservation
-// while running) and its queue linkage while waiting. Jobs are
-// addressed by index (arrival sequence) everywhere — no string keys,
-// no per-job closures. The record holds no Job and no outcome: the
-// job's outcome lives in simState.outs at its rank, and until the job
-// starts the outcome's Start holds its arrival, which keeps a record
-// at 8 bytes where the Job alone is 336.
+// jobRec is one job's record in the simulation, 24 bytes: its
+// profile-table slot (which names its benchmark and bucket, and so its
+// cap and reservation), its queue linkage while waiting, and from its
+// start on its start time and runtime. Jobs are addressed by index
+// (arrival sequence) everywhere — no string keys, no per-job closures.
+// Everything else in a job's outcome is the table's (ID, nodes,
+// arrival) or its slot's (profile, class, cap), so no outcome is
+// stored: Result.Outcomes derives the rows from the records.
 type jobRec struct {
-	slot int32 // index into simState.slots
-	next int32 // next index in the same bucket's FIFO, -1 = none
+	slot  int32   // index into jobLog.slots
+	next  int32   // next index in the same bucket's FIFO, -1 = none
+	start float64 // start time, once started
+	rt    float64 // runtime after jitter, once started
 }
 
 // simState is the incremental simulate loop. All event callbacks are
 // bound once (arriveFn/passFn/envFn/completeFn) and the per-job
-// records and outcomes are sized from the table up front, so the loop
-// allocates nothing per job.
+// records are sized from the table up front, so the loop allocates
+// nothing per job.
 type simState struct {
+	jobLog
 	cfg    SimConfig
 	engine *sim.Engine
 	jitter *rng.Stream
-	mix    *SyntheticMix
 	next   int // the table's next job to draw
 	m      *Metrics
 
-	recs []jobRec
-	// outs holds every job's outcome at its rank, its place in ID
-	// order: ID, Nodes and (as Start) the arrival set at enqueue, the
-	// rest at start.
-	outs    []JobOutcome
-	rank    []int32      // the table's, shared read-only
 	benches []tableEntry // per table entry
-	slots   []benchSlot  // profile table behind jobRec.slot
-	buckets []bucket
 
 	pending      pendingJob
 	havePending  bool
@@ -283,9 +285,9 @@ type simState struct {
 	phaseIdx  int
 
 	waiting    int
-	started    int
-	droppedIDs []string
-	dropped    []int32 // dropped jobs' indices into outs, in drop order
+	droppedIDs []string // in drop order
+	maxWait    float64  // over the jobs started
+	makespan   float64  // the latest completion
 
 	passScheduled bool
 	passAt        float64 // the armed pass's time, while passScheduled
@@ -302,13 +304,10 @@ type simState struct {
 
 func simulate(cfg SimConfig, m *SyntheticMix) (Result, error) {
 	s := &simState{
+		jobLog:    jobLog{mix: m, recs: make([]jobRec, 0, len(m.jobs))},
 		cfg:       cfg,
 		engine:    sim.New(),
-		mix:       m,
 		m:         metrics.Load(),
-		recs:      make([]jobRec, 0, len(m.jobs)),
-		outs:      make([]JobOutcome, len(m.jobs)),
-		rank:      m.rank,
 		benches:   make([]tableEntry, len(m.benches)),
 		freeNodes: cfg.ClusterNodes,
 		reservedW: float64(cfg.ClusterNodes) * cfg.IdleNodeW,
@@ -360,20 +359,20 @@ func (s *simState) advance() {
 		s.havePending = false
 		return
 	}
-	j := &m.jobs[s.next]
-	p := pendingJob{id: m.id(s.next), nodes: int(j.nodes), arrival: j.arrival, bench: int32(j.entry)}
+	j, id := &m.jobs[s.next], m.id(s.next)
+	p := pendingJob{nodes: int(j.nodes), arrival: j.arrival, bench: int32(j.entry)}
 	s.next++
-	if err := validateJob(p.id, p.nodes, p.arrival); err != nil {
+	if err := validateJob(id, p.nodes, p.arrival); err != nil {
 		s.fail(err)
 		return
 	}
 	if p.nodes > s.cfg.ClusterNodes {
-		s.fail(fmt.Errorf("sched: job %s needs %d nodes, cluster has %d", p.id, p.nodes, s.cfg.ClusterNodes))
+		s.fail(fmt.Errorf("sched: job %s needs %d nodes, cluster has %d", id, p.nodes, s.cfg.ClusterNodes))
 		return
 	}
 	if p.arrival < s.lastArrival {
 		s.fail(fmt.Errorf("sched: job %s arrives at %v, before the previous job at %v (a job table must be sorted by arrival)",
-			p.id, p.arrival, s.lastArrival))
+			id, p.arrival, s.lastArrival))
 		return
 	}
 	s.pending = p
@@ -430,13 +429,11 @@ func (s *simState) drainArrivals(now float64) {
 	}
 }
 
-// enqueue appends a job's record, writes its outcome at its rank and
-// links the record onto its bucket's FIFO.
+// enqueue appends a job's record and links it onto its bucket's FIFO.
 func (s *simState) enqueue(j *pendingJob) {
 	idx := int32(len(s.recs))
 	slot := s.slotOf(j.bench, j.nodes)
 	s.recs = append(s.recs, jobRec{slot: slot, next: -1})
-	s.outs[s.rank[idx]] = JobOutcome{ID: j.id, Start: j.arrival, Nodes: j.nodes}
 	b := &s.buckets[s.slots[slot].bucket]
 	if b.tail >= 0 {
 		s.recs[b.tail].next = idx
@@ -618,14 +615,11 @@ func (s *simState) pack(now float64) {
 // profiled.
 func (s *simState) startOrDrop(now float64, idx int32, b *bucket) {
 	rec := &s.recs[idx]
-	oi := s.rank[idx]
-	o := &s.outs[oi]
 	prof, err := s.profile(rec.slot)
 	if err != nil {
 		// Unrunnable configuration: drop the job rather than
 		// deadlocking the queue, and record it in the Result.
-		s.droppedIDs = append(s.droppedIDs, o.ID)
-		s.dropped = append(s.dropped, oi)
+		s.droppedIDs = append(s.droppedIDs, s.mix.id(int(idx)))
 		if s.m != nil {
 			s.m.JobsDropped.Inc()
 		}
@@ -635,21 +629,13 @@ func (s *simState) startOrDrop(now float64, idx int32, b *bucket) {
 	if s.jitter != nil {
 		rt *= s.jitter.LogNormal(0, 0.02)
 	}
-	s.freeNodes -= o.Nodes
+	s.freeNodes -= b.nodes
 	s.reservedW += b.needW
 	if s.reservedW > s.peakW {
 		s.peakW = s.reservedW
 	}
-	// Field by field, not as one literal: ID and Nodes stay, and no
-	// 104-byte temporary is built and copied.
-	o.Class, o.CapW = b.class, b.capW
-	o.Wait = now - o.Start // Start held the arrival
-	o.Start, o.End = now, now+rt
-	o.Runtime, o.PerfLoss = rt, prof.PerfLoss()
-	o.EnergyJ = prof.EnergyJ
-	o.PowerW = float64(o.Nodes) * b.perNodeW
-	o.ActualMeanW = float64(o.Nodes) * prof.MeanNodeW
-	s.started++
+	rec.start, rec.rt = now, rt
+	s.maxWait = math.Max(s.maxWait, now-s.mix.jobs[idx].arrival)
 	if s.m != nil {
 		s.m.JobsStarted.Inc()
 	}
@@ -657,51 +643,47 @@ func (s *simState) startOrDrop(now float64, idx int32, b *bucket) {
 }
 
 // complete is the (single, reused) completion callback: free the
-// job's capacity, record its completion, and arm a pass if anything is
-// waiting for that capacity.
+// job's capacity, record its completion (it fires at exactly start +
+// runtime), and arm a pass if anything is waiting for that capacity.
 func (s *simState) complete(idx int) {
-	o := &s.outs[s.rank[idx]]
-	s.freeNodes += o.Nodes
+	s.freeNodes += int(s.mix.jobs[idx].nodes)
 	s.reservedW -= s.buckets[s.slots[s.recs[idx].slot].bucket].needW
+	s.makespan = math.Max(s.makespan, s.engine.Now())
 	if s.m != nil {
 		s.m.JobsCompleted.Inc()
 	}
 	s.schedulePass()
 }
 
-// result assembles the Result exactly as the reference loop does
-// (completed jobs by ID, then arrival sequence, and the sums
-// accumulated in that order, so the floating-point sums are
-// bit-identical). outs is already in that order, ranked; only drops
-// leave gaps to close (closeDropGaps), and its completed prefix is
-// returned.
+// result assembles the Result exactly as the reference loop does: the
+// sums run over the completed jobs by ID, then arrival sequence, in
+// that order, so the floating-point sums are bit-identical. It walks
+// the table's order once; a job is dropped exactly when its slot holds
+// a catalog error. MaxWait and Makespan are maxima, taken as jobs
+// start and complete.
 func (s *simState) result() Result {
+	log := s.jobLog
 	res := Result{
 		Policy: s.cfg.Policy.Name(), BudgetW: s.cfg.BudgetW, ClusterNodes: s.cfg.ClusterNodes,
-		Dropped: len(s.dropped), DroppedIDs: s.droppedIDs,
+		Dropped: len(s.droppedIDs), DroppedIDs: s.droppedIDs,
+		PeakPowerW: s.peakW, MaxWait: s.maxWait, Makespan: s.makespan,
+		log: &log,
 	}
-	res.PeakPowerW = s.peakW
-	s.closeDropGaps()
-	var outcomes []JobOutcome
-	if n := len(s.outs) - len(s.dropped); n > 0 {
-		// Full slice expression: an append to the Result must
-		// reallocate rather than write into the records behind it.
-		outcomes = s.outs[:n:n]
-	}
-	res.Outcomes = outcomes
-	res.Completed = len(outcomes)
 	var waitSum, lossSum float64
-	for i := range outcomes {
-		o := &outcomes[i]
-		res.TotalEnergyJ += o.EnergyJ
-		waitSum += o.Wait
-		res.MaxWait = math.Max(res.MaxWait, o.Wait)
-		lossSum += o.PerfLoss
-		res.Makespan = math.Max(res.Makespan, o.End)
+	for _, i := range s.mix.order {
+		rec := &s.recs[i]
+		p := &s.slots[rec.slot]
+		if p.err != nil {
+			continue
+		}
+		res.Completed++
+		res.TotalEnergyJ += p.prof.EnergyJ
+		waitSum += rec.start - s.mix.jobs[i].arrival
+		lossSum += p.prof.PerfLoss()
 	}
-	if len(outcomes) > 0 {
-		res.MeanWait = waitSum / float64(len(outcomes))
-		res.MeanPerfLoss = lossSum / float64(len(outcomes))
+	if res.Completed > 0 {
+		res.MeanWait = waitSum / float64(res.Completed)
+		res.MeanPerfLoss = lossSum / float64(res.Completed)
 	}
 	if res.Makespan > 0 {
 		res.Throughput = float64(res.Completed) / (res.Makespan / 3600)
@@ -712,26 +694,33 @@ func (s *simState) result() Result {
 	return res
 }
 
-// closeDropGaps makes the completed jobs a prefix of the ranked outs,
-// still in ID order: one stable pass moves each completed outcome down
-// over the slots of the jobs dropped before it. The records left
-// behind the prefix are unreachable (Result.Outcomes ends at its
-// capacity), so the dropped ones are not kept there. It sorts
-// s.dropped.
-func (s *simState) closeDropGaps() {
-	if len(s.dropped) == 0 {
-		return
+// Outcomes returns the completed jobs' outcomes, sorted by job ID and
+// jobs sharing an ID by arrival sequence (nil if none completed). Each
+// call builds a fresh slice from the records the simulation kept.
+func (r Result) Outcomes() []JobOutcome {
+	l := r.log
+	if l == nil || r.Completed == 0 {
+		return nil
 	}
-	slices.Sort(s.dropped)
-	w, k := int(s.dropped[0]), 0
-	for i := w; i < len(s.outs); i++ {
-		if k < len(s.dropped) && int(s.dropped[k]) == i {
-			k++
+	out := make([]JobOutcome, 0, r.Completed)
+	for _, i := range l.mix.order {
+		rec := &l.recs[i]
+		p := &l.slots[rec.slot]
+		if p.err != nil {
 			continue
 		}
-		s.outs[w] = s.outs[i]
-		w++
+		b := &l.buckets[p.bucket]
+		j := &l.mix.jobs[i]
+		nodes := int(j.nodes)
+		out = append(out, JobOutcome{
+			ID: l.mix.id(int(i)), Class: b.class, CapW: b.capW,
+			Start: rec.start, End: rec.start + rec.rt, Wait: rec.start - j.arrival,
+			Runtime: rec.rt, PerfLoss: p.prof.PerfLoss(), EnergyJ: p.prof.EnergyJ,
+			PowerW: float64(nodes) * b.perNodeW, Nodes: nodes,
+			ActualMeanW: float64(nodes) * p.prof.MeanNodeW,
+		})
 	}
+	return out
 }
 
 // Timelines reconstructs the cluster's power over the schedule as two
@@ -746,8 +735,9 @@ func (r Result) Timelines(idleNodeW float64) (reserved, actual *timeseries.Trace
 		dReserve float64
 		dActual  float64
 	}
-	edges := make([]edge, 0, 2*len(r.Outcomes))
-	for _, o := range r.Outcomes {
+	outcomes := r.Outcomes()
+	edges := make([]edge, 0, 2*len(outcomes))
+	for _, o := range outcomes {
 		idle := float64(o.Nodes) * idleNodeW
 		edges = append(edges,
 			edge{o.Start, o.PowerW - idle, o.ActualMeanW - idle},

@@ -39,7 +39,7 @@ func TestSimulateCompletesAllJobs(t *testing.T) {
 	if res.Makespan <= 0 || res.TotalEnergyJ <= 0 {
 		t.Fatalf("degenerate result: %+v", res)
 	}
-	for _, o := range res.Outcomes {
+	for _, o := range res.Outcomes() {
 		if o.End <= o.Start || o.Wait < 0 {
 			t.Fatalf("bad outcome: %+v", o)
 		}
@@ -159,7 +159,7 @@ func TestSimulateValidation(t *testing.T) {
 	if res.Completed != len(jobs) {
 		t.Fatalf("envelope rising above the idle reservation completed %d of %d jobs", res.Completed, len(jobs))
 	}
-	for _, o := range res.Outcomes {
+	for _, o := range res.Outcomes() {
 		if o.Start < 600 {
 			t.Fatalf("job %s started at %v, under the below-idle phase", o.ID, o.Start)
 		}

@@ -173,12 +173,15 @@ type (
 	SchedulerPolicy = sched.Policy
 	// SchedulerJob is one queued batch job.
 	SchedulerJob = sched.Job
-	// SchedulerResult summarizes one policy run.
+	// SchedulerResult summarizes one policy run: the aggregates as
+	// fields, and the per-job rows built on demand by its Outcomes
+	// method (a simulation keeps 24 bytes a job, not a row).
 	SchedulerResult = sched.Result
 	// SchedulerConfig configures the scheduler simulation.
 	SchedulerConfig = sched.SimConfig
 	// SchedulerJobStream is the job table SimulateSchedulerStream
-	// reads: jobs in arrival order as 16-byte records, ranked by ID.
+	// reads: jobs in arrival order as 16-byte records, with their ID
+	// order.
 	// It keeps the name under which the benchmark harness uses it.
 	SchedulerJobStream = *sched.SyntheticMix
 	// SchedulerBudgetPhase is one step of a time-varying facility
